@@ -270,7 +270,7 @@ def integrate(
     ``selected_rows`` indexes each group member back into the round's
     selected range (for curve offsets and result placement). Returns a
     :class:`GroupOutcome` covering the whole selected range plus the total
-    accepted-step count, and fills ``oob_map`` (particle id -> direction).
+    accepted-step count.
     """
     total = info.count
     status = np.zeros(total, dtype=np.int64)

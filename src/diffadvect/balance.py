@@ -219,36 +219,41 @@ def decide(scheduler: str, lv: LoadVector, granted_quotas=None, dims: int = 3,
     raise InvariantError(f"unknown scheduler {scheduler!r}")
 
 
-def synchronous_step(grid: ProcessGrid, loads, scheduler: str, alpha: float | None = None) -> list[int]:
-    """Apply one lockstep balancing step to a whole grid of integer loads.
+def plan_transfers(grid: ProcessGrid, loads, scheduler: str,
+                   alpha: float | None = None) -> list[BalanceDecision]:
+    """Every rank's balancing decision for one lockstep step, indexed by rank.
 
-    Every rank exchanges loads, gllma additionally exchanges quotas, then all
-    decisions execute simultaneously. Returns the new per-rank loads. This is
-    the pure-integer view of the runtime's distribute stage, useful for
-    studying scheduler behavior in isolation.
+    Each rank sees its own load and its face neighbors' loads in direction
+    order; under gllma it also sees the quota each neighbor offered it. This
+    is the single source of scheduler decisions: the runtime's distribute
+    stage and :func:`synchronous_step` both realise its result.
     """
     loads = [int(w) for w in loads]
     if len(loads) != grid.rank_count:
         raise InvariantError("one load per rank required")
-    hoods = [neighborhood_of(grid, r) for r in range(grid.rank_count)]
-    lvs = [LoadVector(loads[r], tuple(loads[j] for j in hoods[r].ranks)) for r in range(grid.rank_count)]
-    granted = None
+    hoods = [neighborhood_of(grid, r).ranks for r in range(grid.rank_count)]
+    lvs = [LoadVector(loads[r], tuple(loads[j] for j in hoods[r])) for r in range(grid.rank_count)]
+    granted = [None] * grid.rank_count
     if scheduler == "gllma":
-        offers = [quota_offer(lvs[r]) for r in range(grid.rank_count)]
-        granted = []
-        for r in range(grid.rank_count):
-            row = []
-            for d, j in hoods[r].neighbors:
-                # What neighbor j offered to r: find r in j's neighbor list.
-                j_index = hoods[j].ranks.index(r)
-                row.append(offers[j][j_index])
-            granted.append(tuple(row))
+        offers = [dict(zip(hoods[r], quota_offer(lvs[r]))) for r in range(grid.rank_count)]
+        granted = [tuple(offers[j][r] for j in hoods[r]) for r in range(grid.rank_count)]
+    return [decide(scheduler, lvs[r], granted_quotas=granted[r], alpha=alpha)
+            for r in range(grid.rank_count)]
+
+
+def synchronous_step(grid: ProcessGrid, loads, scheduler: str, alpha: float | None = None) -> list[int]:
+    """Apply one lockstep balancing step to a whole grid of integer loads.
+
+    All decisions of :func:`plan_transfers` execute simultaneously. Returns
+    the new per-rank loads: the pure-integer view of the runtime's
+    distribute stage, useful for studying scheduler behavior in isolation.
+    """
+    decisions = plan_transfers(grid, loads, scheduler, alpha)
     new_loads = [0] * grid.rank_count
-    for r in range(grid.rank_count):
-        dec = decide(scheduler, lvs[r], granted_quotas=None if granted is None else granted[r], alpha=alpha)
+    for r, dec in enumerate(decisions):
         new_loads[r] += dec.retained
-        for (d, j), sent in zip(hoods[r].neighbors, dec.outgoing):
+        for j, sent in zip(neighborhood_of(grid, r).ranks, dec.outgoing):
             new_loads[j] += sent
-    if sum(new_loads) != sum(loads):
+    if sum(new_loads) != sum(int(w) for w in loads):
         raise InvariantError("synchronous step lost particles")
     return new_loads

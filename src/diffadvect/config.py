@@ -10,6 +10,7 @@ run's provenance so outputs can name the exact configuration that made them.
 from __future__ import annotations
 
 import hashlib
+import math
 from dataclasses import dataclass, field as dc_field, replace
 
 from .balance import SCHEDULERS
@@ -103,8 +104,8 @@ class RunConfig:
             errors.append(f"aabb_scale: must be in (0, 1], got {self.aabb_scale}")
         if any(s < 1 for s in self.stride):
             errors.append(f"stride: must be >= 1 per axis, got {self.stride}")
-        if self.step <= 0.0:
-            errors.append(f"step: must be positive, got {self.step}")
+        if not (math.isfinite(self.step) and self.step > 0.0):
+            errors.append(f"step: must be positive and finite, got {self.step}")
         if not (1 <= self.max_iterations <= _MAX_ITER_CAP):
             errors.append(f"max_iterations: must be in [1, {_MAX_ITER_CAP}], got {self.max_iterations}")
         if self.particles_per_round < 1:

@@ -60,6 +60,8 @@ class AnalyticField:
             if key not in merged:
                 raise ConfigError(f"field {self.kind!r} has no parameter {key!r}")
             merged[key] = float(value)
+            if not math.isfinite(merged[key]):
+                raise ConfigError(f"field {self.kind!r} parameter {key!r} must be finite, got {value}")
         object.__setattr__(self, "params", merged)
 
     def evaluate(self, points: np.ndarray) -> np.ndarray:

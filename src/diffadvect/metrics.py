@@ -80,6 +80,18 @@ def lif_from_steps(records: list[RoundRecord]) -> float:
     return lif([r.integrate_steps for r in records])
 
 
+def lockstep_total(records: list[RoundRecord], value):
+    """Sum over rounds of the per-round maximum of ``value(record)``.
+
+    Lockstep semantics: each round costs its slowest rank, and rounds add up.
+    """
+    by_round: dict = {}
+    for r in records:
+        v = value(r)
+        by_round[r.round] = max(by_round.get(r.round, v), v)
+    return sum(by_round.values())
+
+
 def speedup(times: dict[int, float]) -> dict[int, float]:
     """Relative speedup ``S(N) = T(baseline) / T(N)`` keyed by node count.
 
@@ -143,11 +155,8 @@ def build_summary(
     per-round max stage sum); ``lockstep_integrate_steps`` is its
     deterministic work-unit analogue.
     """
-    by_round: dict[int, list[RoundRecord]] = {}
-    for r in records:
-        by_round.setdefault(r.round, []).append(r)
-    total_s = sum(max(r.stage_sum() for r in rs) for rs in by_round.values())
-    lockstep_steps = sum(max(r.integrate_steps for r in rs) for rs in by_round.values())
+    total_s = lockstep_total(records, RoundRecord.stage_sum)
+    lockstep_steps = lockstep_total(records, lambda r: r.integrate_steps)
     total_steps = sum(r.integrate_steps for r in records)
     stage_totals = {}
     for col in ("stage_lb_distribute_s", "stage_round_info_s", "stage_alloc_s",
@@ -160,7 +169,7 @@ def build_summary(
         "config": config_dict,
         "config_hash": config_hash,
         "node_count": int(node_count),
-        "rounds": len(by_round),
+        "rounds": len({r.round for r in records}),
         "seed_count": int(seed_count),
         "terminated": int(terminated),
         "exited_domain": int(exited),

@@ -1,12 +1,16 @@
 """Lockstep multi-rank advection simulator.
 
-Ranks are simulated within one process. Each round runs the kernel stages in
-order -- balance distribute, round info, allocate, integrate, balance
-collect, out-of-bounds distribute -- with all cross-rank traffic flowing
-through per-channel mailboxes that are delivered only at the barrier between
-stages. Message processing is keyed by the receiver's neighborhood direction
-order, never by rank execution order, so any execution order produces
-identical results (the sequential order used here is the reference).
+Ranks are simulated within one process. Each round runs the paper's stages
+in order: lend and borrow (balance distribute), round info, allocate,
+integrate, give back and take back loans (balance collect), and hand off
+and take over out-of-bounds particles. Every stage is a per-rank function
+applied to each rank in turn. A stage that moves particles runs twice: a
+sending pass in which each rank writes at most one message per neighbor
+into a dict keyed ``(sender, receiver)``, then a receiving pass in which
+each rank reads its messages in its own neighborhood direction order.
+Because the receiver's direction order, never the rank execution order,
+fixes the processing order, any ``rank_order`` gives identical results.
+All balancing decisions come from one :func:`balance.plan_transfers` call.
 
 Loans are per-round ephemeral: every surviving loaned particle (out of
 bounds or not yet integrated) returns to its home rank at collect, before
@@ -16,6 +20,7 @@ die there and are only reported back for bookkeeping.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, field as dc_field
 
@@ -33,7 +38,7 @@ from .advect import (
 )
 from .errors import ConfigError, InvariantError, RoundLimitError
 from .field import AnalyticField, Block, rasterize_block, rasterize_global
-from .metrics import RoundRecord, lif
+from .metrics import RoundRecord, lif, lockstep_total
 from .particles import ParticleSet, concat_particles
 from .topology import (
     Neighborhood,
@@ -60,9 +65,7 @@ class RankState:
     loaned_out: dict = dc_field(default_factory=dict)
     terminated: int = 0
     exited: int = 0
-
-    def __post_init__(self):
-        self._oob: list = []  # (ParticleSet, dirs) awaiting distribution
+    _oob: list = dc_field(default_factory=list, init=False)  # (ParticleSet, dirs) awaiting hand-off
 
     def donor_direction(self, donor_rank: int) -> int:
         for d, r in self.neighborhood.neighbors:
@@ -70,31 +73,25 @@ class RankState:
                 return d
         raise InvariantError(f"rank {self.rank} holds a loan from non-neighbor {donor_rank}")
 
+    def containing_blocks(self, pset: ParticleSet):
+        """Yield ``(block, rows)`` of ``pset``: home rows sample the own block,
+        each donor's loans that donor's replica, donors in ascending order."""
+        home = np.nonzero(pset.loaned_from < 0)[0]
+        if home.size:
+            yield self.own_block, home
+        for donor in np.unique(pset.loaned_from[pset.loaned_from >= 0]):
+            yield self.replicas[self.donor_direction(int(donor))], np.nonzero(pset.loaned_from == donor)[0]
 
-class Mailbox:
-    """Per-round message store with barrier delivery semantics.
 
-    Messages are posted as ``(sender, receiver, channel, payload)`` and read
-    back per receiver keyed by sender; readers iterate their neighborhood in
-    direction order, which fixes processing order independent of execution
-    order.
+def _take_delivery(st: RankState, mail: dict) -> int:
+    """Queue the particle sets sent to ``st``, in its neighborhood direction order.
+
+    Returns how many particles arrived.
     """
-
-    def __init__(self):
-        self._mail: dict = {}
-
-    def post(self, sender: int, receiver: int, channel: str, payload) -> None:
-        key = (receiver, channel)
-        box = self._mail.setdefault(key, {})
-        if sender in box:
-            raise InvariantError(f"duplicate message {channel} from {sender} to {receiver}")
-        box[sender] = payload
-
-    def take(self, receiver: int, channel: str, sender: int, default=None):
-        box = self._mail.get((receiver, channel))
-        if box is None:
-            return default
-        return box.pop(sender, default)
+    arrivals = [mail.pop((j, st.rank)) for j in st.neighborhood.ranks if (j, st.rank) in mail]
+    if arrivals:
+        st.queue = concat_particles([st.queue] + arrivals)
+    return sum(len(p) for p in arrivals)
 
 
 @dataclass
@@ -116,10 +113,7 @@ class RunResult:
         return d[0] * d[1] * d[2]
 
     def lockstep_integrate_steps(self) -> int:
-        by_round: dict[int, int] = {}
-        for r in self.records:
-            by_round[r.round] = max(by_round.get(r.round, 0), r.integrate_steps)
-        return sum(by_round.values())
+        return lockstep_total(self.records, lambda r: r.integrate_steps)
 
     def total_integrate_steps(self) -> int:
         return sum(r.integrate_steps for r in self.records)
@@ -201,8 +195,8 @@ class Simulator:
     ):
         if scheduler not in balance.SCHEDULERS:
             raise ConfigError(f"unknown scheduler {scheduler!r}; expected one of {balance.SCHEDULERS}")
-        if step <= 0.0:
-            raise ConfigError(f"step size must be positive, got {step}")
+        if not (math.isfinite(step) and step > 0.0):
+            raise ConfigError(f"step size must be positive and finite, got {step}")
         if max_iterations < 1:
             raise ConfigError(f"max_iterations must be >= 1, got {max_iterations}")
         if particles_per_round < 1:
@@ -260,19 +254,10 @@ class Simulator:
 
     def _assert_containable(self) -> None:
         for st in self.states:
-            q = st.queue
-            if len(q) == 0:
-                continue
-            home_rows = q.loaned_from < 0
-            if home_rows.any():
-                ok = st.own_block.samplable_mask(q.pos[home_rows])
-                if not ok.all():
-                    raise InvariantError(f"rank {st.rank}: home particle outside its block's reach")
-            for donor in np.unique(q.loaned_from[~home_rows]) if (~home_rows).any() else []:
-                d = st.donor_direction(int(donor))
-                rows = q.loaned_from == donor
-                if not st.replicas[d].samplable_mask(q.pos[rows]).all():
-                    raise InvariantError(f"rank {st.rank}: loaned particle outside donor replica's reach")
+            for block, rows in st.containing_blocks(st.queue):
+                if not block.samplable_mask(st.queue.pos[rows]).all():
+                    kind = "home" if block is st.own_block else "loaned"
+                    raise InvariantError(f"rank {st.rank}: {kind} particle outside its block's reach")
 
     def _conservation_check(self, round_index: int) -> None:
         active = sum(len(s.queue) for s in self.states)
@@ -287,226 +272,144 @@ class Simulator:
 
     # -- the kernel ------------------------------------------------------
 
+    def _each_rank(self, recs, column: str, stage, *args) -> dict:
+        """Run ``stage(state, record, *args)`` on every rank in ``rank_order``.
+
+        Each call's wall time is added to that rank's ``column`` in
+        ``rounds.csv``. Returns the calls' results keyed by rank.
+        """
+        results = {}
+        for r in self.rank_order:
+            t0 = time.perf_counter()
+            results[r] = stage(self.states[r], recs[r], *args)
+            setattr(recs[r], column, getattr(recs[r], column) + time.perf_counter() - t0)
+        return results
+
     def run_round(self, round_index: int) -> list[RoundRecord]:
-        states = self.states
-        order = self.rank_order
-        mail = Mailbox()
-        recs = {s.rank: RoundRecord(round=round_index, rank=s.rank, load_pre=len(s.queue)) for s in states}
+        recs = [RoundRecord(round=round_index, rank=s.rank, load_pre=len(s.queue)) for s in self.states]
         self._assert_containable()
+        decisions = balance.plan_transfers(
+            self.grid, [r.load_pre for r in recs], self.scheduler, self.alpha)
+        lent, returned, handed = {}, {}, {}
+        self._each_rank(recs, "stage_lb_distribute_s", self._lend, decisions, lent)
+        self._each_rank(recs, "stage_lb_distribute_s", self._borrow, lent)
+        infos = self._each_rank(recs, "stage_round_info_s",
+                                lambda st, rec: compute_round_info(st.queue, self.ppr))
+        buffers = self._each_rank(recs, "stage_alloc_s",
+                                  lambda st, rec: st.store.allocate(infos[st.rank]))
+        done = self._each_rank(recs, "stage_integrate_s", self._integrate, round_index, infos, buffers)
+        self._each_rank(recs, "stage_collect_s", self._give_back, done, returned)
+        self._each_rank(recs, "stage_collect_s", self._take_back, returned)
+        self._each_rank(recs, "stage_oob_s", self._hand_off, handed)
+        self._each_rank(recs, "stage_oob_s", self._take_over, handed)
 
-        # Stage 1: balance distribute (load exchange, quota exchange, transfer).
-        loads = {s.rank: len(s.queue) for s in states}
-        for r in order:
-            st = states[r]
-            t0 = time.perf_counter()
-            for d, j in st.neighborhood.neighbors:
-                mail.post(st.rank, j, "loads", loads[st.rank])
-            recs[r].stage_lb_distribute_s += time.perf_counter() - t0
-        neighbor_loads = {}
-        for r in order:
-            st = states[r]
-            t0 = time.perf_counter()
-            neighbor_loads[r] = tuple(
-                mail.take(st.rank, "loads", j) for _, j in st.neighborhood.neighbors
-            )
-            recs[r].stage_lb_distribute_s += time.perf_counter() - t0
-        granted = {r: None for r in range(len(states))}
-        if self.scheduler == "gllma":
-            for r in order:
-                st = states[r]
-                t0 = time.perf_counter()
-                lv = balance.LoadVector(loads[r], neighbor_loads[r])
-                offer = balance.quota_offer(lv)
-                for (d, j), q in zip(st.neighborhood.neighbors, offer):
-                    mail.post(st.rank, j, "quotas", q)
-                recs[r].stage_lb_distribute_s += time.perf_counter() - t0
-            for r in order:
-                st = states[r]
-                t0 = time.perf_counter()
-                granted[r] = tuple(
-                    mail.take(st.rank, "quotas", j, 0) for _, j in st.neighborhood.neighbors
-                )
-                recs[r].stage_lb_distribute_s += time.perf_counter() - t0
-        for r in order:
-            st = states[r]
-            t0 = time.perf_counter()
-            lv = balance.LoadVector(loads[r], neighbor_loads[r])
-            decision = balance.decide(self.scheduler, lv, granted_quotas=granted[r], alpha=self.alpha)
-            kept, sends = balance.select_particles(st.queue, decision, st.rank)
-            st.queue = kept
-            for (d, j), part in zip(st.neighborhood.neighbors, sends):
-                st.loaned_out[d] = part.ids.copy()
-                if len(part):
-                    mail.post(st.rank, j, "balanced", part)
-            recs[r].sent_balanced = sum(len(p) for p in sends)
-            recs[r].stage_lb_distribute_s += time.perf_counter() - t0
-        for r in order:
-            st = states[r]
-            t0 = time.perf_counter()
-            arrivals = []
-            for d, j in st.neighborhood.neighbors:
-                part = mail.take(st.rank, "balanced", j)
-                if part is not None:
-                    arrivals.append(part)
-            if arrivals:
-                st.queue = concat_particles([st.queue] + arrivals)
-                recs[r].recv_balanced = sum(len(p) for p in arrivals)
-            recs[r].load_post = len(st.queue)
-            recs[r].stage_lb_distribute_s += time.perf_counter() - t0
-
-        # Stages 2-4: round info, allocation, integration.
-        selected = {}
-        outcomes = {}
-        for r in order:
-            st = states[r]
-            t0 = time.perf_counter()
-            info = compute_round_info(st.queue, self.ppr)
-            recs[r].stage_round_info_s += time.perf_counter() - t0
-            t0 = time.perf_counter()
-            buf = st.store.allocate(info)
-            recs[r].stage_alloc_s += time.perf_counter() - t0
-            t0 = time.perf_counter()
-            sel = st.queue.select(np.arange(info.count))
-            st.queue = st.queue.select(np.arange(info.count, len(st.queue)))
-            groups = []
-            home_rows = np.nonzero(sel.loaned_from < 0)[0]
-            if home_rows.size:
-                groups.append((st.own_block, sel.select(home_rows), home_rows))
-            if (sel.loaned_from >= 0).any():
-                for donor in np.unique(sel.loaned_from[sel.loaned_from >= 0]):
-                    d = st.donor_direction(int(donor))
-                    rows = np.nonzero(sel.loaned_from == donor)[0]
-                    groups.append((st.replicas[d], sel.select(rows), rows))
-            outcome, work = integrate(groups, info, buf, self.h)
-            st.store.finish_round(round_index, sel.ids, info, buf)
-            recs[r].integrate_steps = work
-            selected[r] = sel
-            outcomes[r] = outcome
-            recs[r].stage_integrate_s += time.perf_counter() - t0
-
-        # Stage 4 bookkeeping: apply outcomes to home particles; loans wait
-        # for collect. Positions/budgets in `sel` are updated in place.
-        for r in order:
-            st = states[r]
-            t0 = time.perf_counter()
-            sel, out = selected[r], outcomes[r]
-            sel.pos[:] = out.pos
-            sel.remaining[:] = out.remaining
-            home = sel.loaned_from < 0
-            st.terminated += int(np.count_nonzero(out.status == STATUS_TERMINATED))
-            st.exited += int(np.count_nonzero(out.status == STATUS_EXITED))
-            oob_home = home & (out.status == STATUS_OOB)
-            if oob_home.any():
-                rows = np.nonzero(oob_home)[0]
-                st._oob.append((sel.select(rows), out.exit_dir[rows].copy()))
-            recs[r].stage_integrate_s += time.perf_counter() - t0
-
-        # Stage 5: collect -- every surviving loan returns to its donor.
-        for r in order:
-            st = states[r]
-            t0 = time.perf_counter()
-            sel, out = selected[r], outcomes[r]
-            loan_rows = np.nonzero(sel.loaned_from >= 0)[0]
-            queue_loans = np.nonzero(st.queue.loaned_from >= 0)[0]
-            by_donor: dict[int, list] = {}
-            for rows_src, src, statuses, dirs in (
-                (loan_rows, sel, out.status[loan_rows], out.exit_dir[loan_rows]),
-                (queue_loans, st.queue,
-                 np.full(queue_loans.shape[0], _COLLECT_ACTIVE, dtype=np.int64),
-                 np.full(queue_loans.shape[0], -1, dtype=np.int64)),
-            ):
-                if rows_src.size == 0:
-                    continue
-                part = src.select(rows_src)
-                for donor in np.unique(part.loaned_from):
-                    m = part.loaned_from == donor
-                    by_donor.setdefault(int(donor), []).append(
-                        (part.select(np.nonzero(m)[0]), statuses[m], dirs[m])
-                    )
-            if queue_loans.size:
-                keep = np.ones(len(st.queue), dtype=bool)
-                keep[queue_loans] = False
-                st.queue = st.queue.select(np.nonzero(keep)[0])
-            for donor, chunks in by_donor.items():
-                parts = concat_particles([c[0] for c in chunks])
-                statuses = np.concatenate([c[1] for c in chunks])
-                dirs = np.concatenate([c[2] for c in chunks])
-                mail.post(st.rank, donor, "collected", (parts, statuses, dirs))
-            recs[r].stage_collect_s += time.perf_counter() - t0
-        for r in order:
-            st = states[r]
-            t0 = time.perf_counter()
-            for d, j in st.neighborhood.neighbors:
-                msg = mail.take(st.rank, "collected", j)
-                expected = st.loaned_out.get(d)
-                got = msg[0].ids if msg is not None else np.empty(0, dtype=np.int64)
-                if expected is not None and not np.array_equal(np.sort(expected), np.sort(got)):
-                    raise InvariantError(f"rank {st.rank}: loan return mismatch from rank {j}")
-                st.loaned_out.pop(d, None)
-                if msg is None:
-                    continue
-                parts, statuses, dirs = msg
-                parts.loaned_from[:] = -1
-                alive = statuses == _COLLECT_ACTIVE
-                if alive.any():
-                    rows = np.nonzero(alive)[0]
-                    st.queue = concat_particles([st.queue, parts.select(rows)])
-                oob = statuses == STATUS_OOB
-                if oob.any():
-                    rows = np.nonzero(oob)[0]
-                    st._oob.append((parts.select(rows), dirs[rows].copy()))
-            if st.loaned_out:
-                raise InvariantError(f"rank {st.rank}: loans not returned: {sorted(st.loaned_out)}")
-            recs[r].stage_collect_s += time.perf_counter() - t0
-
-        # Stage 6: out-of-bounds distribution by the home ranks.
-        for r in order:
-            st = states[r]
-            t0 = time.perf_counter()
-            pending = st._oob
-            st._oob = []
-            sends: dict[int, list] = {}
-            for part, dirs in pending:
-                for d in np.unique(dirs):
-                    rows = np.nonzero(dirs == d)[0]
-                    target = route_out_of_bounds(st.neighborhood, int(d))
-                    if target is None:
-                        st.exited += rows.size
-                        continue
-                    sends.setdefault(target, []).append(part.select(rows))
-            for target in sorted(sends):
-                out = concat_particles(sends[target])
-                out.home[:] = target
-                out.loaned_from[:] = -1
-                mail.post(st.rank, target, "oob", out)
-                recs[r].sent_oob += len(out)
-            recs[r].stage_oob_s += time.perf_counter() - t0
-        for r in order:
-            st = states[r]
-            t0 = time.perf_counter()
-            arrivals = []
-            for d, j in st.neighborhood.neighbors:
-                part = mail.take(st.rank, "oob", j)
-                if part is not None:
-                    arrivals.append(part)
-            if arrivals:
-                st.queue = concat_particles([st.queue] + arrivals)
-                recs[r].recv_oob = sum(len(p) for p in arrivals)
-            recs[r].stage_oob_s += time.perf_counter() - t0
-
-        # Post-round metrics and invariants.
-        max_integrate = max(recs[r].stage_integrate_s for r in recs)
-        for r in recs:
-            recs[r].idle_s = max_integrate - recs[r].stage_integrate_s
+        max_integrate = max(rec.stage_integrate_s for rec in recs)
+        for rec in recs:
+            rec.idle_s = max_integrate - rec.stage_integrate_s
         self.lif_rows.append((
             round_index,
-            lif([recs[r].load_post for r in sorted(recs)]),
-            lif([recs[r].integrate_steps for r in sorted(recs)]),
+            lif([rec.load_post for rec in recs]),
+            lif([rec.integrate_steps for rec in recs]),
         ))
         self._conservation_check(round_index)
-        out_records = [recs[r] for r in sorted(recs)]
-        self.records.extend(out_records)
-        return out_records
+        self.records.extend(recs)
+        return recs
+
+    # Stage 1: lend to and borrow from neighbors.
+
+    def _lend(self, st: RankState, rec: RoundRecord, decisions, lent: dict) -> None:
+        kept, sends = balance.select_particles(st.queue, decisions[st.rank], st.rank)
+        st.queue = kept
+        for (d, j), part in zip(st.neighborhood.neighbors, sends):
+            st.loaned_out[d] = part.ids.copy()
+            if len(part):
+                lent[(st.rank, j)] = part
+        rec.sent_balanced = sum(len(p) for p in sends)
+
+    def _borrow(self, st: RankState, rec: RoundRecord, lent: dict) -> None:
+        rec.recv_balanced = _take_delivery(st, lent)
+        rec.load_post = len(st.queue)
+
+    # Stages 2-4 (round info and allocation run in ``run_round``): integrate
+    # the selected range, then apply the outcomes this rank owns. Home
+    # particles that left the block wait for hand-off; loans wait for collect.
+
+    def _integrate(self, st: RankState, rec: RoundRecord, round_index: int, infos, buffers):
+        info, buf = infos[st.rank], buffers[st.rank]
+        sel = st.queue.select(np.arange(info.count))
+        st.queue = st.queue.select(np.arange(info.count, len(st.queue)))
+        groups = [(block, sel.select(rows), rows) for block, rows in st.containing_blocks(sel)]
+        out, rec.integrate_steps = integrate(groups, info, buf, self.h)
+        st.store.finish_round(round_index, sel.ids, info, buf)
+        sel.pos[:] = out.pos
+        sel.remaining[:] = out.remaining
+        st.terminated += int(np.count_nonzero(out.status == STATUS_TERMINATED))
+        st.exited += int(np.count_nonzero(out.status == STATUS_EXITED))
+        oob_home = (sel.loaned_from < 0) & (out.status == STATUS_OOB)
+        if oob_home.any():
+            rows = np.nonzero(oob_home)[0]
+            st._oob.append((sel.select(rows), out.exit_dir[rows].copy()))
+        return sel, out
+
+    # Stage 5: give back and take back loans; every surviving loan returns home.
+
+    def _give_back(self, st: RankState, rec: RoundRecord, done, returned: dict) -> None:
+        sel, out = done[st.rank]
+        loans = sel.loaned_from >= 0
+        waiting = st.queue.loaned_from >= 0  # loans this rank had no turn for
+        parts = concat_particles([sel.select(np.nonzero(loans)[0]),
+                                  st.queue.select(np.nonzero(waiting)[0])])
+        statuses = np.concatenate([out.status[loans],
+                                   np.full(np.count_nonzero(waiting), _COLLECT_ACTIVE, dtype=np.int64)])
+        dirs = np.concatenate([out.exit_dir[loans], np.full(np.count_nonzero(waiting), -1, dtype=np.int64)])
+        st.queue = st.queue.select(np.nonzero(~waiting)[0])
+        for donor in np.unique(parts.loaned_from):
+            rows = np.nonzero(parts.loaned_from == donor)[0]
+            returned[(st.rank, int(donor))] = (parts.select(rows), statuses[rows], dirs[rows])
+
+    def _take_back(self, st: RankState, rec: RoundRecord, returned: dict) -> None:
+        alive = [st.queue]
+        for d, j in st.neighborhood.neighbors:
+            msg = returned.pop((j, st.rank), None)
+            expected = st.loaned_out.pop(d, None)
+            got = msg[0].ids if msg is not None else np.empty(0, dtype=np.int64)
+            if expected is not None and not np.array_equal(np.sort(expected), np.sort(got)):
+                raise InvariantError(f"rank {st.rank}: loan return mismatch from rank {j}")
+            if msg is None:
+                continue
+            parts, statuses, dirs = msg
+            parts.loaned_from[:] = -1
+            alive.append(parts.select(np.nonzero(statuses == _COLLECT_ACTIVE)[0]))
+            oob = np.nonzero(statuses == STATUS_OOB)[0]
+            if oob.size:
+                st._oob.append((parts.select(oob), dirs[oob].copy()))
+        if st.loaned_out:
+            raise InvariantError(f"rank {st.rank}: loans not returned: {sorted(st.loaned_out)}")
+        if len(alive) > 1:
+            st.queue = concat_particles(alive)
+
+    # Stage 6: hand off and take over out-of-bounds particles; home ranks route.
+
+    def _hand_off(self, st: RankState, rec: RoundRecord, handed: dict) -> None:
+        sends: dict[int, list] = {}
+        for part, dirs in st._oob:
+            for d in np.unique(dirs):
+                rows = np.nonzero(dirs == d)[0]
+                target = route_out_of_bounds(st.neighborhood, int(d))
+                if target is None:
+                    st.exited += rows.size
+                    continue
+                sends.setdefault(target, []).append(part.select(rows))
+        st._oob = []
+        for target in sorted(sends):
+            out = concat_particles(sends[target])
+            out.home[:] = target
+            out.loaned_from[:] = -1
+            handed[(st.rank, target)] = out
+            rec.sent_oob += len(out)
+
+    def _take_over(self, st: RankState, rec: RoundRecord, handed: dict) -> None:
+        rec.recv_oob = _take_delivery(st, handed)
 
     def run(self) -> RunResult:
         round_index = 0

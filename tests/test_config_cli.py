@@ -94,10 +94,14 @@ class TestRunCommand:
         assert summary["config"]["scheduler"] == "lma"
 
     def test_bad_config_exits_2_listing_everything(self, tmp_path, capsys):
-        cfg = write_config(tmp_path, ["scheduler = magic", "aabb_scale = 7"])
-        assert main(["run", "--config", str(cfg)]) == 2
+        cfg = write_config(tmp_path, ["scheduler = magic", "aabb_scale = 7",
+                                      "step = nan", "param.A = nan"])
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(cfg), "--output", str(out)]) == 2
         err = capsys.readouterr().err
         assert "scheduler" in err and "aabb_scale" in err
+        assert "step" in err and "field params" in err
+        assert not out.exists()
 
     def test_flags_override_file(self, tmp_path):
         cfg = write_config(tmp_path, FAST)

@@ -1,8 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hst
 
+from diffadvect.balance import SCHEDULERS, synchronous_step
 from diffadvect.errors import ConfigError, InvariantError, RoundLimitError
-from diffadvect.field import AnalyticField
+from diffadvect.field import FIELD_KINDS, AnalyticField
 from diffadvect.particles import ParticleSet
 from diffadvect.runtime import Simulator, check_completion, seed_particles
 from diffadvect.topology import ProcessGrid, decompose
@@ -161,6 +164,21 @@ class TestDeterminismAndInvariants:
                 rb.round, rb.rank, rb.integrate_steps, rb.load_pre, rb.load_post,
                 rb.sent_balanced, rb.recv_balanced, rb.sent_oob, rb.recv_oob)
 
+    @pytest.mark.parametrize("rank_order", [[0, 1, 2], [2, 1, 0]])
+    def test_arrivals_queue_in_the_receivers_direction_order(self, rank_order):
+        sim = Simulator(ConstantField((0.0, 0.0, 0.0)), (16, 16, 16), (3, 1, 1), "lma",
+                        max_iterations=5, stride=(8, 8, 8), particles_per_round=10,
+                        rank_order=rank_order)
+        drain_queues(sim)
+        sim.states[0].queue = particles_at(np.tile([0.15, 0.5, 0.5], (90, 1)), 5, 0)
+        sim.states[2].queue = particles_at(np.tile([0.85, 0.5, 0.5], (90, 1)), 5, 2, start_id=90)
+        sim.seed_count = 180
+        recs = sim.run_round(1)
+        assert recs[1].recv_balanced == 90
+        # loans from -x (rank 0) queue ahead of those from +x (rank 2)
+        integrated = [pid for pid, _, _ in sim.states[1].store.segments]
+        assert len(integrated) == 10 and all(pid < 90 for pid in integrated)
+
     def test_conservation_every_round(self):
         sim = Simulator(AnalyticField("toroidal"), (32, 32, 32), (2, 2, 2), "lma",
                         max_iterations=80, stride=(4, 4, 4), aabb_scale=0.5)
@@ -189,6 +207,12 @@ class TestDeterminismAndInvariants:
         with pytest.raises(ConfigError):
             Simulator(ConstantField((60.0, 0.0, 0.0)), (16, 16, 16), (2, 1, 1), "none",
                       step=0.001, max_iterations=5, stride=(8, 8, 8))
+
+    def test_nan_step_rejected(self):
+        # NaN compares False with both the positivity and the ghost-margin bound
+        with pytest.raises(ConfigError):
+            Simulator(AnalyticField("abc"), (16, 16, 16), (2, 1, 1), "none",
+                      step=float("nan"), max_iterations=5, stride=(8, 8, 8))
 
     def test_replica_closure(self):
         sim = Simulator(AnalyticField("abc"), (16, 16, 16), (2, 2, 2), "none",
@@ -219,3 +243,60 @@ class TestDeterminismAndInvariants:
         for grid in ((2, 1, 1), (2, 2, 1)):
             for sched in ("none", "constant", "lma", "gllma"):
                 assert total(grid, sched) == reference
+
+
+class TestRuntimeRealisesThePlan:
+    @pytest.mark.parametrize("scheduler", SCHEDULERS)
+    def test_post_balance_loads_match_synchronous_step(self, scheduler):
+        # every balancing decision of a round comes from the pure grid step
+        grid = ProcessGrid((3, 2, 1))
+        loads = [120, 0, 37, 5, 64, 0]
+        sim = Simulator(ConstantField((0.0, 0.0, 0.0)), (16, 16, 16), grid.dims, scheduler,
+                        max_iterations=5, stride=(8, 8, 8))
+        spacing = 1.0 / 15.0
+        next_id = 0
+        for st, load, ext in zip(sim.states, loads, decompose(grid, (16, 16, 16))):
+            centre = [(o + (n - 1) / 2.0) * spacing for o, n in zip(ext.origin, ext.core_dims)]
+            st.queue = particles_at(np.tile(centre, (load, 1)), 5, st.rank, start_id=next_id)
+            next_id += load
+        sim.seed_count = next_id
+        recs = sim.run_round(1)
+        assert [r.load_pre for r in recs] == loads
+        assert [r.load_post for r in recs] == synchronous_step(grid, loads, scheduler)
+
+
+@hst.composite
+def decomposed_runs(draw):
+    grid = tuple(draw(hst.integers(1, 4)) for _ in range(3))
+    scheduler = draw(hst.sampled_from(SCHEDULERS))
+    return dict(
+        field=draw(hst.sampled_from(FIELD_KINDS)),
+        resolution=tuple(draw(hst.integers(16, 24)) for _ in range(3)),
+        max_iterations=draw(hst.integers(1, 30)),
+        grid=grid,
+        scheduler=scheduler,
+        alpha=draw(hst.floats(0.05, 1.0)) if scheduler == "constant" else None,
+        particles_per_round=draw(hst.sampled_from((1, 3, 8, 50_000))),
+        rank_order=draw(hst.permutations(range(grid[0] * grid[1] * grid[2]))),
+    )
+
+
+class TestDecompositionFuzz:
+    @settings(max_examples=25, deadline=None)
+    @given(decomposed_runs())
+    def test_any_decomposition_matches_the_one_rank_oracle(self, run):
+        common = dict(max_iterations=run["max_iterations"], stride=(6, 6, 6))
+        oracle = Simulator(AnalyticField(run["field"]), run["resolution"], (1, 1, 1), "none",
+                           **common).run()
+        sim = Simulator(AnalyticField(run["field"]), run["resolution"], run["grid"], run["scheduler"],
+                        alpha=run["alpha"], particles_per_round=run["particles_per_round"],
+                        rank_order=run["rank_order"], **common)
+        res = sim.run()
+        assert set(res.curves) == set(oracle.curves)
+        for pid, curve in oracle.curves.items():
+            np.testing.assert_array_equal(res.curves[pid], curve)
+        assert res.total_integrate_steps() == oracle.total_integrate_steps()
+        for _, active, terminated, exited in res.round_totals:
+            assert active + terminated + exited == res.seed_count
+        assert res.round_totals[-1][1] == 0
+        assert not any(st.loaned_out for st in sim.states)
