@@ -4,21 +4,23 @@ A round integrates each selected particle until one of four events:
 
 * its iteration budget runs out (terminated),
 * the updated position leaves the unit-cube domain (terminated),
-* the updated position leaves the containing block's core region
+* the updated position leaves its home block's core region
   (out-of-bounds: the vertex is kept and the particle is handed off at its
   new position), or
-* an RK4 stage point leaves the block's ghost-padded sampling extent before
-  the step can be completed (out-of-bounds: the step is rejected and the
-  particle is handed off at its pre-step position; the receiving rank's ghost
-  layer covers the stage points, so it re-takes the identical step).
+* an RK4 stage point leaves the home block's ghost-padded sampling extent
+  before the step can be completed (out-of-bounds: the step is rejected and
+  the particle is handed off at its pre-step position; the receiving rank's
+  ghost layer covers the stage points, so it re-takes the identical step).
 
-Because every block samples the same global lattice, the accepted vertex
-sequence of a particle is independent of the decomposition; hand-offs only
-change which rank performs each step.
+Every particle samples its home rank's block, whichever rank integrates it,
+and every block is bounds over the same shared lattice, so the accepted
+vertex sequence of a particle is independent of the decomposition; hand-offs
+and loans only change which rank performs each step.
 
-Curve vertices live in one flat per-round allocation of
+With curves on, curve vertices live in one flat per-round allocation of
 ``selected * vertex_stride`` slots initialized to the reserved sentinel
-(quiet-NaN triplets); unused slot tails are pruned after the round.
+(quiet-NaN triplets); unused slot tails are pruned after the round. With
+curves off nothing is allocated or archived.
 """
 
 from __future__ import annotations
@@ -34,7 +36,7 @@ from .field import Block
 from .particles import ParticleSet
 
 # Integration outcomes for one particle within one round.
-STATUS_OOB = 1        # left its containing block; still active
+STATUS_OOB = 1        # left its home block; still active
 STATUS_TERMINATED = 2  # iteration budget exhausted
 STATUS_EXITED = 3      # left the global domain
 
@@ -89,8 +91,8 @@ def compute_round_info(queue: ParticleSet, particles_per_round: int) -> RoundInf
 class RoundBuffer:
     """The round's flat vertex allocation plus per-particle fill counters."""
 
-    vertices: np.ndarray   # (capacity, 3), sentinel-initialized
-    fills: np.ndarray      # (count,) vertices appended so far
+    vertices: np.ndarray | None  # (capacity, 3), sentinel-initialized; None with curves off
+    fills: np.ndarray            # (count,) vertices appended so far
 
 
 @dataclass
@@ -101,27 +103,26 @@ class CurveStore:
     prefixes are archived as ``(particle_id, round, vertices)`` segments and
     the raw buffer is dropped. Within one round a particle is integrated by
     exactly one rank, so ``(round, sequence)`` orders a particle's vertices
-    globally.
+    globally. A store with ``collect`` False allocates no vertex slots and
+    archives nothing.
     """
 
     segments: list = dc_field(default_factory=list)
+    collect: bool = True
 
     def allocate(self, info: RoundInfo) -> RoundBuffer:
-        vertices = np.full((info.capacity, 3), SENTINEL, dtype=np.float64)
+        vertices = np.full((info.capacity, 3), SENTINEL, dtype=np.float64) if self.collect else None
         return RoundBuffer(vertices=vertices, fills=np.zeros(info.count, dtype=np.int64))
 
     def finish_round(self, round_index: int, ids: np.ndarray, info: RoundInfo, buffer: RoundBuffer) -> None:
+        if buffer.vertices is None:
+            return
         for i in range(info.count):
             n = int(buffer.fills[i])
             if n == 0:
                 continue
             base = int(info.offsets[i])
             self.segments.append((int(ids[i]), int(round_index), buffer.vertices[base:base + n].copy()))
-
-
-def prune_curves(store: CurveStore) -> dict[int, np.ndarray]:
-    """Collapse a store's archived segments into per-particle vertex arrays."""
-    return merge_curves([store])
 
 
 def merge_curves(stores) -> dict[int, np.ndarray]:
@@ -143,27 +144,18 @@ def merge_curves(stores) -> dict[int, np.ndarray]:
     return out
 
 
-def _exit_directions(block: Block, points: np.ndarray, against: str) -> np.ndarray:
-    """Dominant-axis exit direction for each point.
+def _exit_directions(g: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """Dominant-axis exit direction of each g-space point from the box ``[lo, hi]``.
 
-    Overshoot is measured in voxel units against either the core region or
-    the sampling extent; the largest one wins, ties break in direction order
-    (x before y before z).
+    Overshoot is measured in voxel units; the largest one wins, ties break in
+    direction order (x before y before z).
     """
-    g = block.to_g(points)
-    if against == "core":
-        lo, hi = block.core_lo_g(), block.core_hi_g()
-    else:
-        lo, hi = block.sample_lo_g(), block.sample_hi_g()
-    over = np.empty(points.shape[:-1] + (6,), dtype=np.float64)
-    for axis in range(3):
-        over[..., 2 * axis] = lo[axis] - g[..., axis]
-        over[..., 2 * axis + 1] = g[..., axis] - hi[axis]
+    over = np.stack([lo - g, g - hi], axis=-1).reshape(g.shape[:-1] + (6,))
     return np.argmax(over, axis=-1).astype(np.int64)
 
 
 def _block_step(block: Block, pos: np.ndarray, h: float):
-    """One vectorized RK4 step for all rows of ``pos`` against one block.
+    """One vectorized RK4 step for all rows of ``pos``, each against its block bounds.
 
     Returns ``(newpos, ok, dirs)``: rows with ``ok`` False had a stage point
     outside the sampling extent and must be rejected; ``dirs`` holds their
@@ -188,13 +180,13 @@ def _block_step(block: Block, pos: np.ndarray, h: float):
     bad = ~ok
     if bad.any():
         first = np.where(~m2[:, np.newaxis], s2, np.where(~m3[:, np.newaxis], s3, s4))
-        dirs[bad] = _exit_directions(block, first[bad], against="sample")
+        dirs[bad] = _exit_directions(block.to_g(first[bad]), *block.select(bad).sample_bounds())
     return newpos, ok, dirs
 
 
 @dataclass
 class GroupOutcome:
-    """Integration results for the particles of one containing-block group."""
+    """Integration results, one entry per integrated particle."""
 
     status: np.ndarray      # per particle: STATUS_*
     exit_dir: np.ndarray    # direction for STATUS_OOB rows, else -1
@@ -208,13 +200,13 @@ def integrate_group(
     pset: ParticleSet,
     offsets: np.ndarray,
     buffer: RoundBuffer,
-    fill_index: np.ndarray,
     h: float,
 ) -> GroupOutcome:
-    """Advance one group of particles sharing a containing block.
+    """Advance the particles of ``pset``, each against its own block bounds.
 
-    ``offsets``/``fill_index`` address the round buffer rows of each group
-    member. Each particle runs until termination, domain exit, or block exit.
+    ``block`` holds one extent or per-row bounds for the rows of ``pset``;
+    ``offsets`` and ``buffer.fills`` are indexed by the same rows. Each
+    particle runs until termination, domain exit, or block exit.
     """
     n = len(pset)
     pos = pset.pos.copy()
@@ -225,7 +217,7 @@ def integrate_group(
     active = np.nonzero(rem > 0)[0]
     status[rem <= 0] = STATUS_TERMINATED
     while active.size:
-        newpos, ok, sdirs = _block_step(block, pos[active], h)
+        newpos, ok, sdirs = _block_step(block.select(active), pos[active], h)
         rejected = active[~ok]
         if rejected.size:
             status[rejected] = STATUS_OOB
@@ -240,55 +232,34 @@ def integrate_group(
         newpos = newpos[in_domain]
         if moved.size:
             pos[moved] = newpos
-            slot = offsets[moved] + buffer.fills[fill_index[moved]]
-            buffer.vertices[slot] = newpos
-            buffer.fills[fill_index[moved]] += 1
+            if buffer.vertices is not None:
+                buffer.vertices[offsets[moved] + buffer.fills[moved]] = newpos
+            buffer.fills[moved] += 1
             steps[moved] += 1
             rem[moved] -= 1
             done = rem[moved] == 0
             status[moved[done]] = STATUS_TERMINATED
             moved = moved[~done]
         if moved.size:
-            owned = block.owned_mask(pos[moved])
+            owned = block.select(moved).owned_mask(pos[moved])
             left = moved[~owned]
             if left.size:
                 status[left] = STATUS_OOB
-                exit_dir[left] = _exit_directions(block, pos[left], against="core")
+                exit_dir[left] = _exit_directions(block.to_g(pos[left]), *block.select(left).core_bounds())
             moved = moved[owned]
         active = moved
     return GroupOutcome(status=status, exit_dir=exit_dir, pos=pos, remaining=rem, steps=steps)
 
 
-def integrate(
-    groups,
-    info: RoundInfo,
-    buffer: RoundBuffer,
-    h: float,
-):
-    """Run one round over ``groups`` of ``(block, particle_set, selected_rows)``.
+def integrate(block: Block, pset: ParticleSet, info: RoundInfo, buffer: RoundBuffer, h: float):
+    """Run one rank's round over its selected range ``pset``.
 
-    ``selected_rows`` indexes each group member back into the round's
-    selected range (for curve offsets and result placement). Returns a
-    :class:`GroupOutcome` covering the whole selected range plus the total
+    ``block`` holds one extent or per-row bounds for the rows of ``pset``.
+    Returns the :class:`GroupOutcome` of the range plus its total
     accepted-step count.
     """
-    total = info.count
-    status = np.zeros(total, dtype=np.int64)
-    exit_dir = np.full(total, -1, dtype=np.int64)
-    pos = np.zeros((total, 3), dtype=np.float64)
-    remaining = np.zeros(total, dtype=np.int64)
-    steps = np.zeros(total, dtype=np.int64)
-    for block, pset, rows in groups:
-        if block is None:
-            raise InvariantError("particle selected for integration without its containing block")
-        out = integrate_group(block, pset, info.offsets[rows], buffer, rows, h)
-        status[rows] = out.status
-        exit_dir[rows] = out.exit_dir
-        pos[rows] = out.pos
-        remaining[rows] = out.remaining
-        steps[rows] = out.steps
-    outcome = GroupOutcome(status=status, exit_dir=exit_dir, pos=pos, remaining=remaining, steps=steps)
-    return outcome, int(steps.sum())
+    outcome = integrate_group(block, pset, info.offsets, buffer, h)
+    return outcome, int(outcome.steps.sum())
 
 
 def export_curves(path, curves: dict[int, np.ndarray], config_hash: str | None = None) -> None:

@@ -175,14 +175,13 @@ def balance_gllma(lv: LoadVector, granted_quotas) -> BalanceDecision:
 def select_particles(queue: ParticleSet, decision: BalanceDecision, rank: int):
     """Pick which particles realize a decision: most recently arrived first.
 
-    Only home particles that are not already on loan are eligible. If the
-    decision asks for more than is eligible it is scaled down with
-    largest-remainder rounding. Selected particles get ``loaned_from = rank``.
+    Only particles whose home is ``rank`` (so not on loan here) are eligible.
+    If the decision asks for more than is eligible it is scaled down with
+    largest-remainder rounding.
 
     Returns ``(kept_queue, per_neighbor_sets)``.
     """
-    eligible_mask = (queue.home == rank) & (queue.loaned_from < 0)
-    eligible_idx = np.nonzero(eligible_mask)[0]
+    eligible_idx = np.nonzero(queue.home == rank)[0]
     wanted = list(decision.outgoing)
     total = sum(wanted)
     if total > len(eligible_idx):
@@ -194,9 +193,7 @@ def select_particles(queue: ParticleSet, decision: BalanceDecision, rank: int):
     sends = []
     start = 0
     for count in wanted:
-        part = queue.select(chosen[start:start + count]).copy()
-        part.loaned_from[:] = rank
-        sends.append(part)
+        sends.append(queue.select(chosen[start:start + count]))
         start += count
     keep_mask = np.ones(len(queue), dtype=bool)
     keep_mask[chosen] = False

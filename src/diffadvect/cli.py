@@ -24,7 +24,7 @@ from .balance import SCHEDULERS
 from .config import RunConfig, apply_setting, load_config_file
 from .errors import ConfigError, DiffAdvectError, InvariantError, RoundLimitError
 from .field import AnalyticField
-from .metrics import build_summary, speedup, write_lif_csv, write_rounds_csv, write_summary
+from .metrics import build_summary, write_lif_csv, write_rounds_csv, write_summary
 from .runtime import RunResult, Simulator
 
 EXIT_OK = 0
@@ -120,21 +120,26 @@ def _cmd_run(args) -> int:
     return EXIT_OK
 
 
-def _speedup_rows(summaries: list[dict]) -> list[str]:
-    """CSV speedup table grouped by scheduler, baseline = fewest nodes."""
-    groups: dict[str, dict[int, dict]] = {}
+def _speedup_rows(summaries: list[dict], scaled=("grid",)) -> list[str]:
+    """CSV speedup table with one row per summary.
+
+    Summaries whose configs differ only in node count, that is in the
+    ``scaled`` keys, form one group whose baseline is its first summary with
+    the fewest nodes. Groups are listed by scheduler, then in input order;
+    rows within a group by node count, then in input order.
+    """
+    groups: dict[str, list[dict]] = {}
     for s in summaries:
-        groups.setdefault(s["config"]["scheduler"], {})[int(s["node_count"])] = s
+        rest = {k: v for k, v in s["config"].items() if k not in scaled}
+        groups.setdefault(json.dumps(rest, sort_keys=True), []).append(s)
     lines = ["scheduler,node_count,total_advection_s,speedup"]
-    for sched in sorted(groups):
-        by_nodes = groups[sched]
-        if len(by_nodes) >= 2:
-            ratios = speedup({n: by_nodes[n]["total_advection_s"] for n in by_nodes})
-        else:
-            ratios = {n: 1.0 for n in by_nodes}
-        for n in sorted(by_nodes):
-            total = by_nodes[n]["total_advection_s"]
-            lines.append(f"{sched},{n},{total:.6g},{ratios[n]:.6g}")
+    for members in sorted(groups.values(), key=lambda g: g[0]["config"]["scheduler"]):
+        members.sort(key=lambda s: int(s["node_count"]))
+        base = float(members[0]["total_advection_s"])
+        for s in members:
+            total = float(s["total_advection_s"])
+            ratio = base / total if total > 0.0 else float("nan")
+            lines.append(f"{s['config']['scheduler']},{int(s['node_count'])},{total:.6g},{ratio:.6g}")
     return lines
 
 
@@ -197,7 +202,8 @@ def _cmd_sweep(args) -> int:
         print(f"[sweep {args.kind}] {name} ...", flush=True)
         _, summary = execute_run(member, run_dir)
         summaries.append(summary)
-    table = _speedup_rows(summaries)
+    # A weak-scaling ladder varies the seed stride together with the node count.
+    table = _speedup_rows(summaries, ("grid", "stride") if args.kind == "weak" else ("grid",))
     table_path = out_root / ("speedup.csv" if args.kind in ("strong", "weak") else "comparison.csv")
     table_path.write_text("\n".join(table) + "\n", encoding="utf-8")
     for line in table:

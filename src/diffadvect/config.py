@@ -19,6 +19,10 @@ from .field import FIELD_KINDS
 from .topology import most_cubic_dims
 
 _MAX_ITER_CAP = 1000
+# Largest edge-padded field lattice a run may rasterize: (rx+2)(ry+2)(rz+2)
+# nodes of three float64 each. Rasterization briefly holds about six times
+# this size, so a larger lattice is rejected before anything is allocated.
+LATTICE_CAP_BYTES = 1 << 30
 
 
 def _parse_triple(text) -> tuple[int, int, int]:
@@ -81,8 +85,12 @@ class RunConfig:
                 AnalyticField(self.field, dict(self.field_params))
             except ConfigError as exc:
                 errors.append(f"field params: {exc}")
+        lattice_bytes = math.prod(r + 2 for r in self.resolution) * 24
         if any(r < 2 for r in self.resolution):
             errors.append(f"resolution: every axis needs >= 2 voxels, got {self.resolution}")
+        elif lattice_bytes > LATTICE_CAP_BYTES:
+            errors.append(f"resolution: the padded field lattice needs {lattice_bytes / 2**30:.3g} GiB, "
+                          f"above the {LATTICE_CAP_BYTES / 2**30:g} GiB cap")
         if self.grid is not None:
             if any(d < 1 for d in self.grid):
                 errors.append(f"grid: dims must be >= 1, got {self.grid}")

@@ -12,11 +12,12 @@ All fields are defined on the unit cube ``[0, 1]^3`` and are pure: the same
 point always evaluates to the same vector, bit-exactly.
 
 The voxel lattice has ``resolution`` nodes per axis at positions
-``i * spacing`` with ``spacing = 1 / (resolution - 1)``. A :class:`Block` is
-a brick of that lattice padded with a one-cell ghost layer; ghost nodes that
-fall outside the lattice are clamped to the boundary sample. Throughout this
-module "g-space" means position divided by spacing, i.e. fractional node
-coordinates.
+``i * spacing`` with ``spacing = 1 / (resolution - 1)``. It is rasterized
+once and padded with one edge-replicated ghost node per side
+(:func:`pad_lattice`). A :class:`Block` is core bounds over that one shared
+array, for one extent or one per particle row; it samples a one-cell ghost
+layer around its core and copies nothing. Throughout this module "g-space"
+means position divided by spacing, i.e. fractional node coordinates.
 """
 
 from __future__ import annotations
@@ -135,38 +136,52 @@ def rasterize_global(field: AnalyticField, resolution) -> np.ndarray:
     return field.evaluate(pts.reshape(-1, 3)).reshape(res + (3,))
 
 
+def pad_lattice(global_data: np.ndarray) -> np.ndarray:
+    """The lattice with one edge-replicated ghost node per side, read-only.
+
+    Entry ``[i + 1, j + 1, k + 1]`` holds node ``(i, j, k)`` clamped to the
+    lattice, so every block's ghost layer is a slice of this one array.
+    """
+    padded = np.pad(global_data, ((1, 1), (1, 1), (1, 1), (0, 0)), mode="edge")
+    padded.setflags(write=False)
+    return padded
+
+
 @dataclass(frozen=True)
 class Block:
-    """A ghost-padded brick of the rasterized lattice.
+    """Core bounds over the one shared, edge-padded lattice.
 
-    ``data`` has shape ``(core + 2*ghost)`` per axis; element ``[a, b, c]``
-    holds the lattice sample at node ``origin - ghost + (a, b, c)`` with node
-    indices clamped to the global lattice. Immutable after construction.
+    ``origin`` and ``core_dims`` (int64) are either one extent's ``(3,)``
+    bounds or per-row ``(n, 3)`` bounds that pair with the rows of every
+    point array passed in. A row's core is the half-open g-space box
+    ``[origin, origin + core_dims)``; it samples one ghost cell beyond, up to
+    and including ``origin + core_dims``. Nothing is copied per block.
     """
 
-    origin: tuple[int, int, int]
-    core_dims: tuple[int, int, int]
-    resolution: tuple[int, int, int]
+    lattice: np.ndarray     # pad_lattice result, shared by every block
     spacing: np.ndarray
-    data: np.ndarray
-    ghost: int = 1
+    origin: np.ndarray
+    core_dims: np.ndarray
 
     @property
-    def padded_dims(self) -> tuple[int, int, int]:
-        return tuple(n + 2 * self.ghost for n in self.core_dims)
+    def data(self) -> np.ndarray:
+        """One extent's ghost-padded brick, as a view of the shared lattice."""
+        (ox, oy, oz), (nx, ny, nz) = self.origin, self.core_dims
+        return self.lattice[ox:ox + nx + 2, oy:oy + ny + 2, oz:oz + nz + 2]
 
-    def core_lo_g(self) -> np.ndarray:
-        return np.asarray(self.origin, dtype=np.float64)
+    def select(self, rows) -> "Block":
+        """The bounds of ``rows`` only; a single extent serves every row."""
+        if self.origin.ndim == 1:
+            return self
+        return Block(self.lattice, self.spacing, self.origin[rows], self.core_dims[rows])
 
-    def core_hi_g(self) -> np.ndarray:
-        return np.asarray(self.origin, dtype=np.float64) + np.asarray(self.core_dims, dtype=np.float64)
+    def core_bounds(self):
+        """g-space ``(lo, hi)`` of the core; ``hi`` is excluded."""
+        return self.origin, self.origin + self.core_dims
 
-    def sample_lo_g(self) -> np.ndarray:
-        return self.core_lo_g() - self.ghost
-
-    def sample_hi_g(self) -> np.ndarray:
-        # Last padded node index per axis; sampling is valid up to it.
-        return self.core_hi_g() - 1.0 + self.ghost
+    def sample_bounds(self):
+        """g-space ``(lo, hi)`` of the sampling extent; ``hi`` is included."""
+        return self.origin - 1, self.origin + self.core_dims
 
     def to_g(self, points: np.ndarray) -> np.ndarray:
         return np.asarray(points, dtype=np.float64) / self.spacing
@@ -174,12 +189,14 @@ class Block:
     def samplable_mask(self, points: np.ndarray) -> np.ndarray:
         """True where a point lies inside the ghost-padded sampling extent."""
         g = self.to_g(points)
-        return np.all((g >= self.sample_lo_g()) & (g <= self.sample_hi_g()), axis=-1)
+        lo, hi = self.sample_bounds()
+        return np.all((g >= lo) & (g <= hi), axis=-1)
 
     def owned_mask(self, points: np.ndarray) -> np.ndarray:
         """True where a point lies in this block's half-open core region."""
         g = self.to_g(points)
-        return np.all((g >= self.core_lo_g()) & (g < self.core_hi_g()), axis=-1)
+        lo, hi = self.core_bounds()
+        return np.all((g >= lo) & (g < hi), axis=-1)
 
     def sample_clamped(self, points: np.ndarray) -> np.ndarray:
         """Trilinear interpolation with cell indices clipped to the block.
@@ -188,20 +205,17 @@ class Block:
         sampling extent themselves (clipped garbage rows stay finite and are
         discarded lane-locally, so they cannot contaminate valid rows).
         """
-        pts = np.asarray(points, dtype=np.float64)
-        g = pts / self.spacing
-        lo = self.sample_lo_g()
-        cell = np.floor(g).astype(np.int64)
+        g = self.to_g(points)
+        lo, hi = self.sample_bounds()
         # Clamp to the last valid cell so g == hi lands weight 1 on the top node.
-        for a in range(3):
-            np.clip(cell[..., a], int(lo[a]), int(lo[a]) + self.padded_dims[a] - 2, out=cell[..., a])
+        cell = np.clip(np.floor(g).astype(np.int64), lo, hi - 1)
         frac = g - cell
-        local = cell - lo.astype(np.int64)
-        pnx, pny, pnz = self.padded_dims
-        flat = (local[..., 0] * pny + local[..., 1]) * pnz + local[..., 2]
-        fdata = self.data.reshape(-1, 3)
-        offs = np.array([0, 1, pnz, pnz + 1, pny * pnz, pny * pnz + 1, pny * pnz + pnz, pny * pnz + pnz + 1])
-        c = fdata[flat[..., np.newaxis] + offs]  # (..., 8, 3): x-major corner order
+        _, pny, pnz, _ = self.lattice.shape
+        sx, sy = pny * pnz, pnz  # flat strides of the x and y axes
+        flat = cell[..., 0] * sx + cell[..., 1] * sy + cell[..., 2]
+        # Corner offsets in x-major order; the ghost layer shifts node (i, j, k) by one per axis.
+        offs = (sx + sy + 1) + np.array([0, 1, sy, sy + 1, sx, sx + 1, sx + sy, sx + sy + 1])
+        c = self.lattice.reshape(-1, 3)[flat[..., np.newaxis] + offs]  # (..., 8, 3)
         fx = frac[..., 0, np.newaxis]
         fy = frac[..., 1, np.newaxis]
         fz = frac[..., 2, np.newaxis]
@@ -230,34 +244,23 @@ def rasterize_block(
     core_dims,
     *,
     global_data: np.ndarray | None = None,
-    ghost: int = 1,
 ) -> Block:
-    """Rasterize one ghost-padded block of the global lattice.
+    """One ghost-padded block: its extent over the edge-padded lattice.
 
-    When ``global_data`` (a :func:`rasterize_global` result) is given the
-    block is sliced from it, which makes ghost replication exact by
-    construction; otherwise the padded lattice is evaluated directly.
+    ``global_data`` is a :func:`rasterize_global` result; without it the
+    lattice is rasterized here. A block's ghost layer is its neighbors' core
+    nodes by construction.
     """
     res = _check_resolution(global_resolution)
-    origin = tuple(int(v) for v in origin_voxel)
-    core = tuple(int(v) for v in core_dims)
-    if any(n < 1 for n in core):
-        raise ConfigError(f"core_dims must be >= 1 per axis, got {core}")
-    if any(o < 0 or o + n > r for o, n, r in zip(origin, core, res)):
-        raise ConfigError(f"block origin={origin} core={core} exceeds resolution {res}")
-    spacing = lattice_spacing(res)
-    # Ghost node indices clamped to the lattice boundary.
-    idx = [np.clip(np.arange(o - ghost, o + n + ghost), 0, r - 1) for o, n, r in zip(origin, core, res)]
-    if global_data is not None:
-        data = global_data[np.ix_(idx[0], idx[1], idx[2])].copy()
-    else:
-        ax = [idx[a].astype(np.float64) * spacing[a] for a in range(3)]
-        gx, gy, gz = np.meshgrid(ax[0], ax[1], ax[2], indexing="ij")
-        pts = np.stack([gx, gy, gz], axis=-1)
-        shape = tuple(len(i) for i in idx) + (3,)
-        data = field.evaluate(pts.reshape(-1, 3)).reshape(shape)
-    data.setflags(write=False)
-    return Block(origin=origin, core_dims=core, resolution=res, spacing=spacing, data=data, ghost=ghost)
+    origin = np.array([int(v) for v in origin_voxel], dtype=np.int64)
+    core = np.array([int(v) for v in core_dims], dtype=np.int64)
+    if np.any(core < 1):
+        raise ConfigError(f"core_dims must be >= 1 per axis, got {tuple(core)}")
+    if np.any(origin < 0) or np.any(origin + core > res):
+        raise ConfigError(f"block origin={tuple(origin)} core={tuple(core)} exceeds resolution {res}")
+    if global_data is None:
+        global_data = rasterize_global(field, res)
+    return Block(pad_lattice(global_data), lattice_spacing(res), origin, core)
 
 
 def sample_trilinear(block: Block, point) -> np.ndarray:
@@ -281,10 +284,10 @@ def export_block(block: Block, data_path, sidecar_path=None) -> None:
     flat = np.transpose(block.data, (2, 1, 0, 3)).astype("<f4").ravel()
     flat.tofile(data_path)
     sidecar = {
-        "dims": list(block.padded_dims),
-        "core_dims": list(block.core_dims),
-        "origin_voxel": list(block.origin),
-        "ghost": block.ghost,
+        "dims": [int(n) + 2 for n in block.core_dims],
+        "core_dims": [int(n) for n in block.core_dims],
+        "origin_voxel": [int(o) for o in block.origin],
+        "ghost": 1,
         "spacing": [float(s) for s in block.spacing],
         "order": "x-fastest",
         "dtype": "<f4",

@@ -2,7 +2,7 @@
 
 Queues are ordinary numpy arrays kept in FIFO order; slicing and
 concatenation preserve order, which the runtime relies on for determinism.
-``loaned_from`` is -1 for particles at home and the donor rank while on loan.
+A particle held by a rank other than its ``home`` is on loan from its home.
 """
 
 from __future__ import annotations
@@ -18,7 +18,6 @@ class ParticleSet:
     pos: np.ndarray
     remaining: np.ndarray
     home: np.ndarray
-    loaned_from: np.ndarray
 
     def __len__(self) -> int:
         return int(self.ids.shape[0])
@@ -30,21 +29,17 @@ class ParticleSet:
             pos=np.empty((0, 3), dtype=np.float64),
             remaining=np.empty(0, dtype=np.int64),
             home=np.empty(0, dtype=np.int64),
-            loaned_from=np.full(0, -1, dtype=np.int64),
         )
 
     @staticmethod
-    def make(ids, pos, remaining, home, loaned_from=None) -> "ParticleSet":
+    def make(ids, pos, remaining, home) -> "ParticleSet":
         ids = np.asarray(ids, dtype=np.int64)
         n = ids.shape[0]
-        if loaned_from is None:
-            loaned_from = np.full(n, -1, dtype=np.int64)
         return ParticleSet(
             ids=ids,
             pos=np.asarray(pos, dtype=np.float64).reshape(n, 3),
             remaining=np.asarray(remaining, dtype=np.int64),
             home=np.asarray(home, dtype=np.int64),
-            loaned_from=np.asarray(loaned_from, dtype=np.int64),
         )
 
     def select(self, index) -> "ParticleSet":
@@ -53,7 +48,6 @@ class ParticleSet:
             pos=self.pos[index],
             remaining=self.remaining[index],
             home=self.home[index],
-            loaned_from=self.loaned_from[index],
         )
 
     def copy(self) -> "ParticleSet":
@@ -62,7 +56,6 @@ class ParticleSet:
             pos=self.pos.copy(),
             remaining=self.remaining.copy(),
             home=self.home.copy(),
-            loaned_from=self.loaned_from.copy(),
         )
 
 
@@ -75,5 +68,4 @@ def concat_particles(parts: list[ParticleSet]) -> ParticleSet:
         pos=np.concatenate([p.pos for p in parts]),
         remaining=np.concatenate([p.remaining for p in parts]),
         home=np.concatenate([p.home for p in parts]),
-        loaned_from=np.concatenate([p.loaned_from for p in parts]),
     )

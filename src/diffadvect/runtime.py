@@ -12,6 +12,13 @@ Because the receiver's direction order, never the rank execution order,
 fixes the processing order, any ``rank_order`` gives identical results.
 All balancing decisions come from one :func:`balance.plan_transfers` call.
 
+The lattice is rasterized once; every rank's block is core bounds over
+that one shared array. A particle always samples its home rank's block, so
+each rank integrates all its selected particles in one call with per-row
+bounds, and a particle is on loan exactly when the rank holding it is not
+its home. Only a face neighbor's particles may be on loan to a rank, which
+keeps every loan inside the donor's ghost-reachable neighborhood.
+
 Loans are per-round ephemeral: every surviving loaned particle (out of
 bounds or not yet integrated) returns to its home rank at collect, before
 out-of-bounds routing. Loaned particles that terminate at the borrowing rank
@@ -37,7 +44,7 @@ from .advect import (
     merge_curves,
 )
 from .errors import ConfigError, InvariantError, RoundLimitError
-from .field import AnalyticField, Block, rasterize_block, rasterize_global
+from .field import AnalyticField, Block, pad_lattice, rasterize_global
 from .metrics import RoundRecord, lif, lockstep_total
 from .particles import ParticleSet, concat_particles
 from .topology import (
@@ -58,29 +65,12 @@ _COLLECT_ACTIVE = 0
 class RankState:
     rank: int
     neighborhood: Neighborhood
-    own_block: Block
-    replicas: dict
     queue: ParticleSet
     store: CurveStore = dc_field(default_factory=CurveStore)
     loaned_out: dict = dc_field(default_factory=dict)
     terminated: int = 0
     exited: int = 0
     _oob: list = dc_field(default_factory=list, init=False)  # (ParticleSet, dirs) awaiting hand-off
-
-    def donor_direction(self, donor_rank: int) -> int:
-        for d, r in self.neighborhood.neighbors:
-            if r == donor_rank:
-                return d
-        raise InvariantError(f"rank {self.rank} holds a loan from non-neighbor {donor_rank}")
-
-    def containing_blocks(self, pset: ParticleSet):
-        """Yield ``(block, rows)`` of ``pset``: home rows sample the own block,
-        each donor's loans that donor's replica, donors in ascending order."""
-        home = np.nonzero(pset.loaned_from < 0)[0]
-        if home.size:
-            yield self.own_block, home
-        for donor in np.unique(pset.loaned_from[pset.loaned_from >= 0]):
-            yield self.replicas[self.donor_direction(int(donor))], np.nonzero(pset.loaned_from == donor)[0]
 
 
 def _take_delivery(st: RankState, mail: dict) -> int:
@@ -226,21 +216,15 @@ class Simulator:
                 f"exceeds min spacing {spacing.min():.3g}"
             )
         extents = decompose(self.grid, self.resolution)
-        blocks = [
-            rasterize_block(field, self.resolution, e.origin, e.core_dims, global_data=global_data)
-            for e in extents
+        # Row r holds rank r's block; ``blocks.select(home)`` gives per-particle bounds.
+        self.blocks = Block(pad_lattice(global_data), spacing,
+                            np.array([e.origin for e in extents], dtype=np.int64),
+                            np.array([e.core_dims for e in extents], dtype=np.int64))
+        self.states = [
+            RankState(rank=rank, neighborhood=neighborhood_of(self.grid, rank), queue=ParticleSet.empty(),
+                      store=CurveStore(collect=collect_curves))
+            for rank in range(self.grid.rank_count)
         ]
-        self.states: list[RankState] = []
-        for rank in range(self.grid.rank_count):
-            neigh = neighborhood_of(self.grid, rank)
-            replicas = {d: blocks[r] for d, r in neigh.neighbors}
-            self.states.append(RankState(
-                rank=rank,
-                neighborhood=neigh,
-                own_block=blocks[rank],
-                replicas=replicas,
-                queue=ParticleSet.empty(),
-            ))
         seeds, self.seed_count = seed_particles(
             self.resolution, aabb_scale, stride, extents, self.grid, self.max_iterations
         )
@@ -253,11 +237,16 @@ class Simulator:
     # -- helpers ---------------------------------------------------------
 
     def _assert_containable(self) -> None:
+        """Every queued particle is this rank's or a face neighbor's, and its home block reaches it."""
         for st in self.states:
-            for block, rows in st.containing_blocks(st.queue):
-                if not block.samplable_mask(st.queue.pos[rows]).all():
-                    kind = "home" if block is st.own_block else "loaned"
-                    raise InvariantError(f"rank {st.rank}: {kind} particle outside its block's reach")
+            home = st.queue.home
+            foreign = ~np.isin(home, (st.rank,) + st.neighborhood.ranks)
+            if foreign.any():
+                raise InvariantError(f"rank {st.rank} holds a particle of non-neighbor rank {home[foreign][0]}")
+            unreachable = ~self.blocks.select(home).samplable_mask(st.queue.pos)
+            if unreachable.any():
+                kind = "home" if home[unreachable][0] == st.rank else "loaned"
+                raise InvariantError(f"rank {st.rank}: {kind} particle outside its block's reach")
 
     def _conservation_check(self, round_index: int) -> None:
         active = sum(len(s.queue) for s in self.states)
@@ -338,14 +327,13 @@ class Simulator:
         info, buf = infos[st.rank], buffers[st.rank]
         sel = st.queue.select(np.arange(info.count))
         st.queue = st.queue.select(np.arange(info.count, len(st.queue)))
-        groups = [(block, sel.select(rows), rows) for block, rows in st.containing_blocks(sel)]
-        out, rec.integrate_steps = integrate(groups, info, buf, self.h)
+        out, rec.integrate_steps = integrate(self.blocks.select(sel.home), sel, info, buf, self.h)
         st.store.finish_round(round_index, sel.ids, info, buf)
         sel.pos[:] = out.pos
         sel.remaining[:] = out.remaining
         st.terminated += int(np.count_nonzero(out.status == STATUS_TERMINATED))
         st.exited += int(np.count_nonzero(out.status == STATUS_EXITED))
-        oob_home = (sel.loaned_from < 0) & (out.status == STATUS_OOB)
+        oob_home = (sel.home == st.rank) & (out.status == STATUS_OOB)
         if oob_home.any():
             rows = np.nonzero(oob_home)[0]
             st._oob.append((sel.select(rows), out.exit_dir[rows].copy()))
@@ -355,16 +343,16 @@ class Simulator:
 
     def _give_back(self, st: RankState, rec: RoundRecord, done, returned: dict) -> None:
         sel, out = done[st.rank]
-        loans = sel.loaned_from >= 0
-        waiting = st.queue.loaned_from >= 0  # loans this rank had no turn for
+        loans = sel.home != st.rank
+        waiting = st.queue.home != st.rank  # loans this rank had no turn for
         parts = concat_particles([sel.select(np.nonzero(loans)[0]),
                                   st.queue.select(np.nonzero(waiting)[0])])
         statuses = np.concatenate([out.status[loans],
                                    np.full(np.count_nonzero(waiting), _COLLECT_ACTIVE, dtype=np.int64)])
         dirs = np.concatenate([out.exit_dir[loans], np.full(np.count_nonzero(waiting), -1, dtype=np.int64)])
         st.queue = st.queue.select(np.nonzero(~waiting)[0])
-        for donor in np.unique(parts.loaned_from):
-            rows = np.nonzero(parts.loaned_from == donor)[0]
+        for donor in np.unique(parts.home):
+            rows = np.nonzero(parts.home == donor)[0]
             returned[(st.rank, int(donor))] = (parts.select(rows), statuses[rows], dirs[rows])
 
     def _take_back(self, st: RankState, rec: RoundRecord, returned: dict) -> None:
@@ -378,7 +366,6 @@ class Simulator:
             if msg is None:
                 continue
             parts, statuses, dirs = msg
-            parts.loaned_from[:] = -1
             alive.append(parts.select(np.nonzero(statuses == _COLLECT_ACTIVE)[0]))
             oob = np.nonzero(statuses == STATUS_OOB)[0]
             if oob.size:
@@ -404,7 +391,6 @@ class Simulator:
         for target in sorted(sends):
             out = concat_particles(sends[target])
             out.home[:] = target
-            out.loaned_from[:] = -1
             handed[(st.rank, target)] = out
             rec.sent_oob += len(out)
 

@@ -18,10 +18,6 @@ DIR_AXIS = (0, 0, 1, 1, 2, 2)
 DIR_SIGN = (-1, +1, -1, +1, -1, +1)
 
 
-def opposite_direction(direction: int) -> int:
-    return direction ^ 1
-
-
 @dataclass(frozen=True)
 class ProcessGrid:
     """A Cartesian arrangement of ranks, x fastest in rank numbering."""
@@ -126,8 +122,7 @@ def decompose(grid: ProcessGrid, global_resolution) -> list[BlockExtent]:
     """Partition the voxel lattice into per-rank core extents.
 
     Returns one :class:`BlockExtent` per rank (indexed by rank). The core
-    extents are pairwise disjoint and cover the lattice; a rank's replica
-    blocks are exactly the core extents of its face neighbors.
+    extents are pairwise disjoint and cover the lattice.
     """
     res = tuple(int(r) for r in global_resolution)
     if len(res) != 3 or any(r < 1 for r in res):

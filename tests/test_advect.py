@@ -7,7 +7,6 @@ from diffadvect.advect import (
     compute_round_info,
     integrate,
     merge_curves,
-    prune_curves,
     rk4_step,
 )
 from diffadvect.field import rasterize_block
@@ -52,7 +51,7 @@ def run_one_round(block, queue, h, ppr=10**6, round_index=1):
     store = CurveStore()
     buf = store.allocate(info)
     sel = queue.select(np.arange(info.count))
-    outcome, work = integrate([(block, sel, np.arange(info.count))], info, buf, h)
+    outcome, work = integrate(block, sel, info, buf, h)
     store.finish_round(round_index, sel.ids, info, buf)
     return info, store, buf, outcome, work
 
@@ -149,7 +148,7 @@ class TestCurveStore:
         block = rasterize_block(ConstantField((0.01, 0.0, 0.0)), (16, 16, 16), (0, 0, 0), (16, 16, 16))
         q = queue_of([[0.5, 0.5, 0.5]], 3)
         info, store, buf, outcome, work = run_one_round(block, q, 0.001)
-        curves = prune_curves(store)
+        curves = merge_curves([store])
         assert list(curves) == [0]
         assert curves[0].shape == (3, 3)
         assert not np.isnan(curves[0]).any()
@@ -159,7 +158,7 @@ class TestCurveStore:
         info = compute_round_info(queue_of([[0.5, 0.5, 0.5]], 5), 10)
         buf = store.allocate(info)
         store.finish_round(1, np.array([7]), info, buf)  # zero fills
-        assert prune_curves(store) == {}
+        assert merge_curves([store]) == {}
 
     def test_merge_orders_segments_by_round(self):
         a, b = CurveStore(), CurveStore()

@@ -218,7 +218,7 @@ class TestSelectParticles:
         np.testing.assert_array_equal(sends[0].ids, np.arange(68, 94))
         np.testing.assert_array_equal(sends[1].ids, np.arange(94, 100))
         np.testing.assert_array_equal(kept.ids, np.arange(68))
-        assert (sends[0].loaned_from == 0).all()
+        assert (sends[0].home == 0).all()  # on loan from rank 0 wherever they go
 
     def test_cap_with_largest_remainder(self):
         queue = make_queue(10)
@@ -233,7 +233,7 @@ class TestSelectParticles:
 
     def test_on_loan_particles_not_rebalanced(self):
         queue = make_queue(4)
-        queue.loaned_from[2:] = 3  # two already borrowed from rank 3
+        queue.home[2:] = 3  # two already borrowed from rank 3
         kept, sends = select_particles(queue, BalanceDecision((4,), 0), rank=0)
         assert len(sends[0]) == 2  # capped at the two eligible home particles
         np.testing.assert_array_equal(sends[0].ids, [0, 1])

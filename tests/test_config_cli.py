@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from diffadvect.cli import main
-from diffadvect.config import RunConfig, apply_setting, parse_config_text
+from diffadvect.config import LATTICE_CAP_BYTES, RunConfig, apply_setting, parse_config_text
 from diffadvect.errors import ConfigError
 
 FAST = [
@@ -69,6 +69,19 @@ class TestConfigParsing:
         assert RunConfig(grid=(4, 2, 2), nodes=8).validate() != []
         assert RunConfig(nodes=16).grid_dims() == (4, 2, 2)
 
+    def test_oversized_lattice_rejected_by_estimate(self):
+        def resolution_errors(r):
+            return [e for e in RunConfig(resolution=(r, r, r)).validate() if e.startswith("resolution")]
+
+        largest = round((LATTICE_CAP_BYTES / 24) ** (1 / 3)) - 2
+        while (largest + 3) ** 3 * 24 <= LATTICE_CAP_BYTES:
+            largest += 1
+        while (largest + 2) ** 3 * 24 > LATTICE_CAP_BYTES:
+            largest -= 1
+        assert resolution_errors(largest) == []
+        assert len(resolution_errors(largest + 1)) == 1
+        assert "GiB" in resolution_errors(4096)[0]
+
     def test_apply_setting_rejects_bad_values(self):
         with pytest.raises(ConfigError):
             apply_setting(RunConfig(), "step", "fast")
@@ -101,6 +114,19 @@ class TestRunCommand:
         err = capsys.readouterr().err
         assert "scheduler" in err and "aabb_scale" in err
         assert "step" in err and "field params" in err
+        assert not out.exists()
+
+    def test_oversized_lattice_exits_2_without_allocating(self, tmp_path, capsys, monkeypatch):
+        from diffadvect import cli
+
+        class NeverBuilt:
+            def __init__(self, *a, **k):
+                raise AssertionError("an oversized lattice reached the simulator")
+
+        monkeypatch.setattr(cli, "Simulator", NeverBuilt)
+        out = tmp_path / "out"
+        assert main(["run", "--resolution", "4096", "--output", str(out)]) == 2
+        assert "resolution" in capsys.readouterr().err
         assert not out.exists()
 
     def test_flags_override_file(self, tmp_path):
@@ -241,3 +267,5 @@ class TestSweepCommand:
         assert (out / "comparison.csv").exists()
         run_dirs = [p.name for p in out.iterdir() if p.is_dir()]
         assert len(run_dirs) == 12  # 3 scales x 4 schedulers
+        table = (out / "comparison.csv").read_text().splitlines()
+        assert len(table) == 1 + 12

@@ -156,6 +156,29 @@ class TestTrilinear:
         pts = rng.random((500, 3)) * s * np.array([1.0, 15.0, 15.0]) + np.array([7.0 * s[0], 0, 0])
         np.testing.assert_array_equal(a.sample(pts), b.sample(pts))
 
+    def test_sampling_extent_ends_land_on_lattice_nodes(self):
+        f = AnalyticField("toroidal")
+        res = (16, 16, 16)
+        g = rasterize_global(f, res)
+        blk = rasterize_block(f, res, (4, 4, 4), (8, 8, 8), global_data=g)
+        s = lattice_spacing(res)
+
+        def exact_position(node, axis):
+            # a position whose g-space coordinate is exactly ``node``
+            p = node * s[axis]
+            while p / s[axis] != node:
+                p = np.nextafter(p, np.inf if p / s[axis] < node else -np.inf)
+            return p
+
+        inner = (6, 7, 9)
+        for axis in range(3):
+            for end in (3, 12):  # sample_lo and sample_hi of core [4, 12)
+                node = list(inner)
+                node[axis] = end
+                p = np.array([[exact_position(node[a], a) for a in range(3)]])
+                assert blk.samplable_mask(p)[0]
+                np.testing.assert_array_equal(blk.sample_clamped(p)[0], g[tuple(node)])
+
     def test_out_of_block_error_distinct_from_domain_error(self):
         f = AnalyticField("abc")
         blk = rasterize_block(f, (16, 16, 16), (0, 0, 0), (8, 8, 8))

@@ -3,9 +3,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as hst
 
+from diffadvect.advect import CurveStore
 from diffadvect.balance import SCHEDULERS, synchronous_step
 from diffadvect.errors import ConfigError, InvariantError, RoundLimitError
 from diffadvect.field import FIELD_KINDS, AnalyticField
+from diffadvect.metrics import rounds_csv_lines
 from diffadvect.particles import ParticleSet
 from diffadvect.runtime import Simulator, check_completion, seed_particles
 from diffadvect.topology import ProcessGrid, decompose
@@ -26,6 +28,13 @@ def particles_at(positions, remaining, rank, start_id=0):
     return ParticleSet.make(
         np.arange(start_id, start_id + n), positions, np.full(n, remaining), np.full(n, rank)
     )
+
+
+def deterministic_columns(records):
+    """The ``rounds.csv`` rows without their wall-clock (``_s``) columns."""
+    lines = [line.split(",") for line in rounds_csv_lines(records)]
+    keep = [i for i, name in enumerate(lines[0]) if not name.endswith("_s")]
+    return [[row[i] for i in keep] for row in lines]
 
 
 def drain_queues(sim):
@@ -113,7 +122,7 @@ class TestTwoRankBalancing:
         sim.run_round(1)
         for st in sim.states:
             assert not st.loaned_out
-            assert (st.queue.loaned_from < 0).all()
+            assert (st.queue.home == st.rank).all()
 
     def test_curve_segments_recorded_by_integrating_rank(self):
         sim = self._sim("lma")
@@ -214,15 +223,42 @@ class TestDeterminismAndInvariants:
             Simulator(AnalyticField("abc"), (16, 16, 16), (2, 1, 1), "none",
                       step=float("nan"), max_iterations=5, stride=(8, 8, 8))
 
-    def test_replica_closure(self):
-        sim = Simulator(AnalyticField("abc"), (16, 16, 16), (2, 2, 2), "none",
+    def test_non_neighbor_particle_is_an_invariant_error(self):
+        sim = Simulator(ConstantField((0.0, 0.0, 0.0)), (16, 16, 16), (3, 1, 1), "none",
                         max_iterations=5, stride=(8, 8, 8))
-        extents = decompose(sim.grid, (16, 16, 16))
-        for st in sim.states:
-            assert set(st.replicas) == {d for d, _ in st.neighborhood.neighbors}
-            for d, j in st.neighborhood.neighbors:
-                assert st.replicas[d].origin == extents[j].origin
-                assert st.replicas[d].core_dims == extents[j].core_dims
+        drain_queues(sim)
+        # rank 0 holds a particle homed on rank 2, inside rank 2's block
+        sim.states[0].queue = particles_at([[0.9, 0.5, 0.5]], 5, 2)
+        sim.seed_count = 1
+        with pytest.raises(InvariantError, match="non-neighbor rank 2"):
+            sim.run_round(1)
+
+    def test_curves_off_allocates_no_vertices_and_changes_no_work(self, monkeypatch):
+        def run(collect_curves):
+            sim = Simulator(AnalyticField("toroidal"), (32, 32, 32), (2, 2, 1), "gllma",
+                            max_iterations=40, stride=(4, 4, 4), aabb_scale=0.5,
+                            particles_per_round=16, collect_curves=collect_curves)
+            return sim, sim.run()
+
+        slots = []
+        allocate = CurveStore.allocate
+
+        def counting_allocate(store, info):
+            buffer = allocate(store, info)
+            slots.append(0 if buffer.vertices is None else buffer.vertices.shape[0])
+            return buffer
+
+        monkeypatch.setattr(CurveStore, "allocate", counting_allocate)
+        off_sim, off = run(False)
+        assert slots and sum(slots) == 0
+        assert not any(st.store.segments for st in off_sim.states)
+        _, on = run(True)
+        assert sum(slots) > 0
+        assert off.curves is None and on.curves
+        assert off.lif_rows == on.lif_rows
+        assert off.total_integrate_steps() == on.total_integrate_steps()
+        assert off.lockstep_integrate_steps() == on.lockstep_integrate_steps()
+        assert deterministic_columns(off.records) == deterministic_columns(on.records)
 
     def test_jets_field_runs_clean(self):
         res = Simulator(AnalyticField("jets"), (16, 16, 16), (2, 1, 1), "constant",

@@ -80,7 +80,7 @@ class TestDecompose:
         g = ProcessGrid((2, 2, 2))
         extents = decompose(g, (64, 64, 64))
         assert all(e.core_dims == (32, 32, 32) for e in extents)
-        # each rank replicates exactly its face neighbors' blocks
+        # each rank reaches exactly its face neighbors' blocks
         for r in range(8):
             assert len(neighborhood_of(g, r)) == 3
 
