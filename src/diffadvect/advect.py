@@ -18,8 +18,9 @@ vertex sequence of a particle is independent of the decomposition; hand-offs
 and loans only change which rank performs each step.
 
 With curves on, curve vertices live in one flat per-round allocation of
-``selected * vertex_stride`` slots initialized to the reserved sentinel
-(quiet-NaN triplets); unused slot tails are pruned after the round. With
+``selected * vertex_stride`` slots per rank, all ranks' slots back to back in
+one buffer, initialized to the reserved sentinel (quiet-NaN triplets); each
+rank archives the written prefixes of its own slice after the round. With
 curves off nothing is allocated or archived.
 """
 
@@ -61,15 +62,12 @@ def rk4_step(sample_fn, p, h: float) -> np.ndarray:
 
 @dataclass(frozen=True)
 class RoundInfo:
-    """Metadata for one advection round of one rank."""
+    """Metadata for one advection round of one rank, or of several back to back."""
 
     count: int                 # particles selected this round
-    vertex_stride: int         # slots reserved per particle
+    vertex_stride: int         # slots reserved per particle (the largest, if concatenated)
     offsets: np.ndarray        # (count,) base slot per particle
-
-    @property
-    def capacity(self) -> int:
-        return self.count * self.vertex_stride
+    capacity: int              # slots in the round's buffer
 
 
 def compute_round_info(queue: ParticleSet, particles_per_round: int) -> RoundInfo:
@@ -81,10 +79,26 @@ def compute_round_info(queue: ParticleSet, particles_per_round: int) -> RoundInf
     """
     count = min(len(queue), int(particles_per_round))
     if count == 0:
-        return RoundInfo(count=0, vertex_stride=1, offsets=np.empty(0, dtype=np.int64))
+        return RoundInfo(count=0, vertex_stride=1, offsets=np.empty(0, dtype=np.int64), capacity=0)
     stride = int(queue.remaining[:count].max()) + 1
     offsets = np.arange(count, dtype=np.int64) * stride
-    return RoundInfo(count=count, vertex_stride=stride, offsets=offsets)
+    return RoundInfo(count=count, vertex_stride=stride, offsets=offsets, capacity=count * stride)
+
+
+def concat_round_infos(infos) -> RoundInfo:
+    """One round info over several ranges laid out back to back in one buffer.
+
+    Each range's offsets are shifted by the capacity of the ranges before it,
+    so range k owns the contiguous slots ``[shift_k, shift_k + capacity_k)``.
+    """
+    caps = np.array([i.capacity for i in infos], dtype=np.int64)
+    shifts = np.cumsum(caps) - caps
+    return RoundInfo(
+        count=sum(i.count for i in infos),
+        vertex_stride=max(i.vertex_stride for i in infos),
+        offsets=np.concatenate([i.offsets + s for i, s in zip(infos, shifts)]),
+        capacity=int(caps.sum()),
+    )
 
 
 @dataclass
@@ -93,6 +107,11 @@ class RoundBuffer:
 
     vertices: np.ndarray | None  # (capacity, 3), sentinel-initialized; None with curves off
     fills: np.ndarray            # (count,) vertices appended so far
+
+    def part(self, rows: slice, slots: slice) -> "RoundBuffer":
+        """The fill counters of ``rows`` and the vertex ``slots``, as views."""
+        return RoundBuffer(vertices=None if self.vertices is None else self.vertices[slots],
+                           fills=self.fills[rows])
 
 
 @dataclass
@@ -115,14 +134,16 @@ class CurveStore:
         return RoundBuffer(vertices=vertices, fills=np.zeros(info.count, dtype=np.int64))
 
     def finish_round(self, round_index: int, ids: np.ndarray, info: RoundInfo, buffer: RoundBuffer) -> None:
+        # Each written prefix is copied as one contiguous slice: a per-vertex
+        # gather of all prefixes at once is slower and needs an index array
+        # beside the full buffer at the round's memory peak.
         if buffer.vertices is None:
             return
-        for i in range(info.count):
-            n = int(buffer.fills[i])
-            if n == 0:
-                continue
-            base = int(info.offsets[i])
-            self.segments.append((int(ids[i]), int(round_index), buffer.vertices[base:base + n].copy()))
+        rows = np.nonzero(buffer.fills)[0]
+        vertices, rnd = buffer.vertices, int(round_index)
+        self.segments.extend(
+            (pid, rnd, vertices[base:base + n].copy())
+            for pid, base, n in zip(ids[rows].tolist(), info.offsets[rows].tolist(), buffer.fills[rows].tolist()))
 
 
 def merge_curves(stores) -> dict[int, np.ndarray]:

@@ -20,9 +20,12 @@ from .topology import most_cubic_dims
 
 _MAX_ITER_CAP = 1000
 # Largest edge-padded field lattice a run may rasterize: (rx+2)(ry+2)(rz+2)
-# nodes of three float64 each. Rasterization briefly holds about six times
-# this size, so a larger lattice is rejected before anything is allocated.
+# nodes of three float64 each, plus one bounded slab of temporaries while it
+# is evaluated. A larger lattice is rejected before anything is allocated.
 LATTICE_CAP_BYTES = 1 << 30
+# Largest curve buffer one round may allocate with curves exported: every
+# selected particle reserves (max_iterations + 1) xyz float64 slots.
+ROUND_BUFFER_CAP_BYTES = 1 << 29
 
 
 def _parse_triple(text) -> tuple[int, int, int]:
@@ -120,7 +123,23 @@ class RunConfig:
             errors.append(f"particles_per_round: must be >= 1, got {self.particles_per_round}")
         if self.alpha is not None and not (0.0 < self.alpha <= 1.0):
             errors.append(f"alpha: must be in (0, 1], got {self.alpha}")
+        inputs = ("resolution", "grid", "nodes", "aabb_scale", "stride", "max_iterations", "particles_per_round")
+        if self.export_curves and dims is not None and not any(e.startswith(inputs) for e in errors):
+            need = self.round_buffer_bytes()
+            if need > ROUND_BUFFER_CAP_BYTES:
+                errors.append(
+                    f"export_curves: a round's curve buffer needs up to {need / 2**30:.3g} GiB "
+                    f"(min(seeds, ranks x particles_per_round) x (max_iterations + 1) x 24 B), above the "
+                    f"{ROUND_BUFFER_CAP_BYTES / 2**30:g} GiB cap; lower particles_per_round or "
+                    f"max_iterations, raise stride, or set export_curves = false")
         return errors
+
+    def round_buffer_bytes(self) -> int:
+        """Upper bound on one round's curve buffer, computed without seeding."""
+        from .runtime import seed_axes
+        seeds = math.prod(len(a) for a in seed_axes(self.resolution, self.aabb_scale, self.stride))
+        selected = min(seeds, math.prod(self.grid_dims()) * self.particles_per_round)
+        return selected * (self.max_iterations + 1) * 24
 
     def require_valid(self) -> "RunConfig":
         errors = self.validate()

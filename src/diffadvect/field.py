@@ -13,10 +13,10 @@ point always evaluates to the same vector, bit-exactly.
 
 The voxel lattice has ``resolution`` nodes per axis at positions
 ``i * spacing`` with ``spacing = 1 / (resolution - 1)``. It is rasterized
-once and padded with one edge-replicated ghost node per side
-(:func:`pad_lattice`). A :class:`Block` is core bounds over that one shared
-array, for one extent or one per particle row; it samples a one-cell ghost
-layer around its core and copies nothing. Throughout this module "g-space"
+once, slab by slab, into an array padded with one edge-replicated ghost
+node per side (:func:`rasterize_global`). A :class:`Block` is core bounds
+over that one shared array, for one extent or one per particle row; it
+samples a one-cell ghost layer around its core and copies nothing. Throughout this module "g-space"
 means position divided by spacing, i.e. fractional node coordinates.
 """
 
@@ -121,19 +121,50 @@ def lattice_spacing(resolution) -> np.ndarray:
     return 1.0 / (np.asarray(res, dtype=np.float64) - 1.0)
 
 
-def rasterize_global(field: AnalyticField, resolution) -> np.ndarray:
+# Lattice nodes evaluated at once: a 64^3 lattice is one slab, and a larger
+# one holds at most this many nodes' temporaries beside the padded lattice.
+_SLAB_NODES = 1 << 18
+
+
+def rasterize_global(field: AnalyticField, resolution, *, padded: bool = False) -> np.ndarray:
     """Evaluate ``field`` on the full voxel lattice.
 
-    Returns an array of shape ``(rx, ry, rz, 3)`` indexed ``[ix, iy, iz]``.
-    One shared global rasterization keeps every block's ghost layer
-    bit-identical to its neighbor's core by construction.
+    Returns a read-only array of shape ``(rx, ry, rz, 3)`` indexed
+    ``[ix, iy, iz]``, or with ``padded`` the lattice with one edge-replicated
+    ghost node per side (see :func:`pad_lattice`). The field is evaluated in
+    slabs of whole x-planes straight into the padded array, so rasterizing
+    holds one lattice plus one slab's temporaries. One shared global
+    rasterization keeps every block's ghost layer bit-identical to its
+    neighbor's core by construction.
     """
     res = _check_resolution(resolution)
     spacing = lattice_spacing(res)
+    rx, ry, rz = res
     ax = [np.arange(r, dtype=np.float64) * spacing[a] for a, r in enumerate(res)]
-    gx, gy, gz = np.meshgrid(ax[0], ax[1], ax[2], indexing="ij")
-    pts = np.stack([gx, gy, gz], axis=-1)
-    return field.evaluate(pts.reshape(-1, 3)).reshape(res + (3,))
+    planes = max(1, _SLAB_NODES // (ry * rz))
+    lattice = None
+    for x0 in range(0, rx, planes):
+        n = min(planes, rx - x0)
+        pts = np.empty((n, ry, rz, 3), dtype=np.float64)
+        pts[..., 0] = ax[0][x0:x0 + n, np.newaxis, np.newaxis]
+        pts[..., 1] = ax[1][:, np.newaxis]
+        pts[..., 2] = ax[2]
+        values = field.evaluate(pts.reshape(-1, 3)).reshape(n, ry, rz, 3)
+        del pts
+        if lattice is None:  # allocated once the first slab's temporaries are freed
+            lattice = np.empty((rx + 2, ry + 2, rz + 2, 3), dtype=np.float64)
+        lattice[1 + x0:1 + x0 + n, 1:-1, 1:-1] = values
+    _fill_ghosts(lattice)
+    return lattice if padded else lattice[1:-1, 1:-1, 1:-1]
+
+
+def _fill_ghosts(lattice: np.ndarray) -> None:
+    """Copy each face's edge nodes into its ghost layer, one axis after another, then seal."""
+    for axis in range(3):
+        faces = np.moveaxis(lattice, axis, 0)
+        faces[0] = faces[1]
+        faces[-1] = faces[-2]
+    lattice.setflags(write=False)
 
 
 def pad_lattice(global_data: np.ndarray) -> np.ndarray:
@@ -142,8 +173,10 @@ def pad_lattice(global_data: np.ndarray) -> np.ndarray:
     Entry ``[i + 1, j + 1, k + 1]`` holds node ``(i, j, k)`` clamped to the
     lattice, so every block's ghost layer is a slice of this one array.
     """
-    padded = np.pad(global_data, ((1, 1), (1, 1), (1, 1), (0, 0)), mode="edge")
-    padded.setflags(write=False)
+    rx, ry, rz, _ = global_data.shape
+    padded = np.empty((rx + 2, ry + 2, rz + 2, 3), dtype=np.float64)
+    padded[1:-1, 1:-1, 1:-1] = global_data
+    _fill_ghosts(padded)
     return padded
 
 
@@ -247,9 +280,9 @@ def rasterize_block(
 ) -> Block:
     """One ghost-padded block: its extent over the edge-padded lattice.
 
-    ``global_data`` is a :func:`rasterize_global` result; without it the
-    lattice is rasterized here. A block's ghost layer is its neighbors' core
-    nodes by construction.
+    ``global_data`` is an unpadded :func:`rasterize_global` result; without
+    it the lattice is rasterized here. A block's ghost layer is its
+    neighbors' core nodes by construction.
     """
     res = _check_resolution(global_resolution)
     origin = np.array([int(v) for v in origin_voxel], dtype=np.int64)
@@ -258,9 +291,8 @@ def rasterize_block(
         raise ConfigError(f"core_dims must be >= 1 per axis, got {tuple(core)}")
     if np.any(origin < 0) or np.any(origin + core > res):
         raise ConfigError(f"block origin={tuple(origin)} core={tuple(core)} exceeds resolution {res}")
-    if global_data is None:
-        global_data = rasterize_global(field, res)
-    return Block(pad_lattice(global_data), lattice_spacing(res), origin, core)
+    lattice = rasterize_global(field, res, padded=True) if global_data is None else pad_lattice(global_data)
+    return Block(lattice, lattice_spacing(res), origin, core)
 
 
 def sample_trilinear(block: Block, point) -> np.ndarray:

@@ -3,20 +3,27 @@
 Ranks are simulated within one process. Each round runs the paper's stages
 in order: lend and borrow (balance distribute), round info, allocate,
 integrate, give back and take back loans (balance collect), and hand off
-and take over out-of-bounds particles. Every stage is a per-rank function
-applied to each rank in turn. A stage that moves particles runs twice: a
-sending pass in which each rank writes at most one message per neighbor
-into a dict keyed ``(sender, receiver)``, then a receiving pass in which
-each rank reads its messages in its own neighborhood direction order.
+and take over out-of-bounds particles. Every stage but allocate and
+integrate is a per-rank function applied to each rank in turn. Those two
+run once for the whole world, as the paper's ranks do in lockstep: every
+rank's selected range, in rank-index order, is integrated in one call and
+split back, and each rank is credited the steps of its own rows. Their
+per-rank ``rounds.csv`` times are modelled shares of the one measured world
+time (by steps for integrate, by curve slots for allocate).
+
+A stage that moves particles runs twice: a sending pass in which each rank
+writes at most one message per neighbor into a dict keyed
+``(sender, receiver)``, then a receiving pass in which each rank reads its
+messages in its own neighborhood direction order.
 Because the receiver's direction order, never the rank execution order,
 fixes the processing order, any ``rank_order`` gives identical results.
 All balancing decisions come from one :func:`balance.plan_transfers` call.
 
 The lattice is rasterized once; every rank's block is core bounds over
 that one shared array. A particle always samples its home rank's block, so
-each rank integrates all its selected particles in one call with per-row
-bounds, and a particle is on loan exactly when the rank holding it is not
-its home. Only a face neighbor's particles may be on loan to a rank, which
+the world's selected particles integrate in one call with per-row bounds,
+and a particle is on loan exactly when the rank holding it is not its
+home. Only a face neighbor's particles may be on loan to a rank, which
 keeps every loan inside the donor's ghost-reachable neighborhood.
 
 Loans are per-round ephemeral: every surviving loaned particle (out of
@@ -40,11 +47,12 @@ from .advect import (
     STATUS_TERMINATED,
     CurveStore,
     compute_round_info,
+    concat_round_infos,
     integrate,
     merge_curves,
 )
 from .errors import ConfigError, InvariantError, RoundLimitError
-from .field import AnalyticField, Block, pad_lattice, rasterize_global
+from .field import AnalyticField, Block, rasterize_global
 from .metrics import RoundRecord, lif, lockstep_total
 from .particles import ParticleSet, concat_particles
 from .topology import (
@@ -71,6 +79,13 @@ class RankState:
     terminated: int = 0
     exited: int = 0
     _oob: list = dc_field(default_factory=list, init=False)  # (ParticleSet, dirs) awaiting hand-off
+
+
+def _share(recs, column: str, seconds: float, weights) -> None:
+    """Set each rank's ``column`` to its ``weights`` share of one measured time."""
+    total = float(np.sum(weights))
+    for rec, weight in zip(recs, weights):
+        setattr(rec, column, seconds * float(weight) / total if total else 0.0)
 
 
 def _take_delivery(st: RankState, mail: dict) -> int:
@@ -109,6 +124,17 @@ class RunResult:
         return sum(r.integrate_steps for r in self.records)
 
 
+def seed_axes(resolution, aabb_scale: float, stride) -> list[np.ndarray]:
+    """Per axis, the indices of the seeding lattice nodes (see :func:`seed_particles`)."""
+    lo, hi = 0.5 - aabb_scale / 2.0, 0.5 + aabb_scale / 2.0
+    axes = []
+    for r, s in zip(resolution, stride):
+        idx = np.arange(0, r, s, dtype=np.int64)
+        pos = idx * (1.0 / (r - 1.0))
+        axes.append(idx[(pos >= lo) & (pos <= hi)])
+    return axes
+
+
 def seed_particles(resolution, aabb_scale: float, stride, extents, grid: ProcessGrid,
                    max_iterations: int) -> tuple[list[ParticleSet], int]:
     """Seed particles on the global voxel lattice inside a centered box.
@@ -125,12 +151,7 @@ def seed_particles(resolution, aabb_scale: float, stride, extents, grid: Process
         raise ConfigError(f"stride must be three integers >= 1, got {stride}")
     res = tuple(int(r) for r in resolution)
     spacing = 1.0 / (np.asarray(res, dtype=np.float64) - 1.0)
-    lo, hi = 0.5 - aabb_scale / 2.0, 0.5 + aabb_scale / 2.0
-    axes = []
-    for a in range(3):
-        idx = np.arange(0, res[a], stride[a], dtype=np.int64)
-        pos = idx * spacing[a]
-        axes.append(idx[(pos >= lo) & (pos <= hi)])
+    axes = seed_axes(res, aabb_scale, stride)
     iz, iy, ix = np.meshgrid(axes[2], axes[1], axes[0], indexing="ij")
     ix, iy, iz = ix.ravel(), iy.ravel(), iz.ravel()
     total = ix.shape[0]
@@ -205,11 +226,11 @@ class Simulator:
         if sorted(self.rank_order) != list(range(self.grid.rank_count)):
             raise ConfigError("rank_order must be a permutation of all ranks")
 
-        global_data = rasterize_global(field, self.resolution)
+        lattice = rasterize_global(field, self.resolution, padded=True)
         spacing = 1.0 / (np.asarray(self.resolution, dtype=np.float64) - 1.0)
         # Stage points must stay within one ghost cell of the core region,
         # otherwise a handed-off step may be computable by no rank.
-        cmax = float(np.abs(global_data).max())
+        cmax = max(float(lattice.max()), -float(lattice.min()))  # max|v| without an |lattice| temporary
         if 2.0 * self.h * cmax > float(spacing.min()):
             raise ConfigError(
                 f"step {self.h} too large for ghost margin: 2*h*max|v| = {2 * self.h * cmax:.3g} "
@@ -217,7 +238,7 @@ class Simulator:
             )
         extents = decompose(self.grid, self.resolution)
         # Row r holds rank r's block; ``blocks.select(home)`` gives per-particle bounds.
-        self.blocks = Block(pad_lattice(global_data), spacing,
+        self.blocks = Block(lattice, spacing,
                             np.array([e.origin for e in extents], dtype=np.int64),
                             np.array([e.core_dims for e in extents], dtype=np.int64))
         self.states = [
@@ -284,9 +305,7 @@ class Simulator:
         self._each_rank(recs, "stage_lb_distribute_s", self._borrow, lent)
         infos = self._each_rank(recs, "stage_round_info_s",
                                 lambda st, rec: compute_round_info(st.queue, self.ppr))
-        buffers = self._each_rank(recs, "stage_alloc_s",
-                                  lambda st, rec: st.store.allocate(infos[st.rank]))
-        done = self._each_rank(recs, "stage_integrate_s", self._integrate, round_index, infos, buffers)
+        done = self._integrate_world(recs, round_index, [infos[r] for r in range(len(recs))])
         self._each_rank(recs, "stage_collect_s", self._give_back, done, returned)
         self._each_rank(recs, "stage_collect_s", self._take_back, returned)
         self._each_rank(recs, "stage_oob_s", self._hand_off, handed)
@@ -319,37 +338,54 @@ class Simulator:
         rec.recv_balanced = _take_delivery(st, lent)
         rec.load_post = len(st.queue)
 
-    # Stages 2-4 (round info and allocation run in ``run_round``): integrate
-    # the selected range, then apply the outcomes this rank owns. Home
+    # Stages 3-4 for the whole world: one allocation and one integrate call.
+    # Every rank's selected range is gathered in rank-index order, integrated
+    # against per-row home bounds and split back; each rank archives its own
+    # slice of the round buffer and applies the outcomes it owns. Home
     # particles that left the block wait for hand-off; loans wait for collect.
 
-    def _integrate(self, st: RankState, rec: RoundRecord, round_index: int, infos, buffers):
-        info, buf = infos[st.rank], buffers[st.rank]
-        sel = st.queue.select(np.arange(info.count))
-        st.queue = st.queue.select(np.arange(info.count, len(st.queue)))
-        out, rec.integrate_steps = integrate(self.blocks.select(sel.home), sel, info, buf, self.h)
-        st.store.finish_round(round_index, sel.ids, info, buf)
-        sel.pos[:] = out.pos
-        sel.remaining[:] = out.remaining
-        st.terminated += int(np.count_nonzero(out.status == STATUS_TERMINATED))
-        st.exited += int(np.count_nonzero(out.status == STATUS_EXITED))
-        oob_home = (sel.home == st.rank) & (out.status == STATUS_OOB)
-        if oob_home.any():
-            rows = np.nonzero(oob_home)[0]
-            st._oob.append((sel.select(rows), out.exit_dir[rows].copy()))
-        return sel, out
+    def _integrate_world(self, recs, round_index: int, infos: list) -> dict:
+        t0 = time.perf_counter()
+        world_info = concat_round_infos(infos)
+        buf = self.states[0].store.allocate(world_info)  # every store has the same collect flag
+        t1 = time.perf_counter()
+        sels = []
+        for st, info in zip(self.states, infos):
+            sels.append(st.queue.select(slice(0, info.count)))
+            st.queue = st.queue.select(slice(info.count, None))
+        world = concat_particles(sels)
+        out, _ = integrate(self.blocks.select(world.home), world, world_info, buf, self.h)
+        world.pos, world.remaining = out.pos, out.remaining
+        holder = np.repeat(np.arange(len(infos)), [info.count for info in infos])
+        steps = np.bincount(holder, weights=out.steps, minlength=len(infos)).astype(np.int64)
+        done, row, slot = {}, 0, 0
+        for st, rec, info in zip(self.states, recs, infos):
+            rows = slice(row, row + info.count)
+            sel, status, dirs = world.select(rows), out.status[rows], out.exit_dir[rows]
+            st.store.finish_round(round_index, sel.ids, info, buf.part(rows, slice(slot, slot + info.capacity)))
+            rec.integrate_steps = int(steps[st.rank])
+            st.terminated += int(np.count_nonzero(status == STATUS_TERMINATED))
+            st.exited += int(np.count_nonzero(status == STATUS_EXITED))
+            oob_home = np.nonzero((sel.home == st.rank) & (status == STATUS_OOB))[0]
+            if oob_home.size:
+                st._oob.append((sel.select(oob_home), dirs[oob_home]))
+            done[st.rank] = (sel, status, dirs)
+            row, slot = row + info.count, slot + info.capacity
+        _share(recs, "stage_alloc_s", t1 - t0, [info.capacity for info in infos])
+        _share(recs, "stage_integrate_s", time.perf_counter() - t1, steps)
+        return done
 
     # Stage 5: give back and take back loans; every surviving loan returns home.
 
     def _give_back(self, st: RankState, rec: RoundRecord, done, returned: dict) -> None:
-        sel, out = done[st.rank]
+        sel, status, exit_dir = done[st.rank]
         loans = sel.home != st.rank
         waiting = st.queue.home != st.rank  # loans this rank had no turn for
         parts = concat_particles([sel.select(np.nonzero(loans)[0]),
                                   st.queue.select(np.nonzero(waiting)[0])])
-        statuses = np.concatenate([out.status[loans],
+        statuses = np.concatenate([status[loans],
                                    np.full(np.count_nonzero(waiting), _COLLECT_ACTIVE, dtype=np.int64)])
-        dirs = np.concatenate([out.exit_dir[loans], np.full(np.count_nonzero(waiting), -1, dtype=np.int64)])
+        dirs = np.concatenate([exit_dir[loans], np.full(np.count_nonzero(waiting), -1, dtype=np.int64)])
         st.queue = st.queue.select(np.nonzero(~waiting)[0])
         for donor in np.unique(parts.home):
             rows = np.nonzero(parts.home == donor)[0]

@@ -4,13 +4,16 @@ from diffadvect.advect import (
     STATUS_OOB,
     STATUS_TERMINATED,
     CurveStore,
+    RoundBuffer,
     compute_round_info,
+    concat_round_infos,
     integrate,
+    integrate_group,
     merge_curves,
     rk4_step,
 )
-from diffadvect.field import rasterize_block
-from diffadvect.particles import ParticleSet
+from diffadvect.field import Block, rasterize_block, rasterize_global
+from diffadvect.particles import ParticleSet, concat_particles
 
 
 class ConstantField:
@@ -20,6 +23,14 @@ class ConstantField:
     def evaluate(self, points):
         pts = np.asarray(points, dtype=np.float64)
         return np.broadcast_to(self.v, pts.shape).copy()
+
+
+class Swirl:
+    """A fast rotation about the z axis plus a slow drift in z."""
+
+    def evaluate(self, points):
+        p = np.asarray(points, dtype=np.float64)
+        return 4.0 * np.stack([-(p[..., 1] - 0.5), p[..., 0] - 0.5, np.full(p.shape[:-1], 0.1)], axis=-1)
 
 
 def circular(p):
@@ -143,7 +154,54 @@ class TestIntegrate:
         assert work <= 40 and outcome.remaining[0] >= 0
 
 
+class TestWorldBatching:
+    def test_concatenated_rows_match_separate_blocks_bit_for_bit(self):
+        res = (16, 16, 16)
+        lattice = rasterize_global(Swirl(), res)
+        blocks = [rasterize_block(Swirl(), res, origin, (8, 16, 16), global_data=lattice)
+                  for origin in ((0, 0, 0), (8, 0, 0))]
+        rng = np.random.default_rng(11)
+        sets = []
+        for k, (x0, x1) in enumerate([(0.4, 8 / 15), (8 / 15, 0.6)]):  # both sides of the shared face
+            n = 40
+            pos = np.column_stack([rng.uniform(x0, x1, n), rng.uniform(0.1, 0.9, n), rng.uniform(0.2, 0.8, n)])
+            sets.append(ParticleSet.make(np.arange(n) + 100 * k, pos, rng.integers(0, 60, n), np.full(n, k)))
+        infos = [compute_round_info(p, 10**6) for p in sets]
+        separate = []
+        for block, pset, info in zip(blocks, sets, infos):
+            buf = CurveStore().allocate(info)
+            separate.append((integrate_group(block, pset, info.offsets, buf, 0.001), buf))
+
+        world, world_info = concat_particles(sets), concat_round_infos(infos)
+        world_buf = CurveStore().allocate(world_info)
+        per_row = Block(blocks[0].lattice, blocks[0].spacing,
+                        np.array([b.origin for b in blocks])[world.home],
+                        np.array([b.core_dims for b in blocks])[world.home])
+        batched = integrate_group(per_row, world, world_info.offsets, world_buf, 0.001)
+
+        for name in ("status", "exit_dir", "pos", "remaining", "steps"):
+            expected = np.concatenate([getattr(out, name) for out, _ in separate])
+            assert getattr(batched, name).tobytes() == expected.tobytes(), name
+        assert world_buf.vertices.tobytes() == np.concatenate([buf.vertices for _, buf in separate]).tobytes()
+        oob = batched.status == STATUS_OOB
+        inside = per_row.owned_mask(batched.pos)
+        assert (oob & inside).any()   # a stage point left the sampling extent: step rejected
+        assert (oob & ~inside).any()  # the accepted step left the core
+
+
 class TestCurveStore:
+    def test_finish_round_archives_each_written_prefix(self):
+        info = compute_round_info(queue_of(np.tile([0.5, 0.5, 0.5], (5, 1)), 3), 10)
+        vertices = np.full((info.capacity, 3), np.nan)
+        vertices[:, 0] = np.arange(info.capacity)
+        fills = np.array([0, 2, 4, 0, 1])
+        store = CurveStore()
+        store.finish_round(5, np.array([10, 11, 12, 13, 14]), info, RoundBuffer(vertices, fills))
+        assert [(pid, rnd) for pid, rnd, _ in store.segments] == [(11, 5), (12, 5), (14, 5)]
+        for (_, _, got), row in zip(store.segments, (1, 2, 4)):
+            base = info.offsets[row]
+            np.testing.assert_array_equal(got, vertices[base:base + fills[row]])
+
     def test_prune_drops_sentinel_tail_only(self):
         block = rasterize_block(ConstantField((0.01, 0.0, 0.0)), (16, 16, 16), (0, 0, 0), (16, 16, 16))
         q = queue_of([[0.5, 0.5, 0.5]], 3)

@@ -4,7 +4,13 @@ import numpy as np
 import pytest
 
 from diffadvect.cli import main
-from diffadvect.config import LATTICE_CAP_BYTES, RunConfig, apply_setting, parse_config_text
+from diffadvect.config import (
+    LATTICE_CAP_BYTES,
+    ROUND_BUFFER_CAP_BYTES,
+    RunConfig,
+    apply_setting,
+    parse_config_text,
+)
 from diffadvect.errors import ConfigError
 
 FAST = [
@@ -82,6 +88,30 @@ class TestConfigParsing:
         assert len(resolution_errors(largest + 1)) == 1
         assert "GiB" in resolution_errors(4096)[0]
 
+    def test_oversized_round_buffer_rejected_by_estimate(self):
+        def buffer_errors(cfg):
+            return [e for e in cfg.validate() if e.startswith("export_curves")]
+
+        dense = RunConfig(stride=(1, 1, 1))  # 64^3 seeds, 50,000 selected per round
+        assert dense.round_buffer_bytes() == 50_000 * 1001 * 24 > ROUND_BUFFER_CAP_BYTES
+        assert len(buffer_errors(dense)) == 1 and "GiB" in buffer_errors(dense)[0]
+        assert RunConfig(stride=(1, 1, 1), export_curves=False).validate() == []
+        # one rank, every 4th node: 4,096 seeds and a 98 MB buffer
+        oracle = RunConfig(stride=(4, 4, 4))
+        assert oracle.round_buffer_bytes() == 4096 * 1001 * 24
+        assert oracle.validate() == []
+        # few particles per round bound the buffer whatever the seed count
+        assert RunConfig(stride=(1, 1, 1), grid=(4, 2, 2), particles_per_round=64).validate() == []
+
+    def test_round_buffer_estimate_counts_the_seeds(self):
+        from diffadvect.field import AnalyticField
+        from diffadvect.runtime import Simulator
+
+        cfg = RunConfig(resolution=(19, 23, 17), stride=(3, 2, 5), aabb_scale=0.6, max_iterations=7)
+        sim = Simulator(AnalyticField("abc"), cfg.resolution, (1, 1, 1), "none", stride=cfg.stride,
+                        aabb_scale=cfg.aabb_scale, max_iterations=cfg.max_iterations)
+        assert cfg.round_buffer_bytes() == sim.seed_count * 8 * 24
+
     def test_apply_setting_rejects_bad_values(self):
         with pytest.raises(ConfigError):
             apply_setting(RunConfig(), "step", "fast")
@@ -127,6 +157,19 @@ class TestRunCommand:
         out = tmp_path / "out"
         assert main(["run", "--resolution", "4096", "--output", str(out)]) == 2
         assert "resolution" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_oversized_round_buffer_exits_2_without_allocating(self, tmp_path, capsys, monkeypatch):
+        from diffadvect import cli
+
+        class NeverBuilt:
+            def __init__(self, *a, **k):
+                raise AssertionError("an oversized round buffer reached the simulator")
+
+        monkeypatch.setattr(cli, "Simulator", NeverBuilt)
+        out = tmp_path / "out"
+        assert main(["run", "--stride", "1", "--output", str(out)]) == 2
+        assert "export_curves" in capsys.readouterr().err
         assert not out.exists()
 
     def test_flags_override_file(self, tmp_path):

@@ -1,8 +1,10 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from diffadvect import field as field_module
 from diffadvect.errors import ConfigError, DomainError, OutOfBlockError
 from diffadvect.field import (
     AnalyticField,
@@ -106,6 +108,34 @@ class TestRasterize:
         g = rasterize_global(f, res)
         a2 = rasterize_block(f, res, (0, 0, 0), (8, 16, 16), global_data=g)
         np.testing.assert_array_equal(a.data, a2.data)
+
+    @pytest.mark.parametrize("kind", ["abc", "jets", "toroidal"])
+    @pytest.mark.parametrize("slab_nodes", [1 << 18, 700])
+    def test_slabs_equal_one_whole_lattice_evaluation_padded(self, kind, slab_nodes, monkeypatch):
+        monkeypatch.setattr(field_module, "_SLAB_NODES", slab_nodes)
+        f = AnalyticField(kind)
+        res = (21, 17, 19)
+        s = lattice_spacing(res)
+        axes = [np.arange(r, dtype=np.float64) * s[a] for a, r in enumerate(res)]
+        pts = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1)
+        whole = f.evaluate(pts.reshape(-1, 3)).reshape(res + (3,))
+        expected = np.pad(whole, ((1, 1), (1, 1), (1, 1), (0, 0)), mode="edge")
+        padded = rasterize_global(f, res, padded=True)
+        assert padded.tobytes() == expected.tobytes()
+        assert rasterize_global(f, res).tobytes() == whole.tobytes()
+        assert not padded.flags.writeable
+
+    def test_rasterization_peak_stays_near_one_padded_lattice(self, monkeypatch):
+        monkeypatch.setattr(field_module, "_SLAB_NODES", 1 << 12)
+        res = (48, 48, 48)  # 27 slabs
+        padded_bytes = 50 ** 3 * 24
+        tracemalloc.start()
+        try:
+            rasterize_global(AnalyticField("toroidal"), res, padded=True)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * padded_bytes
 
     def test_rasterization_deterministic(self):
         f = AnalyticField("abc")

@@ -260,6 +260,23 @@ class TestDeterminismAndInvariants:
         assert off.lockstep_integrate_steps() == on.lockstep_integrate_steps()
         assert deterministic_columns(off.records) == deterministic_columns(on.records)
 
+    def test_modelled_integrate_time_follows_each_ranks_steps(self):
+        result = Simulator(AnalyticField("toroidal"), (32, 32, 32), (2, 2, 1), "gllma",
+                           max_iterations=60, stride=(4, 4, 4), aabb_scale=0.5).run()
+        rounds = {}
+        for rec in result.records:
+            rounds.setdefault(rec.round, []).append(rec)
+        assert any(rec.integrate_steps == 0 for rec in result.records)
+        for recs in rounds.values():
+            largest = max(rec.stage_integrate_s for rec in recs)
+            for a in recs:
+                if a.integrate_steps == 0:
+                    assert a.stage_integrate_s == 0.0
+                assert a.idle_s == largest - a.stage_integrate_s
+                for b in recs:
+                    assert np.sign(a.stage_integrate_s - b.stage_integrate_s) == \
+                        np.sign(a.integrate_steps - b.integrate_steps)
+
     def test_jets_field_runs_clean(self):
         res = Simulator(AnalyticField("jets"), (16, 16, 16), (2, 1, 1), "constant",
                         max_iterations=30, stride=(4, 4, 4)).run()
