@@ -17,11 +17,11 @@ and every block is bounds over the same shared lattice, so the accepted
 vertex sequence of a particle is independent of the decomposition; hand-offs
 and loans only change which rank performs each step.
 
-With curves on, curve vertices live in one flat per-round allocation of
-``selected * vertex_stride`` slots per rank, all ranks' slots back to back in
-one buffer, initialized to the reserved sentinel (quiet-NaN triplets); each
-rank archives the written prefixes of its own slice after the round. With
-curves off nothing is allocated or archived.
+With curves on, each round appends every accepted step's row and new
+position at a running cursor into one log, sized by the selection's summed
+budgets but touched only as far as it is written. After the round the log is
+sorted by row once and archived as one segment per particle. With curves off
+nothing is allocated or archived; the log only counts the appended steps.
 """
 
 from __future__ import annotations
@@ -41,9 +41,6 @@ STATUS_OOB = 1        # left its home block; still active
 STATUS_TERMINATED = 2  # iteration budget exhausted
 STATUS_EXITED = 3      # left the global domain
 
-SENTINEL = np.nan
-
-
 def rk4_step(sample_fn, p, h: float) -> np.ndarray:
     """One classic RK4 step against an arbitrary sampler callable.
 
@@ -62,107 +59,81 @@ def rk4_step(sample_fn, p, h: float) -> np.ndarray:
 
 @dataclass(frozen=True)
 class RoundInfo:
-    """Metadata for one advection round of one rank, or of several back to back."""
+    """Metadata for one round's selection: one rank's range, or every rank's together."""
 
     count: int                 # particles selected this round
-    vertex_stride: int         # slots reserved per particle (the largest, if concatenated)
-    offsets: np.ndarray        # (count,) base slot per particle
-    capacity: int              # slots in the round's buffer
+    capacity: int              # vertices they can append at most: their summed budgets
 
 
 def compute_round_info(queue: ParticleSet, particles_per_round: int) -> RoundInfo:
-    """Select the round's particle range and size its curve allocation.
+    """Select the round's particle range and bound its curve log.
 
     The queue is FIFO; the first ``min(len(queue), particles_per_round)``
-    particles run this round. The stride reserves room for the longest
-    possible iteration count among them plus one.
+    particles run this round. Each appends at most its remaining budget.
     """
     count = min(len(queue), int(particles_per_round))
-    if count == 0:
-        return RoundInfo(count=0, vertex_stride=1, offsets=np.empty(0, dtype=np.int64), capacity=0)
-    stride = int(queue.remaining[:count].max()) + 1
-    offsets = np.arange(count, dtype=np.int64) * stride
-    return RoundInfo(count=count, vertex_stride=stride, offsets=offsets, capacity=count * stride)
-
-
-def concat_round_infos(infos) -> RoundInfo:
-    """One round info over several ranges laid out back to back in one buffer.
-
-    Each range's offsets are shifted by the capacity of the ranges before it,
-    so range k owns the contiguous slots ``[shift_k, shift_k + capacity_k)``.
-    """
-    caps = np.array([i.capacity for i in infos], dtype=np.int64)
-    shifts = np.cumsum(caps) - caps
-    return RoundInfo(
-        count=sum(i.count for i in infos),
-        vertex_stride=max(i.vertex_stride for i in infos),
-        offsets=np.concatenate([i.offsets + s for i, s in zip(infos, shifts)]),
-        capacity=int(caps.sum()),
-    )
+    return RoundInfo(count=count, capacity=int(queue.remaining[:count].sum()))
 
 
 @dataclass
 class RoundBuffer:
-    """The round's flat vertex allocation plus per-particle fill counters."""
+    """The round's vertex log: each accepted step's row and new position, in append order.
 
-    vertices: np.ndarray | None  # (capacity, 3), sentinel-initialized; None with curves off
-    fills: np.ndarray            # (count,) vertices appended so far
+    ``rows`` and ``vertices`` are uninitialized and only their first ``size``
+    entries are written, so memory is touched only as vertices arrive. With
+    curves off both are None and only ``size`` counts the appended steps.
+    """
 
-    def part(self, rows: slice, slots: slice) -> "RoundBuffer":
-        """The fill counters of ``rows`` and the vertex ``slots``, as views."""
-        return RoundBuffer(vertices=None if self.vertices is None else self.vertices[slots],
-                           fills=self.fills[rows])
+    rows: np.ndarray | None      # (capacity,) row of the integrated set per vertex
+    vertices: np.ndarray | None  # (capacity, 3)
+    size: int = 0
+
+    def append(self, rows: np.ndarray, positions: np.ndarray) -> None:
+        end = self.size + rows.size
+        if self.vertices is not None:
+            self.rows[self.size:end] = rows
+            self.vertices[self.size:end] = positions
+        self.size = end
 
 
 @dataclass
 class CurveStore:
-    """Per-rank integral-curve storage.
+    """Integral-curve storage for the whole run.
 
-    Each round allocates one flat buffer; after the round the non-sentinel
-    prefixes are archived as ``(particle_id, round, vertices)`` segments and
-    the raw buffer is dropped. Within one round a particle is integrated by
-    exactly one rank, so ``(round, sequence)`` orders a particle's vertices
-    globally. A store with ``collect`` False allocates no vertex slots and
-    archives nothing.
+    Each round logs its vertices in one buffer; after the round they are
+    archived as one ``(particle_id, vertices)`` segment per particle and the
+    buffer is dropped. Within one round a particle is integrated by exactly
+    one rank, so the segments of a particle, in archive order, are its curve.
+    A store with ``collect`` False allocates no log and archives nothing.
     """
 
     segments: list = dc_field(default_factory=list)
     collect: bool = True
 
     def allocate(self, info: RoundInfo) -> RoundBuffer:
-        vertices = np.full((info.capacity, 3), SENTINEL, dtype=np.float64) if self.collect else None
-        return RoundBuffer(vertices=vertices, fills=np.zeros(info.count, dtype=np.int64))
+        if not self.collect:
+            return RoundBuffer(rows=None, vertices=None)
+        return RoundBuffer(rows=np.empty(info.capacity, dtype=np.int64),
+                           vertices=np.empty((info.capacity, 3), dtype=np.float64))
 
-    def finish_round(self, round_index: int, ids: np.ndarray, info: RoundInfo, buffer: RoundBuffer) -> None:
-        # Each written prefix is copied as one contiguous slice: a per-vertex
-        # gather of all prefixes at once is slower and needs an index array
-        # beside the full buffer at the round's memory peak.
+    def finish_round(self, ids: np.ndarray, buffer: RoundBuffer) -> None:
+        """Archive the round's log, ``ids`` naming the particle of each row."""
         if buffer.vertices is None:
             return
-        rows = np.nonzero(buffer.fills)[0]
-        vertices, rnd = buffer.vertices, int(round_index)
-        self.segments.extend(
-            (pid, rnd, vertices[base:base + n].copy())
-            for pid, base, n in zip(ids[rows].tolist(), info.offsets[rows].tolist(), buffer.fills[rows].tolist()))
+        rows = buffer.rows[:buffer.size]
+        order = np.argsort(rows, kind="stable")  # keeps each particle's vertices in step order
+        rows = rows[order]
+        starts = np.flatnonzero(np.diff(rows, prepend=-1))
+        vertices = np.split(buffer.vertices[:buffer.size][order], starts[1:])
+        self.segments.extend(zip(ids[rows[starts]].tolist(), vertices))
 
 
-def merge_curves(stores) -> dict[int, np.ndarray]:
-    """Merge the segments of many stores into full per-particle streamlines.
-
-    Segments are ordered by round; concatenation reconstructs each curve in
-    integration order regardless of which rank recorded which piece.
-    """
+def merge_curves(store: CurveStore) -> dict[int, np.ndarray]:
+    """Concatenate each particle's segments, in round order, into its streamline."""
     per_pid: dict[int, list] = {}
-    for store in stores:
-        for pid, rnd, verts in store.segments:
-            per_pid.setdefault(pid, []).append((rnd, verts))
-    out = {}
-    for pid, segs in per_pid.items():
-        segs.sort(key=lambda item: item[0])
-        out[pid] = np.concatenate([v for _, v in segs], axis=0)
-        if np.isnan(out[pid]).any():
-            raise InvariantError(f"sentinel vertex leaked into pruned curve of particle {pid}")
-    return out
+    for pid, verts in store.segments:
+        per_pid.setdefault(pid, []).append(verts)
+    return {pid: np.concatenate(segs, axis=0) for pid, segs in per_pid.items()}
 
 
 def _exit_directions(g: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
@@ -216,18 +187,12 @@ class GroupOutcome:
     steps: np.ndarray       # accepted RK4 steps (work units)
 
 
-def integrate_group(
-    block: Block,
-    pset: ParticleSet,
-    offsets: np.ndarray,
-    buffer: RoundBuffer,
-    h: float,
-) -> GroupOutcome:
+def integrate_group(block: Block, pset: ParticleSet, buffer: RoundBuffer, h: float) -> GroupOutcome:
     """Advance the particles of ``pset``, each against its own block bounds.
 
-    ``block`` holds one extent or per-row bounds for the rows of ``pset``;
-    ``offsets`` and ``buffer.fills`` are indexed by the same rows. Each
-    particle runs until termination, domain exit, or block exit.
+    ``block`` holds one extent or per-row bounds for the rows of ``pset``.
+    Each accepted step appends its row index and new position to ``buffer``.
+    Each particle runs until termination, domain exit, or block exit.
     """
     n = len(pset)
     pos = pset.pos.copy()
@@ -253,9 +218,7 @@ def integrate_group(
         newpos = newpos[in_domain]
         if moved.size:
             pos[moved] = newpos
-            if buffer.vertices is not None:
-                buffer.vertices[offsets[moved] + buffer.fills[moved]] = newpos
-            buffer.fills[moved] += 1
+            buffer.append(moved, newpos)
             steps[moved] += 1
             rem[moved] -= 1
             done = rem[moved] == 0
@@ -272,15 +235,18 @@ def integrate_group(
     return GroupOutcome(status=status, exit_dir=exit_dir, pos=pos, remaining=rem, steps=steps)
 
 
-def integrate(block: Block, pset: ParticleSet, info: RoundInfo, buffer: RoundBuffer, h: float):
-    """Run one rank's round over its selected range ``pset``.
+def integrate(block: Block, pset: ParticleSet, buffer: RoundBuffer, h: float):
+    """Run one round over the selected range ``pset``.
 
     ``block`` holds one extent or per-row bounds for the rows of ``pset``.
     Returns the :class:`GroupOutcome` of the range plus its total
-    accepted-step count.
+    accepted-step count, which must equal the vertices the round logged.
     """
-    outcome = integrate_group(block, pset, info.offsets, buffer, h)
-    return outcome, int(outcome.steps.sum())
+    outcome = integrate_group(block, pset, buffer, h)
+    steps = int(outcome.steps.sum())
+    if buffer.size != steps:
+        raise InvariantError(f"the round logged {buffer.size} vertices for {steps} accepted steps")
+    return outcome, steps
 
 
 def export_curves(path, curves: dict[int, np.ndarray], config_hash: str | None = None) -> None:

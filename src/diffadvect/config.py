@@ -23,8 +23,9 @@ _MAX_ITER_CAP = 1000
 # nodes of three float64 each, plus one bounded slab of temporaries while it
 # is evaluated. A larger lattice is rejected before anything is allocated.
 LATTICE_CAP_BYTES = 1 << 30
-# Largest curve buffer one round may allocate with curves exported: every
-# selected particle reserves (max_iterations + 1) xyz float64 slots.
+# Largest curve log one round may reserve with curves exported: every
+# selected particle may append max_iterations vertices of an xyz float64
+# triplet plus an int64 row.
 ROUND_BUFFER_CAP_BYTES = 1 << 29
 
 
@@ -102,13 +103,14 @@ class RunConfig:
         elif self.nodes is not None and self.nodes < 1:
             errors.append(f"nodes: must be >= 1, got {self.nodes}")
         dims = None
-        try:
-            dims = self.grid_dims()
-        except ConfigError as exc:
-            errors.append(f"grid: {exc}")
-        if dims is not None and not any(e.startswith("resolution") for e in errors):
-            if any(r < d for r, d in zip(self.resolution, dims)):
-                errors.append(f"resolution {self.resolution} smaller than grid {dims} on some axis")
+        if not any(e.startswith(("resolution", "nodes")) for e in errors):
+            # factoring is linear in the node count, so bound it before factoring
+            if self.grid is None and self.nodes is not None and self.nodes > math.prod(self.resolution):
+                errors.append(f"nodes: {self.nodes} ranks exceed the {math.prod(self.resolution)} voxels")
+            else:
+                dims = self.grid_dims()
+                if any(r < d for r, d in zip(self.resolution, dims)):
+                    errors.append(f"resolution {self.resolution} smaller than grid {dims} on some axis")
         if self.scheduler not in SCHEDULERS:
             errors.append(f"scheduler: unknown token {self.scheduler!r}; expected one of {SCHEDULERS}")
         if not (0.0 < self.aabb_scale <= 1.0):
@@ -128,18 +130,18 @@ class RunConfig:
             need = self.round_buffer_bytes()
             if need > ROUND_BUFFER_CAP_BYTES:
                 errors.append(
-                    f"export_curves: a round's curve buffer needs up to {need / 2**30:.3g} GiB "
-                    f"(min(seeds, ranks x particles_per_round) x (max_iterations + 1) x 24 B), above the "
+                    f"export_curves: a round's curve log needs up to {need / 2**30:.3g} GiB "
+                    f"(min(seeds, ranks x particles_per_round) x max_iterations x 32 B), above the "
                     f"{ROUND_BUFFER_CAP_BYTES / 2**30:g} GiB cap; lower particles_per_round or "
                     f"max_iterations, raise stride, or set export_curves = false")
         return errors
 
     def round_buffer_bytes(self) -> int:
-        """Upper bound on one round's curve buffer, computed without seeding."""
+        """Upper bound on one round's curve log, computed without seeding."""
         from .runtime import seed_axes
         seeds = math.prod(len(a) for a in seed_axes(self.resolution, self.aabb_scale, self.stride))
         selected = min(seeds, math.prod(self.grid_dims()) * self.particles_per_round)
-        return selected * (self.max_iterations + 1) * 24
+        return selected * self.max_iterations * 32
 
     def require_valid(self) -> "RunConfig":
         errors = self.validate()

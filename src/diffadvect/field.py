@@ -133,7 +133,8 @@ def rasterize_global(field: AnalyticField, resolution, *, padded: bool = False) 
     ``[ix, iy, iz]``, or with ``padded`` the lattice with one edge-replicated
     ghost node per side (see :func:`pad_lattice`). The field is evaluated in
     slabs of whole x-planes straight into the padded array, so rasterizing
-    holds one lattice plus one slab's temporaries. One shared global
+    holds one lattice plus one slab's temporaries. A non-finite value in
+    any slab is a :class:`ConfigError`. One shared global
     rasterization keeps every block's ghost layer bit-identical to its
     neighbor's core by construction.
     """
@@ -149,8 +150,11 @@ def rasterize_global(field: AnalyticField, resolution, *, padded: bool = False) 
         pts[..., 0] = ax[0][x0:x0 + n, np.newaxis, np.newaxis]
         pts[..., 1] = ax[1][:, np.newaxis]
         pts[..., 2] = ax[2]
-        values = field.evaluate(pts.reshape(-1, 3)).reshape(n, ry, rz, 3)
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):  # reported just below
+            values = field.evaluate(pts.reshape(-1, 3)).reshape(n, ry, rz, 3)
         del pts
+        if not np.isfinite(values).all():
+            raise ConfigError(f"field params: the {field.kind} field is not finite on the lattice")
         if lattice is None:  # allocated once the first slab's temporaries are freed
             lattice = np.empty((rx + 2, ry + 2, rz + 2, 3), dtype=np.float64)
         lattice[1 + x0:1 + x0 + n, 1:-1, 1:-1] = values

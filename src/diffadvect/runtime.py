@@ -9,7 +9,7 @@ run once for the whole world, as the paper's ranks do in lockstep: every
 rank's selected range, in rank-index order, is integrated in one call and
 split back, and each rank is credited the steps of its own rows. Their
 per-rank ``rounds.csv`` times are modelled shares of the one measured world
-time (by steps for integrate, by curve slots for allocate).
+time (by steps for integrate, by step budgets selected for allocate).
 
 A stage that moves particles runs twice: a sending pass in which each rank
 writes at most one message per neighbor into a dict keyed
@@ -46,8 +46,8 @@ from .advect import (
     STATUS_OOB,
     STATUS_TERMINATED,
     CurveStore,
+    RoundInfo,
     compute_round_info,
-    concat_round_infos,
     integrate,
     merge_curves,
 )
@@ -74,7 +74,6 @@ class RankState:
     rank: int
     neighborhood: Neighborhood
     queue: ParticleSet
-    store: CurveStore = dc_field(default_factory=CurveStore)
     loaned_out: dict = dc_field(default_factory=dict)
     terminated: int = 0
     exited: int = 0
@@ -220,7 +219,6 @@ class Simulator:
         self.max_iterations = int(max_iterations)
         self.ppr = int(particles_per_round)
         self.alpha = alpha
-        self.collect_curves = collect_curves
         self.round_cap = int(round_cap)
         self.rank_order = list(range(self.grid.rank_count)) if rank_order is None else list(rank_order)
         if sorted(self.rank_order) != list(range(self.grid.rank_count)):
@@ -242,8 +240,7 @@ class Simulator:
                             np.array([e.origin for e in extents], dtype=np.int64),
                             np.array([e.core_dims for e in extents], dtype=np.int64))
         self.states = [
-            RankState(rank=rank, neighborhood=neighborhood_of(self.grid, rank), queue=ParticleSet.empty(),
-                      store=CurveStore(collect=collect_curves))
+            RankState(rank=rank, neighborhood=neighborhood_of(self.grid, rank), queue=ParticleSet.empty())
             for rank in range(self.grid.rank_count)
         ]
         seeds, self.seed_count = seed_particles(
@@ -251,6 +248,7 @@ class Simulator:
         )
         for rank, pset in enumerate(seeds):
             self.states[rank].queue = pset
+        self.store = CurveStore(collect=collect_curves)
         self.records: list[RoundRecord] = []
         self.lif_rows: list = []
         self.round_totals: list = []
@@ -305,7 +303,7 @@ class Simulator:
         self._each_rank(recs, "stage_lb_distribute_s", self._borrow, lent)
         infos = self._each_rank(recs, "stage_round_info_s",
                                 lambda st, rec: compute_round_info(st.queue, self.ppr))
-        done = self._integrate_world(recs, round_index, [infos[r] for r in range(len(recs))])
+        done = self._integrate_world(recs, [infos[r] for r in range(len(recs))])
         self._each_rank(recs, "stage_collect_s", self._give_back, done, returned)
         self._each_rank(recs, "stage_collect_s", self._take_back, returned)
         self._each_rank(recs, "stage_oob_s", self._hand_off, handed)
@@ -340,39 +338,37 @@ class Simulator:
 
     # Stages 3-4 for the whole world: one allocation and one integrate call.
     # Every rank's selected range is gathered in rank-index order, integrated
-    # against per-row home bounds and split back; each rank archives its own
-    # slice of the round buffer and applies the outcomes it owns. Home
-    # particles that left the block wait for hand-off; loans wait for collect.
+    # against per-row home bounds, archived once and split back; each rank
+    # applies the outcomes it owns. Home particles that left the block wait
+    # for hand-off; loans wait for collect.
 
-    def _integrate_world(self, recs, round_index: int, infos: list) -> dict:
+    def _integrate_world(self, recs, infos: list) -> dict:
         t0 = time.perf_counter()
-        world_info = concat_round_infos(infos)
-        buf = self.states[0].store.allocate(world_info)  # every store has the same collect flag
+        buf = self.store.allocate(RoundInfo(count=sum(i.count for i in infos),
+                                            capacity=sum(i.capacity for i in infos)))
         t1 = time.perf_counter()
         sels = []
         for st, info in zip(self.states, infos):
             sels.append(st.queue.select(slice(0, info.count)))
             st.queue = st.queue.select(slice(info.count, None))
         world = concat_particles(sels)
-        out, _ = integrate(self.blocks.select(world.home), world, world_info, buf, self.h)
+        out, _ = integrate(self.blocks.select(world.home), world, buf, self.h)
+        self.store.finish_round(world.ids, buf)
         world.pos, world.remaining = out.pos, out.remaining
-        holder = np.repeat(np.arange(len(infos)), [info.count for info in infos])
-        steps = np.bincount(holder, weights=out.steps, minlength=len(infos)).astype(np.int64)
-        done, row, slot = {}, 0, 0
+        done, row = {}, 0
         for st, rec, info in zip(self.states, recs, infos):
             rows = slice(row, row + info.count)
             sel, status, dirs = world.select(rows), out.status[rows], out.exit_dir[rows]
-            st.store.finish_round(round_index, sel.ids, info, buf.part(rows, slice(slot, slot + info.capacity)))
-            rec.integrate_steps = int(steps[st.rank])
+            rec.integrate_steps = int(out.steps[rows].sum())
             st.terminated += int(np.count_nonzero(status == STATUS_TERMINATED))
             st.exited += int(np.count_nonzero(status == STATUS_EXITED))
             oob_home = np.nonzero((sel.home == st.rank) & (status == STATUS_OOB))[0]
             if oob_home.size:
                 st._oob.append((sel.select(oob_home), dirs[oob_home]))
             done[st.rank] = (sel, status, dirs)
-            row, slot = row + info.count, slot + info.capacity
+            row += info.count
         _share(recs, "stage_alloc_s", t1 - t0, [info.capacity for info in infos])
-        _share(recs, "stage_integrate_s", time.perf_counter() - t1, steps)
+        _share(recs, "stage_integrate_s", time.perf_counter() - t1, [rec.integrate_steps for rec in recs])
         return done
 
     # Stage 5: give back and take back loans; every surviving loan returns home.
@@ -440,7 +436,7 @@ class Simulator:
             if round_index > self.round_cap:
                 raise RoundLimitError(f"exceeded {self.round_cap} rounds; configuration diverges")
             self.run_round(round_index)
-        curves = merge_curves([s.store for s in self.states]) if self.collect_curves else None
+        curves = merge_curves(self.store) if self.store.collect else None
         return RunResult(
             scheduler=self.scheduler,
             grid_dims=self.grid.dims,

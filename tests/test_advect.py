@@ -1,4 +1,5 @@
 import numpy as np
+import pytest
 
 from diffadvect.advect import (
     STATUS_OOB,
@@ -6,12 +7,12 @@ from diffadvect.advect import (
     CurveStore,
     RoundBuffer,
     compute_round_info,
-    concat_round_infos,
     integrate,
     integrate_group,
     merge_curves,
     rk4_step,
 )
+from diffadvect.errors import InvariantError
 from diffadvect.field import Block, rasterize_block, rasterize_global
 from diffadvect.particles import ParticleSet, concat_particles
 
@@ -57,13 +58,13 @@ def queue_of(positions, remaining, rank=0):
     return ParticleSet.make(np.arange(n), positions, remaining, np.full(n, rank))
 
 
-def run_one_round(block, queue, h, ppr=10**6, round_index=1):
+def run_one_round(block, queue, h, ppr=10**6):
     info = compute_round_info(queue, ppr)
     store = CurveStore()
     buf = store.allocate(info)
     sel = queue.select(np.arange(info.count))
-    outcome, work = integrate(block, sel, info, buf, h)
-    store.finish_round(round_index, sel.ids, info, buf)
+    outcome, work = integrate(block, sel, buf, h)
+    store.finish_round(sel.ids, buf)
     return info, store, buf, outcome, work
 
 
@@ -102,17 +103,16 @@ class TestRK4Step:
 class TestComputeRoundInfo:
     def test_selects_prefix_up_to_ppr(self):
         info = compute_round_info(queue_of(np.tile([0.5, 0.5, 0.5], (15, 1)), 100), 10)
-        assert info.count == 10
-        np.testing.assert_array_equal(info.offsets, np.arange(10) * info.vertex_stride)
+        assert info.count == 10 and info.capacity == 10 * 100
 
-    def test_fresh_particles_get_full_stride(self):
-        info = compute_round_info(queue_of(np.tile([0.5, 0.5, 0.5], (4, 1)), 1000), 10)
-        assert info.vertex_stride == 1001
+    def test_capacity_is_the_selections_summed_budget(self):
+        q = queue_of(np.tile([0.5, 0.5, 0.5], (4, 1)), np.array([1000, 3, 0, 7]))
+        assert compute_round_info(q, 10).capacity == 1010
+        assert compute_round_info(q, 2).capacity == 1003
 
     def test_empty_queue(self):
         info = compute_round_info(ParticleSet.empty(), 10)
-        assert info.count == 0 and info.vertex_stride == 1
-        assert info.capacity == 0
+        assert info.count == 0 and info.capacity == 0
 
 
 class TestIntegrate:
@@ -120,8 +120,9 @@ class TestIntegrate:
         block = rasterize_block(ConstantField((0.01, 0.0, 0.0)), (16, 16, 16), (0, 0, 0), (16, 16, 16))
         info, store, buf, outcome, work = run_one_round(block, queue_of([[0.5, 0.5, 0.5]], 3), 0.001)
         assert outcome.status[0] == STATUS_TERMINATED
-        assert buf.fills[0] == 3 and work == 3
-        assert np.isnan(buf.vertices[3:]).all()  # sentinel tail untouched
+        assert buf.size == 3 and work == 3
+        np.testing.assert_array_equal(buf.rows[:3], [0, 0, 0])
+        np.testing.assert_allclose(buf.vertices[:3, 0], 0.5 + 0.01 * 0.001 * np.arange(1, 4), rtol=1e-12)
 
     def test_exits_plus_x_face_in_expected_steps(self):
         block = rasterize_block(ConstantField((1.0, 0.0, 0.0)), (16, 16, 16), (0, 0, 0), (8, 16, 16))
@@ -137,7 +138,9 @@ class TestIntegrate:
         q = queue_of(np.random.default_rng(5).uniform(0.3, 0.7, (20, 3)), 50)
         _, _, buf1, out1, _ = run_one_round(block, q.copy(), 0.001)
         _, _, buf2, out2, _ = run_one_round(block, q.copy(), 0.001)
-        np.testing.assert_array_equal(buf1.vertices, buf2.vertices)
+        assert buf1.size == buf2.size > 0
+        np.testing.assert_array_equal(buf1.rows[:buf1.size], buf2.rows[:buf2.size])
+        np.testing.assert_array_equal(buf1.vertices[:buf1.size], buf2.vertices[:buf2.size])
         np.testing.assert_array_equal(out1.pos, out2.pos)
 
     def test_domain_exit_terminates_without_vertex(self):
@@ -146,7 +149,7 @@ class TestIntegrate:
         from diffadvect.advect import STATUS_EXITED
 
         assert outcome.status[0] == STATUS_EXITED
-        assert buf.fills[0] == 0  # the crossing step is rejected, not recorded
+        assert buf.size == 0  # the crossing step is rejected, not recorded
 
     def test_lifetime_step_budget_respected(self):
         block = rasterize_block(ConstantField((0.05, 0.02, 0.01)), (16, 16, 16), (0, 0, 0), (16, 16, 16))
@@ -166,23 +169,27 @@ class TestWorldBatching:
             n = 40
             pos = np.column_stack([rng.uniform(x0, x1, n), rng.uniform(0.1, 0.9, n), rng.uniform(0.2, 0.8, n)])
             sets.append(ParticleSet.make(np.arange(n) + 100 * k, pos, rng.integers(0, 60, n), np.full(n, k)))
-        infos = [compute_round_info(p, 10**6) for p in sets]
-        separate = []
-        for block, pset, info in zip(blocks, sets, infos):
-            buf = CurveStore().allocate(info)
-            separate.append((integrate_group(block, pset, info.offsets, buf, 0.001), buf))
+        separate, curves = [], CurveStore()
+        for block, pset in zip(blocks, sets):
+            buf = CurveStore().allocate(compute_round_info(pset, 10**6))
+            separate.append(integrate_group(block, pset, buf, 0.001))
+            curves.finish_round(pset.ids, buf)
 
-        world, world_info = concat_particles(sets), concat_round_infos(infos)
-        world_buf = CurveStore().allocate(world_info)
+        world = concat_particles(sets)
+        world_buf = CurveStore().allocate(compute_round_info(world, 10**6))
         per_row = Block(blocks[0].lattice, blocks[0].spacing,
                         np.array([b.origin for b in blocks])[world.home],
                         np.array([b.core_dims for b in blocks])[world.home])
-        batched = integrate_group(per_row, world, world_info.offsets, world_buf, 0.001)
+        batched = integrate_group(per_row, world, world_buf, 0.001)
+        world_curves = CurveStore()
+        world_curves.finish_round(world.ids, world_buf)
 
         for name in ("status", "exit_dir", "pos", "remaining", "steps"):
-            expected = np.concatenate([getattr(out, name) for out, _ in separate])
+            expected = np.concatenate([getattr(out, name) for out in separate])
             assert getattr(batched, name).tobytes() == expected.tobytes(), name
-        assert world_buf.vertices.tobytes() == np.concatenate([buf.vertices for _, buf in separate]).tobytes()
+        assert [pid for pid, _ in world_curves.segments] == [pid for pid, _ in curves.segments]
+        for (_, got), (_, want) in zip(world_curves.segments, curves.segments):
+            assert got.tobytes() == want.tobytes()
         oob = batched.status == STATUS_OOB
         inside = per_row.owned_mask(batched.pos)
         assert (oob & inside).any()   # a stage point left the sampling extent: step rejected
@@ -191,36 +198,55 @@ class TestWorldBatching:
 
 class TestCurveStore:
     def test_finish_round_archives_each_written_prefix(self):
-        info = compute_round_info(queue_of(np.tile([0.5, 0.5, 0.5], (5, 1)), 3), 10)
-        vertices = np.full((info.capacity, 3), np.nan)
-        vertices[:, 0] = np.arange(info.capacity)
-        fills = np.array([0, 2, 4, 0, 1])
+        # rows interleave as a round's steps do; each particle keeps its own vertices in step order,
+        # and the two entries past the cursor were never written
+        rows = np.array([4, 1, 2, 1, 2, 2, 2, 3, 0])
+        buf = RoundBuffer(rows=rows.copy(), vertices=np.column_stack([np.arange(9.0), rows, rows]), size=7)
         store = CurveStore()
-        store.finish_round(5, np.array([10, 11, 12, 13, 14]), info, RoundBuffer(vertices, fills))
-        assert [(pid, rnd) for pid, rnd, _ in store.segments] == [(11, 5), (12, 5), (14, 5)]
-        for (_, _, got), row in zip(store.segments, (1, 2, 4)):
-            base = info.offsets[row]
-            np.testing.assert_array_equal(got, vertices[base:base + fills[row]])
+        store.finish_round(np.array([10, 11, 12, 13, 14]), buf)
+        assert [pid for pid, _ in store.segments] == [11, 12, 14]
+        for (_, got), row in zip(store.segments, (1, 2, 4)):
+            np.testing.assert_array_equal(got[:, 0], np.flatnonzero(rows == row))
+            assert (got[:, 1] == row).all()
 
-    def test_prune_drops_sentinel_tail_only(self):
+    def test_merge_keeps_only_written_vertices(self):
         block = rasterize_block(ConstantField((0.01, 0.0, 0.0)), (16, 16, 16), (0, 0, 0), (16, 16, 16))
         q = queue_of([[0.5, 0.5, 0.5]], 3)
         info, store, buf, outcome, work = run_one_round(block, q, 0.001)
-        curves = merge_curves([store])
+        assert info.capacity == 3
+        curves = merge_curves(store)
         assert list(curves) == [0]
         assert curves[0].shape == (3, 3)
         assert not np.isnan(curves[0]).any()
 
-    def test_full_sentinel_slot_contributes_nothing(self):
+    def test_particle_without_vertices_contributes_nothing(self):
         store = CurveStore()
-        info = compute_round_info(queue_of([[0.5, 0.5, 0.5]], 5), 10)
-        buf = store.allocate(info)
-        store.finish_round(1, np.array([7]), info, buf)  # zero fills
-        assert merge_curves([store]) == {}
+        buf = store.allocate(compute_round_info(queue_of([[0.5, 0.5, 0.5]], 5), 10))
+        store.finish_round(np.array([7]), buf)  # nothing appended
+        assert merge_curves(store) == {}
 
     def test_merge_orders_segments_by_round(self):
-        a, b = CurveStore(), CurveStore()
-        a.segments.append((3, 2, np.array([[0.4, 0.0, 0.0]])))
-        b.segments.append((3, 1, np.array([[0.2, 0.0, 0.0], [0.3, 0.0, 0.0]])))
-        merged = merge_curves([a, b])
-        np.testing.assert_array_equal(merged[3][:, 0], [0.2, 0.3, 0.4])
+        store = CurveStore()
+        for ids, x in ((np.array([3, 5]), [0.2, 0.3]), (np.array([5, 3]), [0.4, 0.5])):
+            buf = store.allocate(compute_round_info(queue_of(np.zeros((2, 3)), 1), 10))
+            buf.append(np.array([0, 1]), np.column_stack([x, np.zeros(2), np.zeros(2)]))
+            store.finish_round(ids, buf)
+        merged = merge_curves(store)
+        np.testing.assert_array_equal(merged[3][:, 0], [0.2, 0.5])
+        np.testing.assert_array_equal(merged[5][:, 0], [0.3, 0.4])
+
+    def test_dropped_vertex_is_an_invariant_error(self, monkeypatch):
+        append = RoundBuffer.append
+
+        dropped = []
+
+        def drop_one(buffer, rows, positions):
+            if not dropped:
+                dropped.append(int(rows[-1]))
+                rows, positions = rows[:-1], positions[:-1]
+            append(buffer, rows, positions)
+
+        monkeypatch.setattr(RoundBuffer, "append", drop_one)
+        block = rasterize_block(ConstantField((0.01, 0.0, 0.0)), (16, 16, 16), (0, 0, 0), (16, 16, 16))
+        with pytest.raises(InvariantError, match="logged 2 vertices for 3 accepted steps"):
+            run_one_round(block, queue_of([[0.5, 0.5, 0.5]], 3), 0.001)

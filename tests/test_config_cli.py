@@ -2,6 +2,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hst
 
 from diffadvect.cli import main
 from diffadvect.config import (
@@ -74,6 +76,9 @@ class TestConfigParsing:
         assert RunConfig(grid=(4, 2, 2), nodes=16).validate() == []
         assert RunConfig(grid=(4, 2, 2), nodes=8).validate() != []
         assert RunConfig(nodes=16).grid_dims() == (4, 2, 2)
+        # factoring takes time linear in the node count: a count above the voxels is refused first
+        errors = RunConfig(nodes=10**18, resolution=(8, 8, 8)).validate()
+        assert errors == ["nodes: 1000000000000000000 ranks exceed the 512 voxels"]
 
     def test_oversized_lattice_rejected_by_estimate(self):
         def resolution_errors(r):
@@ -93,12 +98,12 @@ class TestConfigParsing:
             return [e for e in cfg.validate() if e.startswith("export_curves")]
 
         dense = RunConfig(stride=(1, 1, 1))  # 64^3 seeds, 50,000 selected per round
-        assert dense.round_buffer_bytes() == 50_000 * 1001 * 24 > ROUND_BUFFER_CAP_BYTES
+        assert dense.round_buffer_bytes() == 50_000 * 1000 * 32 > ROUND_BUFFER_CAP_BYTES
         assert len(buffer_errors(dense)) == 1 and "GiB" in buffer_errors(dense)[0]
         assert RunConfig(stride=(1, 1, 1), export_curves=False).validate() == []
-        # one rank, every 4th node: 4,096 seeds and a 98 MB buffer
+        # one rank, every 4th node: 4,096 seeds and a 131 MB log
         oracle = RunConfig(stride=(4, 4, 4))
-        assert oracle.round_buffer_bytes() == 4096 * 1001 * 24
+        assert oracle.round_buffer_bytes() == 4096 * 1000 * 32
         assert oracle.validate() == []
         # few particles per round bound the buffer whatever the seed count
         assert RunConfig(stride=(1, 1, 1), grid=(4, 2, 2), particles_per_round=64).validate() == []
@@ -110,7 +115,7 @@ class TestConfigParsing:
         cfg = RunConfig(resolution=(19, 23, 17), stride=(3, 2, 5), aabb_scale=0.6, max_iterations=7)
         sim = Simulator(AnalyticField("abc"), cfg.resolution, (1, 1, 1), "none", stride=cfg.stride,
                         aabb_scale=cfg.aabb_scale, max_iterations=cfg.max_iterations)
-        assert cfg.round_buffer_bytes() == sim.seed_count * 8 * 24
+        assert cfg.round_buffer_bytes() == sim.seed_count * 7 * 32
 
     def test_apply_setting_rejects_bad_values(self):
         with pytest.raises(ConfigError):
@@ -170,6 +175,16 @@ class TestRunCommand:
         out = tmp_path / "out"
         assert main(["run", "--stride", "1", "--output", str(out)]) == 2
         assert "export_curves" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_non_finite_lattice_exits_2_without_output(self, tmp_path, capsys):
+        # finite parameters whose field overflows to NaN on the lattice
+        out = tmp_path / "out"
+        assert main(["run", "--field", "toroidal", "--set", "param.R0=1e308", "--set", "param.kappa=1e308",
+                     "--resolution", "16", "--stride", "4", "--max-iterations", "5",
+                     "--export-curves", "false", "--output", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert "not finite on the lattice" in captured.err and "Warning" not in captured.err
         assert not out.exists()
 
     def test_flags_override_file(self, tmp_path):
@@ -274,6 +289,83 @@ class TestExitCodes:
         monkeypatch.setattr(cli, "Simulator", Exploding)
         cfg = write_config(tmp_path, FAST)
         assert main(["run", "--config", str(cfg)]) == 3
+
+
+_FIELD_PARAMS = {"abc": ("A", "B", "C"), "jets": ("w0",), "toroidal": ("R0", "kappa")}
+_VALID = {
+    "field": hst.sampled_from(sorted(_FIELD_PARAMS)),
+    "resolution": hst.tuples(*[hst.integers(2, 12)] * 3).map(lambda t: ",".join(map(str, t))),
+    "grid": hst.tuples(*[hst.integers(1, 3)] * 3).map(lambda t: ",".join(map(str, t))),
+    "nodes": hst.integers(1, 8),
+    "scheduler": hst.sampled_from(("none", "constant", "lma", "gllma")),
+    "aabb_scale": hst.floats(0.05, 1.0),
+    "stride": hst.integers(1, 12),
+    "step": hst.floats(1e-6, 1e-2),
+    "max_iterations": hst.integers(1, 5),
+    "particles_per_round": hst.integers(1, 64),
+    "alpha": hst.floats(0.01, 1.0),
+}
+# Extreme integers are never a valid resolution or iteration count, so no run exceeds 12^3 or 5 steps.
+_EXTREME = hst.one_of(
+    hst.integers(max_value=0), hst.integers(min_value=10**6), hst.floats(),
+    hst.sampled_from((5e-324, 1e-300, 1e300, 1.7e308, -1.7e308, float("nan"), float("inf"), float("-inf"))),
+    hst.sampled_from(("", "x", "1.5", "1,2", "2,2,2,2", "nan", "-inf", "true")),
+).map(str)
+
+
+@hst.composite
+def run_settings(draw):
+    """A resolution, an iteration budget and any other keys: valid values, plus up to two extreme ones.
+
+    Field parameters are drawn for the chosen field; ``grid`` and ``nodes`` are
+    not both valid at once. Extremes go to any key or to a parameter of any name.
+    """
+    run = {"resolution": draw(_VALID["resolution"]), "max_iterations": draw(_VALID["max_iterations"])}
+    for key in ("field", "grid", "scheduler", "aabb_scale", "stride", "step", "particles_per_round", "alpha"):
+        if draw(hst.booleans()):
+            run[key] = draw(_VALID[key])
+    if "grid" not in run and draw(hst.booleans()):
+        run["nodes"] = draw(_VALID["nodes"])
+    for name in _FIELD_PARAMS[run.get("field", "abc")]:
+        if draw(hst.booleans()):
+            run[f"param.{name}"] = draw(hst.floats(-10.0, 10.0))
+    any_param = [f"param.{n}" for n in ("A", "B", "C", "w0", "R0", "kappa", "bogus")]
+    for key in draw(hst.lists(hst.sampled_from(sorted(_VALID) + any_param), max_size=2, unique=True)):
+        run[key] = draw(_EXTREME)
+    return {key: str(value) for key, value in run.items()}
+
+
+class TestRunFuzz:
+    @settings(max_examples=80, deadline=None)
+    @given(run_settings())
+    def test_any_input_exits_0_or_2(self, run):
+        argv = ["run", "--export-curves", "false"]
+        for key, value in run.items():
+            argv += ["--set", f"{key}={value}"]
+        assert main(argv) in (0, 2)
+
+
+class TestGoldenOutput:
+    def test_toroidal_gllma_run_matches_pinned_digests(self, tmp_path):
+        # Pins the outputs themselves, which an oracle comparison cannot: a change that moved
+        # the oracle and the run alike would pass it. The toroidal field needs only + - * / and
+        # sqrt, which are correctly rounded, so the digests do not depend on the CPU's libm.
+        import hashlib
+
+        from diffadvect.cli import execute_run
+
+        cfg = RunConfig(field="toroidal", resolution=(32, 32, 32), grid=(2, 2, 2), scheduler="gllma",
+                        aabb_scale=0.5, stride=(3, 3, 3), max_iterations=80, particles_per_round=8)
+        result, _ = execute_run(cfg, tmp_path)
+        assert (result.rounds, result.seed_count) == (4, 125)
+        assert sum(r.sent_balanced for r in result.records) == 42
+        assert sum(r.sent_oob for r in result.records) == 44
+        digests = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+                   for name in ("curves.bin", "lif.csv")}
+        assert digests == {
+            "curves.bin": "ae245ec1694adf79b3e0fa5b14411d435fc3c7f3f10b2a850d4568f12b7dcb7e",
+            "lif.csv": "8a867145f5b85e4c7f32803245dbc1fc3e4e1b0acc045ed4737adbf893490c27",
+        }
 
 
 class TestSweepCommand:
