@@ -144,10 +144,21 @@ def _speedup_rows(summaries: list[dict], scaled=("grid",)) -> list[str]:
 
 
 def _cmd_compare(args) -> int:
-    summaries = []
+    summaries, errors = [], []
     for path in args.summaries:
-        with open(path, "r", encoding="utf-8") as fh:
-            summaries.append(json.load(fh))
+        try:
+            with open(path, "r", encoding="utf-8") as fh:
+                summary = json.load(fh)
+        except (OSError, ValueError) as exc:
+            errors.append(f"{path}: cannot read a summary: {exc}")
+            continue
+        missing = [key for key in ("config", "node_count", "total_advection_s")
+                   if not isinstance(summary, dict) or key not in summary]
+        if missing:
+            errors.append(f"{path}: not a run summary, missing {', '.join(missing)}")
+        summaries.append(summary)
+    if errors:
+        raise ConfigError("unreadable summaries", errors=errors)
     for line in _speedup_rows(summaries):
         print(line)
     return EXIT_OK
@@ -183,25 +194,24 @@ def _sweep_members(kind: str, base: RunConfig, axis: str | None):
 
 def _cmd_sweep(args) -> int:
     base = _config_from_args(args)
-    out_root = Path(base.output) if base.output else Path(f"sweep_{args.kind}")
-    out_root.mkdir(parents=True, exist_ok=True)
-    summaries = []
+    members, errors = [], []
     for name, settings in _sweep_members(args.kind, base, getattr(args, "axis", None)):
         member = base
         for key, value in settings:
             if key == "grid" and value is None:
                 member = replace(member, grid=None)
-                continue
-            member = apply_setting(member, key, value)
-        errors = member.validate()
-        if errors:
-            for err in errors:
-                print(f"config error [{name}]: {err}", file=sys.stderr)
-            return EXIT_CONFIG
-        run_dir = out_root / name
+            else:
+                member = apply_setting(member, key, value)
+        members.append((name, member))
+        errors.extend(f"[{name}] {err}" for err in member.validate())
+    if errors:
+        raise ConfigError("invalid sweep", errors=errors)
+    out_root = Path(base.output) if base.output else Path(f"sweep_{args.kind}")
+    out_root.mkdir(parents=True, exist_ok=True)
+    summaries = []
+    for name, member in members:
         print(f"[sweep {args.kind}] {name} ...", flush=True)
-        _, summary = execute_run(member, run_dir)
-        summaries.append(summary)
+        summaries.append(execute_run(member, out_root / name)[1])
     # A weak-scaling ladder varies the seed stride together with the node count.
     table = _speedup_rows(summaries, ("grid", "stride") if args.kind == "weak" else ("grid",))
     table_path = out_root / ("speedup.csv" if args.kind in ("strong", "weak") else "comparison.csv")
@@ -215,10 +225,12 @@ def _cmd_export_curves(args) -> int:
     src = Path(args.run) / "curves.bin"
     if not src.exists():
         raise ConfigError(f"no curves.bin under {args.run}; run with export_curves = true")
-    header, curves = read_curves(src)
-    export_curves(args.out, {int(p): curves[int(p)] for p in header["particle_ids"]},
-                  config_hash=header.get("config_hash"))
-    print(f"wrote {args.out}: {header['particle_count']} curves")
+    try:
+        header, curves = read_curves(src)
+    except (ValueError, KeyError, TypeError) as exc:
+        raise ConfigError(f"{src}: not a curves file: {exc!r}") from exc
+    export_curves(args.out, curves, config_hash=header.get("config_hash"))
+    print(f"wrote {args.out}: {len(curves)} curves")
     return EXIT_OK
 
 

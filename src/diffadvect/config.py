@@ -27,6 +27,12 @@ LATTICE_CAP_BYTES = 1 << 30
 # selected particle may append max_iterations vertices of an xyz float64
 # triplet plus an int64 row.
 ROUND_BUFFER_CAP_BYTES = 1 << 29
+# Most ranks a run may simulate: 16^3, 256 times the largest sweep's 16. Each
+# rank costs Python work every round (its balancing decision and its
+# rounds.csv record), about 0.5 ms and 0.6 KB per rank-round (measured with
+# 4,096 ranks on a 64^3 lattice: 2 s and 2.4 MB per round). It also bounds the
+# factoring of ``nodes``, which is linear in the count.
+RANK_CAP = 4096
 
 
 def _parse_triple(text) -> tuple[int, int, int]:
@@ -98,19 +104,19 @@ class RunConfig:
         if self.grid is not None:
             if any(d < 1 for d in self.grid):
                 errors.append(f"grid: dims must be >= 1, got {self.grid}")
+            elif math.prod(self.grid) > RANK_CAP:
+                errors.append(f"grid: {math.prod(self.grid)} ranks exceed the cap of {RANK_CAP}")
             if self.nodes is not None and self.nodes != self.grid[0] * self.grid[1] * self.grid[2]:
                 errors.append(f"grid {self.grid} and nodes {self.nodes} disagree")
         elif self.nodes is not None and self.nodes < 1:
             errors.append(f"nodes: must be >= 1, got {self.nodes}")
+        if self.nodes is not None and self.nodes > RANK_CAP:
+            errors.append(f"nodes: {self.nodes} ranks exceed the cap of {RANK_CAP}")
         dims = None
         if not any(e.startswith(("resolution", "nodes")) for e in errors):
-            # factoring is linear in the node count, so bound it before factoring
-            if self.grid is None and self.nodes is not None and self.nodes > math.prod(self.resolution):
-                errors.append(f"nodes: {self.nodes} ranks exceed the {math.prod(self.resolution)} voxels")
-            else:
-                dims = self.grid_dims()
-                if any(r < d for r, d in zip(self.resolution, dims)):
-                    errors.append(f"resolution {self.resolution} smaller than grid {dims} on some axis")
+            dims = self.grid_dims()
+            if any(r < d for r, d in zip(self.resolution, dims)):
+                errors.append(f"resolution {self.resolution} smaller than grid {dims} on some axis")
         if self.scheduler not in SCHEDULERS:
             errors.append(f"scheduler: unknown token {self.scheduler!r}; expected one of {SCHEDULERS}")
         if not (0.0 < self.aabb_scale <= 1.0):

@@ -1,13 +1,16 @@
 """Struct-of-arrays particle storage.
 
-Queues are ordinary numpy arrays kept in FIFO order; slicing and
-concatenation preserve order, which the runtime relies on for determinism.
-A particle held by a rank other than its ``home`` is on loan from its home.
+A :class:`ParticleSet` is a table of particle rows. ``home`` is the rank
+whose block a particle samples; ``holder`` is the rank that queues it; a
+particle held by a rank other than its home is on loan from its home.
+``seq`` is the FIFO key: a holder's queue is its rows in ``seq`` order, and
+a fresh set queues in id order. Selecting and concatenating rows keep their
+order, which the runtime relies on for determinism.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -18,54 +21,42 @@ class ParticleSet:
     pos: np.ndarray
     remaining: np.ndarray
     home: np.ndarray
+    holder: np.ndarray
+    seq: np.ndarray
 
     def __len__(self) -> int:
         return int(self.ids.shape[0])
 
     @staticmethod
     def empty() -> "ParticleSet":
-        return ParticleSet(
-            ids=np.empty(0, dtype=np.int64),
-            pos=np.empty((0, 3), dtype=np.float64),
-            remaining=np.empty(0, dtype=np.int64),
-            home=np.empty(0, dtype=np.int64),
-        )
+        return ParticleSet.make([], np.empty((0, 3)), [], [])
 
     @staticmethod
-    def make(ids, pos, remaining, home) -> "ParticleSet":
+    def make(ids, pos, remaining, home, holder=None, seq=None) -> "ParticleSet":
+        """A set whose rows are held by their home and queue in id order, unless given."""
         ids = np.asarray(ids, dtype=np.int64)
-        n = ids.shape[0]
+        home = np.asarray(home, dtype=np.int64)
         return ParticleSet(
             ids=ids,
-            pos=np.asarray(pos, dtype=np.float64).reshape(n, 3),
+            pos=np.asarray(pos, dtype=np.float64).reshape(ids.shape[0], 3),
             remaining=np.asarray(remaining, dtype=np.int64),
-            home=np.asarray(home, dtype=np.int64),
+            home=home,
+            holder=np.array(home if holder is None else holder, dtype=np.int64),
+            seq=np.array(ids if seq is None else seq, dtype=np.int64),
         )
+
+    def _columns(self):
+        return (getattr(self, f.name) for f in fields(self))
 
     def select(self, index) -> "ParticleSet":
-        return ParticleSet(
-            ids=self.ids[index],
-            pos=self.pos[index],
-            remaining=self.remaining[index],
-            home=self.home[index],
-        )
+        return ParticleSet(*(column[index] for column in self._columns()))
 
     def copy(self) -> "ParticleSet":
-        return ParticleSet(
-            ids=self.ids.copy(),
-            pos=self.pos.copy(),
-            remaining=self.remaining.copy(),
-            home=self.home.copy(),
-        )
+        return ParticleSet(*(column.copy() for column in self._columns()))
 
 
 def concat_particles(parts: list[ParticleSet]) -> ParticleSet:
     parts = [p for p in parts if len(p)]
     if not parts:
         return ParticleSet.empty()
-    return ParticleSet(
-        ids=np.concatenate([p.ids for p in parts]),
-        pos=np.concatenate([p.pos for p in parts]),
-        remaining=np.concatenate([p.remaining for p in parts]),
-        home=np.concatenate([p.home for p in parts]),
-    )
+    return ParticleSet(*(np.concatenate(columns) for columns in zip(*(p._columns() for p in parts))))

@@ -1,101 +1,48 @@
-"""Lockstep multi-rank advection simulator.
+"""Lockstep multi-rank advection simulator over one world particle table.
 
-Ranks are simulated within one process. Each round runs the paper's stages
-in order: lend and borrow (balance distribute), round info, allocate,
-integrate, give back and take back loans (balance collect), and hand off
-and take over out-of-bounds particles. Every stage but allocate and
-integrate is a per-rank function applied to each rank in turn. Those two
-run once for the whole world, as the paper's ranks do in lockstep: every
-rank's selected range, in rank-index order, is integrated in one call and
-split back, and each rank is credited the steps of its own rows. Their
-per-rank ``rounds.csv`` times are modelled shares of the one measured world
-time (by steps for integrate, by step budgets selected for allocate).
+Every particle is a row of one :class:`ParticleSet` that carries its ``home``
+rank, whose block it samples, its ``holder``, the rank that queues it, and
+its FIFO key ``seq``. The table is kept sorted by ``(holder, seq)``, so each
+rank's queue is one slice. A particle is on loan when its holder is not its
+home; only a face neighbor of its home may hold it.
 
-A stage that moves particles runs twice: a sending pass in which each rank
-writes at most one message per neighbor into a dict keyed
-``(sender, receiver)``, then a receiving pass in which each rank reads its
-messages in its own neighborhood direction order.
-Because the receiver's direction order, never the rank execution order,
-fixes the processing order, any ``rank_order`` gives identical results.
-All balancing decisions come from one :func:`balance.plan_transfers` call.
+A round runs the paper's stages, each as one synchronous step of the whole
+world, as in Cybenko's diffusion model: distribute (one
+:func:`balance.plan_transfers` call; ranks lend the tail of their home rows),
+round info (each holder's first ``particles_per_round`` rows), allocate and
+integrate (one call over the selected rows in table order), collect (every
+surviving loan returns home; a loan that terminates at the borrower dies
+there) and hand-off (the neighbor in a particle's exit direction becomes its
+holder and home; the hull means exit).
+Every move goes through :meth:`Simulator._move`, which queues the moved rows
+behind the receiver's own, by the direction index of the sender in the
+receiver's neighborhood, then in the sender's order. Collect runs before
+hand-off, so a home rank's own out-of-bounds rows precede the returned ones.
+No result depends on the order the table's rows are stored in.
 
-The lattice is rasterized once; every rank's block is core bounds over
-that one shared array. A particle always samples its home rank's block, so
-the world's selected particles integrate in one call with per-row bounds,
-and a particle is on loan exactly when the rank holding it is not its
-home. Only a face neighbor's particles may be on loan to a rank, which
-keeps every loan inside the donor's ghost-reachable neighborhood.
-
-Loans are per-round ephemeral: every surviving loaned particle (out of
-bounds or not yet integrated) returns to its home rank at collect, before
-out-of-bounds routing. Loaned particles that terminate at the borrowing rank
-die there and are only reported back for bookkeeping.
+Every ``_s`` column of ``rounds.csv`` is a modelled share of one measured
+world time per stage: integrate by steps, allocate by the step budgets
+selected, every other stage by the rows each rank holds as the stage starts.
 """
 
 from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass, fields
 
 import numpy as np
 
 from . import balance
-from .advect import (
-    STATUS_EXITED,
-    STATUS_OOB,
-    STATUS_TERMINATED,
-    CurveStore,
-    RoundInfo,
-    compute_round_info,
-    integrate,
-    merge_curves,
-)
+from .advect import STATUS_EXITED, STATUS_OOB, STATUS_TERMINATED, CurveStore, RoundInfo, integrate, merge_curves
 from .errors import ConfigError, InvariantError, RoundLimitError
 from .field import AnalyticField, Block, rasterize_global
 from .metrics import RoundRecord, lif, lockstep_total
 from .particles import ParticleSet, concat_particles
-from .topology import (
-    Neighborhood,
-    ProcessGrid,
-    decompose,
-    neighborhood_of,
-    route_out_of_bounds,
-)
+from .topology import ProcessGrid, decompose, neighborhood_of
 
 ROUND_CAP = 100_000
-
-# Collect-stage particle fates (0 marks a loan that was never integrated).
-_COLLECT_ACTIVE = 0
-
-
-@dataclass
-class RankState:
-    rank: int
-    neighborhood: Neighborhood
-    queue: ParticleSet
-    loaned_out: dict = dc_field(default_factory=dict)
-    terminated: int = 0
-    exited: int = 0
-    _oob: list = dc_field(default_factory=list, init=False)  # (ParticleSet, dirs) awaiting hand-off
-
-
-def _share(recs, column: str, seconds: float, weights) -> None:
-    """Set each rank's ``column`` to its ``weights`` share of one measured time."""
-    total = float(np.sum(weights))
-    for rec, weight in zip(recs, weights):
-        setattr(rec, column, seconds * float(weight) / total if total else 0.0)
-
-
-def _take_delivery(st: RankState, mail: dict) -> int:
-    """Queue the particle sets sent to ``st``, in its neighborhood direction order.
-
-    Returns how many particles arrived.
-    """
-    arrivals = [mail.pop((j, st.rank)) for j in st.neighborhood.ranks if (j, st.rank) in mail]
-    if arrivals:
-        st.queue = concat_particles([st.queue] + arrivals)
-    return sum(len(p) for p in arrivals)
+_STAGE_COLUMNS = tuple(f.name for f in fields(RoundRecord) if f.name.startswith("stage_"))  # in stage order
 
 
 @dataclass
@@ -113,8 +60,7 @@ class RunResult:
 
     @property
     def node_count(self) -> int:
-        d = self.grid_dims
-        return d[0] * d[1] * d[2]
+        return math.prod(self.grid_dims)
 
     def lockstep_integrate_steps(self) -> int:
         return lockstep_total(self.records, lambda r: r.integrate_steps)
@@ -154,55 +100,23 @@ def seed_particles(resolution, aabb_scale: float, stride, extents, grid: Process
     iz, iy, ix = np.meshgrid(axes[2], axes[1], axes[0], indexing="ij")
     ix, iy, iz = ix.ravel(), iy.ravel(), iz.ravel()
     total = ix.shape[0]
-    ids = np.arange(total, dtype=np.int64)
     pos = np.stack([ix * spacing[0], iy * spacing[1], iz * spacing[2]], axis=1)
     # Map lattice node -> owning block per axis via the split starts.
-    starts = []
-    for a in range(3):
-        axis_starts = sorted({e.origin[a] for e in extents})
-        starts.append(np.asarray(axis_starts, dtype=np.int64))
-    bx = np.searchsorted(starts[0], ix, side="right") - 1
-    by = np.searchsorted(starts[1], iy, side="right") - 1
-    bz = np.searchsorted(starts[2], iz, side="right") - 1
+    bx, by, bz = (np.searchsorted(sorted({e.origin[a] for e in extents}), i, side="right") - 1
+                  for a, i in enumerate((ix, iy, iz)))
     dx, dy, _ = grid.dims
-    ranks = (bz * dy + by) * dx + bx
-    per_rank = []
-    for r in range(grid.rank_count):
-        sel = np.nonzero(ranks == r)[0]
-        per_rank.append(ParticleSet.make(
-            ids=ids[sel],
-            pos=pos[sel],
-            remaining=np.full(sel.shape[0], int(max_iterations), dtype=np.int64),
-            home=np.full(sel.shape[0], r, dtype=np.int64),
-        ))
-    return per_rank, total
-
-
-def check_completion(states: list[RankState]) -> bool:
-    """Global completion: true only when every rank's queue is empty."""
-    return all(len(s.queue) == 0 for s in states)
+    home = (bz * dy + by) * dx + bx
+    seeds = ParticleSet.make(np.arange(total), pos, np.full(total, int(max_iterations)), home)
+    return [seeds.select(seeds.home == r) for r in range(grid.rank_count)], total
 
 
 class Simulator:
     """Drives the full advection loop over virtual ranks."""
 
-    def __init__(
-        self,
-        field: AnalyticField,
-        resolution,
-        grid_dims,
-        scheduler: str,
-        *,
-        step: float = 0.001,
-        max_iterations: int = 1000,
-        particles_per_round: int = 50_000,
-        aabb_scale: float = 1.0,
-        stride=(8, 8, 8),
-        alpha: float | None = None,
-        collect_curves: bool = True,
-        rank_order=None,
-        round_cap: int = ROUND_CAP,
-    ):
+    def __init__(self, field: AnalyticField, resolution, grid_dims, scheduler: str, *,
+                 step: float = 0.001, max_iterations: int = 1000, particles_per_round: int = 50_000,
+                 aabb_scale: float = 1.0, stride=(8, 8, 8), alpha: float | None = None,
+                 collect_curves: bool = True, round_cap: int = ROUND_CAP):
         if scheduler not in balance.SCHEDULERS:
             raise ConfigError(f"unknown scheduler {scheduler!r}; expected one of {balance.SCHEDULERS}")
         if not (math.isfinite(step) and step > 0.0):
@@ -211,18 +125,13 @@ class Simulator:
             raise ConfigError(f"max_iterations must be >= 1, got {max_iterations}")
         if particles_per_round < 1:
             raise ConfigError(f"particles_per_round must be >= 1, got {particles_per_round}")
-        self.field = field
         self.resolution = tuple(int(r) for r in resolution)
         self.grid = ProcessGrid(tuple(grid_dims))
         self.scheduler = scheduler
         self.h = float(step)
-        self.max_iterations = int(max_iterations)
         self.ppr = int(particles_per_round)
         self.alpha = alpha
         self.round_cap = int(round_cap)
-        self.rank_order = list(range(self.grid.rank_count)) if rank_order is None else list(rank_order)
-        if sorted(self.rank_order) != list(range(self.grid.rank_count)):
-            raise ConfigError("rank_order must be a permutation of all ranks")
 
         lattice = rasterize_global(field, self.resolution, padded=True)
         spacing = 1.0 / (np.asarray(self.resolution, dtype=np.float64) - 1.0)
@@ -230,222 +139,161 @@ class Simulator:
         # otherwise a handed-off step may be computable by no rank.
         cmax = max(float(lattice.max()), -float(lattice.min()))  # max|v| without an |lattice| temporary
         if 2.0 * self.h * cmax > float(spacing.min()):
-            raise ConfigError(
-                f"step {self.h} too large for ghost margin: 2*h*max|v| = {2 * self.h * cmax:.3g} "
-                f"exceeds min spacing {spacing.min():.3g}"
-            )
+            raise ConfigError(f"step {self.h} too large for ghost margin: 2*h*max|v| = "
+                              f"{2 * self.h * cmax:.3g} exceeds min spacing {spacing.min():.3g}")
         extents = decompose(self.grid, self.resolution)
         # Row r holds rank r's block; ``blocks.select(home)`` gives per-particle bounds.
         self.blocks = Block(lattice, spacing,
                             np.array([e.origin for e in extents], dtype=np.int64),
                             np.array([e.core_dims for e in extents], dtype=np.int64))
-        self.states = [
-            RankState(rank=rank, neighborhood=neighborhood_of(self.grid, rank), queue=ParticleSet.empty())
-            for rank in range(self.grid.rank_count)
-        ]
-        seeds, self.seed_count = seed_particles(
-            self.resolution, aabb_scale, stride, extents, self.grid, self.max_iterations
-        )
-        for rank, pset in enumerate(seeds):
-            self.states[rank].queue = pset
+        # neighbors[r, d]: rank r's face neighbor in direction d, -1 at the domain hull.
+        self.neighbors = np.full((self.grid.rank_count, 6), -1, dtype=np.int64)
+        for rank in range(self.grid.rank_count):
+            for d, j in neighborhood_of(self.grid, rank).neighbors:
+                self.neighbors[rank, d] = j
+        seeds, self.seed_count = seed_particles(self.resolution, aabb_scale, stride, extents, self.grid,
+                                                max_iterations)
+        self.particles = concat_particles(seeds)
+        self.terminated = self.exited = 0
         self.store = CurveStore(collect=collect_curves)
-        self.records: list[RoundRecord] = []
-        self.lif_rows: list = []
-        self.round_totals: list = []
+        self.records, self.lif_rows, self.round_totals = [], [], []
 
-    # -- helpers ---------------------------------------------------------
+    def _loads(self) -> np.ndarray:
+        return np.bincount(self.particles.holder, minlength=self.grid.rank_count)
+
+    def _sort(self) -> np.ndarray:
+        """Sort the table by ``(holder, seq)``; returns the permutation applied."""
+        order = np.lexsort((self.particles.seq, self.particles.holder))
+        self.particles = self.particles.select(order)
+        return order
+
+    def _move(self, rows: np.ndarray, to: np.ndarray) -> np.ndarray:
+        """Hand table ``rows`` to ranks ``to``, queued behind what each receiver holds.
+
+        Arrivals queue by receiver, then by the direction index of their
+        current holder in the receiver's neighborhood, then in that holder's
+        order. Returns the permutation that re-sorted the table.
+        """
+        p = self.particles
+        direction = np.argmax(self.neighbors[to] == p.holder[rows, np.newaxis], axis=1)
+        arrivals = rows[np.lexsort((p.seq[rows], direction, to))]
+        p.seq[arrivals] = p.seq.max(initial=-1) + 1 + np.arange(rows.size)
+        p.holder[rows] = to
+        return self._sort()
 
     def _assert_containable(self) -> None:
-        """Every queued particle is this rank's or a face neighbor's, and its home block reaches it."""
-        for st in self.states:
-            home = st.queue.home
-            foreign = ~np.isin(home, (st.rank,) + st.neighborhood.ranks)
-            if foreign.any():
-                raise InvariantError(f"rank {st.rank} holds a particle of non-neighbor rank {home[foreign][0]}")
-            unreachable = ~self.blocks.select(home).samplable_mask(st.queue.pos)
-            if unreachable.any():
-                kind = "home" if home[unreachable][0] == st.rank else "loaned"
-                raise InvariantError(f"rank {st.rank}: {kind} particle outside its block's reach")
-
-    def _conservation_check(self, round_index: int) -> None:
-        active = sum(len(s.queue) for s in self.states)
-        terminated = sum(s.terminated for s in self.states)
-        exited = sum(s.exited for s in self.states)
-        if active + terminated + exited != self.seed_count:
-            raise InvariantError(
-                f"round {round_index}: {active} active + {terminated} terminated + "
-                f"{exited} exited != {self.seed_count} seeds"
-            )
-        self.round_totals.append((round_index, active, terminated, exited))
-
-    # -- the kernel ------------------------------------------------------
-
-    def _each_rank(self, recs, column: str, stage, *args) -> dict:
-        """Run ``stage(state, record, *args)`` on every rank in ``rank_order``.
-
-        Each call's wall time is added to that rank's ``column`` in
-        ``rounds.csv``. Returns the calls' results keyed by rank.
-        """
-        results = {}
-        for r in self.rank_order:
-            t0 = time.perf_counter()
-            results[r] = stage(self.states[r], recs[r], *args)
-            setattr(recs[r], column, getattr(recs[r], column) + time.perf_counter() - t0)
-        return results
+        """Every particle is held by its home or a face neighbor of it, and its home block reaches it."""
+        p = self.particles
+        foreign = (p.holder != p.home) & ~np.any(self.neighbors[p.holder] == p.home[:, np.newaxis], axis=1)
+        if foreign.any():
+            i = np.argmax(foreign)
+            raise InvariantError(f"rank {p.holder[i]} holds a particle of non-neighbor rank {p.home[i]}")
+        unreachable = ~self.blocks.select(p.home).samplable_mask(p.pos)
+        if unreachable.any():
+            i = np.argmax(unreachable)
+            raise InvariantError(f"rank {p.holder[i]}: {'home' if p.home[i] == p.holder[i] else 'loaned'} "
+                                 "particle outside its block's reach")
 
     def run_round(self, round_index: int) -> list[RoundRecord]:
-        recs = [RoundRecord(round=round_index, rank=s.rank, load_pre=len(s.queue)) for s in self.states]
+        ranks = self.grid.rank_count
+        self._sort()
         self._assert_containable()
-        decisions = balance.plan_transfers(
-            self.grid, [r.load_pre for r in recs], self.scheduler, self.alpha)
-        lent, returned, handed = {}, {}, {}
-        self._each_rank(recs, "stage_lb_distribute_s", self._lend, decisions, lent)
-        self._each_rank(recs, "stage_lb_distribute_s", self._borrow, lent)
-        infos = self._each_rank(recs, "stage_round_info_s",
-                                lambda st, rec: compute_round_info(st.queue, self.ppr))
-        done = self._integrate_world(recs, [infos[r] for r in range(len(recs))])
-        self._each_rank(recs, "stage_collect_s", self._give_back, done, returned)
-        self._each_rank(recs, "stage_collect_s", self._take_back, returned)
-        self._each_rank(recs, "stage_oob_s", self._hand_off, handed)
-        self._each_rank(recs, "stage_oob_s", self._take_over, handed)
+        stamps = [time.perf_counter()]
 
+        # Stage 1, distribute: each rank lends the tail of its home rows to its neighbors.
+        load_pre = self._loads()
+        lent, lent_to = self._lend(load_pre)
+        sent_balanced = np.bincount(self.particles.holder[lent], minlength=ranks)
+        self._move(lent, lent_to)
+        load_post = self._loads()
+        stamps.append(time.perf_counter())
+
+        # Stage 2, round info: each holder's first particles_per_round rows run.
+        p = self.particles
+        sel = np.flatnonzero(np.arange(len(p)) - (np.cumsum(load_post) - load_post)[p.holder] < self.ppr)
+        world = p.select(sel)
+        budgets = np.bincount(world.holder, world.remaining, ranks)
+        stamps.append(time.perf_counter())
+
+        # Stages 3-4, allocate and integrate, once for the whole world.
+        buf = self.store.allocate(RoundInfo(count=len(world), capacity=int(world.remaining.sum())))
+        stamps.append(time.perf_counter())
+        out, _ = integrate(self.blocks.select(world.home), world, buf, self.h)
+        self.store.finish_round(world.ids, buf)
+        steps = np.bincount(world.holder, out.steps, ranks).astype(np.int64)
+        self.terminated += int(np.count_nonzero(out.status == STATUS_TERMINATED))
+        self.exited += int(np.count_nonzero(out.status == STATUS_EXITED))
+        p.pos[sel], p.remaining[sel] = out.pos, out.remaining
+        exit_dir = np.full(len(p), -1, dtype=np.int64)  # set on rows that left their home block
+        exit_dir[sel] = out.exit_dir
+        alive = np.delete(np.arange(len(p)), sel[out.status != STATUS_OOB])  # rows still active
+        self.particles, exit_dir = p.select(alive), exit_dir[alive]
+        stamps.append(time.perf_counter())
+
+        # Stage 5, collect: every surviving loan returns home.
+        held_at_collect = self._loads()
+        p = self.particles
+        loans = np.flatnonzero(p.holder != p.home)
+        exit_dir = exit_dir[self._move(loans, p.home[loans])]
+        if np.any(self.particles.holder != self.particles.home):
+            raise InvariantError(f"round {round_index}: a loan did not return home")
+        stamps.append(time.perf_counter())
+
+        # Stage 6, out of bounds: each home rank routes to a neighbor; the hull means exit.
+        held_at_oob = self._loads()
+        p = self.particles
+        target = np.where(exit_dir >= 0, self.neighbors[p.holder, exit_dir], -1)
+        hull = (exit_dir >= 0) & (target < 0)
+        self.exited += int(np.count_nonzero(hull))
+        self.particles, target = p.select(~hull), target[~hull]
+        handed = np.flatnonzero(target >= 0)
+        sent_oob = np.bincount(self.particles.holder[handed], minlength=ranks)
+        self.particles.home[handed] = target[handed]
+        self._move(handed, target[handed])
+        stamps.append(time.perf_counter())
+
+        counts = dict(integrate_steps=steps, load_pre=load_pre, load_post=load_post,
+                      sent_balanced=sent_balanced, recv_balanced=np.bincount(lent_to, minlength=ranks),
+                      sent_oob=sent_oob, recv_oob=np.bincount(target[handed], minlength=ranks))
+        recs = [RoundRecord(round=round_index, rank=r, **{k: int(v[r]) for k, v in counts.items()})
+                for r in range(ranks)]
+        weights = (load_pre, load_post, budgets, steps, held_at_collect, held_at_oob)
+        for column, w, start, end in zip(_STAGE_COLUMNS, weights, stamps, stamps[1:]):
+            # each rank's share of the stage's measured time; weights are counts, a zero sum means all 0
+            for rec, share in zip(recs, w / max(w.sum(), 1)):
+                setattr(rec, column, (end - start) * float(share))
         max_integrate = max(rec.stage_integrate_s for rec in recs)
         for rec in recs:
             rec.idle_s = max_integrate - rec.stage_integrate_s
-        self.lif_rows.append((
-            round_index,
-            lif([rec.load_post for rec in recs]),
-            lif([rec.integrate_steps for rec in recs]),
-        ))
-        self._conservation_check(round_index)
+        self.lif_rows.append((round_index, lif(load_post), lif(steps)))
+        active = len(self.particles)
+        if active + self.terminated + self.exited != self.seed_count:
+            raise InvariantError(f"round {round_index}: {active} active + {self.terminated} terminated + "
+                                 f"{self.exited} exited != {self.seed_count} seeds")
+        self.round_totals.append((round_index, active, self.terminated, self.exited))
         self.records.extend(recs)
         return recs
 
-    # Stage 1: lend to and borrow from neighbors.
-
-    def _lend(self, st: RankState, rec: RoundRecord, decisions, lent: dict) -> None:
-        kept, sends = balance.select_particles(st.queue, decisions[st.rank], st.rank)
-        st.queue = kept
-        for (d, j), part in zip(st.neighborhood.neighbors, sends):
-            st.loaned_out[d] = part.ids.copy()
-            if len(part):
-                lent[(st.rank, j)] = part
-        rec.sent_balanced = sum(len(p) for p in sends)
-
-    def _borrow(self, st: RankState, rec: RoundRecord, lent: dict) -> None:
-        rec.recv_balanced = _take_delivery(st, lent)
-        rec.load_post = len(st.queue)
-
-    # Stages 3-4 for the whole world: one allocation and one integrate call.
-    # Every rank's selected range is gathered in rank-index order, integrated
-    # against per-row home bounds, archived once and split back; each rank
-    # applies the outcomes it owns. Home particles that left the block wait
-    # for hand-off; loans wait for collect.
-
-    def _integrate_world(self, recs, infos: list) -> dict:
-        t0 = time.perf_counter()
-        buf = self.store.allocate(RoundInfo(count=sum(i.count for i in infos),
-                                            capacity=sum(i.capacity for i in infos)))
-        t1 = time.perf_counter()
-        sels = []
-        for st, info in zip(self.states, infos):
-            sels.append(st.queue.select(slice(0, info.count)))
-            st.queue = st.queue.select(slice(info.count, None))
-        world = concat_particles(sels)
-        out, _ = integrate(self.blocks.select(world.home), world, buf, self.h)
-        self.store.finish_round(world.ids, buf)
-        world.pos, world.remaining = out.pos, out.remaining
-        done, row = {}, 0
-        for st, rec, info in zip(self.states, recs, infos):
-            rows = slice(row, row + info.count)
-            sel, status, dirs = world.select(rows), out.status[rows], out.exit_dir[rows]
-            rec.integrate_steps = int(out.steps[rows].sum())
-            st.terminated += int(np.count_nonzero(status == STATUS_TERMINATED))
-            st.exited += int(np.count_nonzero(status == STATUS_EXITED))
-            oob_home = np.nonzero((sel.home == st.rank) & (status == STATUS_OOB))[0]
-            if oob_home.size:
-                st._oob.append((sel.select(oob_home), dirs[oob_home]))
-            done[st.rank] = (sel, status, dirs)
-            row += info.count
-        _share(recs, "stage_alloc_s", t1 - t0, [info.capacity for info in infos])
-        _share(recs, "stage_integrate_s", time.perf_counter() - t1, [rec.integrate_steps for rec in recs])
-        return done
-
-    # Stage 5: give back and take back loans; every surviving loan returns home.
-
-    def _give_back(self, st: RankState, rec: RoundRecord, done, returned: dict) -> None:
-        sel, status, exit_dir = done[st.rank]
-        loans = sel.home != st.rank
-        waiting = st.queue.home != st.rank  # loans this rank had no turn for
-        parts = concat_particles([sel.select(np.nonzero(loans)[0]),
-                                  st.queue.select(np.nonzero(waiting)[0])])
-        statuses = np.concatenate([status[loans],
-                                   np.full(np.count_nonzero(waiting), _COLLECT_ACTIVE, dtype=np.int64)])
-        dirs = np.concatenate([exit_dir[loans], np.full(np.count_nonzero(waiting), -1, dtype=np.int64)])
-        st.queue = st.queue.select(np.nonzero(~waiting)[0])
-        for donor in np.unique(parts.home):
-            rows = np.nonzero(parts.home == donor)[0]
-            returned[(st.rank, int(donor))] = (parts.select(rows), statuses[rows], dirs[rows])
-
-    def _take_back(self, st: RankState, rec: RoundRecord, returned: dict) -> None:
-        alive = [st.queue]
-        for d, j in st.neighborhood.neighbors:
-            msg = returned.pop((j, st.rank), None)
-            expected = st.loaned_out.pop(d, None)
-            got = msg[0].ids if msg is not None else np.empty(0, dtype=np.int64)
-            if expected is not None and not np.array_equal(np.sort(expected), np.sort(got)):
-                raise InvariantError(f"rank {st.rank}: loan return mismatch from rank {j}")
-            if msg is None:
-                continue
-            parts, statuses, dirs = msg
-            alive.append(parts.select(np.nonzero(statuses == _COLLECT_ACTIVE)[0]))
-            oob = np.nonzero(statuses == STATUS_OOB)[0]
-            if oob.size:
-                st._oob.append((parts.select(oob), dirs[oob].copy()))
-        if st.loaned_out:
-            raise InvariantError(f"rank {st.rank}: loans not returned: {sorted(st.loaned_out)}")
-        if len(alive) > 1:
-            st.queue = concat_particles(alive)
-
-    # Stage 6: hand off and take over out-of-bounds particles; home ranks route.
-
-    def _hand_off(self, st: RankState, rec: RoundRecord, handed: dict) -> None:
-        sends: dict[int, list] = {}
-        for part, dirs in st._oob:
-            for d in np.unique(dirs):
-                rows = np.nonzero(dirs == d)[0]
-                target = route_out_of_bounds(st.neighborhood, int(d))
-                if target is None:
-                    st.exited += rows.size
-                    continue
-                sends.setdefault(target, []).append(part.select(rows))
-        st._oob = []
-        for target in sorted(sends):
-            out = concat_particles(sends[target])
-            out.home[:] = target
-            handed[(st.rank, target)] = out
-            rec.sent_oob += len(out)
-
-    def _take_over(self, st: RankState, rec: RoundRecord, handed: dict) -> None:
-        rec.recv_oob = _take_delivery(st, handed)
+    def _lend(self, loads) -> tuple[np.ndarray, np.ndarray]:
+        """The rows each rank lends, by :func:`balance.select_particles`, and their receivers."""
+        p, starts = self.particles, np.cumsum(loads) - loads
+        rows, to = [np.empty(0, dtype=np.int64)], [np.empty(0, dtype=np.int64)]
+        for r, decision in enumerate(balance.plan_transfers(self.grid, loads, self.scheduler, self.alpha)):
+            if decision.total_outgoing:
+                queue = p.select(slice(starts[r], starts[r] + loads[r]))
+                _, sends = balance.select_particles(queue, decision, r)
+                for j, part in zip(self.neighbors[r][self.neighbors[r] >= 0], sends):
+                    rows.append(starts[r] + np.searchsorted(queue.seq, part.seq))
+                    to.append(np.full(len(part), j, dtype=np.int64))
+        return np.concatenate(rows), np.concatenate(to)
 
     def run(self) -> RunResult:
         round_index = 0
-        while not check_completion(self.states):
+        while len(self.particles):
             round_index += 1
             if round_index > self.round_cap:
                 raise RoundLimitError(f"exceeded {self.round_cap} rounds; configuration diverges")
             self.run_round(round_index)
-        curves = merge_curves(self.store) if self.store.collect else None
-        return RunResult(
-            scheduler=self.scheduler,
-            grid_dims=self.grid.dims,
-            seed_count=self.seed_count,
-            rounds=round_index,
-            terminated=sum(s.terminated for s in self.states),
-            exited=sum(s.exited for s in self.states),
-            records=self.records,
-            lif_rows=self.lif_rows,
-            round_totals=self.round_totals,
-            curves=curves,
-        )
+        return RunResult(self.scheduler, self.grid.dims, self.seed_count, round_index, self.terminated,
+                         self.exited, self.records, self.lif_rows, self.round_totals,
+                         merge_curves(self.store) if self.store.collect else None)

@@ -8,6 +8,7 @@ from hypothesis import strategies as hst
 from diffadvect.cli import main
 from diffadvect.config import (
     LATTICE_CAP_BYTES,
+    RANK_CAP,
     ROUND_BUFFER_CAP_BYTES,
     RunConfig,
     apply_setting,
@@ -76,9 +77,9 @@ class TestConfigParsing:
         assert RunConfig(grid=(4, 2, 2), nodes=16).validate() == []
         assert RunConfig(grid=(4, 2, 2), nodes=8).validate() != []
         assert RunConfig(nodes=16).grid_dims() == (4, 2, 2)
-        # factoring takes time linear in the node count: a count above the voxels is refused first
+        # factoring takes time linear in the node count: a count above the rank cap is refused first
         errors = RunConfig(nodes=10**18, resolution=(8, 8, 8)).validate()
-        assert errors == ["nodes: 1000000000000000000 ranks exceed the 512 voxels"]
+        assert errors == ["nodes: 1000000000000000000 ranks exceed the cap of 4096"]
 
     def test_oversized_lattice_rejected_by_estimate(self):
         def resolution_errors(r):
@@ -164,6 +165,21 @@ class TestRunCommand:
         assert "resolution" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_rank_count_above_the_cap_exits_2_without_building(self, tmp_path, capsys, monkeypatch):
+        from diffadvect import cli
+
+        class NeverBuilt:
+            def __init__(self, *a, **k):
+                raise AssertionError("a grid above the rank cap reached the simulator")
+
+        monkeypatch.setattr(cli, "Simulator", NeverBuilt)
+        out = tmp_path / "out"
+        assert main(["run", "--grid", "353,353,353", "--resolution", "353", "--output", str(out)]) == 2
+        assert f"43986977 ranks exceed the cap of {RANK_CAP}" in capsys.readouterr().err
+        assert not out.exists()
+        assert RunConfig(grid=(16, 16, 16), export_curves=False).validate() == []
+        assert len(RunConfig(grid=(16, 16, 17), export_curves=False).validate()) == 1
+
     def test_oversized_round_buffer_exits_2_without_allocating(self, tmp_path, capsys, monkeypatch):
         from diffadvect import cli
 
@@ -238,6 +254,26 @@ class TestCompareCommand:
         assert out[0] == "scheduler,node_count,total_advection_s,speedup"
         assert out[1] == "none,16,100,1"
         assert out[2] == "none,32,50,2"
+
+
+class TestUnreadableInputFiles:
+    @pytest.mark.parametrize("case", ["missing summary", "summary without config", "curves header not JSON"])
+    def test_exits_2_naming_the_file(self, tmp_path, capsys, case):
+        if case == "missing summary":
+            path = tmp_path / "absent.json"
+            argv = ["compare", str(path)]
+        elif case == "summary without config":
+            path = tmp_path / "summary.json"
+            path.write_text(json.dumps({"node_count": 2, "total_advection_s": 1.0}), encoding="utf-8")
+            argv = ["compare", str(path)]
+        else:
+            path = tmp_path / "curves.bin"
+            path.write_bytes(b"not a header\n\x00\x01")
+            argv = ["export-curves", "--run", str(tmp_path), "--out", str(tmp_path / "x.bin")]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert str(path) in err and "Traceback" not in err
+        assert not (tmp_path / "x.bin").exists()
 
 
 class TestExportCurves:
@@ -386,6 +422,16 @@ class TestSweepCommand:
         table = (out / "speedup.csv").read_text().splitlines()
         assert table[0] == "scheduler,node_count,total_advection_s,speedup"
         assert len(table) == 1 + 16
+
+    def test_invalid_member_stops_the_sweep_before_any_run(self, tmp_path, capsys):
+        # members with n <= 8 fit a 3^3 lattice; the four n = 16 members, a 4x2x2 grid, do not
+        out = tmp_path / "sweep"
+        assert main(["sweep", "--kind", "strong", "--resolution", "3", "--output", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert not out.exists()
+        assert [line for line in err.splitlines() if "smaller than grid" in line] == [
+            f"config error: [{s}_n16] resolution (3, 3, 3) smaller than grid (4, 2, 2) on some axis"
+            for s in ("none", "constant", "lma", "gllma")]
 
     def test_param_sweep_aabb_axis(self, tmp_path):
         cfg = write_config(tmp_path, [

@@ -8,8 +8,8 @@ from diffadvect.balance import SCHEDULERS, synchronous_step
 from diffadvect.errors import ConfigError, InvariantError, RoundLimitError
 from diffadvect.field import FIELD_KINDS, AnalyticField
 from diffadvect.metrics import rounds_csv_lines
-from diffadvect.particles import ParticleSet
-from diffadvect.runtime import Simulator, check_completion, seed_particles
+from diffadvect.particles import ParticleSet, concat_particles
+from diffadvect.runtime import Simulator, seed_particles
 from diffadvect.topology import ProcessGrid, decompose
 
 
@@ -22,11 +22,12 @@ class ConstantField:
         return np.broadcast_to(self.v, pts.shape).copy()
 
 
-def particles_at(positions, remaining, rank, start_id=0):
+def particles_at(positions, remaining, rank, start_id=0, holder=None):
     positions = np.asarray(positions, dtype=np.float64).reshape(-1, 3)
     n = positions.shape[0]
     return ParticleSet.make(
-        np.arange(start_id, start_id + n), positions, np.full(n, remaining), np.full(n, rank)
+        np.arange(start_id, start_id + n), positions, np.full(n, remaining), np.full(n, rank),
+        holder=None if holder is None else np.full(n, holder),
     )
 
 
@@ -38,8 +39,7 @@ def deterministic_columns(records):
 
 
 def drain_queues(sim):
-    for st in sim.states:
-        st.queue = ParticleSet.empty()
+    sim.particles = ParticleSet.empty()
 
 
 class TestSeeding:
@@ -94,9 +94,9 @@ class TestSingleRank:
     def test_completion_check(self):
         sim = Simulator(AnalyticField("abc"), (16, 16, 16), (2, 1, 1), "none",
                         max_iterations=5, stride=(8, 8, 8))
-        assert not check_completion(sim.states)
+        assert len(sim.particles) > 0
         drain_queues(sim)
-        assert check_completion(sim.states)
+        assert sim.run().rounds == 0
 
 
 class TestTwoRankBalancing:
@@ -105,7 +105,7 @@ class TestTwoRankBalancing:
                         max_iterations=5, stride=(8, 8, 8))
         drain_queues(sim)
         # 100 idle particles on rank 0, none on rank 1
-        sim.states[0].queue = particles_at(np.tile([0.25, 0.5, 0.5], (100, 1)), 5, 0)
+        sim.particles = particles_at(np.tile([0.25, 0.5, 0.5], (100, 1)), 5, 0)
         sim.seed_count = 100
         return sim
 
@@ -120,9 +120,7 @@ class TestTwoRankBalancing:
     def test_loans_return_home_every_round(self):
         sim = self._sim("lma")
         sim.run_round(1)
-        for st in sim.states:
-            assert not st.loaned_out
-            assert (st.queue.home == st.rank).all()
+        assert (sim.particles.holder == sim.particles.home).all()
 
     def test_curve_segments_recorded_by_integrating_rank(self):
         sim = self._sim("lma")
@@ -142,7 +140,7 @@ class TestCrossDomainDrift:
         sim = Simulator(ConstantField((1.0, 0.0, 0.0)), (17, 17, 17), grid, "none",
                         max_iterations=1000, stride=(8, 8, 8))
         drain_queues(sim)
-        sim.states[0].queue = particles_at([[0.01, 0.51, 0.52]], 1000, 0)
+        sim.particles = particles_at([[0.01, 0.51, 0.52]], 1000, 0)
         sim.seed_count = 1
         return sim.run()
 
@@ -159,11 +157,12 @@ class TestCrossDomainDrift:
 
 
 class TestDeterminismAndInvariants:
-    def test_rank_execution_order_does_not_matter(self):
+    def test_stored_row_order_does_not_matter(self):
         kwargs = dict(max_iterations=60, stride=(4, 4, 4), aabb_scale=0.5)
         a = Simulator(AnalyticField("toroidal"), (32, 32, 32), (2, 2, 2), "gllma", **kwargs).run()
-        b = Simulator(AnalyticField("toroidal"), (32, 32, 32), (2, 2, 2), "gllma",
-                      rank_order=[7, 3, 5, 1, 6, 2, 4, 0], **kwargs).run()
+        sim = Simulator(AnalyticField("toroidal"), (32, 32, 32), (2, 2, 2), "gllma", **kwargs)
+        sim.particles = sim.particles.select(np.random.default_rng(7).permutation(len(sim.particles)))
+        b = sim.run()
         assert a.lif_rows == b.lif_rows
         assert set(a.curves) == set(b.curves)
         for pid in a.curves:
@@ -174,22 +173,23 @@ class TestDeterminismAndInvariants:
                 rb.round, rb.rank, rb.integrate_steps, rb.load_pre, rb.load_post,
                 rb.sent_balanced, rb.recv_balanced, rb.sent_oob, rb.recv_oob)
 
-    @pytest.mark.parametrize("rank_order", [[0, 1, 2], [2, 1, 0]])
-    def test_arrivals_queue_in_the_receivers_direction_order(self, rank_order):
-        sim = Simulator(ConstantField((0.0, 0.0, 0.0)), (16, 16, 16), (3, 1, 1), "lma",
-                        max_iterations=5, stride=(8, 8, 8), particles_per_round=10,
-                        rank_order=rank_order)
-        drain_queues(sim)
-        sim.states[0].queue = particles_at(np.tile([0.15, 0.5, 0.5], (90, 1)), 5, 0)
-        sim.states[2].queue = particles_at(np.tile([0.85, 0.5, 0.5], (90, 1)), 5, 2, start_id=90)
+    @pytest.mark.parametrize("planting", ["rank 1 first", "rank 2 first"])
+    def test_arrivals_queue_in_the_receivers_direction_order(self, planting):
+        # On a 2x2 grid rank 3's -x neighbor is rank 2 and its -y neighbor rank 1, so its
+        # direction order (-x before -y) is the reverse of its senders' rank order.
+        sim = Simulator(ConstantField((0.0, 0.0, 0.0)), (16, 16, 16), (2, 2, 1), "lma",
+                        max_iterations=5, stride=(8, 8, 8), particles_per_round=10)
+        from_1 = particles_at(np.tile([0.85, 0.15, 0.5], (90, 1)), 5, 1)
+        from_2 = particles_at(np.tile([0.15, 0.85, 0.5], (90, 1)), 5, 2, start_id=90)
+        sim.particles = concat_particles([from_1, from_2] if planting == "rank 1 first" else [from_2, from_1])
         sim.seed_count = 180
         recs = sim.run_round(1)
-        assert recs[1].recv_balanced == 90
-        # loans from -x (rank 0) queue ahead of those from +x (rank 2)
+        assert recs[3].recv_balanced == 60
+        # loans from -x (rank 2) queue ahead of those from -y (rank 1)
         # world rows are in rank-index order and every selected particle logs a segment,
-        # so rank 1's ten rows follow rank 0's ten
-        integrated = [pid for pid, _ in sim.store.segments[10:20]]
-        assert len(integrated) == 10 and all(pid < 90 for pid in integrated)
+        # so rank 3's ten rows follow the ten of each of ranks 0, 1 and 2
+        integrated = [pid for pid, _ in sim.store.segments[30:40]]
+        assert len(integrated) == 10 and all(pid >= 90 for pid in integrated)
 
     def test_conservation_every_round(self):
         sim = Simulator(AnalyticField("toroidal"), (32, 32, 32), (2, 2, 2), "lma",
@@ -210,7 +210,7 @@ class TestDeterminismAndInvariants:
                         max_iterations=5, stride=(8, 8, 8))
         drain_queues(sim)
         # rank 0 owns the left half; a particle at x=0.9 is unreachable for it
-        sim.states[0].queue = particles_at([[0.9, 0.5, 0.5]], 5, 0)
+        sim.particles = particles_at([[0.9, 0.5, 0.5]], 5, 0)
         sim.seed_count = 1
         with pytest.raises(InvariantError):
             sim.run_round(1)
@@ -231,7 +231,7 @@ class TestDeterminismAndInvariants:
                         max_iterations=5, stride=(8, 8, 8))
         drain_queues(sim)
         # rank 0 holds a particle homed on rank 2, inside rank 2's block
-        sim.states[0].queue = particles_at([[0.9, 0.5, 0.5]], 5, 2)
+        sim.particles = particles_at([[0.9, 0.5, 0.5]], 5, 2, holder=0)
         sim.seed_count = 1
         with pytest.raises(InvariantError, match="non-neighbor rank 2"):
             sim.run_round(1)
@@ -310,11 +310,12 @@ class TestRuntimeRealisesThePlan:
         sim = Simulator(ConstantField((0.0, 0.0, 0.0)), (16, 16, 16), grid.dims, scheduler,
                         max_iterations=5, stride=(8, 8, 8))
         spacing = 1.0 / 15.0
-        next_id = 0
-        for st, load, ext in zip(sim.states, loads, decompose(grid, (16, 16, 16))):
+        next_id, parts = 0, []
+        for rank, (load, ext) in enumerate(zip(loads, decompose(grid, (16, 16, 16)))):
             centre = [(o + (n - 1) / 2.0) * spacing for o, n in zip(ext.origin, ext.core_dims)]
-            st.queue = particles_at(np.tile(centre, (load, 1)), 5, st.rank, start_id=next_id)
+            parts.append(particles_at(np.tile(centre, (load, 1)), 5, rank, start_id=next_id))
             next_id += load
+        sim.particles = concat_particles(parts)
         sim.seed_count = next_id
         recs = sim.run_round(1)
         assert [r.load_pre for r in recs] == loads
@@ -333,7 +334,7 @@ def decomposed_runs(draw):
         scheduler=scheduler,
         alpha=draw(hst.floats(0.05, 1.0)) if scheduler == "constant" else None,
         particles_per_round=draw(hst.sampled_from((1, 3, 8, 50_000))),
-        rank_order=draw(hst.permutations(range(grid[0] * grid[1] * grid[2]))),
+        row_order_seed=draw(hst.integers(0, 2**32 - 1)),
     )
 
 
@@ -344,10 +345,18 @@ class TestDecompositionFuzz:
         common = dict(max_iterations=run["max_iterations"], stride=(6, 6, 6))
         oracle = Simulator(AnalyticField(run["field"]), run["resolution"], (1, 1, 1), "none",
                            **common).run()
-        sim = Simulator(AnalyticField(run["field"]), run["resolution"], run["grid"], run["scheduler"],
-                        alpha=run["alpha"], particles_per_round=run["particles_per_round"],
-                        rank_order=run["rank_order"], **common)
+        def decomposed():
+            return Simulator(AnalyticField(run["field"]), run["resolution"], run["grid"], run["scheduler"],
+                             alpha=run["alpha"], particles_per_round=run["particles_per_round"], **common)
+
+        stored = decomposed().run()
+        sim = decomposed()
+        rows = np.random.default_rng(run["row_order_seed"]).permutation(len(sim.particles))
+        sim.particles = sim.particles.select(rows)
         res = sim.run()
+        # the order the table's rows are stored in changes nothing
+        assert res.lif_rows == stored.lif_rows
+        assert deterministic_columns(res.records) == deterministic_columns(stored.records)
         assert set(res.curves) == set(oracle.curves)
         for pid, curve in oracle.curves.items():
             np.testing.assert_array_equal(res.curves[pid], curve)
@@ -355,4 +364,4 @@ class TestDecompositionFuzz:
         for _, active, terminated, exited in res.round_totals:
             assert active + terminated + exited == res.seed_count
         assert res.round_totals[-1][1] == 0
-        assert not any(st.loaned_out for st in sim.states)
+        assert (sim.particles.holder == sim.particles.home).all()
