@@ -23,7 +23,7 @@ from .errors import (
 from .field import AnalyticField, Block, evaluate_field, rasterize_block, sample_trilinear
 from .metrics import lif, lif_from_steps, speedup
 from .runtime import RunResult, Simulator
-from .topology import ProcessGrid, decompose, neighborhood_of, rank_to_coords, route_out_of_bounds
+from .topology import ProcessGrid, decompose, neighbor_table, rank_to_coords
 
 __version__ = "0.1.0"
 
@@ -51,11 +51,10 @@ __all__ = [
     "lif",
     "lif_from_steps",
     "load_config_file",
-    "neighborhood_of",
+    "neighbor_table",
     "quota_offer",
     "rank_to_coords",
     "rasterize_block",
-    "route_out_of_bounds",
     "sample_trilinear",
     "select_particles",
     "speedup",

@@ -59,20 +59,10 @@ def rk4_step(sample_fn, p, h: float) -> np.ndarray:
 
 @dataclass(frozen=True)
 class RoundInfo:
-    """Metadata for one round's selection: one rank's range, or every rank's together."""
+    """Metadata for one round's selection of particles."""
 
     count: int                 # particles selected this round
     capacity: int              # vertices they can append at most: their summed budgets
-
-
-def compute_round_info(queue: ParticleSet, particles_per_round: int) -> RoundInfo:
-    """Select the round's particle range and bound its curve log.
-
-    The queue is FIFO; the first ``min(len(queue), particles_per_round)``
-    particles run this round. Each appends at most its remaining budget.
-    """
-    count = min(len(queue), int(particles_per_round))
-    return RoundInfo(count=count, capacity=int(queue.remaining[:count].sum()))
 
 
 @dataclass

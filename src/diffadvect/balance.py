@@ -15,6 +15,11 @@ Four schedulers are provided, selected by token:
 All arithmetic is integer (particles are indivisible); means use floor
 division. Every scheduler is a pure function of its inputs and conserves
 particles: ``sum(outgoing) + retained == local``.
+
+A whole grid balances over the ``(ranks, 6)`` neighbor table of
+:func:`topology.neighbor_table`: :func:`plan_transfers` returns a send matrix
+aligned with it, and :func:`select_particles` names the queue rows that
+realise one rank's row of that matrix.
 """
 
 from __future__ import annotations
@@ -25,7 +30,7 @@ import numpy as np
 
 from .errors import InvariantError
 from .particles import ParticleSet
-from .topology import ProcessGrid, neighborhood_of
+from .topology import ProcessGrid, neighbor_table
 
 SCHEDULERS = ("none", "constant", "lma", "gllma")
 
@@ -172,32 +177,24 @@ def balance_gllma(lv: LoadVector, granted_quotas) -> BalanceDecision:
     return _decision(lv.local, sends)
 
 
-def select_particles(queue: ParticleSet, decision: BalanceDecision, rank: int):
-    """Pick which particles realize a decision: most recently arrived first.
+def select_particles(queue: ParticleSet, outgoing, rank: int):
+    """Pick which rows of ``queue`` realize per-direction send counts: most recently arrived first.
 
     Only particles whose home is ``rank`` (so not on loan here) are eligible.
-    If the decision asks for more than is eligible it is scaled down with
+    If ``outgoing`` asks for more than is eligible it is scaled down with
     largest-remainder rounding.
 
-    Returns ``(kept_queue, per_neighbor_sets)``.
+    Returns ``(kept_rows, per_direction_rows)``, row indices into ``queue``
+    in queue order, with one entry of ``per_direction_rows`` per count.
     """
-    eligible_idx = np.nonzero(queue.home == rank)[0]
-    wanted = list(decision.outgoing)
-    total = sum(wanted)
-    if total > len(eligible_idx):
-        wanted = largest_remainder_split(wanted, len(eligible_idx))
-        total = sum(wanted)
-    if total == 0:
-        return queue, [ParticleSet.empty() for _ in decision.outgoing]
-    chosen = eligible_idx[len(eligible_idx) - total:]  # queue tail, in queue order
-    sends = []
-    start = 0
-    for count in wanted:
-        sends.append(queue.select(chosen[start:start + count]))
-        start += count
-    keep_mask = np.ones(len(queue), dtype=bool)
-    keep_mask[chosen] = False
-    return queue.select(np.nonzero(keep_mask)[0]), sends
+    eligible = np.flatnonzero(queue.home == rank)
+    wanted = [int(o) for o in outgoing]
+    if sum(wanted) > len(eligible):
+        wanted = largest_remainder_split(wanted, len(eligible))
+    chosen = eligible[len(eligible) - sum(wanted):]  # queue tail, in queue order
+    keep = np.ones(len(queue), dtype=bool)
+    keep[chosen] = False
+    return np.flatnonzero(keep), [chosen[end - w:end] for end, w in zip(np.cumsum(wanted), wanted)]
 
 
 def decide(scheduler: str, lv: LoadVector, granted_quotas=None, dims: int = 3,
@@ -216,41 +213,44 @@ def decide(scheduler: str, lv: LoadVector, granted_quotas=None, dims: int = 3,
     raise InvariantError(f"unknown scheduler {scheduler!r}")
 
 
-def plan_transfers(grid: ProcessGrid, loads, scheduler: str,
-                   alpha: float | None = None) -> list[BalanceDecision]:
-    """Every rank's balancing decision for one lockstep step, indexed by rank.
+def plan_transfers(neighbors, loads, scheduler: str, alpha: float | None = None) -> np.ndarray:
+    """Every rank's balancing decision for one lockstep step, as a send matrix.
 
-    Each rank sees its own load and its face neighbors' loads in direction
-    order; under gllma it also sees the quota each neighbor offered it. This
-    is the single source of scheduler decisions: the runtime's distribute
-    stage and :func:`synchronous_step` both realise its result.
+    ``neighbors`` is the ``(ranks, 6)`` table of :func:`topology.neighbor_table`;
+    ``sends[r, d]`` is what rank ``r`` sends its neighbor in direction ``d``,
+    0 at the hull. Each rank sees its own load and its in-bounds neighbors'
+    loads in direction order; under gllma it also sees the quota each
+    neighbor offered it, which the neighbor in direction ``d`` holds in its
+    own column ``d ^ 1``. This is the single source of scheduler decisions:
+    the runtime's distribute stage and :func:`synchronous_step` both realise
+    its result.
     """
     loads = [int(w) for w in loads]
-    if len(loads) != grid.rank_count:
+    table = np.asarray(neighbors).tolist()
+    if len(loads) != len(table):
         raise InvariantError("one load per rank required")
-    hoods = [neighborhood_of(grid, r).ranks for r in range(grid.rank_count)]
-    lvs = [LoadVector(loads[r], tuple(loads[j] for j in hoods[r])) for r in range(grid.rank_count)]
-    granted = [None] * grid.rank_count
+    cols = [[d for d, j in enumerate(row) if j >= 0] for row in table]
+    lvs = [LoadVector(loads[r], tuple(loads[table[r][d]] for d in cols[r])) for r in range(len(table))]
+    granted = [None] * len(table)
     if scheduler == "gllma":
-        offers = [dict(zip(hoods[r], quota_offer(lvs[r]))) for r in range(grid.rank_count)]
-        granted = [tuple(offers[j][r] for j in hoods[r]) for r in range(grid.rank_count)]
-    return [decide(scheduler, lvs[r], granted_quotas=granted[r], alpha=alpha)
-            for r in range(grid.rank_count)]
+        offers = [dict(zip(cols[r], quota_offer(lvs[r]))) for r in range(len(table))]
+        granted = [tuple(offers[table[r][d]][d ^ 1] for d in cols[r]) for r in range(len(table))]
+    sends = np.zeros((len(table), 6), dtype=np.int64)
+    for r, lv in enumerate(lvs):
+        sends[r, cols[r]] = decide(scheduler, lv, granted_quotas=granted[r], alpha=alpha).outgoing
+    return sends
 
 
 def synchronous_step(grid: ProcessGrid, loads, scheduler: str, alpha: float | None = None) -> list[int]:
     """Apply one lockstep balancing step to a whole grid of integer loads.
 
-    All decisions of :func:`plan_transfers` execute simultaneously. Returns
-    the new per-rank loads: the pure-integer view of the runtime's
+    All sends of :func:`plan_transfers` execute simultaneously: each rank
+    keeps its load minus its sends and gains what its neighbors send it.
+    Returns the new per-rank loads: the pure-integer view of the runtime's
     distribute stage, useful for studying scheduler behavior in isolation.
     """
-    decisions = plan_transfers(grid, loads, scheduler, alpha)
-    new_loads = [0] * grid.rank_count
-    for r, dec in enumerate(decisions):
-        new_loads[r] += dec.retained
-        for j, sent in zip(neighborhood_of(grid, r).ranks, dec.outgoing):
-            new_loads[j] += sent
-    if sum(new_loads) != sum(int(w) for w in loads):
-        raise InvariantError("synchronous step lost particles")
-    return new_loads
+    table = neighbor_table(grid)
+    sends = plan_transfers(table, loads, scheduler, alpha)
+    new_loads = np.asarray(loads, dtype=np.int64) - sends.sum(axis=1)
+    np.add.at(new_loads, table[table >= 0], sends[table >= 0])
+    return new_loads.tolist()

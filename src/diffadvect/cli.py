@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -152,10 +153,16 @@ def _cmd_compare(args) -> int:
         except (OSError, ValueError) as exc:
             errors.append(f"{path}: cannot read a summary: {exc}")
             continue
-        missing = [key for key in ("config", "node_count", "total_advection_s")
-                   if not isinstance(summary, dict) or key not in summary]
-        if missing:
-            errors.append(f"{path}: not a run summary, missing {', '.join(missing)}")
+        problems = [f"missing {key}" for key in ("config", "node_count", "total_advection_s")
+                    if not isinstance(summary, dict) or key not in summary]
+        if not problems:
+            if not (isinstance(summary["config"], dict) and "scheduler" in summary["config"]):
+                problems.append("config is not an object with a scheduler")
+            problems += [f"{key} is not a finite number" for key in ("node_count", "total_advection_s")
+                         if not (type(summary[key]) is int or type(summary[key]) is float
+                                 and math.isfinite(summary[key]))]
+        if problems:
+            errors.append(f"{path}: not a run summary: {', '.join(problems)}")
         summaries.append(summary)
     if errors:
         raise ConfigError("unreadable summaries", errors=errors)

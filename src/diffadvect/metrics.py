@@ -10,15 +10,9 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, asdict
+from dataclasses import dataclass, fields
 
 from .errors import ConfigError, InvariantError
-
-ROUNDS_CSV_HEADER = (
-    "round,rank,stage_lb_distribute_s,stage_round_info_s,stage_alloc_s,"
-    "stage_integrate_s,stage_collect_s,stage_oob_s,idle_s,integrate_steps,"
-    "load_pre,load_post,sent_balanced,recv_balanced,sent_oob,recv_oob"
-)
 
 LIF_CSV_HEADER = "round,lif_load,lif_steps"
 
@@ -45,14 +39,13 @@ class RoundRecord:
     recv_oob: int = 0
 
     def stage_sum(self) -> float:
-        return (
-            self.stage_lb_distribute_s
-            + self.stage_round_info_s
-            + self.stage_alloc_s
-            + self.stage_integrate_s
-            + self.stage_collect_s
-            + self.stage_oob_s
-        )
+        return sum(getattr(self, col) for col in STAGE_COLUMNS)
+
+
+# The rounds.csv columns are the record's fields, in order; the stages are in stage order.
+ROUNDS_CSV_COLUMNS = tuple(f.name for f in fields(RoundRecord))
+ROUNDS_CSV_HEADER = ",".join(ROUNDS_CSV_COLUMNS)
+STAGE_COLUMNS = tuple(col for col in ROUNDS_CSV_COLUMNS if col.startswith("stage_"))
 
 
 def lif(loads) -> float:
@@ -116,8 +109,7 @@ def _fmt(value) -> str:
 def rounds_csv_lines(records: list[RoundRecord]) -> list[str]:
     lines = [ROUNDS_CSV_HEADER]
     for r in sorted(records, key=lambda r: (r.round, r.rank)):
-        row = asdict(r)
-        lines.append(",".join(_fmt(row[col]) for col in ROUNDS_CSV_HEADER.split(",")))
+        lines.append(",".join(_fmt(getattr(r, col)) for col in ROUNDS_CSV_COLUMNS))
     return lines
 
 
@@ -158,10 +150,7 @@ def build_summary(
     total_s = lockstep_total(records, RoundRecord.stage_sum)
     lockstep_steps = lockstep_total(records, lambda r: r.integrate_steps)
     total_steps = sum(r.integrate_steps for r in records)
-    stage_totals = {}
-    for col in ("stage_lb_distribute_s", "stage_round_info_s", "stage_alloc_s",
-                "stage_integrate_s", "stage_collect_s", "stage_oob_s", "idle_s"):
-        stage_totals[col] = sum(getattr(r, col) for r in records)
+    stage_totals = {col: sum(getattr(r, col) for r in records) for col in STAGE_COLUMNS + ("idle_s",)}
     def _mean(values):
         vals = [v for v in values if not math.isnan(v)]
         return sum(vals) / len(vals) if vals else None

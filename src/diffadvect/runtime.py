@@ -6,17 +6,22 @@ its FIFO key ``seq``. The table is kept sorted by ``(holder, seq)``, so each
 rank's queue is one slice. A particle is on loan when its holder is not its
 home; only a face neighbor of its home may hold it.
 
+Topology is two tables: ``neighbors``, the ``(ranks, 6)`` face-neighbor table
+of :func:`topology.neighbor_table` (-1 at the domain hull), and ``blocks``,
+whose rows are the ranks' bounds from :func:`topology.decompose`.
+
 A round runs the paper's stages, each as one synchronous step of the whole
 world, as in Cybenko's diffusion model: distribute (one
-:func:`balance.plan_transfers` call; ranks lend the tail of their home rows),
+:func:`balance.plan_transfers` send matrix over the neighbor table; each rank
+lends the tail of its home rows, a direction at a time),
 round info (each holder's first ``particles_per_round`` rows), allocate and
 integrate (one call over the selected rows in table order), collect (every
 surviving loan returns home; a loan that terminates at the borrower dies
 there) and hand-off (the neighbor in a particle's exit direction becomes its
 holder and home; the hull means exit).
 Every move goes through :meth:`Simulator._move`, which queues the moved rows
-behind the receiver's own, by the direction index of the sender in the
-receiver's neighborhood, then in the sender's order. Collect runs before
+behind the receiver's own, by the sender's direction in the receiver's
+neighbor-table row, then in the sender's order. Collect runs before
 hand-off, so a home rank's own out-of-bounds rows precede the returned ones.
 No result depends on the order the table's rows are stored in.
 
@@ -29,7 +34,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -37,12 +42,11 @@ from . import balance
 from .advect import STATUS_EXITED, STATUS_OOB, STATUS_TERMINATED, CurveStore, RoundInfo, integrate, merge_curves
 from .errors import ConfigError, InvariantError, RoundLimitError
 from .field import AnalyticField, Block, rasterize_global
-from .metrics import RoundRecord, lif, lockstep_total
+from .metrics import STAGE_COLUMNS, RoundRecord, lif, lockstep_total
 from .particles import ParticleSet, concat_particles
-from .topology import ProcessGrid, decompose, neighborhood_of
+from .topology import ProcessGrid, decompose, neighbor_table
 
 ROUND_CAP = 100_000
-_STAGE_COLUMNS = tuple(f.name for f in fields(RoundRecord) if f.name.startswith("stage_"))  # in stage order
 
 
 @dataclass
@@ -80,14 +84,16 @@ def seed_axes(resolution, aabb_scale: float, stride) -> list[np.ndarray]:
     return axes
 
 
-def seed_particles(resolution, aabb_scale: float, stride, extents, grid: ProcessGrid,
+def seed_particles(resolution, aabb_scale: float, stride, origin, grid: ProcessGrid,
                    max_iterations: int) -> tuple[list[ParticleSet], int]:
     """Seed particles on the global voxel lattice inside a centered box.
 
     Every ``stride``-th lattice node per axis (anchored at node 0) whose
     position falls inside the axis-aligned box of side ``aabb_scale``
     centered at 0.5 becomes a seed. Ids count x-fastest in lattice order;
-    each seed starts on the rank whose core extent contains its node.
+    each seed starts on the rank whose core extent contains its node, given
+    the ranks' block origins from :func:`topology.decompose`. Returns each
+    rank's seeds in id order, and their total.
     """
     if not (0.0 < aabb_scale <= 1.0):
         raise ConfigError(f"aabb scale must be in (0, 1], got {aabb_scale}")
@@ -102,12 +108,14 @@ def seed_particles(resolution, aabb_scale: float, stride, extents, grid: Process
     total = ix.shape[0]
     pos = np.stack([ix * spacing[0], iy * spacing[1], iz * spacing[2]], axis=1)
     # Map lattice node -> owning block per axis via the split starts.
-    bx, by, bz = (np.searchsorted(sorted({e.origin[a] for e in extents}), i, side="right") - 1
+    bx, by, bz = (np.searchsorted(sorted(set(origin[:, a].tolist())), i, side="right") - 1
                   for a, i in enumerate((ix, iy, iz)))
     dx, dy, _ = grid.dims
     home = (bz * dy + by) * dx + bx
     seeds = ParticleSet.make(np.arange(total), pos, np.full(total, int(max_iterations)), home)
-    return [seeds.select(seeds.home == r) for r in range(grid.rank_count)], total
+    # One stable sort splits the seeds by rank and keeps id order within each.
+    ends = np.cumsum(np.bincount(home, minlength=grid.rank_count))
+    return [seeds.select(rows) for rows in np.split(np.argsort(home, kind="stable"), ends[:-1])], total
 
 
 class Simulator:
@@ -141,18 +149,12 @@ class Simulator:
         if 2.0 * self.h * cmax > float(spacing.min()):
             raise ConfigError(f"step {self.h} too large for ghost margin: 2*h*max|v| = "
                               f"{2 * self.h * cmax:.3g} exceeds min spacing {spacing.min():.3g}")
-        extents = decompose(self.grid, self.resolution)
         # Row r holds rank r's block; ``blocks.select(home)`` gives per-particle bounds.
-        self.blocks = Block(lattice, spacing,
-                            np.array([e.origin for e in extents], dtype=np.int64),
-                            np.array([e.core_dims for e in extents], dtype=np.int64))
+        self.blocks = Block(lattice, spacing, *decompose(self.grid, self.resolution))
         # neighbors[r, d]: rank r's face neighbor in direction d, -1 at the domain hull.
-        self.neighbors = np.full((self.grid.rank_count, 6), -1, dtype=np.int64)
-        for rank in range(self.grid.rank_count):
-            for d, j in neighborhood_of(self.grid, rank).neighbors:
-                self.neighbors[rank, d] = j
-        seeds, self.seed_count = seed_particles(self.resolution, aabb_scale, stride, extents, self.grid,
-                                                max_iterations)
+        self.neighbors = neighbor_table(self.grid)
+        seeds, self.seed_count = seed_particles(self.resolution, aabb_scale, stride, self.blocks.origin,
+                                                self.grid, max_iterations)
         self.particles = concat_particles(seeds)
         self.terminated = self.exited = 0
         self.store = CurveStore(collect=collect_curves)
@@ -170,8 +172,8 @@ class Simulator:
     def _move(self, rows: np.ndarray, to: np.ndarray) -> np.ndarray:
         """Hand table ``rows`` to ranks ``to``, queued behind what each receiver holds.
 
-        Arrivals queue by receiver, then by the direction index of their
-        current holder in the receiver's neighborhood, then in that holder's
+        Arrivals queue by receiver, then by the direction of their current
+        holder in the receiver's neighbor-table row, then in that holder's
         order. Returns the permutation that re-sorted the table.
         """
         p = self.particles
@@ -258,7 +260,7 @@ class Simulator:
         recs = [RoundRecord(round=round_index, rank=r, **{k: int(v[r]) for k, v in counts.items()})
                 for r in range(ranks)]
         weights = (load_pre, load_post, budgets, steps, held_at_collect, held_at_oob)
-        for column, w, start, end in zip(_STAGE_COLUMNS, weights, stamps, stamps[1:]):
+        for column, w, start, end in zip(STAGE_COLUMNS, weights, stamps, stamps[1:]):
             # each rank's share of the stage's measured time; weights are counts, a zero sum means all 0
             for rec, share in zip(recs, w / max(w.sum(), 1)):
                 setattr(rec, column, (end - start) * float(share))
@@ -276,15 +278,14 @@ class Simulator:
 
     def _lend(self, loads) -> tuple[np.ndarray, np.ndarray]:
         """The rows each rank lends, by :func:`balance.select_particles`, and their receivers."""
-        p, starts = self.particles, np.cumsum(loads) - loads
+        starts = np.cumsum(loads) - loads
+        sends = balance.plan_transfers(self.neighbors, loads, self.scheduler, self.alpha)
         rows, to = [np.empty(0, dtype=np.int64)], [np.empty(0, dtype=np.int64)]
-        for r, decision in enumerate(balance.plan_transfers(self.grid, loads, self.scheduler, self.alpha)):
-            if decision.total_outgoing:
-                queue = p.select(slice(starts[r], starts[r] + loads[r]))
-                _, sends = balance.select_particles(queue, decision, r)
-                for j, part in zip(self.neighbors[r][self.neighbors[r] >= 0], sends):
-                    rows.append(starts[r] + np.searchsorted(queue.seq, part.seq))
-                    to.append(np.full(len(part), j, dtype=np.int64))
+        for r in np.flatnonzero(sends.any(axis=1)):
+            queue = self.particles.select(slice(starts[r], starts[r] + loads[r]))
+            for d, lent in enumerate(balance.select_particles(queue, sends[r], r)[1]):
+                rows.append(starts[r] + lent)
+                to.append(np.full(lent.size, self.neighbors[r, d]))
         return np.concatenate(rows), np.concatenate(to)
 
     def run(self) -> RunResult:

@@ -1,14 +1,19 @@
-"""Cartesian process-grid bookkeeping.
+"""Cartesian process-grid bookkeeping, as tables indexed by rank.
 
-Ranks live on a 3D grid with x varying fastest. Neighborhoods are the
+Ranks live on a 3D grid with x varying fastest. A rank's neighbors are the
 face-adjacent ranks only (no diagonals) in the fixed direction order
-``(-x, +x, -y, +y, -z, +z)``; every transfer in the runtime is expressed in
-terms of these six directions.
+``(-x, +x, -y, +y, -z, +z)``: :func:`neighbor_table` gives them as one
+``(ranks, 6)`` table, and every transfer in the balancer and the runtime is a
+column of it. :func:`decompose` gives the ranks' block bounds as two
+``(ranks, 3)`` arrays.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+
+import numpy as np
 
 from .errors import ConfigError
 
@@ -55,50 +60,24 @@ def rank_to_coords(grid: ProcessGrid, rank: int) -> tuple[int, int, int]:
     return (x, y, z)
 
 
-@dataclass(frozen=True)
-class Neighborhood:
-    """The face neighbors of one rank, in fixed direction order.
+def _coords(grid: ProcessGrid) -> np.ndarray:
+    """``(ranks, 3)`` grid coordinates of every rank."""
+    dx, dy, _ = grid.dims
+    return np.arange(grid.rank_count, dtype=np.int64)[:, np.newaxis] // np.array([1, dx, dx * dy]) % grid.dims
 
-    ``neighbors`` maps direction index -> rank for the in-bounds faces only.
+
+def neighbor_table(grid: ProcessGrid) -> np.ndarray:
+    """``table[r, d]``: rank ``r``'s face neighbor in direction ``d``, -1 at the domain hull.
+
+    A -1 in a particle's exit direction means it left the global domain.
     """
-
-    rank: int
-    neighbors: tuple[tuple[int, int], ...]
-
-    def rank_in_direction(self, direction: int) -> int | None:
-        for d, r in self.neighbors:
-            if d == direction:
-                return r
-        return None
-
-    @property
-    def ranks(self) -> tuple[int, ...]:
-        return tuple(r for _, r in self.neighbors)
-
-    def __len__(self) -> int:
-        return len(self.neighbors)
-
-
-def neighborhood_of(grid: ProcessGrid, rank: int) -> Neighborhood:
-    coords = rank_to_coords(grid, rank)
-    entries = []
-    for d in range(6):
-        axis, sign = DIR_AXIS[d], DIR_SIGN[d]
-        nc = list(coords)
-        nc[axis] += sign
-        if 0 <= nc[axis] < grid.dims[axis]:
-            entries.append((d, coords_to_rank(grid, nc)))
-    return Neighborhood(rank=rank, neighbors=tuple(entries))
-
-
-def route_out_of_bounds(neigh: Neighborhood, exit_direction: int) -> int | None:
-    """Rank owning the face in ``exit_direction``, or None at the domain hull.
-
-    A None return means the particle left the global domain and terminates.
-    """
-    if not (0 <= int(exit_direction) < 6):
-        raise ConfigError(f"exit_direction must be in [0, 6), got {exit_direction}")
-    return neigh.rank_in_direction(int(exit_direction))
+    coords, ranks = _coords(grid), np.arange(grid.rank_count, dtype=np.int64)
+    table = np.empty((grid.rank_count, 6), dtype=np.int64)
+    for d, (axis, sign) in enumerate(zip(DIR_AXIS, DIR_SIGN)):
+        stepped = coords[:, axis] + sign
+        inside = (stepped >= 0) & (stepped < grid.dims[axis])
+        table[:, d] = np.where(inside, ranks + sign * math.prod(grid.dims[:axis]), -1)
+    return table
 
 
 def split_axis(extent: int, parts: int) -> list[tuple[int, int]]:
@@ -112,30 +91,21 @@ def split_axis(extent: int, parts: int) -> list[tuple[int, int]]:
     return out
 
 
-@dataclass(frozen=True)
-class BlockExtent:
-    origin: tuple[int, int, int]
-    core_dims: tuple[int, int, int]
-
-
-def decompose(grid: ProcessGrid, global_resolution) -> list[BlockExtent]:
+def decompose(grid: ProcessGrid, global_resolution) -> tuple[np.ndarray, np.ndarray]:
     """Partition the voxel lattice into per-rank core extents.
 
-    Returns one :class:`BlockExtent` per rank (indexed by rank). The core
-    extents are pairwise disjoint and cover the lattice.
+    Returns ``(origin, core_dims)``, two ``(ranks, 3)`` int64 arrays whose row
+    ``r`` is rank ``r``'s extent. The core extents are pairwise disjoint and
+    cover the lattice.
     """
     res = tuple(int(r) for r in global_resolution)
     if len(res) != 3 or any(r < 1 for r in res):
         raise ConfigError(f"resolution must be three positive integers, got {global_resolution}")
     if any(r < d for r, d in zip(res, grid.dims)):
         raise ConfigError(f"resolution {res} smaller than grid {grid.dims} on some axis")
-    splits = [split_axis(res[a], grid.dims[a]) for a in range(3)]
-    extents = []
-    for rank in range(grid.rank_count):
-        cx, cy, cz = rank_to_coords(grid, rank)
-        (ox, nx), (oy, ny), (oz, nz) = splits[0][cx], splits[1][cy], splits[2][cz]
-        extents.append(BlockExtent(origin=(ox, oy, oz), core_dims=(nx, ny, nz)))
-    return extents
+    coords = _coords(grid)
+    splits = [np.array(split_axis(res[a], grid.dims[a]), dtype=np.int64)[coords[:, a]] for a in range(3)]
+    return np.stack([s[:, 0] for s in splits], axis=1), np.stack([s[:, 1] for s in splits], axis=1)
 
 
 def most_cubic_dims(node_count: int) -> tuple[int, int, int]:

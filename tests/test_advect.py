@@ -6,7 +6,7 @@ from diffadvect.advect import (
     STATUS_TERMINATED,
     CurveStore,
     RoundBuffer,
-    compute_round_info,
+    RoundInfo,
     integrate,
     integrate_group,
     merge_curves,
@@ -58,13 +58,17 @@ def queue_of(positions, remaining, rank=0):
     return ParticleSet.make(np.arange(n), positions, remaining, np.full(n, rank))
 
 
-def run_one_round(block, queue, h, ppr=10**6):
-    info = compute_round_info(queue, ppr)
+def round_info(pset):
+    """The round metadata of integrating every row of ``pset``."""
+    return RoundInfo(len(pset), capacity=int(pset.remaining.sum()))
+
+
+def run_one_round(block, queue, h):
+    info = round_info(queue)
     store = CurveStore()
     buf = store.allocate(info)
-    sel = queue.select(np.arange(info.count))
-    outcome, work = integrate(block, sel, buf, h)
-    store.finish_round(sel.ids, buf)
+    outcome, work = integrate(block, queue, buf, h)
+    store.finish_round(queue.ids, buf)
     return info, store, buf, outcome, work
 
 
@@ -98,21 +102,6 @@ class TestRK4Step:
         errs = [endpoint_error(h) for h in (4e-3, 2e-3, 1e-3)]
         for a, b in zip(errs, errs[1:]):
             assert 12.0 <= a / b <= 20.0
-
-
-class TestComputeRoundInfo:
-    def test_selects_prefix_up_to_ppr(self):
-        info = compute_round_info(queue_of(np.tile([0.5, 0.5, 0.5], (15, 1)), 100), 10)
-        assert info.count == 10 and info.capacity == 10 * 100
-
-    def test_capacity_is_the_selections_summed_budget(self):
-        q = queue_of(np.tile([0.5, 0.5, 0.5], (4, 1)), np.array([1000, 3, 0, 7]))
-        assert compute_round_info(q, 10).capacity == 1010
-        assert compute_round_info(q, 2).capacity == 1003
-
-    def test_empty_queue(self):
-        info = compute_round_info(ParticleSet.empty(), 10)
-        assert info.count == 0 and info.capacity == 0
 
 
 class TestIntegrate:
@@ -171,12 +160,12 @@ class TestWorldBatching:
             sets.append(ParticleSet.make(np.arange(n) + 100 * k, pos, rng.integers(0, 60, n), np.full(n, k)))
         separate, curves = [], CurveStore()
         for block, pset in zip(blocks, sets):
-            buf = CurveStore().allocate(compute_round_info(pset, 10**6))
+            buf = CurveStore().allocate(round_info(pset))
             separate.append(integrate_group(block, pset, buf, 0.001))
             curves.finish_round(pset.ids, buf)
 
         world = concat_particles(sets)
-        world_buf = CurveStore().allocate(compute_round_info(world, 10**6))
+        world_buf = CurveStore().allocate(round_info(world))
         per_row = Block(blocks[0].lattice, blocks[0].spacing,
                         np.array([b.origin for b in blocks])[world.home],
                         np.array([b.core_dims for b in blocks])[world.home])
@@ -221,14 +210,14 @@ class TestCurveStore:
 
     def test_particle_without_vertices_contributes_nothing(self):
         store = CurveStore()
-        buf = store.allocate(compute_round_info(queue_of([[0.5, 0.5, 0.5]], 5), 10))
+        buf = store.allocate(round_info(queue_of([[0.5, 0.5, 0.5]], 5)))
         store.finish_round(np.array([7]), buf)  # nothing appended
         assert merge_curves(store) == {}
 
     def test_merge_orders_segments_by_round(self):
         store = CurveStore()
         for ids, x in ((np.array([3, 5]), [0.2, 0.3]), (np.array([5, 3]), [0.4, 0.5])):
-            buf = store.allocate(compute_round_info(queue_of(np.zeros((2, 3)), 1), 10))
+            buf = store.allocate(round_info(queue_of(np.zeros((2, 3)), 1)))
             buf.append(np.array([0, 1]), np.column_stack([x, np.zeros(2), np.zeros(2)]))
             store.finish_round(ids, buf)
         merged = merge_curves(store)

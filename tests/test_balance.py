@@ -1,9 +1,9 @@
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from diffadvect.balance import (
-    BalanceDecision,
     LoadVector,
     balance_constant,
     balance_gllma,
@@ -165,9 +165,10 @@ class TestGLLMA:
         d = balance_gllma(lv, (20, 100))
         assert d.outgoing == (min(lma.outgoing[0], 20), min(lma.outgoing[1], 100))
 
-    def test_three_rank_chain(self):
-        grid = ProcessGrid((3, 1, 1))
-        after = synchronous_step(grid, [100, 40, 160], "gllma")
+    @pytest.mark.parametrize("dims", [(3, 1, 1), (1, 3, 1), (1, 1, 3)], ids=["x", "y", "z"])
+    def test_three_rank_chain(self, dims):
+        # each neighbor grants its offer in the opposite direction's column, on every axis
+        after = synchronous_step(ProcessGrid(dims), [100, 40, 160], "gllma")
         assert after == [77, 99, 124]  # transfers 23 and 36; middle lands at 99
 
     @given(load_vectors, st.data())
@@ -213,30 +214,30 @@ class TestSynchronousGrid:
 class TestSelectParticles:
     def test_tail_rule(self):
         queue = make_queue(100)
-        kept, sends = select_particles(queue, BalanceDecision((26, 6), 68), rank=0)
+        kept, sends = select_particles(queue, (26, 6), rank=0)
         assert [len(s) for s in sends] == [26, 6]
-        np.testing.assert_array_equal(sends[0].ids, np.arange(68, 94))
-        np.testing.assert_array_equal(sends[1].ids, np.arange(94, 100))
-        np.testing.assert_array_equal(kept.ids, np.arange(68))
-        assert (sends[0].home == 0).all()  # on loan from rank 0 wherever they go
+        np.testing.assert_array_equal(queue.ids[sends[0]], np.arange(68, 94))
+        np.testing.assert_array_equal(queue.ids[sends[1]], np.arange(94, 100))
+        np.testing.assert_array_equal(queue.ids[kept], np.arange(68))
+        assert (queue.home[sends[0]] == 0).all()  # on loan from rank 0 wherever they go
 
     def test_cap_with_largest_remainder(self):
         queue = make_queue(10)
-        kept, sends = select_particles(queue, BalanceDecision((26, 6), 0), rank=0)
+        kept, sends = select_particles(queue, (26, 6), rank=0)
         assert [len(s) for s in sends] == [8, 2]
         assert len(kept) == 0
 
     def test_zero_decision_leaves_queue_untouched(self):
         queue = make_queue(5)
-        kept, sends = select_particles(queue, BalanceDecision((0, 0), 5), rank=0)
+        kept, sends = select_particles(queue, (0, 0), rank=0)
         assert len(kept) == 5 and all(len(s) == 0 for s in sends)
 
     def test_on_loan_particles_not_rebalanced(self):
         queue = make_queue(4)
         queue.home[2:] = 3  # two already borrowed from rank 3
-        kept, sends = select_particles(queue, BalanceDecision((4,), 0), rank=0)
+        kept, sends = select_particles(queue, (4,), rank=0)
         assert len(sends[0]) == 2  # capped at the two eligible home particles
-        np.testing.assert_array_equal(sends[0].ids, [0, 1])
+        np.testing.assert_array_equal(queue.ids[sends[0]], [0, 1])
 
 
 class TestDecide:

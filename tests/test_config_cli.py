@@ -257,14 +257,21 @@ class TestCompareCommand:
 
 
 class TestUnreadableInputFiles:
-    @pytest.mark.parametrize("case", ["missing summary", "summary without config", "curves header not JSON"])
+    MALFORMED_SUMMARIES = {
+        "summary without config": {"node_count": 2, "total_advection_s": 1.0},
+        "config without scheduler": {"config": {}, "node_count": 2, "total_advection_s": 1.0},
+        "node_count not a number": {"config": {"scheduler": "none"}, "node_count": "x", "total_advection_s": 1.0},
+        "config not an object": {"config": [], "node_count": 2, "total_advection_s": 1.0},
+    }
+
+    @pytest.mark.parametrize("case", ["missing summary", *MALFORMED_SUMMARIES, "curves header not JSON"])
     def test_exits_2_naming_the_file(self, tmp_path, capsys, case):
         if case == "missing summary":
             path = tmp_path / "absent.json"
             argv = ["compare", str(path)]
-        elif case == "summary without config":
+        elif case in self.MALFORMED_SUMMARIES:
             path = tmp_path / "summary.json"
-            path.write_text(json.dumps({"node_count": 2, "total_advection_s": 1.0}), encoding="utf-8")
+            path.write_text(json.dumps(self.MALFORMED_SUMMARIES[case]), encoding="utf-8")
             argv = ["compare", str(path)]
         else:
             path = tmp_path / "curves.bin"

@@ -86,7 +86,11 @@ class TestCsvFormats:
         raw = path.read_bytes()
         assert b"\r" not in raw
         lines = raw.decode().splitlines()
-        assert lines[0] == ROUNDS_CSV_HEADER
+        assert lines[0] == ROUNDS_CSV_HEADER == (  # the file-format contract
+            "round,rank,stage_lb_distribute_s,stage_round_info_s,stage_alloc_s,"
+            "stage_integrate_s,stage_collect_s,stage_oob_s,idle_s,integrate_steps,"
+            "load_pre,load_post,sent_balanced,recv_balanced,sent_oob,recv_oob"
+        )
         cells = lines[1].split(",")
         assert cells[0] == "1" and cells[1] == "0"
         assert cells[5] == "2.500000000e-01"  # %.9e reals

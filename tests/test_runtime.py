@@ -45,38 +45,41 @@ def drain_queues(sim):
 class TestSeeding:
     def test_full_domain_stride8(self):
         grid = ProcessGrid((2, 2, 2))
-        extents = decompose(grid, (64, 64, 64))
-        per_rank, total = seed_particles((64, 64, 64), 1.0, (8, 8, 8), extents, grid, 1000)
+        origin, _ = decompose(grid, (64, 64, 64))
+        per_rank, total = seed_particles((64, 64, 64), 1.0, (8, 8, 8), origin, grid, 1000)
         assert total == 512
         assert sum(len(p) for p in per_rank) == 512
 
     def test_halving_z_stride_doubles_seeds(self):
         grid = ProcessGrid((2, 2, 2))
-        extents = decompose(grid, (64, 64, 64))
-        _, total = seed_particles((64, 64, 64), 1.0, (8, 8, 4), extents, grid, 1000)
+        origin, _ = decompose(grid, (64, 64, 64))
+        _, total = seed_particles((64, 64, 64), 1.0, (8, 8, 4), origin, grid, 1000)
         assert total == 1024
 
     def test_scaled_box_bounds_positions(self):
         grid = ProcessGrid((1, 1, 1))
-        extents = decompose(grid, (64, 64, 64))
-        per_rank, total = seed_particles((64, 64, 64), 0.5, (4, 4, 4), extents, grid, 1000)
+        origin, _ = decompose(grid, (64, 64, 64))
+        per_rank, total = seed_particles((64, 64, 64), 0.5, (4, 4, 4), origin, grid, 1000)
         pos = per_rank[0].pos
         assert total > 0
         assert (pos >= 0.25).all() and (pos <= 0.75).all()
 
     def test_seeds_assigned_to_owning_rank(self):
-        grid = ProcessGrid((2, 1, 1))
-        extents = decompose(grid, (16, 16, 16))
-        per_rank, _ = seed_particles((16, 16, 16), 1.0, (4, 4, 4), extents, grid, 10)
-        split = 8 / 15  # rank 0 owns nodes 0..7
-        assert (per_rank[0].pos[:, 0] < split).all()
-        assert (per_rank[1].pos[:, 0] >= split).all()
+        grid = ProcessGrid((3, 2, 2))
+        origin, core_dims = decompose(grid, (16, 16, 16))
+        per_rank, total = seed_particles((16, 16, 16), 1.0, (2, 2, 2), origin, grid, 10)
+        for r, seeds in enumerate(per_rank):
+            assert len(seeds) and (seeds.home == r).all()
+            assert (np.diff(seeds.ids) > 0).all()  # id order within each rank
+            node = np.rint(seeds.pos * 15.0)  # every seed sits on a lattice node of its rank's core
+            assert ((node >= origin[r]) & (node < origin[r] + core_dims[r])).all()
+        np.testing.assert_array_equal(np.sort(np.concatenate([s.ids for s in per_rank])), np.arange(total))
 
     def test_bad_scale_rejected(self):
         grid = ProcessGrid((1, 1, 1))
-        extents = decompose(grid, (16, 16, 16))
+        origin, _ = decompose(grid, (16, 16, 16))
         with pytest.raises(ConfigError):
-            seed_particles((16, 16, 16), 0.0, (4, 4, 4), extents, grid, 10)
+            seed_particles((16, 16, 16), 0.0, (4, 4, 4), origin, grid, 10)
 
 
 class TestSingleRank:
@@ -97,6 +100,17 @@ class TestSingleRank:
         assert len(sim.particles) > 0
         drain_queues(sim)
         assert sim.run().rounds == 0
+
+
+class TestRoundSelection:
+    def test_each_holder_runs_its_first_particles_per_round_rows(self):
+        sim = Simulator(ConstantField((0.0, 0.0, 0.0)), (16, 16, 16), (2, 1, 1), "none",
+                        max_iterations=5, stride=(8, 8, 8), particles_per_round=3)
+        p = sim.particles
+        lowest = [np.sort(p.ids[p.home == r])[:3] for r in range(2)]
+        assert all(len(p.ids[p.home == r]) > 3 for r in range(2))
+        sim.run_round(1)
+        assert sorted(pid for pid, _ in sim.store.segments) == sorted(np.concatenate(lowest).tolist())
 
 
 class TestTwoRankBalancing:
@@ -311,8 +325,8 @@ class TestRuntimeRealisesThePlan:
                         max_iterations=5, stride=(8, 8, 8))
         spacing = 1.0 / 15.0
         next_id, parts = 0, []
-        for rank, (load, ext) in enumerate(zip(loads, decompose(grid, (16, 16, 16)))):
-            centre = [(o + (n - 1) / 2.0) * spacing for o, n in zip(ext.origin, ext.core_dims)]
+        for rank, (load, origin, core_dims) in enumerate(zip(loads, *decompose(grid, (16, 16, 16)))):
+            centre = (origin + (core_dims - 1) / 2.0) * spacing
             parts.append(particles_at(np.tile(centre, (load, 1)), 5, rank, start_id=next_id))
             next_id += load
         sim.particles = concat_particles(parts)
