@@ -4,8 +4,8 @@ Four schedulers are provided, selected by token:
 
 * ``none``     -- keep everything local (the baseline),
 * ``constant`` -- fixed-parameter diffusion: send ``floor(alpha * (local - w))``
-                  to each lesser-loaded neighbor, with ``alpha = 1 - 2/(d+1)``
-                  for grid dimensionality ``d`` (0.5 in 3D),
+                  to each lesser-loaded neighbor, with ``alpha`` defaulting to
+                  :data:`DEFAULT_ALPHA`,
 * ``lma``      -- lesser mean assignment: equalize with the strictly
                   lesser-loaded neighbors via an iteratively pruned mean,
 * ``gllma``    -- greater-limited LMA: a quota phase in which each rank caps
@@ -33,6 +33,9 @@ from .particles import ParticleSet
 from .topology import ProcessGrid, neighbor_table
 
 SCHEDULERS = ("none", "constant", "lma", "gllma")
+# The constant scheduler's diffusion parameter: 1 - 2/(d + 1) for a grid of
+# dimensionality d, and the rank grid is always 3-D.
+DEFAULT_ALPHA = 0.5
 
 
 @dataclass(frozen=True)
@@ -99,7 +102,7 @@ def largest_remainder_split(weights: list[int], total: int) -> list[int]:
     return base
 
 
-def balance_constant(lv: LoadVector, dims: int = 3, alpha: float | None = None) -> BalanceDecision:
+def balance_constant(lv: LoadVector, alpha: float | None = None) -> BalanceDecision:
     """Fixed-parameter diffusion toward each strictly lesser-loaded neighbor.
 
     Only the higher-loaded side of each pair sends, so one exchange never
@@ -108,7 +111,7 @@ def balance_constant(lv: LoadVector, dims: int = 3, alpha: float | None = None) 
     proportionally to exactly the local load.
     """
     if alpha is None:
-        alpha = 1.0 - 2.0 / (dims + 1)
+        alpha = DEFAULT_ALPHA
     sends = [int(alpha * (lv.local - w)) if w < lv.local else 0 for w in lv.per_neighbor]
     total = sum(sends)
     if total > lv.local:
@@ -197,13 +200,12 @@ def select_particles(queue: ParticleSet, outgoing, rank: int):
     return np.flatnonzero(keep), [chosen[end - w:end] for end, w in zip(np.cumsum(wanted), wanted)]
 
 
-def decide(scheduler: str, lv: LoadVector, granted_quotas=None, dims: int = 3,
-           alpha: float | None = None) -> BalanceDecision:
+def decide(scheduler: str, lv: LoadVector, granted_quotas=None, alpha: float | None = None) -> BalanceDecision:
     """Dispatch on the scheduler token."""
     if scheduler == "none":
         return balance_none(lv)
     if scheduler == "constant":
-        return balance_constant(lv, dims=dims, alpha=alpha)
+        return balance_constant(lv, alpha=alpha)
     if scheduler == "lma":
         return balance_lma(lv)
     if scheduler == "gllma":

@@ -22,7 +22,7 @@ from pathlib import Path
 
 from .advect import export_curves, read_curves
 from .balance import SCHEDULERS
-from .config import RunConfig, apply_setting, load_config_file
+from .config import SETTINGS, RunConfig, apply_settings, config_items, setting_item
 from .errors import ConfigError, DiffAdvectError, InvariantError, RoundLimitError
 from .field import AnalyticField
 from .metrics import build_summary, write_lif_csv, write_rounds_csv, write_summary
@@ -38,29 +38,31 @@ _WEAK_LADDER = ((2, (8, 8, 8)), (4, (8, 8, 4)), (8, (8, 4, 4)), (16, (4, 4, 4)))
 _PARAM_AXES = {
     "field": ("abc", "jets", "toroidal"),
     "aabb_scale": (0.25, 0.5, 1.0),
-    "stride": ("8,8,8", "8,8,4", "8,4,4", "4,4,4"),
+    "stride": ((8, 8, 8), (8, 8, 4), (8, 4, 4), (4, 4, 4)),
 }
 
 
-def _config_from_args(args) -> RunConfig:
-    config = RunConfig()
-    if getattr(args, "config", None):
-        config = load_config_file(args.config, base=config)
-    for item in getattr(args, "set", None) or []:
-        if "=" not in item:
-            raise ConfigError(f"--set expects key=value, got {item!r}")
-        key, value = item.split("=", 1)
-        config = apply_setting(config, key, value)
-    flag_keys = (
-        "field", "resolution", "grid", "nodes", "scheduler", "aabb_scale",
-        "stride", "step", "max_iterations", "particles_per_round", "alpha",
-        "output", "export_curves",
-    )
-    for key in flag_keys:
-        value = getattr(args, key, None)
-        if value is not None:
-            config = apply_setting(config, key, value)
-    return config
+def _flag(key: str) -> str:
+    return "--" + key.replace("_", "-")
+
+
+def _config_from_args(args) -> tuple[RunConfig, list[str]]:
+    """The config of the file, then the ``--set`` items, then the flags, and every problem met."""
+    items, problems = [], []
+    if args.config:
+        try:
+            items = config_items(Path(args.config).read_text(encoding="utf-8"))
+        except (OSError, UnicodeDecodeError) as exc:
+            problems.append(f"--config: cannot read {args.config}: {exc}")
+    items += [setting_item("--set", item) for item in args.set or ()]
+    items += [(_flag(key), key, getattr(args, key)) for key in SETTINGS if getattr(args, key) is not None]
+    config, bad = apply_settings(RunConfig(), items)
+    return config, problems + bad
+
+
+def _require_no_problems(problems: list[str]) -> None:
+    if problems:
+        raise ConfigError("invalid configuration", errors=problems)
 
 
 def execute_run(config: RunConfig, out_dir: Path | None = None) -> tuple[RunResult, dict]:
@@ -100,16 +102,14 @@ def execute_run(config: RunConfig, out_dir: Path | None = None) -> tuple[RunResu
         (out_dir / "config.txt").write_text(config.canonical_text(), encoding="utf-8")
         if config.export_curves and result.curves is not None:
             export_curves(out_dir / "curves.bin", result.curves, config_hash=config.config_hash())
+        else:  # an earlier run's curves would otherwise pass for this run's
+            (out_dir / "curves.bin").unlink(missing_ok=True)
     return result, summary
 
 
 def _cmd_run(args) -> int:
-    config = _config_from_args(args)
-    errors = config.validate()
-    if errors:
-        for err in errors:
-            print(f"config error: {err}", file=sys.stderr)
-        return EXIT_CONFIG
+    config, problems = _config_from_args(args)
+    _require_no_problems(problems + config.validate())
     out_dir = Path(config.output) if config.output else None
     result, summary = execute_run(config, out_dir)
     print(
@@ -171,48 +171,31 @@ def _cmd_compare(args) -> int:
     return EXIT_OK
 
 
-def _sweep_members(kind: str, base: RunConfig, axis: str | None):
+def _sweep_members(kind: str, axis: str | None):
+    """``(name, changes)`` of each member of a sweep, ``changes`` being RunConfig fields."""
     if kind == "strong":
         for nodes in _STRONG_NODES:
             for sched in SCHEDULERS:
-                yield f"{sched}_n{nodes}", [("nodes", nodes), ("grid", None), ("scheduler", sched)]
+                yield f"{sched}_n{nodes}", dict(nodes=nodes, grid=None, scheduler=sched)
     elif kind == "weak":
         for nodes, stride in _WEAK_LADDER:
             for sched in SCHEDULERS:
-                yield (
-                    f"{sched}_n{nodes}",
-                    [("nodes", nodes), ("grid", None), ("scheduler", sched),
-                     ("stride", ",".join(str(s) for s in stride))],
-                )
+                yield f"{sched}_n{nodes}", dict(nodes=nodes, grid=None, scheduler=sched, stride=stride)
     elif kind == "balance":
         for sched in SCHEDULERS:
-            yield f"{sched}", [("scheduler", sched), ("aabb_scale", 0.5)]
-    elif kind == "param":
-        axis = axis or "aabb_scale"
-        if axis not in _PARAM_AXES:
-            raise ConfigError(f"unknown sweep axis {axis!r}; expected one of {sorted(_PARAM_AXES)}")
-        for value in _PARAM_AXES[axis]:
-            tag = str(value).replace(",", "x")
-            for sched in SCHEDULERS:
-                yield f"{sched}_{axis}-{tag}", [(axis, value), ("scheduler", sched)]
+            yield sched, dict(scheduler=sched, aabb_scale=0.5)
     else:
-        raise ConfigError(f"unknown sweep kind {kind!r}")
+        axis = axis or "aabb_scale"
+        for value in _PARAM_AXES[axis]:
+            tag = "x".join(map(str, value)) if isinstance(value, tuple) else value
+            for sched in SCHEDULERS:
+                yield f"{sched}_{axis}-{tag}", {axis: value, "scheduler": sched}
 
 
 def _cmd_sweep(args) -> int:
-    base = _config_from_args(args)
-    members, errors = [], []
-    for name, settings in _sweep_members(args.kind, base, getattr(args, "axis", None)):
-        member = base
-        for key, value in settings:
-            if key == "grid" and value is None:
-                member = replace(member, grid=None)
-            else:
-                member = apply_setting(member, key, value)
-        members.append((name, member))
-        errors.extend(f"[{name}] {err}" for err in member.validate())
-    if errors:
-        raise ConfigError("invalid sweep", errors=errors)
+    base, problems = _config_from_args(args)
+    members = [(name, replace(base, **changes)) for name, changes in _sweep_members(args.kind, args.axis)]
+    _require_no_problems(problems + [f"[{name}] {err}" for name, member in members for err in member.validate()])
     out_root = Path(base.output) if base.output else Path(f"sweep_{args.kind}")
     out_root.mkdir(parents=True, exist_ok=True)
     summaries = []
@@ -245,19 +228,10 @@ def _add_config_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", help="flat key = value configuration file")
     parser.add_argument("--set", action="append", metavar="KEY=VALUE",
                         help="override one configuration key (repeatable)")
-    parser.add_argument("--field", choices=("abc", "jets", "toroidal"))
-    parser.add_argument("--resolution", help="voxels per axis, e.g. 64 or 64,64,64")
-    parser.add_argument("--grid", help="ranks per axis, e.g. 2,2,2")
-    parser.add_argument("--nodes", type=int, help="rank count (factored into a near-cubic grid)")
-    parser.add_argument("--scheduler", choices=SCHEDULERS)
-    parser.add_argument("--aabb-scale", dest="aabb_scale", type=float)
-    parser.add_argument("--stride", help="seed stride per axis, e.g. 4,4,4")
-    parser.add_argument("--step", type=float)
-    parser.add_argument("--max-iterations", dest="max_iterations", type=int)
-    parser.add_argument("--particles-per-round", dest="particles_per_round", type=int)
-    parser.add_argument("--alpha", type=float, help="constant-diffusion parameter")
-    parser.add_argument("--output", help="output directory")
-    parser.add_argument("--export-curves", dest="export_curves", choices=("true", "false"))
+    keys = parser.add_argument_group("configuration keys", "one flag per key, in the file's value "
+                                     "syntax; flags override --set, which overrides --config")
+    for key in SETTINGS:
+        keys.add_argument(_flag(key), dest=key)
 
 
 def build_parser() -> argparse.ArgumentParser:

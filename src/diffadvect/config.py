@@ -1,8 +1,9 @@
 """Run configuration: flat key-value files, overrides, validation, provenance.
 
 The file format is one ``key = value`` per line with ``#`` comments, chosen
-so configurations diff cleanly. Every key is also exposed as a long CLI flag
-by the command-line front end; flags override the file. The canonical
+so configurations diff cleanly. :data:`SETTINGS` is the one list of settable
+keys: the command-line front end exposes each as a long flag, and file lines,
+``--set`` items and flags all apply through :func:`apply_settings`. The canonical
 serialization of a config (sorted ``key = value`` lines) is hashed into the
 run's provenance so outputs can name the exact configuration that made them.
 """
@@ -35,24 +36,16 @@ ROUND_BUFFER_CAP_BYTES = 1 << 29
 RANK_CAP = 4096
 
 
-def _parse_triple(text) -> tuple[int, int, int]:
-    if isinstance(text, (tuple, list)):
-        vals = [int(v) for v in text]
-    else:
-        parts = str(text).split(",")
-        if len(parts) == 1:
-            vals = [int(parts[0])] * 3
-        else:
-            vals = [int(p) for p in parts]
+def _parse_triple(text: str) -> tuple[int, int, int]:
+    parts = text.split(",")
+    vals = [int(p) for p in parts] * (3 if len(parts) == 1 else 1)
     if len(vals) != 3:
         raise ValueError(f"expected 1 or 3 integers, got {text!r}")
     return tuple(vals)
 
 
-def _parse_bool(text) -> bool:
-    if isinstance(text, bool):
-        return text
-    v = str(text).strip().lower()
+def _parse_bool(text: str) -> bool:
+    v = text.strip().lower()
     if v in ("true", "1", "yes", "on"):
         return True
     if v in ("false", "0", "no", "off"):
@@ -193,61 +186,74 @@ class RunConfig:
         return hashlib.sha256(self.canonical_text().encode("utf-8")).hexdigest()[:16]
 
 
-_SETTERS = {
-    "field": lambda c, v: replace(c, field=str(v).strip()),
-    "resolution": lambda c, v: replace(c, resolution=_parse_triple(v)),
-    "grid": lambda c, v: replace(c, grid=_parse_triple(v)),
-    "nodes": lambda c, v: replace(c, nodes=int(v)),
-    "scheduler": lambda c, v: replace(c, scheduler=str(v).strip()),
-    "aabb_scale": lambda c, v: replace(c, aabb_scale=float(v)),
-    "stride": lambda c, v: replace(c, stride=_parse_triple(v)),
-    "step": lambda c, v: replace(c, step=float(v)),
-    "max_iterations": lambda c, v: replace(c, max_iterations=int(v)),
-    "particles_per_round": lambda c, v: replace(c, particles_per_round=int(v)),
-    "alpha": lambda c, v: replace(c, alpha=float(v)),
-    "output": lambda c, v: replace(c, output=str(v).strip()),
-    "export_curves": lambda c, v: replace(c, export_curves=_parse_bool(v)),
+# The settable keys, each with the parser of its text value. Every source of
+# settings (file lines, ``--set`` items, command-line flags) goes through this
+# table; ``param.<name>`` keys set field coefficients.
+SETTINGS = {
+    "field": str.strip,
+    "resolution": _parse_triple,
+    "grid": _parse_triple,
+    "nodes": int,
+    "scheduler": str.strip,
+    "aabb_scale": float,
+    "stride": _parse_triple,
+    "step": float,
+    "max_iterations": int,
+    "particles_per_round": int,
+    "alpha": float,
+    "output": str.strip,
+    "export_curves": _parse_bool,
 }
 
 
-def apply_setting(config: RunConfig, key: str, value) -> RunConfig:
+def apply_setting(config: RunConfig, key: str, value: str) -> RunConfig:
     """Apply one ``key = value`` setting; raises :class:`ConfigError`."""
     key = key.strip()
-    if key.startswith("param."):
-        name = key[len("param."):]
-        try:
-            params = dict(config.field_params)
-            params[name] = float(value)
-        except ValueError as exc:
-            raise ConfigError(f"bad value for {key}: {exc}") from exc
-        return replace(config, field_params=params)
-    setter = _SETTERS.get(key)
-    if setter is None:
-        raise ConfigError(f"unknown configuration key {key!r}")
     try:
-        return setter(config, value)
-    except (ValueError, TypeError) as exc:
+        if key.startswith("param."):
+            return replace(config, field_params={**config.field_params, key[len("param."):]: float(value)})
+        if key in SETTINGS:
+            return replace(config, **{key: SETTINGS[key](value)})
+    except (TypeError, ValueError) as exc:
         raise ConfigError(f"bad value for {key}: {exc}") from exc
+    raise ConfigError(f"unknown configuration key {key!r}")
+
+
+def setting_item(where: str, text: str) -> tuple:
+    """The ``(where, key, value)`` item of one ``key = value`` text; ``value`` is None without ``=``."""
+    key, eq, value = text.partition("=")
+    return where, key, value.strip() if eq else None
+
+
+def apply_settings(config: RunConfig, items) -> tuple[RunConfig, list[str]]:
+    """Apply ``(where, key, value)`` items in order.
+
+    Returns the resulting config and one problem per bad item, prefixed by
+    its ``where``; a bad item leaves the config as it was.
+    """
+    problems = []
+    for where, key, value in items:
+        if value is None:
+            problems.append(f"{where}: expected 'key = value', got {key.strip()!r}")
+            continue
+        try:
+            config = apply_setting(config, key, value)
+        except ConfigError as exc:
+            problems.append(f"{where}: {exc}")
+    return config, problems
+
+
+def config_items(text: str) -> list[tuple]:
+    """The ``(where, key, value)`` items of flat ``key = value`` lines; ``#`` starts a comment."""
+    lines = ((n, raw.split("#", 1)[0].strip()) for n, raw in enumerate(text.splitlines(), start=1))
+    return [setting_item(f"line {n}", line) for n, line in lines if line]
 
 
 def parse_config_text(text: str, base: RunConfig | None = None) -> RunConfig:
-    """Parse flat ``key = value`` lines; ``#`` starts a comment."""
-    config = base if base is not None else RunConfig()
-    errors = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if "=" not in line:
-            errors.append(f"line {lineno}: expected 'key = value', got {raw.strip()!r}")
-            continue
-        key, value = line.split("=", 1)
-        try:
-            config = apply_setting(config, key, value.strip())
-        except ConfigError as exc:
-            errors.append(f"line {lineno}: {exc}")
-    if errors:
-        raise ConfigError("invalid configuration file", errors=errors)
+    """Parse flat ``key = value`` lines, raising one error that lists every bad line."""
+    config, problems = apply_settings(base if base is not None else RunConfig(), config_items(text))
+    if problems:
+        raise ConfigError("invalid configuration file", errors=problems)
     return config
 
 

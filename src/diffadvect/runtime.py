@@ -124,7 +124,7 @@ class Simulator:
     def __init__(self, field: AnalyticField, resolution, grid_dims, scheduler: str, *,
                  step: float = 0.001, max_iterations: int = 1000, particles_per_round: int = 50_000,
                  aabb_scale: float = 1.0, stride=(8, 8, 8), alpha: float | None = None,
-                 collect_curves: bool = True, round_cap: int = ROUND_CAP):
+                 collect_curves: bool = True):
         if scheduler not in balance.SCHEDULERS:
             raise ConfigError(f"unknown scheduler {scheduler!r}; expected one of {balance.SCHEDULERS}")
         if not (math.isfinite(step) and step > 0.0):
@@ -139,7 +139,6 @@ class Simulator:
         self.h = float(step)
         self.ppr = int(particles_per_round)
         self.alpha = alpha
-        self.round_cap = int(round_cap)
 
         lattice = rasterize_global(field, self.resolution, padded=True)
         spacing = 1.0 / (np.asarray(self.resolution, dtype=np.float64) - 1.0)
@@ -292,8 +291,8 @@ class Simulator:
         round_index = 0
         while len(self.particles):
             round_index += 1
-            if round_index > self.round_cap:
-                raise RoundLimitError(f"exceeded {self.round_cap} rounds; configuration diverges")
+            if round_index > ROUND_CAP:
+                raise RoundLimitError(f"exceeded {ROUND_CAP} rounds; configuration diverges")
             self.run_round(round_index)
         return RunResult(self.scheduler, self.grid.dims, self.seed_count, round_index, self.terminated,
                          self.exited, self.records, self.lif_rows, self.round_totals,

@@ -1,31 +1,49 @@
-"""The benchmark's trace hooks (``perfbench/spans.py``) still find what they patch.
+"""The benchmark's hooks into the program still hold.
 
-The tracer patches each trace point as ``owner.__dict__[attr]``, so a
-refactor that renames or drops one breaks every traced benchmark run.
+The tracer (``perfbench/spans.py``) patches each trace point as
+``owner.__dict__[attr]``, so a refactor that renames or drops one breaks every
+traced benchmark run. ``perfbench/run.py`` writes each workload's config as its
+canonical text, reloads it, and refuses to run when the hash moved.
 """
 
 import importlib.util
 from pathlib import Path
 
-from diffadvect import AnalyticField, Simulator
+import pytest
+
+from diffadvect import AnalyticField, Simulator, load_config_file
 
 
-def _load_spans():
-    path = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
-    spec = importlib.util.spec_from_file_location("perfbench_spans", path)
+def _load_perfbench(name):
+    path = Path(__file__).resolve().parents[1] / "perfbench" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", path)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
 
 
+_WORKLOADS = _load_perfbench("workloads")
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+@pytest.mark.parametrize("workload", sorted(_WORKLOADS.WORKLOADS))
+def test_workload_config_reloads_from_its_canonical_text(tmp_path, workload, seed):
+    config = _WORKLOADS.config_for(workload, seed)
+    path = tmp_path / "config.txt"
+    path.write_text(config.canonical_text(), encoding="utf-8")
+    reloaded = load_config_file(path)
+    assert reloaded == config
+    assert reloaded.config_hash() == config.config_hash()
+
+
 def test_every_trace_point_resolves():
-    spans = _load_spans()
+    spans = _load_perfbench("spans")
     for owner, attr, name, _, _ in spans.TRACE_POINTS:
         assert callable(vars(owner).get(attr)), f"trace point {name}: {owner.__name__}.{attr} is gone"
 
 
 def test_traced_run_counts_rounds_and_hand_offs():
-    spans = _load_spans()
+    spans = _load_perfbench("spans")
     with spans.Tracer() as tracer:
         result = Simulator(AnalyticField("toroidal"), (16, 16, 16), (2, 2, 1), "gllma",
                            max_iterations=20, stride=(4, 4, 4), aabb_scale=0.5).run()

@@ -10,6 +10,7 @@ from diffadvect.config import (
     LATTICE_CAP_BYTES,
     RANK_CAP,
     ROUND_BUFFER_CAP_BYTES,
+    SETTINGS,
     RunConfig,
     apply_setting,
     parse_config_text,
@@ -152,6 +153,29 @@ class TestRunCommand:
         assert "step" in err and "field params" in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", [["run"], ["sweep", "--kind", "balance"]], ids=["run", "sweep"])
+    def test_every_source_listed_in_one_exit_2(self, tmp_path, capsys, command):
+        cfg = write_config(tmp_path, FAST + ["step = fast"])
+        out = tmp_path / "out"
+        argv = command + ["--config", str(cfg), "--set", "nodes=y", "--max-iterations", "lots",
+                          "--set", "alpha=5", "--output", str(out)]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert f"line {len(FAST) + 1}: bad value for step" in err
+        assert "--set: bad value for nodes" in err
+        assert "--max-iterations: bad value for max_iterations" in err
+        assert "alpha: must be in (0, 1]" in err
+        assert "Traceback" not in err and not out.exists()
+
+    def test_rerun_without_curves_removes_stale_curves(self, tmp_path):
+        cfg = write_config(tmp_path, FAST)
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(cfg), "--output", str(out)]) == 0
+        assert (out / "curves.bin").exists()
+        assert main(["run", "--config", str(cfg), "--export-curves", "off", "--output", str(out)]) == 0
+        assert not (out / "curves.bin").exists()
+        assert main(["export-curves", "--run", str(out), "--out", str(tmp_path / "x.bin")]) == 2
+
     def test_oversized_lattice_exits_2_without_allocating(self, tmp_path, capsys, monkeypatch):
         from diffadvect import cli
 
@@ -283,6 +307,21 @@ class TestUnreadableInputFiles:
         assert not (tmp_path / "x.bin").exists()
 
 
+@pytest.mark.parametrize("command", [["run"], ["sweep", "--kind", "strong"]], ids=["run", "sweep"])
+@pytest.mark.parametrize("case", ["missing", "directory", "not UTF-8"])
+def test_unreadable_config_exits_2_naming_the_file(tmp_path, capsys, command, case):
+    path = tmp_path / "run.cfg"
+    if case == "directory":
+        path.mkdir()
+    elif case == "not UTF-8":
+        path.write_bytes(b"field = abc\nscheduler = \xff\n")
+    out = tmp_path / "out"
+    assert main(command + ["--config", str(path), "--output", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert f"--config: cannot read {path}" in err and "Traceback" not in err
+    assert not out.exists()
+
+
 class TestExportCurves:
     def test_roundtrip(self, tmp_path):
         cfg = write_config(tmp_path, FAST)
@@ -380,11 +419,15 @@ def run_settings(draw):
 
 class TestRunFuzz:
     @settings(max_examples=80, deadline=None)
-    @given(run_settings())
-    def test_any_input_exits_0_or_2(self, run):
+    @given(run_settings(), hst.data())
+    def test_any_input_exits_0_or_2(self, run, data):
+        # Each setting goes in as its long flag or as --set; field parameters have no flag.
         argv = ["run", "--export-curves", "false"]
         for key, value in run.items():
-            argv += ["--set", f"{key}={value}"]
+            if key in SETTINGS and data.draw(hst.booleans()):
+                argv.append(f"--{key.replace('_', '-')}={value}")
+            else:
+                argv += ["--set", f"{key}={value}"]
         assert main(argv) in (0, 2)
 
 

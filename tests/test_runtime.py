@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as hst
 
+from diffadvect import runtime
 from diffadvect.advect import CurveStore
 from diffadvect.balance import SCHEDULERS, synchronous_step
 from diffadvect.errors import ConfigError, InvariantError, RoundLimitError
@@ -213,9 +214,10 @@ class TestDeterminismAndInvariants:
             assert active + terminated + exited == res.seed_count
         assert res.round_totals[-1][1] == 0  # drained at completion
 
-    def test_round_cap_enforced(self):
+    def test_round_cap_enforced(self, monkeypatch):
+        monkeypatch.setattr(runtime, "ROUND_CAP", 1)
         sim = Simulator(AnalyticField("toroidal"), (32, 32, 32), (2, 2, 2), "none",
-                        max_iterations=500, stride=(8, 8, 8), aabb_scale=0.5, round_cap=1)
+                        max_iterations=500, stride=(8, 8, 8), aabb_scale=0.5)
         with pytest.raises(RoundLimitError):
             sim.run()
 
