@@ -1,34 +1,60 @@
 """RK4 particle integration against blocks, round metadata, curve storage.
 
-A round integrates each selected particle until one of four events:
+A round integrates each selected particle in one compiled kernel,
+``rk4_advance`` in ``rk4.c``, which runs RK4 steps for each row until one of
+four events:
 
-* its iteration budget runs out (terminated),
-* the updated position leaves the unit-cube domain (terminated),
-* the updated position leaves its home block's core region
-  (out-of-bounds: the vertex is kept and the particle is handed off at its
-  new position), or
+* its iteration budget is spent: ``STATUS_TERMINATED`` (a zero budget takes
+  no step);
+* the updated position leaves the unit-cube domain: ``STATUS_EXITED``; the
+  position is not updated and no vertex is logged;
+* the updated position leaves its home block's core region: ``STATUS_OOB``;
+  the vertex is kept and the particle is handed off at its new position;
 * an RK4 stage point leaves the home block's ghost-padded sampling extent
-  before the step can be completed (out-of-bounds: the step is rejected and
-  the particle is handed off at its pre-step position; the receiving rank's
-  ghost layer covers the stage points, so it re-takes the identical step).
+  before the step can be completed: ``STATUS_OOB``; the step is rejected,
+  ``exit_dir`` comes from the first bad stage point, and the particle is
+  handed off at its pre-step position (the receiving rank's ghost layer
+  covers the stage points, so it re-takes the identical step).
 
 Every particle samples its home rank's block, whichever rank integrates it,
 and every block is bounds over the same shared lattice, so the accepted
 vertex sequence of a particle is independent of the decomposition; hand-offs
 and loans only change which rank performs each step.
 
-With curves on, each round appends every accepted step's row and new
-position at a running cursor into one log, sized by the selection's summed
-budgets but touched only as far as it is written. After the round the log is
-sorted by row once and archived as one segment per particle. With curves off
-nothing is allocated or archived; the log only counts the appended steps.
+The kernel writes each accepted step's row and new vertex at the log's
+cursor, refusing to write at or past its capacity, and writes ``status``,
+``exit_dir``, ``pos``, ``remaining`` and ``steps`` in place. It performs the
+operations of the numpy reference (:func:`_block_step`,
+:meth:`Block.sample_clamped`) in their order, so the two agree bit for bit:
+``g = p / spacing``; the cell ``floor(g)`` clamped to
+``[origin - 1, origin + core - 1]`` and ``frac = g - cell``; the z, then y,
+then x lerps, each ``(1 - f) * a + f * b``; stage points ``p + (h/2) * k``
+and ``p + (h/6) * (((k1 + 2*k2) + 2*k3) + k4)``; the sampling test
+``lo <= g <= hi``, the core test ``origin <= g < origin + core``, the domain
+test ``0 <= x <= 1``; the exit direction is the first maximum of
+``(lo0 - g0, g0 - hi0, lo1 - g1, ...)``. Importing this module builds it with
+gcc ``-O2 -ffp-contract=off`` (no fast-math, no fused multiply-add) into
+this package's ``__pycache__``, under a name keyed by the SHA-256 of the
+source and flags, and loads it.
+
+With curves on, each round's log is sized by the selection's summed budgets
+but touched only as far as it is written. The kernel advances the rows in
+ascending order, each to its event, so the log holds each particle's
+vertices as one run in step order; after the round each run is archived as
+one segment. With curves off
+nothing is allocated or archived; the kernel only counts the steps.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field
-
+import ctypes
+import hashlib
 import json
+import os
+import subprocess
+import tempfile
+from dataclasses import dataclass, field as dc_field
+from pathlib import Path
 
 import numpy as np
 
@@ -40,6 +66,66 @@ from .particles import ParticleSet
 STATUS_OOB = 1        # left its home block; still active
 STATUS_TERMINATED = 2  # iteration budget exhausted
 STATUS_EXITED = 3      # left the global domain
+
+KERNEL_SOURCE = Path(__file__).with_name("rk4.c")
+KERNEL_FLAGS = ("-O2", "-ffp-contract=off", "-shared", "-fPIC")
+_KERNEL_ERRORS = {
+    -1: "the round log is full: the kernel would write past its capacity",
+    -2: "particle position outside its block's sampling extent",
+}
+
+
+def kernel_name(source: bytes, flags) -> str:
+    """The cached library's file name, keyed by the SHA-256 of the source and flags."""
+    digest = hashlib.sha256(source + b"\0" + "\0".join(flags).encode("utf-8")).hexdigest()
+    return f"rk4-{digest[:16]}.so"
+
+
+def build_kernel(cache_dir, compiler: str = "gcc") -> Path:
+    """The kernel library in ``cache_dir``, compiled there first unless already cached.
+
+    The compiler reads the very source text that was hashed, and writes a
+    temporary file that is renamed into place, so a concurrent reader never
+    sees a partial library.
+    """
+    source = KERNEL_SOURCE.read_bytes()
+    path = Path(cache_dir) / kernel_name(source, KERNEL_FLAGS)
+    if path.is_file():
+        return path
+    command, tmp = [compiler, *KERNEL_FLAGS, "-x", "c", "-", "-o", "<tmp>", "-lm"], None
+    try:
+        path.parent.mkdir(parents=True, exist_ok=True)
+        fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.stem + "-", suffix=".tmp")
+        os.close(fd)
+        command[-2] = tmp
+        subprocess.run(command, input=source, check=True, capture_output=True)
+        os.replace(tmp, path)
+    except (OSError, subprocess.CalledProcessError) as exc:
+        detail = exc.stderr.decode(errors="replace") if isinstance(exc, subprocess.CalledProcessError) else exc
+        raise ImportError(f"the RK4 kernel {KERNEL_SOURCE.name} needs the C compiler {compiler!r} and the "
+                          f"writable cache directory {str(path.parent)!r}: "
+                          f"`{' '.join(command)}` failed: {detail}") from exc
+    finally:
+        if tmp is not None:
+            Path(tmp).unlink(missing_ok=True)
+    return path
+
+
+def load_kernel(path) -> ctypes.CDLL:
+    """The kernel library at ``path``, with the signatures of its two functions declared."""
+    lib = ctypes.CDLL(str(path))
+    i64, ptr = ctypes.c_int64, ctypes.c_void_p
+    bounds = [i64, ptr, i64, i64, ptr, ptr, ptr]  # n, lattice, sx, sy, spacing, origin, core
+    lib.rk4_sample.argtypes = bounds + [ptr, ptr]
+    lib.rk4_sample.restype = None
+    lib.rk4_advance.argtypes = bounds + [ctypes.c_double, ptr, ptr, ptr, ptr, ptr, ptr, ptr, i64, i64]
+    lib.rk4_advance.restype = i64
+    return lib
+
+
+KERNEL = load_kernel(build_kernel(Path(__file__).with_name("__pycache__")))
+_rk4_advance = KERNEL.rk4_advance
+
 
 def rk4_step(sample_fn, p, h: float) -> np.ndarray:
     """One classic RK4 step against an arbitrary sampler callable.
@@ -78,13 +164,6 @@ class RoundBuffer:
     vertices: np.ndarray | None  # (capacity, 3)
     size: int = 0
 
-    def append(self, rows: np.ndarray, positions: np.ndarray) -> None:
-        end = self.size + rows.size
-        if self.vertices is not None:
-            self.rows[self.size:end] = rows
-            self.vertices[self.size:end] = positions
-        self.size = end
-
 
 @dataclass
 class CurveStore:
@@ -111,10 +190,9 @@ class CurveStore:
         if buffer.vertices is None:
             return
         rows = buffer.rows[:buffer.size]
-        order = np.argsort(rows, kind="stable")  # keeps each particle's vertices in step order
-        rows = rows[order]
         starts = np.flatnonzero(np.diff(rows, prepend=-1))
-        vertices = np.split(buffer.vertices[:buffer.size][order], starts[1:])
+        # a copy of the written prefix, so the segments do not hold the capacity-sized log alive
+        vertices = np.split(buffer.vertices[:buffer.size].copy(), starts[1:])
         self.segments.extend(zip(ids[rows[starts]].tolist(), vertices))
 
 
@@ -177,52 +255,50 @@ class GroupOutcome:
     steps: np.ndarray       # accepted RK4 steps (work units)
 
 
+def kernel_bounds(block: Block, n: int) -> tuple:
+    """The kernel's ``n, lattice, sx, sy, spacing, origin, core`` arguments for ``n`` rows of ``block``.
+
+    A single extent is broadcast to ``(n, 3)`` bounds. Each array is passed
+    as its ``ctypes`` view, which holds the array alive through the call.
+    """
+    lattice = block.lattice
+    origin, core = (np.ascontiguousarray(np.broadcast_to(a, (n, 3)), dtype=np.int64)
+                    for a in (block.origin, block.core_dims))
+    if not (lattice.dtype == np.float64 and lattice.flags.c_contiguous and lattice.ndim == 4
+            and lattice.shape[3] == 3 and (origin >= 0).all() and (core >= 1).all()
+            and (origin + core <= np.array(lattice.shape[:3]) - 2).all()):
+        raise InvariantError("block bounds outside a C-contiguous (x, y, z, 3) float64 padded lattice")
+    spacing = np.ascontiguousarray(block.spacing, dtype=np.float64).reshape(3)
+    _, py, pz, _ = lattice.shape
+    return n, lattice.ctypes, py * pz, pz, spacing.ctypes, origin.ctypes, core.ctypes
+
+
 def integrate_group(block: Block, pset: ParticleSet, buffer: RoundBuffer, h: float) -> GroupOutcome:
-    """Advance the particles of ``pset``, each against its own block bounds.
+    """Advance the particles of ``pset``, each against its own block bounds, in the kernel.
 
     ``block`` holds one extent or per-row bounds for the rows of ``pset``.
-    Each accepted step appends its row index and new position to ``buffer``.
-    Each particle runs until termination, domain exit, or block exit.
+    Each accepted step writes its row index and new position at the
+    buffer's cursor. Each particle runs until termination, domain exit, or
+    block exit.
     """
     n = len(pset)
-    pos = pset.pos.copy()
-    rem = pset.remaining.copy()
-    status = np.zeros(n, dtype=np.int64)
-    exit_dir = np.full(n, -1, dtype=np.int64)
-    steps = np.zeros(n, dtype=np.int64)
-    active = np.nonzero(rem > 0)[0]
-    status[rem <= 0] = STATUS_TERMINATED
-    while active.size:
-        newpos, ok, sdirs = _block_step(block.select(active), pos[active], h)
-        rejected = active[~ok]
-        if rejected.size:
-            status[rejected] = STATUS_OOB
-            exit_dir[rejected] = sdirs[~ok]
-        moved = active[ok]
-        newpos = newpos[ok]
-        in_domain = np.all((newpos >= 0.0) & (newpos <= 1.0), axis=1)
-        exited = moved[~in_domain]
-        if exited.size:
-            status[exited] = STATUS_EXITED
-        moved = moved[in_domain]
-        newpos = newpos[in_domain]
-        if moved.size:
-            pos[moved] = newpos
-            buffer.append(moved, newpos)
-            steps[moved] += 1
-            rem[moved] -= 1
-            done = rem[moved] == 0
-            status[moved[done]] = STATUS_TERMINATED
-            moved = moved[~done]
-        if moved.size:
-            owned = block.select(moved).owned_mask(pos[moved])
-            left = moved[~owned]
-            if left.size:
-                status[left] = STATUS_OOB
-                exit_dir[left] = _exit_directions(block.to_g(pos[left]), *block.select(left).core_bounds())
-            moved = moved[owned]
-        active = moved
-    return GroupOutcome(status=status, exit_dir=exit_dir, pos=pos, remaining=rem, steps=steps)
+    out = GroupOutcome(status=np.zeros(n, dtype=np.int64), exit_dir=np.full(n, -1, dtype=np.int64),
+                       pos=np.array(pset.pos, dtype=np.float64, order="C").reshape(n, 3),
+                       remaining=np.array(pset.remaining, dtype=np.int64), steps=np.zeros(n, dtype=np.int64))
+    rows, vertices, capacity = buffer.rows, buffer.vertices, 0
+    if vertices is not None:
+        capacity = rows.shape[0]
+        if (rows.dtype != np.int64 or rows.ndim != 1 or vertices.dtype != np.float64
+                or vertices.shape != (capacity, 3) or not (rows.flags.c_contiguous and vertices.flags.c_contiguous)):
+            raise InvariantError("the round log is not a C-contiguous int64 row and (capacity, 3) float64 pair")
+    cursor = _rk4_advance(*kernel_bounds(block, n), float(h), out.pos.ctypes, out.remaining.ctypes,
+                          out.status.ctypes, out.exit_dir.ctypes, out.steps.ctypes,
+                          None if rows is None else rows.ctypes,
+                          None if vertices is None else vertices.ctypes, buffer.size, capacity)
+    if cursor < 0:
+        raise InvariantError(_KERNEL_ERRORS[cursor])
+    buffer.size = cursor
+    return out
 
 
 def integrate(block: Block, pset: ParticleSet, buffer: RoundBuffer, h: float):

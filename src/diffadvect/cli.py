@@ -46,6 +46,22 @@ def _flag(key: str) -> str:
     return "--" + key.replace("_", "-")
 
 
+def _join_dash_values(argv: list[str]) -> list[str]:
+    """Each configuration-key flag followed by a value such as ``-1e-3`` as one ``--key=-1e-3`` token.
+
+    argparse reads a separate token that starts with ``-`` as an option unless it
+    is a plain negative decimal; no key's value starts with ``--``.
+    """
+    keys = {_flag(key) for key in SETTINGS}
+    joined: list[str] = []
+    for arg in argv:
+        if joined and joined[-1] in keys and arg.startswith("-") and not arg.startswith("--"):
+            joined[-1] += "=" + arg
+        else:
+            joined.append(arg)
+    return joined
+
+
 def _config_from_args(args) -> tuple[RunConfig, list[str]]:
     """The config of the file, then the ``--set`` items, then the flags, and every problem met."""
     items, problems = [], []
@@ -194,6 +210,8 @@ def _sweep_members(kind: str, axis: str | None):
 
 def _cmd_sweep(args) -> int:
     base, problems = _config_from_args(args)
+    if args.axis is not None and args.kind != "param":
+        problems.append(f"--axis: only --kind param takes an axis, not --kind {args.kind}")
     members = [(name, replace(base, **changes)) for name, changes in _sweep_members(args.kind, args.axis)]
     _require_no_problems(problems + [f"[{name}] {err}" for name, member in members for err in member.validate()])
     out_root = Path(base.output) if base.output else Path(f"sweep_{args.kind}")
@@ -260,7 +278,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = build_parser().parse_args(_join_dash_values(sys.argv[1:] if argv is None else list(argv)))
     try:
         return args.func(args)
     except ConfigError as exc:

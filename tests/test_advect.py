@@ -1,19 +1,30 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from diffadvect import advect
 from diffadvect.advect import (
+    KERNEL_FLAGS,
+    KERNEL_SOURCE,
+    STATUS_EXITED,
     STATUS_OOB,
     STATUS_TERMINATED,
     CurveStore,
+    GroupOutcome,
     RoundBuffer,
     RoundInfo,
+    build_kernel,
     integrate,
     integrate_group,
+    kernel_bounds,
+    kernel_name,
+    load_kernel,
     merge_curves,
     rk4_step,
 )
 from diffadvect.errors import InvariantError
-from diffadvect.field import Block, rasterize_block, rasterize_global
+from diffadvect.field import Block, lattice_spacing, rasterize_block, rasterize_global
 from diffadvect.particles import ParticleSet, concat_particles
 
 
@@ -70,6 +81,207 @@ def run_one_round(block, queue, h):
     outcome, work = integrate(block, queue, buf, h)
     store.finish_round(queue.ids, buf)
     return info, store, buf, outcome, work
+
+
+def reference_integrate_group(block, pset, buffer, h):
+    """The numpy loop the kernel replaced: one vectorized step of every active row per pass."""
+    n = len(pset)
+    pos = pset.pos.copy()
+    rem = pset.remaining.copy()
+    status = np.zeros(n, dtype=np.int64)
+    exit_dir = np.full(n, -1, dtype=np.int64)
+    steps = np.zeros(n, dtype=np.int64)
+    active = np.nonzero(rem > 0)[0]
+    status[rem <= 0] = STATUS_TERMINATED
+    while active.size:
+        newpos, ok, sdirs = advect._block_step(block.select(active), pos[active], h)
+        rejected = active[~ok]
+        if rejected.size:
+            status[rejected] = STATUS_OOB
+            exit_dir[rejected] = sdirs[~ok]
+        moved = active[ok]
+        newpos = newpos[ok]
+        in_domain = np.all((newpos >= 0.0) & (newpos <= 1.0), axis=1)
+        exited = moved[~in_domain]
+        if exited.size:
+            status[exited] = STATUS_EXITED
+        moved = moved[in_domain]
+        newpos = newpos[in_domain]
+        if moved.size:
+            pos[moved] = newpos
+            if buffer.vertices is not None:
+                buffer.rows[buffer.size:buffer.size + moved.size] = moved
+                buffer.vertices[buffer.size:buffer.size + moved.size] = newpos
+            buffer.size += moved.size
+            steps[moved] += 1
+            rem[moved] -= 1
+            done = rem[moved] == 0
+            status[moved[done]] = STATUS_TERMINATED
+            moved = moved[~done]
+        if moved.size:
+            owned = block.select(moved).owned_mask(pos[moved])
+            left = moved[~owned]
+            if left.size:
+                status[left] = STATUS_OOB
+                exit_dir[left] = advect._exit_directions(block.to_g(pos[left]), *block.select(left).core_bounds())
+            moved = moved[owned]
+        active = moved
+    return GroupOutcome(status=status, exit_dir=exit_dir, pos=pos, remaining=rem, steps=steps)
+
+
+def random_world(rng, n, res):
+    """A random padded lattice and ``n`` rows, each with random core bounds and a start in its core.
+
+    Velocities lie in [-1, 1] per component, so a step of ``h`` moves at most
+    ``h * (res - 1)`` voxels per axis.
+    """
+    lattice = rng.uniform(-1.0, 1.0, (res + 2,) * 3 + (3,))
+    lattice.setflags(write=False)
+    spacing = lattice_spacing((res,) * 3)
+    ends = np.sort(rng.integers(0, res, (n, 3, 2)), axis=-1)  # first and last core node per axis
+    origin, core = ends[..., 0], ends[..., 1] - ends[..., 0] + 1
+    g = np.minimum(origin + rng.random((n, 3)) * core, res - 1)
+    pset = ParticleSet.make(np.arange(n), g * spacing, rng.integers(0, 25, n), np.zeros(n))
+    return Block(lattice, spacing, origin, core), pset
+
+
+def kernel_sample(block, points):
+    """The kernel's trilinear sampler at ``points``, each row against its own bounds."""
+    points = np.ascontiguousarray(points, dtype=np.float64)
+    out = np.empty_like(points)
+    advect.KERNEL.rk4_sample(*kernel_bounds(block, len(points)), points.ctypes, out.ctypes)
+    return out
+
+
+def first_bad_stage(block, pos, h):
+    """Per row, 2, 3 or 4 for the first stage point of a step from ``pos`` outside the sampling extent, else 0."""
+    stage = np.zeros(len(pos), dtype=np.int64)
+    k = block.sample_clamped(pos)
+    for number, scale in ((2, h / 2.0), (3, h / 2.0), (4, h)):
+        s = pos + scale * k
+        stage[(stage == 0) & ~block.samplable_mask(s)] = number
+        k = block.sample_clamped(s)
+    return stage
+
+
+def kernel_and_reference(block, pset, h):
+    """Both integrations of ``pset`` with curves on, as (outcome, archived segments) pairs."""
+    results = []
+    for run in (integrate_group, reference_integrate_group):
+        store = CurveStore()
+        buf = store.allocate(round_info(pset))
+        outcome = run(block, pset.copy(), buf, h)
+        if run is reference_integrate_group:  # its passes interleave the rows
+            order = np.argsort(buf.rows[:buf.size], kind="stable")
+            buf.rows[:buf.size], buf.vertices[:buf.size] = buf.rows[order], buf.vertices[order]
+        store.finish_round(pset.ids, buf)
+        results.append((outcome, store.segments))
+    return results
+
+
+class TestKernelEqualsReference:
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 200), st.sampled_from([0.01, 0.05, 0.2]))
+    def test_outcome_and_segments_bit_for_bit(self, seed, n, h):
+        block, pset = random_world(np.random.default_rng(seed), n, 12)
+        (got, got_segments), (want, want_segments) = kernel_and_reference(block, pset, h)
+        for name in ("status", "exit_dir", "pos", "remaining", "steps"):
+            assert getattr(got, name).dtype == getattr(want, name).dtype, name
+            assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name
+        assert [pid for pid, _ in got_segments] == [pid for pid, _ in want_segments]
+        for (_, a), (_, b) in zip(got_segments, want_segments):
+            assert a.tobytes() == b.tobytes()
+        counted = RoundBuffer(rows=None, vertices=None)
+        off = integrate_group(block, pset.copy(), counted, h)
+        assert off.pos.tobytes() == got.pos.tobytes() and counted.size == int(got.steps.sum())
+
+    def test_random_worlds_reach_every_event(self):
+        # The property test's draws reach every event. Core exits through an upper face are
+        # rare (a few per thousand rows): the sampling extent ends on that face, so all four
+        # stage points must stay inside while the step lands beyond it.
+        rng = np.random.default_rng(0)
+        stages, faces, exited, zero_budgets = set(), set(), 0, 0
+        for h in (0.01, 0.05, 0.2):
+            block, pset = random_world(rng, 1000, 12)
+            (out, segments), (want, _) = kernel_and_reference(block, pset, h)
+            assert out.pos.tobytes() == want.pos.tobytes() and out.exit_dir.tobytes() == want.exit_dir.tobytes()
+            core_exit = (out.status == STATUS_OOB) & (out.steps > 0) & ~block.owned_mask(out.pos)
+            rejected = (out.status == STATUS_OOB) & ~core_exit
+            stage = first_bad_stage(block, out.pos, h)
+            assert (stage[rejected] > 0).all()
+            stages |= set(stage[rejected].tolist())
+            faces |= set(out.exit_dir[core_exit].tolist())
+            exited += int((out.status == STATUS_EXITED).sum())
+            zero_budgets += int((pset.remaining == 0).sum())
+            assert (out.status[pset.remaining == 0] == STATUS_TERMINATED).all()
+        assert stages == {2, 3, 4}
+        assert faces == set(range(6))
+        assert exited > 0 and zero_budgets > 0
+
+    @pytest.mark.parametrize("h", [0.0125, 0.3], ids=["core-exit", "stage-rejected"])
+    def test_exit_direction_ties_go_to_the_first_axis(self, h):
+        # Equal velocity and position in x and y overshoot the -x and -y faces by the same amount.
+        block = rasterize_block(ConstantField((-1.0, -1.0, 0.0)), (9, 9, 9), (1, 1, 0), (4, 4, 9))
+        pset = queue_of([[1.05 / 8, 1.05 / 8, 0.5]], 5)
+        (got, _), (want, _) = kernel_and_reference(block, pset, h)
+        assert got.status[0] == want.status[0] == STATUS_OOB
+        assert got.exit_dir[0] == want.exit_dir[0] == 0
+        assert got.steps[0] == want.steps[0] == (1 if h < 0.1 else 0)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 40))
+    def test_sampler_equals_sample_clamped(self, seed, n):
+        # 9 nodes per axis: spacing 1/8, so g = p / spacing is exact and points land on the faces
+        rng = np.random.default_rng(seed)
+        block, _ = random_world(rng, n, 9)
+        lo, hi = block.sample_bounds()
+        g = lo + rng.random((n, 3)) * (hi - lo)
+        snap = rng.integers(0, 3, (n, 3))  # 0 keeps the draw; 1 and 2 move it onto the lo and hi face
+        g = np.where(snap == 1, lo, np.where(snap == 2, hi, g))
+        points = g * block.spacing
+        assert (block.to_g(points) == g).all()
+        assert kernel_sample(block, points).tobytes() == block.sample_clamped(points).tobytes()
+
+    def test_sample_on_the_high_face_is_the_top_node(self):
+        block, _ = random_world(np.random.default_rng(0), 1, 9)
+        top = block.origin[0] + block.core_dims[0]  # sample_bounds' hi: the clamp moves the cell down one
+        got = kernel_sample(block, (top * block.spacing)[np.newaxis])
+        assert got.tobytes() == block.sample_clamped((top * block.spacing)[np.newaxis]).tobytes()
+        np.testing.assert_array_equal(got[0], block.lattice[tuple(top + 1)])
+
+
+class TestKernelBuild:
+    def test_clean_cache_builds_a_loadable_library(self, tmp_path):
+        cache = tmp_path / "cache"
+        path = build_kernel(cache)
+        assert list(cache.iterdir()) == [path]  # no temporary file left behind
+        assert build_kernel(cache) == path
+        block, _ = random_world(np.random.default_rng(1), 5, 9)
+        points = (block.origin + 0.5) * block.spacing
+        out = np.empty_like(points)
+        load_kernel(path).rk4_sample(*kernel_bounds(block, 5), points.ctypes, out.ctypes)
+        assert out.tobytes() == block.sample_clamped(points).tobytes()
+
+    def test_cache_key_follows_source_and_flags(self):
+        source = KERNEL_SOURCE.read_bytes()
+        name = kernel_name(source, KERNEL_FLAGS)
+        assert kernel_name(source, KERNEL_FLAGS) == name
+        assert kernel_name(source + b"\n", KERNEL_FLAGS) != name
+        assert kernel_name(source, KERNEL_FLAGS[:-1]) != name
+        assert kernel_name(source, KERNEL_FLAGS + ("-ffast-math",)) != name
+
+    def test_missing_compiler_is_named(self, tmp_path):
+        with pytest.raises(ImportError, match="no-such-cc") as info:
+            build_kernel(tmp_path, compiler="no-such-cc")
+        assert "no-such-cc -O2 -ffp-contract=off" in str(info.value)
+        assert list(tmp_path.iterdir()) == []
+
+    def test_unwritable_cache_directory_is_named(self, tmp_path):
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        with pytest.raises(ImportError, match="writable cache directory") as info:
+            build_kernel(blocker / "cache")
+        assert str(blocker / "cache") in str(info.value)
 
 
 class TestRK4Step:
@@ -187,9 +399,9 @@ class TestWorldBatching:
 
 class TestCurveStore:
     def test_finish_round_archives_each_written_prefix(self):
-        # rows interleave as a round's steps do; each particle keeps its own vertices in step order,
-        # and the two entries past the cursor were never written
-        rows = np.array([4, 1, 2, 1, 2, 2, 2, 3, 0])
+        # the kernel writes each row's vertices as one run in step order, rows ascending;
+        # the two entries past the cursor were never written
+        rows = np.array([1, 1, 2, 2, 2, 2, 4, 3, 0])
         buf = RoundBuffer(rows=rows.copy(), vertices=np.column_stack([np.arange(9.0), rows, rows]), size=7)
         store = CurveStore()
         store.finish_round(np.array([10, 11, 12, 13, 14]), buf)
@@ -218,24 +430,24 @@ class TestCurveStore:
         store = CurveStore()
         for ids, x in ((np.array([3, 5]), [0.2, 0.3]), (np.array([5, 3]), [0.4, 0.5])):
             buf = store.allocate(round_info(queue_of(np.zeros((2, 3)), 1)))
-            buf.append(np.array([0, 1]), np.column_stack([x, np.zeros(2), np.zeros(2)]))
+            buf.rows[:] = [0, 1]
+            buf.vertices[:] = np.column_stack([x, np.zeros(2), np.zeros(2)])
+            buf.size = 2
             store.finish_round(ids, buf)
         merged = merge_curves(store)
         np.testing.assert_array_equal(merged[3][:, 0], [0.2, 0.5])
         np.testing.assert_array_equal(merged[5][:, 0], [0.3, 0.4])
 
     def test_dropped_vertex_is_an_invariant_error(self, monkeypatch):
-        append = RoundBuffer.append
-
-        dropped = []
-
-        def drop_one(buffer, rows, positions):
-            if not dropped:
-                dropped.append(int(rows[-1]))
-                rows, positions = rows[:-1], positions[:-1]
-            append(buffer, rows, positions)
-
-        monkeypatch.setattr(RoundBuffer, "append", drop_one)
+        advance = advect._rk4_advance
+        monkeypatch.setattr(advect, "_rk4_advance", lambda *args: advance(*args) - 1)
         block = rasterize_block(ConstantField((0.01, 0.0, 0.0)), (16, 16, 16), (0, 0, 0), (16, 16, 16))
         with pytest.raises(InvariantError, match="logged 2 vertices for 3 accepted steps"):
             run_one_round(block, queue_of([[0.5, 0.5, 0.5]], 3), 0.001)
+
+    def test_log_one_slot_short_is_an_invariant_error(self):
+        block = rasterize_block(ConstantField((0.01, 0.0, 0.0)), (16, 16, 16), (0, 0, 0), (16, 16, 16))
+        queue = queue_of([[0.5, 0.5, 0.5]], 3)
+        buf = CurveStore().allocate(RoundInfo(1, capacity=2))
+        with pytest.raises(InvariantError, match="round log is full"):
+            integrate(block, queue, buf, 0.001)

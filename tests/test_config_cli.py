@@ -167,6 +167,26 @@ class TestRunCommand:
         assert "alpha: must be in (0, 1]" in err
         assert "Traceback" not in err and not out.exists()
 
+    @pytest.mark.parametrize("command, key, token", [
+        (["run"], "scheduler", "scheduler: unknown token 'foo'"),
+        (["sweep", "--kind", "balance"], "field", "field: unknown kind 'foo'"),  # members set the scheduler
+    ], ids=["run", "sweep"])
+    def test_flag_value_starting_with_a_dash(self, tmp_path, capsys, command, key, token):
+        out = tmp_path / "out"
+        assert main(command + ["--step", "-1e-3", f"--{key}", "foo", "--output", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "step: must be positive and finite, got -0.001" in err
+        assert token in err
+        assert not out.exists()
+
+    def test_axis_without_param_kind_is_a_listed_problem(self, tmp_path, capsys):
+        out = tmp_path / "sweep"
+        assert main(["sweep", "--kind", "balance", "--axis", "field", "--alpha", "5", "--output", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "--axis: only --kind param takes an axis, not --kind balance" in err
+        assert "alpha: must be in (0, 1]" in err
+        assert not out.exists()
+
     def test_rerun_without_curves_removes_stale_curves(self, tmp_path):
         cfg = write_config(tmp_path, FAST)
         out = tmp_path / "out"
