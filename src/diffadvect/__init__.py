@@ -21,7 +21,7 @@ from .errors import (
     RoundLimitError,
 )
 from .field import AnalyticField, Block, evaluate_field, rasterize_block, sample_trilinear
-from .metrics import lif, lif_from_steps, speedup
+from .metrics import lif, speedup
 from .runtime import RunResult, Simulator
 from .topology import ProcessGrid, decompose, neighbor_table, rank_to_coords
 
@@ -49,7 +49,6 @@ __all__ = [
     "decompose",
     "evaluate_field",
     "lif",
-    "lif_from_steps",
     "load_config_file",
     "neighbor_table",
     "quota_offer",

@@ -10,42 +10,34 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, fields
 
-from .errors import ConfigError, InvariantError
+import numpy as np
+
+from .errors import ConfigError
 
 LIF_CSV_HEADER = "round,lif_load,lif_steps"
 
-
-@dataclass
-class RoundRecord:
-    """One rank's accounting for one round."""
-
-    round: int
-    rank: int
-    stage_lb_distribute_s: float = 0.0
-    stage_round_info_s: float = 0.0
-    stage_alloc_s: float = 0.0
-    stage_integrate_s: float = 0.0
-    stage_collect_s: float = 0.0
-    stage_oob_s: float = 0.0
-    idle_s: float = 0.0
-    integrate_steps: int = 0
-    load_pre: int = 0
-    load_post: int = 0
-    sent_balanced: int = 0
-    recv_balanced: int = 0
-    sent_oob: int = 0
-    recv_oob: int = 0
-
-    def stage_sum(self) -> float:
-        return sum(getattr(self, col) for col in STAGE_COLUMNS)
-
-
-# The rounds.csv columns are the record's fields, in order; the stages are in stage order.
-ROUNDS_CSV_COLUMNS = tuple(f.name for f in fields(RoundRecord))
+# The rounds.csv columns, in order; the stages are in stage order.
+ROUNDS_CSV_COLUMNS = (
+    "round", "rank",
+    "stage_lb_distribute_s", "stage_round_info_s", "stage_alloc_s", "stage_integrate_s",
+    "stage_collect_s", "stage_oob_s", "idle_s",
+    "integrate_steps", "load_pre", "load_post", "sent_balanced", "recv_balanced", "sent_oob", "recv_oob",
+)
 ROUNDS_CSV_HEADER = ",".join(ROUNDS_CSV_COLUMNS)
 STAGE_COLUMNS = tuple(col for col in ROUNDS_CSV_COLUMNS if col.startswith("stage_"))
+# One row per (round, rank): wall-clock ``_s`` columns are reals, every other column a count.
+ROUNDS_DTYPE = np.dtype([(col, np.float64 if col.endswith("_s") else np.int64) for col in ROUNDS_CSV_COLUMNS])
+_ROUNDS_ROW_FORMAT = ",".join("%.9e" if ROUNDS_DTYPE[col].kind == "f" else "%d" for col in ROUNDS_CSV_COLUMNS)
+
+
+def round_table(rows: int) -> np.recarray:
+    """A zeroed rounds table of ``rows`` rows.
+
+    Read the ``round`` column as ``table["round"]``: on a record array
+    ``table.round`` is numpy's rounding method.
+    """
+    return np.zeros(rows, ROUNDS_DTYPE).view(np.recarray)
 
 
 def lif(loads) -> float:
@@ -63,28 +55,6 @@ def lif(loads) -> float:
     return max(loads) / (total / len(loads))
 
 
-def lif_from_steps(records: list[RoundRecord]) -> float:
-    """Work-unit LIF of one round, computed from accepted RK4 step counts."""
-    if not records:
-        raise ConfigError("lif of an empty record list")
-    rounds = {r.round for r in records}
-    if len(rounds) != 1:
-        raise InvariantError(f"records span rounds {sorted(rounds)}; expected one")
-    return lif([r.integrate_steps for r in records])
-
-
-def lockstep_total(records: list[RoundRecord], value):
-    """Sum over rounds of the per-round maximum of ``value(record)``.
-
-    Lockstep semantics: each round costs its slowest rank, and rounds add up.
-    """
-    by_round: dict = {}
-    for r in records:
-        v = value(r)
-        by_round[r.round] = max(by_round.get(r.round, v), v)
-    return sum(by_round.values())
-
-
 def speedup(times: dict[int, float]) -> dict[int, float]:
     """Relative speedup ``S(N) = T(baseline) / T(N)`` keyed by node count.
 
@@ -100,20 +70,12 @@ def speedup(times: dict[int, float]) -> dict[int, float]:
     return {n: base / float(times[n]) for n in counts}
 
 
-def _fmt(value) -> str:
-    if isinstance(value, float):
-        return "%.9e" % value
-    return str(int(value))
+def rounds_csv_lines(records: np.ndarray) -> list[str]:
+    """The ``rounds.csv`` lines of a rounds table, one per row in table order."""
+    return [ROUNDS_CSV_HEADER] + [_ROUNDS_ROW_FORMAT % row for row in records.tolist()]
 
 
-def rounds_csv_lines(records: list[RoundRecord]) -> list[str]:
-    lines = [ROUNDS_CSV_HEADER]
-    for r in sorted(records, key=lambda r: (r.round, r.rank)):
-        lines.append(",".join(_fmt(getattr(r, col)) for col in ROUNDS_CSV_COLUMNS))
-    return lines
-
-
-def write_rounds_csv(path, records: list[RoundRecord]) -> None:
+def write_rounds_csv(path, records: np.ndarray) -> None:
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("\n".join(rounds_csv_lines(records)) + "\n")
 
@@ -122,7 +84,7 @@ def lif_csv_lines(rows) -> list[str]:
     """``rows`` is an iterable of (round, lif_load, lif_steps)."""
     lines = [LIF_CSV_HEADER]
     for rnd, lf_load, lf_steps in rows:
-        lines.append("%d,%s,%s" % (int(rnd), _fmt(float(lf_load)), _fmt(float(lf_steps))))
+        lines.append("%d,%.9e,%.9e" % (int(rnd), float(lf_load), float(lf_steps)))
     return lines
 
 
@@ -135,7 +97,7 @@ def build_summary(
     config_dict: dict,
     config_hash: str,
     node_count: int,
-    records: list[RoundRecord],
+    records: np.ndarray,
     lif_rows,
     seed_count: int,
     terminated: int,
@@ -145,12 +107,12 @@ def build_summary(
 
     ``total_advection_s`` follows lockstep semantics (sum over rounds of the
     per-round max stage sum); ``lockstep_integrate_steps`` is its
-    deterministic work-unit analogue.
+    deterministic work-unit analogue. ``records`` is the rounds table in
+    (round, rank) order, ``node_count`` rows per round.
     """
-    total_s = lockstep_total(records, RoundRecord.stage_sum)
-    lockstep_steps = lockstep_total(records, lambda r: r.integrate_steps)
-    total_steps = sum(r.integrate_steps for r in records)
-    stage_totals = {col: sum(getattr(r, col) for r in records) for col in STAGE_COLUMNS + ("idle_s",)}
+    table = records.reshape(-1, node_count)  # (rounds, ranks)
+    stage_sum = sum(table[col] for col in STAGE_COLUMNS)
+    stage_totals = {col: float(table[col].sum()) for col in STAGE_COLUMNS + ("idle_s",)}
     def _mean(values):
         vals = [v for v in values if not math.isnan(v)]
         return sum(vals) / len(vals) if vals else None
@@ -158,13 +120,13 @@ def build_summary(
         "config": config_dict,
         "config_hash": config_hash,
         "node_count": int(node_count),
-        "rounds": len({r.round for r in records}),
+        "rounds": len(table),
         "seed_count": int(seed_count),
         "terminated": int(terminated),
         "exited_domain": int(exited),
-        "total_advection_s": total_s,
-        "total_integrate_steps": int(total_steps),
-        "lockstep_integrate_steps": int(lockstep_steps),
+        "total_advection_s": float(stage_sum.max(axis=1).sum()),
+        "total_integrate_steps": int(table["integrate_steps"].sum()),
+        "lockstep_integrate_steps": int(table["integrate_steps"].max(axis=1).sum()),
         "lif_load_mean": _mean([row[1] for row in lif_rows]),
         "lif_steps_mean": _mean([row[2] for row in lif_rows]),
         "stage_totals_s": stage_totals,

@@ -42,7 +42,7 @@ from . import balance
 from .advect import STATUS_EXITED, STATUS_OOB, STATUS_TERMINATED, CurveStore, RoundInfo, integrate, merge_curves
 from .errors import ConfigError, InvariantError, RoundLimitError
 from .field import AnalyticField, Block, rasterize_global
-from .metrics import STAGE_COLUMNS, RoundRecord, lif, lockstep_total
+from .metrics import ROUNDS_CSV_COLUMNS, STAGE_COLUMNS, lif, round_table
 from .particles import ParticleSet, concat_particles
 from .topology import ProcessGrid, decompose, neighbor_table
 
@@ -57,7 +57,7 @@ class RunResult:
     rounds: int
     terminated: int
     exited: int
-    records: list
+    records: np.recarray    # the rounds table, one row per (round, rank) in that order
     lif_rows: list          # (round, lif_load, lif_steps)
     round_totals: list      # (round, active, terminated, exited)
     curves: dict | None
@@ -67,10 +67,10 @@ class RunResult:
         return math.prod(self.grid_dims)
 
     def lockstep_integrate_steps(self) -> int:
-        return lockstep_total(self.records, lambda r: r.integrate_steps)
+        return int(self.records.integrate_steps.reshape(self.rounds, self.node_count).max(axis=1).sum())
 
     def total_integrate_steps(self) -> int:
-        return sum(r.integrate_steps for r in self.records)
+        return int(self.records.integrate_steps.sum())
 
 
 def seed_axes(resolution, aabb_scale: float, stride) -> list[np.ndarray]:
@@ -195,7 +195,12 @@ class Simulator:
             raise InvariantError(f"rank {p.holder[i]}: {'home' if p.home[i] == p.holder[i] else 'loaned'} "
                                  "particle outside its block's reach")
 
-    def run_round(self, round_index: int) -> list[RoundRecord]:
+    def run_round(self, round_index: int) -> np.recarray:
+        """Run one round; returns a copy of its block of the rounds table, one row per rank.
+
+        The copy's cells are Python ints and floats, so a sum over its rows is
+        a plain number that ``json`` can write; the run keeps the int64 block.
+        """
         ranks = self.grid.rank_count
         self._sort()
         self._assert_containable()
@@ -253,27 +258,26 @@ class Simulator:
         self._move(handed, target[handed])
         stamps.append(time.perf_counter())
 
-        counts = dict(integrate_steps=steps, load_pre=load_pre, load_post=load_post,
-                      sent_balanced=sent_balanced, recv_balanced=np.bincount(lent_to, minlength=ranks),
+        counts = dict(round=round_index, rank=np.arange(ranks), integrate_steps=steps, load_pre=load_pre,
+                      load_post=load_post, sent_balanced=sent_balanced,
+                      recv_balanced=np.bincount(lent_to, minlength=ranks),
                       sent_oob=sent_oob, recv_oob=np.bincount(target[handed], minlength=ranks))
-        recs = [RoundRecord(round=round_index, rank=r, **{k: int(v[r]) for k, v in counts.items()})
-                for r in range(ranks)]
+        block = round_table(ranks)
+        for column, values in counts.items():
+            block[column] = values
         weights = (load_pre, load_post, budgets, steps, held_at_collect, held_at_oob)
         for column, w, start, end in zip(STAGE_COLUMNS, weights, stamps, stamps[1:]):
             # each rank's share of the stage's measured time; weights are counts, a zero sum means all 0
-            for rec, share in zip(recs, w / max(w.sum(), 1)):
-                setattr(rec, column, (end - start) * float(share))
-        max_integrate = max(rec.stage_integrate_s for rec in recs)
-        for rec in recs:
-            rec.idle_s = max_integrate - rec.stage_integrate_s
+            block[column] = (end - start) * (w / max(w.sum(), 1))
+        block.idle_s = block.stage_integrate_s.max() - block.stage_integrate_s
         self.lif_rows.append((round_index, lif(load_post), lif(steps)))
         active = len(self.particles)
         if active + self.terminated + self.exited != self.seed_count:
             raise InvariantError(f"round {round_index}: {active} active + {self.terminated} terminated + "
                                  f"{self.exited} exited != {self.seed_count} seeds")
         self.round_totals.append((round_index, active, self.terminated, self.exited))
-        self.records.extend(recs)
-        return recs
+        self.records.append(block)
+        return block.astype([(column, object) for column in ROUNDS_CSV_COLUMNS]).view(np.recarray)
 
     def _lend(self, loads) -> tuple[np.ndarray, np.ndarray]:
         """The rows each rank lends, by :func:`balance.select_particles`, and their receivers."""
@@ -295,5 +299,6 @@ class Simulator:
                 raise RoundLimitError(f"exceeded {ROUND_CAP} rounds; configuration diverges")
             self.run_round(round_index)
         return RunResult(self.scheduler, self.grid.dims, self.seed_count, round_index, self.terminated,
-                         self.exited, self.records, self.lif_rows, self.round_totals,
+                         self.exited, np.concatenate([round_table(0), *self.records]).view(np.recarray),
+                         self.lif_rows, self.round_totals,
                          merge_curves(self.store) if self.store.collect else None)

@@ -16,6 +16,7 @@ from diffadvect.config import (
     parse_config_text,
 )
 from diffadvect.errors import ConfigError
+from diffadvect.metrics import LIF_CSV_HEADER, ROUNDS_CSV_HEADER
 
 FAST = [
     "field = abc",
@@ -39,6 +40,13 @@ def rounds_without_wall_clock(path):
     header = lines[0].split(",")
     keep = [i for i, col in enumerate(header) if not col.endswith("_s")]
     return [",".join(row.split(",")[i] for i in keep) for row in lines]
+
+
+def summary_work(out_dir):
+    """The fields of a run's ``summary.json`` that count work and never depend on timing."""
+    summary = json.loads((out_dir / "summary.json").read_text())
+    return {key: summary[key] for key in ("rounds", "seed_count", "terminated", "exited_domain",
+                                          "total_integrate_steps", "lockstep_integrate_steps")}
 
 
 class TestConfigParsing:
@@ -142,6 +150,18 @@ class TestRunCommand:
         summary = json.loads((out / "summary.json").read_text())
         assert summary["node_count"] == 2
         assert summary["config"]["scheduler"] == "lma"
+
+    def test_run_that_seeds_nothing_writes_empty_tables(self, tmp_path):
+        # the 0.05 box around the centre holds no node of a stride-8 lattice on 16 voxels
+        out = tmp_path / "out"
+        assert main(["run", "--resolution", "16", "--stride", "8", "--aabb-scale", "0.05", "--grid", "2,1,1",
+                     "--output", str(out)]) == 0
+        assert (out / "rounds.csv").read_text().splitlines() == [ROUNDS_CSV_HEADER]
+        assert (out / "lif.csv").read_text().splitlines() == [LIF_CSV_HEADER]
+        assert summary_work(out) == dict(rounds=0, seed_count=0, terminated=0, exited_domain=0,
+                                         total_integrate_steps=0, lockstep_integrate_steps=0)
+        summary = json.loads((out / "summary.json").read_text())
+        assert summary["total_advection_s"] == 0 and summary["lif_steps_mean"] is None
 
     def test_bad_config_exits_2_listing_everything(self, tmp_path, capsys):
         cfg = write_config(tmp_path, ["scheduler = magic", "aabb_scale = 7",
@@ -472,6 +492,11 @@ class TestGoldenOutput:
             "curves.bin": "ae245ec1694adf79b3e0fa5b14411d435fc3c7f3f10b2a850d4568f12b7dcb7e",
             "lif.csv": "8a867145f5b85e4c7f32803245dbc1fc3e4e1b0acc045ed4737adbf893490c27",
         }
+        deterministic = "".join(line + "\n" for line in rounds_without_wall_clock(tmp_path / "rounds.csv"))
+        assert hashlib.sha256(deterministic.encode()).hexdigest() == (
+            "cc404a0850711c4efc1623dc5a5aaf5cd1ffb6bb2b569f6e0208dda88b67d7a7")
+        assert summary_work(tmp_path) == dict(rounds=4, seed_count=125, terminated=125, exited_domain=0,
+                                              total_integrate_steps=10000, lockstep_integrate_steps=1887)
 
 
 class TestSweepCommand:

@@ -1,21 +1,29 @@
 import math
 
+import numpy as np
 import pytest
 
+from diffadvect import AnalyticField, Simulator
 from diffadvect.errors import ConfigError
 from diffadvect.metrics import (
     LIF_CSV_HEADER,
     ROUNDS_CSV_HEADER,
-    RoundRecord,
     build_summary,
     lif,
     lif_csv_lines,
-    lif_from_steps,
-    rounds_csv_lines,
+    round_table,
     speedup,
     write_lif_csv,
     write_rounds_csv,
 )
+
+
+def table(**columns):
+    """A rounds table whose named columns hold the given values and the rest 0."""
+    records = round_table(len(next(iter(columns.values()))))
+    for name, values in columns.items():
+        records[name] = values
+    return records
 
 
 class TestLif:
@@ -40,26 +48,6 @@ class TestLif:
             assert lif(loads) >= 1.0
 
 
-class TestLifFromSteps:
-    def test_uniform_steps(self):
-        recs = [RoundRecord(round=1, rank=r, integrate_steps=1000) for r in range(4)]
-        assert lif_from_steps(recs) == 1.0
-
-    def test_ratio(self):
-        recs = [
-            RoundRecord(round=2, rank=0, integrate_steps=300),
-            RoundRecord(round=2, rank=1, integrate_steps=100),
-        ]
-        assert lif_from_steps(recs) == 1.5
-
-    def test_mixed_rounds_rejected(self):
-        recs = [RoundRecord(round=1, rank=0), RoundRecord(round=2, rank=1)]
-        from diffadvect.errors import InvariantError
-
-        with pytest.raises(InvariantError):
-            lif_from_steps(recs)
-
-
 class TestSpeedup:
     def test_doubling(self):
         assert speedup({16: 100.0, 32: 50.0}) == {16: 1.0, 32: 2.0}
@@ -79,10 +67,10 @@ class TestSpeedup:
 
 class TestCsvFormats:
     def test_rounds_header_and_formats(self, tmp_path):
-        rec = RoundRecord(round=1, rank=0, stage_integrate_s=0.25, integrate_steps=42,
-                          load_pre=7, load_post=9)
+        rec = table(round=[1], rank=[0], stage_integrate_s=[0.25], integrate_steps=[42],
+                    load_pre=[7], load_post=[9])
         path = tmp_path / "rounds.csv"
-        write_rounds_csv(path, [rec])
+        write_rounds_csv(path, rec)
         raw = path.read_bytes()
         assert b"\r" not in raw
         lines = raw.decode().splitlines()
@@ -96,11 +84,14 @@ class TestCsvFormats:
         assert cells[5] == "2.500000000e-01"  # %.9e reals
         assert cells[9] == "42"
 
-    def test_rows_sorted_by_round_then_rank(self):
-        recs = [RoundRecord(round=2, rank=0), RoundRecord(round=1, rank=1), RoundRecord(round=1, rank=0)]
-        lines = rounds_csv_lines(recs)
-        starts = [tuple(map(int, l.split(",")[:2])) for l in lines[1:]]
-        assert starts == [(1, 0), (1, 1), (2, 0)]
+    def test_run_records_are_in_round_then_rank_order(self):
+        # rounds.csv writes the table in its own order, so the run must build it in (round, rank) order
+        res = Simulator(AnalyticField("toroidal"), (32, 32, 32), (2, 2, 2), "gllma", max_iterations=40,
+                        stride=(4, 4, 4), aabb_scale=0.5, particles_per_round=8).run()
+        assert res.rounds > 1 and len(res.records) == res.rounds * res.node_count
+        assert np.all(np.diff(res.records["round"]) >= 0)
+        for block in res.records.reshape(res.rounds, res.node_count):
+            np.testing.assert_array_equal(block.rank, np.arange(res.node_count))
 
     def test_lif_csv(self, tmp_path):
         path = tmp_path / "lif.csv"
@@ -117,12 +108,8 @@ class TestCsvFormats:
 
 class TestSummary:
     def test_lockstep_totals(self):
-        recs = [
-            RoundRecord(round=1, rank=0, stage_integrate_s=1.0, integrate_steps=100),
-            RoundRecord(round=1, rank=1, stage_integrate_s=3.0, integrate_steps=300),
-            RoundRecord(round=2, rank=0, stage_integrate_s=2.0, integrate_steps=200),
-            RoundRecord(round=2, rank=1, stage_integrate_s=1.0, integrate_steps=50),
-        ]
+        recs = table(round=[1, 1, 2, 2], rank=[0, 1, 0, 1], stage_integrate_s=[1.0, 3.0, 2.0, 1.0],
+                     integrate_steps=[100, 300, 200, 50])
         s = build_summary({}, "deadbeef", 2, recs, [(1, 2.0, 1.5), (2, 1.0, 1.0)], 10, 8, 2)
         assert s["total_advection_s"] == 3.0 + 2.0
         assert s["lockstep_integrate_steps"] == 300 + 200
