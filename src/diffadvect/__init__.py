@@ -1,16 +1,6 @@
 """diffadvect: desk-scale distributed particle advection with diffusive load balancing."""
 
-from .balance import (
-    BalanceDecision,
-    LoadVector,
-    balance_constant,
-    balance_gllma,
-    balance_lma,
-    balance_none,
-    quota_offer,
-    select_particles,
-    synchronous_step,
-)
+from .balance import select_particles, synchronous_step
 from .config import RunConfig, load_config_file
 from .errors import (
     ConfigError,
@@ -29,29 +19,22 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AnalyticField",
-    "BalanceDecision",
     "Block",
     "ConfigError",
     "DiffAdvectError",
     "DomainError",
     "InvariantError",
-    "LoadVector",
     "OutOfBlockError",
     "ProcessGrid",
     "RoundLimitError",
     "RunConfig",
     "RunResult",
     "Simulator",
-    "balance_constant",
-    "balance_gllma",
-    "balance_lma",
-    "balance_none",
     "decompose",
     "evaluate_field",
     "lif",
     "load_config_file",
     "neighbor_table",
-    "quota_offer",
     "rank_to_coords",
     "rasterize_block",
     "sample_trilinear",

@@ -12,24 +12,27 @@ Four schedulers are provided, selected by token:
                   what its greater-loaded neighbors may send it, followed by
                   LMA clipped to the received quotas.
 
-All arithmetic is integer (particles are indivisible); means use floor
-division. Every scheduler is a pure function of its inputs and conserves
-particles: ``sum(outgoing) + retained == local``.
+Every rank decides from its own load and its face neighbors' loads only, and
+all ranks decide in the same synchronous step, so one step of a whole grid is
+one function of the ``(ranks, 6)`` neighbor-load matrix ``W`` gathered over
+the neighbor table of :func:`topology.neighbor_table` (``W[r, d]`` is -1 where
+rank ``r`` has no neighbor in direction ``d``). :func:`decide` computes every
+rank's send row at once; :func:`plan_transfers` gathers ``W`` (and, under
+gllma, the quotas each rank was granted) and calls it; :func:`select_particles`
+names the world-table rows that realise the sends.
 
-A whole grid balances over the ``(ranks, 6)`` neighbor table of
-:func:`topology.neighbor_table`: :func:`plan_transfers` returns a send matrix
-aligned with it, and :func:`select_particles` names the queue rows that
-realise one rank's row of that matrix.
+All arithmetic is integer (particles are indivisible); means use floor
+division. Every scheduler conserves particles: no rank sends more than it
+holds, and what it does not send it keeps. Loads are at most the seed count,
+which the lattice cap keeps below about 4.5e7, so products of two loads, such
+as a quota share's ``total_quota * w``, fit in int64.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import InvariantError
-from .particles import ParticleSet
 from .topology import ProcessGrid, neighbor_table
 
 SCHEDULERS = ("none", "constant", "lma", "gllma")
@@ -38,181 +41,94 @@ SCHEDULERS = ("none", "constant", "lma", "gllma")
 DEFAULT_ALPHA = 0.5
 
 
-@dataclass(frozen=True)
-class LoadVector:
-    """A rank's own queued-particle count and its neighbors' counts.
-
-    ``per_neighbor`` follows the rank's neighborhood order.
-    """
-
-    local: int
-    per_neighbor: tuple[int, ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "local", int(self.local))
-        object.__setattr__(self, "per_neighbor", tuple(int(w) for w in self.per_neighbor))
-        if self.local < 0 or any(w < 0 for w in self.per_neighbor):
-            raise InvariantError(f"negative load in {self}")
-
-
-@dataclass(frozen=True)
-class BalanceDecision:
-    """Per-neighbor outgoing particle counts plus the retained remainder."""
-
-    outgoing: tuple[int, ...]
-    retained: int
-
-    def __post_init__(self):
-        object.__setattr__(self, "outgoing", tuple(int(o) for o in self.outgoing))
-        object.__setattr__(self, "retained", int(self.retained))
-        if any(o < 0 for o in self.outgoing) or self.retained < 0:
-            raise InvariantError(f"negative send/retain in {self}")
-
-    @property
-    def total_outgoing(self) -> int:
-        return sum(self.outgoing)
-
-
-def _decision(local: int, outgoing: list[int]) -> BalanceDecision:
-    total = sum(outgoing)
-    if total > local:
-        raise InvariantError(f"scheduler wants to send {total} of {local} particles")
-    return BalanceDecision(outgoing=tuple(outgoing), retained=local - total)
-
-
-def balance_none(lv: LoadVector) -> BalanceDecision:
-    """Baseline: no transfers."""
-    return BalanceDecision(outgoing=(0,) * len(lv.per_neighbor), retained=lv.local)
-
-
-def largest_remainder_split(weights: list[int], total: int) -> list[int]:
-    """Split ``total`` proportionally to ``weights`` using largest remainders.
-
-    Exact integer apportionment; ties go to the lower index. Used to scale a
-    send plan down when it exceeds what is actually available.
-    """
-    wsum = sum(weights)
-    if wsum == 0 or total == 0:
-        return [0] * len(weights)
-    base = [w * total // wsum for w in weights]
-    rem = [(w * total % wsum, -i) for i, w in enumerate(weights)]
-    leftover = total - sum(base)
-    for _, negi in sorted(rem, reverse=True)[:leftover]:
-        base[-negi] += 1
-    return base
-
-
-def balance_constant(lv: LoadVector, alpha: float | None = None) -> BalanceDecision:
-    """Fixed-parameter diffusion toward each strictly lesser-loaded neighbor.
-
-    Only the higher-loaded side of each pair sends, so one exchange never
-    runs in both directions. If the naive total exceeds the local load (easy
-    with several near-empty neighbors at alpha = 0.5) the plan is scaled down
-    proportionally to exactly the local load.
-    """
-    if alpha is None:
-        alpha = DEFAULT_ALPHA
-    sends = [int(alpha * (lv.local - w)) if w < lv.local else 0 for w in lv.per_neighbor]
-    total = sum(sends)
-    if total > lv.local:
-        sends = largest_remainder_split(sends, lv.local)
-    return _decision(lv.local, sends)
-
-
-def _pruned_mean(local: int, loads: tuple[int, ...], greater: bool) -> tuple[int, list[bool]]:
-    """Iteratively pruned floor-mean of the local load and one side of it.
+def _pruned_mean(local: np.ndarray, W: np.ndarray, greater: bool) -> tuple[np.ndarray, np.ndarray]:
+    """Each row's iteratively pruned floor-mean of its local load and one side of it.
 
     With ``greater=False`` the contributors are neighbors strictly below the
     mean and pruning repeats while any contributor sits strictly above it;
-    with ``greater=True`` both comparisons flip. Terminates within
-    ``len(loads) + 1`` passes because the contributor set shrinks strictly
-    whenever the loop guard fires.
+    with ``greater=True`` both comparisons flip. A row freezes in the first
+    pass that leaves it no offender: another pass over a settled row would
+    drop the contributors equal to its mean and move the floored mean. Every
+    row settles within ``W.shape[1] + 1`` passes, because its contributor set
+    shrinks strictly whenever it has an offender. Returns the means and the
+    ``W``-shaped contributor mask.
     """
-    mean = local
-    contributors = [False] * len(loads)
-    for _ in range(len(loads) + 2):
-        contributors = [(w > mean if greater else w < mean) for w in loads]
-        total = local + sum(w for w, c in zip(loads, contributors) if c)
-        count = 1 + sum(contributors)
-        mean = total // count
-        offenders = any(c and (w < mean if greater else w > mean) for w, c in zip(loads, contributors))
-        if not offenders:
+    mean, contributors = local.copy(), np.zeros(W.shape, dtype=bool)
+    rows = np.arange(len(local))
+    for _ in range(W.shape[1] + 2):
+        w, m = W[rows], mean[rows, np.newaxis]
+        c = (w >= 0) & ((w > m) if greater else (w < m))
+        m = (local[rows] + np.where(c, w, 0).sum(axis=1)) // (1 + c.sum(axis=1))
+        mean[rows], contributors[rows] = m, c
+        m = m[:, np.newaxis]
+        rows = rows[np.any(c & ((w < m) if greater else (w > m)), axis=1)]
+        if not rows.size:
             return mean, contributors
     raise InvariantError("pruned-mean loop failed to settle")
 
 
-def balance_lma(lv: LoadVector) -> BalanceDecision:
-    """Lesser mean assignment.
+def quota_offers(local: np.ndarray, W: np.ndarray) -> np.ndarray:
+    """Each rank's inflow quotas offered to its strictly greater-loaded neighbors.
 
-    Computes the pruned mean of the local load and its strictly lesser-loaded
-    neighbors, then sends each final contributor the difference up to that
-    mean. Workload flows in one direction only: toward lesser loads.
+    A rank's total quota is the gap between its pruned greater-mean and its
+    local load; each greater-loaded contributor gets a share proportional to
+    its load (floor division, so the shares never exceed the total).
     """
-    mean, contributors = _pruned_mean(lv.local, lv.per_neighbor, greater=False)
-    sends = [mean - w if c else 0 for w, c in zip(lv.per_neighbor, contributors)]
-    return _decision(lv.local, sends)
-
-
-def quota_offer(lv: LoadVector) -> tuple[int, ...]:
-    """Per-neighbor inflow quotas offered to strictly greater-loaded neighbors.
-
-    The total quota is the gap between the pruned greater-mean and the local
-    load; each greater-loaded contributor gets a share proportional to its
-    load (floor division, so the shares never exceed the total).
-    """
-    mean, contributors = _pruned_mean(lv.local, lv.per_neighbor, greater=True)
-    total_quota = mean - lv.local
-    if total_quota < 0:
+    mean, contributors = _pruned_mean(local, W, greater=True)
+    total_quota = mean - local
+    if np.any(total_quota < 0):
         raise InvariantError("greater-mean fell below the local load")
-    denom = sum(w for w, c in zip(lv.per_neighbor, contributors) if c)
-    if denom == 0:
-        return (0,) * len(lv.per_neighbor)
-    return tuple(total_quota * w // denom if c else 0 for w, c in zip(lv.per_neighbor, contributors))
+    denom = np.where(contributors, W, 0).sum(axis=1, keepdims=True)
+    return np.where(contributors, total_quota[:, np.newaxis] * W // np.maximum(denom, 1), 0)
 
 
-def balance_gllma(lv: LoadVector, granted_quotas) -> BalanceDecision:
-    """LMA limited pairwise by the quotas the neighbors granted this rank."""
-    granted = tuple(int(q) for q in granted_quotas)
-    if len(granted) != len(lv.per_neighbor):
-        raise InvariantError("granted quota vector length mismatch")
-    lma = balance_lma(lv)
-    sends = [min(o, q) for o, q in zip(lma.outgoing, granted)]
-    return _decision(lv.local, sends)
+def _constant(local: np.ndarray, W: np.ndarray, alpha: float) -> np.ndarray:
+    """Fixed-parameter diffusion toward each strictly lesser-loaded neighbor.
 
-
-def select_particles(queue: ParticleSet, outgoing, rank: int):
-    """Pick which rows of ``queue`` realize per-direction send counts: most recently arrived first.
-
-    Only particles whose home is ``rank`` (so not on loan here) are eligible.
-    If ``outgoing`` asks for more than is eligible it is scaled down with
-    largest-remainder rounding.
-
-    Returns ``(kept_rows, per_direction_rows)``, row indices into ``queue``
-    in queue order, with one entry of ``per_direction_rows`` per count.
+    Only the higher-loaded side of each pair sends, so one exchange never
+    runs in both directions. A row whose naive total exceeds its local load
+    (easy with several near-empty neighbors at alpha = 0.5) is scaled down to
+    exactly that load by largest remainders, ties going to the lower
+    direction.
     """
-    eligible = np.flatnonzero(queue.home == rank)
-    wanted = [int(o) for o in outgoing]
-    if sum(wanted) > len(eligible):
-        wanted = largest_remainder_split(wanted, len(eligible))
-    chosen = eligible[len(eligible) - sum(wanted):]  # queue tail, in queue order
-    keep = np.ones(len(queue), dtype=bool)
-    keep[chosen] = False
-    return np.flatnonzero(keep), [chosen[end - w:end] for end, w in zip(np.cumsum(wanted), wanted)]
+    lesser = (W >= 0) & (W < local[:, np.newaxis])
+    sends = np.where(lesser, (alpha * (local[:, np.newaxis] - W)).astype(np.int64), 0)
+    over = np.flatnonzero(sends.sum(axis=1) > local)
+    weights, total = sends[over], local[over, np.newaxis]
+    wsum = weights.sum(axis=1, keepdims=True)
+    split = weights * total // wsum
+    # rank each direction's remainder within its row, largest first
+    order = np.argsort(-(weights * total % wsum), axis=1, kind="stable")
+    rank = np.empty_like(order)
+    np.put_along_axis(rank, order, np.arange(W.shape[1]), axis=1)
+    sends[over] = split + (rank < total - split.sum(axis=1, keepdims=True))
+    return sends
 
 
-def decide(scheduler: str, lv: LoadVector, granted_quotas=None, alpha: float | None = None) -> BalanceDecision:
-    """Dispatch on the scheduler token."""
+def decide(scheduler: str, local, W, granted=None, alpha: float | None = None) -> np.ndarray:
+    """Every rank's sends for one synchronous step, as a ``W``-shaped matrix.
+
+    ``local`` holds each rank's load and ``W`` its neighbors' loads, -1 where
+    there is no neighbor. Under gllma ``granted[r, d]`` is the quota the
+    neighbor in direction ``d`` granted rank ``r``, which caps LMA's send.
+    """
+    local, W = np.asarray(local, dtype=np.int64), np.asarray(W, dtype=np.int64)
     if scheduler == "none":
-        return balance_none(lv)
-    if scheduler == "constant":
-        return balance_constant(lv, alpha=alpha)
-    if scheduler == "lma":
-        return balance_lma(lv)
-    if scheduler == "gllma":
-        if granted_quotas is None:
+        sends = np.zeros(W.shape, dtype=np.int64)
+    elif scheduler == "constant":
+        sends = _constant(local, W, DEFAULT_ALPHA if alpha is None else alpha)
+    elif scheduler in ("lma", "gllma"):
+        if scheduler == "gllma" and granted is None:
             raise InvariantError("gllma requires the gathered quota vector")
-        return balance_gllma(lv, granted_quotas)
-    raise InvariantError(f"unknown scheduler {scheduler!r}")
+        mean, contributors = _pruned_mean(local, W, greater=False)
+        sends = np.where(contributors, mean[:, np.newaxis] - W, 0)
+        if scheduler == "gllma":
+            sends = np.minimum(sends, granted)
+    else:
+        raise InvariantError(f"unknown scheduler {scheduler!r}")
+    if np.any(sends < 0) or np.any(sends.sum(axis=1) > local):
+        raise InvariantError(f"{scheduler} planned a negative send or more than a rank holds")
+    return sends
 
 
 def plan_transfers(neighbors, loads, scheduler: str, alpha: float | None = None) -> np.ndarray:
@@ -220,27 +136,47 @@ def plan_transfers(neighbors, loads, scheduler: str, alpha: float | None = None)
 
     ``neighbors`` is the ``(ranks, 6)`` table of :func:`topology.neighbor_table`;
     ``sends[r, d]`` is what rank ``r`` sends its neighbor in direction ``d``,
-    0 at the hull. Each rank sees its own load and its in-bounds neighbors'
-    loads in direction order; under gllma it also sees the quota each
-    neighbor offered it, which the neighbor in direction ``d`` holds in its
-    own column ``d ^ 1``. This is the single source of scheduler decisions:
-    the runtime's distribute stage and :func:`synchronous_step` both realise
-    its result.
+    0 at the hull. Under gllma each rank also sees the quota each neighbor
+    offered it, which the neighbor in direction ``d`` holds in its own column
+    ``d ^ 1``. This is the single source of scheduler decisions: the
+    runtime's distribute stage and :func:`synchronous_step` both realise its
+    result.
     """
-    loads = [int(w) for w in loads]
-    table = np.asarray(neighbors).tolist()
-    if len(loads) != len(table):
+    table = np.asarray(neighbors)
+    loads = np.asarray(loads, dtype=np.int64)
+    if loads.shape != (len(table),):
         raise InvariantError("one load per rank required")
-    cols = [[d for d, j in enumerate(row) if j >= 0] for row in table]
-    lvs = [LoadVector(loads[r], tuple(loads[table[r][d]] for d in cols[r])) for r in range(len(table))]
-    granted = [None] * len(table)
+    if np.any(loads < 0):
+        raise InvariantError(f"negative load at rank {np.argmax(loads < 0)}")
+    hull = table < 0
+    W = np.where(hull, -1, loads[table])
+    granted = None
     if scheduler == "gllma":
-        offers = [dict(zip(cols[r], quota_offer(lvs[r]))) for r in range(len(table))]
-        granted = [tuple(offers[table[r][d]][d ^ 1] for d in cols[r]) for r in range(len(table))]
-    sends = np.zeros((len(table), 6), dtype=np.int64)
-    for r, lv in enumerate(lvs):
-        sends[r, cols[r]] = decide(scheduler, lv, granted_quotas=granted[r], alpha=alpha).outgoing
-    return sends
+        granted = np.where(hull, 0, quota_offers(loads, W)[table, np.arange(table.shape[1]) ^ 1])
+    return decide(scheduler, loads, W, granted, alpha)
+
+
+def select_particles(loads, sends) -> tuple[np.ndarray, list[np.ndarray]]:
+    """Pick the world-table rows that realise a send matrix: most recently queued first.
+
+    The table holds each rank's queue as one slice, ``loads[r]`` rows long, in
+    rank order, and every row is at home (the previous round's collect stage
+    returned every loan). Rank ``r`` lends the tail of its slice,
+    ``sends[r].sum()`` rows, a direction at a time: direction 0 takes the
+    first run of the tail, direction 1 the next, and so on.
+
+    Returns ``(kept_rows, per_direction_rows)``: row indices into the table,
+    each ascending, with one entry of ``per_direction_rows`` per column of
+    ``sends``.
+    """
+    loads, sends = np.asarray(loads, dtype=np.int64), np.asarray(sends, dtype=np.int64)
+    # the first row of each (rank, direction) run, direction-major like the counts
+    run_start = ((np.cumsum(loads) - sends.sum(axis=1))[:, np.newaxis] + np.cumsum(sends, axis=1) - sends).T.ravel()
+    counts = sends.T.ravel()
+    rows = np.arange(counts.sum()) + np.repeat(run_start - (np.cumsum(counts) - counts), counts)
+    keep = np.ones(int(loads.sum()), dtype=bool)
+    keep[rows] = False
+    return np.flatnonzero(keep), np.split(rows, np.cumsum(sends.sum(axis=0))[:-1])
 
 
 def synchronous_step(grid: ProcessGrid, loads, scheduler: str, alpha: float | None = None) -> list[int]:

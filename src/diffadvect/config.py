@@ -29,13 +29,14 @@ LATTICE_CAP_BYTES = 1 << 30
 # triplet plus an int64 row.
 ROUND_BUFFER_CAP_BYTES = 1 << 29
 # Most ranks a run may simulate: 16^3, 256 times the largest sweep's 16. Each
-# rank costs work every round: a 128-byte rounds-table row and, unless the
-# scheduler is ``none``, a balancing decision made in Python. With 4,096 ranks
-# (toroidal, 64^3 lattice, aabb 0.5, stride 4, 200 iterations, curves off, on
-# a 2-CPU Xeon with Python 3.11 and numpy 2.4) ten rounds took 0.5-0.8 s with
-# ``none``, about 12-19 us per rank-round, and 1.1-1.8 s with ``gllma``, about
-# 27-44 us, mostly in ``balance.plan_transfers``. It also bounds the factoring
-# of ``nodes``, which is linear in the count.
+# rank costs work every round: a 128-byte rounds-table row and its share of
+# the whole-grid array operations, the balancing decision included. With 4,096
+# ranks (toroidal, 64^3 lattice, aabb 0.5, stride 4, 200 iterations, curves
+# off, on a 2-CPU Xeon with Python 3.11 and numpy 2.4) ten rounds took
+# 0.09-0.14 s with ``none``, about 2-3.3 us per rank-round, and 0.13-0.15 s
+# with ``gllma``, about 3.1-3.7 us, of which ``balance.plan_transfers`` takes
+# 0.6-1.3 us. It also bounds the factoring of ``nodes``, which is linear in the
+# count.
 RANK_CAP = 4096
 
 

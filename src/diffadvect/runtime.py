@@ -12,8 +12,10 @@ whose rows are the ranks' bounds from :func:`topology.decompose`.
 
 A round runs the paper's stages, each as one synchronous step of the whole
 world, as in Cybenko's diffusion model: distribute (one
-:func:`balance.plan_transfers` send matrix over the neighbor table; each rank
-lends the tail of its home rows, a direction at a time),
+:func:`balance.plan_transfers` send matrix over the neighbor table, then one
+:func:`balance.select_particles` call: each rank lends the tail of its slice of
+the table, a direction at a time, and every row is at home then, since the
+previous round's collect returned every loan),
 round info (each holder's first ``particles_per_round`` rows), allocate and
 integrate (one call over the selected rows in table order), collect (every
 surviving loan returns home; a loan that terminates at the borrower dies
@@ -129,6 +131,8 @@ class Simulator:
             raise ConfigError(f"unknown scheduler {scheduler!r}; expected one of {balance.SCHEDULERS}")
         if not (math.isfinite(step) and step > 0.0):
             raise ConfigError(f"step size must be positive and finite, got {step}")
+        if alpha is not None and not (0.0 < alpha <= 1.0):
+            raise ConfigError(f"alpha must be in (0, 1], got {alpha}")
         if max_iterations < 1:
             raise ConfigError(f"max_iterations must be >= 1, got {max_iterations}")
         if particles_per_round < 1:
@@ -280,16 +284,10 @@ class Simulator:
         return block.astype([(column, object) for column in ROUNDS_CSV_COLUMNS]).view(np.recarray)
 
     def _lend(self, loads) -> tuple[np.ndarray, np.ndarray]:
-        """The rows each rank lends, by :func:`balance.select_particles`, and their receivers."""
-        starts = np.cumsum(loads) - loads
+        """The rows every rank lends, by :func:`balance.select_particles`, and their receivers."""
         sends = balance.plan_transfers(self.neighbors, loads, self.scheduler, self.alpha)
-        rows, to = [np.empty(0, dtype=np.int64)], [np.empty(0, dtype=np.int64)]
-        for r in np.flatnonzero(sends.any(axis=1)):
-            queue = self.particles.select(slice(starts[r], starts[r] + loads[r]))
-            for d, lent in enumerate(balance.select_particles(queue, sends[r], r)[1]):
-                rows.append(starts[r] + lent)
-                to.append(np.full(lent.size, self.neighbors[r, d]))
-        return np.concatenate(rows), np.concatenate(to)
+        _, per_direction = balance.select_particles(loads, sends)
+        return np.concatenate(per_direction), np.repeat(self.neighbors.T.ravel(), sends.T.ravel())
 
     def run(self) -> RunResult:
         round_index = 0

@@ -11,15 +11,7 @@ import time
 import numpy as np
 import pytest
 
-from diffadvect.balance import (
-    LoadVector,
-    balance_constant,
-    balance_gllma,
-    balance_lma,
-    balance_none,
-    quota_offer,
-    synchronous_step,
-)
+from diffadvect.balance import SCHEDULERS, decide, quota_offers, synchronous_step
 from diffadvect.field import AnalyticField
 from diffadvect.metrics import lif, speedup
 from diffadvect.runtime import Simulator
@@ -33,9 +25,15 @@ def _report(criterion: int, ok: bool, detail: str) -> None:
     print(f"ACCEPTANCE {criterion:2d}: {'PASS' if ok else 'FAIL'} - {detail}")
 
 
-def _random_load_vector(rng: random.Random) -> LoadVector:
+def _random_load_vector(rng: random.Random) -> tuple[int, list[int]]:
+    """A rank's load and its 0 to 6 neighbors' loads, padded to six directions with -1 (no neighbor)."""
     n = rng.randint(0, 6)
-    return LoadVector(rng.randint(0, 10**6), tuple(rng.randint(0, 10**6) for _ in range(n)))
+    local = rng.randint(0, 10**6)
+    return local, [rng.randint(0, 10**6) for _ in range(n)] + [-1] * (6 - n)
+
+
+def _row(local, neighbors):
+    return np.array([local]), np.array([neighbors])
 
 
 @pytest.fixture(scope="module")
@@ -55,16 +53,19 @@ def lif_runs():
 def test_criterion_01_scheduler_conservation():
     rng = random.Random(20240811)
     t0 = time.perf_counter()
+    local, W, granted = [], [], []
     for _ in range(1000):
-        lv = _random_load_vector(rng)
-        quotas = tuple(rng.randint(0, 10**6) for _ in lv.per_neighbor)
-        for dec in (
-            balance_none(lv),
-            balance_constant(lv),
-            balance_lma(lv),
-            balance_gllma(lv, quotas),
-        ):
-            assert dec.total_outgoing + dec.retained == lv.local
+        load, neighbors = _random_load_vector(rng)
+        local.append(load)
+        W.append(neighbors)
+        granted.append([rng.randint(0, 10**6) if w >= 0 else 0 for w in neighbors])
+    local, W = np.array(local), np.array(W)
+    for scheduler in SCHEDULERS:
+        sends = decide(scheduler, local, W, granted=np.array(granted))
+        # whatever a rank does not send it keeps: it sends nothing past the hull, nothing negative
+        # and never more than it holds
+        assert (sends[W < 0] == 0).all() and (sends >= 0).all()
+        assert (local - sends.sum(axis=1) >= 0).all()
     elapsed = time.perf_counter() - t0
     ok = elapsed < 1.0
     _report(1, ok, f"4000 decisions conserve exactly in {elapsed:.3f}s")
@@ -96,7 +97,7 @@ def test_criterion_03_lma_overbalancing_witness_as_stated():
         loads[coords_to_rank(grid, (xy[0], xy[1], 0))] = 1000
 
     after_gllma = synchronous_step(grid, loads, "gllma")
-    total_quota = quota_offer(LoadVector(0, (1000, 1000, 1000, 1000)))
+    total_quota = quota_offers(*_row(0, (1000, 1000, 1000, 1000)))[0]
     assert sum(total_quota) <= 800
     gllma_ok = after_gllma[center] <= 800 and max(after_gllma) <= 1000
     assert gllma_ok
@@ -122,14 +123,12 @@ def test_criterion_03_lma_overbalancing_witness_as_stated():
 
 def test_criterion_04_hand_traced_scheduler_vectors():
     ok = True
-    d = balance_lma(LoadVector(100, (40, 60, 200)))
-    ok &= d.outgoing == (26, 6, 0)
-    d = balance_lma(LoadVector(100, (10, 90)))
-    ok &= d.outgoing == (45, 0)
+    ok &= decide("lma", *_row(100, (40, 60, 200)))[0].tolist() == [26, 6, 0]
+    ok &= decide("lma", *_row(100, (10, 90)))[0].tolist() == [45, 0]
     # 1D chain (100, 40, 160) under GL-LMA: transfers 23 and 36, middle at 99
     after = synchronous_step(ProcessGrid((3, 1, 1)), [100, 40, 160], "gllma")
     ok &= after == [77, 99, 124]
-    ok &= quota_offer(LoadVector(40, (100, 160))) == (23, 36)
+    ok &= quota_offers(*_row(40, (100, 160)))[0].tolist() == [23, 36]
     _report(4, ok, f"LMA traces (26,6,0)/(45,0); GL-LMA chain -> {after}")
     assert ok
 

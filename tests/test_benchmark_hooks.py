@@ -51,4 +51,5 @@ def test_traced_run_counts_rounds_and_hand_offs():
     assert metrics["runtime.rounds"] == result.rounds
     assert metrics["runtime.oob_handoffs"] == sum(rec.sent_oob for rec in result.records) > 0
     assert metrics["advect.integrate_group_calls"] == result.rounds
+    assert metrics["balance.decide_calls"] == result.rounds  # one whole-grid decision per round
     assert metrics["balance.particles_loaned"] == sum(rec.sent_balanced for rec in result.records)

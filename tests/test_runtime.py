@@ -248,6 +248,12 @@ class TestDeterminismAndInvariants:
             Simulator(AnalyticField("abc"), (16, 16, 16), (2, 1, 1), "none",
                       step=float("nan"), max_iterations=5, stride=(8, 8, 8))
 
+    @pytest.mark.parametrize("alpha", [float("nan"), -0.5, 0.0, 1.5])
+    def test_alpha_outside_unit_interval_rejected(self, alpha):
+        with pytest.raises(ConfigError, match="alpha"):
+            Simulator(AnalyticField("abc"), (16, 16, 16), (2, 1, 1), "constant",
+                      alpha=alpha, max_iterations=5, stride=(8, 8, 8))
+
     def test_non_neighbor_particle_is_an_invariant_error(self):
         sim = Simulator(ConstantField((0.0, 0.0, 0.0)), (16, 16, 16), (3, 1, 1), "none",
                         max_iterations=5, stride=(8, 8, 8))
@@ -361,6 +367,18 @@ def decomposed_runs(draw):
 
 
 class TestDecompositionFuzz:
+    @pytest.mark.parametrize("scheduler", ["constant", "lma", "gllma"])
+    @pytest.mark.parametrize("field", ["toroidal", "abc"])
+    def test_512_ranks_match_the_one_rank_oracle(self, field, scheduler):
+        common = dict(max_iterations=30, stride=(2, 2, 2), aabb_scale=0.5)
+        oracle = Simulator(AnalyticField(field), (24, 24, 24), (1, 1, 1), "none", **common).run()
+        res = Simulator(AnalyticField(field), (24, 24, 24), (8, 8, 8), scheduler, particles_per_round=3,
+                        **common).run()
+        assert res.records.sent_balanced.sum() > 0
+        assert set(res.curves) == set(oracle.curves)
+        for pid, curve in oracle.curves.items():
+            np.testing.assert_array_equal(res.curves[pid], curve)
+
     @settings(max_examples=25, deadline=None)
     @given(decomposed_runs())
     def test_any_decomposition_matches_the_one_rank_oracle(self, run):
