@@ -147,8 +147,7 @@ def rk4_step(sample_fn, p, h: float) -> np.ndarray:
 class RoundInfo:
     """Metadata for one round's selection of particles."""
 
-    count: int                 # particles selected this round
-    capacity: int              # vertices they can append at most: their summed budgets
+    capacity: int              # vertices the selected particles can append at most: their summed budgets
 
 
 @dataclass
@@ -335,11 +334,21 @@ def export_curves(path, curves: dict[int, np.ndarray], config_hash: str | None =
 
 
 def read_curves(path):
-    """Read a line-set file back; returns ``(header, dict pid -> float32 verts)``."""
+    """Read a line-set file back; returns ``(header, dict pid -> float32 verts)``.
+
+    Raises ``ValueError`` unless the header describes the payload exactly:
+    ``particle_count`` distinct ids and as many vertex counts, all ints >= 0,
+    then exactly the counts' vertices.
+    """
     with open(path, "rb") as fh:
         header = json.loads(fh.readline().decode("utf-8"))
-        curves = {}
-        for pid, count in zip(header["particle_ids"], header["vertex_counts"]):
-            raw = fh.read(count * 3 * 4)
-            curves[int(pid)] = np.frombuffer(raw, dtype="<f4").reshape(count, 3)
-    return header, curves
+        payload = fh.read()
+    ids, counts = header["particle_ids"], header["vertex_counts"]
+    if not len(set(ids)) == len(ids) == len(counts) == header["particle_count"]:
+        raise ValueError("particle_ids repeat an id, or disagree with vertex_counts or particle_count")
+    if not all(type(n) is int and n >= 0 for n in ids + counts):
+        raise ValueError("a particle id or vertex count is not an int >= 0")
+    if len(payload) != 12 * sum(counts):
+        raise ValueError(f"the payload has {len(payload)} bytes; the vertex counts need {12 * sum(counts)}")
+    vertices = np.frombuffer(payload, dtype="<f4").reshape(-1, 3)
+    return header, dict(zip(ids, np.split(vertices, np.cumsum(counts)[:-1])))

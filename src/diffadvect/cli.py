@@ -76,6 +76,12 @@ def _config_from_args(args) -> tuple[RunConfig, list[str]]:
     return config, problems + bad
 
 
+def _output_problems(path: Path) -> list[str]:
+    """A problem if ``path``, or the nearest of its parents that exists, is not a directory."""
+    existing = next(p for p in (path, *path.parents) if p.exists())
+    return [] if existing.is_dir() else [f"output: {existing} exists and is not a directory"]
+
+
 def _require_no_problems(problems: list[str]) -> None:
     if problems:
         raise ConfigError("invalid configuration", errors=problems)
@@ -85,35 +91,16 @@ def execute_run(config: RunConfig, out_dir: Path | None = None) -> tuple[RunResu
     """Run one configuration and write its artifacts if a directory is given."""
     config.require_valid()
     field = AnalyticField(config.field, dict(config.field_params))
-    sim = Simulator(
-        field,
-        config.resolution,
-        config.grid_dims(),
-        config.scheduler,
-        step=config.step,
-        max_iterations=config.max_iterations,
-        particles_per_round=config.particles_per_round,
-        aabb_scale=config.aabb_scale,
-        stride=config.stride,
-        alpha=config.alpha,
-        collect_curves=config.export_curves,
-    )
-    result = sim.run()
-    summary = build_summary(
-        config.to_dict(),
-        config.config_hash(),
-        result.node_count,
-        result.records,
-        result.lif_rows,
-        result.seed_count,
-        result.terminated,
-        result.exited,
-    )
+    result = Simulator(field, config.resolution, config.grid_dims(), config.scheduler, step=config.step,
+                       max_iterations=config.max_iterations, particles_per_round=config.particles_per_round,
+                       aabb_scale=config.aabb_scale, stride=config.stride, alpha=config.alpha,
+                       collect_curves=config.export_curves).run()
+    summary = build_summary(config.to_dict(), config.config_hash(), result)
     if out_dir is not None:
         out_dir = Path(out_dir)
         out_dir.mkdir(parents=True, exist_ok=True)
         write_rounds_csv(out_dir / "rounds.csv", result.records)
-        write_lif_csv(out_dir / "lif.csv", result.lif_rows)
+        write_lif_csv(out_dir / "lif.csv", result.table)
         write_summary(out_dir / "summary.json", summary)
         (out_dir / "config.txt").write_text(config.canonical_text(), encoding="utf-8")
         if config.export_curves and result.curves is not None:
@@ -125,8 +112,8 @@ def execute_run(config: RunConfig, out_dir: Path | None = None) -> tuple[RunResu
 
 def _cmd_run(args) -> int:
     config, problems = _config_from_args(args)
-    _require_no_problems(problems + config.validate())
     out_dir = Path(config.output) if config.output else None
+    _require_no_problems(problems + config.validate() + (_output_problems(out_dir) if out_dir else []))
     result, summary = execute_run(config, out_dir)
     print(
         f"scheduler={config.scheduler} nodes={result.node_count} seeds={result.seed_count} "
@@ -213,8 +200,11 @@ def _cmd_sweep(args) -> int:
     if args.axis is not None and args.kind != "param":
         problems.append(f"--axis: only --kind param takes an axis, not --kind {args.kind}")
     members = [(name, replace(base, **changes)) for name, changes in _sweep_members(args.kind, args.axis)]
-    _require_no_problems(problems + [f"[{name}] {err}" for name, member in members for err in member.validate()])
     out_root = Path(base.output) if base.output else Path(f"sweep_{args.kind}")
+    problems += [f"[{name}] {err}" for name, member in members for err in member.validate()]
+    problems += _output_problems(out_root) or [
+        err for name, _ in members for err in _output_problems(out_root / name)]
+    _require_no_problems(problems)
     out_root.mkdir(parents=True, exist_ok=True)
     summaries = []
     for name, member in members:
@@ -235,9 +225,11 @@ def _cmd_export_curves(args) -> int:
         raise ConfigError(f"no curves.bin under {args.run}; run with export_curves = true")
     try:
         header, curves = read_curves(src)
+        export_curves(args.out, curves, config_hash=header.get("config_hash"))
+    except OSError as exc:
+        raise ConfigError(f"{exc.filename}: {exc.strerror}") from exc
     except (ValueError, KeyError, TypeError) as exc:
         raise ConfigError(f"{src}: not a curves file: {exc!r}") from exc
-    export_curves(args.out, curves, config_hash=header.get("config_hash"))
     print(f"wrote {args.out}: {len(curves)} curves")
     return EXIT_OK
 

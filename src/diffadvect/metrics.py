@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 
@@ -40,19 +41,21 @@ def round_table(rows: int) -> np.recarray:
     return np.zeros(rows, ROUNDS_DTYPE).view(np.recarray)
 
 
-def lif(loads) -> float:
-    """Load imbalance factor: max load over mean load.
+def lif(loads):
+    """Load imbalance factor over the last axis: max load over mean load.
 
-    Equal to 1 when all loads match. Undefined for all-zero loads; NaN is
-    returned as the "not applicable" sentinel for such rounds.
+    ``loads`` are counts, one per rank; a ``(rounds, ranks)`` table gives one
+    factor per round. Equal to 1 when all loads match. Undefined for all-zero
+    loads; NaN is returned as the "not applicable" sentinel for such rounds.
     """
-    loads = [float(w) for w in loads]
-    if not loads:
+    loads = np.asarray(loads)
+    if loads.ndim == 0 or loads.shape[-1] == 0:
         raise ConfigError("lif of an empty load list")
-    total = sum(loads)
-    if total == 0.0:
-        return math.nan
-    return max(loads) / (total / len(loads))
+    # summed as integers: exact, so equal to a float sum in any order while the total is below 2**53
+    total = loads.sum(axis=-1).astype(np.float64)
+    peak = loads.max(axis=-1).astype(np.float64)
+    factors = np.divide(peak, total / loads.shape[-1], out=np.full(total.shape, math.nan), where=total != 0)
+    return factors[()]  # a scalar for one round's loads
 
 
 def speedup(times: dict[int, float]) -> dict[int, float]:
@@ -76,64 +79,56 @@ def rounds_csv_lines(records: np.ndarray) -> list[str]:
 
 
 def write_rounds_csv(path, records: np.ndarray) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(rounds_csv_lines(records)) + "\n")
+    Path(path).write_text("\n".join(rounds_csv_lines(records)) + "\n", encoding="utf-8", newline="\n")
 
 
-def lif_csv_lines(rows) -> list[str]:
-    """``rows`` is an iterable of (round, lif_load, lif_steps)."""
-    lines = [LIF_CSV_HEADER]
-    for rnd, lf_load, lf_steps in rows:
-        lines.append("%d,%.9e,%.9e" % (int(rnd), float(lf_load), float(lf_steps)))
-    return lines
+def round_lifs(table: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each round's LIF over its post-balance loads and over its integrate steps."""
+    return lif(table["load_post"]), lif(table["integrate_steps"])
 
 
-def write_lif_csv(path, rows) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lif_csv_lines(rows)) + "\n")
+def lif_csv_lines(table: np.ndarray) -> list[str]:
+    """The ``lif.csv`` lines of a ``(rounds, ranks)`` rounds table, one per round."""
+    rounds = table["round"][:, 0].tolist()
+    rows = zip(rounds, *(column.tolist() for column in round_lifs(table)))
+    return [LIF_CSV_HEADER] + ["%d,%.9e,%.9e" % row for row in rows]
 
 
-def build_summary(
-    config_dict: dict,
-    config_hash: str,
-    node_count: int,
-    records: np.ndarray,
-    lif_rows,
-    seed_count: int,
-    terminated: int,
-    exited: int,
-) -> dict:
-    """Assemble the run summary written beside the CSVs.
+def write_lif_csv(path, table: np.ndarray) -> None:
+    Path(path).write_text("\n".join(lif_csv_lines(table)) + "\n", encoding="utf-8", newline="\n")
 
-    ``total_advection_s`` follows lockstep semantics (sum over rounds of the
-    per-round max stage sum); ``lockstep_integrate_steps`` is its
-    deterministic work-unit analogue. ``records`` is the rounds table in
-    (round, rank) order, ``node_count`` rows per round.
+
+def build_summary(config_dict: dict, config_hash: str, result) -> dict:
+    """Assemble the summary of a :class:`runtime.RunResult`, written beside the CSVs.
+
+    Every figure but the run's seed, terminated and exited counts is read off
+    its rounds table. ``total_advection_s`` follows lockstep semantics (sum
+    over rounds of the per-round max stage sum); ``lockstep_integrate_steps``
+    is its deterministic work-unit analogue.
     """
-    table = records.reshape(-1, node_count)  # (rounds, ranks)
+    table = result.table
     stage_sum = sum(table[col] for col in STAGE_COLUMNS)
-    stage_totals = {col: float(table[col].sum()) for col in STAGE_COLUMNS + ("idle_s",)}
-    def _mean(values):
-        vals = [v for v in values if not math.isnan(v)]
+    def _mean(values):  # summed in order as Python floats, as numpy's pairwise sum may differ in the last bit
+        vals = values[~np.isnan(values)].tolist()
         return sum(vals) / len(vals) if vals else None
+    lif_load, lif_steps = round_lifs(table)
     return {
         "config": config_dict,
         "config_hash": config_hash,
-        "node_count": int(node_count),
-        "rounds": len(table),
-        "seed_count": int(seed_count),
-        "terminated": int(terminated),
-        "exited_domain": int(exited),
+        "node_count": result.node_count,
+        "rounds": result.rounds,
+        "seed_count": result.seed_count,
+        "terminated": result.terminated,
+        "exited_domain": result.exited,
         "total_advection_s": float(stage_sum.max(axis=1).sum()),
-        "total_integrate_steps": int(table["integrate_steps"].sum()),
-        "lockstep_integrate_steps": int(table["integrate_steps"].max(axis=1).sum()),
-        "lif_load_mean": _mean([row[1] for row in lif_rows]),
-        "lif_steps_mean": _mean([row[2] for row in lif_rows]),
-        "stage_totals_s": stage_totals,
+        "total_integrate_steps": result.total_integrate_steps(),
+        "lockstep_integrate_steps": result.lockstep_integrate_steps(),
+        "lif_load_mean": _mean(lif_load),
+        "lif_steps_mean": _mean(lif_steps),
+        "stage_totals_s": {col: float(table[col].sum()) for col in STAGE_COLUMNS + ("idle_s",)},
     }
 
 
 def write_summary(path, summary: dict) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(summary, fh, indent=2, sort_keys=True, allow_nan=False)
-        fh.write("\n")
+    text = json.dumps(summary, indent=2, sort_keys=True, allow_nan=False)
+    Path(path).write_text(text + "\n", encoding="utf-8", newline="\n")

@@ -44,7 +44,7 @@ from . import balance
 from .advect import STATUS_EXITED, STATUS_OOB, STATUS_TERMINATED, CurveStore, RoundInfo, integrate, merge_curves
 from .errors import ConfigError, InvariantError, RoundLimitError
 from .field import AnalyticField, Block, rasterize_global
-from .metrics import ROUNDS_CSV_COLUMNS, STAGE_COLUMNS, lif, round_table
+from .metrics import ROUNDS_CSV_COLUMNS, STAGE_COLUMNS, round_table
 from .particles import ParticleSet, concat_particles
 from .topology import ProcessGrid, decompose, neighbor_table
 
@@ -53,14 +53,12 @@ ROUND_CAP = 100_000
 
 @dataclass
 class RunResult:
-    scheduler: str
     grid_dims: tuple
     seed_count: int
     rounds: int
     terminated: int
     exited: int
     records: np.recarray    # the rounds table, one row per (round, rank) in that order
-    lif_rows: list          # (round, lif_load, lif_steps)
     round_totals: list      # (round, active, terminated, exited)
     curves: dict | None
 
@@ -68,8 +66,13 @@ class RunResult:
     def node_count(self) -> int:
         return math.prod(self.grid_dims)
 
+    @property
+    def table(self) -> np.recarray:
+        """The rounds table as ``(rounds, ranks)``: one row of ranks per round."""
+        return self.records.reshape(self.rounds, self.node_count)
+
     def lockstep_integrate_steps(self) -> int:
-        return int(self.records.integrate_steps.reshape(self.rounds, self.node_count).max(axis=1).sum())
+        return int(self.table.integrate_steps.max(axis=1).sum())
 
     def total_integrate_steps(self) -> int:
         return int(self.records.integrate_steps.sum())
@@ -161,7 +164,7 @@ class Simulator:
         self.particles = concat_particles(seeds)
         self.terminated = self.exited = 0
         self.store = CurveStore(collect=collect_curves)
-        self.records, self.lif_rows, self.round_totals = [], [], []
+        self.records, self.round_totals = [], []
 
     def _loads(self) -> np.ndarray:
         return np.bincount(self.particles.holder, minlength=self.grid.rank_count)
@@ -226,7 +229,7 @@ class Simulator:
         stamps.append(time.perf_counter())
 
         # Stages 3-4, allocate and integrate, once for the whole world.
-        buf = self.store.allocate(RoundInfo(count=len(world), capacity=int(world.remaining.sum())))
+        buf = self.store.allocate(RoundInfo(capacity=int(world.remaining.sum())))
         stamps.append(time.perf_counter())
         out, _ = integrate(self.blocks.select(world.home), world, buf, self.h)
         self.store.finish_round(world.ids, buf)
@@ -274,7 +277,6 @@ class Simulator:
             # each rank's share of the stage's measured time; weights are counts, a zero sum means all 0
             block[column] = (end - start) * (w / max(w.sum(), 1))
         block.idle_s = block.stage_integrate_s.max() - block.stage_integrate_s
-        self.lif_rows.append((round_index, lif(load_post), lif(steps)))
         active = len(self.particles)
         if active + self.terminated + self.exited != self.seed_count:
             raise InvariantError(f"round {round_index}: {active} active + {self.terminated} terminated + "
@@ -296,7 +298,6 @@ class Simulator:
             if round_index > ROUND_CAP:
                 raise RoundLimitError(f"exceeded {ROUND_CAP} rounds; configuration diverges")
             self.run_round(round_index)
-        return RunResult(self.scheduler, self.grid.dims, self.seed_count, round_index, self.terminated,
-                         self.exited, np.concatenate([round_table(0), *self.records]).view(np.recarray),
-                         self.lif_rows, self.round_totals,
+        return RunResult(self.grid.dims, self.seed_count, round_index, self.terminated, self.exited,
+                         np.concatenate([round_table(0), *self.records]).view(np.recarray), self.round_totals,
                          merge_curves(self.store) if self.store.collect else None)

@@ -71,7 +71,7 @@ def queue_of(positions, remaining, rank=0):
 
 def round_info(pset):
     """The round metadata of integrating every row of ``pset``."""
-    return RoundInfo(len(pset), capacity=int(pset.remaining.sum()))
+    return RoundInfo(capacity=int(pset.remaining.sum()))
 
 
 def run_one_round(block, queue, h):
@@ -448,6 +448,6 @@ class TestCurveStore:
     def test_log_one_slot_short_is_an_invariant_error(self):
         block = rasterize_block(ConstantField((0.01, 0.0, 0.0)), (16, 16, 16), (0, 0, 0), (16, 16, 16))
         queue = queue_of([[0.5, 0.5, 0.5]], 3)
-        buf = CurveStore().allocate(RoundInfo(1, capacity=2))
+        buf = CurveStore().allocate(RoundInfo(capacity=2))
         with pytest.raises(InvariantError, match="round log is full"):
             integrate(block, queue, buf, 0.001)

@@ -380,6 +380,92 @@ class TestExportCurves:
     def test_missing_run_dir_is_config_error(self, tmp_path):
         assert main(["export-curves", "--run", str(tmp_path), "--out", str(tmp_path / "x.bin")]) == 2
 
+    # (header fields, payload bytes) of files whose header does not describe their payload
+    BAD_HEADERS = {
+        "ids and counts disagree": (dict(particle_count=3, particle_ids=[0, 1, 2], vertex_counts=[1]), 108),
+        "particle_count disagrees": (dict(particle_count=3, particle_ids=[0, 1], vertex_counts=[1, 1]), 24),
+        "repeated id": (dict(particle_count=2, particle_ids=[4, 4], vertex_counts=[1, 1]), 24),
+        "id not an int": (dict(particle_count=1, particle_ids=["7"], vertex_counts=[1]), 12),
+        "negative count": (dict(particle_count=2, particle_ids=[0, 1], vertex_counts=[3, -1]), 24),
+        "count not an int": (dict(particle_count=1, particle_ids=[0], vertex_counts=[1.0]), 12),
+        "count is a bool": (dict(particle_count=1, particle_ids=[0], vertex_counts=[True]), 12),
+        "short payload": (dict(particle_count=2, particle_ids=[0, 1], vertex_counts=[1, 2]), 24),
+        "trailing bytes": (dict(particle_count=2, particle_ids=[0, 1], vertex_counts=[1, 2]), 40),
+    }
+
+    @pytest.mark.parametrize("case", sorted(BAD_HEADERS))
+    def test_header_that_does_not_describe_the_payload_is_rejected(self, tmp_path, capsys, case):
+        from diffadvect.advect import read_curves
+
+        header, payload_bytes = self.BAD_HEADERS[case]
+        src = tmp_path / "curves.bin"
+        src.write_bytes(json.dumps(header).encode() + b"\n" + bytes(payload_bytes))
+        with pytest.raises(ValueError):
+            read_curves(src)
+        dest = tmp_path / "o2.bin"
+        assert main(["export-curves", "--run", str(tmp_path), "--out", str(dest)]) == 2
+        err = capsys.readouterr().err
+        assert f"{src}: not a curves file" in err and "Traceback" not in err
+        assert not dest.exists()
+
+    def test_empty_file_set_roundtrips(self, tmp_path):
+        from diffadvect.advect import export_curves, read_curves
+
+        export_curves(tmp_path / "curves.bin", {})
+        assert read_curves(tmp_path / "curves.bin")[1] == {}
+
+    def test_unwritable_destination_exits_2_naming_it(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, FAST)
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(cfg), "--output", str(out)]) == 0
+        dest = tmp_path / "nodir" / "x.bin"
+        assert main(["export-curves", "--run", str(out), "--out", str(dest)]) == 2
+        err = capsys.readouterr().err
+        assert f"{dest}: No such file or directory" in err and "Traceback" not in err
+
+    def test_unreadable_curves_file_exits_2_naming_it(self, tmp_path, capsys):
+        (tmp_path / "curves.bin").mkdir()
+        assert main(["export-curves", "--run", str(tmp_path), "--out", str(tmp_path / "x.bin")]) == 2
+        err = capsys.readouterr().err
+        assert f"{tmp_path / 'curves.bin'}: Is a directory" in err and "Traceback" not in err
+
+
+class TestOutputPaths:
+    """An output path that cannot be a directory is a listed problem, found before anything runs."""
+
+    @pytest.fixture(autouse=True)
+    def no_run(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a run started")
+        monkeypatch.setattr("diffadvect.cli.Simulator", refuse)
+
+    @pytest.mark.parametrize("below", [False, True])
+    def test_run_output_that_is_a_file(self, tmp_path, capsys, below):
+        afile = tmp_path / "afile"
+        afile.write_text("kept\n")
+        out = afile / "sub" if below else afile
+        assert main(["run", "--resolution", "3", "--scheduler", "magic", "--output", str(out)]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert f"config error: output: {afile} exists and is not a directory" in err
+        assert any("scheduler" in line for line in err)  # listed with the other problems
+        assert afile.read_text() == "kept\n"
+
+    def test_sweep_output_that_is_a_file(self, tmp_path, capsys):
+        afile = tmp_path / "afile"
+        afile.write_text("kept\n")
+        assert main(["sweep", "--kind", "balance", "--output", str(afile)]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert err == [f"config error: output: {afile} exists and is not a directory"]
+        assert afile.read_text() == "kept\n"
+
+    def test_sweep_member_directory_that_is_a_file(self, tmp_path, capsys):
+        out = tmp_path / "sweep"
+        out.mkdir()
+        (out / "lma").write_text("kept\n")
+        assert main(["sweep", "--kind", "balance", "--output", str(out)]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert err == [f"config error: output: {out / 'lma'} exists and is not a directory"]
+
 
 class TestExitCodes:
     def test_round_cap_maps_to_4(self, tmp_path, monkeypatch):

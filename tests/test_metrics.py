@@ -2,8 +2,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
-from diffadvect import AnalyticField, Simulator
+import reference_lif as ref
+from diffadvect import AnalyticField, RunResult, Simulator
 from diffadvect.errors import ConfigError
 from diffadvect.metrics import (
     LIF_CSV_HEADER,
@@ -46,6 +50,25 @@ class TestLif:
     def test_at_least_one(self):
         for loads in ([1, 2, 3], [5], [9, 9]):
             assert lif(loads) >= 1.0
+
+    def test_one_factor_per_round(self):
+        np.testing.assert_array_equal(lif([[4, 4], [8, 0], [0, 0]]), [1.0, 2.0, np.nan])
+
+    def test_empty_rounds_rejected(self):
+        with pytest.raises(ConfigError):
+            lif(np.zeros((3, 0), dtype=np.int64))
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(1, 40).flatmap(lambda ranks: arrays(
+        np.int64, st.tuples(st.integers(0, 30), st.just(ranks)),
+        elements=st.one_of(st.just(0), st.integers(0, 4 * 10**7)))))
+    def test_equals_the_scalar_reference_bit_for_bit(self, loads):
+        # (rounds, ranks) tables of one rank or more, half-zero loads up to 4e7
+        loads[::3] = 0  # every third round is all zeros, a NaN round
+        got = lif(loads)
+        want = np.array([ref.lif(row) for row in loads.tolist()], dtype=np.float64)
+        assert got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
 
 
 class TestSpeedup:
@@ -95,25 +118,34 @@ class TestCsvFormats:
 
     def test_lif_csv(self, tmp_path):
         path = tmp_path / "lif.csv"
-        write_lif_csv(path, [(1, 2.0, 1.5), (2, float("nan"), 1.0)])
+        recs = table(round=[1, 1, 2, 2], rank=[0, 1, 0, 1], load_post=[4, 0, 0, 0],
+                     integrate_steps=[30, 10, 2, 2])
+        write_lif_csv(path, recs.reshape(2, 2))
         lines = path.read_text().splitlines()
         assert lines[0] == LIF_CSV_HEADER
         assert lines[1] == "1,2.000000000e+00,1.500000000e+00"
-        assert lines[2].startswith("2,nan")
+        assert lines[2] == "2,nan,1.000000000e+00"
 
     def test_lif_lines_deterministic(self):
-        rows = [(1, 1.25, 3.5)]
-        assert lif_csv_lines(rows) == lif_csv_lines(rows)
+        recs = table(round=[1, 1], rank=[0, 1], load_post=[5, 3], integrate_steps=[7, 1])
+        assert lif_csv_lines(recs.reshape(1, 2)) == lif_csv_lines(recs.copy().reshape(1, 2))
+
+    def test_lif_lines_of_a_run_without_rounds(self):
+        assert lif_csv_lines(round_table(0).reshape(0, 3)) == [LIF_CSV_HEADER]
 
 
 class TestSummary:
     def test_lockstep_totals(self):
         recs = table(round=[1, 1, 2, 2], rank=[0, 1, 0, 1], stage_integrate_s=[1.0, 3.0, 2.0, 1.0],
                      integrate_steps=[100, 300, 200, 50])
-        s = build_summary({}, "deadbeef", 2, recs, [(1, 2.0, 1.5), (2, 1.0, 1.0)], 10, 8, 2)
+        recs.load_post = [2, 2, 0, 0]
+        result = RunResult(grid_dims=(2, 1, 1), seed_count=10, rounds=2, terminated=8, exited=2, records=recs,
+                           round_totals=[], curves=None)
+        s = build_summary({}, "deadbeef", result)
         assert s["total_advection_s"] == 3.0 + 2.0
         assert s["lockstep_integrate_steps"] == 300 + 200
         assert s["total_integrate_steps"] == 650
-        assert s["rounds"] == 2
-        assert s["lif_steps_mean"] == pytest.approx(1.25)
+        assert s["rounds"] == 2 and s["node_count"] == 2
+        assert s["lif_steps_mean"] == (300 / 200 + 200 / 125) / 2
+        assert s["lif_load_mean"] == 1.0  # the all-zero round 2 has no LIF and is left out
         assert s["seed_count"] == 10 and s["terminated"] == 8 and s["exited_domain"] == 2

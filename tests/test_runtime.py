@@ -8,7 +8,7 @@ from diffadvect.advect import CurveStore
 from diffadvect.balance import SCHEDULERS, synchronous_step
 from diffadvect.errors import ConfigError, InvariantError, RoundLimitError
 from diffadvect.field import FIELD_KINDS, AnalyticField
-from diffadvect.metrics import rounds_csv_lines
+from diffadvect.metrics import round_lifs, rounds_csv_lines
 from diffadvect.particles import ParticleSet, concat_particles
 from diffadvect.runtime import Simulator, seed_particles
 from diffadvect.topology import ProcessGrid, decompose
@@ -37,6 +37,11 @@ def deterministic_columns(records):
     lines = [line.split(",") for line in rounds_csv_lines(records)]
     keep = [i for i, name in enumerate(lines[0]) if not name.endswith("_s")]
     return [[row[i] for i in keep] for row in lines]
+
+
+def assert_same_lifs(a, b):
+    """Both runs have the same per-round LIFs bit for bit, NaN rounds included."""
+    assert [col.tobytes() for col in round_lifs(a.table)] == [col.tobytes() for col in round_lifs(b.table)]
 
 
 def drain_queues(sim):
@@ -184,7 +189,7 @@ class TestDeterminismAndInvariants:
         sim = Simulator(AnalyticField("toroidal"), (32, 32, 32), (2, 2, 2), "gllma", **kwargs)
         sim.particles = sim.particles.select(np.random.default_rng(7).permutation(len(sim.particles)))
         b = sim.run()
-        assert a.lif_rows == b.lif_rows
+        assert_same_lifs(a, b)
         assert set(a.curves) == set(b.curves)
         for pid in a.curves:
             np.testing.assert_array_equal(a.curves[pid], b.curves[pid])
@@ -286,7 +291,7 @@ class TestDeterminismAndInvariants:
         _, on = run(True)
         assert sum(slots) > 0
         assert off.curves is None and on.curves
-        assert off.lif_rows == on.lif_rows
+        assert_same_lifs(off, on)
         assert off.total_integrate_steps() == on.total_integrate_steps()
         assert off.lockstep_integrate_steps() == on.lockstep_integrate_steps()
         assert deterministic_columns(off.records) == deterministic_columns(on.records)
@@ -395,7 +400,7 @@ class TestDecompositionFuzz:
         sim.particles = sim.particles.select(rows)
         res = sim.run()
         # the order the table's rows are stored in changes nothing
-        assert res.lif_rows == stored.lif_rows
+        assert_same_lifs(res, stored)
         assert deterministic_columns(res.records) == deterministic_columns(stored.records)
         assert set(res.curves) == set(oracle.curves)
         for pid, curve in oracle.curves.items():
