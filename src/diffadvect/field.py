@@ -13,11 +13,12 @@ point always evaluates to the same vector, bit-exactly.
 
 The voxel lattice has ``resolution`` nodes per axis at positions
 ``i * spacing`` with ``spacing = 1 / (resolution - 1)``. It is rasterized
-once, slab by slab, into an array padded with one edge-replicated ghost
-node per side (:func:`rasterize_global`). A :class:`Block` is core bounds
-over that one shared array, for one extent or one per particle row; it
-samples a one-cell ghost layer around its core and copies nothing. Throughout this module "g-space"
-means position divided by spacing, i.e. fractional node coordinates.
+once, slab by slab on broadcast axis vectors, into an array padded with one
+edge-replicated ghost node per side (:func:`rasterize_global`). A
+:class:`Block` is core bounds over that one shared array, for one extent or
+one per particle row; it samples a one-cell ghost layer around its core and
+copies nothing. Throughout this module "g-space" means position divided by
+spacing, i.e. fractional node coordinates.
 """
 
 from __future__ import annotations
@@ -65,14 +66,12 @@ class AnalyticField:
                 raise ConfigError(f"field {self.kind!r} parameter {key!r} must be finite, got {value}")
         object.__setattr__(self, "params", merged)
 
-    def evaluate(self, points: np.ndarray) -> np.ndarray:
-        """Evaluate the field at ``points`` of shape ``(..., 3)``.
+    def components(self, x, y, z) -> tuple:
+        """The field's ``(vx, vy, vz)`` at coordinates that broadcast together.
 
-        No domain check is performed here; use :func:`evaluate_field` for the
-        checked single-point entry point.
+        Each operation runs on the broadcast shape of its own operands. No
+        domain check; :func:`evaluate_field` is the checked single-point entry.
         """
-        pts = np.asarray(points, dtype=np.float64)
-        x, y, z = pts[..., 0], pts[..., 1], pts[..., 2]
         p = self.params
         if self.kind == "abc":
             qx, qy, qz = 2.0 * np.pi * x, 2.0 * np.pi * y, 2.0 * np.pi * z
@@ -92,7 +91,12 @@ class AnalyticField:
             vx = -dy / rho + k * (-dz * dx / rho) / rs
             vy = dx / rho + k * (-dz * dy / rho) / rs
             vz = k * (rho - p["R0"]) / rs
-        return np.stack([vx, vy, vz], axis=-1)
+        return vx, vy, vz
+
+    def evaluate(self, points: np.ndarray) -> np.ndarray:
+        """The field at ``points`` of shape ``(..., 3)``: :meth:`components`, stacked."""
+        pts = np.asarray(points, dtype=np.float64)
+        return np.stack(self.components(pts[..., 0], pts[..., 1], pts[..., 2]), axis=-1)
 
 
 def evaluate_field(field: AnalyticField, point) -> np.ndarray:
@@ -131,12 +135,13 @@ def rasterize_global(field: AnalyticField, resolution, *, padded: bool = False) 
 
     Returns a read-only array of shape ``(rx, ry, rz, 3)`` indexed
     ``[ix, iy, iz]``, or with ``padded`` the lattice with one edge-replicated
-    ghost node per side (see :func:`pad_lattice`). The field is evaluated in
-    slabs of whole x-planes straight into the padded array, so rasterizing
-    holds one lattice plus one slab's temporaries. A non-finite value in
-    any slab is a :class:`ConfigError`. One shared global
-    rasterization keeps every block's ghost layer bit-identical to its
-    neighbor's core by construction.
+    ghost node per side (see :func:`pad_lattice`). Slabs of whole x-planes
+    evaluate :meth:`~AnalyticField.components` on the broadcast axes
+    ``(n, 1, 1)``, ``(1, ry, 1)`` and ``(1, 1, rz)``, so a component that
+    depends on fewer axes is a vector or plane until it is written into the
+    padded array. A non-finite component is a :class:`ConfigError`. One
+    shared global rasterization keeps every block's ghost layer
+    bit-identical to its neighbor's core by construction.
     """
     res = _check_resolution(resolution)
     spacing = lattice_spacing(res)
@@ -146,29 +151,19 @@ def rasterize_global(field: AnalyticField, resolution, *, padded: bool = False) 
     lattice = None
     for x0 in range(0, rx, planes):
         n = min(planes, rx - x0)
-        pts = np.empty((n, ry, rz, 3), dtype=np.float64)
-        pts[..., 0] = ax[0][x0:x0 + n, np.newaxis, np.newaxis]
-        pts[..., 1] = ax[1][:, np.newaxis]
-        pts[..., 2] = ax[2]
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):  # reported just below
-            values = field.evaluate(pts.reshape(-1, 3)).reshape(n, ry, rz, 3)
-        del pts
-        if not np.isfinite(values).all():
-            raise ConfigError(f"field params: the {field.kind} field is not finite on the lattice")
+            values = field.components(ax[0][x0:x0 + n, np.newaxis, np.newaxis], ax[1][:, np.newaxis], ax[2])
         if lattice is None:  # allocated once the first slab's temporaries are freed
             lattice = np.empty((rx + 2, ry + 2, rz + 2, 3), dtype=np.float64)
-        lattice[1 + x0:1 + x0 + n, 1:-1, 1:-1] = values
-    _fill_ghosts(lattice)
-    return lattice if padded else lattice[1:-1, 1:-1, 1:-1]
-
-
-def _fill_ghosts(lattice: np.ndarray) -> None:
-    """Copy each face's edge nodes into its ghost layer, one axis after another, then seal."""
-    for axis in range(3):
+        for d, v in enumerate(values):
+            if not np.isfinite(v).all():
+                raise ConfigError(f"field params: the {field.kind} field is not finite on the lattice")
+            lattice[1 + x0:1 + x0 + n, 1:-1, 1:-1, d] = v
+    for axis in range(3):  # copy each face's edge nodes into its ghost layer, one axis after another
         faces = np.moveaxis(lattice, axis, 0)
-        faces[0] = faces[1]
-        faces[-1] = faces[-2]
+        faces[0], faces[-1] = faces[1], faces[-2]
     lattice.setflags(write=False)
+    return lattice if padded else lattice[1:-1, 1:-1, 1:-1]
 
 
 def pad_lattice(global_data: np.ndarray) -> np.ndarray:
@@ -177,10 +172,8 @@ def pad_lattice(global_data: np.ndarray) -> np.ndarray:
     Entry ``[i + 1, j + 1, k + 1]`` holds node ``(i, j, k)`` clamped to the
     lattice, so every block's ghost layer is a slice of this one array.
     """
-    rx, ry, rz, _ = global_data.shape
-    padded = np.empty((rx + 2, ry + 2, rz + 2, 3), dtype=np.float64)
-    padded[1:-1, 1:-1, 1:-1] = global_data
-    _fill_ghosts(padded)
+    padded = np.pad(global_data, ((1, 1), (1, 1), (1, 1), (0, 0)), mode="edge")
+    padded.setflags(write=False)
     return padded
 
 

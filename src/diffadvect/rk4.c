@@ -4,31 +4,31 @@
  * operation is the one numpy performs in advect._block_step and
  * field.Block.sample_clamped, in the same order, so the results are
  * bit-identical to them when built with -O2 -ffp-contract=off and no
- * fast-math. Positions are g-space tested after a division by the spacing;
- * block bounds are int64 rows (origin, core dims) of three.
+ * fast-math. Each point is divided by the spacing once, and its g-space
+ * position is both tested and sampled. Block bounds are int64 rows
+ * (origin, core dims) of three.
  */
-#include <math.h>
 #include <stdint.h>
 
 /* The values of advect.STATUS_* and the keys of advect._KERNEL_ERRORS. */
 enum { STATUS_OOB = 1, STATUS_TERMINATED = 2, STATUS_EXITED = 3 };
 enum { LOG_FULL = -1, START_OUTSIDE = -2 };
 
-/* Trilinear sample at p of the lattice with flat node strides sx, sy (z is 1):
- * the cell is clamped to [origin - 1, origin + core - 1], then z, y and x lerps. */
-static void trilinear(const double *lattice, int64_t sx, int64_t sy, const double *spacing,
-                      const int64_t *origin, const int64_t *core, const double *p, double *out)
+/* Trilinear sample at g-space g of the lattice with flat node strides sx, sy (z is 1): the cell
+ * floor(g), truncated then corrected, is clamped to [origin - 1, origin + core - 1]; z, y, x lerps. */
+static void trilinear(const double *lattice, int64_t sx, int64_t sy,
+                      const int64_t *origin, const int64_t *core, const double *g, double *out)
 {
     const int64_t stride[3] = {sx, sy, 1};
     int64_t node = sx + sy + 1; /* the ghost layer shifts node (i, j, k) by one per axis */
     double f[3];
     for (int a = 0; a < 3; a++) {
-        double g = p[a] / spacing[a];
-        int64_t cell = (int64_t)floor(g);
+        int64_t cell = (int64_t)g[a];
+        cell -= (double)cell > g[a];
         int64_t lo = origin[a] - 1, top = origin[a] + core[a] - 1;
         cell = cell < lo ? lo : cell;
         cell = cell > top ? top : cell;
-        f[a] = g - (double)cell;
+        f[a] = g[a] - (double)cell;
         node += cell * stride[a];
     }
     const double fx = f[0], fy = f[1], fz = f[2];
@@ -81,8 +81,11 @@ static int64_t exit_direction(const double *g, const int64_t *lo, const int64_t 
 void rk4_sample(int64_t n, const double *lattice, int64_t sx, int64_t sy, const double *spacing,
                 const int64_t *origin, const int64_t *core, const double *points, double *out)
 {
-    for (int64_t i = 0; i < n; i++)
-        trilinear(lattice, sx, sy, spacing, origin + 3 * i, core + 3 * i, points + 3 * i, out + 3 * i);
+    for (int64_t i = 0; i < n; i++) {
+        double g[3];
+        to_g(points + 3 * i, spacing, g);
+        trilinear(lattice, sx, sy, origin + 3 * i, core + 3 * i, g, out + 3 * i);
+    }
 }
 
 /* Advance every row to its event; returns the new cursor, LOG_FULL or START_OUTSIDE. */
@@ -106,7 +109,7 @@ int64_t rk4_advance(int64_t n, const double *lattice, int64_t sx, int64_t sy, co
             return START_OUTSIDE;
         for (;;) {
             double k[4][3], s[3], q[3];
-            trilinear(lattice, sx, sy, spacing, o, c, p, k[0]);
+            trilinear(lattice, sx, sy, o, c, g, k[0]); /* g holds p's g-space position here */
             int rejected = 0;
             for (int stage = 1; stage < 4 && !rejected; stage++) {
                 double scale = stage == 3 ? h : half;
@@ -114,7 +117,7 @@ int64_t rk4_advance(int64_t n, const double *lattice, int64_t sx, int64_t sy, co
                     s[a] = p[a] + scale * k[stage - 1][a];
                 to_g(s, spacing, g);
                 if (inside(g, sample_lo, core_hi, 1))
-                    trilinear(lattice, sx, sy, spacing, o, c, s, k[stage]);
+                    trilinear(lattice, sx, sy, o, c, g, k[stage]);
                 else
                     rejected = 1;
             }

@@ -32,17 +32,15 @@ class ConstantField:
     def __init__(self, v):
         self.v = np.asarray(v, dtype=np.float64)
 
-    def evaluate(self, points):
-        pts = np.asarray(points, dtype=np.float64)
-        return np.broadcast_to(self.v, pts.shape).copy()
+    def components(self, x, y, z):
+        return tuple(self.v)
 
 
 class Swirl:
     """A fast rotation about the z axis plus a slow drift in z."""
 
-    def evaluate(self, points):
-        p = np.asarray(points, dtype=np.float64)
-        return 4.0 * np.stack([-(p[..., 1] - 0.5), p[..., 0] - 0.5, np.full(p.shape[:-1], 0.1)], axis=-1)
+    def components(self, x, y, z):
+        return 4.0 * -(y - 0.5), 4.0 * (x - 0.5), 4.0 * 0.1
 
 
 def circular(p):

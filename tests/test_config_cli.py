@@ -267,6 +267,16 @@ class TestRunCommand:
         assert "not finite on the lattice" in captured.err and "Warning" not in captured.err
         assert not out.exists()
 
+    def test_overflow_in_a_plane_component_exits_2_without_output(self, tmp_path, capsys):
+        # abc's vx = A sin(2 pi z) + C cos(2 pi y) is a (y, z) plane that overflows before any broadcast
+        out = tmp_path / "out"
+        assert main(["run", "--field", "abc", "--set", "param.A=1e308", "--set", "param.C=1e308",
+                     "--resolution", "16", "--stride", "4", "--max-iterations", "5",
+                     "--export-curves", "false", "--output", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert "not finite on the lattice" in captured.err and "Warning" not in captured.err
+        assert not out.exists()
+
     def test_flags_override_file(self, tmp_path):
         cfg = write_config(tmp_path, FAST)
         out = tmp_path / "out"

@@ -20,9 +20,8 @@ from diffadvect.field import (
 class LinearField:
     """v = (x, 2y, -z): trilinear interpolation reproduces it exactly."""
 
-    def evaluate(self, points):
-        pts = np.asarray(points, dtype=np.float64)
-        return np.stack([pts[..., 0], 2.0 * pts[..., 1], -pts[..., 2]], axis=-1)
+    def components(self, x, y, z):
+        return x, 2.0 * y, -z
 
 
 class TestAnalyticField:
@@ -112,18 +111,24 @@ class TestRasterize:
     @pytest.mark.parametrize("kind", ["abc", "jets", "toroidal"])
     @pytest.mark.parametrize("slab_nodes", [1 << 18, 700])
     def test_slabs_equal_one_whole_lattice_evaluation_padded(self, kind, slab_nodes, monkeypatch):
+        # broadcast axes equal pointwise evaluation byte for byte, for the default coefficients, draws from
+        # the benchmark's seeded +-0.5% band and a wide +-30% band; 700 nodes splits (21, 17, 19) into
+        # 2-plane slabs and (2, 31, 23), a 2-node axis, into 1-plane slabs
         monkeypatch.setattr(field_module, "_SLAB_NODES", slab_nodes)
-        f = AnalyticField(kind)
-        res = (21, 17, 19)
-        s = lattice_spacing(res)
-        axes = [np.arange(r, dtype=np.float64) * s[a] for a, r in enumerate(res)]
-        pts = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1)
-        whole = f.evaluate(pts.reshape(-1, 3)).reshape(res + (3,))
-        expected = np.pad(whole, ((1, 1), (1, 1), (1, 1), (0, 0)), mode="edge")
-        padded = rasterize_global(f, res, padded=True)
-        assert padded.tobytes() == expected.tobytes()
-        assert rasterize_global(f, res).tobytes() == whole.tobytes()
-        assert not padded.flags.writeable
+        rng = np.random.default_rng(11)
+        defaults = AnalyticField(kind).params
+        for res in [(21, 17, 19), (2, 31, 23)]:
+            s = lattice_spacing(res)
+            axes = [np.arange(r, dtype=np.float64) * s[a] for a, r in enumerate(res)]
+            pts = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1)
+            for band in (0.0, 0.005, 0.005, 0.3, 0.3):
+                f = AnalyticField(kind, {k: v * rng.uniform(1 - band, 1 + band) for k, v in defaults.items()})
+                whole = f.evaluate(pts.reshape(-1, 3)).reshape(res + (3,))
+                expected = np.pad(whole, ((1, 1), (1, 1), (1, 1), (0, 0)), mode="edge")
+                padded = rasterize_global(f, res, padded=True)
+                assert padded.tobytes() == expected.tobytes(), (res, f.params)
+                assert rasterize_global(f, res).tobytes() == whole.tobytes()
+                assert not padded.flags.writeable
 
     def test_rasterization_peak_stays_near_one_padded_lattice(self, monkeypatch):
         monkeypatch.setattr(field_module, "_SLAB_NODES", 1 << 12)
@@ -136,6 +141,20 @@ class TestRasterize:
         finally:
             tracemalloc.stop()
         assert peak < 2 * padded_bytes
+
+    @pytest.mark.parametrize("kind, bound", [("abc", 1.5), ("jets", 1.5), ("toroidal", 3.0)])
+    def test_default_slab_peak_at_64_cubed(self, kind, bound):
+        # one slab holds the whole 64^3 lattice: abc's and jets' components are planes,
+        # toroidal's r depends on all three axes
+        f = AnalyticField(kind)
+        padded_bytes = 66 ** 3 * 24
+        tracemalloc.start()
+        try:
+            rasterize_global(f, (64, 64, 64), padded=True)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < bound * padded_bytes
 
     def test_rasterization_deterministic(self):
         f = AnalyticField("abc")
@@ -170,7 +189,7 @@ class TestTrilinear:
         rng = np.random.default_rng(7)
         pts = rng.random((1000, 3))
         got = blk.sample(pts)
-        expect = LinearField().evaluate(pts)
+        expect = np.stack(LinearField().components(*pts.T), axis=-1)
         err = np.abs(got - expect) / np.maximum(1.0, np.abs(expect))
         assert err.max() <= 1e-12
 

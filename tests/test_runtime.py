@@ -18,9 +18,8 @@ class ConstantField:
     def __init__(self, v):
         self.v = np.asarray(v, dtype=np.float64)
 
-    def evaluate(self, points):
-        pts = np.asarray(points, dtype=np.float64)
-        return np.broadcast_to(self.v, pts.shape).copy()
+    def components(self, x, y, z):
+        return tuple(self.v)
 
 
 def particles_at(positions, remaining, rank, start_id=0, holder=None):
