@@ -21,11 +21,10 @@ and every block is bounds over the same shared lattice, so the accepted
 vertex sequence of a particle is independent of the decomposition; hand-offs
 and loans only change which rank performs each step.
 
-The kernel writes each accepted step's row and new vertex at the log's
-cursor, refusing to write at or past its capacity, and writes ``status``,
-``exit_dir``, ``pos``, ``remaining`` and ``steps`` in place. It performs the
-operations of the numpy reference (:func:`_block_step`,
-:meth:`Block.sample_clamped`) in their order, so the two agree bit for bit:
+The kernel writes ``status``, ``exit_dir``, ``pos``, ``remaining`` and
+``steps`` in place. It performs the operations of the numpy reference
+(:func:`_block_step`, :meth:`Block.sample_clamped`) in their order, so the
+two agree bit for bit:
 ``g = p / spacing``; the cell ``floor(g)`` clamped to
 ``[origin - 1, origin + core - 1]`` and ``frac = g - cell``; the z, then y,
 then x lerps, each ``(1 - f) * a + f * b``; stage points ``p + (h/2) * k``
@@ -33,15 +32,24 @@ and ``p + (h/6) * (((k1 + 2*k2) + 2*k3) + k4)``; the sampling test
 ``lo <= g <= hi``, the core test ``origin <= g < origin + core``, the domain
 test ``0 <= x <= 1``; the exit direction is the first maximum of
 ``(lo0 - g0, g0 - hi0, lo1 - g1, ...)``. Importing this module builds it with
-gcc ``-O2 -ffp-contract=off`` (no fast-math, no fused multiply-add) into
-this package's ``__pycache__``, under a name keyed by the SHA-256 of the
-source and flags, and loads it.
+gcc ``-O3 -ffp-contract=off`` (no fast-math, no fused multiply-add, no
+``-march``) into this package's ``__pycache__``, under a name keyed by the
+SHA-256 of the source and flags, and loads it.
 
-With curves on, each round's log is sized by the selection's summed budgets
-but touched only as far as it is written. The kernel advances the rows in
-ascending order, each to its event, so the log holds each particle's
-vertices as one run in step order; after the round each run is archived as
-one segment. With curves off
+The kernel splits the rows into :data:`LANES` contiguous ranges and advances
+one row of each range together, stage by stage, so the lanes' independent
+chains of divides, gathers and lerps overlap; each row still runs to its event
+before its lane takes the next. Before any row advances it checks that every
+row with a positive budget starts inside its sampling extent and that the
+summed budgets fit the log, so either error leaves every array untouched.
+
+With curves on, each round's log holds vertices only, sized by the
+selection's summed budgets but touched only as far as it is written. Each
+lane writes into its own region, which starts at the summed budgets of the
+rows before its range, each of its rows as one run in step order, and the
+kernel reports each lane's written ``[start, end)``. After the round,
+:meth:`CurveStore.finish_round` copies the spans into one block, in row order,
+and cuts it into one segment per row that took a step. With curves off
 nothing is allocated or archived; the kernel only counts the steps.
 """
 
@@ -68,7 +76,7 @@ STATUS_TERMINATED = 2  # iteration budget exhausted
 STATUS_EXITED = 3      # left the global domain
 
 KERNEL_SOURCE = Path(__file__).with_name("rk4.c")
-KERNEL_FLAGS = ("-O2", "-ffp-contract=off", "-shared", "-fPIC")
+KERNEL_FLAGS = ("-O3", "-ffp-contract=off", "-shared", "-fPIC")
 _KERNEL_ERRORS = {
     -1: "the round log is full: the kernel would write past its capacity",
     -2: "particle position outside its block's sampling extent",
@@ -118,13 +126,14 @@ def load_kernel(path) -> ctypes.CDLL:
     bounds = [i64, ptr, i64, i64, ptr, ptr, ptr]  # n, lattice, sx, sy, spacing, origin, core
     lib.rk4_sample.argtypes = bounds + [ptr, ptr]
     lib.rk4_sample.restype = None
-    lib.rk4_advance.argtypes = bounds + [ctypes.c_double, ptr, ptr, ptr, ptr, ptr, ptr, ptr, i64, i64]
+    lib.rk4_advance.argtypes = bounds + [ctypes.c_double, ptr, ptr, ptr, ptr, ptr, ptr, i64, ptr]
     lib.rk4_advance.restype = i64
     return lib
 
 
 KERNEL = load_kernel(build_kernel(Path(__file__).with_name("__pycache__")))
 _rk4_advance = KERNEL.rk4_advance
+LANES = ctypes.c_int64.in_dll(KERNEL, "rk4_lanes").value  # rows the kernel advances together
 
 
 def rk4_step(sample_fn, p, h: float) -> np.ndarray:
@@ -152,15 +161,15 @@ class RoundInfo:
 
 @dataclass
 class RoundBuffer:
-    """The round's vertex log: each accepted step's row and new position, in append order.
+    """The round's vertex log, written by one kernel call: one region per lane, each lane's rows in order.
 
-    ``rows`` and ``vertices`` are uninitialized and only their first ``size``
-    entries are written, so memory is touched only as vertices arrive. With
-    curves off both are None and only ``size`` counts the appended steps.
+    ``vertices`` is uninitialized and only the ``spans`` the kernel reports
+    are written, so memory is touched only as vertices arrive. With curves
+    off ``vertices`` is None and only ``size`` counts the appended steps.
     """
 
-    rows: np.ndarray | None      # (capacity,) row of the integrated set per vertex
     vertices: np.ndarray | None  # (capacity, 3)
+    spans: np.ndarray | None = None  # (LANES, 2): each lane's written [start, end), set by the kernel
     size: int = 0
 
 
@@ -180,19 +189,19 @@ class CurveStore:
 
     def allocate(self, info: RoundInfo) -> RoundBuffer:
         if not self.collect:
-            return RoundBuffer(rows=None, vertices=None)
-        return RoundBuffer(rows=np.empty(info.capacity, dtype=np.int64),
-                           vertices=np.empty((info.capacity, 3), dtype=np.float64))
+            return RoundBuffer(vertices=None)
+        return RoundBuffer(vertices=np.empty((info.capacity, 3), dtype=np.float64))
 
-    def finish_round(self, ids: np.ndarray, buffer: RoundBuffer) -> None:
-        """Archive the round's log, ``ids`` naming the particle of each row."""
-        if buffer.vertices is None:
+    def finish_round(self, ids: np.ndarray, steps: np.ndarray, buffer: RoundBuffer) -> None:
+        """Archive the round's log, ``ids`` and ``steps`` naming the particle and accepted steps of each row."""
+        if buffer.vertices is None or buffer.spans is None:
             return
-        rows = buffer.rows[:buffer.size]
-        starts = np.flatnonzero(np.diff(rows, prepend=-1))
-        # a copy of the written prefix, so the segments do not hold the capacity-sized log alive
-        vertices = np.split(buffer.vertices[:buffer.size].copy(), starts[1:])
-        self.segments.extend(zip(ids[rows[starts]].tolist(), vertices))
+        # one copy of the written spans, so the segments do not hold the capacity-sized log alive
+        written = np.concatenate([buffer.vertices[start:end] for start, end in buffer.spans.tolist()])
+        moved = steps > 0
+        ends = np.cumsum(steps[moved]).tolist()
+        self.segments.extend(zip(ids[moved].tolist(),
+                                 [written[start:end] for start, end in zip([0] + ends[:-1], ends)]))
 
 
 def merge_curves(store: CurveStore) -> dict[int, np.ndarray]:
@@ -200,7 +209,7 @@ def merge_curves(store: CurveStore) -> dict[int, np.ndarray]:
     per_pid: dict[int, list] = {}
     for pid, verts in store.segments:
         per_pid.setdefault(pid, []).append(verts)
-    return {pid: np.concatenate(segs, axis=0) for pid, segs in per_pid.items()}
+    return {pid: segs[0] if len(segs) == 1 else np.concatenate(segs, axis=0) for pid, segs in per_pid.items()}
 
 
 def _exit_directions(g: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
@@ -276,27 +285,28 @@ def integrate_group(block: Block, pset: ParticleSet, buffer: RoundBuffer, h: flo
     """Advance the particles of ``pset``, each against its own block bounds, in the kernel.
 
     ``block`` holds one extent or per-row bounds for the rows of ``pset``.
-    Each accepted step writes its row index and new position at the
-    buffer's cursor. Each particle runs until termination, domain exit, or
-    block exit.
+    Each accepted step writes its new position into its lane's region of the
+    buffer, whose written spans the call records. Each particle runs until
+    termination, domain exit, or block exit.
     """
     n = len(pset)
     out = GroupOutcome(status=np.zeros(n, dtype=np.int64), exit_dir=np.full(n, -1, dtype=np.int64),
                        pos=np.array(pset.pos, dtype=np.float64, order="C").reshape(n, 3),
                        remaining=np.array(pset.remaining, dtype=np.int64), steps=np.zeros(n, dtype=np.int64))
-    rows, vertices, capacity = buffer.rows, buffer.vertices, 0
+    vertices, capacity = buffer.vertices, 0
+    if buffer.spans is not None:
+        raise InvariantError("the round log is already written: it holds one kernel call")
     if vertices is not None:
-        capacity = rows.shape[0]
-        if (rows.dtype != np.int64 or rows.ndim != 1 or vertices.dtype != np.float64
-                or vertices.shape != (capacity, 3) or not (rows.flags.c_contiguous and vertices.flags.c_contiguous)):
-            raise InvariantError("the round log is not a C-contiguous int64 row and (capacity, 3) float64 pair")
-    cursor = _rk4_advance(*kernel_bounds(block, n), float(h), out.pos.ctypes, out.remaining.ctypes,
-                          out.status.ctypes, out.exit_dir.ctypes, out.steps.ctypes,
-                          None if rows is None else rows.ctypes,
-                          None if vertices is None else vertices.ctypes, buffer.size, capacity)
-    if cursor < 0:
-        raise InvariantError(_KERNEL_ERRORS[cursor])
-    buffer.size = cursor
+        capacity = vertices.shape[0]
+        if vertices.dtype != np.float64 or vertices.shape != (capacity, 3) or not vertices.flags.c_contiguous:
+            raise InvariantError("the round log is not a C-contiguous (capacity, 3) float64 array")
+    spans = np.zeros((LANES, 2), dtype=np.int64)
+    taken = _rk4_advance(*kernel_bounds(block, n), float(h), out.pos.ctypes, out.remaining.ctypes,
+                         out.status.ctypes, out.exit_dir.ctypes, out.steps.ctypes,
+                         None if vertices is None else vertices.ctypes, capacity, spans.ctypes)
+    if taken < 0:
+        raise InvariantError(_KERNEL_ERRORS[taken])
+    buffer.spans, buffer.size = spans, taken
     return out
 
 
@@ -326,11 +336,11 @@ def export_curves(path, curves: dict[int, np.ndarray], config_hash: str | None =
     header = {"particle_count": len(pids), "particle_ids": pids, "vertex_counts": counts}
     if config_hash is not None:
         header["config_hash"] = config_hash
+    payload = np.concatenate([curves[p] for p in pids], dtype="<f4", casting="same_kind") if pids else b""
     with open(path, "wb") as fh:
         fh.write(json.dumps(header, sort_keys=True).encode("utf-8"))
         fh.write(b"\n")
-        for p in pids:
-            fh.write(np.ascontiguousarray(curves[p], dtype="<f4").tobytes())
+        fh.write(payload)
 
 
 def read_curves(path):

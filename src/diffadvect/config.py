@@ -26,7 +26,7 @@ _MAX_ITER_CAP = 1000
 LATTICE_CAP_BYTES = 1 << 30
 # Largest curve log one round may reserve with curves exported: every
 # selected particle may append max_iterations vertices of an xyz float64
-# triplet plus an int64 row.
+# triplet.
 ROUND_BUFFER_CAP_BYTES = 1 << 29
 # Most ranks a run may simulate: 16^3, 256 times the largest sweep's 16. Each
 # rank costs work every round: a 128-byte rounds-table row and its share of
@@ -134,7 +134,7 @@ class RunConfig:
             if need > ROUND_BUFFER_CAP_BYTES:
                 errors.append(
                     f"export_curves: a round's curve log needs up to {need / 2**30:.3g} GiB "
-                    f"(min(seeds, ranks x particles_per_round) x max_iterations x 32 B), above the "
+                    f"(min(seeds, ranks x particles_per_round) x max_iterations x 24 B), above the "
                     f"{ROUND_BUFFER_CAP_BYTES / 2**30:g} GiB cap; lower particles_per_round or "
                     f"max_iterations, raise stride, or set export_curves = false")
         return errors
@@ -144,7 +144,7 @@ class RunConfig:
         from .runtime import seed_axes
         seeds = math.prod(len(a) for a in seed_axes(self.resolution, self.aabb_scale, self.stride))
         selected = min(seeds, math.prod(self.grid_dims()) * self.particles_per_round)
-        return selected * self.max_iterations * 32
+        return selected * self.max_iterations * 24
 
     def require_valid(self) -> "RunConfig":
         errors = self.validate()

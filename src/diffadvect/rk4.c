@@ -3,21 +3,33 @@
  * The contract is in the docstring of diffadvect/advect.py. Every float
  * operation is the one numpy performs in advect._block_step and
  * field.Block.sample_clamped, in the same order, so the results are
- * bit-identical to them when built with -O2 -ffp-contract=off and no
+ * bit-identical to them when built with -O3 -ffp-contract=off and no
  * fast-math. Each point is divided by the spacing once, and its g-space
  * position is both tested and sampled. Block bounds are int64 rows
  * (origin, core dims) of three.
+ *
+ * rk4_advance splits the rows into LANES contiguous ranges and advances one
+ * row of each range together: every RK4 stage runs for all live lanes before
+ * the next stage, so the lanes' independent dependency chains overlap. A
+ * lane's row runs to its event before the lane takes its next row, and the
+ * lane logs its vertices into its own region of the log, which starts at the
+ * summed budgets of the rows before its range.
  */
 #include <stdint.h>
+
+#define LANES 4
 
 /* The values of advect.STATUS_* and the keys of advect._KERNEL_ERRORS. */
 enum { STATUS_OOB = 1, STATUS_TERMINATED = 2, STATUS_EXITED = 3 };
 enum { LOG_FULL = -1, START_OUTSIDE = -2 };
 
+/* The lane count, read by advect.LANES. */
+const int64_t rk4_lanes = LANES;
+
 /* Trilinear sample at g-space g of the lattice with flat node strides sx, sy (z is 1): the cell
  * floor(g), truncated then corrected, is clamped to [origin - 1, origin + core - 1]; z, y, x lerps. */
-static void trilinear(const double *lattice, int64_t sx, int64_t sy,
-                      const int64_t *origin, const int64_t *core, const double *g, double *out)
+static inline void trilinear(const double *lattice, int64_t sx, int64_t sy,
+                             const int64_t *origin, const int64_t *core, const double *g, double *out)
 {
     const int64_t stride[3] = {sx, sy, 1};
     int64_t node = sx + sy + 1; /* the ghost layer shifts node (i, j, k) by one per axis */
@@ -46,14 +58,14 @@ static void trilinear(const double *lattice, int64_t sx, int64_t sy,
 }
 
 /* The g-space position of p. */
-static void to_g(const double *p, const double *spacing, double *g)
+static inline void to_g(const double *p, const double *spacing, double *g)
 {
     for (int a = 0; a < 3; a++)
         g[a] = p[a] / spacing[a];
 }
 
 /* 1 if lo <= g <= hi (closed) or lo <= g < hi (half open) on every axis. */
-static int inside(const double *g, const int64_t *lo, const int64_t *hi, int closed)
+static inline int inside(const double *g, const int64_t *lo, const int64_t *hi, int closed)
 {
     for (int a = 0; a < 3; a++)
         if (!(g[a] >= (double)lo[a] && (closed ? g[a] <= (double)hi[a] : g[a] < (double)hi[a])))
@@ -88,75 +100,157 @@ void rk4_sample(int64_t n, const double *lattice, int64_t sx, int64_t sy, const 
     }
 }
 
-/* Advance every row to its event; returns the new cursor, LOG_FULL or START_OUTSIDE. */
-int64_t rk4_advance(int64_t n, const double *lattice, int64_t sx, int64_t sy, const double *spacing,
-                    const int64_t *origin, const int64_t *core, double h,
-                    double *pos, int64_t *remaining, int64_t *status, int64_t *exit_dir, int64_t *steps,
-                    int64_t *rows, double *vertices, int64_t cursor, int64_t capacity)
+/* One lane: the row it advances, the end of its rows, its next log slot and the row's state. */
+typedef struct {
+    int64_t row, end, slot, taken; /* taken: the row's accepted steps so far */
+    const int64_t *origin, *core;
+    int64_t core_hi[3], sample_lo[3];
+    double p[3], g[3], k[4][3];    /* g: p's g-space position, or the rejected stage point's */
+    int rejected;
+} Lane;
+
+/* Move the lane to its next row with a positive budget, marking the rows it skips terminated;
+ * returns 0 once the lane's rows are spent. */
+static int next_row(Lane *lane, const double *spacing, const int64_t *origin, const int64_t *core,
+                    const double *pos, const int64_t *remaining, int64_t *status)
 {
-    const double half = h / 2.0, sixth = h / 6.0;
-    for (int64_t i = 0; i < n; i++) {
-        const int64_t *o = origin + 3 * i, *c = core + 3 * i;
-        const int64_t core_hi[3] = {o[0] + c[0], o[1] + c[1], o[2] + c[2]};
-        const int64_t sample_lo[3] = {o[0] - 1, o[1] - 1, o[2] - 1};
-        double *p = pos + 3 * i, g[3];
+    for (; lane->row < lane->end; lane->row++) {
+        int64_t i = lane->row;
         if (remaining[i] <= 0) {
             status[i] = STATUS_TERMINATED;
             continue;
         }
-        to_g(p, spacing, g);
-        if (!inside(g, sample_lo, core_hi, 1))
-            return START_OUTSIDE;
-        for (;;) {
-            double k[4][3], s[3], q[3];
-            trilinear(lattice, sx, sy, o, c, g, k[0]); /* g holds p's g-space position here */
-            int rejected = 0;
-            for (int stage = 1; stage < 4 && !rejected; stage++) {
-                double scale = stage == 3 ? h : half;
+        const int64_t *o = origin + 3 * i, *c = core + 3 * i;
+        lane->origin = o;
+        lane->core = c;
+        for (int a = 0; a < 3; a++) {
+            lane->core_hi[a] = o[a] + c[a];
+            lane->sample_lo[a] = o[a] - 1;
+            lane->p[a] = pos[3 * i + a];
+        }
+        to_g(lane->p, spacing, lane->g);
+        lane->taken = 0;
+        return 1;
+    }
+    return 0;
+}
+
+/* Advance every row to its event; returns the accepted steps, LOG_FULL or START_OUTSIDE.
+ * Lane l logs into vertices from spans[2l] and leaves its end in spans[2l + 1]; with vertices
+ * NULL nothing is logged and the steps are only counted. */
+int64_t rk4_advance(int64_t n, const double *lattice, int64_t sx, int64_t sy, const double *spacing,
+                    const int64_t *origin, const int64_t *core, double h,
+                    double *pos, int64_t *remaining, int64_t *status, int64_t *exit_dir, int64_t *steps,
+                    double *vertices, int64_t capacity, int64_t *spans)
+{
+    const double half = h / 2.0, sixth = h / 6.0;
+    Lane lanes[LANES];
+    int64_t budget = 0;
+    for (int l = 0; l < LANES; l++) {
+        Lane *lane = &lanes[l];
+        lane->row = n * l / LANES;
+        lane->end = n * (l + 1) / LANES;
+        lane->slot = budget;
+        for (int64_t i = lane->row; i < lane->end; i++) {
+            if (remaining[i] <= 0)
+                continue;
+            const int64_t *o = origin + 3 * i, *c = core + 3 * i;
+            const int64_t core_hi[3] = {o[0] + c[0], o[1] + c[1], o[2] + c[2]};
+            const int64_t sample_lo[3] = {o[0] - 1, o[1] - 1, o[2] - 1};
+            double g[3];
+            to_g(pos + 3 * i, spacing, g);
+            if (!inside(g, sample_lo, core_hi, 1))
+                return START_OUTSIDE;
+            budget += remaining[i];
+        }
+    }
+    if (vertices && budget > capacity)
+        return LOG_FULL;
+
+    int live[LANES];
+    for (int l = 0; l < LANES; l++) {
+        spans[2 * l] = lanes[l].slot;
+        live[l] = next_row(&lanes[l], spacing, origin, core, pos, remaining, status);
+    }
+    for (;;) {
+        int any = 0;
+        for (int l = 0; l < LANES; l++) {
+            if (!live[l])
+                continue;
+            Lane *lane = &lanes[l];
+            any = 1;
+            trilinear(lattice, sx, sy, lane->origin, lane->core, lane->g, lane->k[0]);
+            lane->rejected = 0;
+        }
+        if (!any)
+            break;
+        for (int stage = 1; stage < 4; stage++) {
+            double scale = stage == 3 ? h : half;
+            for (int l = 0; l < LANES; l++) {
+                Lane *lane = &lanes[l];
+                if (!live[l] || lane->rejected)
+                    continue;
+                double s[3];
                 for (int a = 0; a < 3; a++)
-                    s[a] = p[a] + scale * k[stage - 1][a];
-                to_g(s, spacing, g);
-                if (inside(g, sample_lo, core_hi, 1))
-                    trilinear(lattice, sx, sy, o, c, g, k[stage]);
+                    s[a] = lane->p[a] + scale * lane->k[stage - 1][a];
+                to_g(s, spacing, lane->g);
+                if (inside(lane->g, lane->sample_lo, lane->core_hi, 1))
+                    trilinear(lattice, sx, sy, lane->origin, lane->core, lane->g, lane->k[stage]);
                 else
-                    rejected = 1;
+                    lane->rejected = 1;
             }
-            if (rejected) {
-                status[i] = STATUS_OOB;
-                exit_dir[i] = exit_direction(g, sample_lo, core_hi);
-                break;
+        }
+        for (int l = 0; l < LANES; l++) {
+            Lane *lane = &lanes[l];
+            if (!live[l])
+                continue;
+            int64_t i = lane->row, event = 0;
+            if (lane->rejected) {
+                event = STATUS_OOB;
+                exit_dir[i] = exit_direction(lane->g, lane->sample_lo, lane->core_hi);
+            } else {
+                double q[3];
+                int in_domain = 1;
+                for (int a = 0; a < 3; a++) {
+                    q[a] = lane->p[a] + sixth * (((lane->k[0][a] + 2.0 * lane->k[1][a]) + 2.0 * lane->k[2][a])
+                                                 + lane->k[3][a]);
+                    in_domain &= q[a] >= 0.0 && q[a] <= 1.0;
+                }
+                if (!in_domain) {
+                    event = STATUS_EXITED;
+                } else {
+                    if (vertices)
+                        for (int a = 0; a < 3; a++)
+                            vertices[3 * lane->slot + a] = q[a];
+                    lane->slot++;
+                    for (int a = 0; a < 3; a++)
+                        lane->p[a] = q[a];
+                    if (++lane->taken == remaining[i]) {
+                        event = STATUS_TERMINATED;
+                    } else {
+                        to_g(lane->p, spacing, lane->g);
+                        if (!inside(lane->g, lane->origin, lane->core_hi, 0)) {
+                            event = STATUS_OOB;
+                            exit_dir[i] = exit_direction(lane->g, lane->origin, lane->core_hi);
+                        }
+                    }
+                }
             }
-            int in_domain = 1;
-            for (int a = 0; a < 3; a++) {
-                q[a] = p[a] + sixth * (((k[0][a] + 2.0 * k[1][a]) + 2.0 * k[2][a]) + k[3][a]);
-                in_domain &= q[a] >= 0.0 && q[a] <= 1.0;
-            }
-            if (!in_domain) {
-                status[i] = STATUS_EXITED;
-                break;
-            }
-            if (rows) {
-                if (cursor >= capacity)
-                    return LOG_FULL;
-                rows[cursor] = i;
+            if (event) {
+                status[i] = event;
                 for (int a = 0; a < 3; a++)
-                    vertices[3 * cursor + a] = q[a];
-            }
-            cursor++;
-            for (int a = 0; a < 3; a++)
-                p[a] = q[a];
-            steps[i]++;
-            if (--remaining[i] == 0) {
-                status[i] = STATUS_TERMINATED;
-                break;
-            }
-            to_g(p, spacing, g);
-            if (!inside(g, o, core_hi, 0)) {
-                status[i] = STATUS_OOB;
-                exit_dir[i] = exit_direction(g, o, core_hi);
-                break;
+                    pos[3 * i + a] = lane->p[a];
+                steps[i] += lane->taken;
+                remaining[i] -= lane->taken;
+                lane->row++;
+                live[l] = next_row(lane, spacing, origin, core, pos, remaining, status);
             }
         }
     }
-    return cursor;
+    int64_t taken = 0;
+    for (int l = 0; l < LANES; l++) {
+        spans[2 * l + 1] = lanes[l].slot;
+        taken += lanes[l].slot - spans[2 * l];
+    }
+    return taken;
 }

@@ -232,7 +232,7 @@ class Simulator:
         buf = self.store.allocate(RoundInfo(capacity=int(world.remaining.sum())))
         stamps.append(time.perf_counter())
         out, _ = integrate(self.blocks.select(world.home), world, buf, self.h)
-        self.store.finish_round(world.ids, buf)
+        self.store.finish_round(world.ids, out.steps, buf)
         steps = np.bincount(world.holder, out.steps, ranks).astype(np.int64)
         self.terminated += int(np.count_nonzero(out.status == STATUS_TERMINATED))
         self.exited += int(np.count_nonzero(out.status == STATUS_EXITED))

@@ -7,6 +7,7 @@ from diffadvect import advect
 from diffadvect.advect import (
     KERNEL_FLAGS,
     KERNEL_SOURCE,
+    LANES,
     STATUS_EXITED,
     STATUS_OOB,
     STATUS_TERMINATED,
@@ -77,18 +78,24 @@ def run_one_round(block, queue, h):
     store = CurveStore()
     buf = store.allocate(info)
     outcome, work = integrate(block, queue, buf, h)
-    store.finish_round(queue.ids, buf)
+    store.finish_round(queue.ids, outcome.steps, buf)
     return info, store, buf, outcome, work
 
 
 def reference_integrate_group(block, pset, buffer, h):
-    """The numpy loop the kernel replaced: one vectorized step of every active row per pass."""
+    """The numpy loop the kernel replaced: one vectorized step of every active row per pass.
+
+    Its passes interleave the rows, so it keeps each vertex's row and sorts
+    the log by row (stably) at the end: one span, each row's vertices as one
+    run in step order, as ``finish_round`` reads it.
+    """
     n = len(pset)
     pos = pset.pos.copy()
     rem = pset.remaining.copy()
     status = np.zeros(n, dtype=np.int64)
     exit_dir = np.full(n, -1, dtype=np.int64)
     steps = np.zeros(n, dtype=np.int64)
+    rows = []
     active = np.nonzero(rem > 0)[0]
     status[rem <= 0] = STATUS_TERMINATED
     while active.size:
@@ -107,8 +114,8 @@ def reference_integrate_group(block, pset, buffer, h):
         newpos = newpos[in_domain]
         if moved.size:
             pos[moved] = newpos
+            rows.append(moved)
             if buffer.vertices is not None:
-                buffer.rows[buffer.size:buffer.size + moved.size] = moved
                 buffer.vertices[buffer.size:buffer.size + moved.size] = newpos
             buffer.size += moved.size
             steps[moved] += 1
@@ -124,6 +131,10 @@ def reference_integrate_group(block, pset, buffer, h):
                 exit_dir[left] = advect._exit_directions(block.to_g(pos[left]), *block.select(left).core_bounds())
             moved = moved[owned]
         active = moved
+    if buffer.vertices is not None:
+        order = np.argsort(np.concatenate([np.zeros(0, dtype=np.int64)] + rows), kind="stable")
+        buffer.vertices[:buffer.size] = buffer.vertices[order]
+    buffer.spans = np.array([[0, buffer.size]])
     return GroupOutcome(status=status, exit_dir=exit_dir, pos=pos, remaining=rem, steps=steps)
 
 
@@ -169,10 +180,7 @@ def kernel_and_reference(block, pset, h):
         store = CurveStore()
         buf = store.allocate(round_info(pset))
         outcome = run(block, pset.copy(), buf, h)
-        if run is reference_integrate_group:  # its passes interleave the rows
-            order = np.argsort(buf.rows[:buf.size], kind="stable")
-            buf.rows[:buf.size], buf.vertices[:buf.size] = buf.rows[order], buf.vertices[order]
-        store.finish_round(pset.ids, buf)
+        store.finish_round(pset.ids, outcome.steps, buf)
         results.append((outcome, store.segments))
     return results
 
@@ -189,7 +197,7 @@ class TestKernelEqualsReference:
         assert [pid for pid, _ in got_segments] == [pid for pid, _ in want_segments]
         for (_, a), (_, b) in zip(got_segments, want_segments):
             assert a.tobytes() == b.tobytes()
-        counted = RoundBuffer(rows=None, vertices=None)
+        counted = RoundBuffer(vertices=None)
         off = integrate_group(block, pset.copy(), counted, h)
         assert off.pos.tobytes() == got.pos.tobytes() and counted.size == int(got.steps.sum())
 
@@ -248,6 +256,65 @@ class TestKernelEqualsReference:
         np.testing.assert_array_equal(got[0], block.lattice[tuple(top + 1)])
 
 
+def kernel_arrays(pos, remaining):
+    """The kernel's in-place outcome arrays for rows at ``pos`` with budgets ``remaining``."""
+    n = len(pos)
+    return dict(pos=np.array(pos, dtype=np.float64), remaining=np.array(remaining, dtype=np.int64),
+                status=np.zeros(n, dtype=np.int64), exit_dir=np.full(n, -1, dtype=np.int64),
+                steps=np.zeros(n, dtype=np.int64))
+
+
+class TestLanes:
+    def test_one_call_equals_one_row_calls(self):
+        rng = np.random.default_rng(3)
+        statuses = set()
+        for n in sorted({1, LANES - 1, LANES, LANES + 1, 37} - {0}):
+            block, pset = random_world(rng, n, 12)
+            pset.remaining[1::3] = 0
+            whole = CurveStore()
+            buf = whole.allocate(round_info(pset))
+            got = integrate_group(block, pset.copy(), buf, 0.05)
+            whole.finish_round(pset.ids, got.steps, buf)
+            rows, outs = CurveStore(), []
+            for i in range(n):
+                one = pset.select([i])
+                one_buf = rows.allocate(round_info(one))
+                outs.append(integrate_group(block.select([i]), one.copy(), one_buf, 0.05))
+                rows.finish_round(one.ids, outs[-1].steps, one_buf)
+            for name in ("status", "exit_dir", "pos", "remaining", "steps"):
+                want = np.concatenate([getattr(out, name) for out in outs])
+                assert getattr(got, name).tobytes() == want.tobytes(), (n, name)
+            assert [pid for pid, _ in whole.segments] == [pid for pid, _ in rows.segments]
+            for (_, a), (_, b) in zip(whole.segments, rows.segments):
+                assert a.tobytes() == b.tobytes()
+            # each lane's region starts at the summed budgets of the rows before it and holds its rows
+            starts, ends = buf.spans.T
+            assert set(starts.tolist()) <= set(np.cumsum(np.r_[0, pset.remaining]).tolist())
+            assert (starts <= ends).all() and (ends[:-1] <= starts[1:]).all() and ends[-1] <= buf.vertices.shape[0]
+            statuses |= set(got.status.tolist())
+        assert statuses == {STATUS_OOB, STATUS_TERMINATED, STATUS_EXITED}
+
+    @pytest.mark.parametrize("fault", ["start-outside", "log-full"])
+    def test_errors_are_raised_before_any_row_advances(self, fault):
+        block, pset = random_world(np.random.default_rng(4), 2 * LANES + 1, 12)
+        remaining = np.full(len(pset), 5)
+        pos, capacity = pset.pos.copy(), int(remaining.sum())
+        if fault == "start-outside":  # the last row, in the last lane, starts below its sampling extent
+            pos[-1] = (block.origin[-1] - 1.5) * block.spacing
+        else:
+            capacity -= 1
+        arrays = kernel_arrays(pos, remaining)
+        before = {name: a.copy() for name, a in arrays.items()}
+        vertices, spans = np.full((capacity, 3), np.nan), np.full((LANES, 2), -1, dtype=np.int64)
+        outcome = (arrays[name].ctypes for name in ("pos", "remaining", "status", "exit_dir", "steps"))
+        code = advect._rk4_advance(*kernel_bounds(block, len(pos)), 0.05, *outcome,
+                                   vertices.ctypes, capacity, spans.ctypes)
+        assert code == (-2 if fault == "start-outside" else -1)
+        for name, a in arrays.items():
+            assert a.tobytes() == before[name].tobytes(), name
+        assert np.isnan(vertices).all() and (spans == -1).all()
+
+
 class TestKernelBuild:
     def test_clean_cache_builds_a_loadable_library(self, tmp_path):
         cache = tmp_path / "cache"
@@ -268,10 +335,16 @@ class TestKernelBuild:
         assert kernel_name(source, KERNEL_FLAGS[:-1]) != name
         assert kernel_name(source, KERNEL_FLAGS + ("-ffast-math",)) != name
 
+    def test_flags_keep_the_kernel_bit_identical_to_numpy(self):
+        # fused multiply-adds, fast-math reassociation and host-specific code generation would
+        # each change the rounding of the numpy reference's operations
+        assert "-ffp-contract=off" in KERNEL_FLAGS
+        assert not any(flag in ("-ffast-math", "-Ofast") or flag.startswith("-march") for flag in KERNEL_FLAGS)
+
     def test_missing_compiler_is_named(self, tmp_path):
         with pytest.raises(ImportError, match="no-such-cc") as info:
             build_kernel(tmp_path, compiler="no-such-cc")
-        assert "no-such-cc -O2 -ffp-contract=off" in str(info.value)
+        assert "no-such-cc -O3 -ffp-contract=off" in str(info.value)
         assert list(tmp_path.iterdir()) == []
 
     def test_unwritable_cache_directory_is_named(self, tmp_path):
@@ -320,7 +393,8 @@ class TestIntegrate:
         info, store, buf, outcome, work = run_one_round(block, queue_of([[0.5, 0.5, 0.5]], 3), 0.001)
         assert outcome.status[0] == STATUS_TERMINATED
         assert buf.size == 3 and work == 3
-        np.testing.assert_array_equal(buf.rows[:3], [0, 0, 0])
+        assert [pid for pid, _ in store.segments] == [0]
+        assert [(a, b) for a, b in buf.spans.tolist() if b > a] == [(0, 3)]  # one lane wrote the row
         np.testing.assert_allclose(buf.vertices[:3, 0], 0.5 + 0.01 * 0.001 * np.arange(1, 4), rtol=1e-12)
 
     def test_exits_plus_x_face_in_expected_steps(self):
@@ -338,8 +412,9 @@ class TestIntegrate:
         _, _, buf1, out1, _ = run_one_round(block, q.copy(), 0.001)
         _, _, buf2, out2, _ = run_one_round(block, q.copy(), 0.001)
         assert buf1.size == buf2.size > 0
-        np.testing.assert_array_equal(buf1.rows[:buf1.size], buf2.rows[:buf2.size])
-        np.testing.assert_array_equal(buf1.vertices[:buf1.size], buf2.vertices[:buf2.size])
+        np.testing.assert_array_equal(buf1.spans, buf2.spans)
+        for start, end in buf1.spans:
+            np.testing.assert_array_equal(buf1.vertices[start:end], buf2.vertices[start:end])
         np.testing.assert_array_equal(out1.pos, out2.pos)
 
     def test_domain_exit_terminates_without_vertex(self):
@@ -372,7 +447,7 @@ class TestWorldBatching:
         for block, pset in zip(blocks, sets):
             buf = CurveStore().allocate(round_info(pset))
             separate.append(integrate_group(block, pset, buf, 0.001))
-            curves.finish_round(pset.ids, buf)
+            curves.finish_round(pset.ids, separate[-1].steps, buf)
 
         world = concat_particles(sets)
         world_buf = CurveStore().allocate(round_info(world))
@@ -381,7 +456,7 @@ class TestWorldBatching:
                         np.array([b.core_dims for b in blocks])[world.home])
         batched = integrate_group(per_row, world, world_buf, 0.001)
         world_curves = CurveStore()
-        world_curves.finish_round(world.ids, world_buf)
+        world_curves.finish_round(world.ids, batched.steps, world_buf)
 
         for name in ("status", "exit_dir", "pos", "remaining", "steps"):
             expected = np.concatenate([getattr(out, name) for out in separate])
@@ -397,16 +472,18 @@ class TestWorldBatching:
 
 class TestCurveStore:
     def test_finish_round_archives_each_written_prefix(self):
-        # the kernel writes each row's vertices as one run in step order, rows ascending;
-        # the two entries past the cursor were never written
-        rows = np.array([1, 1, 2, 2, 2, 2, 4, 3, 0])
-        buf = RoundBuffer(rows=rows.copy(), vertices=np.column_stack([np.arange(9.0), rows, rows]), size=7)
+        # rows 0-1 and 2-4 are two lanes with budgets (3, 2) and (4, 1, 2); each lane writes a
+        # prefix of its region, one run per row in row order; -1 marks unwritten slots
+        rows = np.array([1, 1, -1, -1, -1, 2, 2, 2, 2, 4, -1, -1])
+        buf = RoundBuffer(vertices=np.column_stack([np.arange(12.0), rows, rows]),
+                          spans=np.array([[0, 2], [5, 10]]), size=7)
         store = CurveStore()
-        store.finish_round(np.array([10, 11, 12, 13, 14]), buf)
+        store.finish_round(np.array([10, 11, 12, 13, 14]), np.array([0, 2, 4, 0, 1]), buf)
         assert [pid for pid, _ in store.segments] == [11, 12, 14]
         for (_, got), row in zip(store.segments, (1, 2, 4)):
             np.testing.assert_array_equal(got[:, 0], np.flatnonzero(rows == row))
             assert (got[:, 1] == row).all()
+        assert not np.shares_memory(store.segments[0][1], buf.vertices)  # a copy of the written spans
 
     def test_merge_keeps_only_written_vertices(self):
         block = rasterize_block(ConstantField((0.01, 0.0, 0.0)), (16, 16, 16), (0, 0, 0), (16, 16, 16))
@@ -421,17 +498,16 @@ class TestCurveStore:
     def test_particle_without_vertices_contributes_nothing(self):
         store = CurveStore()
         buf = store.allocate(round_info(queue_of([[0.5, 0.5, 0.5]], 5)))
-        store.finish_round(np.array([7]), buf)  # nothing appended
+        store.finish_round(np.array([7]), np.array([0]), buf)  # nothing appended
         assert merge_curves(store) == {}
 
     def test_merge_orders_segments_by_round(self):
         store = CurveStore()
         for ids, x in ((np.array([3, 5]), [0.2, 0.3]), (np.array([5, 3]), [0.4, 0.5])):
             buf = store.allocate(round_info(queue_of(np.zeros((2, 3)), 1)))
-            buf.rows[:] = [0, 1]
             buf.vertices[:] = np.column_stack([x, np.zeros(2), np.zeros(2)])
-            buf.size = 2
-            store.finish_round(ids, buf)
+            buf.spans, buf.size = np.array([[0, 1], [1, 2]]), 2
+            store.finish_round(ids, np.array([1, 1]), buf)
         merged = merge_curves(store)
         np.testing.assert_array_equal(merged[3][:, 0], [0.2, 0.5])
         np.testing.assert_array_equal(merged[5][:, 0], [0.3, 0.4])
@@ -442,6 +518,14 @@ class TestCurveStore:
         block = rasterize_block(ConstantField((0.01, 0.0, 0.0)), (16, 16, 16), (0, 0, 0), (16, 16, 16))
         with pytest.raises(InvariantError, match="logged 2 vertices for 3 accepted steps"):
             run_one_round(block, queue_of([[0.5, 0.5, 0.5]], 3), 0.001)
+
+    def test_second_kernel_call_into_one_log_is_an_invariant_error(self):
+        block = rasterize_block(ConstantField((0.01, 0.0, 0.0)), (16, 16, 16), (0, 0, 0), (16, 16, 16))
+        queue = queue_of([[0.5, 0.5, 0.5]], 3)
+        buf = CurveStore().allocate(RoundInfo(capacity=6))
+        integrate(block, queue, buf, 0.001)
+        with pytest.raises(InvariantError, match="already written"):
+            integrate(block, queue, buf, 0.001)
 
     def test_log_one_slot_short_is_an_invariant_error(self):
         block = rasterize_block(ConstantField((0.01, 0.0, 0.0)), (16, 16, 16), (0, 0, 0), (16, 16, 16))

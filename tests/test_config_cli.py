@@ -108,12 +108,12 @@ class TestConfigParsing:
             return [e for e in cfg.validate() if e.startswith("export_curves")]
 
         dense = RunConfig(stride=(1, 1, 1))  # 64^3 seeds, 50,000 selected per round
-        assert dense.round_buffer_bytes() == 50_000 * 1000 * 32 > ROUND_BUFFER_CAP_BYTES
+        assert dense.round_buffer_bytes() == 50_000 * 1000 * 24 > ROUND_BUFFER_CAP_BYTES
         assert len(buffer_errors(dense)) == 1 and "GiB" in buffer_errors(dense)[0]
         assert RunConfig(stride=(1, 1, 1), export_curves=False).validate() == []
-        # one rank, every 4th node: 4,096 seeds and a 131 MB log
+        # one rank, every 4th node: 4,096 seeds and a 98 MB log
         oracle = RunConfig(stride=(4, 4, 4))
-        assert oracle.round_buffer_bytes() == 4096 * 1000 * 32
+        assert oracle.round_buffer_bytes() == 4096 * 1000 * 24
         assert oracle.validate() == []
         # few particles per round bound the buffer whatever the seed count
         assert RunConfig(stride=(1, 1, 1), grid=(4, 2, 2), particles_per_round=64).validate() == []
@@ -125,7 +125,7 @@ class TestConfigParsing:
         cfg = RunConfig(resolution=(19, 23, 17), stride=(3, 2, 5), aabb_scale=0.6, max_iterations=7)
         sim = Simulator(AnalyticField("abc"), cfg.resolution, (1, 1, 1), "none", stride=cfg.stride,
                         aabb_scale=cfg.aabb_scale, max_iterations=cfg.max_iterations)
-        assert cfg.round_buffer_bytes() == sim.seed_count * 7 * 32
+        assert cfg.round_buffer_bytes() == sim.seed_count * 7 * 24
 
     def test_apply_setting_rejects_bad_values(self):
         with pytest.raises(ConfigError):
