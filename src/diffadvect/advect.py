@@ -6,8 +6,9 @@ four events:
 
 * its iteration budget is spent: ``STATUS_TERMINATED`` (a zero budget takes
   no step);
-* the updated position leaves the unit-cube domain: ``STATUS_EXITED``; the
-  position is not updated and no vertex is logged;
+* the updated position leaves the unit-cube domain: ``STATUS_EXITED``, the
+  one way out of the domain, tested before the core region; the position is
+  not updated and no vertex is logged;
 * the updated position leaves its home block's core region: ``STATUS_OOB``;
   the vertex is kept and the particle is handed off at its new position;
 * an RK4 stage point leaves the home block's ghost-padded sampling extent
@@ -31,7 +32,9 @@ then x lerps, each ``(1 - f) * a + f * b``; stage points ``p + (h/2) * k``
 and ``p + (h/6) * (((k1 + 2*k2) + 2*k3) + k4)``; the sampling test
 ``lo <= g <= hi``, the core test ``origin <= g < origin + core``, the domain
 test ``0 <= x <= 1``; the exit direction is the first maximum of
-``(lo0 - g0, g0 - hi0, lo1 - g1, ...)``. Importing this module builds it with
+``(lo0 - g0, g0 - hi0, lo1 - g1, ...)`` over the faces the point is outside
+of, strictly below ``lo`` or on or above ``hi``, so a point on a lower face
+never ties with the upper face it crossed. Importing this module builds it with
 gcc ``-O3 -ffp-contract=off`` (no fast-math, no fused multiply-add, no
 ``-march``) into this package's ``__pycache__``, under a name keyed by the
 SHA-256 of the source and flags, and loads it.
@@ -94,7 +97,8 @@ def build_kernel(cache_dir, compiler: str = "gcc") -> Path:
 
     The compiler reads the very source text that was hashed, and writes a
     temporary file that is renamed into place, so a concurrent reader never
-    sees a partial library.
+    sees a partial library. A fresh build then deletes the directory's other
+    ``rk4-*.so`` libraries, built from earlier sources or flags.
     """
     source = KERNEL_SOURCE.read_bytes()
     path = Path(cache_dir) / kernel_name(source, KERNEL_FLAGS)
@@ -116,6 +120,9 @@ def build_kernel(cache_dir, compiler: str = "gcc") -> Path:
     finally:
         if tmp is not None:
             Path(tmp).unlink(missing_ok=True)
+    for stale in path.parent.glob("rk4-*.so"):
+        if stale != path:
+            stale.unlink(missing_ok=True)
     return path
 
 
@@ -215,11 +222,14 @@ def merge_curves(store: CurveStore) -> dict[int, np.ndarray]:
 def _exit_directions(g: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
     """Dominant-axis exit direction of each g-space point from the box ``[lo, hi]``.
 
-    Overshoot is measured in voxel units; the largest one wins, ties break in
-    direction order (x before y before z).
+    Only the faces a point is outside of compete: strictly below ``lo`` or
+    on or above ``hi``. Overshoot is measured in voxel units; the largest one
+    wins, ties break in direction order (x before y before z).
     """
-    over = np.stack([lo - g, g - hi], axis=-1).reshape(g.shape[:-1] + (6,))
-    return np.argmax(over, axis=-1).astype(np.int64)
+    shape = g.shape[:-1] + (6,)
+    over = np.stack([lo - g, g - hi], axis=-1).reshape(shape)
+    outside = np.stack([g < lo, g >= hi], axis=-1).reshape(shape)
+    return np.argmax(np.where(outside, over, -np.inf), axis=-1).astype(np.int64)
 
 
 def _block_step(block: Block, pos: np.ndarray, h: float):

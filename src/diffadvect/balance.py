@@ -19,7 +19,7 @@ the neighbor table of :func:`topology.neighbor_table` (``W[r, d]`` is -1 where
 rank ``r`` has no neighbor in direction ``d``). :func:`decide` computes every
 rank's send row at once; :func:`plan_transfers` gathers ``W`` (and, under
 gllma, the quotas each rank was granted) and calls it; :func:`select_particles`
-names the world-table rows that realise the sends.
+names the queue positions that realise the sends.
 
 All arithmetic is integer (particles are indivisible); means use floor
 division. Every scheduler conserves particles: no rank sends more than it
@@ -157,17 +157,17 @@ def plan_transfers(neighbors, loads, scheduler: str, alpha: float | None = None)
 
 
 def select_particles(loads, sends) -> tuple[np.ndarray, list[np.ndarray]]:
-    """Pick the world-table rows that realise a send matrix: most recently queued first.
+    """Pick the queue positions that realise a send matrix: most recently queued first.
 
-    The table holds each rank's queue as one slice, ``loads[r]`` rows long, in
-    rank order, and every row is at home (the previous round's collect stage
-    returned every loan). Rank ``r`` lends the tail of its slice,
-    ``sends[r].sum()`` rows, a direction at a time: direction 0 takes the
-    first run of the tail, direction 1 the next, and so on.
+    Positions count along the ranks' queues laid end to end in rank order,
+    rank ``r``'s ``loads[r]`` long; the caller maps them to its rows. Every
+    queued particle is at home (the previous round's collect stage returned
+    every loan). Rank ``r`` lends the tail of its queue, ``sends[r].sum()``
+    positions, a direction at a time: direction 0 takes the first run of the
+    tail, direction 1 the next, and so on.
 
-    Returns ``(kept_rows, per_direction_rows)``: row indices into the table,
-    each ascending, with one entry of ``per_direction_rows`` per column of
-    ``sends``.
+    Returns ``(kept, per_direction)``: queue positions, each ascending, with
+    one entry of ``per_direction`` per column of ``sends``.
     """
     loads, sends = np.asarray(loads, dtype=np.int64), np.asarray(sends, dtype=np.int64)
     # the first row of each (rank, direction) run, direction-major like the counts

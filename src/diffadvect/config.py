@@ -28,6 +28,15 @@ LATTICE_CAP_BYTES = 1 << 30
 # selected particle may append max_iterations vertices of an xyz float64
 # triplet.
 ROUND_BUFFER_CAP_BYTES = 1 << 29
+# Largest particle table a run may seed: seeds x SEED_BYTES, the peak resident
+# bytes per seed. A run of 2,097,152 seeds (abc, 128^3, stride 1, 2x2x2 gllma,
+# 1 iteration, curves off, on a 2-CPU Xeon with Python 3.11 and numpy 2.4)
+# peaked at 464.4 MiB in a fresh process, against 84.6 MiB at stride 8 (4,096
+# seeds): about 190 B per seed, for a 64 B table row. Seeding sets the peak
+# (452 MiB once the Simulator is built); the rounds add about 12 MiB. The
+# 2 GiB cap admits about 11 million seeds.
+SEED_TABLE_CAP_BYTES = 1 << 31
+SEED_BYTES = 190
 # Most ranks a run may simulate: 16^3, 256 times the largest sweep's 16. Each
 # rank costs work every round: a 128-byte rounds-table row and its share of
 # the whole-grid array operations, the balancing decision included. With 4,096
@@ -128,6 +137,13 @@ class RunConfig:
             errors.append(f"particles_per_round: must be >= 1, got {self.particles_per_round}")
         if self.alpha is not None and not (0.0 < self.alpha <= 1.0):
             errors.append(f"alpha: must be in (0, 1], got {self.alpha}")
+        if not any(e.startswith(("resolution:", "aabb_scale", "stride")) for e in errors):  # axes capped, seedable
+            need = self.seed_table_bytes()
+            if need > SEED_TABLE_CAP_BYTES:
+                errors.append(
+                    f"seeds: {self.seed_count():,} seeds need about {need / 2**30:.3g} GiB "
+                    f"(seeds x {SEED_BYTES} B), above the {SEED_TABLE_CAP_BYTES / 2**30:g} GiB cap; "
+                    f"raise stride, or lower aabb_scale or resolution")
         inputs = ("resolution", "grid", "nodes", "aabb_scale", "stride", "max_iterations", "particles_per_round")
         if self.export_curves and dims is not None and not any(e.startswith(inputs) for e in errors):
             need = self.round_buffer_bytes()
@@ -139,11 +155,18 @@ class RunConfig:
                     f"max_iterations, raise stride, or set export_curves = false")
         return errors
 
+    def seed_count(self) -> int:
+        """The particles the run seeds, counted without seeding."""
+        from .runtime import seed_axes
+        return math.prod(len(a) for a in seed_axes(self.resolution, self.aabb_scale, self.stride))
+
+    def seed_table_bytes(self) -> int:
+        """The run's peak bytes for its particle table, at the measured :data:`SEED_BYTES` per seed."""
+        return self.seed_count() * SEED_BYTES
+
     def round_buffer_bytes(self) -> int:
         """Upper bound on one round's curve log, computed without seeding."""
-        from .runtime import seed_axes
-        seeds = math.prod(len(a) for a in seed_axes(self.resolution, self.aabb_scale, self.stride))
-        selected = min(seeds, math.prod(self.grid_dims()) * self.particles_per_round)
+        selected = min(self.seed_count(), math.prod(self.grid_dims()) * self.particles_per_round)
         return selected * self.max_iterations * 24
 
     def require_valid(self) -> "RunConfig":

@@ -5,7 +5,7 @@ whose block a particle samples; ``holder`` is the rank that queues it; a
 particle held by a rank other than its home is on loan from its home.
 ``seq`` is the FIFO key: a holder's queue is its rows in ``seq`` order, and
 a fresh set queues in id order. Selecting and concatenating rows keep their
-order, which the runtime relies on for determinism.
+order; no result depends on it, since queues are ordered by ``seq``.
 """
 
 from __future__ import annotations

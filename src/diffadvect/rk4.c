@@ -73,15 +73,18 @@ static inline int inside(const double *g, const int64_t *lo, const int64_t *hi, 
     return 1;
 }
 
-/* The first maximum of (lo0 - g0, g0 - hi0, lo1 - g1, g1 - hi1, lo2 - g2, g2 - hi2). */
+/* The first maximum of the overshoots (lo0 - g0, g0 - hi0, lo1 - g1, ...) over the faces that g is
+ * outside of: strictly below lo, or on or above hi. A point on a lower face is inside it, so it never
+ * ties with the upper face it crossed. */
 static int64_t exit_direction(const double *g, const int64_t *lo, const int64_t *hi)
 {
-    int64_t best = 0;
-    double top = (double)lo[0] - g[0];
-    for (int k = 1; k < 6; k++) {
+    int64_t best = -1;
+    double top = -1.0; /* every outside face overshoots by >= 0 */
+    for (int k = 0; k < 6; k++) {
         int a = k / 2;
         double over = (k & 1) ? g[a] - (double)hi[a] : (double)lo[a] - g[a];
-        if (over > top) {
+        int outside = (k & 1) ? g[a] >= (double)hi[a] : g[a] < (double)lo[a];
+        if (outside && over > top) {
             top = over;
             best = k;
         }
@@ -216,7 +219,7 @@ int64_t rk4_advance(int64_t n, const double *lattice, int64_t sx, int64_t sy, co
                                                  + lane->k[3][a]);
                     in_domain &= q[a] >= 0.0 && q[a] <= 1.0;
                 }
-                if (!in_domain) {
+                if (!in_domain) { /* before the core test: the one way out of the domain */
                     event = STATUS_EXITED;
                 } else {
                     if (vertices)

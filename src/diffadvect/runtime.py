@@ -2,9 +2,10 @@
 
 Every particle is a row of one :class:`ParticleSet` that carries its ``home``
 rank, whose block it samples, its ``holder``, the rank that queues it, and
-its FIFO key ``seq``. The table is kept sorted by ``(holder, seq)``, so each
-rank's queue is one slice. A particle is on loan when its holder is not its
-home; only a face neighbor of its home may hold it.
+its FIFO key ``seq``. A rank's queue is its held rows in ``seq`` order; rows
+stay where they are stored, and a stage that needs queue order computes it
+as one lexsort of ``(holder, seq)``. A particle is on loan when its holder is
+not its home; only a face neighbor of its home may hold it.
 
 Topology is two tables: ``neighbors``, the ``(ranks, 6)`` face-neighbor table
 of :func:`topology.neighbor_table` (-1 at the domain hull), and ``blocks``,
@@ -13,14 +14,17 @@ whose rows are the ranks' bounds from :func:`topology.decompose`.
 A round runs the paper's stages, each as one synchronous step of the whole
 world, as in Cybenko's diffusion model: distribute (one
 :func:`balance.plan_transfers` send matrix over the neighbor table, then one
-:func:`balance.select_particles` call: each rank lends the tail of its slice of
-the table, a direction at a time, and every row is at home then, since the
-previous round's collect returned every loan),
-round info (each holder's first ``particles_per_round`` rows), allocate and
-integrate (one call over the selected rows in table order), collect (every
-surviving loan returns home; a loan that terminates at the borrower dies
-there) and hand-off (the neighbor in a particle's exit direction becomes its
-holder and home; the hull means exit).
+:func:`balance.select_particles` call: each rank lends the tail of its queue,
+a direction at a time, and every row is at home then, since the previous
+round's collect returned every loan), round info (each holder's first
+``particles_per_round`` queued rows), allocate and integrate (one call over
+the selected rows in queue order, after which each block exit's receiver is
+its home's neighbor in its exit direction and one compaction drops the
+finished rows), collect (every surviving loan returns home; a loan that
+terminates at the borrower dies there) and hand-off (each block exit's
+receiver becomes its holder and home). A particle leaves the domain only as
+the kernel's ``STATUS_EXITED``; a block exit into the hull is an
+:class:`InvariantError`.
 Every move goes through :meth:`Simulator._move`, which queues the moved rows
 behind the receiver's own, by the sender's direction in the receiver's
 neighbor-table row, then in the sender's order. Collect runs before
@@ -150,7 +154,9 @@ class Simulator:
         lattice = rasterize_global(field, self.resolution, padded=True)
         spacing = 1.0 / (np.asarray(self.resolution, dtype=np.float64) - 1.0)
         # Stage points must stay within one ghost cell of the core region,
-        # otherwise a handed-off step may be computable by no rank.
+        # otherwise a handed-off step may be computable by no rank; they also
+        # stay half a cell inside the hull-side sampling bounds, so every
+        # block exit, stage-rejected or not, crosses an inner face.
         cmax = max(float(lattice.max()), -float(lattice.min()))  # max|v| without an |lattice| temporary
         if 2.0 * self.h * cmax > float(spacing.min()):
             raise ConfigError(f"step {self.h} too large for ghost margin: 2*h*max|v| = "
@@ -169,32 +175,30 @@ class Simulator:
     def _loads(self) -> np.ndarray:
         return np.bincount(self.particles.holder, minlength=self.grid.rank_count)
 
-    def _sort(self) -> np.ndarray:
-        """Sort the table by ``(holder, seq)``; returns the permutation applied."""
-        order = np.lexsort((self.particles.seq, self.particles.holder))
-        self.particles = self.particles.select(order)
-        return order
+    def _queue(self) -> np.ndarray:
+        """The table's rows in queue order: by holder, then ``seq``."""
+        return np.lexsort((self.particles.seq, self.particles.holder))
 
-    def _move(self, rows: np.ndarray, to: np.ndarray) -> np.ndarray:
+    def _move(self, rows: np.ndarray, to: np.ndarray) -> None:
         """Hand table ``rows`` to ranks ``to``, queued behind what each receiver holds.
 
         Arrivals queue by receiver, then by the direction of their current
         holder in the receiver's neighbor-table row, then in that holder's
-        order. Returns the permutation that re-sorted the table.
+        order. Only the moved rows' ``holder`` and ``seq`` change; no row moves.
         """
         p = self.particles
         direction = np.argmax(self.neighbors[to] == p.holder[rows, np.newaxis], axis=1)
         arrivals = rows[np.lexsort((p.seq[rows], direction, to))]
         p.seq[arrivals] = p.seq.max(initial=-1) + 1 + np.arange(rows.size)
         p.holder[rows] = to
-        return self._sort()
 
     def _assert_containable(self) -> None:
         """Every particle is held by its home or a face neighbor of it, and its home block reaches it."""
         p = self.particles
-        foreign = (p.holder != p.home) & ~np.any(self.neighbors[p.holder] == p.home[:, np.newaxis], axis=1)
-        if foreign.any():
-            i = np.argmax(foreign)
+        loans = np.flatnonzero(p.holder != p.home)
+        foreign = loans[~np.any(self.neighbors[p.home[loans]] == p.holder[loans, np.newaxis], axis=1)]
+        if foreign.size:
+            i = foreign[0]
             raise InvariantError(f"rank {p.holder[i]} holds a particle of non-neighbor rank {p.home[i]}")
         unreachable = ~self.blocks.select(p.home).samplable_mask(p.pos)
         if unreachable.any():
@@ -209,11 +213,10 @@ class Simulator:
         a plain number that ``json`` can write; the run keeps the int64 block.
         """
         ranks = self.grid.rank_count
-        self._sort()
         self._assert_containable()
         stamps = [time.perf_counter()]
 
-        # Stage 1, distribute: each rank lends the tail of its home rows to its neighbors.
+        # Stage 1, distribute: each rank lends the tail of its queue to its neighbors.
         load_pre = self._loads()
         lent, lent_to = self._lend(load_pre)
         sent_balanced = np.bincount(self.particles.holder[lent], minlength=ranks)
@@ -221,9 +224,10 @@ class Simulator:
         load_post = self._loads()
         stamps.append(time.perf_counter())
 
-        # Stage 2, round info: each holder's first particles_per_round rows run.
+        # Stage 2, round info: each holder's first particles_per_round queued rows run.
         p = self.particles
-        sel = np.flatnonzero(np.arange(len(p)) - (np.cumsum(load_post) - load_post)[p.holder] < self.ppr)
+        queue = self._queue()
+        sel = queue[np.arange(len(p)) - (np.cumsum(load_post) - load_post)[p.holder[queue]] < self.ppr]
         world = p.select(sel)
         budgets = np.bincount(world.holder, world.remaining, ranks)
         stamps.append(time.perf_counter())
@@ -236,39 +240,35 @@ class Simulator:
         steps = np.bincount(world.holder, out.steps, ranks).astype(np.int64)
         self.terminated += int(np.count_nonzero(out.status == STATUS_TERMINATED))
         self.exited += int(np.count_nonzero(out.status == STATUS_EXITED))
+        oob = out.status == STATUS_OOB
+        receivers = self.neighbors[world.home[oob], out.exit_dir[oob]]
+        if np.any(receivers < 0):
+            raise InvariantError(f"round {round_index}: a block exit points at the domain hull")
         p.pos[sel], p.remaining[sel] = out.pos, out.remaining
-        exit_dir = np.full(len(p), -1, dtype=np.int64)  # set on rows that left their home block
-        exit_dir[sel] = out.exit_dir
-        alive = np.delete(np.arange(len(p)), sel[out.status != STATUS_OOB])  # rows still active
-        self.particles, exit_dir = p.select(alive), exit_dir[alive]
+        alive = np.delete(np.arange(len(p)), sel[~oob])  # rows still active
+        self.particles = p = p.select(alive)
+        handed = np.searchsorted(alive, sel[oob])  # the block exits' rows in the compacted table
         stamps.append(time.perf_counter())
 
         # Stage 5, collect: every surviving loan returns home.
         held_at_collect = self._loads()
-        p = self.particles
         loans = np.flatnonzero(p.holder != p.home)
-        exit_dir = exit_dir[self._move(loans, p.home[loans])]
-        if np.any(self.particles.holder != self.particles.home):
+        self._move(loans, p.home[loans])
+        if np.any(p.holder != p.home):
             raise InvariantError(f"round {round_index}: a loan did not return home")
         stamps.append(time.perf_counter())
 
-        # Stage 6, out of bounds: each home rank routes to a neighbor; the hull means exit.
+        # Stage 6, out of bounds: each block exit moves home to its receiver.
         held_at_oob = self._loads()
-        p = self.particles
-        target = np.where(exit_dir >= 0, self.neighbors[p.holder, exit_dir], -1)
-        hull = (exit_dir >= 0) & (target < 0)
-        self.exited += int(np.count_nonzero(hull))
-        self.particles, target = p.select(~hull), target[~hull]
-        handed = np.flatnonzero(target >= 0)
-        sent_oob = np.bincount(self.particles.holder[handed], minlength=ranks)
-        self.particles.home[handed] = target[handed]
-        self._move(handed, target[handed])
+        sent_oob = np.bincount(p.holder[handed], minlength=ranks)
+        p.home[handed] = receivers
+        self._move(handed, receivers)
         stamps.append(time.perf_counter())
 
         counts = dict(round=round_index, rank=np.arange(ranks), integrate_steps=steps, load_pre=load_pre,
                       load_post=load_post, sent_balanced=sent_balanced,
                       recv_balanced=np.bincount(lent_to, minlength=ranks),
-                      sent_oob=sent_oob, recv_oob=np.bincount(target[handed], minlength=ranks))
+                      sent_oob=sent_oob, recv_oob=np.bincount(receivers, minlength=ranks))
         block = round_table(ranks)
         for column, values in counts.items():
             block[column] = values
@@ -289,7 +289,7 @@ class Simulator:
         """The rows every rank lends, by :func:`balance.select_particles`, and their receivers."""
         sends = balance.plan_transfers(self.neighbors, loads, self.scheduler, self.alpha)
         _, per_direction = balance.select_particles(loads, sends)
-        return np.concatenate(per_direction), np.repeat(self.neighbors.T.ravel(), sends.T.ravel())
+        return self._queue()[np.concatenate(per_direction)], np.repeat(self.neighbors.T.ravel(), sends.T.ravel())
 
     def run(self) -> RunResult:
         round_index = 0

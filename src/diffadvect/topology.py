@@ -69,7 +69,9 @@ def _coords(grid: ProcessGrid) -> np.ndarray:
 def neighbor_table(grid: ProcessGrid) -> np.ndarray:
     """``table[r, d]``: rank ``r``'s face neighbor in direction ``d``, -1 at the domain hull.
 
-    A -1 in a particle's exit direction means it left the global domain.
+    A block exit always crosses an inner face, so its receiver is never -1:
+    a particle leaves the global domain only by a step the kernel reports
+    exited.
     """
     coords, ranks = _coords(grid), np.arange(grid.rank_count, dtype=np.int64)
     table = np.empty((grid.rank_count, 6), dtype=np.int64)

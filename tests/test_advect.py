@@ -234,6 +234,15 @@ class TestKernelEqualsReference:
         assert got.exit_dir[0] == want.exit_dir[0] == 0
         assert got.steps[0] == want.steps[0] == (1 if h < 0.1 else 0)
 
+    def test_a_lower_face_point_does_not_tie_with_the_face_it_crossed(self):
+        # The step lands on the +y face (overshoot 0, outside) at x on the -x face (overshoot 0, inside).
+        block = rasterize_block(ConstantField((0.0, 1.0, 0.0)), (9, 9, 9), (0, 0, 0), (9, 5, 9))
+        pset = queue_of([[0.0, 0.5625, 0.5]], 5)
+        (got, _), (want, _) = kernel_and_reference(block, pset, 0.0625)
+        assert got.status[0] == want.status[0] == STATUS_OOB
+        assert got.exit_dir[0] == want.exit_dir[0] == 3
+        assert got.steps[0] == want.steps[0] == 1
+
     @settings(max_examples=60, deadline=None)
     @given(st.integers(0, 2**32 - 1), st.integers(1, 40))
     def test_sampler_equals_sample_clamped(self, seed, n):
@@ -318,8 +327,13 @@ class TestLanes:
 class TestKernelBuild:
     def test_clean_cache_builds_a_loadable_library(self, tmp_path):
         cache = tmp_path / "cache"
+        cache.mkdir()
+        stale, unrelated = cache / "rk4-0000000000000000.so", cache / "notes.txt"
+        stale.write_bytes(b"")
+        unrelated.write_text("")
         path = build_kernel(cache)
-        assert list(cache.iterdir()) == [path]  # no temporary file left behind
+        # no temporary file or earlier library left behind, and nothing else removed
+        assert sorted(cache.iterdir()) == sorted([path, unrelated])
         assert build_kernel(cache) == path
         block, _ = random_world(np.random.default_rng(1), 5, 9)
         points = (block.origin + 0.5) * block.spacing

@@ -10,6 +10,8 @@ from diffadvect.config import (
     LATTICE_CAP_BYTES,
     RANK_CAP,
     ROUND_BUFFER_CAP_BYTES,
+    SEED_BYTES,
+    SEED_TABLE_CAP_BYTES,
     SETTINGS,
     RunConfig,
     apply_setting,
@@ -117,6 +119,17 @@ class TestConfigParsing:
         assert oracle.validate() == []
         # few particles per round bound the buffer whatever the seed count
         assert RunConfig(stride=(1, 1, 1), grid=(4, 2, 2), particles_per_round=64).validate() == []
+
+    def test_oversized_seed_table_rejected_by_estimate(self):
+        # every node of a lattice just under the lattice cap: 43,986,977 seeds, counted without seeding
+        cfg = RunConfig(resolution=(353, 353, 353), stride=(1, 1, 1), step=1e-4, export_curves=False)
+        assert cfg.seed_table_bytes() == 353 ** 3 * SEED_BYTES > SEED_TABLE_CAP_BYTES
+        [problem] = cfg.validate()
+        assert problem.startswith("seeds: 43,986,977 seeds") and "GiB" in problem
+        assert all(remedy in problem for remedy in ("raise stride", "aabb_scale", "resolution"))
+        # it is listed with every other problem
+        problems = RunConfig(resolution=(353, 353, 353), stride=(1, 1, 1), scheduler="foo").validate()
+        assert [p.split(":")[0] for p in problems] == ["scheduler", "seeds", "export_curves"]
 
     def test_round_buffer_estimate_counts_the_seeds(self):
         from diffadvect.field import AnalyticField

@@ -161,13 +161,16 @@ class TestTwoRankBalancing:
 
 
 class TestCrossDomainDrift:
-    def _run(self, grid):
-        sim = Simulator(ConstantField((1.0, 0.0, 0.0)), (17, 17, 17), grid, "none",
+    def _sim(self, grid, velocity=(1.0, 0.0, 0.0), resolution=17, step=0.001, start=(0.01, 0.51, 0.52)):
+        sim = Simulator(ConstantField(velocity), (resolution,) * 3, grid, "none", step=step,
                         max_iterations=1000, stride=(8, 8, 8))
         drain_queues(sim)
-        sim.particles = particles_at([[0.01, 0.51, 0.52]], 1000, 0)
+        sim.particles = particles_at([start], 1000, 0)
         sim.seed_count = 1
-        return sim.run()
+        return sim
+
+    def _run(self, grid, **drift):
+        return self._sim(grid, **drift).run()
 
     def test_particle_visits_each_x_rank_once_and_matches_single_rank(self):
         base = self._run((1, 1, 1))
@@ -179,6 +182,22 @@ class TestCrossDomainDrift:
             recv[rec.rank] += rec.recv_oob
         assert recv[1] == recv[2] == recv[3] == 1 and recv[0] == 0
         np.testing.assert_array_equal(base.curves[0], multi.curves[0])
+
+    def test_a_step_onto_a_block_face_along_the_hull_is_handed_off(self):
+        # From x = 0 the particle lands on the +y face of rank 0's core while on the domain's -x
+        # face, which is inside the core and must not compete with the +y face it crossed.
+        drift = dict(velocity=(0.0, 1.0, 0.0), resolution=9, step=0.0625, start=(0.0, 0.5625, 0.5))
+        base, split = self._run((1, 1, 1), **drift), self._run((1, 2, 1), **drift)
+        assert base.exited == split.exited == 1
+        assert split.records.sent_oob.sum() == 1
+        assert base.curves[0].shape == (7, 3) and base.curves[0][-1, 1] == 1.0
+        np.testing.assert_array_equal(split.curves[0], base.curves[0])
+
+    def test_a_block_exit_into_the_hull_is_an_invariant_error(self):
+        sim = self._sim((2, 1, 1))
+        sim.neighbors[0, 1] = -1  # the drift crosses rank 0's +x face, now marked as the hull
+        with pytest.raises(InvariantError, match="domain hull"):
+            sim.run_round(1)
 
 
 class TestDeterminismAndInvariants:
@@ -197,6 +216,21 @@ class TestDeterminismAndInvariants:
                     ra.sent_balanced, ra.recv_balanced, ra.sent_oob, ra.recv_oob) == (
                 rb["round"], rb.rank, rb.integrate_steps, rb.load_pre, rb.load_post,
                 rb.sent_balanced, rb.recv_balanced, rb.sent_oob, rb.recv_oob)
+
+    def test_a_round_gathers_the_table_twice(self, monkeypatch):
+        # the round's world and the one compaction after integrate; no stage re-sorts the table
+        sim = Simulator(AnalyticField("toroidal"), (32, 32, 32), (2, 2, 2), "gllma",
+                        max_iterations=60, stride=(4, 4, 4), aabb_scale=0.5)
+        gathers = []
+        select = ParticleSet.select
+
+        def counting_select(pset, index):
+            gathers.append(len(pset))
+            return select(pset, index)
+
+        monkeypatch.setattr(ParticleSet, "select", counting_select)
+        result = sim.run()
+        assert result.rounds > 1 and len(gathers) == 2 * result.rounds
 
     @pytest.mark.parametrize("planting", ["rank 1 first", "rank 2 first"])
     def test_arrivals_queue_in_the_receivers_direction_order(self, planting):
