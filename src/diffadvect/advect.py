@@ -39,21 +39,29 @@ gcc ``-O3 -ffp-contract=off`` (no fast-math, no fused multiply-add, no
 ``-march``) into this package's ``__pycache__``, under a name keyed by the
 SHA-256 of the source and flags, and loads it.
 
-The kernel splits the rows into :data:`LANES` contiguous ranges and advances
-one row of each range together, stage by stage, so the lanes' independent
-chains of divides, gathers and lerps overlap; each row still runs to its event
-before its lane takes the next. Before any row advances it checks that every
-row with a positive budget starts inside its sampling extent and that the
-summed budgets fit the log, so either error leaves every array untouched.
+The kernel runs on one worker per CPU this process may run on
+(``os.sched_getaffinity``, so ``taskset`` limits it), but on no more than one
+per :data:`LANES` chunks of :data:`CHUNK` rows, since a helper thread costs
+about 0.2 ms to start: the calling thread plus helper threads started for the
+call, which block every signal and are pinned to CPUs other than the
+caller's. Each worker advances :data:`LANES` rows together, one per lane,
+stage by stage, so the lanes' independent chains of divides, gathers and
+lerps overlap. A lane claims its next chunk from one shared counter, so the
+work balances itself, and each row still runs to its event before its lane
+takes the next. Before any row advances the kernel checks that every row with a
+positive budget starts inside its sampling extent and that the summed budgets
+fit the log, so either error leaves every array untouched.
 
 With curves on, each round's log holds vertices only, sized by the
-selection's summed budgets but touched only as far as it is written. Each
-lane writes into its own region, which starts at the summed budgets of the
-rows before its range, each of its rows as one run in step order, and the
-kernel reports each lane's written ``[start, end)``. After the round,
+selection's summed budgets. It is a private anonymous memory mapping kept from
+huge pages, so only the pages the kernel writes become resident. Each chunk
+writes into its own region, which starts at the summed budgets of the rows
+before the chunk, each of its rows as one run in step order, and the kernel
+reports each chunk's written ``[start, end)``. After the round,
 :meth:`CurveStore.finish_round` copies the spans into one block, in row order,
-and cuts it into one segment per row that took a step. With curves off
-nothing is allocated or archived; the kernel only counts the steps.
+and cuts it into one segment per row that took a step. The outcome and the
+log are the same for any number of workers. With curves off nothing is
+allocated or archived; the kernel only counts the steps.
 """
 
 from __future__ import annotations
@@ -61,6 +69,7 @@ from __future__ import annotations
 import ctypes
 import hashlib
 import json
+import mmap
 import os
 import subprocess
 import tempfile
@@ -79,7 +88,7 @@ STATUS_TERMINATED = 2  # iteration budget exhausted
 STATUS_EXITED = 3      # left the global domain
 
 KERNEL_SOURCE = Path(__file__).with_name("rk4.c")
-KERNEL_FLAGS = ("-O3", "-ffp-contract=off", "-shared", "-fPIC")
+KERNEL_FLAGS = ("-O3", "-ffp-contract=off", "-shared", "-fPIC", "-pthread")
 _KERNEL_ERRORS = {
     -1: "the round log is full: the kernel would write past its capacity",
     -2: "particle position outside its block's sampling extent",
@@ -133,14 +142,15 @@ def load_kernel(path) -> ctypes.CDLL:
     bounds = [i64, ptr, i64, i64, ptr, ptr, ptr]  # n, lattice, sx, sy, spacing, origin, core
     lib.rk4_sample.argtypes = bounds + [ptr, ptr]
     lib.rk4_sample.restype = None
-    lib.rk4_advance.argtypes = bounds + [ctypes.c_double, ptr, ptr, ptr, ptr, ptr, ptr, i64, ptr]
+    lib.rk4_advance.argtypes = bounds + [ctypes.c_double, ptr, ptr, ptr, ptr, ptr, ptr, i64, ptr, i64]
     lib.rk4_advance.restype = i64
     return lib
 
 
 KERNEL = load_kernel(build_kernel(Path(__file__).with_name("__pycache__")))
 _rk4_advance = KERNEL.rk4_advance
-LANES = ctypes.c_int64.in_dll(KERNEL, "rk4_lanes").value  # rows the kernel advances together
+LANES = ctypes.c_int64.in_dll(KERNEL, "rk4_lanes").value  # rows a kernel worker advances together
+CHUNK = ctypes.c_int64.in_dll(KERNEL, "rk4_chunk").value  # rows a kernel lane claims at a time
 
 
 def rk4_step(sample_fn, p, h: float) -> np.ndarray:
@@ -168,15 +178,16 @@ class RoundInfo:
 
 @dataclass
 class RoundBuffer:
-    """The round's vertex log, written by one kernel call: one region per lane, each lane's rows in order.
+    """The round's vertex log, written by one kernel call: one region per chunk of rows, its rows in order.
 
-    ``vertices`` is uninitialized and only the ``spans`` the kernel reports
-    are written, so memory is touched only as vertices arrive. With curves
-    off ``vertices`` is None and only ``size`` counts the appended steps.
+    ``vertices`` views an anonymous mapping and only the ``spans`` the kernel
+    reports are written, so memory becomes resident only as vertices arrive.
+    With curves off ``vertices`` is None and only ``size`` counts the
+    appended steps.
     """
 
     vertices: np.ndarray | None  # (capacity, 3)
-    spans: np.ndarray | None = None  # (LANES, 2): each lane's written [start, end), set by the kernel
+    spans: np.ndarray | None = None  # (chunks, 2): each chunk's written [start, end), set by the kernel
     size: int = 0
 
 
@@ -197,15 +208,19 @@ class CurveStore:
     def allocate(self, info: RoundInfo) -> RoundBuffer:
         if not self.collect:
             return RoundBuffer(vertices=None)
-        return RoundBuffer(vertices=np.empty((info.capacity, 3), dtype=np.float64))
+        # a private anonymous mapping (at least 1 byte), kept from huge pages, so that only the
+        # pages the kernel writes become resident
+        log = mmap.mmap(-1, max(24 * info.capacity, 1), flags=mmap.MAP_PRIVATE)
+        log.madvise(mmap.MADV_NOHUGEPAGE)
+        return RoundBuffer(vertices=np.frombuffer(log, np.float64, 3 * info.capacity).reshape(info.capacity, 3))
 
     def finish_round(self, ids: np.ndarray, steps: np.ndarray, buffer: RoundBuffer) -> None:
         """Archive the round's log, ``ids`` and ``steps`` naming the particle and accepted steps of each row."""
-        if buffer.vertices is None or buffer.spans is None:
+        moved = steps > 0
+        if buffer.vertices is None or buffer.spans is None or not moved.any():
             return
         # one copy of the written spans, so the segments do not hold the capacity-sized log alive
         written = np.concatenate([buffer.vertices[start:end] for start, end in buffer.spans.tolist()])
-        moved = steps > 0
         ends = np.cumsum(steps[moved]).tolist()
         self.segments.extend(zip(ids[moved].tolist(),
                                  [written[start:end] for start, end in zip([0] + ends[:-1], ends)]))
@@ -291,13 +306,16 @@ def kernel_bounds(block: Block, n: int) -> tuple:
     return n, lattice.ctypes, py * pz, pz, spacing.ctypes, origin.ctypes, core.ctypes
 
 
-def integrate_group(block: Block, pset: ParticleSet, buffer: RoundBuffer, h: float) -> GroupOutcome:
+def integrate_group(block: Block, pset: ParticleSet, buffer: RoundBuffer, h: float,
+                    workers: int | None = None) -> GroupOutcome:
     """Advance the particles of ``pset``, each against its own block bounds, in the kernel.
 
     ``block`` holds one extent or per-row bounds for the rows of ``pset``.
-    Each accepted step writes its new position into its lane's region of the
+    Each accepted step writes its new position into its chunk's region of the
     buffer, whose written spans the call records. Each particle runs until
-    termination, domain exit, or block exit.
+    termination, domain exit, or block exit. The kernel runs on ``workers``
+    threads, by default one per CPU this process may run on; the outcome and
+    the log do not depend on it.
     """
     n = len(pset)
     out = GroupOutcome(status=np.zeros(n, dtype=np.int64), exit_dir=np.full(n, -1, dtype=np.int64),
@@ -310,10 +328,11 @@ def integrate_group(block: Block, pset: ParticleSet, buffer: RoundBuffer, h: flo
         capacity = vertices.shape[0]
         if vertices.dtype != np.float64 or vertices.shape != (capacity, 3) or not vertices.flags.c_contiguous:
             raise InvariantError("the round log is not a C-contiguous (capacity, 3) float64 array")
-    spans = np.zeros((LANES, 2), dtype=np.int64)
+    spans = np.zeros((-(-n // CHUNK), 2), dtype=np.int64)
+    workers = len(os.sched_getaffinity(0)) if workers is None else workers
     taken = _rk4_advance(*kernel_bounds(block, n), float(h), out.pos.ctypes, out.remaining.ctypes,
                          out.status.ctypes, out.exit_dir.ctypes, out.steps.ctypes,
-                         None if vertices is None else vertices.ctypes, capacity, spans.ctypes)
+                         None if vertices is None else vertices.ctypes, capacity, spans.ctypes, workers)
     if taken < 0:
         raise InvariantError(_KERNEL_ERRORS[taken])
     buffer.spans, buffer.size = spans, taken

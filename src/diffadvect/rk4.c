@@ -8,23 +8,39 @@
  * position is both tested and sampled. Block bounds are int64 rows
  * (origin, core dims) of three.
  *
- * rk4_advance splits the rows into LANES contiguous ranges and advances one
- * row of each range together: every RK4 stage runs for all live lanes before
- * the next stage, so the lanes' independent dependency chains overlap. A
- * lane's row runs to its event before the lane takes its next row, and the
- * lane logs its vertices into its own region of the log, which starts at the
- * summed budgets of the rows before its range.
+ * rk4_advance runs on up to `workers` workers, and on no more than one per
+ * LANES chunks: the calling thread plus helper threads it starts for the
+ * call and joins before it returns. Each worker advances one row of each of
+ * its LANES lanes together: every RK4 stage runs for all its live lanes
+ * before the next stage, so the lanes' independent dependency chains
+ * overlap. A lane claims CHUNK rows at a time from one shared counter, so a
+ * lane that finishes early takes more of the work, and runs each row to its
+ * event before it takes the next. Each chunk logs its rows' vertices, one
+ * run per row, into its own region of the log, which starts at the summed
+ * budgets of the rows before the chunk, so what the log holds does not
+ * depend on which lane ran a chunk. A worker's lanes live on its own stack,
+ * so no two workers write the same lane state. Helpers block every signal,
+ * so signals reach the caller, and each is pinned to a CPU of the caller's
+ * affinity mask other than the one the caller runs on: unpinned, a helper
+ * can stay on the caller's CPU and add nothing. A helper that fails to start
+ * leaves its chunks to the other workers.
  */
+#define _GNU_SOURCE
+#include <pthread.h>
+#include <sched.h>
+#include <signal.h>
 #include <stdint.h>
 
-#define LANES 4
+#define LANES 4         /* rows one worker advances together */
+#define CHUNK 16        /* rows a lane claims at a time */
+#define MAX_WORKERS 64  /* the most workers one call runs */
 
 /* The values of advect.STATUS_* and the keys of advect._KERNEL_ERRORS. */
 enum { STATUS_OOB = 1, STATUS_TERMINATED = 2, STATUS_EXITED = 3 };
 enum { LOG_FULL = -1, START_OUTSIDE = -2 };
 
-/* The lane count, read by advect.LANES. */
-const int64_t rk4_lanes = LANES;
+/* The lane count and chunk size, read by advect.LANES and advect.CHUNK. */
+const int64_t rk4_lanes = LANES, rk4_chunk = CHUNK;
 
 /* Trilinear sample at g-space g of the lattice with flat node strides sx, sy (z is 1): the cell
  * floor(g), truncated then corrected, is clamped to [origin - 1, origin + core - 1]; z, y, x lerps. */
@@ -103,77 +119,78 @@ void rk4_sample(int64_t n, const double *lattice, int64_t sx, int64_t sy, const 
     }
 }
 
-/* One lane: the row it advances, the end of its rows, its next log slot and the row's state. */
+/* One call's arguments, which every worker reads from its own copy, and the shared chunk counter. */
 typedef struct {
-    int64_t row, end, slot, taken; /* taken: the row's accepted steps so far */
+    int64_t n, chunks, sx, sy;
+    const double *lattice, *spacing;
+    const int64_t *origin, *core;
+    double h;
+    double *pos, *vertices;
+    int64_t *remaining, *status, *exit_dir, *steps, *spans;
+    int64_t *claimed; /* the next unclaimed chunk */
+} Call;
+
+/* The chunk counter, on a cache line of its own. */
+typedef struct {
+    _Alignas(64) int64_t next;
+} Counter;
+
+/* One lane: its chunk, the row it advances, the end of the chunk's rows, its next log slot and the
+ * row's state. */
+typedef struct {
+    int64_t chunk, row, end, slot, taken; /* taken: the row's accepted steps so far */
     const int64_t *origin, *core;
     int64_t core_hi[3], sample_lo[3];
     double p[3], g[3], k[4][3];    /* g: p's g-space position, or the rejected stage point's */
     int rejected;
 } Lane;
 
-/* Move the lane to its next row with a positive budget, marking the rows it skips terminated;
- * returns 0 once the lane's rows are spent. */
-static int next_row(Lane *lane, const double *spacing, const int64_t *origin, const int64_t *core,
-                    const double *pos, const int64_t *remaining, int64_t *status)
+/* Move the lane to its next row with a positive budget, marking the rows it skips terminated and
+ * claiming the next chunk once its chunk is spent; returns 0 once no chunk is left. */
+static int next_row(Lane *lane, const Call *c)
 {
-    for (; lane->row < lane->end; lane->row++) {
-        int64_t i = lane->row;
-        if (remaining[i] <= 0) {
-            status[i] = STATUS_TERMINATED;
-            continue;
+    for (;;) {
+        for (; lane->row < lane->end; lane->row++) {
+            int64_t i = lane->row;
+            if (c->remaining[i] <= 0) {
+                c->status[i] = STATUS_TERMINATED;
+                continue;
+            }
+            const int64_t *o = c->origin + 3 * i, *k = c->core + 3 * i;
+            lane->origin = o;
+            lane->core = k;
+            for (int a = 0; a < 3; a++) {
+                lane->core_hi[a] = o[a] + k[a];
+                lane->sample_lo[a] = o[a] - 1;
+                lane->p[a] = c->pos[3 * i + a];
+            }
+            to_g(lane->p, c->spacing, lane->g);
+            lane->taken = 0;
+            return 1;
         }
-        const int64_t *o = origin + 3 * i, *c = core + 3 * i;
-        lane->origin = o;
-        lane->core = c;
-        for (int a = 0; a < 3; a++) {
-            lane->core_hi[a] = o[a] + c[a];
-            lane->sample_lo[a] = o[a] - 1;
-            lane->p[a] = pos[3 * i + a];
-        }
-        to_g(lane->p, spacing, lane->g);
-        lane->taken = 0;
-        return 1;
+        if (lane->chunk >= 0)
+            c->spans[2 * lane->chunk + 1] = lane->slot;
+        lane->chunk = __atomic_fetch_add(c->claimed, 1, __ATOMIC_RELAXED);
+        if (lane->chunk >= c->chunks)
+            return 0;
+        lane->row = lane->chunk * CHUNK;
+        lane->end = lane->row + CHUNK < c->n ? lane->row + CHUNK : c->n;
+        lane->slot = c->spans[2 * lane->chunk];
     }
-    return 0;
 }
 
-/* Advance every row to its event; returns the accepted steps, LOG_FULL or START_OUTSIDE.
- * Lane l logs into vertices from spans[2l] and leaves its end in spans[2l + 1]; with vertices
- * NULL nothing is logged and the steps are only counted. */
-int64_t rk4_advance(int64_t n, const double *lattice, int64_t sx, int64_t sy, const double *spacing,
-                    const int64_t *origin, const int64_t *core, double h,
-                    double *pos, int64_t *remaining, int64_t *status, int64_t *exit_dir, int64_t *steps,
-                    double *vertices, int64_t capacity, int64_t *spans)
+/* One worker: its LANES lanes advance one row each, stage by stage, until no chunk is left. */
+static void advance(const Call *c)
 {
-    const double half = h / 2.0, sixth = h / 6.0;
+    const double h = c->h, half = h / 2.0, sixth = h / 6.0;
+    const double *lattice = c->lattice, *spacing = c->spacing;
+    const int64_t sx = c->sx, sy = c->sy;
     Lane lanes[LANES];
-    int64_t budget = 0;
-    for (int l = 0; l < LANES; l++) {
-        Lane *lane = &lanes[l];
-        lane->row = n * l / LANES;
-        lane->end = n * (l + 1) / LANES;
-        lane->slot = budget;
-        for (int64_t i = lane->row; i < lane->end; i++) {
-            if (remaining[i] <= 0)
-                continue;
-            const int64_t *o = origin + 3 * i, *c = core + 3 * i;
-            const int64_t core_hi[3] = {o[0] + c[0], o[1] + c[1], o[2] + c[2]};
-            const int64_t sample_lo[3] = {o[0] - 1, o[1] - 1, o[2] - 1};
-            double g[3];
-            to_g(pos + 3 * i, spacing, g);
-            if (!inside(g, sample_lo, core_hi, 1))
-                return START_OUTSIDE;
-            budget += remaining[i];
-        }
-    }
-    if (vertices && budget > capacity)
-        return LOG_FULL;
-
     int live[LANES];
     for (int l = 0; l < LANES; l++) {
-        spans[2 * l] = lanes[l].slot;
-        live[l] = next_row(&lanes[l], spacing, origin, core, pos, remaining, status);
+        lanes[l].chunk = -1;
+        lanes[l].row = lanes[l].end = 0;
+        live[l] = next_row(&lanes[l], c);
     }
     for (;;) {
         int any = 0;
@@ -210,7 +227,7 @@ int64_t rk4_advance(int64_t n, const double *lattice, int64_t sx, int64_t sy, co
             int64_t i = lane->row, event = 0;
             if (lane->rejected) {
                 event = STATUS_OOB;
-                exit_dir[i] = exit_direction(lane->g, lane->sample_lo, lane->core_hi);
+                c->exit_dir[i] = exit_direction(lane->g, lane->sample_lo, lane->core_hi);
             } else {
                 double q[3];
                 int in_domain = 1;
@@ -222,38 +239,121 @@ int64_t rk4_advance(int64_t n, const double *lattice, int64_t sx, int64_t sy, co
                 if (!in_domain) { /* before the core test: the one way out of the domain */
                     event = STATUS_EXITED;
                 } else {
-                    if (vertices)
+                    if (c->vertices)
                         for (int a = 0; a < 3; a++)
-                            vertices[3 * lane->slot + a] = q[a];
+                            c->vertices[3 * lane->slot + a] = q[a];
                     lane->slot++;
                     for (int a = 0; a < 3; a++)
                         lane->p[a] = q[a];
-                    if (++lane->taken == remaining[i]) {
+                    if (++lane->taken == c->remaining[i]) {
                         event = STATUS_TERMINATED;
                     } else {
                         to_g(lane->p, spacing, lane->g);
                         if (!inside(lane->g, lane->origin, lane->core_hi, 0)) {
                             event = STATUS_OOB;
-                            exit_dir[i] = exit_direction(lane->g, lane->origin, lane->core_hi);
+                            c->exit_dir[i] = exit_direction(lane->g, lane->origin, lane->core_hi);
                         }
                     }
                 }
             }
             if (event) {
-                status[i] = event;
+                c->status[i] = event;
                 for (int a = 0; a < 3; a++)
-                    pos[3 * i + a] = lane->p[a];
-                steps[i] += lane->taken;
-                remaining[i] -= lane->taken;
+                    c->pos[3 * i + a] = lane->p[a];
+                c->steps[i] += lane->taken;
+                c->remaining[i] -= lane->taken;
                 lane->row++;
-                live[l] = next_row(lane, spacing, origin, core, pos, remaining, status);
+                live[l] = next_row(lane, c);
             }
         }
     }
-    int64_t taken = 0;
-    for (int l = 0; l < LANES; l++) {
-        spans[2 * l + 1] = lanes[l].slot;
-        taken += lanes[l].slot - spans[2 * l];
+}
+
+static void *helper(void *shared)
+{
+    Call c = *(const Call *)shared; /* read once: the caller's stack line is never read again */
+    advance(&c);
+    return NULL;
+}
+
+/* Start up to count helpers of the call, each with every signal blocked and pinned to a CPU of the
+ * caller's affinity mask other than the one the caller runs on; returns how many started. */
+static int start_helpers(const Call *c, int count, pthread_t *helpers)
+{
+    int cpus[MAX_WORKERS], others = 0, started = 0;
+    cpu_set_t mask;
+    if (count < 1)
+        return 0;
+    if (sched_getaffinity(0, sizeof mask, &mask) == 0) {
+        int here = sched_getcpu();
+        for (int cpu = 0; cpu < CPU_SETSIZE && others < MAX_WORKERS; cpu++)
+            if (CPU_ISSET(cpu, &mask) && cpu != here)
+                cpus[others++] = cpu;
     }
+    sigset_t all, old;
+    sigfillset(&all);
+    pthread_sigmask(SIG_BLOCK, &all, &old); /* the helpers inherit the mask */
+    for (int k = 0; k < count; k++) {
+        pthread_attr_t attr;
+        if (pthread_attr_init(&attr) != 0)
+            break;
+        if (others) {
+            cpu_set_t one;
+            CPU_ZERO(&one);
+            CPU_SET(cpus[k % others], &one);
+            pthread_attr_setaffinity_np(&attr, sizeof one, &one);
+        }
+        started += pthread_create(&helpers[started], &attr, helper, (void *)c) == 0;
+        pthread_attr_destroy(&attr);
+    }
+    pthread_sigmask(SIG_SETMASK, &old, NULL);
+    return started;
+}
+
+/* Advance every row to its event on up to `workers` workers; returns the accepted steps, LOG_FULL or
+ * START_OUTSIDE. Chunk c (rows [c * CHUNK, (c + 1) * CHUNK)) logs into vertices from spans[2c], the
+ * summed budgets of the rows before it, and leaves its end in spans[2c + 1]; with vertices NULL
+ * nothing is logged and the steps are only counted. */
+int64_t rk4_advance(int64_t n, const double *lattice, int64_t sx, int64_t sy, const double *spacing,
+                    const int64_t *origin, const int64_t *core, double h,
+                    double *pos, int64_t *remaining, int64_t *status, int64_t *exit_dir, int64_t *steps,
+                    double *vertices, int64_t capacity, int64_t *spans, int64_t workers)
+{
+    int64_t budget = 0, chunks = (n + CHUNK - 1) / CHUNK;
+    for (int64_t i = 0; i < n; i++) {
+        if (remaining[i] <= 0)
+            continue;
+        const int64_t *o = origin + 3 * i, *c = core + 3 * i;
+        const int64_t core_hi[3] = {o[0] + c[0], o[1] + c[1], o[2] + c[2]};
+        const int64_t sample_lo[3] = {o[0] - 1, o[1] - 1, o[2] - 1};
+        double g[3];
+        to_g(pos + 3 * i, spacing, g);
+        if (!inside(g, sample_lo, core_hi, 1))
+            return START_OUTSIDE;
+        budget += remaining[i];
+    }
+    if (vertices && budget > capacity)
+        return LOG_FULL;
+
+    budget = 0;
+    for (int64_t i = 0; i < n; i++) {
+        if (i % CHUNK == 0)
+            spans[2 * (i / CHUNK)] = budget;
+        budget += remaining[i] > 0 ? remaining[i] : 0;
+    }
+    Counter claimed = {0};
+    const Call call = {n, chunks, sx, sy, lattice, spacing, origin, core, h,
+                       pos, vertices, remaining, status, exit_dir, steps, spans, &claimed.next};
+    /* a helper costs about 0.2 ms to start and wake, so each worker's lanes get a chunk apiece */
+    workers = workers < chunks / LANES ? workers : chunks / LANES;
+    workers = workers < MAX_WORKERS ? workers : MAX_WORKERS;
+    pthread_t helpers[MAX_WORKERS];
+    int started = start_helpers(&call, (int)workers - 1, helpers);
+    advance(&call);
+    for (int k = 0; k < started; k++)
+        pthread_join(helpers[k], NULL);
+    int64_t taken = 0;
+    for (int64_t k = 0; k < chunks; k++)
+        taken += spans[2 * k + 1] - spans[2 * k];
     return taken;
 }

@@ -1,3 +1,9 @@
+import ctypes
+import mmap
+import os
+import signal
+import threading
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,6 +11,7 @@ from hypothesis import strategies as st
 
 from diffadvect import advect
 from diffadvect.advect import (
+    CHUNK,
     KERNEL_FLAGS,
     KERNEL_SOURCE,
     LANES,
@@ -273,55 +280,149 @@ def kernel_arrays(pos, remaining):
                 steps=np.zeros(n, dtype=np.int64))
 
 
+def drift_world(n, budget):
+    """``n`` rows of a constant +x field over one whole-domain block, each leaving the domain
+    within 500 steps of 0.001 from its start in the upper half, well short of ``budget``."""
+    block = rasterize_block(ConstantField((1.0, 0.0, 0.0)), (32, 32, 32), (0, 0, 0), (32, 32, 32))
+    pos = np.random.default_rng(7).uniform(0.5, 1.0, (n, 3))
+    return block, queue_of(pos, budget)
+
+
+def smaps_fields(start, end):
+    """The ``/proc/self/smaps`` fields, in kB, summed over the mappings that overlap ``[start, end)``."""
+    fields, overlaps = {}, False
+    with open("/proc/self/smaps") as fh:
+        for line in fh:
+            head = line.split()[0]
+            if not head.endswith(":"):  # a mapping's address range
+                lo, hi = (int(x, 16) for x in head.split("-"))
+                overlaps = lo < end and start < hi
+            elif overlaps and line.split()[-1] == "kB":
+                fields[head[:-1]] = fields.get(head[:-1], 0) + int(line.split()[1])
+    return fields
+
+
 class TestLanes:
     def test_one_call_equals_one_row_calls(self):
+        # more workers than CPUs, too, so lanes of several threads claim the chunks
+        workers = sorted({1, 2, 3, len(os.sched_getaffinity(0)) + 1})
         rng = np.random.default_rng(3)
         statuses = set()
-        for n in sorted({1, LANES - 1, LANES, LANES + 1, 37} - {0}):
+        # a call runs one worker per LANES chunks at most, so only the last two run several
+        for n in (1, CHUNK - 1, CHUNK, CHUNK + 1, 3 * CHUNK + 5, 2 * LANES * CHUNK, 3 * LANES * CHUNK + 5):
             block, pset = random_world(rng, n, 12)
-            pset.remaining[1::3] = 0
-            whole = CurveStore()
-            buf = whole.allocate(round_info(pset))
-            got = integrate_group(block, pset.copy(), buf, 0.05)
-            whole.finish_round(pset.ids, got.steps, buf)
+            pset.remaining[::3] = 0  # every chunk holds zero-budget rows
             rows, outs = CurveStore(), []
             for i in range(n):
                 one = pset.select([i])
                 one_buf = rows.allocate(round_info(one))
-                outs.append(integrate_group(block.select([i]), one.copy(), one_buf, 0.05))
+                outs.append(integrate_group(block.select([i]), one.copy(), one_buf, 0.05, workers=1))
                 rows.finish_round(one.ids, outs[-1].steps, one_buf)
-            for name in ("status", "exit_dir", "pos", "remaining", "steps"):
-                want = np.concatenate([getattr(out, name) for out in outs])
-                assert getattr(got, name).tobytes() == want.tobytes(), (n, name)
-            assert [pid for pid, _ in whole.segments] == [pid for pid, _ in rows.segments]
-            for (_, a), (_, b) in zip(whole.segments, rows.segments):
-                assert a.tobytes() == b.tobytes()
-            # each lane's region starts at the summed budgets of the rows before it and holds its rows
-            starts, ends = buf.spans.T
-            assert set(starts.tolist()) <= set(np.cumsum(np.r_[0, pset.remaining]).tolist())
-            assert (starts <= ends).all() and (ends[:-1] <= starts[1:]).all() and ends[-1] <= buf.vertices.shape[0]
-            statuses |= set(got.status.tolist())
+            for count in workers:
+                whole = CurveStore()
+                buf = whole.allocate(round_info(pset))
+                got = integrate_group(block, pset.copy(), buf, 0.05, workers=count)
+                whole.finish_round(pset.ids, got.steps, buf)
+                for name in ("status", "exit_dir", "pos", "remaining", "steps"):
+                    want = np.concatenate([getattr(out, name) for out in outs])
+                    assert getattr(got, name).tobytes() == want.tobytes(), (n, count, name)
+                assert [pid for pid, _ in whole.segments] == [pid for pid, _ in rows.segments]
+                for (_, a), (_, b) in zip(whole.segments, rows.segments):
+                    assert a.tobytes() == b.tobytes()
+                # each chunk's region starts at the summed budgets of the rows before the chunk
+                # and holds exactly its rows' steps
+                starts, ends = buf.spans.T
+                np.testing.assert_array_equal(starts, np.cumsum(np.r_[0, pset.remaining])[:n:CHUNK])
+                np.testing.assert_array_equal(ends - starts, np.add.reduceat(got.steps, np.arange(0, n, CHUNK)))
+                statuses |= set(got.status.tolist())
         assert statuses == {STATUS_OOB, STATUS_TERMINATED, STATUS_EXITED}
 
     @pytest.mark.parametrize("fault", ["start-outside", "log-full"])
     def test_errors_are_raised_before_any_row_advances(self, fault):
-        block, pset = random_world(np.random.default_rng(4), 2 * LANES + 1, 12)
+        block, pset = random_world(np.random.default_rng(4), 2 * CHUNK + 1, 12)
         remaining = np.full(len(pset), 5)
         pos, capacity = pset.pos.copy(), int(remaining.sum())
-        if fault == "start-outside":  # the last row, in the last lane, starts below its sampling extent
+        if fault == "start-outside":  # the last row, alone in the last chunk, starts below its sampling extent
             pos[-1] = (block.origin[-1] - 1.5) * block.spacing
         else:
             capacity -= 1
         arrays = kernel_arrays(pos, remaining)
         before = {name: a.copy() for name, a in arrays.items()}
-        vertices, spans = np.full((capacity, 3), np.nan), np.full((LANES, 2), -1, dtype=np.int64)
+        vertices, spans = np.full((capacity, 3), np.nan), np.full((3, 2), -1, dtype=np.int64)
         outcome = (arrays[name].ctypes for name in ("pos", "remaining", "status", "exit_dir", "steps"))
         code = advect._rk4_advance(*kernel_bounds(block, len(pos)), 0.05, *outcome,
-                                   vertices.ctypes, capacity, spans.ctypes)
+                                   vertices.ctypes, capacity, spans.ctypes, 3)
         assert code == (-2 if fault == "start-outside" else -1)
         for name, a in arrays.items():
             assert a.tobytes() == before[name].tobytes(), name
         assert np.isnan(vertices).all() and (spans == -1).all()
+
+    @pytest.mark.skipif(not os.path.exists("/proc/self/smaps"), reason="needs Linux /proc/self/smaps")
+    def test_log_is_resident_only_where_written(self):
+        # a 49 MB log of which about 6 MB is written; huge pages would make whole 2 MB pages
+        # resident around every chunk's write frontier
+        block, pset = drift_world(1024, 2000)
+        buf = CurveStore().allocate(round_info(pset))
+        integrate_group(block, pset, buf, 0.001, workers=2)
+        base, size, page = buf.vertices.ctypes.data, buf.vertices.nbytes, mmap.PAGESIZE
+        touched = set()
+        for start, end in buf.spans.tolist():
+            if end > start:
+                touched |= set(range((base + 24 * start) // page, (base + 24 * end - 1) // page + 1))
+        assert smaps_fields(base, base + size)["AnonHugePages"] == 0
+        # the log's own resident pages: its mapping can merge with a neighbour, such as a thread stack
+        mincore = ctypes.CDLL(None).mincore
+        mincore.argtypes, mincore.restype = [ctypes.c_void_p, ctypes.c_size_t, ctypes.c_void_p], ctypes.c_int
+        pages = np.zeros(-(-size // page), dtype=np.uint8)
+        assert mincore(base, size, pages.ctypes.data) == 0
+        resident = set((np.flatnonzero(pages & 1) + base // page).tolist())
+        assert resident <= touched
+        assert len(touched) * page <= 24 * buf.size + 2 * page * len(buf.spans)
+
+    def test_signals_reach_the_caller_during_a_multi_worker_call(self):
+        block, pset = drift_world(2048, 2000)
+        want = integrate_group(block, pset.copy(), CurveStore().allocate(round_info(pset)), 0.001, workers=1)
+        caught = []
+        previous = signal.signal(signal.SIGALRM, lambda signum, frame: caught.append(signum))
+        try:
+            signal.setitimer(signal.ITIMER_REAL, 0.001, 0.001)  # as perfbench's host-speed probe arms it
+            got = integrate_group(block, pset.copy(), CurveStore().allocate(round_info(pset)), 0.001, workers=3)
+        finally:
+            signal.setitimer(signal.ITIMER_REAL, 0.0, 0.0)
+            signal.signal(signal.SIGALRM, previous)
+        assert caught
+        for name in ("status", "exit_dir", "pos", "remaining", "steps"):
+            assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name
+
+    @pytest.mark.skipif(not os.path.exists("/proc/self/task"), reason="needs Linux /proc/self/task")
+    def test_helpers_block_signals_and_are_pinned(self):
+        # a thread watches /proc while the call runs (ctypes releases the GIL) and records each
+        # thread the call started: its blocked-signal mask and the CPUs it may run on
+        block, pset = drift_world(2048, 2000)
+        before, seen, done = set(os.listdir("/proc/self/task")), {}, threading.Event()
+
+        def watch():
+            while not done.is_set():
+                for tid in set(os.listdir("/proc/self/task")) - before - {str(threading.get_native_id())}:
+                    try:
+                        with open(f"/proc/self/task/{tid}/status") as fh:
+                            fields = dict(line.rstrip("\n").split(":\t", 1) for line in fh if ":\t" in line)
+                    except OSError:  # the helper has ended
+                        continue
+                    seen[tid] = (int(fields["SigBlk"], 16), fields["Cpus_allowed_list"])
+
+        watcher = threading.Thread(target=watch)
+        watcher.start()
+        try:
+            integrate_group(block, pset, CurveStore().allocate(round_info(pset)), 0.001, workers=3)
+        finally:
+            done.set()
+            watcher.join(timeout=10)
+        assert not watcher.is_alive() and seen
+        alarm, interrupt = 1 << (signal.SIGALRM - 1), 1 << (signal.SIGINT - 1)
+        assert all(mask & alarm and mask & interrupt for mask, _ in seen.values())
+        if len(os.sched_getaffinity(0)) > 1:
+            assert all(cpus.isdigit() for _, cpus in seen.values())  # one CPU each
 
 
 class TestKernelBuild:
@@ -408,7 +509,7 @@ class TestIntegrate:
         assert outcome.status[0] == STATUS_TERMINATED
         assert buf.size == 3 and work == 3
         assert [pid for pid, _ in store.segments] == [0]
-        assert [(a, b) for a, b in buf.spans.tolist() if b > a] == [(0, 3)]  # one lane wrote the row
+        assert [(a, b) for a, b in buf.spans.tolist() if b > a] == [(0, 3)]  # one chunk wrote the row
         np.testing.assert_allclose(buf.vertices[:3, 0], 0.5 + 0.01 * 0.001 * np.arange(1, 4), rtol=1e-12)
 
     def test_exits_plus_x_face_in_expected_steps(self):
@@ -486,7 +587,7 @@ class TestWorldBatching:
 
 class TestCurveStore:
     def test_finish_round_archives_each_written_prefix(self):
-        # rows 0-1 and 2-4 are two lanes with budgets (3, 2) and (4, 1, 2); each lane writes a
+        # rows 0-1 and 2-4 are two chunks with budgets (3, 2) and (4, 1, 2); each chunk writes a
         # prefix of its region, one run per row in row order; -1 marks unwritten slots
         rows = np.array([1, 1, -1, -1, -1, 2, 2, 2, 2, 4, -1, -1])
         buf = RoundBuffer(vertices=np.column_stack([np.arange(12.0), rows, rows]),
@@ -514,6 +615,12 @@ class TestCurveStore:
         buf = store.allocate(round_info(queue_of([[0.5, 0.5, 0.5]], 5)))
         store.finish_round(np.array([7]), np.array([0]), buf)  # nothing appended
         assert merge_curves(store) == {}
+
+    def test_zero_capacity_round_logs_nothing(self):
+        block = rasterize_block(ConstantField((0.01, 0.0, 0.0)), (16, 16, 16), (0, 0, 0), (16, 16, 16))
+        info, store, buf, outcome, work = run_one_round(block, queue_of([[0.5, 0.5, 0.5]] * 2, 0), 0.001)
+        assert info.capacity == 0 and buf.vertices.shape == (0, 3)
+        assert work == 0 and (outcome.status == STATUS_TERMINATED).all() and store.segments == []
 
     def test_merge_orders_segments_by_round(self):
         store = CurveStore()
