@@ -16,7 +16,7 @@ from dataclasses import dataclass, field as dc_field, replace
 
 from .balance import SCHEDULERS
 from .errors import ConfigError
-from .field import FIELD_KINDS
+from .field import FIELD_KINDS, AnalyticField, seed_axes
 from .topology import most_cubic_dims
 
 _MAX_ITER_CAP = 1000
@@ -97,22 +97,21 @@ class RunConfig:
             errors.append(f"field: unknown kind {self.field!r}; expected one of {FIELD_KINDS}")
         else:
             try:
-                from .field import AnalyticField
                 AnalyticField(self.field, dict(self.field_params))
             except ConfigError as exc:
                 errors.append(f"field params: {exc}")
         lattice_bytes = math.prod(r + 2 for r in self.resolution) * 24
-        if any(r < 2 for r in self.resolution):
-            errors.append(f"resolution: every axis needs >= 2 voxels, got {self.resolution}")
+        if len(self.resolution) != 3 or any(r < 2 for r in self.resolution):
+            errors.append(f"resolution: needs three axes of >= 2 voxels, got {self.resolution}")
         elif lattice_bytes > LATTICE_CAP_BYTES:
             errors.append(f"resolution: the padded field lattice needs {lattice_bytes / 2**30:.3g} GiB, "
                           f"above the {LATTICE_CAP_BYTES / 2**30:g} GiB cap")
         if self.grid is not None:
-            if any(d < 1 for d in self.grid):
-                errors.append(f"grid: dims must be >= 1, got {self.grid}")
+            if len(self.grid) != 3 or any(d < 1 for d in self.grid):
+                errors.append(f"grid: dims must be three integers >= 1, got {self.grid}")
             elif math.prod(self.grid) > RANK_CAP:
                 errors.append(f"grid: {math.prod(self.grid)} ranks exceed the cap of {RANK_CAP}")
-            if self.nodes is not None and self.nodes != self.grid[0] * self.grid[1] * self.grid[2]:
+            if self.nodes is not None and self.nodes != math.prod(self.grid):
                 errors.append(f"grid {self.grid} and nodes {self.nodes} disagree")
         elif self.nodes is not None and self.nodes < 1:
             errors.append(f"nodes: must be >= 1, got {self.nodes}")
@@ -127,8 +126,8 @@ class RunConfig:
             errors.append(f"scheduler: unknown token {self.scheduler!r}; expected one of {SCHEDULERS}")
         if not (0.0 < self.aabb_scale <= 1.0):
             errors.append(f"aabb_scale: must be in (0, 1], got {self.aabb_scale}")
-        if any(s < 1 for s in self.stride):
-            errors.append(f"stride: must be >= 1 per axis, got {self.stride}")
+        if len(self.stride) != 3 or any(s < 1 for s in self.stride):
+            errors.append(f"stride: must be three integers >= 1, got {self.stride}")
         if not (math.isfinite(self.step) and self.step > 0.0):
             errors.append(f"step: must be positive and finite, got {self.step}")
         if not (1 <= self.max_iterations <= _MAX_ITER_CAP):
@@ -157,7 +156,6 @@ class RunConfig:
 
     def seed_count(self) -> int:
         """The particles the run seeds, counted without seeding."""
-        from .runtime import seed_axes
         return math.prod(len(a) for a in seed_axes(self.resolution, self.aabb_scale, self.stride))
 
     def seed_table_bytes(self) -> int:

@@ -11,19 +11,20 @@ pattern of interest:
 All fields are defined on the unit cube ``[0, 1]^3`` and are pure: the same
 point always evaluates to the same vector, bit-exactly.
 
-The voxel lattice has ``resolution`` nodes per axis at positions
-``i * spacing`` with ``spacing = 1 / (resolution - 1)``. It is rasterized
-once, slab by slab on broadcast axis vectors, into an array padded with one
-edge-replicated ghost node per side (:func:`rasterize_global`). A
-:class:`Block` is core bounds over that one shared array, for one extent or
-one per particle row; it samples a one-cell ghost layer around its core and
-copies nothing. Throughout this module "g-space" means position divided by
-spacing, i.e. fractional node coordinates.
+This module owns the geometry of the one voxel lattice. It has
+``resolution`` nodes per axis at positions ``i * spacing`` with ``spacing =
+1 / (resolution - 1)`` (:func:`lattice_spacing`); the run seeds particles on
+its nodes (:func:`seed_axes`). It is rasterized once, slab by slab on
+broadcast axis vectors, into an array padded with one edge-replicated ghost
+node per side (:func:`rasterize_global`). A :class:`Block` is core bounds
+over that one shared array, for one extent or one per particle row; it
+samples a one-cell ghost layer around its core and copies nothing.
+Throughout this module "g-space" means position divided by spacing, i.e.
+fractional node coordinates.
 """
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field as dc_field
 
@@ -125,6 +126,21 @@ def lattice_spacing(resolution) -> np.ndarray:
     return 1.0 / (np.asarray(res, dtype=np.float64) - 1.0)
 
 
+def seed_axes(resolution, aabb_scale: float, stride) -> list[np.ndarray]:
+    """Per axis, the indices of the seeding lattice nodes.
+
+    They are every ``stride``-th node, anchored at node 0, whose position
+    lies in the axis-aligned box of side ``aabb_scale`` centered at 0.5.
+    """
+    lo, hi = 0.5 - aabb_scale / 2.0, 0.5 + aabb_scale / 2.0
+    axes = []
+    for r, s, h in zip(resolution, stride, lattice_spacing(resolution)):
+        idx = np.arange(0, r, s, dtype=np.int64)
+        pos = idx * h
+        axes.append(idx[(pos >= lo) & (pos <= hi)])
+    return axes
+
+
 # Lattice nodes evaluated at once: a 64^3 lattice is one slab, and a larger
 # one holds at most this many nodes' temporaries beside the padded lattice.
 _SLAB_NODES = 1 << 18
@@ -135,7 +151,8 @@ def rasterize_global(field: AnalyticField, resolution, *, padded: bool = False) 
 
     Returns a read-only array of shape ``(rx, ry, rz, 3)`` indexed
     ``[ix, iy, iz]``, or with ``padded`` the lattice with one edge-replicated
-    ghost node per side (see :func:`pad_lattice`). Slabs of whole x-planes
+    ghost node per side: entry ``[i + 1, j + 1, k + 1]`` holds node
+    ``(i, j, k)`` clamped to the lattice. Slabs of whole x-planes
     evaluate :meth:`~AnalyticField.components` on the broadcast axes
     ``(n, 1, 1)``, ``(1, ry, 1)`` and ``(1, 1, rz)``, so a component that
     depends on fewer axes is a vector or plane until it is written into the
@@ -166,17 +183,6 @@ def rasterize_global(field: AnalyticField, resolution, *, padded: bool = False) 
     return lattice if padded else lattice[1:-1, 1:-1, 1:-1]
 
 
-def pad_lattice(global_data: np.ndarray) -> np.ndarray:
-    """The lattice with one edge-replicated ghost node per side, read-only.
-
-    Entry ``[i + 1, j + 1, k + 1]`` holds node ``(i, j, k)`` clamped to the
-    lattice, so every block's ghost layer is a slice of this one array.
-    """
-    padded = np.pad(global_data, ((1, 1), (1, 1), (1, 1), (0, 0)), mode="edge")
-    padded.setflags(write=False)
-    return padded
-
-
 @dataclass(frozen=True)
 class Block:
     """Core bounds over the one shared, edge-padded lattice.
@@ -188,26 +194,16 @@ class Block:
     and including ``origin + core_dims``. Nothing is copied per block.
     """
 
-    lattice: np.ndarray     # pad_lattice result, shared by every block
+    lattice: np.ndarray     # the padded rasterize_global result, shared by every block
     spacing: np.ndarray
     origin: np.ndarray
     core_dims: np.ndarray
-
-    @property
-    def data(self) -> np.ndarray:
-        """One extent's ghost-padded brick, as a view of the shared lattice."""
-        (ox, oy, oz), (nx, ny, nz) = self.origin, self.core_dims
-        return self.lattice[ox:ox + nx + 2, oy:oy + ny + 2, oz:oz + nz + 2]
 
     def select(self, rows) -> "Block":
         """The bounds of ``rows`` only; a single extent serves every row."""
         if self.origin.ndim == 1:
             return self
         return Block(self.lattice, self.spacing, self.origin[rows], self.core_dims[rows])
-
-    def core_bounds(self):
-        """g-space ``(lo, hi)`` of the core; ``hi`` is excluded."""
-        return self.origin, self.origin + self.core_dims
 
     def sample_bounds(self):
         """g-space ``(lo, hi)`` of the sampling extent; ``hi`` is included."""
@@ -221,12 +217,6 @@ class Block:
         g = self.to_g(points)
         lo, hi = self.sample_bounds()
         return np.all((g >= lo) & (g <= hi), axis=-1)
-
-    def owned_mask(self, points: np.ndarray) -> np.ndarray:
-        """True where a point lies in this block's half-open core region."""
-        g = self.to_g(points)
-        lo, hi = self.core_bounds()
-        return np.all((g >= lo) & (g < hi), axis=-1)
 
     def sample_clamped(self, points: np.ndarray) -> np.ndarray:
         """Trilinear interpolation with cell indices clipped to the block.
@@ -277,9 +267,10 @@ def rasterize_block(
 ) -> Block:
     """One ghost-padded block: its extent over the edge-padded lattice.
 
-    ``global_data`` is an unpadded :func:`rasterize_global` result; without
-    it the lattice is rasterized here. A block's ghost layer is its
-    neighbors' core nodes by construction.
+    ``global_data`` is an unpadded :func:`rasterize_global` result, padded
+    here with one edge-replicated ghost node per side; without it the padded
+    lattice is rasterized here. Either way the lattice is read-only, and a
+    block's ghost layer is its neighbors' core nodes by construction.
     """
     res = _check_resolution(global_resolution)
     origin = np.array([int(v) for v in origin_voxel], dtype=np.int64)
@@ -288,7 +279,11 @@ def rasterize_block(
         raise ConfigError(f"core_dims must be >= 1 per axis, got {tuple(core)}")
     if np.any(origin < 0) or np.any(origin + core > res):
         raise ConfigError(f"block origin={tuple(origin)} core={tuple(core)} exceeds resolution {res}")
-    lattice = rasterize_global(field, res, padded=True) if global_data is None else pad_lattice(global_data)
+    if global_data is None:
+        lattice = rasterize_global(field, res, padded=True)
+    else:
+        lattice = np.pad(global_data, ((1, 1), (1, 1), (1, 1), (0, 0)), mode="edge")
+        lattice.setflags(write=False)
     return Block(lattice, lattice_spacing(res), origin, core)
 
 
@@ -298,29 +293,3 @@ def sample_trilinear(block: Block, point) -> np.ndarray:
     if p.shape != (3,):
         raise ConfigError(f"expected a 3-vector point, got shape {p.shape}")
     return block.sample(p[np.newaxis, :])[0]
-
-
-def export_block(block: Block, data_path, sidecar_path=None) -> None:
-    """Debug export: flat little-endian float32 triplets, x-fastest order.
-
-    Writes a small JSON sidecar (``<data_path>.json`` by default) with the
-    dims, origin and spacing needed to reinterpret the raw stream.
-    """
-    data_path = str(data_path)
-    if sidecar_path is None:
-        sidecar_path = data_path + ".json"
-    # data is [ix, iy, iz]; x-fastest flat order wants z slowest.
-    flat = np.transpose(block.data, (2, 1, 0, 3)).astype("<f4").ravel()
-    flat.tofile(data_path)
-    sidecar = {
-        "dims": [int(n) + 2 for n in block.core_dims],
-        "core_dims": [int(n) for n in block.core_dims],
-        "origin_voxel": [int(o) for o in block.origin],
-        "ghost": 1,
-        "spacing": [float(s) for s in block.spacing],
-        "order": "x-fastest",
-        "dtype": "<f4",
-    }
-    with open(sidecar_path, "w", encoding="utf-8") as fh:
-        json.dump(sidecar, fh, indent=2, sort_keys=True)
-        fh.write("\n")

@@ -47,7 +47,7 @@ import numpy as np
 from . import balance
 from .advect import STATUS_EXITED, STATUS_OOB, STATUS_TERMINATED, CurveStore, RoundInfo, integrate, merge_curves
 from .errors import ConfigError, InvariantError, RoundLimitError
-from .field import AnalyticField, Block, rasterize_global
+from .field import AnalyticField, Block, lattice_spacing, rasterize_global, seed_axes
 from .metrics import ROUNDS_CSV_COLUMNS, STAGE_COLUMNS, round_table
 from .particles import ParticleSet, concat_particles
 from .topology import ProcessGrid, decompose, neighbor_table
@@ -82,27 +82,15 @@ class RunResult:
         return int(self.records.integrate_steps.sum())
 
 
-def seed_axes(resolution, aabb_scale: float, stride) -> list[np.ndarray]:
-    """Per axis, the indices of the seeding lattice nodes (see :func:`seed_particles`)."""
-    lo, hi = 0.5 - aabb_scale / 2.0, 0.5 + aabb_scale / 2.0
-    axes = []
-    for r, s in zip(resolution, stride):
-        idx = np.arange(0, r, s, dtype=np.int64)
-        pos = idx * (1.0 / (r - 1.0))
-        axes.append(idx[(pos >= lo) & (pos <= hi)])
-    return axes
-
-
 def seed_particles(resolution, aabb_scale: float, stride, origin, grid: ProcessGrid,
                    max_iterations: int) -> tuple[list[ParticleSet], int]:
     """Seed particles on the global voxel lattice inside a centered box.
 
-    Every ``stride``-th lattice node per axis (anchored at node 0) whose
-    position falls inside the axis-aligned box of side ``aabb_scale``
-    centered at 0.5 becomes a seed. Ids count x-fastest in lattice order;
-    each seed starts on the rank whose core extent contains its node, given
-    the ranks' block origins from :func:`topology.decompose`. Returns each
-    rank's seeds in id order, and their total.
+    Every node of :func:`field.seed_axes` becomes a seed. Ids count
+    x-fastest in lattice order; each seed starts on the rank whose core
+    extent contains its node, given the ranks' block origins from
+    :func:`topology.decompose`. Returns each rank's seeds in id order, and
+    their total.
     """
     if not (0.0 < aabb_scale <= 1.0):
         raise ConfigError(f"aabb scale must be in (0, 1], got {aabb_scale}")
@@ -110,7 +98,7 @@ def seed_particles(resolution, aabb_scale: float, stride, origin, grid: ProcessG
     if len(stride) != 3 or any(s < 1 for s in stride):
         raise ConfigError(f"stride must be three integers >= 1, got {stride}")
     res = tuple(int(r) for r in resolution)
-    spacing = 1.0 / (np.asarray(res, dtype=np.float64) - 1.0)
+    spacing = lattice_spacing(res)
     axes = seed_axes(res, aabb_scale, stride)
     iz, iy, ix = np.meshgrid(axes[2], axes[1], axes[0], indexing="ij")
     ix, iy, iz = ix.ravel(), iy.ravel(), iz.ravel()
@@ -152,7 +140,7 @@ class Simulator:
         self.alpha = alpha
 
         lattice = rasterize_global(field, self.resolution, padded=True)
-        spacing = 1.0 / (np.asarray(self.resolution, dtype=np.float64) - 1.0)
+        spacing = lattice_spacing(self.resolution)
         # Stage points must stay within one ghost cell of the core region,
         # otherwise a handed-off step may be computable by no rank; they also
         # stay half a cell inside the hull-side sampling bounds, so every

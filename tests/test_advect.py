@@ -89,6 +89,12 @@ def run_one_round(block, queue, h):
     return info, store, buf, outcome, work
 
 
+def owned_mask(block, points):
+    """True where a point lies in its row's half-open core ``[origin, origin + core_dims)``."""
+    g = block.to_g(points)
+    return np.all((g >= block.origin) & (g < block.origin + block.core_dims), axis=-1)
+
+
 def reference_integrate_group(block, pset, buffer, h):
     """The numpy loop the kernel replaced: one vectorized step of every active row per pass.
 
@@ -131,11 +137,13 @@ def reference_integrate_group(block, pset, buffer, h):
             status[moved[done]] = STATUS_TERMINATED
             moved = moved[~done]
         if moved.size:
-            owned = block.select(moved).owned_mask(pos[moved])
+            owned = owned_mask(block.select(moved), pos[moved])
             left = moved[~owned]
             if left.size:
                 status[left] = STATUS_OOB
-                exit_dir[left] = advect._exit_directions(block.to_g(pos[left]), *block.select(left).core_bounds())
+                core = block.select(left)
+                exit_dir[left] = advect._exit_directions(block.to_g(pos[left]), core.origin,
+                                                         core.origin + core.core_dims)
             moved = moved[owned]
         active = moved
     if buffer.vertices is not None:
@@ -218,7 +226,7 @@ class TestKernelEqualsReference:
             block, pset = random_world(rng, 1000, 12)
             (out, segments), (want, _) = kernel_and_reference(block, pset, h)
             assert out.pos.tobytes() == want.pos.tobytes() and out.exit_dir.tobytes() == want.exit_dir.tobytes()
-            core_exit = (out.status == STATUS_OOB) & (out.steps > 0) & ~block.owned_mask(out.pos)
+            core_exit = (out.status == STATUS_OOB) & (out.steps > 0) & ~owned_mask(block, out.pos)
             rejected = (out.status == STATUS_OOB) & ~core_exit
             stage = first_bad_stage(block, out.pos, h)
             assert (stage[rejected] > 0).all()
@@ -580,7 +588,7 @@ class TestWorldBatching:
         for (_, got), (_, want) in zip(world_curves.segments, curves.segments):
             assert got.tobytes() == want.tobytes()
         oob = batched.status == STATUS_OOB
-        inside = per_row.owned_mask(batched.pos)
+        inside = owned_mask(per_row, batched.pos)
         assert (oob & inside).any()   # a stage point left the sampling extent: step rejected
         assert (oob & ~inside).any()  # the accepted step left the core
 

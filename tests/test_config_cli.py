@@ -140,6 +140,27 @@ class TestConfigParsing:
                         aabb_scale=cfg.aabb_scale, max_iterations=cfg.max_iterations)
         assert cfg.round_buffer_bytes() == sim.seed_count * 7 * 24
 
+    @settings(max_examples=40, deadline=None)
+    @given(hst.tuples(*[hst.integers(2, 24)] * 3), hst.floats(0.01, 1.0), hst.tuples(*[hst.integers(1, 9)] * 3))
+    def test_counted_seeds_equal_the_seeded_ones(self, resolution, aabb_scale, stride):
+        from diffadvect.field import AnalyticField
+        from diffadvect.runtime import Simulator
+
+        cfg = RunConfig(resolution=resolution, aabb_scale=aabb_scale, stride=stride)
+        sim = Simulator(AnalyticField("abc"), resolution, (1, 1, 1), "none", stride=stride,
+                        aabb_scale=aabb_scale, max_iterations=1, collect_curves=False)
+        assert cfg.seed_count() == sim.seed_count
+
+    @pytest.mark.parametrize("settings_", [
+        dict(resolution=(8, 8)), dict(resolution=(8, 8, 8, 8)), dict(stride=(2, 2)), dict(stride=(2, 2, 2, 2)),
+        dict(grid=(2, 2)), dict(grid=(2, 2), nodes=4), dict(grid=(1, 1, 1, 1)),
+    ])
+    def test_axis_that_is_not_a_triple_is_a_listed_problem(self, settings_):
+        # listed beside every other problem, and the seed-table and curve-log estimates skip it
+        [key] = [k for k in settings_ if k != "nodes"]
+        problems = RunConfig(scheduler="foo", **settings_).validate()
+        assert sorted(p.split(":")[0] for p in problems) == sorted([key, "scheduler"])
+
     def test_apply_setting_rejects_bad_values(self):
         with pytest.raises(ConfigError):
             apply_setting(RunConfig(), "step", "fast")

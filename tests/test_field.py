@@ -9,7 +9,6 @@ from diffadvect.errors import ConfigError, DomainError, OutOfBlockError
 from diffadvect.field import (
     AnalyticField,
     evaluate_field,
-    export_block,
     lattice_spacing,
     rasterize_block,
     rasterize_global,
@@ -22,6 +21,12 @@ class LinearField:
 
     def components(self, x, y, z):
         return x, 2.0 * y, -z
+
+
+def brick(block):
+    """One extent's ghost-padded brick, as a view of the shared lattice."""
+    (ox, oy, oz), (nx, ny, nz) = block.origin, block.core_dims
+    return block.lattice[ox:ox + nx + 2, oy:oy + ny + 2, oz:oz + nz + 2]
 
 
 class TestAnalyticField:
@@ -87,14 +92,14 @@ class TestRasterize:
         s = lattice_spacing(res)
         for node in [(2, 2, 2), (3, 4, 5), (5, 5, 5)]:
             expect = evaluate_field(f, tuple(node[a] * s[a] for a in range(3)))
-            got = blk.data[node[0] - 1, node[1] - 1, node[2] - 1]  # ghost offset 1
+            got = brick(blk)[node[0] - 1, node[1] - 1, node[2] - 1]  # ghost offset 1
             np.testing.assert_array_equal(got, expect)
 
     def test_ghost_clamped_at_domain_edge(self):
         f = AnalyticField("abc")
         blk = rasterize_block(f, (8, 8, 8), (0, 0, 0), (4, 4, 4))
         # ghost plane at node -1 replicates node 0
-        np.testing.assert_array_equal(blk.data[0], blk.data[1])
+        np.testing.assert_array_equal(brick(blk)[0], brick(blk)[1])
 
     def test_adjacent_blocks_share_the_lattice(self):
         f = AnalyticField("jets")
@@ -102,11 +107,13 @@ class TestRasterize:
         a = rasterize_block(f, res, (0, 0, 0), (8, 16, 16))
         b = rasterize_block(f, res, (8, 0, 0), (8, 16, 16))
         # A's +x ghost plane (node 8) equals B's first core plane (node 8).
-        np.testing.assert_array_equal(a.data[-1], b.data[1])
-        # and sliced-from-global blocks agree with directly evaluated ones
+        np.testing.assert_array_equal(brick(a)[-1], brick(b)[1])
+        # a block padded from given global data, here touching the hull on five faces, gets the same
+        # read-only lattice as one that rasterizes its own
         g = rasterize_global(f, res)
         a2 = rasterize_block(f, res, (0, 0, 0), (8, 16, 16), global_data=g)
-        np.testing.assert_array_equal(a.data, a2.data)
+        assert not a2.lattice.flags.writeable
+        assert a2.lattice.tobytes() == a.lattice.tobytes()
 
     @pytest.mark.parametrize("kind", ["abc", "jets", "toroidal"])
     @pytest.mark.parametrize("slab_nodes", [1 << 18, 700])
@@ -160,7 +167,7 @@ class TestRasterize:
         f = AnalyticField("abc")
         b1 = rasterize_block(f, (12, 12, 12), (4, 4, 4), (4, 4, 4))
         b2 = rasterize_block(f, (12, 12, 12), (4, 4, 4), (4, 4, 4))
-        np.testing.assert_array_equal(b1.data, b2.data)
+        np.testing.assert_array_equal(brick(b1), brick(b2))
 
 
 class TestTrilinear:
@@ -171,7 +178,7 @@ class TestTrilinear:
         s = lattice_spacing(res)
         node = (6, 7, 9)
         got = sample_trilinear(blk, tuple(node[a] * s[a] for a in range(3)))
-        np.testing.assert_array_equal(got, blk.data[node[0] - 3, node[1] - 3, node[2] - 3])
+        np.testing.assert_array_equal(got, brick(blk)[node[0] - 3, node[1] - 3, node[2] - 3])
 
     def test_cell_center_is_mean_of_corners(self):
         f = AnalyticField("toroidal")
@@ -180,7 +187,7 @@ class TestTrilinear:
         s = lattice_spacing(res)
         p = tuple((6 + 0.5) * s[a] for a in range(3))
         got = sample_trilinear(blk, p)
-        corners = blk.data[3:5, 3:5, 3:5].reshape(8, 3)
+        corners = brick(blk)[3:5, 3:5, 3:5].reshape(8, 3)
         np.testing.assert_allclose(got, corners.mean(axis=0), rtol=1e-14, atol=1e-15)
 
     def test_affine_field_reproduced_everywhere(self):
@@ -236,18 +243,3 @@ class TestTrilinear:
         assert not issubclass(OutOfBlockError, DomainError)
         assert not issubclass(DomainError, OutOfBlockError)
 
-
-class TestExport:
-    def test_block_export_roundtrip(self, tmp_path):
-        f = AnalyticField("jets")
-        blk = rasterize_block(f, (8, 8, 8), (0, 0, 0), (4, 4, 4))
-        data_path = tmp_path / "block.bin"
-        export_block(blk, data_path)
-        sidecar = (tmp_path / "block.bin.json").read_text()
-        import json
-
-        meta = json.loads(sidecar)
-        assert meta["dims"] == [6, 6, 6]
-        assert meta["origin_voxel"] == [0, 0, 0]
-        raw = np.fromfile(data_path, dtype="<f4").reshape(6, 6, 6, 3)  # z,y,x order
-        np.testing.assert_array_equal(raw, np.transpose(blk.data, (2, 1, 0, 3)).astype("<f4"))
