@@ -31,9 +31,10 @@ ROUND_BUFFER_CAP_BYTES = 1 << 29
 # Largest particle table a run may seed: seeds x SEED_BYTES, the peak resident
 # bytes per seed. A run of 2,097,152 seeds (abc, 128^3, stride 1, 2x2x2 gllma,
 # 1 iteration, curves off, on a 2-CPU Xeon with Python 3.11 and numpy 2.4)
-# peaked at 464.4 MiB in a fresh process, against 84.6 MiB at stride 8 (4,096
-# seeds): about 190 B per seed, for a 64 B table row. Seeding sets the peak
-# (452 MiB once the Simulator is built); the rounds add about 12 MiB. The
+# peaked at 464.7 MiB in a fresh process, against 85.1 MiB at stride 8 (4,096
+# seeds): about 190 B per seed, for a 64 B table row. The Simulator is built
+# at 212 MiB; round 1's containability check sets the peak, with a 252 MiB
+# transient of per-row block bounds and the samplable mask over every row. The
 # 2 GiB cap admits about 11 million seeds.
 SEED_TABLE_CAP_BYTES = 1 << 31
 SEED_BYTES = 190

@@ -1,11 +1,12 @@
 """Lockstep multi-rank advection simulator over one world particle table.
 
-Every particle is a row of one :class:`ParticleSet` that carries its ``home``
-rank, whose block it samples, its ``holder``, the rank that queues it, and
-its FIFO key ``seq``. A rank's queue is its held rows in ``seq`` order; rows
-stay where they are stored, and a stage that needs queue order computes it
-as one lexsort of ``(holder, seq)``. A particle is on loan when its holder is
-not its home; only a face neighbor of its home may hold it.
+Every particle is a row of one :class:`ParticleSet`, seeded once in id order
+by :func:`seed_particles`, that carries its ``home`` rank, whose block it
+samples, its ``holder``, the rank that queues it, and its FIFO key ``seq``.
+A rank's queue is its held rows in ``seq`` order; rows stay where they are
+stored, and a stage that needs queue order computes it as one lexsort of
+``(holder, seq)``. A particle is on loan when its holder is not its home;
+only a face neighbor of its home may hold it.
 
 Topology is two tables: ``neighbors``, the ``(ranks, 6)`` face-neighbor table
 of :func:`topology.neighbor_table` (-1 at the domain hull), and ``blocks``,
@@ -49,7 +50,7 @@ from .advect import STATUS_EXITED, STATUS_OOB, STATUS_TERMINATED, CurveStore, Ro
 from .errors import ConfigError, InvariantError, RoundLimitError
 from .field import AnalyticField, Block, lattice_spacing, rasterize_global, seed_axes
 from .metrics import ROUNDS_CSV_COLUMNS, STAGE_COLUMNS, round_table
-from .particles import ParticleSet, concat_particles
+from .particles import ParticleSet, concat_particles  # noqa: F401  (unused; perfbench/spans.py traces it here)
 from .topology import ProcessGrid, decompose, neighbor_table
 
 ROUND_CAP = 100_000
@@ -83,14 +84,13 @@ class RunResult:
 
 
 def seed_particles(resolution, aabb_scale: float, stride, origin, grid: ProcessGrid,
-                   max_iterations: int) -> tuple[list[ParticleSet], int]:
+                   max_iterations: int) -> ParticleSet:
     """Seed particles on the global voxel lattice inside a centered box.
 
-    Every node of :func:`field.seed_axes` becomes a seed. Ids count
-    x-fastest in lattice order; each seed starts on the rank whose core
-    extent contains its node, given the ranks' block origins from
-    :func:`topology.decompose`. Returns each rank's seeds in id order, and
-    their total.
+    Every node of :func:`field.seed_axes` becomes a seed. Returns the world
+    table in lattice order, x fastest: row ``i`` has id ``i`` and starts at
+    home on the rank whose core extent contains its node, given the ranks'
+    block origins from :func:`topology.decompose`.
     """
     if not (0.0 < aabb_scale <= 1.0):
         raise ConfigError(f"aabb scale must be in (0, 1], got {aabb_scale}")
@@ -100,19 +100,16 @@ def seed_particles(resolution, aabb_scale: float, stride, origin, grid: ProcessG
     res = tuple(int(r) for r in resolution)
     spacing = lattice_spacing(res)
     axes = seed_axes(res, aabb_scale, stride)
-    iz, iy, ix = np.meshgrid(axes[2], axes[1], axes[0], indexing="ij")
-    ix, iy, iz = ix.ravel(), iy.ravel(), iz.ravel()
-    total = ix.shape[0]
-    pos = np.stack([ix * spacing[0], iy * spacing[1], iz * spacing[2]], axis=1)
-    # Map lattice node -> owning block per axis via the split starts.
-    bx, by, bz = (np.searchsorted(sorted(set(origin[:, a].tolist())), i, side="right") - 1
-                  for a, i in enumerate((ix, iy, iz)))
+    # Each node's block index per axis, via the split starts; the (nz, ny, nx)
+    # broadcasts of the axis vectors, raveled, are the table's columns.
+    bx, by, bz = (np.searchsorted(sorted(set(origin[:, a].tolist())), axes[a], side="right") - 1 for a in range(3))
     dx, dy, _ = grid.dims
-    home = (bz * dy + by) * dx + bx
-    seeds = ParticleSet.make(np.arange(total), pos, np.full(total, int(max_iterations)), home)
-    # One stable sort splits the seeds by rank and keeps id order within each.
-    ends = np.cumsum(np.bincount(home, minlength=grid.rank_count))
-    return [seeds.select(rows) for rows in np.split(np.argsort(home, kind="stable"), ends[:-1])], total
+    home = (bz[:, None, None] * dy + by[:, None]) * dx + bx
+    pos = np.empty(home.shape + (3,))
+    pos[..., 0] = axes[0] * spacing[0]
+    pos[..., 1] = (axes[1] * spacing[1])[:, None]
+    pos[..., 2] = (axes[2] * spacing[2])[:, None, None]
+    return ParticleSet.make(np.arange(home.size), pos, np.full(home.size, int(max_iterations)), home.ravel())
 
 
 class Simulator:
@@ -153,9 +150,9 @@ class Simulator:
         self.blocks = Block(lattice, spacing, *decompose(self.grid, self.resolution))
         # neighbors[r, d]: rank r's face neighbor in direction d, -1 at the domain hull.
         self.neighbors = neighbor_table(self.grid)
-        seeds, self.seed_count = seed_particles(self.resolution, aabb_scale, stride, self.blocks.origin,
-                                                self.grid, max_iterations)
-        self.particles = concat_particles(seeds)
+        self.particles = seed_particles(self.resolution, aabb_scale, stride, self.blocks.origin, self.grid,
+                                        max_iterations)
+        self.seed_count = len(self.particles)
         self.terminated = self.exited = 0
         self.store = CurveStore(collect=collect_curves)
         self.records, self.round_totals = [], []

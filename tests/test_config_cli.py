@@ -1,10 +1,15 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as hst
 
+import diffadvect
 from diffadvect.cli import main
 from diffadvect.config import (
     LATTICE_CAP_BYTES,
@@ -196,6 +201,25 @@ class TestRunCommand:
                                          total_integrate_steps=0, lockstep_integrate_steps=0)
         summary = json.loads((out / "summary.json").read_text())
         assert summary["total_advection_s"] == 0 and summary["lif_steps_mean"] is None
+
+    def test_a_run_imports_no_module_after_the_cli(self, tmp_path):
+        # a module imported on first use (np.unique imports numpy.ma, say) costs every run its
+        # import time and resident memory
+        script = (
+            "import sys\n"
+            "from diffadvect.cli import execute_run\n"
+            "from diffadvect.config import RunConfig\n"
+            "before = set(sys.modules)\n"
+            "execute_run(RunConfig(resolution=(16, 16, 16), grid=(2, 2, 1), scheduler='gllma', stride=(4, 4, 4),"
+            " max_iterations=50, particles_per_round=8), sys.argv[1])\n"
+            "print(sorted(set(sys.modules) - before))\n"
+        )
+        src = Path(diffadvect.__file__).parents[1]
+        done = subprocess.run([sys.executable, "-c", script, str(tmp_path)], capture_output=True, text=True,
+                              env={**os.environ, "PYTHONPATH": str(src)}, timeout=120)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.strip() == "[]"
+        assert (tmp_path / "curves.bin").exists()
 
     def test_bad_config_exits_2_listing_everything(self, tmp_path, capsys):
         cfg = write_config(tmp_path, ["scheduler = magic", "aabb_scale = 7",

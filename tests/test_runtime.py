@@ -7,7 +7,7 @@ from diffadvect import runtime
 from diffadvect.advect import CurveStore
 from diffadvect.balance import SCHEDULERS, synchronous_step
 from diffadvect.errors import ConfigError, InvariantError, RoundLimitError
-from diffadvect.field import FIELD_KINDS, AnalyticField
+from diffadvect.field import FIELD_KINDS, AnalyticField, lattice_spacing, seed_axes
 from diffadvect.metrics import round_lifs, rounds_csv_lines
 from diffadvect.particles import ParticleSet, concat_particles
 from diffadvect.runtime import Simulator, seed_particles
@@ -51,34 +51,65 @@ class TestSeeding:
     def test_full_domain_stride8(self):
         grid = ProcessGrid((2, 2, 2))
         origin, _ = decompose(grid, (64, 64, 64))
-        per_rank, total = seed_particles((64, 64, 64), 1.0, (8, 8, 8), origin, grid, 1000)
-        assert total == 512
-        assert sum(len(p) for p in per_rank) == 512
+        seeds = seed_particles((64, 64, 64), 1.0, (8, 8, 8), origin, grid, 1000)
+        assert len(seeds) == 512
+        assert np.bincount(seeds.home, minlength=8).tolist() == [64] * 8
 
     def test_halving_z_stride_doubles_seeds(self):
         grid = ProcessGrid((2, 2, 2))
         origin, _ = decompose(grid, (64, 64, 64))
-        _, total = seed_particles((64, 64, 64), 1.0, (8, 8, 4), origin, grid, 1000)
-        assert total == 1024
+        assert len(seed_particles((64, 64, 64), 1.0, (8, 8, 4), origin, grid, 1000)) == 1024
 
     def test_scaled_box_bounds_positions(self):
         grid = ProcessGrid((1, 1, 1))
         origin, _ = decompose(grid, (64, 64, 64))
-        per_rank, total = seed_particles((64, 64, 64), 0.5, (4, 4, 4), origin, grid, 1000)
-        pos = per_rank[0].pos
-        assert total > 0
+        pos = seed_particles((64, 64, 64), 0.5, (4, 4, 4), origin, grid, 1000).pos
+        assert len(pos) > 0
         assert (pos >= 0.25).all() and (pos <= 0.75).all()
 
     def test_seeds_assigned_to_owning_rank(self):
         grid = ProcessGrid((3, 2, 2))
         origin, core_dims = decompose(grid, (16, 16, 16))
-        per_rank, total = seed_particles((16, 16, 16), 1.0, (2, 2, 2), origin, grid, 10)
-        for r, seeds in enumerate(per_rank):
-            assert len(seeds) and (seeds.home == r).all()
-            assert (np.diff(seeds.ids) > 0).all()  # id order within each rank
-            node = np.rint(seeds.pos * 15.0)  # every seed sits on a lattice node of its rank's core
-            assert ((node >= origin[r]) & (node < origin[r] + core_dims[r])).all()
-        np.testing.assert_array_equal(np.sort(np.concatenate([s.ids for s in per_rank])), np.arange(total))
+        seeds = seed_particles((16, 16, 16), 1.0, (2, 2, 2), origin, grid, 10)
+        np.testing.assert_array_equal(seeds.ids, np.arange(len(seeds)))  # one table in id order
+        assert set(seeds.home.tolist()) == set(range(grid.rank_count))  # every rank seeds
+        np.testing.assert_array_equal(seeds.holder, seeds.home)
+        node = np.rint(seeds.pos * 15.0)  # every seed sits on a lattice node of its rank's core
+        assert ((node >= origin[seeds.home]) & (node < (origin + core_dims)[seeds.home])).all()
+
+    @settings(max_examples=60, deadline=None)
+    @given(res=hst.tuples(*[hst.integers(2, 20)] * 3), dims=hst.tuples(*[hst.integers(1, 4)] * 3),
+           stride=hst.tuples(*[hst.integers(1, 5)] * 3), scale=hst.floats(0.05, 1.0))
+    def test_one_table_in_lattice_order_on_owning_ranks(self, res, dims, stride, scale):
+        grid = ProcessGrid(tuple(min(d, r) for d, r in zip(dims, res)))
+        origin, core_dims = decompose(grid, res)
+        seeds = seed_particles(res, scale, stride, origin, grid, 7)
+        axes = seed_axes(res, scale, stride)
+        iz, iy, ix = (a.ravel() for a in np.meshgrid(axes[2], axes[1], axes[0], indexing="ij"))  # x fastest
+        node = np.stack([ix, iy, iz], axis=1)
+        np.testing.assert_array_equal(seeds.ids, np.arange(len(node)))
+        np.testing.assert_array_equal(seeds.seq, seeds.ids)
+        assert seeds.pos.tobytes() == (node * lattice_spacing(res)).tobytes()
+        assert (seeds.remaining == 7).all() and (seeds.holder == seeds.home).all()
+        end = origin + core_dims
+        assert ((node >= origin[seeds.home]) & (node < end[seeds.home])).all()
+        holds_node = [all(((axes[a] >= origin[r, a]) & (axes[a] < end[r, a])).any() for a in range(3))
+                      for r in range(grid.rank_count)]
+        assert set(seeds.home.tolist()) == {r for r, held in enumerate(holds_node) if held}
+
+    def test_building_a_simulator_gathers_and_concatenates_nothing(self, monkeypatch):
+        calls = []
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls.append(name)
+                return fn(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(ParticleSet, "select", counted("select", ParticleSet.select))
+        monkeypatch.setattr(runtime, "concat_particles", counted("concat", runtime.concat_particles))
+        sim = Simulator(AnalyticField("abc"), (16, 16, 16), (4, 2, 2), "gllma", stride=(2, 2, 2))
+        assert len(sim.particles) == sim.seed_count == 512 and calls == []
 
     def test_bad_scale_rejected(self):
         grid = ProcessGrid((1, 1, 1))
