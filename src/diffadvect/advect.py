@@ -57,11 +57,11 @@ selection's summed budgets. It is a private anonymous memory mapping kept from
 huge pages, so only the pages the kernel writes become resident. Each chunk
 writes into its own region, which starts at the summed budgets of the rows
 before the chunk, each of its rows as one run in step order, and the kernel
-reports each chunk's written ``[start, end)``. After the round,
-:meth:`CurveStore.finish_round` copies the spans into one block, in row order,
-and cuts it into one segment per row that took a step. The outcome and the
-log are the same for any number of workers. With curves off nothing is
-allocated or archived; the kernel only counts the steps.
+reports each chunk's written ``[start, end)``. :meth:`CurveStore.finish_round`
+archives a read-only view of it per row that took a step, which
+:func:`export_curves` casts in bounded batches, so a vertex is written and read
+once. The outcome and the log are the same for any number of workers. With
+curves off nothing is allocated or archived; the kernel only counts the steps.
 """
 
 from __future__ import annotations
@@ -182,8 +182,8 @@ class RoundBuffer:
 
     ``vertices`` views an anonymous mapping and only the ``spans`` the kernel
     reports are written, so memory becomes resident only as vertices arrive.
-    With curves off ``vertices`` is None and only ``size`` counts the
-    appended steps.
+    Archived, it is the curves' only copy, read-only. With curves off
+    ``vertices`` is None and only ``size`` counts the appended steps.
     """
 
     vertices: np.ndarray | None  # (capacity, 3)
@@ -196,9 +196,9 @@ class CurveStore:
     """Integral-curve storage for the whole run.
 
     Each round logs its vertices in one buffer; after the round they are
-    archived as one ``(particle_id, vertices)`` segment per particle and the
-    buffer is dropped. Within one round a particle is integrated by exactly
-    one rank, so the segments of a particle, in archive order, are its curve.
+    archived as one ``(particle_id, vertices)`` segment per particle, a view
+    of the buffer. Within one round a particle is integrated by exactly one
+    rank, so the segments of a particle, in archive order, are its curve.
     A store with ``collect`` False allocates no log and archives nothing.
     """
 
@@ -215,15 +215,20 @@ class CurveStore:
         return RoundBuffer(vertices=np.frombuffer(log, np.float64, 3 * info.capacity).reshape(info.capacity, 3))
 
     def finish_round(self, ids: np.ndarray, steps: np.ndarray, buffer: RoundBuffer) -> None:
-        """Archive the round's log, ``ids`` and ``steps`` naming the particle and accepted steps of each row."""
-        moved = steps > 0
-        if buffer.vertices is None or buffer.spans is None or not moved.any():
+        """Archive the log as read-only views; ``ids`` and ``steps`` name each row's particle and accepted steps."""
+        if buffer.vertices is None or buffer.spans is None:
             return
-        # one copy of the written spans, so the segments do not hold the capacity-sized log alive
-        written = np.concatenate([buffer.vertices[start:end] for start, end in buffer.spans.tolist()])
-        ends = np.cumsum(steps[moved]).tolist()
+        buffer.vertices.setflags(write=False)
+        moved = steps > 0
+        lengths = steps[moved]
+        # a row's run starts at its span's start plus the steps of the earlier moved rows in that span
+        before = np.cumsum(lengths) - lengths
+        written = buffer.spans[:, 1] - buffer.spans[:, 0]
+        span_before = np.cumsum(written) - written
+        span = np.searchsorted(span_before, before, side="right") - 1  # the last span starting at or before it
+        starts = (buffer.spans[span, 0] + before - span_before[span]).tolist()
         self.segments.extend(zip(ids[moved].tolist(),
-                                 [written[start:end] for start, end in zip([0] + ends[:-1], ends)]))
+                                 [buffer.vertices[a:b] for a, b in zip(starts, (starts + lengths).tolist())]))
 
 
 def merge_curves(store: CurveStore) -> dict[int, np.ndarray]:
@@ -353,23 +358,41 @@ def integrate(block: Block, pset: ParticleSet, buffer: RoundBuffer, h: float):
     return outcome, steps
 
 
-def export_curves(path, curves: dict[int, np.ndarray], config_hash: str | None = None) -> None:
-    """Write merged curves as a line-set file.
+EXPORT_BATCH = 65_536  # vertices export_curves casts and writes at a time, 768 KiB as float32
 
-    Layout: one UTF-8 JSON header line (particle count, per-particle vertex
-    counts in ascending particle-id order, optional provenance hash) followed
-    by flat little-endian float32 xyz triplets, particles in header order.
+
+def export_curves(path, pairs, config_hash: str | None = None) -> None:
+    """Write curves, given as ``(particle_id, vertices)`` pairs, as a line-set file.
+
+    A particle's pairs are its pieces, in order, so a merged dict's ``.items()``
+    and a store's ``segments`` write the same file. Layout: one UTF-8 JSON
+    header line (particle count, per-particle vertex counts in ascending
+    particle-id order, optional provenance hash) followed by flat
+    little-endian float32 xyz triplets, particles in header order.
     """
-    pids = sorted(curves.keys())
-    counts = [int(curves[p].shape[0]) for p in pids]
-    header = {"particle_count": len(pids), "particle_ids": pids, "vertex_counts": counts}
+    pairs = list(pairs)
+    ids = np.array([pid for pid, _ in pairs], dtype=np.int64)
+    lengths = np.array([len(verts) for _, verts in pairs], dtype=np.int64)
+    order = np.argsort(ids, kind="stable")
+    sorted_ids, lengths = ids[order], lengths[order]
+    first = np.flatnonzero(np.diff(sorted_ids, prepend=sorted_ids[:1] - 1))  # each id's first piece
+    header = {"particle_count": len(first), "particle_ids": sorted_ids[first].tolist(),
+              "vertex_counts": np.add.reduceat(lengths, first).tolist()}
     if config_hash is not None:
         header["config_hash"] = config_hash
-    payload = np.concatenate([curves[p] for p in pids], dtype="<f4", casting="same_kind") if pids else b""
+    pieces = [pairs[i][1] for i in order.tolist()]
+    ends = np.cumsum(lengths)  # each piece's [start, end) in the payload
+    starts = ends - lengths
     with open(path, "wb") as fh:
         fh.write(json.dumps(header, sort_keys=True).encode("utf-8"))
         fh.write(b"\n")
-        fh.write(payload)
+        for lo in range(0, int(lengths.sum()), EXPORT_BATCH):  # one batch: the payload's [lo, hi)
+            hi = lo + EXPORT_BATCH
+            a, b = np.searchsorted(ends, lo, side="right"), np.searchsorted(starts, hi)  # the pieces it touches
+            parts = pieces[a:b]
+            parts[-1] = parts[-1][:hi - starts[b - 1]]  # the end first, since the last piece may be the first
+            parts[0] = parts[0][lo - starts[a]:]
+            fh.write(np.concatenate(parts, dtype="<f4", casting="same_kind"))
 
 
 def read_curves(path):

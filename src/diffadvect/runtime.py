@@ -42,6 +42,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -65,7 +66,12 @@ class RunResult:
     exited: int
     records: np.recarray    # the rounds table, one row per (round, rank) in that order
     round_totals: list      # (round, active, terminated, exited)
-    curves: dict | None
+    store: CurveStore       # the archived segments, read-only views of the round logs
+
+    @cached_property
+    def curves(self) -> dict | None:
+        """Each particle's merged streamline, merged on first use; None with curves off."""
+        return merge_curves(self.store) if self.store.collect else None
 
     @property
     def node_count(self) -> int:
@@ -285,4 +291,4 @@ class Simulator:
             self.run_round(round_index)
         return RunResult(self.grid.dims, self.seed_count, round_index, self.terminated, self.exited,
                          np.concatenate([round_table(0), *self.records]).view(np.recarray), self.round_totals,
-                         merge_curves(self.store) if self.store.collect else None)
+                         self.store)

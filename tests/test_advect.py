@@ -1,4 +1,5 @@
 import ctypes
+import json
 import mmap
 import os
 import signal
@@ -23,12 +24,14 @@ from diffadvect.advect import (
     RoundBuffer,
     RoundInfo,
     build_kernel,
+    export_curves,
     integrate,
     integrate_group,
     kernel_bounds,
     kernel_name,
     load_kernel,
     merge_curves,
+    read_curves,
     rk4_step,
 )
 from diffadvect.errors import InvariantError
@@ -607,7 +610,26 @@ class TestCurveStore:
         for (_, got), row in zip(store.segments, (1, 2, 4)):
             np.testing.assert_array_equal(got[:, 0], np.flatnonzero(rows == row))
             assert (got[:, 1] == row).all()
-        assert not np.shares_memory(store.segments[0][1], buf.vertices)  # a copy of the written spans
+        for _, got in store.segments:  # a read-only view of the log, at its row's run (checked above)
+            assert np.shares_memory(got, buf.vertices) and not got.flags.writeable
+
+    def test_rows_find_their_span_past_empty_spans(self):
+        # three one-row spans with budgets (1, 1, 2); the middle row took no step, so its span is empty
+        buf = RoundBuffer(vertices=np.arange(12.0).reshape(4, 3), spans=np.array([[0, 1], [1, 1], [2, 4]]), size=3)
+        store = CurveStore()
+        store.finish_round(np.array([5, 6, 7]), np.array([1, 0, 2]), buf)
+        assert [(pid, got[:, 0].tolist()) for pid, got in store.segments] == [(5, [0.0]), (7, [6.0, 9.0])]
+
+    def test_archived_log_is_write_once(self):
+        block = rasterize_block(ConstantField((0.01, 0.0, 0.0)), (16, 16, 16), (0, 0, 0), (16, 16, 16))
+        queue = queue_of([[0.5, 0.5, 0.5]], 3)
+        _, store, buf, _, _ = run_one_round(block, queue, 0.001)
+        with pytest.raises(ValueError, match="read-only"):
+            buf.vertices[0] = 0.0
+        with pytest.raises(ValueError, match="read-only"):
+            store.segments[0][1][:] = 0.0
+        with pytest.raises(InvariantError, match="already written"):
+            integrate(block, queue, buf, 0.001)
 
     def test_merge_keeps_only_written_vertices(self):
         block = rasterize_block(ConstantField((0.01, 0.0, 0.0)), (16, 16, 16), (0, 0, 0), (16, 16, 16))
@@ -663,3 +685,55 @@ class TestCurveStore:
         buf = CurveStore().allocate(RoundInfo(capacity=2))
         with pytest.raises(InvariantError, match="round log is full"):
             integrate(block, queue, buf, 0.001)
+
+
+def store_of_rounds(rounds):
+    """A store archiving one hand-written log per round of ``(ids, steps)``: its vertex k at x = k + 0.1."""
+    store = CurveStore()
+    for number, (ids, steps) in enumerate(rounds):
+        total = int(np.sum(steps))
+        buf = RoundBuffer(vertices=np.column_stack([np.arange(total) + 0.1, np.full((total, 2), number / 3)]),
+                          spans=np.array([[0, total]]), size=total)
+        store.finish_round(np.array(ids), np.array(steps), buf)
+    return store
+
+
+def file_of(curves, config_hash=None):
+    """The bytes of a line-set file holding the merged ``curves``, built without ``export_curves``."""
+    pids = sorted(curves)
+    header = {"particle_count": len(pids), "particle_ids": pids,
+              "vertex_counts": [len(curves[p]) for p in pids]}
+    if config_hash is not None:
+        header["config_hash"] = config_hash
+    payload = np.concatenate([curves[p] for p in pids]).astype("<f4").tobytes() if pids else b""
+    return json.dumps(header, sort_keys=True).encode() + b"\n" + payload
+
+
+class TestExportPairs:
+    def test_segments_write_the_merged_file(self, tmp_path):
+        # ids out of order; 5 and 9 in several rounds, 2 in one
+        store = store_of_rounds([([9, 2, 5], [2, 3, 1]), ([5, 9], [4, 1]), ([9], [2])])
+        export_curves(tmp_path / "pairs.bin", store.segments, config_hash="abc")
+        export_curves(tmp_path / "merged.bin", merge_curves(store).items(), config_hash="abc")
+        got = (tmp_path / "pairs.bin").read_bytes()
+        assert got == (tmp_path / "merged.bin").read_bytes() == file_of(merge_curves(store), "abc")
+        assert read_curves(tmp_path / "pairs.bin")[0]["vertex_counts"] == [3, 5, 5]
+
+    def test_batches_split_long_curves_and_fall_between_pieces(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(advect, "EXPORT_BATCH", 8)
+        # id 1 fills two batches and 3 vertices of a third; id 4's first piece ends that batch
+        # exactly, so the boundary falls between its two pieces
+        store = store_of_rounds([([4, 1], [5, 19]), ([4], [3])])
+        export_curves(tmp_path / "curves.bin", store.segments)
+        assert (tmp_path / "curves.bin").read_bytes() == file_of(merge_curves(store))
+
+    def test_curve_without_vertices_keeps_its_id(self, tmp_path):
+        # read_curves gives one when a header lists a count of 0
+        curves = {3: np.zeros((0, 3)), 1: np.ones((2, 3)), 0: np.zeros((0, 3))}
+        export_curves(tmp_path / "curves.bin", curves.items())
+        assert (tmp_path / "curves.bin").read_bytes() == file_of(curves)
+
+    def test_curve_longer_than_the_default_batch(self, tmp_path):
+        store = store_of_rounds([([3, 0], [advect.EXPORT_BATCH + 5, 2]), ([3], [advect.EXPORT_BATCH - 1])])
+        export_curves(tmp_path / "curves.bin", store.segments)
+        assert (tmp_path / "curves.bin").read_bytes() == file_of(merge_curves(store))

@@ -221,6 +221,44 @@ class TestRunCommand:
         assert done.stdout.strip() == "[]"
         assert (tmp_path / "curves.bin").exists()
 
+    def test_curves_add_no_more_than_their_written_vertices_to_the_peak(self, tmp_path):
+        # the abc-oracle benchmark run in fresh processes, curves on and off: the curves may cost
+        # their written float64 vertices (24 B each) and 4 MiB, not a second copy of them. The peak
+        # is the process's VmHWM, since ru_maxrss keeps the peak of the forked test process
+        script = (
+            "import json, re, sys\n"
+            "from pathlib import Path\n"
+            "from diffadvect.cli import execute_run\n"
+            "from diffadvect.config import RunConfig\n"
+            "config = RunConfig(field='abc', grid=(1, 1, 1), scheduler='none', stride=(4, 4, 4),"
+            " max_iterations=1000, export_curves=sys.argv[2] == 'on')\n"
+            "result, _ = execute_run(config, sys.argv[1])\n"
+            "peak = re.search(r'VmHWM:\\s*(\\d+) kB', Path('/proc/self/status').read_text()).group(1)\n"
+            "print(json.dumps([int(peak), result.total_integrate_steps()]))\n"
+        )
+        src = Path(diffadvect.__file__).parents[1]
+        peaks, steps = {}, {}
+        for curves in ("on", "off"):
+            done = subprocess.run([sys.executable, "-c", script, str(tmp_path / curves), curves],
+                                  capture_output=True, text=True, env={**os.environ, "PYTHONPATH": str(src)},
+                                  timeout=120)
+            assert done.returncode == 0, done.stderr
+            peak_kib, steps[curves] = json.loads(done.stdout)
+            peaks[curves] = 1024 * peak_kib
+        assert steps["on"] == steps["off"] > 0
+        assert peaks["on"] - peaks["off"] <= 24 * steps["on"] + 4 * 2**20
+
+    def test_a_run_merges_curves_only_when_they_are_read(self, tmp_path, monkeypatch):
+        from diffadvect import runtime
+        from diffadvect.cli import execute_run
+
+        merged = []
+        monkeypatch.setattr(runtime, "merge_curves", lambda store: merged.append(store) or {})
+        result, _ = execute_run(RunConfig(resolution=(16, 16, 16), stride=(4, 4, 4), max_iterations=10), tmp_path)
+        assert merged == [] and (tmp_path / "curves.bin").exists()
+        assert result.curves == {} and result.curves == {}
+        assert merged == [result.store]  # merged once, on first read
+
     def test_bad_config_exits_2_listing_everything(self, tmp_path, capsys):
         cfg = write_config(tmp_path, ["scheduler = magic", "aabb_scale = 7",
                                       "step = nan", "param.A = nan"])
@@ -479,7 +517,9 @@ class TestExportCurves:
     def test_empty_file_set_roundtrips(self, tmp_path):
         from diffadvect.advect import export_curves, read_curves
 
-        export_curves(tmp_path / "curves.bin", {})
+        export_curves(tmp_path / "curves.bin", [])  # no pairs: the header line alone
+        header = b'{"particle_count": 0, "particle_ids": [], "vertex_counts": []}\n'
+        assert (tmp_path / "curves.bin").read_bytes() == header
         assert read_curves(tmp_path / "curves.bin")[1] == {}
 
     def test_unwritable_destination_exits_2_naming_it(self, tmp_path, capsys):

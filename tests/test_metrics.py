@@ -8,6 +8,7 @@ from hypothesis.extra.numpy import arrays
 
 import reference_lif as ref
 from diffadvect import AnalyticField, RunResult, Simulator
+from diffadvect.advect import CurveStore
 from diffadvect.errors import ConfigError
 from diffadvect.metrics import (
     LIF_CSV_HEADER,
@@ -140,7 +141,7 @@ class TestSummary:
                      integrate_steps=[100, 300, 200, 50])
         recs.load_post = [2, 2, 0, 0]
         result = RunResult(grid_dims=(2, 1, 1), seed_count=10, rounds=2, terminated=8, exited=2, records=recs,
-                           round_totals=[], curves=None)
+                           round_totals=[], store=CurveStore(collect=False))
         s = build_summary({}, "deadbeef", result)
         assert s["total_advection_s"] == 3.0 + 2.0
         assert s["lockstep_integrate_steps"] == 300 + 200
@@ -149,3 +150,4 @@ class TestSummary:
         assert s["lif_steps_mean"] == (300 / 200 + 200 / 125) / 2
         assert s["lif_load_mean"] == 1.0  # the all-zero round 2 has no LIF and is left out
         assert s["seed_count"] == 10 and s["terminated"] == 8 and s["exited_domain"] == 2
+        assert result.curves is None
