@@ -17,10 +17,10 @@ four events:
   handed off at its pre-step position (the receiving rank's ghost layer
   covers the stage points, so it re-takes the identical step).
 
-Every particle samples its home rank's block, whichever rank integrates it,
-and every block is bounds over the same shared lattice, so the accepted
-vertex sequence of a particle is independent of the decomposition; hand-offs
-and loans only change which rank performs each step.
+Every particle samples its home rank's block, read at its ``home`` in one
+table of rank bounds over the same shared lattice, whichever rank integrates
+it, so the accepted vertex sequence of a particle is independent of the
+decomposition; hand-offs and loans only change which rank performs each step.
 
 The kernel writes ``status``, ``exit_dir``, ``pos``, ``remaining`` and
 ``steps`` in place. It performs the operations of the numpy reference
@@ -139,7 +139,7 @@ def load_kernel(path) -> ctypes.CDLL:
     """The kernel library at ``path``, with the signatures of its two functions declared."""
     lib = ctypes.CDLL(str(path))
     i64, ptr = ctypes.c_int64, ctypes.c_void_p
-    bounds = [i64, ptr, i64, i64, ptr, ptr, ptr]  # n, lattice, sx, sy, spacing, origin, core
+    bounds = [i64, ptr, i64, i64, ptr, ptr, ptr, ptr]  # n, lattice, sx, sy, spacing, origin, core, home
     lib.rk4_sample.argtypes = bounds + [ptr, ptr]
     lib.rk4_sample.restype = None
     lib.rk4_advance.argtypes = bounds + [ctypes.c_double, ptr, ptr, ptr, ptr, ptr, ptr, i64, ptr, i64]
@@ -253,7 +253,7 @@ def _exit_directions(g: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarra
 
 
 def _block_step(block: Block, pos: np.ndarray, h: float):
-    """One vectorized RK4 step for all rows of ``pos``, each against its block bounds.
+    """One vectorized RK4 step for all rows of ``pos``, against one extent or ``(n, 3)`` bounds, one per row.
 
     Returns ``(newpos, ok, dirs)``: rows with ``ok`` False had a stage point
     outside the sampling extent and must be rejected; ``dirs`` holds their
@@ -278,7 +278,8 @@ def _block_step(block: Block, pos: np.ndarray, h: float):
     bad = ~ok
     if bad.any():
         first = np.where(~m2[:, np.newaxis], s2, np.where(~m3[:, np.newaxis], s3, s4))
-        dirs[bad] = _exit_directions(block.to_g(first[bad]), *block.select(bad).sample_bounds())
+        lo, hi = (np.broadcast_to(b, pos.shape)[bad] for b in block.sample_bounds())
+        dirs[bad] = _exit_directions(block.to_g(first[bad]), lo, hi)
     return newpos, ok, dirs
 
 
@@ -293,29 +294,32 @@ class GroupOutcome:
     steps: np.ndarray       # accepted RK4 steps (work units)
 
 
-def kernel_bounds(block: Block, n: int) -> tuple:
-    """The kernel's ``n, lattice, sx, sy, spacing, origin, core`` arguments for ``n`` rows of ``block``.
+def kernel_bounds(block: Block, home) -> tuple:
+    """The kernel's ``n, lattice, sx, sy, spacing, origin, core, home`` arguments for rows of homes ``home``.
 
-    A single extent is broadcast to ``(n, 3)`` bounds. Each array is passed
-    as its ``ctypes`` view, which holds the array alive through the call.
+    Each row reads ``block``'s ``(ranks, 3)`` table at its home, which must be
+    a row of it; a single extent is a one-row table. Each array is passed as
+    its ``ctypes`` view, which holds the array alive through the call.
     """
     lattice = block.lattice
-    origin, core = (np.ascontiguousarray(np.broadcast_to(a, (n, 3)), dtype=np.int64)
-                    for a in (block.origin, block.core_dims))
+    origin, core = (np.ascontiguousarray(a, dtype=np.int64).reshape(-1, 3) for a in (block.origin, block.core_dims))
+    home = np.zeros(len(home), np.int64) if block.origin.ndim == 1 else np.ascontiguousarray(home, dtype=np.int64)
     if not (lattice.dtype == np.float64 and lattice.flags.c_contiguous and lattice.ndim == 4
-            and lattice.shape[3] == 3 and (origin >= 0).all() and (core >= 1).all()
-            and (origin + core <= np.array(lattice.shape[:3]) - 2).all()):
-        raise InvariantError("block bounds outside a C-contiguous (x, y, z, 3) float64 padded lattice")
+            and lattice.shape[3] == 3 and origin.shape == core.shape and (origin >= 0).all() and (core >= 1).all()
+            and (origin + core <= np.array(lattice.shape[:3]) - 2).all() and (home >= 0).all()
+            and (home < len(origin)).all()):
+        raise InvariantError("block bounds outside a C-contiguous (x, y, z, 3) float64 padded lattice, "
+                             "or a home outside the bounds table")
     spacing = np.ascontiguousarray(block.spacing, dtype=np.float64).reshape(3)
     _, py, pz, _ = lattice.shape
-    return n, lattice.ctypes, py * pz, pz, spacing.ctypes, origin.ctypes, core.ctypes
+    return len(home), lattice.ctypes, py * pz, pz, spacing.ctypes, origin.ctypes, core.ctypes, home.ctypes
 
 
 def integrate_group(block: Block, pset: ParticleSet, buffer: RoundBuffer, h: float,
                     workers: int | None = None) -> GroupOutcome:
-    """Advance the particles of ``pset``, each against its own block bounds, in the kernel.
+    """Advance the particles of ``pset``, each against its home's block bounds, in the kernel.
 
-    ``block`` holds one extent or per-row bounds for the rows of ``pset``.
+    ``block`` holds one extent or the rank table each row reads at its ``home``.
     Each accepted step writes its new position into its chunk's region of the
     buffer, whose written spans the call records. Each particle runs until
     termination, domain exit, or block exit. The kernel runs on ``workers``
@@ -335,7 +339,7 @@ def integrate_group(block: Block, pset: ParticleSet, buffer: RoundBuffer, h: flo
             raise InvariantError("the round log is not a C-contiguous (capacity, 3) float64 array")
     spans = np.zeros((-(-n // CHUNK), 2), dtype=np.int64)
     workers = len(os.sched_getaffinity(0)) if workers is None else workers
-    taken = _rk4_advance(*kernel_bounds(block, n), float(h), out.pos.ctypes, out.remaining.ctypes,
+    taken = _rk4_advance(*kernel_bounds(block, pset.home), float(h), out.pos.ctypes, out.remaining.ctypes,
                          out.status.ctypes, out.exit_dir.ctypes, out.steps.ctypes,
                          None if vertices is None else vertices.ctypes, capacity, spans.ctypes, workers)
     if taken < 0:
@@ -347,8 +351,8 @@ def integrate_group(block: Block, pset: ParticleSet, buffer: RoundBuffer, h: flo
 def integrate(block: Block, pset: ParticleSet, buffer: RoundBuffer, h: float):
     """Run one round over the selected range ``pset``.
 
-    ``block`` holds one extent or per-row bounds for the rows of ``pset``.
-    Returns the :class:`GroupOutcome` of the range plus its total
+    ``block`` holds one extent or the rank table that each row reads at its
+    ``home``. Returns the :class:`GroupOutcome` of the range plus its total
     accepted-step count, which must equal the vertices the round logged.
     """
     outcome = integrate_group(block, pset, buffer, h)

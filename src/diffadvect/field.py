@@ -17,8 +17,8 @@ This module owns the geometry of the one voxel lattice. It has
 its nodes (:func:`seed_axes`). It is rasterized once, slab by slab on
 broadcast axis vectors, into an array padded with one edge-replicated ghost
 node per side (:func:`rasterize_global`). A :class:`Block` is core bounds
-over that one shared array, for one extent or one per particle row; it
-samples a one-cell ghost layer around its core and copies nothing.
+over that one shared array, for one extent or one per rank; it samples a
+one-cell ghost layer around its core and copies nothing.
 Throughout this module "g-space" means position divided by spacing, i.e.
 fractional node coordinates.
 """
@@ -187,23 +187,16 @@ def rasterize_global(field: AnalyticField, resolution, *, padded: bool = False) 
 class Block:
     """Core bounds over the one shared, edge-padded lattice.
 
-    ``origin`` and ``core_dims`` (int64) are either one extent's ``(3,)``
-    bounds or per-row ``(n, 3)`` bounds that pair with the rows of every
-    point array passed in. A row's core is the half-open g-space box
-    ``[origin, origin + core_dims)``; it samples one ghost cell beyond, up to
-    and including ``origin + core_dims``. Nothing is copied per block.
+    ``origin`` and ``core_dims`` (int64) are one extent's ``(3,)`` bounds or a
+    ``(ranks, 3)`` table read at each particle's home. An extent's core is the
+    half-open g-space box ``[origin, origin + core_dims)``, sampled one ghost
+    cell beyond, up to and including ``origin + core_dims``. Nothing is copied.
     """
 
     lattice: np.ndarray     # the padded rasterize_global result, shared by every block
     spacing: np.ndarray
     origin: np.ndarray
     core_dims: np.ndarray
-
-    def select(self, rows) -> "Block":
-        """The bounds of ``rows`` only; a single extent serves every row."""
-        if self.origin.ndim == 1:
-            return self
-        return Block(self.lattice, self.spacing, self.origin[rows], self.core_dims[rows])
 
     def sample_bounds(self):
         """g-space ``(lo, hi)`` of the sampling extent; ``hi`` is included."""

@@ -1,12 +1,12 @@
-/* RK4 particle advection against per-row blocks of one edge-padded lattice.
+/* RK4 particle advection against the rank blocks of one edge-padded lattice.
  *
  * The contract is in the docstring of diffadvect/advect.py. Every float
  * operation is the one numpy performs in advect._block_step and
  * field.Block.sample_clamped, in the same order, so the results are
  * bit-identical to them when built with -O3 -ffp-contract=off and no
  * fast-math. Each point is divided by the spacing once, and its g-space
- * position is both tested and sampled. Block bounds are int64 rows
- * (origin, core dims) of three.
+ * position is both tested and sampled. Row i reads its block bounds, int64
+ * (origin, core dims) of three, at 3 * home[i] of one table of rank rows.
  *
  * rk4_advance runs on up to `workers` workers, and on no more than one per
  * LANES chunks: the calling thread plus helper threads it starts for the
@@ -108,14 +108,14 @@ static int64_t exit_direction(const double *g, const int64_t *lo, const int64_t 
     return best;
 }
 
-/* Sample n points, each against its own row of bounds. */
+/* Sample n points, each against its home's row of bounds. */
 void rk4_sample(int64_t n, const double *lattice, int64_t sx, int64_t sy, const double *spacing,
-                const int64_t *origin, const int64_t *core, const double *points, double *out)
+                const int64_t *origin, const int64_t *core, const int64_t *home, const double *points, double *out)
 {
     for (int64_t i = 0; i < n; i++) {
         double g[3];
         to_g(points + 3 * i, spacing, g);
-        trilinear(lattice, sx, sy, origin + 3 * i, core + 3 * i, g, out + 3 * i);
+        trilinear(lattice, sx, sy, origin + 3 * home[i], core + 3 * home[i], g, out + 3 * i);
     }
 }
 
@@ -123,7 +123,7 @@ void rk4_sample(int64_t n, const double *lattice, int64_t sx, int64_t sy, const 
 typedef struct {
     int64_t n, chunks, sx, sy;
     const double *lattice, *spacing;
-    const int64_t *origin, *core;
+    const int64_t *origin, *core, *home;
     double h;
     double *pos, *vertices;
     int64_t *remaining, *status, *exit_dir, *steps, *spans;
@@ -156,7 +156,7 @@ static int next_row(Lane *lane, const Call *c)
                 c->status[i] = STATUS_TERMINATED;
                 continue;
             }
-            const int64_t *o = c->origin + 3 * i, *k = c->core + 3 * i;
+            const int64_t *o = c->origin + 3 * c->home[i], *k = c->core + 3 * c->home[i];
             lane->origin = o;
             lane->core = k;
             for (int a = 0; a < 3; a++) {
@@ -315,7 +315,7 @@ static int start_helpers(const Call *c, int count, pthread_t *helpers)
  * summed budgets of the rows before it, and leaves its end in spans[2c + 1]; with vertices NULL
  * nothing is logged and the steps are only counted. */
 int64_t rk4_advance(int64_t n, const double *lattice, int64_t sx, int64_t sy, const double *spacing,
-                    const int64_t *origin, const int64_t *core, double h,
+                    const int64_t *origin, const int64_t *core, const int64_t *home, double h,
                     double *pos, int64_t *remaining, int64_t *status, int64_t *exit_dir, int64_t *steps,
                     double *vertices, int64_t capacity, int64_t *spans, int64_t workers)
 {
@@ -323,7 +323,7 @@ int64_t rk4_advance(int64_t n, const double *lattice, int64_t sx, int64_t sy, co
     for (int64_t i = 0; i < n; i++) {
         if (remaining[i] <= 0)
             continue;
-        const int64_t *o = origin + 3 * i, *c = core + 3 * i;
+        const int64_t *o = origin + 3 * home[i], *c = core + 3 * home[i];
         const int64_t core_hi[3] = {o[0] + c[0], o[1] + c[1], o[2] + c[2]};
         const int64_t sample_lo[3] = {o[0] - 1, o[1] - 1, o[2] - 1};
         double g[3];
@@ -342,7 +342,7 @@ int64_t rk4_advance(int64_t n, const double *lattice, int64_t sx, int64_t sy, co
         budget += remaining[i] > 0 ? remaining[i] : 0;
     }
     Counter claimed = {0};
-    const Call call = {n, chunks, sx, sy, lattice, spacing, origin, core, h,
+    const Call call = {n, chunks, sx, sy, lattice, spacing, origin, core, home, h,
                        pos, vertices, remaining, status, exit_dir, steps, spans, &claimed.next};
     /* a helper costs about 0.2 ms to start and wake, so each worker's lanes get a chunk apiece */
     workers = workers < chunks / LANES ? workers : chunks / LANES;

@@ -152,7 +152,7 @@ class Simulator:
         if 2.0 * self.h * cmax > float(spacing.min()):
             raise ConfigError(f"step {self.h} too large for ghost margin: 2*h*max|v| = "
                               f"{2 * self.h * cmax:.3g} exceeds min spacing {spacing.min():.3g}")
-        # Row r holds rank r's block; ``blocks.select(home)`` gives per-particle bounds.
+        # Row r holds rank r's block; a particle reads its bounds at row ``home``.
         self.blocks = Block(lattice, spacing, *decompose(self.grid, self.resolution))
         # neighbors[r, d]: rank r's face neighbor in direction d, -1 at the domain hull.
         self.neighbors = neighbor_table(self.grid)
@@ -191,9 +191,13 @@ class Simulator:
         if foreign.size:
             i = foreign[0]
             raise InvariantError(f"rank {p.holder[i]} holds a particle of non-neighbor rank {p.home[i]}")
-        unreachable = ~self.blocks.select(p.home).samplable_mask(p.pos)
-        if unreachable.any():
-            i = np.argmax(unreachable)
+        lo, hi = self.blocks.sample_bounds()
+        reached = np.ones(len(p), dtype=bool)
+        for a in range(3):  # an axis at a time, so that no (rows, 3) bounds or g-space array is built
+            g = p.pos[:, a] / self.blocks.spacing[a]
+            reached &= (g >= lo[p.home, a]) & (g <= hi[p.home, a])
+        if not reached.all():
+            i = np.argmin(reached)
             raise InvariantError(f"rank {p.holder[i]}: {'home' if p.home[i] == p.holder[i] else 'loaned'} "
                                  "particle outside its block's reach")
 
@@ -226,7 +230,7 @@ class Simulator:
         # Stages 3-4, allocate and integrate, once for the whole world.
         buf = self.store.allocate(RoundInfo(capacity=int(world.remaining.sum())))
         stamps.append(time.perf_counter())
-        out, _ = integrate(self.blocks.select(world.home), world, buf, self.h)
+        out, _ = integrate(self.blocks, world, buf, self.h)
         self.store.finish_round(world.ids, out.steps, buf)
         steps = np.bincount(world.holder, out.steps, ranks).astype(np.int64)
         self.terminated += int(np.count_nonzero(out.status == STATUS_TERMINATED))

@@ -92,6 +92,13 @@ def run_one_round(block, queue, h):
     return info, store, buf, outcome, work
 
 
+def row_bounds(block, home):
+    """``block``'s bounds row by row for rows of homes ``home``: ``table[home]``, or the one extent for every row."""
+    if block.origin.ndim == 1:
+        return block
+    return Block(block.lattice, block.spacing, block.origin[home], block.core_dims[home])
+
+
 def owned_mask(block, points):
     """True where a point lies in its row's half-open core ``[origin, origin + core_dims)``."""
     g = block.to_g(points)
@@ -101,6 +108,7 @@ def owned_mask(block, points):
 def reference_integrate_group(block, pset, buffer, h):
     """The numpy loop the kernel replaced: one vectorized step of every active row per pass.
 
+    Each row's bounds are built here, as ``table[home]`` (:func:`row_bounds`).
     Its passes interleave the rows, so it keeps each vertex's row and sorts
     the log by row (stably) at the end: one span, each row's vertices as one
     run in step order, as ``finish_round`` reads it.
@@ -115,7 +123,7 @@ def reference_integrate_group(block, pset, buffer, h):
     active = np.nonzero(rem > 0)[0]
     status[rem <= 0] = STATUS_TERMINATED
     while active.size:
-        newpos, ok, sdirs = advect._block_step(block.select(active), pos[active], h)
+        newpos, ok, sdirs = advect._block_step(row_bounds(block, pset.home[active]), pos[active], h)
         rejected = active[~ok]
         if rejected.size:
             status[rejected] = STATUS_OOB
@@ -140,11 +148,11 @@ def reference_integrate_group(block, pset, buffer, h):
             status[moved[done]] = STATUS_TERMINATED
             moved = moved[~done]
         if moved.size:
-            owned = owned_mask(block.select(moved), pos[moved])
+            owned = owned_mask(row_bounds(block, pset.home[moved]), pos[moved])
             left = moved[~owned]
             if left.size:
                 status[left] = STATUS_OOB
-                core = block.select(left)
+                core = row_bounds(block, pset.home[left])
                 exit_dir[left] = advect._exit_directions(block.to_g(pos[left]), core.origin,
                                                          core.origin + core.core_dims)
             moved = moved[owned]
@@ -156,27 +164,31 @@ def reference_integrate_group(block, pset, buffer, h):
     return GroupOutcome(status=status, exit_dir=exit_dir, pos=pos, remaining=rem, steps=steps)
 
 
-def random_world(rng, n, res):
-    """A random padded lattice and ``n`` rows, each with random core bounds and a start in its core.
+def random_world(rng, n, res, shared=False):
+    """A random padded lattice, a table of random rank bounds, and ``n`` rows, each starting in its home's core.
 
-    Velocities lie in [-1, 1] per component, so a step of ``h`` moves at most
-    ``h * (res - 1)`` voxels per axis.
+    Unshared, the table has ``n`` ranks and row ``i``'s home is rank ``i``;
+    shared, it has about ``n / 3`` ranks (at least one) and every row draws its
+    home, so ranks hold several rows or none. Velocities lie in [-1, 1] per
+    component, so a step of ``h`` moves at most ``h * (res - 1)`` voxels per axis.
     """
     lattice = rng.uniform(-1.0, 1.0, (res + 2,) * 3 + (3,))
     lattice.setflags(write=False)
     spacing = lattice_spacing((res,) * 3)
-    ends = np.sort(rng.integers(0, res, (n, 3, 2)), axis=-1)  # first and last core node per axis
+    ranks = max(n // 3, 1) if shared else n
+    ends = np.sort(rng.integers(0, res, (ranks, 3, 2)), axis=-1)  # first and last core node per axis
     origin, core = ends[..., 0], ends[..., 1] - ends[..., 0] + 1
-    g = np.minimum(origin + rng.random((n, 3)) * core, res - 1)
-    pset = ParticleSet.make(np.arange(n), g * spacing, rng.integers(0, 25, n), np.zeros(n))
+    home = rng.integers(0, ranks, n) if shared else np.arange(n)
+    g = np.minimum(origin[home] + rng.random((n, 3)) * core[home], res - 1)
+    pset = ParticleSet.make(np.arange(n), g * spacing, rng.integers(0, 25, n), home)
     return Block(lattice, spacing, origin, core), pset
 
 
-def kernel_sample(block, points):
-    """The kernel's trilinear sampler at ``points``, each row against its own bounds."""
+def kernel_sample(block, home, points):
+    """The kernel's trilinear sampler at ``points``, each row against its home's bounds."""
     points = np.ascontiguousarray(points, dtype=np.float64)
     out = np.empty_like(points)
-    advect.KERNEL.rk4_sample(*kernel_bounds(block, len(points)), points.ctypes, out.ctypes)
+    advect.KERNEL.rk4_sample(*kernel_bounds(block, home), points.ctypes, out.ctypes)
     return out
 
 
@@ -203,11 +215,15 @@ def kernel_and_reference(block, pset, h):
     return results
 
 
+SHARED = pytest.mark.parametrize("shared", [False, True], ids=["row-per-rank", "shared-ranks"])
+
+
 class TestKernelEqualsReference:
+    @SHARED
     @settings(max_examples=60, deadline=None)
     @given(st.integers(0, 2**32 - 1), st.integers(1, 200), st.sampled_from([0.01, 0.05, 0.2]))
-    def test_outcome_and_segments_bit_for_bit(self, seed, n, h):
-        block, pset = random_world(np.random.default_rng(seed), n, 12)
+    def test_outcome_and_segments_bit_for_bit(self, shared, seed, n, h):
+        block, pset = random_world(np.random.default_rng(seed), n, 12, shared)
         (got, got_segments), (want, want_segments) = kernel_and_reference(block, pset, h)
         for name in ("status", "exit_dir", "pos", "remaining", "steps"):
             assert getattr(got, name).dtype == getattr(want, name).dtype, name
@@ -219,19 +235,21 @@ class TestKernelEqualsReference:
         off = integrate_group(block, pset.copy(), counted, h)
         assert off.pos.tobytes() == got.pos.tobytes() and counted.size == int(got.steps.sum())
 
-    def test_random_worlds_reach_every_event(self):
+    @SHARED
+    def test_random_worlds_reach_every_event(self, shared):
         # The property test's draws reach every event. Core exits through an upper face are
         # rare (a few per thousand rows): the sampling extent ends on that face, so all four
         # stage points must stay inside while the step lands beyond it.
         rng = np.random.default_rng(0)
         stages, faces, exited, zero_budgets = set(), set(), 0, 0
         for h in (0.01, 0.05, 0.2):
-            block, pset = random_world(rng, 1000, 12)
+            block, pset = random_world(rng, 1000, 12, shared)
             (out, segments), (want, _) = kernel_and_reference(block, pset, h)
             assert out.pos.tobytes() == want.pos.tobytes() and out.exit_dir.tobytes() == want.exit_dir.tobytes()
-            core_exit = (out.status == STATUS_OOB) & (out.steps > 0) & ~owned_mask(block, out.pos)
+            rows = row_bounds(block, pset.home)
+            core_exit = (out.status == STATUS_OOB) & (out.steps > 0) & ~owned_mask(rows, out.pos)
             rejected = (out.status == STATUS_OOB) & ~core_exit
-            stage = first_bad_stage(block, out.pos, h)
+            stage = first_bad_stage(rows, out.pos, h)
             assert (stage[rejected] > 0).all()
             stages |= set(stage[rejected].tolist())
             faces |= set(out.exit_dir[core_exit].tolist())
@@ -261,24 +279,26 @@ class TestKernelEqualsReference:
         assert got.exit_dir[0] == want.exit_dir[0] == 3
         assert got.steps[0] == want.steps[0] == 1
 
+    @SHARED
     @settings(max_examples=60, deadline=None)
     @given(st.integers(0, 2**32 - 1), st.integers(1, 40))
-    def test_sampler_equals_sample_clamped(self, seed, n):
+    def test_sampler_equals_sample_clamped(self, shared, seed, n):
         # 9 nodes per axis: spacing 1/8, so g = p / spacing is exact and points land on the faces
         rng = np.random.default_rng(seed)
-        block, _ = random_world(rng, n, 9)
+        table, pset = random_world(rng, n, 9, shared)
+        block = row_bounds(table, pset.home)
         lo, hi = block.sample_bounds()
         g = lo + rng.random((n, 3)) * (hi - lo)
         snap = rng.integers(0, 3, (n, 3))  # 0 keeps the draw; 1 and 2 move it onto the lo and hi face
         g = np.where(snap == 1, lo, np.where(snap == 2, hi, g))
         points = g * block.spacing
         assert (block.to_g(points) == g).all()
-        assert kernel_sample(block, points).tobytes() == block.sample_clamped(points).tobytes()
+        assert kernel_sample(table, pset.home, points).tobytes() == block.sample_clamped(points).tobytes()
 
     def test_sample_on_the_high_face_is_the_top_node(self):
-        block, _ = random_world(np.random.default_rng(0), 1, 9)
+        block, pset = random_world(np.random.default_rng(0), 1, 9)
         top = block.origin[0] + block.core_dims[0]  # sample_bounds' hi: the clamp moves the cell down one
-        got = kernel_sample(block, (top * block.spacing)[np.newaxis])
+        got = kernel_sample(block, pset.home, (top * block.spacing)[np.newaxis])
         assert got.tobytes() == block.sample_clamped((top * block.spacing)[np.newaxis]).tobytes()
         np.testing.assert_array_equal(got[0], block.lattice[tuple(top + 1)])
 
@@ -327,7 +347,7 @@ class TestLanes:
             for i in range(n):
                 one = pset.select([i])
                 one_buf = rows.allocate(round_info(one))
-                outs.append(integrate_group(block.select([i]), one.copy(), one_buf, 0.05, workers=1))
+                outs.append(integrate_group(block, one.copy(), one_buf, 0.05, workers=1))
                 rows.finish_round(one.ids, outs[-1].steps, one_buf)
             for count in workers:
                 whole = CurveStore()
@@ -361,12 +381,26 @@ class TestLanes:
         before = {name: a.copy() for name, a in arrays.items()}
         vertices, spans = np.full((capacity, 3), np.nan), np.full((3, 2), -1, dtype=np.int64)
         outcome = (arrays[name].ctypes for name in ("pos", "remaining", "status", "exit_dir", "steps"))
-        code = advect._rk4_advance(*kernel_bounds(block, len(pos)), 0.05, *outcome,
+        code = advect._rk4_advance(*kernel_bounds(block, pset.home), 0.05, *outcome,
                                    vertices.ctypes, capacity, spans.ctypes, 3)
         assert code == (-2 if fault == "start-outside" else -1)
         for name, a in arrays.items():
             assert a.tobytes() == before[name].tobytes(), name
         assert np.isnan(vertices).all() and (spans == -1).all()
+
+    @pytest.mark.parametrize("home", [-1, "ranks"])
+    def test_a_home_outside_the_table_is_refused_before_the_kernel_reads_through_it(self, home):
+        block, pset = random_world(np.random.default_rng(5), 2 * CHUNK + 1, 12, shared=True)
+        pset.home[-1] = len(block.origin) if home == "ranks" else home
+        before = pset.copy()
+        buf = CurveStore().allocate(round_info(pset))
+        with pytest.raises(InvariantError, match="a home outside the bounds table"):
+            integrate_group(block, pset, buf, 0.05)
+        assert buf.spans is None and buf.size == 0 and not buf.vertices.any()
+        for name in ("pos", "remaining", "home"):
+            assert getattr(pset, name).tobytes() == getattr(before, name).tobytes(), name
+        with pytest.raises(InvariantError, match="a home outside the bounds table"):
+            kernel_sample(block, pset.home, pset.pos)
 
     @pytest.mark.skipif(not os.path.exists("/proc/self/smaps"), reason="needs Linux /proc/self/smaps")
     def test_log_is_resident_only_where_written(self):
@@ -448,10 +482,10 @@ class TestKernelBuild:
         # no temporary file or earlier library left behind, and nothing else removed
         assert sorted(cache.iterdir()) == sorted([path, unrelated])
         assert build_kernel(cache) == path
-        block, _ = random_world(np.random.default_rng(1), 5, 9)
+        block, pset = random_world(np.random.default_rng(1), 5, 9)
         points = (block.origin + 0.5) * block.spacing
         out = np.empty_like(points)
-        load_kernel(path).rk4_sample(*kernel_bounds(block, 5), points.ctypes, out.ctypes)
+        load_kernel(path).rk4_sample(*kernel_bounds(block, pset.home), points.ctypes, out.ctypes)
         assert out.tobytes() == block.sample_clamped(points).tobytes()
 
     def test_cache_key_follows_source_and_flags(self):
@@ -578,10 +612,9 @@ class TestWorldBatching:
 
         world = concat_particles(sets)
         world_buf = CurveStore().allocate(round_info(world))
-        per_row = Block(blocks[0].lattice, blocks[0].spacing,
-                        np.array([b.origin for b in blocks])[world.home],
-                        np.array([b.core_dims for b in blocks])[world.home])
-        batched = integrate_group(per_row, world, world_buf, 0.001)
+        table = Block(blocks[0].lattice, blocks[0].spacing,
+                      np.array([b.origin for b in blocks]), np.array([b.core_dims for b in blocks]))
+        batched = integrate_group(table, world, world_buf, 0.001)
         world_curves = CurveStore()
         world_curves.finish_round(world.ids, batched.steps, world_buf)
 
@@ -592,7 +625,7 @@ class TestWorldBatching:
         for (_, got), (_, want) in zip(world_curves.segments, curves.segments):
             assert got.tobytes() == want.tobytes()
         oob = batched.status == STATUS_OOB
-        inside = owned_mask(per_row, batched.pos)
+        inside = owned_mask(row_bounds(table, world.home), batched.pos)
         assert (oob & inside).any()   # a stage point left the sampling extent: step rejected
         assert (oob & ~inside).any()  # the accepted step left the core
 

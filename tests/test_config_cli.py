@@ -248,6 +248,32 @@ class TestRunCommand:
         assert steps["on"] == steps["off"] > 0
         assert peaks["on"] - peaks["off"] <= 24 * steps["on"] + 4 * 2**20
 
+    def test_seed_bytes_bounds_the_peak_per_seed(self):
+        # the many-seed run (abc, 128^3, 2x2x2 gllma, 1 iteration, curves off) in fresh processes at
+        # stride 1 and 2: the peak may grow by at most SEED_BYTES per further seed, the estimate that
+        # keeps an oversized table from being seeded at all. The peak is the process's VmHWM.
+        script = (
+            "import json, re, sys\n"
+            "from pathlib import Path\n"
+            "from diffadvect.cli import execute_run\n"
+            "from diffadvect.config import RunConfig\n"
+            "config = RunConfig(field='abc', resolution=(128, 128, 128), grid=(2, 2, 2), scheduler='gllma',"
+            " stride=(int(sys.argv[1]),) * 3, max_iterations=1, export_curves=False)\n"
+            "result, _ = execute_run(config)\n"
+            "peak = re.search(r'VmHWM:\\s*(\\d+) kB', Path('/proc/self/status').read_text()).group(1)\n"
+            "print(json.dumps([1024 * int(peak), result.seed_count]))\n"
+        )
+        src = Path(diffadvect.__file__).parents[1]
+        runs = []
+        for stride in (1, 2):
+            done = subprocess.run([sys.executable, "-c", script, str(stride)], capture_output=True, text=True,
+                                  env={**os.environ, "PYTHONPATH": str(src)}, timeout=120)
+            assert done.returncode == 0, done.stderr
+            runs.append(json.loads(done.stdout))
+        (peak_many, many), (peak_few, few) = runs
+        assert (many, few) == (128 ** 3, 64 ** 3)
+        assert peak_many - peak_few <= SEED_BYTES * (many - few)
+
     def test_a_run_merges_curves_only_when_they_are_read(self, tmp_path, monkeypatch):
         from diffadvect import runtime
         from diffadvect.cli import execute_run

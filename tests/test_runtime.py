@@ -333,6 +333,35 @@ class TestDeterminismAndInvariants:
         with pytest.raises(InvariantError, match="non-neighbor rank 2"):
             sim.run_round(1)
 
+    @staticmethod
+    def centre_rank_at(g):
+        """A 3x3x3 simulator at 33^3 (spacing 1/32, so g = p / spacing is exact) holding one particle of
+        the centre rank 13, whose sampling extent is [10, 22] in g-space, at g-space ``g``."""
+        sim = Simulator(ConstantField((0.0, 0.0, 0.0)), (33, 33, 33), (3, 3, 3), "none",
+                        max_iterations=5, stride=(8, 8, 8))
+        drain_queues(sim)
+        sim.particles = particles_at([g * sim.blocks.spacing], 5, 13)
+        sim.seed_count = 1
+        return sim
+
+    @pytest.mark.parametrize("holder", ["home", "loaned"])
+    @pytest.mark.parametrize("side", ["lo", "hi"])
+    @pytest.mark.parametrize("axis", [0, 1, 2])
+    def test_a_row_one_float_outside_its_home_blocks_reach_is_an_invariant_error(self, axis, side, holder):
+        g = np.full(3, 16.0)
+        g[axis] = np.nextafter(10.0, -np.inf) if side == "lo" else np.nextafter(22.0, np.inf)
+        sim = self.centre_rank_at(g)
+        if holder == "loaned":
+            sim.particles.holder[:] = sim.neighbors[13, 2 * axis + (side == "hi")]
+        with pytest.raises(InvariantError, match=f"{holder} particle outside its block's reach"):
+            sim.run_round(1)
+
+    @pytest.mark.parametrize("bound", [10.0, 22.0], ids=["lo", "hi"])
+    def test_a_row_on_its_home_blocks_closed_sampling_bound_is_containable(self, bound):
+        sim = self.centre_rank_at(np.full(3, bound))
+        sim.run_round(1)
+        assert sim.round_totals == [(1, 1, 0, 0)]
+
     def test_curves_off_allocates_no_vertices_and_changes_no_work(self, monkeypatch):
         def run(collect_curves):
             sim = Simulator(AnalyticField("toroidal"), (32, 32, 32), (2, 2, 1), "gllma",
