@@ -14,11 +14,14 @@ point always evaluates to the same vector, bit-exactly.
 This module owns the geometry of the one voxel lattice. It has
 ``resolution`` nodes per axis at positions ``i * spacing`` with ``spacing =
 1 / (resolution - 1)`` (:func:`lattice_spacing`); the run seeds particles on
-its nodes (:func:`seed_axes`). It is rasterized once, slab by slab on
-broadcast axis vectors, into an array padded with one edge-replicated ghost
-node per side (:func:`rasterize_global`). A :class:`Block` is core bounds
-over that one shared array, for one extent or one per rank; it samples a
-one-cell ghost layer around its core and copies nothing.
+its nodes (:func:`seed_axes`). It is rasterized once, in cache-sized slabs
+of whole x-planes on broadcast axis vectors, into an array padded with one
+edge-replicated ghost node per side (:func:`rasterize_global`). Each slab is
+checked for finiteness, and its max|v| taken for the step's ghost-margin
+check, as it is written, so no later pass reads the lattice to validate it.
+A :class:`Block` is core bounds over that one shared array, for one extent
+or one per rank; it samples a one-cell ghost layer around its core and
+copies nothing.
 Throughout this module "g-space" means position divided by spacing, i.e.
 fractional node coordinates.
 """
@@ -84,14 +87,22 @@ class AnalyticField:
             vy = np.pi * np.cos(np.pi * x) * np.sin(np.pi * y)
             vz = p["w0"] * np.sin(np.pi * z) * np.sin(np.pi * x)
         else:  # toroidal
+            # vx = -dy / rho + k * (-dz * dx / rho) / rs, and so on: each full-shape step runs in
+            # place, with the formula's operations and operand order; only commutative operands swap
             dx, dy, dz = x - 0.5, y - 0.5, z - 0.5
             rho = np.maximum(np.sqrt(dx * dx + dy * dy), _EPS)
-            r = np.sqrt((rho - p["R0"]) ** 2 + dz * dz)
-            rs = np.maximum(r, _EPS)
+            rs = (rho - p["R0"]) ** 2 + dz * dz
+            np.maximum(np.sqrt(rs, out=rs), _EPS, out=rs)
             k = p["kappa"]
-            vx = -dy / rho + k * (-dz * dx / rho) / rs
-            vy = dx / rho + k * (-dz * dy / rho) / rs
-            vz = k * (rho - p["R0"]) / rs
+            vx = -dz * dx / rho
+            vx *= k
+            vx /= rs
+            vx += -dy / rho
+            vy = -dz * dy / rho
+            vy *= k
+            vy /= rs
+            vy += dx / rho
+            vz = np.divide(k * (rho - p["R0"]), rs, out=rs)
         return vx, vy, vz
 
     def evaluate(self, points: np.ndarray) -> np.ndarray:
@@ -141,12 +152,15 @@ def seed_axes(resolution, aabb_scale: float, stride) -> list[np.ndarray]:
     return axes
 
 
-# Lattice nodes evaluated at once: a 64^3 lattice is one slab, and a larger
-# one holds at most this many nodes' temporaries beside the padded lattice.
-_SLAB_NODES = 1 << 18
+# Lattice nodes evaluated at once, so a 64^3 lattice is 4 slabs and each
+# full-shape temporary of a slab is 512 KiB. At 64^3 the toroidal field's
+# temporaries then add a quarter of the padded lattice to the peak, where one
+# slab of the whole lattice adds 0.9 of it (tracemalloc) in the same time.
+_SLAB_NODES = 1 << 16
 
 
-def rasterize_global(field: AnalyticField, resolution, *, padded: bool = False) -> np.ndarray:
+def rasterize_global(field: AnalyticField, resolution, *, padded: bool = False,
+                     step: float | None = None) -> np.ndarray:
     """Evaluate ``field`` on the full voxel lattice.
 
     Returns a read-only array of shape ``(rx, ry, rz, 3)`` indexed
@@ -156,9 +170,15 @@ def rasterize_global(field: AnalyticField, resolution, *, padded: bool = False) 
     evaluate :meth:`~AnalyticField.components` on the broadcast axes
     ``(n, 1, 1)``, ``(1, ry, 1)`` and ``(1, 1, rz)``, so a component that
     depends on fewer axes is a vector or plane until it is written into the
-    padded array. A non-finite component is a :class:`ConfigError`. One
-    shared global rasterization keeps every block's ghost layer
-    bit-identical to its neighbor's core by construction.
+    padded array. Each slab's components are checked as they are returned:
+    a non-finite one is a :class:`ConfigError`, and their max|v| is kept.
+    Given an RK4 ``step``, stage points must stay within one ghost cell of a
+    block's core, so a handed-off step is computable by some rank, and half a
+    cell inside the hull-side sampling bounds, so every block exit crosses an
+    inner face: ``2 * step * max|v|`` above the smallest spacing is a
+    :class:`ConfigError`, raised after the last slab. One shared global
+    rasterization keeps every block's ghost layer bit-identical to its
+    neighbor's core by construction.
     """
     res = _check_resolution(resolution)
     spacing = lattice_spacing(res)
@@ -166,6 +186,7 @@ def rasterize_global(field: AnalyticField, resolution, *, padded: bool = False) 
     ax = [np.arange(r, dtype=np.float64) * spacing[a] for a, r in enumerate(res)]
     planes = max(1, _SLAB_NODES // (ry * rz))
     lattice = None
+    vmax = 0.0
     for x0 in range(0, rx, planes):
         n = min(planes, rx - x0)
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):  # reported just below
@@ -173,9 +194,15 @@ def rasterize_global(field: AnalyticField, resolution, *, padded: bool = False) 
         if lattice is None:  # allocated once the first slab's temporaries are freed
             lattice = np.empty((rx + 2, ry + 2, rz + 2, 3), dtype=np.float64)
         for d, v in enumerate(values):
-            if not np.isfinite(v).all():
+            hi, lo = float(np.max(v)), float(np.min(v))  # a NaN or an infinity reaches one of them
+            if not (math.isfinite(hi) and math.isfinite(lo)):
                 raise ConfigError(f"field params: the {field.kind} field is not finite on the lattice")
+            vmax = max(vmax, hi, -lo)
             lattice[1 + x0:1 + x0 + n, 1:-1, 1:-1, d] = v
+        del values, v  # so that the next slab's temporaries reuse this slab's memory
+    if step is not None and 2.0 * step * vmax > float(spacing.min()):
+        raise ConfigError(f"step {step} too large for ghost margin: 2*h*max|v| = "
+                          f"{2 * step * vmax:.3g} exceeds min spacing {spacing.min():.3g}")
     for axis in range(3):  # copy each face's edge nodes into its ghost layer, one axis after another
         faces = np.moveaxis(lattice, axis, 0)
         faces[0], faces[-1] = faces[1], faces[-2]

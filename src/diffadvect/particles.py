@@ -51,6 +51,11 @@ class ParticleSet:
     def select(self, index) -> "ParticleSet":
         return ParticleSet(*(column[index] for column in self._columns()))
 
+    def compact(self, index) -> None:
+        """Keep rows ``index`` in place, a column at a time, so one old column is alive beside the new."""
+        for f in fields(self):
+            setattr(self, f.name, getattr(self, f.name)[index])
+
     def copy(self) -> "ParticleSet":
         return ParticleSet(*(column.copy() for column in self._columns()))
 

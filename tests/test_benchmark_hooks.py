@@ -53,3 +53,16 @@ def test_traced_run_counts_rounds_and_hand_offs():
     assert metrics["advect.integrate_group_calls"] == result.rounds
     assert metrics["balance.decide_calls"] == result.rounds  # one whole-grid decision per round
     assert metrics["balance.particles_loaned"] == sum(rec.sent_balanced for rec in result.records)
+
+
+def test_traced_setup_records_one_rasterize_span():
+    # setup_s stays measured through the name the tracer patches: the Simulator that perfbench builds
+    # through cli rasterizes, and validates, the lattice in one runtime.rasterize_global call
+    from diffadvect import cli
+
+    spans = _load_perfbench("spans")
+    with spans.Tracer() as tracer:
+        cli.Simulator(AnalyticField("toroidal"), (16, 16, 16), (2, 2, 1), "gllma", stride=(4, 4, 4))
+    names = [span[0] for span in tracer.spans]
+    assert names.count("runtime.setup") == names.count("field.rasterize") == 1
+    assert tracer.spans[names.index("field.rasterize")][3] == names.index("runtime.setup")

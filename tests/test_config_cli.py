@@ -399,6 +399,26 @@ class TestRunCommand:
         assert "not finite on the lattice" in captured.err and "Warning" not in captured.err
         assert not out.exists()
 
+    @pytest.mark.parametrize("slab_nodes", [1 << 16, 700])
+    def test_nan_in_the_last_slab_exits_2_without_output(self, tmp_path, capsys, monkeypatch, slab_nodes):
+        # the x = 1 plane alone is NaN: 4 slabs at 1 << 16 nodes, 64 one-plane slabs at 700
+        from diffadvect import field as field_module
+
+        components = field_module.AnalyticField.components
+
+        def nan_on_the_far_face(self, x, y, z):
+            vx, vy, vz = components(self, x, y, z)
+            return vx, vy, np.where(x > 0.99, np.nan, vz)
+
+        monkeypatch.setattr(field_module, "_SLAB_NODES", slab_nodes)
+        monkeypatch.setattr(field_module.AnalyticField, "components", nan_on_the_far_face)
+        out = tmp_path / "out"
+        assert main(["run", "--field", "toroidal", "--resolution", "64", "--stride", "8", "--max-iterations", "5",
+                     "--export-curves", "false", "--output", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert "not finite on the lattice" in captured.err and "Warning" not in captured.err
+        assert not out.exists()
+
     def test_flags_override_file(self, tmp_path):
         cfg = write_config(tmp_path, FAST)
         out = tmp_path / "out"

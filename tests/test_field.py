@@ -137,6 +137,24 @@ class TestRasterize:
                 assert rasterize_global(f, res).tobytes() == whole.tobytes()
                 assert not padded.flags.writeable
 
+    @pytest.mark.parametrize("slab_nodes", [1 << 18, 700])
+    def test_ghost_margin_reads_a_negative_extreme_in_the_last_slab(self, slab_nodes, monkeypatch):
+        # max|v| is vx = -3 on the x = 1 plane, the last slab's at both sizes; the largest value is only
+        # vz = 2, and the slabs before the last reach |vx| = 3 * 0.95^8 < 2
+        class FarFaceSink:
+            kind = "sink"
+
+            def components(self, x, y, z):
+                return -3.0 * x ** 8, y, 2.0 * z
+
+        monkeypatch.setattr(field_module, "_SLAB_NODES", slab_nodes)
+        res = (21, 17, 19)
+        margin_step = float(lattice_spacing(res).min()) / (2.0 * 3.0)
+        padded = rasterize_global(FarFaceSink(), res, padded=True, step=0.999 * margin_step)
+        assert padded[-2, 1, 1, 0] == -3.0
+        with pytest.raises(ConfigError, match="too large for ghost margin"):
+            rasterize_global(FarFaceSink(), res, padded=True, step=1.001 * margin_step)
+
     def test_rasterization_peak_stays_near_one_padded_lattice(self, monkeypatch):
         monkeypatch.setattr(field_module, "_SLAB_NODES", 1 << 12)
         res = (48, 48, 48)  # 27 slabs
@@ -149,10 +167,11 @@ class TestRasterize:
             tracemalloc.stop()
         assert peak < 2 * padded_bytes
 
-    @pytest.mark.parametrize("kind, bound", [("abc", 1.5), ("jets", 1.5), ("toroidal", 3.0)])
+    @pytest.mark.parametrize("kind, bound", [("abc", 1.5), ("jets", 1.5), ("toroidal", 1.4)])
     def test_default_slab_peak_at_64_cubed(self, kind, bound):
-        # one slab holds the whole 64^3 lattice: abc's and jets' components are planes,
-        # toroidal's r depends on all three axes
+        # the default slab holds 16 of the 64 x-planes: abc's and jets' components are planes, while
+        # toroidal's ring distance and components span all three axes, so its slab temporaries add
+        # about a quarter of the padded lattice (1.25 times it in all)
         f = AnalyticField(kind)
         padded_bytes = 66 ** 3 * 24
         tracemalloc.start()

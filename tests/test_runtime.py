@@ -249,19 +249,20 @@ class TestDeterminismAndInvariants:
                 rb.sent_balanced, rb.recv_balanced, rb.sent_oob, rb.recv_oob)
 
     def test_a_round_gathers_the_table_twice(self, monkeypatch):
-        # the round's world and the one compaction after integrate; no stage re-sorts the table
+        # the round's world (select) and the one compaction after integrate, in place; no stage
+        # re-sorts the table
         sim = Simulator(AnalyticField("toroidal"), (32, 32, 32), (2, 2, 2), "gllma",
                         max_iterations=60, stride=(4, 4, 4), aabb_scale=0.5)
         gathers = []
-        select = ParticleSet.select
+        for method in ("select", "compact"):
+            def counting(pset, index, gather=getattr(ParticleSet, method)):
+                gathers.append(gather.__name__)
+                return gather(pset, index)
 
-        def counting_select(pset, index):
-            gathers.append(len(pset))
-            return select(pset, index)
-
-        monkeypatch.setattr(ParticleSet, "select", counting_select)
+            monkeypatch.setattr(ParticleSet, method, counting)
         result = sim.run()
         assert result.rounds > 1 and len(gathers) == 2 * result.rounds
+        assert gathers.count("select") == gathers.count("compact") == result.rounds
 
     @pytest.mark.parametrize("planting", ["rank 1 first", "rank 2 first"])
     def test_arrivals_queue_in_the_receivers_direction_order(self, planting):
