@@ -22,10 +22,10 @@ table of rank bounds over the same shared lattice, whichever rank integrates
 it, so the accepted vertex sequence of a particle is independent of the
 decomposition; hand-offs and loans only change which rank performs each step.
 
-The kernel writes ``status``, ``exit_dir``, ``pos``, ``remaining`` and
-``steps`` in place. It performs the operations of the numpy reference
-(:func:`_block_step`, :meth:`Block.sample_clamped`) in their order, so the
-two agree bit for bit:
+The kernel writes ``status``, ``exit_dir``, ``pos``, ``remaining``,
+``steps`` and ``start`` in place. It performs the operations of the numpy
+reference (:func:`_block_step`, :meth:`Block.sample_clamped`) in their order,
+so the two agree bit for bit:
 ``g = p / spacing``; the cell ``floor(g)`` clamped to
 ``[origin - 1, origin + core - 1]`` and ``frac = g - cell``; the z, then y,
 then x lerps, each ``(1 - f) * a + f * b``; stage points ``p + (h/2) * k``
@@ -57,11 +57,12 @@ selection's summed budgets. It is a private anonymous memory mapping kept from
 huge pages, so only the pages the kernel writes become resident. Each chunk
 writes into its own region, which starts at the summed budgets of the rows
 before the chunk, each of its rows as one run in step order, and the kernel
-reports each chunk's written ``[start, end)``. :meth:`CurveStore.finish_round`
-archives a read-only view of it per row that took a step, which
-:func:`export_curves` casts in bounded batches, so a vertex is written and read
-once. The outcome and the log are the same for any number of workers. With
-curves off nothing is allocated or archived; the kernel only counts the steps.
+reports the slot where each row's run starts. The call leaves the log
+read-only. :meth:`CurveStore.finish_round` archives a view of it per row that
+took a step, which :func:`export_curves` casts in bounded batches, so a vertex
+is written and read once. The outcome and the log are the same for any number
+of workers. With curves off nothing is allocated or archived; the kernel only
+counts the steps.
 """
 
 from __future__ import annotations
@@ -177,58 +178,38 @@ class RoundInfo:
 
 
 @dataclass
-class RoundBuffer:
-    """The round's vertex log, written by one kernel call: one region per chunk of rows, its rows in order.
-
-    ``vertices`` views an anonymous mapping and only the ``spans`` the kernel
-    reports are written, so memory becomes resident only as vertices arrive.
-    Archived, it is the curves' only copy, read-only. With curves off
-    ``vertices`` is None and only ``size`` counts the appended steps.
-    """
-
-    vertices: np.ndarray | None  # (capacity, 3)
-    spans: np.ndarray | None = None  # (chunks, 2): each chunk's written [start, end), set by the kernel
-    size: int = 0
-
-
-@dataclass
 class CurveStore:
     """Integral-curve storage for the whole run.
 
-    Each round logs its vertices in one buffer; after the round they are
-    archived as one ``(particle_id, vertices)`` segment per particle, a view
-    of the buffer. Within one round a particle is integrated by exactly one
-    rank, so the segments of a particle, in archive order, are its curve.
-    A store with ``collect`` False allocates no log and archives nothing.
+    Each round logs its vertices in one ``(capacity, 3)`` log, written by
+    one kernel call; after the round they are archived as one
+    ``(particle_id, vertices)`` segment per particle, a read-only view of the
+    log, which is the curves' only copy. Within one round a particle is
+    integrated by exactly one rank, so the segments of a particle, in archive
+    order, are its curve. A store with ``collect`` False allocates no log and
+    archives nothing.
     """
 
     segments: list = dc_field(default_factory=list)
     collect: bool = True
 
-    def allocate(self, info: RoundInfo) -> RoundBuffer:
+    def allocate(self, info: RoundInfo) -> np.ndarray | None:
+        """The round's ``(capacity, 3)`` log, or None with curves off."""
         if not self.collect:
-            return RoundBuffer(vertices=None)
+            return None
         # a private anonymous mapping (at least 1 byte), kept from huge pages, so that only the
         # pages the kernel writes become resident
         log = mmap.mmap(-1, max(24 * info.capacity, 1), flags=mmap.MAP_PRIVATE)
         log.madvise(mmap.MADV_NOHUGEPAGE)
-        return RoundBuffer(vertices=np.frombuffer(log, np.float64, 3 * info.capacity).reshape(info.capacity, 3))
+        return np.frombuffer(log, np.float64, 3 * info.capacity).reshape(info.capacity, 3)
 
-    def finish_round(self, ids: np.ndarray, steps: np.ndarray, buffer: RoundBuffer) -> None:
-        """Archive the log as read-only views; ``ids`` and ``steps`` name each row's particle and accepted steps."""
-        if buffer.vertices is None or buffer.spans is None:
+    def finish_round(self, ids: np.ndarray, outcome: GroupOutcome, log: np.ndarray | None) -> None:
+        """Archive each moved row's run, ``log[start:start + steps]``, under its particle id in ``ids``."""
+        if log is None:
             return
-        buffer.vertices.setflags(write=False)
-        moved = steps > 0
-        lengths = steps[moved]
-        # a row's run starts at its span's start plus the steps of the earlier moved rows in that span
-        before = np.cumsum(lengths) - lengths
-        written = buffer.spans[:, 1] - buffer.spans[:, 0]
-        span_before = np.cumsum(written) - written
-        span = np.searchsorted(span_before, before, side="right") - 1  # the last span starting at or before it
-        starts = (buffer.spans[span, 0] + before - span_before[span]).tolist()
-        self.segments.extend(zip(ids[moved].tolist(),
-                                 [buffer.vertices[a:b] for a, b in zip(starts, (starts + lengths).tolist())]))
+        moved = outcome.steps > 0
+        starts, lengths = outcome.start[moved].tolist(), outcome.steps[moved].tolist()
+        self.segments.extend(zip(ids[moved].tolist(), [log[a:a + k] for a, k in zip(starts, lengths)]))
 
 
 def merge_curves(store: CurveStore) -> dict[int, np.ndarray]:
@@ -292,6 +273,7 @@ class GroupOutcome:
     pos: np.ndarray         # final positions
     remaining: np.ndarray   # remaining iteration budgets
     steps: np.ndarray       # accepted RK4 steps (work units)
+    start: np.ndarray       # the log slot where each row's run of vertices starts
 
 
 def kernel_bounds(block: Block, home) -> tuple:
@@ -315,51 +297,55 @@ def kernel_bounds(block: Block, home) -> tuple:
     return len(home), lattice.ctypes, py * pz, pz, spacing.ctypes, origin.ctypes, core.ctypes, home.ctypes
 
 
-def integrate_group(block: Block, pset: ParticleSet, buffer: RoundBuffer, h: float,
+def integrate_group(block: Block, pset: ParticleSet, log: np.ndarray | None, h: float,
                     workers: int | None = None) -> GroupOutcome:
     """Advance the particles of ``pset``, each against its home's block bounds, in the kernel.
 
     ``block`` holds one extent or the rank table each row reads at its ``home``.
-    Each accepted step writes its new position into its chunk's region of the
-    buffer, whose written spans the call records. Each particle runs until
-    termination, domain exit, or block exit. The kernel runs on ``workers``
-    threads, by default one per CPU this process may run on; the outcome and
-    the log do not depend on it.
+    Each accepted step writes its new position into its chunk's region of
+    ``log``, and the outcome's ``start`` says where each row's run begins. The
+    call leaves the log read-only, and refuses a read-only log before anything
+    moves, since a log holds one call. With ``log`` None the steps are only
+    counted. Each particle runs until termination, domain exit, or block exit.
+    The kernel runs on ``workers`` threads, by default one per CPU this process
+    may run on; the outcome and the log do not depend on it. The vertices the
+    kernel logged must equal the accepted steps.
     """
+    capacity = 0
+    if log is not None:
+        if not log.flags.writeable:
+            raise InvariantError("the round log is already written: it holds one kernel call")
+        capacity = log.shape[0]
+        if log.dtype != np.float64 or log.shape != (capacity, 3) or not log.flags.c_contiguous:
+            raise InvariantError("the round log is not a C-contiguous (capacity, 3) float64 array")
     n = len(pset)
     out = GroupOutcome(status=np.zeros(n, dtype=np.int64), exit_dir=np.full(n, -1, dtype=np.int64),
                        pos=np.array(pset.pos, dtype=np.float64, order="C").reshape(n, 3),
-                       remaining=np.array(pset.remaining, dtype=np.int64), steps=np.zeros(n, dtype=np.int64))
-    vertices, capacity = buffer.vertices, 0
-    if buffer.spans is not None:
-        raise InvariantError("the round log is already written: it holds one kernel call")
-    if vertices is not None:
-        capacity = vertices.shape[0]
-        if vertices.dtype != np.float64 or vertices.shape != (capacity, 3) or not vertices.flags.c_contiguous:
-            raise InvariantError("the round log is not a C-contiguous (capacity, 3) float64 array")
-    spans = np.zeros((-(-n // CHUNK), 2), dtype=np.int64)
+                       remaining=np.array(pset.remaining, dtype=np.int64), steps=np.zeros(n, dtype=np.int64),
+                       start=np.empty(n, dtype=np.int64))
     workers = len(os.sched_getaffinity(0)) if workers is None else workers
-    taken = _rk4_advance(*kernel_bounds(block, pset.home), float(h), out.pos.ctypes, out.remaining.ctypes,
-                         out.status.ctypes, out.exit_dir.ctypes, out.steps.ctypes,
-                         None if vertices is None else vertices.ctypes, capacity, spans.ctypes, workers)
-    if taken < 0:
-        raise InvariantError(_KERNEL_ERRORS[taken])
-    buffer.spans, buffer.size = spans, taken
+    logged = _rk4_advance(*kernel_bounds(block, pset.home), float(h), out.pos.ctypes, out.remaining.ctypes,
+                          out.status.ctypes, out.exit_dir.ctypes, out.steps.ctypes,
+                          None if log is None else log.ctypes, capacity, out.start.ctypes, workers)
+    if logged < 0:
+        raise InvariantError(_KERNEL_ERRORS[logged])
+    if log is not None:
+        log.setflags(write=False)
+    steps = int(out.steps.sum())
+    if logged != steps:
+        raise InvariantError(f"the round logged {logged} vertices for {steps} accepted steps")
     return out
 
 
-def integrate(block: Block, pset: ParticleSet, buffer: RoundBuffer, h: float):
+def integrate(block: Block, pset: ParticleSet, log: np.ndarray | None, h: float):
     """Run one round over the selected range ``pset``.
 
     ``block`` holds one extent or the rank table that each row reads at its
     ``home``. Returns the :class:`GroupOutcome` of the range plus its total
-    accepted-step count, which must equal the vertices the round logged.
+    accepted-step count.
     """
-    outcome = integrate_group(block, pset, buffer, h)
-    steps = int(outcome.steps.sum())
-    if buffer.size != steps:
-        raise InvariantError(f"the round logged {buffer.size} vertices for {steps} accepted steps")
-    return outcome, steps
+    outcome = integrate_group(block, pset, log, h)
+    return outcome, int(outcome.steps.sum())
 
 
 EXPORT_BATCH = 65_536  # vertices export_curves casts and writes at a time, 768 KiB as float32

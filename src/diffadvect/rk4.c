@@ -17,8 +17,9 @@
  * lane that finishes early takes more of the work, and runs each row to its
  * event before it takes the next. Each chunk logs its rows' vertices, one
  * run per row, into its own region of the log, which starts at the summed
- * budgets of the rows before the chunk, so what the log holds does not
- * depend on which lane ran a chunk. A worker's lanes live on its own stack,
+ * budgets of the rows before the chunk, and each row reports the slot where
+ * its run starts, so what the log holds and where does not depend on which
+ * lane ran a chunk. A worker's lanes live on its own stack,
  * so no two workers write the same lane state. Helpers block every signal,
  * so signals reach the caller, and each is pinned to a CPU of the caller's
  * affinity mask other than the one the caller runs on: unpinned, a helper
@@ -126,32 +127,34 @@ typedef struct {
     const int64_t *origin, *core, *home;
     double h;
     double *pos, *vertices;
-    int64_t *remaining, *status, *exit_dir, *steps, *spans;
-    int64_t *claimed; /* the next unclaimed chunk */
+    int64_t *remaining, *status, *exit_dir, *steps, *start;
+    int64_t *claimed, *logged; /* the next unclaimed chunk; the vertices the finished chunks logged */
 } Call;
 
-/* The chunk counter, on a cache line of its own. */
+/* The chunk counter and the logged count, on a cache line of their own. */
 typedef struct {
-    _Alignas(64) int64_t next;
+    _Alignas(64) int64_t next, logged;
 } Counter;
 
-/* One lane: its chunk, the row it advances, the end of the chunk's rows, its next log slot and the
- * row's state. */
+/* One lane: its chunk, the row it advances, the end of the chunk's rows, its next log slot, the
+ * vertices its finished chunks logged and the row's state. */
 typedef struct {
-    int64_t chunk, row, end, slot, taken; /* taken: the row's accepted steps so far */
+    int64_t chunk, row, end, slot, logged, taken; /* taken: the row's accepted steps so far */
     const int64_t *origin, *core;
     int64_t core_hi[3], sample_lo[3];
     double p[3], g[3], k[4][3];    /* g: p's g-space position, or the rejected stage point's */
     int rejected;
 } Lane;
 
-/* Move the lane to its next row with a positive budget, marking the rows it skips terminated and
- * claiming the next chunk once its chunk is spent; returns 0 once no chunk is left. */
+/* Move the lane to its next row with a positive budget, recording each row's start slot, marking the
+ * rows it skips terminated and claiming the next chunk once its chunk is spent; returns 0 once no
+ * chunk is left. */
 static int next_row(Lane *lane, const Call *c)
 {
     for (;;) {
         for (; lane->row < lane->end; lane->row++) {
             int64_t i = lane->row;
+            c->start[i] = lane->slot;
             if (c->remaining[i] <= 0) {
                 c->status[i] = STATUS_TERMINATED;
                 continue;
@@ -169,13 +172,13 @@ static int next_row(Lane *lane, const Call *c)
             return 1;
         }
         if (lane->chunk >= 0)
-            c->spans[2 * lane->chunk + 1] = lane->slot;
+            lane->logged += lane->slot - c->start[lane->chunk * CHUNK];
         lane->chunk = __atomic_fetch_add(c->claimed, 1, __ATOMIC_RELAXED);
         if (lane->chunk >= c->chunks)
             return 0;
         lane->row = lane->chunk * CHUNK;
         lane->end = lane->row + CHUNK < c->n ? lane->row + CHUNK : c->n;
-        lane->slot = c->spans[2 * lane->chunk];
+        lane->slot = c->start[lane->row]; /* the chunk's base, set before any lane runs */
     }
 }
 
@@ -189,7 +192,7 @@ static void advance(const Call *c)
     int live[LANES];
     for (int l = 0; l < LANES; l++) {
         lanes[l].chunk = -1;
-        lanes[l].row = lanes[l].end = 0;
+        lanes[l].row = lanes[l].end = lanes[l].logged = 0;
         live[l] = next_row(&lanes[l], c);
     }
     for (;;) {
@@ -267,6 +270,10 @@ static void advance(const Call *c)
             }
         }
     }
+    int64_t logged = 0;
+    for (int l = 0; l < LANES; l++)
+        logged += lanes[l].logged;
+    __atomic_fetch_add(c->logged, logged, __ATOMIC_RELAXED);
 }
 
 static void *helper(void *shared)
@@ -310,17 +317,19 @@ static int start_helpers(const Call *c, int count, pthread_t *helpers)
     return started;
 }
 
-/* Advance every row to its event on up to `workers` workers; returns the accepted steps, LOG_FULL or
- * START_OUTSIDE. Chunk c (rows [c * CHUNK, (c + 1) * CHUNK)) logs into vertices from spans[2c], the
- * summed budgets of the rows before it, and leaves its end in spans[2c + 1]; with vertices NULL
- * nothing is logged and the steps are only counted. */
+/* Advance every row to its event on up to `workers` workers; returns the vertices logged, LOG_FULL or
+ * START_OUTSIDE. Chunk c (rows [c * CHUNK, (c + 1) * CHUNK)) logs into vertices from the summed
+ * budgets of the rows before it, and start[i] is the slot where row i's run begins; with vertices
+ * NULL nothing is logged and the slots are only counted. */
 int64_t rk4_advance(int64_t n, const double *lattice, int64_t sx, int64_t sy, const double *spacing,
                     const int64_t *origin, const int64_t *core, const int64_t *home, double h,
                     double *pos, int64_t *remaining, int64_t *status, int64_t *exit_dir, int64_t *steps,
-                    double *vertices, int64_t capacity, int64_t *spans, int64_t workers)
+                    double *vertices, int64_t capacity, int64_t *start, int64_t workers)
 {
     int64_t budget = 0, chunks = (n + CHUNK - 1) / CHUNK;
     for (int64_t i = 0; i < n; i++) {
+        if (i % CHUNK == 0)
+            start[i] = budget; /* the chunk's base */
         if (remaining[i] <= 0)
             continue;
         const int64_t *o = origin + 3 * home[i], *c = core + 3 * home[i];
@@ -335,15 +344,9 @@ int64_t rk4_advance(int64_t n, const double *lattice, int64_t sx, int64_t sy, co
     if (vertices && budget > capacity)
         return LOG_FULL;
 
-    budget = 0;
-    for (int64_t i = 0; i < n; i++) {
-        if (i % CHUNK == 0)
-            spans[2 * (i / CHUNK)] = budget;
-        budget += remaining[i] > 0 ? remaining[i] : 0;
-    }
-    Counter claimed = {0};
-    const Call call = {n, chunks, sx, sy, lattice, spacing, origin, core, home, h,
-                       pos, vertices, remaining, status, exit_dir, steps, spans, &claimed.next};
+    Counter counter = {0, 0};
+    const Call call = {n, chunks, sx, sy, lattice, spacing, origin, core, home, h, pos, vertices,
+                       remaining, status, exit_dir, steps, start, &counter.next, &counter.logged};
     /* a helper costs about 0.2 ms to start and wake, so each worker's lanes get a chunk apiece */
     workers = workers < chunks / LANES ? workers : chunks / LANES;
     workers = workers < MAX_WORKERS ? workers : MAX_WORKERS;
@@ -352,8 +355,5 @@ int64_t rk4_advance(int64_t n, const double *lattice, int64_t sx, int64_t sy, co
     advance(&call);
     for (int k = 0; k < started; k++)
         pthread_join(helpers[k], NULL);
-    int64_t taken = 0;
-    for (int64_t k = 0; k < chunks; k++)
-        taken += spans[2 * k + 1] - spans[2 * k];
-    return taken;
+    return counter.logged;
 }

@@ -220,10 +220,10 @@ class Simulator:
         stamps.append(time.perf_counter())
 
         # Stages 3-4, allocate and integrate, once for the whole world.
-        buf = self.store.allocate(RoundInfo(capacity=int(world.remaining.sum())))
+        log = self.store.allocate(RoundInfo(capacity=int(world.remaining.sum())))
         stamps.append(time.perf_counter())
-        out, _ = integrate(self.blocks, world, buf, self.h)
-        self.store.finish_round(world.ids, out.steps, buf)
+        out, _ = integrate(self.blocks, world, log, self.h)
+        self.store.finish_round(world.ids, out, log)
         steps = np.bincount(world.holder, out.steps, ranks).astype(np.int64)
         self.terminated += int(np.count_nonzero(out.status == STATUS_TERMINATED))
         self.exited += int(np.count_nonzero(out.status == STATUS_EXITED))

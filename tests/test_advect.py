@@ -3,6 +3,7 @@ import json
 import mmap
 import os
 import signal
+import subprocess
 import threading
 
 import numpy as np
@@ -21,7 +22,6 @@ from diffadvect.advect import (
     STATUS_TERMINATED,
     CurveStore,
     GroupOutcome,
-    RoundBuffer,
     RoundInfo,
     build_kernel,
     export_curves,
@@ -86,10 +86,20 @@ def round_info(pset):
 def run_one_round(block, queue, h):
     info = round_info(queue)
     store = CurveStore()
-    buf = store.allocate(info)
-    outcome, work = integrate(block, queue, buf, h)
-    store.finish_round(queue.ids, outcome.steps, buf)
-    return info, store, buf, outcome, work
+    log = store.allocate(info)
+    outcome, work = integrate(block, queue, log, h)
+    store.finish_round(queue.ids, outcome, log)
+    return info, store, log, outcome, work
+
+
+def written(steps, start=None):
+    """An outcome holding only what ``finish_round`` reads: each row's steps and the slot its run starts at,
+    by default the exclusive cumulative sum of the steps."""
+    steps = np.asarray(steps, dtype=np.int64)
+    start = np.cumsum(steps) - steps if start is None else np.asarray(start, dtype=np.int64)
+    n = len(steps)
+    return GroupOutcome(status=np.zeros(n, dtype=np.int64), exit_dir=np.full(n, -1, dtype=np.int64),
+                        pos=np.zeros((n, 3)), remaining=np.zeros(n, dtype=np.int64), steps=steps, start=start)
 
 
 def row_bounds(block, home):
@@ -105,13 +115,15 @@ def owned_mask(block, points):
     return np.all((g >= block.origin) & (g < block.origin + block.core_dims), axis=-1)
 
 
-def reference_integrate_group(block, pset, buffer, h):
+def reference_integrate_group(block, pset, log, h):
     """The numpy loop the kernel replaced: one vectorized step of every active row per pass.
 
     Each row's bounds are built here, as ``table[home]`` (:func:`row_bounds`).
     Its passes interleave the rows, so it keeps each vertex's row and sorts
-    the log by row (stably) at the end: one span, each row's vertices as one
-    run in step order, as ``finish_round`` reads it.
+    the log by row (stably) at the end: each row's vertices as one run in step
+    order, the runs back to back, so a row's run starts at the exclusive
+    cumulative sum of the steps. Like the kernel's call, it leaves the log
+    read-only.
     """
     n = len(pset)
     pos = pset.pos.copy()
@@ -119,7 +131,7 @@ def reference_integrate_group(block, pset, buffer, h):
     status = np.zeros(n, dtype=np.int64)
     exit_dir = np.full(n, -1, dtype=np.int64)
     steps = np.zeros(n, dtype=np.int64)
-    rows = []
+    rows, size = [], 0
     active = np.nonzero(rem > 0)[0]
     status[rem <= 0] = STATUS_TERMINATED
     while active.size:
@@ -139,9 +151,9 @@ def reference_integrate_group(block, pset, buffer, h):
         if moved.size:
             pos[moved] = newpos
             rows.append(moved)
-            if buffer.vertices is not None:
-                buffer.vertices[buffer.size:buffer.size + moved.size] = newpos
-            buffer.size += moved.size
+            if log is not None:
+                log[size:size + moved.size] = newpos
+            size += moved.size
             steps[moved] += 1
             rem[moved] -= 1
             done = rem[moved] == 0
@@ -157,11 +169,12 @@ def reference_integrate_group(block, pset, buffer, h):
                                                          core.origin + core.core_dims)
             moved = moved[owned]
         active = moved
-    if buffer.vertices is not None:
+    if log is not None:
         order = np.argsort(np.concatenate([np.zeros(0, dtype=np.int64)] + rows), kind="stable")
-        buffer.vertices[:buffer.size] = buffer.vertices[order]
-    buffer.spans = np.array([[0, buffer.size]])
-    return GroupOutcome(status=status, exit_dir=exit_dir, pos=pos, remaining=rem, steps=steps)
+        log[:size] = log[order]
+        log.setflags(write=False)
+    return GroupOutcome(status=status, exit_dir=exit_dir, pos=pos, remaining=rem, steps=steps,
+                        start=np.cumsum(steps) - steps)
 
 
 def random_world(rng, n, res, shared=False):
@@ -208,9 +221,9 @@ def kernel_and_reference(block, pset, h):
     results = []
     for run in (integrate_group, reference_integrate_group):
         store = CurveStore()
-        buf = store.allocate(round_info(pset))
-        outcome = run(block, pset.copy(), buf, h)
-        store.finish_round(pset.ids, outcome.steps, buf)
+        log = store.allocate(round_info(pset))
+        outcome = run(block, pset.copy(), log, h)
+        store.finish_round(pset.ids, outcome, log)
         results.append((outcome, store.segments))
     return results
 
@@ -231,9 +244,9 @@ class TestKernelEqualsReference:
         assert [pid for pid, _ in got_segments] == [pid for pid, _ in want_segments]
         for (_, a), (_, b) in zip(got_segments, want_segments):
             assert a.tobytes() == b.tobytes()
-        counted = RoundBuffer(vertices=None)
-        off = integrate_group(block, pset.copy(), counted, h)
-        assert off.pos.tobytes() == got.pos.tobytes() and counted.size == int(got.steps.sum())
+        off = integrate_group(block, pset.copy(), None, h)  # curves off: the kernel only counts
+        for name in ("pos", "steps", "start"):
+            assert getattr(off, name).tobytes() == getattr(got, name).tobytes(), name
 
     @SHARED
     def test_random_worlds_reach_every_event(self, shared):
@@ -346,25 +359,26 @@ class TestLanes:
             rows, outs = CurveStore(), []
             for i in range(n):
                 one = pset.select([i])
-                one_buf = rows.allocate(round_info(one))
-                outs.append(integrate_group(block, one.copy(), one_buf, 0.05, workers=1))
-                rows.finish_round(one.ids, outs[-1].steps, one_buf)
+                one_log = rows.allocate(round_info(one))
+                outs.append(integrate_group(block, one.copy(), one_log, 0.05, workers=1))
+                rows.finish_round(one.ids, outs[-1], one_log)
             for count in workers:
                 whole = CurveStore()
-                buf = whole.allocate(round_info(pset))
-                got = integrate_group(block, pset.copy(), buf, 0.05, workers=count)
-                whole.finish_round(pset.ids, got.steps, buf)
+                log = whole.allocate(round_info(pset))
+                got = integrate_group(block, pset.copy(), log, 0.05, workers=count)
+                whole.finish_round(pset.ids, got, log)
                 for name in ("status", "exit_dir", "pos", "remaining", "steps"):
                     want = np.concatenate([getattr(out, name) for out in outs])
                     assert getattr(got, name).tobytes() == want.tobytes(), (n, count, name)
                 assert [pid for pid, _ in whole.segments] == [pid for pid, _ in rows.segments]
                 for (_, a), (_, b) in zip(whole.segments, rows.segments):
                     assert a.tobytes() == b.tobytes()
-                # each chunk's region starts at the summed budgets of the rows before the chunk
-                # and holds exactly its rows' steps
-                starts, ends = buf.spans.T
-                np.testing.assert_array_equal(starts, np.cumsum(np.r_[0, pset.remaining])[:n:CHUNK])
-                np.testing.assert_array_equal(ends - starts, np.add.reduceat(got.steps, np.arange(0, n, CHUNK)))
+                # each chunk's region starts at the summed budgets of the rows before the chunk,
+                # and a row's run after the steps of the chunk's earlier rows
+                first = np.arange(n) // CHUNK * CHUNK
+                before = np.cumsum(got.steps) - got.steps
+                base = np.cumsum(np.r_[0, pset.remaining])[first]
+                np.testing.assert_array_equal(got.start, base + before - before[first])
                 statuses |= set(got.status.tolist())
         assert statuses == {STATUS_OOB, STATUS_TERMINATED, STATUS_EXITED}
 
@@ -379,24 +393,26 @@ class TestLanes:
             capacity -= 1
         arrays = kernel_arrays(pos, remaining)
         before = {name: a.copy() for name, a in arrays.items()}
-        vertices, spans = np.full((capacity, 3), np.nan), np.full((3, 2), -1, dtype=np.int64)
+        vertices, start = np.full((capacity, 3), np.nan), np.full(len(pset), -1, dtype=np.int64)
         outcome = (arrays[name].ctypes for name in ("pos", "remaining", "status", "exit_dir", "steps"))
         code = advect._rk4_advance(*kernel_bounds(block, pset.home), 0.05, *outcome,
-                                   vertices.ctypes, capacity, spans.ctypes, 3)
+                                   vertices.ctypes, capacity, start.ctypes, 3)
         assert code == (-2 if fault == "start-outside" else -1)
         for name, a in arrays.items():
             assert a.tobytes() == before[name].tobytes(), name
-        assert np.isnan(vertices).all() and (spans == -1).all()
+        assert np.isnan(vertices).all()
+        # the prepass writes only chunk bases; no lane recorded a row's start
+        assert (np.delete(start, np.arange(0, len(pset), CHUNK)) == -1).all()
 
     @pytest.mark.parametrize("home", [-1, "ranks"])
     def test_a_home_outside_the_table_is_refused_before_the_kernel_reads_through_it(self, home):
         block, pset = random_world(np.random.default_rng(5), 2 * CHUNK + 1, 12, shared=True)
         pset.home[-1] = len(block.origin) if home == "ranks" else home
         before = pset.copy()
-        buf = CurveStore().allocate(round_info(pset))
+        log = CurveStore().allocate(round_info(pset))
         with pytest.raises(InvariantError, match="a home outside the bounds table"):
-            integrate_group(block, pset, buf, 0.05)
-        assert buf.spans is None and buf.size == 0 and not buf.vertices.any()
+            integrate_group(block, pset, log, 0.05)
+        assert log.flags.writeable and not log.any()
         for name in ("pos", "remaining", "home"):
             assert getattr(pset, name).tobytes() == getattr(before, name).tobytes(), name
         with pytest.raises(InvariantError, match="a home outside the bounds table"):
@@ -407,13 +423,13 @@ class TestLanes:
         # a 49 MB log of which about 6 MB is written; huge pages would make whole 2 MB pages
         # resident around every chunk's write frontier
         block, pset = drift_world(1024, 2000)
-        buf = CurveStore().allocate(round_info(pset))
-        integrate_group(block, pset, buf, 0.001, workers=2)
-        base, size, page = buf.vertices.ctypes.data, buf.vertices.nbytes, mmap.PAGESIZE
+        log = CurveStore().allocate(round_info(pset))
+        out = integrate_group(block, pset, log, 0.001, workers=2)
+        base, size, page = log.ctypes.data, log.nbytes, mmap.PAGESIZE
         touched = set()
-        for start, end in buf.spans.tolist():
-            if end > start:
-                touched |= set(range((base + 24 * start) // page, (base + 24 * end - 1) // page + 1))
+        for start, steps in zip(out.start.tolist(), out.steps.tolist()):
+            if steps:
+                touched |= set(range((base + 24 * start) // page, (base + 24 * (start + steps) - 1) // page + 1))
         assert smaps_fields(base, base + size)["AnonHugePages"] == 0
         # the log's own resident pages: its mapping can merge with a neighbour, such as a thread stack
         mincore = ctypes.CDLL(None).mincore
@@ -422,7 +438,7 @@ class TestLanes:
         assert mincore(base, size, pages.ctypes.data) == 0
         resident = set((np.flatnonzero(pages & 1) + base // page).tolist())
         assert resident <= touched
-        assert len(touched) * page <= 24 * buf.size + 2 * page * len(buf.spans)
+        assert len(touched) * page <= 24 * int(out.steps.sum()) + 2 * page * -(-len(pset) // CHUNK)
 
     def test_signals_reach_the_caller_during_a_multi_worker_call(self):
         block, pset = drift_world(2048, 2000)
@@ -488,6 +504,13 @@ class TestKernelBuild:
         load_kernel(path).rk4_sample(*kernel_bounds(block, pset.home), points.ctypes, out.ctypes)
         assert out.tobytes() == block.sample_clamped(points).tobytes()
 
+    def test_kernel_compiles_without_warnings(self, tmp_path):
+        # a stale variable or a mismatched signature left by a kernel edit fails here
+        command = ["gcc", *KERNEL_FLAGS, "-Wall", "-Wextra", "-Werror", str(KERNEL_SOURCE),
+                   "-o", str(tmp_path / "rk4.so"), "-lm"]
+        done = subprocess.run(command, capture_output=True, text=True)
+        assert done.returncode == 0, done.stderr
+
     def test_cache_key_follows_source_and_flags(self):
         source = KERNEL_SOURCE.read_bytes()
         name = kernel_name(source, KERNEL_FLAGS)
@@ -551,18 +574,17 @@ class TestRK4Step:
 class TestIntegrate:
     def test_budget_of_three_appends_three_vertices(self):
         block = rasterize_block(ConstantField((0.01, 0.0, 0.0)), (16, 16, 16), (0, 0, 0), (16, 16, 16))
-        info, store, buf, outcome, work = run_one_round(block, queue_of([[0.5, 0.5, 0.5]], 3), 0.001)
+        info, store, log, outcome, work = run_one_round(block, queue_of([[0.5, 0.5, 0.5]], 3), 0.001)
         assert outcome.status[0] == STATUS_TERMINATED
-        assert buf.size == 3 and work == 3
+        assert work == 3 and outcome.start.tolist() == [0]
         assert [pid for pid, _ in store.segments] == [0]
-        assert [(a, b) for a, b in buf.spans.tolist() if b > a] == [(0, 3)]  # one chunk wrote the row
-        np.testing.assert_allclose(buf.vertices[:3, 0], 0.5 + 0.01 * 0.001 * np.arange(1, 4), rtol=1e-12)
+        np.testing.assert_allclose(log[:3, 0], 0.5 + 0.01 * 0.001 * np.arange(1, 4), rtol=1e-12)
 
     def test_exits_plus_x_face_in_expected_steps(self):
         block = rasterize_block(ConstantField((1.0, 0.0, 0.0)), (16, 16, 16), (0, 0, 0), (8, 16, 16))
         # core region ends at x = 8/15; start two-ish steps short of it
         x0 = 8 / 15 - 0.0022
-        info, store, buf, outcome, work = run_one_round(block, queue_of([[x0, 0.5, 0.5]], 1000), 0.001)
+        info, store, log, outcome, work = run_one_round(block, queue_of([[x0, 0.5, 0.5]], 1000), 0.001)
         assert outcome.status[0] == STATUS_OOB
         assert outcome.exit_dir[0] == 1  # +x
         assert work <= int(np.ceil(0.0022 / 0.001)) + 1
@@ -570,25 +592,23 @@ class TestIntegrate:
     def test_two_runs_bit_identical(self):
         block = rasterize_block(ConstantField((0.3, 0.2, -0.1)), (16, 16, 16), (0, 0, 0), (16, 16, 16))
         q = queue_of(np.random.default_rng(5).uniform(0.3, 0.7, (20, 3)), 50)
-        _, _, buf1, out1, _ = run_one_round(block, q.copy(), 0.001)
-        _, _, buf2, out2, _ = run_one_round(block, q.copy(), 0.001)
-        assert buf1.size == buf2.size > 0
-        np.testing.assert_array_equal(buf1.spans, buf2.spans)
-        for start, end in buf1.spans:
-            np.testing.assert_array_equal(buf1.vertices[start:end], buf2.vertices[start:end])
+        _, _, log1, out1, work1 = run_one_round(block, q.copy(), 0.001)
+        _, _, log2, out2, work2 = run_one_round(block, q.copy(), 0.001)
+        assert work1 == work2 > 0
+        np.testing.assert_array_equal(out1.start, out2.start)
+        for start, steps in zip(out1.start, out1.steps):
+            np.testing.assert_array_equal(log1[start:start + steps], log2[start:start + steps])
         np.testing.assert_array_equal(out1.pos, out2.pos)
 
     def test_domain_exit_terminates_without_vertex(self):
         block = rasterize_block(ConstantField((-1.0, 0.0, 0.0)), (16, 16, 16), (0, 0, 0), (16, 16, 16))
-        info, store, buf, outcome, work = run_one_round(block, queue_of([[0.0004, 0.5, 0.5]], 1000), 0.001)
-        from diffadvect.advect import STATUS_EXITED
-
+        info, store, log, outcome, work = run_one_round(block, queue_of([[0.0004, 0.5, 0.5]], 1000), 0.001)
         assert outcome.status[0] == STATUS_EXITED
-        assert buf.size == 0  # the crossing step is rejected, not recorded
+        assert work == 0 and store.segments == []  # the crossing step is rejected, not recorded
 
     def test_lifetime_step_budget_respected(self):
         block = rasterize_block(ConstantField((0.05, 0.02, 0.01)), (16, 16, 16), (0, 0, 0), (16, 16, 16))
-        info, store, buf, outcome, work = run_one_round(block, queue_of([[0.1, 0.1, 0.1]], 40), 0.001)
+        info, store, log, outcome, work = run_one_round(block, queue_of([[0.1, 0.1, 0.1]], 40), 0.001)
         assert work <= 40 and outcome.remaining[0] >= 0
 
 
@@ -606,17 +626,17 @@ class TestWorldBatching:
             sets.append(ParticleSet.make(np.arange(n) + 100 * k, pos, rng.integers(0, 60, n), np.full(n, k)))
         separate, curves = [], CurveStore()
         for block, pset in zip(blocks, sets):
-            buf = CurveStore().allocate(round_info(pset))
-            separate.append(integrate_group(block, pset, buf, 0.001))
-            curves.finish_round(pset.ids, separate[-1].steps, buf)
+            log = CurveStore().allocate(round_info(pset))
+            separate.append(integrate_group(block, pset, log, 0.001))
+            curves.finish_round(pset.ids, separate[-1], log)
 
         world = concat_particles(sets)
-        world_buf = CurveStore().allocate(round_info(world))
+        world_log = CurveStore().allocate(round_info(world))
         table = Block(blocks[0].lattice, blocks[0].spacing,
                       np.array([b.origin for b in blocks]), np.array([b.core_dims for b in blocks]))
-        batched = integrate_group(table, world, world_buf, 0.001)
+        batched = integrate_group(table, world, world_log, 0.001)
         world_curves = CurveStore()
-        world_curves.finish_round(world.ids, batched.steps, world_buf)
+        world_curves.finish_round(world.ids, batched, world_log)
 
         for name in ("status", "exit_dir", "pos", "remaining", "steps"):
             expected = np.concatenate([getattr(out, name) for out in separate])
@@ -635,39 +655,45 @@ class TestCurveStore:
         # rows 0-1 and 2-4 are two chunks with budgets (3, 2) and (4, 1, 2); each chunk writes a
         # prefix of its region, one run per row in row order; -1 marks unwritten slots
         rows = np.array([1, 1, -1, -1, -1, 2, 2, 2, 2, 4, -1, -1])
-        buf = RoundBuffer(vertices=np.column_stack([np.arange(12.0), rows, rows]),
-                          spans=np.array([[0, 2], [5, 10]]), size=7)
+        log = np.column_stack([np.arange(12.0), rows, rows])
+        log.setflags(write=False)  # as the kernel's call leaves it
         store = CurveStore()
-        store.finish_round(np.array([10, 11, 12, 13, 14]), np.array([0, 2, 4, 0, 1]), buf)
+        store.finish_round(np.array([10, 11, 12, 13, 14]), written([0, 2, 4, 0, 1], [0, 0, 5, 9, 9]), log)
         assert [pid for pid, _ in store.segments] == [11, 12, 14]
         for (_, got), row in zip(store.segments, (1, 2, 4)):
             np.testing.assert_array_equal(got[:, 0], np.flatnonzero(rows == row))
             assert (got[:, 1] == row).all()
         for _, got in store.segments:  # a read-only view of the log, at its row's run (checked above)
-            assert np.shares_memory(got, buf.vertices) and not got.flags.writeable
-
-    def test_rows_find_their_span_past_empty_spans(self):
-        # three one-row spans with budgets (1, 1, 2); the middle row took no step, so its span is empty
-        buf = RoundBuffer(vertices=np.arange(12.0).reshape(4, 3), spans=np.array([[0, 1], [1, 1], [2, 4]]), size=3)
-        store = CurveStore()
-        store.finish_round(np.array([5, 6, 7]), np.array([1, 0, 2]), buf)
-        assert [(pid, got[:, 0].tolist()) for pid, got in store.segments] == [(5, [0.0]), (7, [6.0, 9.0])]
+            assert np.shares_memory(got, log) and not got.flags.writeable
 
     def test_archived_log_is_write_once(self):
         block = rasterize_block(ConstantField((0.01, 0.0, 0.0)), (16, 16, 16), (0, 0, 0), (16, 16, 16))
         queue = queue_of([[0.5, 0.5, 0.5]], 3)
-        _, store, buf, _, _ = run_one_round(block, queue, 0.001)
+        _, store, log, _, _ = run_one_round(block, queue, 0.001)
         with pytest.raises(ValueError, match="read-only"):
-            buf.vertices[0] = 0.0
+            log[0] = 0.0
         with pytest.raises(ValueError, match="read-only"):
             store.segments[0][1][:] = 0.0
         with pytest.raises(InvariantError, match="already written"):
-            integrate(block, queue, buf, 0.001)
+            integrate(block, queue, log, 0.001)
+
+    def test_a_written_log_is_refused_before_anything_moves(self):
+        block = rasterize_block(ConstantField((0.01, 0.0, 0.0)), (16, 16, 16), (0, 0, 0), (16, 16, 16))
+        log = CurveStore().allocate(RoundInfo(capacity=6))
+        integrate_group(block, queue_of([[0.5, 0.5, 0.5]], 3), log, 0.001)
+        # rows elsewhere, so a call that went ahead would write other vertices into the log
+        queue = queue_of([[0.25, 0.5, 0.5], [0.75, 0.5, 0.5]], 3)
+        before, logged = queue.copy(), log.tobytes()
+        with pytest.raises(InvariantError, match="already written"):
+            integrate_group(block, queue, log, 0.001)
+        for name in ("pos", "remaining"):
+            assert getattr(queue, name).tobytes() == getattr(before, name).tobytes(), name
+        assert log.tobytes() == logged and not log.flags.writeable
 
     def test_merge_keeps_only_written_vertices(self):
         block = rasterize_block(ConstantField((0.01, 0.0, 0.0)), (16, 16, 16), (0, 0, 0), (16, 16, 16))
         q = queue_of([[0.5, 0.5, 0.5]], 3)
-        info, store, buf, outcome, work = run_one_round(block, q, 0.001)
+        info, store, log, outcome, work = run_one_round(block, q, 0.001)
         assert info.capacity == 3
         curves = merge_curves(store)
         assert list(curves) == [0]
@@ -676,23 +702,22 @@ class TestCurveStore:
 
     def test_particle_without_vertices_contributes_nothing(self):
         store = CurveStore()
-        buf = store.allocate(round_info(queue_of([[0.5, 0.5, 0.5]], 5)))
-        store.finish_round(np.array([7]), np.array([0]), buf)  # nothing appended
+        log = store.allocate(round_info(queue_of([[0.5, 0.5, 0.5]], 5)))
+        store.finish_round(np.array([7]), written([0]), log)  # nothing appended
         assert merge_curves(store) == {}
 
     def test_zero_capacity_round_logs_nothing(self):
         block = rasterize_block(ConstantField((0.01, 0.0, 0.0)), (16, 16, 16), (0, 0, 0), (16, 16, 16))
-        info, store, buf, outcome, work = run_one_round(block, queue_of([[0.5, 0.5, 0.5]] * 2, 0), 0.001)
-        assert info.capacity == 0 and buf.vertices.shape == (0, 3)
+        info, store, log, outcome, work = run_one_round(block, queue_of([[0.5, 0.5, 0.5]] * 2, 0), 0.001)
+        assert info.capacity == 0 and log.shape == (0, 3)
         assert work == 0 and (outcome.status == STATUS_TERMINATED).all() and store.segments == []
 
     def test_merge_orders_segments_by_round(self):
         store = CurveStore()
         for ids, x in ((np.array([3, 5]), [0.2, 0.3]), (np.array([5, 3]), [0.4, 0.5])):
-            buf = store.allocate(round_info(queue_of(np.zeros((2, 3)), 1)))
-            buf.vertices[:] = np.column_stack([x, np.zeros(2), np.zeros(2)])
-            buf.spans, buf.size = np.array([[0, 1], [1, 2]]), 2
-            store.finish_round(ids, np.array([1, 1]), buf)
+            log = store.allocate(round_info(queue_of(np.zeros((2, 3)), 1)))
+            log[:] = np.column_stack([x, np.zeros(2), np.zeros(2)])
+            store.finish_round(ids, written([1, 1]), log)
         merged = merge_curves(store)
         np.testing.assert_array_equal(merged[3][:, 0], [0.2, 0.5])
         np.testing.assert_array_equal(merged[5][:, 0], [0.3, 0.4])
@@ -707,17 +732,17 @@ class TestCurveStore:
     def test_second_kernel_call_into_one_log_is_an_invariant_error(self):
         block = rasterize_block(ConstantField((0.01, 0.0, 0.0)), (16, 16, 16), (0, 0, 0), (16, 16, 16))
         queue = queue_of([[0.5, 0.5, 0.5]], 3)
-        buf = CurveStore().allocate(RoundInfo(capacity=6))
-        integrate(block, queue, buf, 0.001)
+        log = CurveStore().allocate(RoundInfo(capacity=6))
+        integrate(block, queue, log, 0.001)
         with pytest.raises(InvariantError, match="already written"):
-            integrate(block, queue, buf, 0.001)
+            integrate(block, queue, log, 0.001)
 
     def test_log_one_slot_short_is_an_invariant_error(self):
         block = rasterize_block(ConstantField((0.01, 0.0, 0.0)), (16, 16, 16), (0, 0, 0), (16, 16, 16))
         queue = queue_of([[0.5, 0.5, 0.5]], 3)
-        buf = CurveStore().allocate(RoundInfo(capacity=2))
+        log = CurveStore().allocate(RoundInfo(capacity=2))
         with pytest.raises(InvariantError, match="round log is full"):
-            integrate(block, queue, buf, 0.001)
+            integrate(block, queue, log, 0.001)
 
 
 def store_of_rounds(rounds):
@@ -725,9 +750,8 @@ def store_of_rounds(rounds):
     store = CurveStore()
     for number, (ids, steps) in enumerate(rounds):
         total = int(np.sum(steps))
-        buf = RoundBuffer(vertices=np.column_stack([np.arange(total) + 0.1, np.full((total, 2), number / 3)]),
-                          spans=np.array([[0, total]]), size=total)
-        store.finish_round(np.array(ids), np.array(steps), buf)
+        log = np.column_stack([np.arange(total) + 0.1, np.full((total, 2), number / 3)])
+        store.finish_round(np.array(ids), written(steps), log)
     return store
 
 

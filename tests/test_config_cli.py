@@ -711,8 +711,32 @@ class TestRunFuzz:
         assert main(argv) in (0, 2)
 
 
+GOLDEN_RUNS = {
+    # every kernel call has at most 64 rows, so it runs one worker
+    "toroidal-gllma": dict(
+        config=dict(grid=(2, 2, 2), scheduler="gllma", stride=(3, 3, 3), max_iterations=80, particles_per_round=8),
+        loans=42, handoffs=44,
+        curves="ae245ec1694adf79b3e0fa5b14411d435fc3c7f3f10b2a850d4568f12b7dcb7e",
+        lif="8a867145f5b85e4c7f32803245dbc1fc3e4e1b0acc045ed4737adbf893490c27",
+        rounds="cc404a0850711c4efc1623dc5a5aaf5cd1ffb6bb2b569f6e0208dda88b67d7a7",
+        work=dict(rounds=4, seed_count=125, terminated=125, exited_domain=0,
+                  total_integrate_steps=10000, lockstep_integrate_steps=1887)),
+    # calls of 512, 228 and 30 rows, so the first two run several workers on a multi-CPU host;
+    # 228 particles have several segments
+    "toroidal-lma-workers": dict(
+        config=dict(grid=(4, 2, 1), scheduler="lma", stride=(2, 2, 2), max_iterations=100, particles_per_round=64),
+        loans=355, handoffs=258,
+        curves="f55ec474899a20bbafc52c3de878e572e18fc348085d6fd45c2077bd592bcfd7",
+        lif="e7194034380b60e66ddae787475e0f9b7561d3fdb59a43b0cf6a598d982046bc",
+        rounds="9924a1b5ccbfff2781016b71739c636aea2ef94906a7cfe044dea3801c477730",
+        work=dict(rounds=3, seed_count=512, terminated=512, exited_domain=0,
+                  total_integrate_steps=51200, lockstep_integrate_steps=9130)),
+}
+
+
 class TestGoldenOutput:
-    def test_toroidal_gllma_run_matches_pinned_digests(self, tmp_path):
+    @pytest.mark.parametrize("name", list(GOLDEN_RUNS))
+    def test_run_matches_pinned_digests(self, name, tmp_path):
         # Pins the outputs themselves, which an oracle comparison cannot: a change that moved
         # the oracle and the run alike would pass it. The toroidal field needs only + - * / and
         # sqrt, which are correctly rounded, so the digests do not depend on the CPU's libm.
@@ -720,23 +744,18 @@ class TestGoldenOutput:
 
         from diffadvect.cli import execute_run
 
-        cfg = RunConfig(field="toroidal", resolution=(32, 32, 32), grid=(2, 2, 2), scheduler="gllma",
-                        aabb_scale=0.5, stride=(3, 3, 3), max_iterations=80, particles_per_round=8)
+        golden = GOLDEN_RUNS[name]
+        cfg = RunConfig(field="toroidal", resolution=(32, 32, 32), aabb_scale=0.5, **golden["config"])
         result, _ = execute_run(cfg, tmp_path)
-        assert (result.rounds, result.seed_count) == (4, 125)
-        assert sum(r.sent_balanced for r in result.records) == 42
-        assert sum(r.sent_oob for r in result.records) == 44
-        digests = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
-                   for name in ("curves.bin", "lif.csv")}
-        assert digests == {
-            "curves.bin": "ae245ec1694adf79b3e0fa5b14411d435fc3c7f3f10b2a850d4568f12b7dcb7e",
-            "lif.csv": "8a867145f5b85e4c7f32803245dbc1fc3e4e1b0acc045ed4737adbf893490c27",
-        }
+        assert (result.rounds, result.seed_count) == (golden["work"]["rounds"], golden["work"]["seed_count"])
+        assert sum(r.sent_balanced for r in result.records) == golden["loans"]
+        assert sum(r.sent_oob for r in result.records) == golden["handoffs"]
+        digests = {file: hashlib.sha256((tmp_path / file).read_bytes()).hexdigest()
+                   for file in ("curves.bin", "lif.csv")}
+        assert digests == {"curves.bin": golden["curves"], "lif.csv": golden["lif"]}
         deterministic = "".join(line + "\n" for line in rounds_without_wall_clock(tmp_path / "rounds.csv"))
-        assert hashlib.sha256(deterministic.encode()).hexdigest() == (
-            "cc404a0850711c4efc1623dc5a5aaf5cd1ffb6bb2b569f6e0208dda88b67d7a7")
-        assert summary_work(tmp_path) == dict(rounds=4, seed_count=125, terminated=125, exited_domain=0,
-                                              total_integrate_steps=10000, lockstep_integrate_steps=1887)
+        assert hashlib.sha256(deterministic.encode()).hexdigest() == golden["rounds"]
+        assert summary_work(tmp_path) == golden["work"]
 
 
 class TestSweepCommand:

@@ -374,9 +374,9 @@ class TestDeterminismAndInvariants:
         allocate = CurveStore.allocate
 
         def counting_allocate(store, info):
-            buffer = allocate(store, info)
-            slots.append(0 if buffer.vertices is None else buffer.vertices.shape[0])
-            return buffer
+            log = allocate(store, info)
+            slots.append(0 if log is None else log.shape[0])
+            return log
 
         monkeypatch.setattr(CurveStore, "allocate", counting_allocate)
         off_sim, off = run(False)
