@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -117,7 +116,7 @@ def _cmd_run(args) -> int:
     result, summary = execute_run(config, out_dir)
     print(
         f"scheduler={config.scheduler} nodes={result.node_count} seeds={result.seed_count} "
-        f"rounds={result.rounds} total_s={summary['total_advection_s']:.3f} "
+        f"rounds={result.rounds} measured_s={sum(summary['stage_totals_s'].values()):.3f} "
         f"lockstep_steps={summary['lockstep_integrate_steps']}"
         + (f" -> {out_dir}" if out_dir else "")
     )
@@ -129,21 +128,22 @@ def _speedup_rows(summaries: list[dict], scaled=("grid",)) -> list[str]:
 
     Summaries whose configs differ only in node count, that is in the
     ``scaled`` keys, form one group whose baseline is its first summary with
-    the fewest nodes. Groups are listed by scheduler, then in input order;
-    rows within a group by node count, then in input order.
+    the fewest nodes; a member's speedup is the baseline's lockstep steps over
+    its own, NaN at 0 steps. Groups are listed by scheduler, then in input
+    order; rows within a group by node count, then in input order.
     """
     groups: dict[str, list[dict]] = {}
     for s in summaries:
         rest = {k: v for k, v in s["config"].items() if k not in scaled}
         groups.setdefault(json.dumps(rest, sort_keys=True), []).append(s)
-    lines = ["scheduler,node_count,total_advection_s,speedup"]
+    lines = ["scheduler,node_count,lockstep_integrate_steps,speedup"]
     for members in sorted(groups.values(), key=lambda g: g[0]["config"]["scheduler"]):
-        members.sort(key=lambda s: int(s["node_count"]))
-        base = float(members[0]["total_advection_s"])
+        members.sort(key=lambda s: s["node_count"])
+        base = members[0]["lockstep_integrate_steps"]
         for s in members:
-            total = float(s["total_advection_s"])
-            ratio = base / total if total > 0.0 else float("nan")
-            lines.append(f"{s['config']['scheduler']},{int(s['node_count'])},{total:.6g},{ratio:.6g}")
+            steps = s["lockstep_integrate_steps"]
+            ratio = base / steps if steps > 0 else float("nan")
+            lines.append(f"{s['config']['scheduler']},{s['node_count']},{steps},{ratio:.6g}")
     return lines
 
 
@@ -156,14 +156,13 @@ def _cmd_compare(args) -> int:
         except (OSError, ValueError) as exc:
             errors.append(f"{path}: cannot read a summary: {exc}")
             continue
-        problems = [f"missing {key}" for key in ("config", "node_count", "total_advection_s")
+        problems = [f"missing {key}" for key in ("config", "node_count", "lockstep_integrate_steps")
                     if not isinstance(summary, dict) or key not in summary]
         if not problems:
             if not (isinstance(summary["config"], dict) and "scheduler" in summary["config"]):
                 problems.append("config is not an object with a scheduler")
-            problems += [f"{key} is not a finite number" for key in ("node_count", "total_advection_s")
-                         if not (type(summary[key]) is int or type(summary[key]) is float
-                                 and math.isfinite(summary[key]))]
+            problems += [f"{key} is not an integer" for key in ("node_count", "lockstep_integrate_steps")
+                         if type(summary[key]) is not int]
         if problems:
             errors.append(f"{path}: not a run summary: {', '.join(problems)}")
         summaries.append(summary)

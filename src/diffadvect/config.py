@@ -31,15 +31,15 @@ ROUND_BUFFER_CAP_BYTES = 1 << 29
 # Largest particle table a run may seed: seeds x SEED_BYTES, the peak resident
 # bytes per seed. A run of 2,097,152 seeds (abc, 128^3, stride 1, 2x2x2 gllma,
 # 1 iteration, curves off, on a 2-CPU Xeon with Python 3.11 and numpy 2.4)
-# peaked at 304.2 MiB in a fresh process, against 137.4 MiB at stride 2 and
-# 85.0 MiB at stride 8 (262,144 and 4,096 seeds): 95 and 110 B per seed, for
+# peaked at 283.7 MiB in a fresh process, against 136.8 MiB at stride 2 and
+# 84.8 MiB at stride 8 (262,144 and 4,096 seeds): 84 and 100 B per seed, for
 # a 64 B table row. The Simulator is built at 212 MiB; round 1's compaction,
 # a gather of the 1.7M surviving rows one column at a time, sets the peak.
 # The 2 GiB cap admits 17.9M seeds.
 SEED_TABLE_CAP_BYTES = 1 << 31
 SEED_BYTES = 120
 # Most ranks a run may simulate: 16^3, 256 times the largest sweep's 16. Each
-# rank costs work every round: a 128-byte rounds-table row and its share of
+# rank costs work every round: a 72-byte rounds-table row and its share of
 # the whole-grid array operations, the balancing decision included. With 4,096
 # ranks (toroidal, 64^3 lattice, aabb 0.5, stride 4, 200 iterations, curves
 # off, on a 2-CPU Xeon with Python 3.11 and numpy 2.4) ten rounds took

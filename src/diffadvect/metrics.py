@@ -1,9 +1,10 @@
 """Per-round accounting, load-imbalance factor, and speedup tables.
 
-Wall-clock columns vary run to run; everything else (work units, loads,
-transfer counts) is deterministic and byte-reproducible in the CSV output.
-Simulated total time uses lockstep semantics: each round costs its slowest
-rank, and rounds add up.
+The rounds table holds what each rank counted in each round (work units,
+loads, transfer counts), so ``rounds.csv`` and ``lif.csv`` are
+byte-reproducible. Lockstep totals charge each round its slowest rank, and
+rounds add up. Measured time appears only in the summary, as each stage's
+world time summed over the rounds.
 """
 
 from __future__ import annotations
@@ -18,18 +19,18 @@ from .errors import ConfigError
 
 LIF_CSV_HEADER = "round,lif_load,lif_steps"
 
-# The rounds.csv columns, in order; the stages are in stage order.
+# The rounds.csv columns, in order; every one is a count.
 ROUNDS_CSV_COLUMNS = (
     "round", "rank",
-    "stage_lb_distribute_s", "stage_round_info_s", "stage_alloc_s", "stage_integrate_s",
-    "stage_collect_s", "stage_oob_s", "idle_s",
     "integrate_steps", "load_pre", "load_post", "sent_balanced", "recv_balanced", "sent_oob", "recv_oob",
 )
 ROUNDS_CSV_HEADER = ",".join(ROUNDS_CSV_COLUMNS)
-STAGE_COLUMNS = tuple(col for col in ROUNDS_CSV_COLUMNS if col.startswith("stage_"))
-# One row per (round, rank): wall-clock ``_s`` columns are reals, every other column a count.
-ROUNDS_DTYPE = np.dtype([(col, np.float64 if col.endswith("_s") else np.int64) for col in ROUNDS_CSV_COLUMNS])
-_ROUNDS_ROW_FORMAT = ",".join("%.9e" if ROUNDS_DTYPE[col].kind == "f" else "%d" for col in ROUNDS_CSV_COLUMNS)
+# The round's stages in order, the keys of summary.json's measured ``stage_totals_s``.
+STAGE_COLUMNS = ("stage_lb_distribute_s", "stage_round_info_s", "stage_alloc_s", "stage_integrate_s",
+                 "stage_collect_s", "stage_oob_s")
+# One row per (round, rank).
+ROUNDS_DTYPE = np.dtype([(col, np.int64) for col in ROUNDS_CSV_COLUMNS])
+_ROUNDS_ROW_FORMAT = ",".join(["%d"] * len(ROUNDS_CSV_COLUMNS))
 
 
 def round_table(rows: int) -> np.recarray:
@@ -101,13 +102,12 @@ def write_lif_csv(path, table: np.ndarray) -> None:
 def build_summary(config_dict: dict, config_hash: str, result) -> dict:
     """Assemble the summary of a :class:`runtime.RunResult`, written beside the CSVs.
 
-    Every figure but the run's seed, terminated and exited counts is read off
-    its rounds table. ``total_advection_s`` follows lockstep semantics (sum
-    over rounds of the per-round max stage sum); ``lockstep_integrate_steps``
-    is its deterministic work-unit analogue.
+    The work figures are read off the rounds table: ``lockstep_integrate_steps``
+    charges each round its busiest rank's steps. ``stage_totals_s``, each
+    stage's measured world time summed over the rounds, is the one figure
+    that varies between runs.
     """
     table = result.table
-    stage_sum = sum(table[col] for col in STAGE_COLUMNS)
     def _mean(values):  # summed in order as Python floats, as numpy's pairwise sum may differ in the last bit
         vals = values[~np.isnan(values)].tolist()
         return sum(vals) / len(vals) if vals else None
@@ -120,12 +120,11 @@ def build_summary(config_dict: dict, config_hash: str, result) -> dict:
         "seed_count": result.seed_count,
         "terminated": result.terminated,
         "exited_domain": result.exited,
-        "total_advection_s": float(stage_sum.max(axis=1).sum()),
         "total_integrate_steps": result.total_integrate_steps(),
         "lockstep_integrate_steps": result.lockstep_integrate_steps(),
         "lif_load_mean": _mean(lif_load),
         "lif_steps_mean": _mean(lif_steps),
-        "stage_totals_s": {col: float(table[col].sum()) for col in STAGE_COLUMNS + ("idle_s",)},
+        "stage_totals_s": dict(zip(STAGE_COLUMNS, result.stage_totals_s.tolist())),
     }
 
 

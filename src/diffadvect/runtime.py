@@ -32,9 +32,8 @@ neighbor-table row, then in the sender's order. Collect runs before
 hand-off, so a home rank's own out-of-bounds rows precede the returned ones.
 No result depends on the order the table's rows are stored in.
 
-Every ``_s`` column of ``rounds.csv`` is a modelled share of one measured
-world time per stage: integrate by steps, allocate by the step budgets
-selected, every other stage by the rows each rank holds as the stage starts.
+A round's rows of the rounds table hold what each rank counted. Each stage's
+world time is measured once, and the run sums it per stage over the rounds.
 """
 
 from __future__ import annotations
@@ -67,6 +66,7 @@ class RunResult:
     records: np.recarray    # the rounds table, one row per (round, rank) in that order
     round_totals: list      # (round, active, terminated, exited)
     store: CurveStore       # the archived segments, read-only views of the round logs
+    stage_totals_s: np.ndarray  # each stage's measured world time summed over the rounds, in stage order
 
     @cached_property
     def curves(self) -> dict | None:
@@ -154,6 +154,7 @@ class Simulator:
         self.terminated = self.exited = 0
         self.store = CurveStore(collect=collect_curves)
         self.records, self.round_totals = [], []
+        self.stage_totals_s = np.zeros(len(STAGE_COLUMNS))
 
     def _loads(self) -> np.ndarray:
         return np.bincount(self.particles.holder, minlength=self.grid.rank_count)
@@ -196,8 +197,8 @@ class Simulator:
     def run_round(self, round_index: int) -> np.recarray:
         """Run one round; returns a copy of its block of the rounds table, one row per rank.
 
-        The copy's cells are Python ints and floats, so a sum over its rows is
-        a plain number that ``json`` can write; the run keeps the int64 block.
+        The copy's cells are Python ints, so a sum over its rows is a plain
+        number that ``json`` can write; the run keeps the int64 block.
         """
         ranks = self.grid.rank_count
         self._assert_containable()
@@ -215,8 +216,8 @@ class Simulator:
         p = self.particles
         queue = self._queue()
         sel = queue[np.arange(len(p)) - (np.cumsum(load_post) - load_post)[p.holder[queue]] < self.ppr]
+        del queue  # nothing reads it after sel; freed before the gather and the kernel call
         world = p.select(sel)
-        budgets = np.bincount(world.holder, world.remaining, ranks)
         stamps.append(time.perf_counter())
 
         # Stages 3-4, allocate and integrate, once for the whole world.
@@ -224,7 +225,7 @@ class Simulator:
         stamps.append(time.perf_counter())
         out, _ = integrate(self.blocks, world, log, self.h)
         self.store.finish_round(world.ids, out, log)
-        steps = np.bincount(world.holder, out.steps, ranks).astype(np.int64)
+        steps = np.bincount(world.holder, out.steps, ranks)
         self.terminated += int(np.count_nonzero(out.status == STATUS_TERMINATED))
         self.exited += int(np.count_nonzero(out.status == STATUS_EXITED))
         oob = out.status == STATUS_OOB
@@ -232,14 +233,13 @@ class Simulator:
         if np.any(receivers < 0):
             raise InvariantError(f"round {round_index}: a block exit points at the domain hull")
         p.pos[sel], p.remaining[sel] = out.pos, out.remaining
-        del queue, world, out  # freed before the compaction, which sets a many-seed run's peak
+        del world, out  # freed before the compaction, which sets a many-seed run's peak
         alive = np.delete(np.arange(len(p)), sel[~oob])  # rows still active
         p.compact(alive)
         handed = np.searchsorted(alive, sel[oob])  # the block exits' rows in the compacted table
         stamps.append(time.perf_counter())
 
         # Stage 5, collect: every surviving loan returns home.
-        held_at_collect = self._loads()
         loans = np.flatnonzero(p.holder != p.home)
         self._move(loans, p.home[loans])
         if np.any(p.holder != p.home):
@@ -247,7 +247,6 @@ class Simulator:
         stamps.append(time.perf_counter())
 
         # Stage 6, out of bounds: each block exit moves home to its receiver.
-        held_at_oob = self._loads()
         sent_oob = np.bincount(p.holder[handed], minlength=ranks)
         p.home[handed] = receivers
         self._move(handed, receivers)
@@ -260,11 +259,7 @@ class Simulator:
         block = round_table(ranks)
         for column, values in counts.items():
             block[column] = values
-        weights = (load_pre, load_post, budgets, steps, held_at_collect, held_at_oob)
-        for column, w, start, end in zip(STAGE_COLUMNS, weights, stamps, stamps[1:]):
-            # each rank's share of the stage's measured time; weights are counts, a zero sum means all 0
-            block[column] = (end - start) * (w / max(w.sum(), 1))
-        block.idle_s = block.stage_integrate_s.max() - block.stage_integrate_s
+        self.stage_totals_s += np.diff(stamps)
         active = len(self.particles)
         if active + self.terminated + self.exited != self.seed_count:
             raise InvariantError(f"round {round_index}: {active} active + {self.terminated} terminated + "
@@ -288,4 +283,4 @@ class Simulator:
             self.run_round(round_index)
         return RunResult(self.grid.dims, self.seed_count, round_index, self.terminated, self.exited,
                          np.concatenate([round_table(0), *self.records]).view(np.recarray), self.round_totals,
-                         self.store)
+                         self.store, self.stage_totals_s)

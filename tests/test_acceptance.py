@@ -219,15 +219,9 @@ def test_criterion_08_determinism_byte_identical(tmp_path):
         outs.append(out)
     lif_same = (outs[0] / "lif.csv").read_bytes() == (outs[1] / "lif.csv").read_bytes()
     curves_same = (outs[0] / "curves.bin").read_bytes() == (outs[1] / "curves.bin").read_bytes()
-
-    def stable_columns(path):
-        lines = path.read_text().splitlines()
-        keep = [i for i, col in enumerate(lines[0].split(",")) if not col.endswith("_s")]
-        return [",".join(row.split(",")[i] for i in keep) for row in lines]
-
-    rounds_same = stable_columns(outs[0] / "rounds.csv") == stable_columns(outs[1] / "rounds.csv")
+    rounds_same = (outs[0] / "rounds.csv").read_bytes() == (outs[1] / "rounds.csv").read_bytes()
     ok = lif_same and curves_same and rounds_same
-    _report(8, ok, f"lif.csv={lif_same} curves.bin={curves_same} rounds.csv(non-wall)={rounds_same}")
+    _report(8, ok, f"lif.csv={lif_same} curves.bin={curves_same} rounds.csv={rounds_same}")
     assert ok
 
 

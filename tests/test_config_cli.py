@@ -42,13 +42,6 @@ def write_config(tmp_path, lines, name="run.cfg"):
     return path
 
 
-def rounds_without_wall_clock(path):
-    lines = path.read_text().splitlines()
-    header = lines[0].split(",")
-    keep = [i for i, col in enumerate(header) if not col.endswith("_s")]
-    return [",".join(row.split(",")[i] for i in keep) for row in lines]
-
-
 def summary_work(out_dir):
     """The fields of a run's ``summary.json`` that count work and never depend on timing."""
     summary = json.loads((out_dir / "summary.json").read_text())
@@ -200,7 +193,29 @@ class TestRunCommand:
         assert summary_work(out) == dict(rounds=0, seed_count=0, terminated=0, exited_domain=0,
                                          total_integrate_steps=0, lockstep_integrate_steps=0)
         summary = json.loads((out / "summary.json").read_text())
-        assert summary["total_advection_s"] == 0 and summary["lif_steps_mean"] is None
+        assert set(summary["stage_totals_s"].values()) == {0} and summary["lif_steps_mean"] is None
+
+    def test_rounds_csv_is_reproducible_and_time_is_measured_once_per_stage(self, tmp_path):
+        import math
+        import time
+
+        from diffadvect.cli import execute_run
+        from diffadvect.metrics import STAGE_COLUMNS
+
+        config = RunConfig(field="toroidal", resolution=(16, 16, 16), grid=(2, 2, 1), scheduler="gllma",
+                           stride=(2, 2, 2), aabb_scale=0.5, max_iterations=50, particles_per_round=16)
+        for name in ("a", "b"):
+            start = time.perf_counter()
+            _, summary = execute_run(config, tmp_path / name)
+            elapsed = time.perf_counter() - start
+            totals = summary["stage_totals_s"]
+            assert tuple(totals) == STAGE_COLUMNS == (
+                "stage_lb_distribute_s", "stage_round_info_s", "stage_alloc_s", "stage_integrate_s",
+                "stage_collect_s", "stage_oob_s")
+            assert all(math.isfinite(t) and t >= 0.0 for t in totals.values())
+            assert sum(totals.values()) <= elapsed
+        assert summary["rounds"] > 1
+        assert (tmp_path / "a" / "rounds.csv").read_bytes() == (tmp_path / "b" / "rounds.csv").read_bytes()
 
     def test_a_run_imports_no_module_after_the_cli(self, tmp_path):
         # a module imported on first use (np.unique imports numpy.ma, say) costs every run its
@@ -434,7 +449,7 @@ class TestRunCommand:
         assert main(["run", "--config", str(cfg), "--output", str(out2)]) == 0
         assert (out1 / "lif.csv").read_bytes() == (out2 / "lif.csv").read_bytes()
         assert (out1 / "curves.bin").read_bytes() == (out2 / "curves.bin").read_bytes()
-        assert rounds_without_wall_clock(out1 / "rounds.csv") == rounds_without_wall_clock(out2 / "rounds.csv")
+        assert (out1 / "rounds.csv").read_bytes() == (out2 / "rounds.csv").read_bytes()
 
     def test_provenance_block_reproduces_the_run(self, tmp_path):
         cfg = write_config(tmp_path, FAST + ["param.A = 1.5"])
@@ -451,33 +466,55 @@ class TestRunCommand:
 
 
 class TestCompareCommand:
-    def _summary(self, path, scheduler, nodes, total):
+    def _summary(self, path, scheduler, nodes, steps):
         data = {
             "config": {"scheduler": scheduler},
             "node_count": nodes,
-            "total_advection_s": total,
+            "lockstep_integrate_steps": steps,
         }
         path.write_text(json.dumps(data), encoding="utf-8")
         return path
 
     def test_speedup_table(self, tmp_path, capsys):
         files = [
-            self._summary(tmp_path / "a.json", "none", 16, 100.0),
-            self._summary(tmp_path / "b.json", "none", 32, 50.0),
+            self._summary(tmp_path / "a.json", "none", 16, 100),
+            self._summary(tmp_path / "b.json", "none", 32, 50),
         ]
         assert main(["compare"] + [str(f) for f in files]) == 0
         out = capsys.readouterr().out.splitlines()
-        assert out[0] == "scheduler,node_count,total_advection_s,speedup"
+        assert out[0] == "scheduler,node_count,lockstep_integrate_steps,speedup"
         assert out[1] == "none,16,100,1"
         assert out[2] == "none,32,50,2"
+
+    def test_speedup_is_the_ratio_of_lockstep_steps(self, tmp_path, capsys):
+        files = [
+            self._summary(tmp_path / "a.json", "lma", 4, 3000000),
+            self._summary(tmp_path / "b.json", "lma", 2, 5000000),
+            self._summary(tmp_path / "c.json", "lma", 8, 0),
+            self._summary(tmp_path / "d.json", "lma", 16, 1200000),
+        ]
+        assert main(["compare"] + [str(f) for f in files]) == 0
+        assert capsys.readouterr().out.splitlines()[1:] == [
+            "lma,2,5000000,1", "lma,4,3000000,1.66667", "lma,8,0,nan", "lma,16,1200000,4.16667"]
+
+    def test_summary_without_lockstep_steps_is_listed_as_a_problem(self, tmp_path, capsys):
+        legacy = tmp_path / "legacy.json"
+        legacy.write_text(json.dumps({"config": {"scheduler": "none"}, "node_count": 2,
+                                      "total_advection_s": 1.0}), encoding="utf-8")
+        fine = self._summary(tmp_path / "fine.json", "none", 4, 10)
+        assert main(["compare", str(fine), str(legacy)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [
+            f"config error: {legacy}: not a run summary: missing lockstep_integrate_steps"]
 
 
 class TestUnreadableInputFiles:
     MALFORMED_SUMMARIES = {
-        "summary without config": {"node_count": 2, "total_advection_s": 1.0},
-        "config without scheduler": {"config": {}, "node_count": 2, "total_advection_s": 1.0},
-        "node_count not a number": {"config": {"scheduler": "none"}, "node_count": "x", "total_advection_s": 1.0},
-        "config not an object": {"config": [], "node_count": 2, "total_advection_s": 1.0},
+        "summary without config": {"node_count": 2, "lockstep_integrate_steps": 1},
+        "config without scheduler": {"config": {}, "node_count": 2, "lockstep_integrate_steps": 1},
+        "node_count not a number": {"config": {"scheduler": "none"}, "node_count": "x", "lockstep_integrate_steps": 1},
+        "config not an object": {"config": [], "node_count": 2, "lockstep_integrate_steps": 1},
     }
 
     @pytest.mark.parametrize("case", ["missing summary", *MALFORMED_SUMMARIES, "curves header not JSON"])
@@ -751,10 +788,8 @@ class TestGoldenOutput:
         assert sum(r.sent_balanced for r in result.records) == golden["loans"]
         assert sum(r.sent_oob for r in result.records) == golden["handoffs"]
         digests = {file: hashlib.sha256((tmp_path / file).read_bytes()).hexdigest()
-                   for file in ("curves.bin", "lif.csv")}
-        assert digests == {"curves.bin": golden["curves"], "lif.csv": golden["lif"]}
-        deterministic = "".join(line + "\n" for line in rounds_without_wall_clock(tmp_path / "rounds.csv"))
-        assert hashlib.sha256(deterministic.encode()).hexdigest() == golden["rounds"]
+                   for file in ("curves.bin", "lif.csv", "rounds.csv")}
+        assert digests == {"curves.bin": golden["curves"], "lif.csv": golden["lif"], "rounds.csv": golden["rounds"]}
         assert summary_work(tmp_path) == golden["work"]
 
 
@@ -774,8 +809,12 @@ class TestSweepCommand:
         run_dirs = [p for p in out.iterdir() if p.is_dir()]
         assert len(run_dirs) == 16  # 4 node counts x 4 schedulers
         table = (out / "speedup.csv").read_text().splitlines()
-        assert table[0] == "scheduler,node_count,total_advection_s,speedup"
+        assert table[0] == "scheduler,node_count,lockstep_integrate_steps,speedup"
         assert len(table) == 1 + 16
+        for row in table[1:]:
+            scheduler, nodes, steps, _ = row.split(",")
+            summary = json.loads((out / f"{scheduler}_n{nodes}" / "summary.json").read_text())
+            assert int(steps) == summary["lockstep_integrate_steps"]
 
     def test_invalid_member_stops_the_sweep_before_any_run(self, tmp_path, capsys):
         # members with n <= 8 fit a 3^3 lattice; the four n = 16 members, a 4x2x2 grid, do not
@@ -803,4 +842,5 @@ class TestSweepCommand:
         run_dirs = [p.name for p in out.iterdir() if p.is_dir()]
         assert len(run_dirs) == 12  # 3 scales x 4 schedulers
         table = (out / "comparison.csv").read_text().splitlines()
+        assert table[0] == "scheduler,node_count,lockstep_integrate_steps,speedup"
         assert len(table) == 1 + 12
