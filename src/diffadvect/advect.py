@@ -49,7 +49,8 @@ stage by stage, so the lanes' independent chains of divides, gathers and
 lerps overlap. A lane claims its next chunk from one shared counter, so the
 work balances itself, and each row still runs to its event before its lane
 takes the next. Before any row advances the kernel checks that every row with a
-positive budget starts inside its sampling extent and that the summed budgets
+positive budget starts in its reach, its closed sampling extent, by the one reach
+test that its stage points and ``rk4_reach`` share, and that the summed budgets
 fit the log, so either error leaves every array untouched.
 
 With curves on, each round's log holds vertices only, sized by the
@@ -137,12 +138,14 @@ def build_kernel(cache_dir, compiler: str = "gcc") -> Path:
 
 
 def load_kernel(path) -> ctypes.CDLL:
-    """The kernel library at ``path``, with the signatures of its two functions declared."""
+    """The kernel library at ``path``, with the signatures of its three functions declared."""
     lib = ctypes.CDLL(str(path))
     i64, ptr = ctypes.c_int64, ctypes.c_void_p
     bounds = [i64, ptr, i64, i64, ptr, ptr, ptr, ptr]  # n, lattice, sx, sy, spacing, origin, core, home
     lib.rk4_sample.argtypes = bounds + [ptr, ptr]
     lib.rk4_sample.restype = None
+    lib.rk4_reach.argtypes = bounds + [ptr]
+    lib.rk4_reach.restype = i64
     lib.rk4_advance.argtypes = bounds + [ctypes.c_double, ptr, ptr, ptr, ptr, ptr, ptr, i64, ptr, i64]
     lib.rk4_advance.restype = i64
     return lib

@@ -7,6 +7,9 @@
  * fast-math. Each point is divided by the spacing once, and its g-space
  * position is both tested and sampled. Row i reads its block bounds, int64
  * (origin, core dims) of three, at 3 * home[i] of one table of rank rows.
+ * One test, reaches(), decides whether a point lies in its block's reach, the
+ * closed sampling extent [origin - 1, origin + core]: for rk4_advance's starts
+ * and stage points, and in rk4_reach, the simulator's containability check.
  *
  * rk4_advance runs on up to `workers` workers, and on no more than one per
  * LANES chunks: the calling thread plus helper threads it starts for the
@@ -109,6 +112,38 @@ static int64_t exit_direction(const double *g, const int64_t *lo, const int64_t 
     return best;
 }
 
+/* The closed sampling extent [lo, hi] = [origin - 1, origin + core] of row `home` of the bounds table. */
+static inline void extent(const int64_t *origin, const int64_t *core, int64_t home, int64_t *lo, int64_t *hi)
+{
+    for (int a = 0; a < 3; a++) {
+        lo[a] = origin[3 * home + a] - 1;
+        hi[a] = origin[3 * home + a] + core[3 * home + a];
+    }
+}
+
+/* 1 if p, whose g-space position it writes to g, lies in the closed extent [lo, hi]. */
+static inline int reaches(const double *p, const double *spacing, const int64_t *lo, const int64_t *hi, double *g)
+{
+    to_g(p, spacing, g);
+    return inside(g, lo, hi, 1);
+}
+
+/* The first of n points outside its home's reach, or -1. The arguments before points are rk4_sample's,
+ * so one bounds tuple feeds both; the lattice and its strides are not read. */
+int64_t rk4_reach(int64_t n, const double *lattice, int64_t sx, int64_t sy, const double *spacing,
+                  const int64_t *origin, const int64_t *core, const int64_t *home, const double *points)
+{
+    (void)lattice, (void)sx, (void)sy;
+    for (int64_t i = 0; i < n; i++) {
+        int64_t lo[3], hi[3];
+        double g[3];
+        extent(origin, core, home[i], lo, hi);
+        if (!reaches(points + 3 * i, spacing, lo, hi, g))
+            return i;
+    }
+    return -1;
+}
+
 /* Sample n points, each against its home's row of bounds. */
 void rk4_sample(int64_t n, const double *lattice, int64_t sx, int64_t sy, const double *spacing,
                 const int64_t *origin, const int64_t *core, const int64_t *home, const double *points, double *out)
@@ -159,14 +194,11 @@ static int next_row(Lane *lane, const Call *c)
                 c->status[i] = STATUS_TERMINATED;
                 continue;
             }
-            const int64_t *o = c->origin + 3 * c->home[i], *k = c->core + 3 * c->home[i];
-            lane->origin = o;
-            lane->core = k;
-            for (int a = 0; a < 3; a++) {
-                lane->core_hi[a] = o[a] + k[a];
-                lane->sample_lo[a] = o[a] - 1;
+            lane->origin = c->origin + 3 * c->home[i];
+            lane->core = c->core + 3 * c->home[i];
+            extent(c->origin, c->core, c->home[i], lane->sample_lo, lane->core_hi);
+            for (int a = 0; a < 3; a++)
                 lane->p[a] = c->pos[3 * i + a];
-            }
             to_g(lane->p, c->spacing, lane->g);
             lane->taken = 0;
             return 1;
@@ -216,8 +248,7 @@ static void advance(const Call *c)
                 double s[3];
                 for (int a = 0; a < 3; a++)
                     s[a] = lane->p[a] + scale * lane->k[stage - 1][a];
-                to_g(s, spacing, lane->g);
-                if (inside(lane->g, lane->sample_lo, lane->core_hi, 1))
+                if (reaches(s, spacing, lane->sample_lo, lane->core_hi, lane->g))
                     trilinear(lattice, sx, sy, lane->origin, lane->core, lane->g, lane->k[stage]);
                 else
                     lane->rejected = 1;
@@ -332,12 +363,10 @@ int64_t rk4_advance(int64_t n, const double *lattice, int64_t sx, int64_t sy, co
             start[i] = budget; /* the chunk's base */
         if (remaining[i] <= 0)
             continue;
-        const int64_t *o = origin + 3 * home[i], *c = core + 3 * home[i];
-        const int64_t core_hi[3] = {o[0] + c[0], o[1] + c[1], o[2] + c[2]};
-        const int64_t sample_lo[3] = {o[0] - 1, o[1] - 1, o[2] - 1};
+        int64_t lo[3], hi[3];
         double g[3];
-        to_g(pos + 3 * i, spacing, g);
-        if (!inside(g, sample_lo, core_hi, 1))
+        extent(origin, core, home[i], lo, hi);
+        if (!reaches(pos + 3 * i, spacing, lo, hi, g))
             return START_OUTSIDE;
         budget += remaining[i];
     }

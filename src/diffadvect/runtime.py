@@ -46,7 +46,8 @@ from functools import cached_property
 import numpy as np
 
 from . import balance
-from .advect import STATUS_EXITED, STATUS_OOB, STATUS_TERMINATED, CurveStore, RoundInfo, integrate, merge_curves
+from .advect import (KERNEL, STATUS_EXITED, STATUS_OOB, STATUS_TERMINATED, CurveStore, RoundInfo, integrate,
+                     kernel_bounds, merge_curves)
 from .errors import ConfigError, InvariantError, RoundLimitError
 from .field import AnalyticField, Block, lattice_spacing, rasterize_global, seed_axes
 from .metrics import ROUNDS_CSV_COLUMNS, STAGE_COLUMNS, round_table
@@ -177,20 +178,16 @@ class Simulator:
         p.holder[rows] = to
 
     def _assert_containable(self) -> None:
-        """Every particle is held by its home or a face neighbor of it, and its home block reaches it."""
+        """Every particle is held by its home or a face neighbor of it, and its home block reaches it by the
+        kernel's own test, ``rk4_reach``, made on every row."""
         p = self.particles
         loans = np.flatnonzero(p.holder != p.home)
         foreign = loans[~np.any(self.neighbors[p.home[loans]] == p.holder[loans, np.newaxis], axis=1)]
         if foreign.size:
             i = foreign[0]
             raise InvariantError(f"rank {p.holder[i]} holds a particle of non-neighbor rank {p.home[i]}")
-        lo, hi = self.blocks.sample_bounds()
-        reached = np.ones(len(p), dtype=bool)
-        for a in range(3):  # an axis at a time, so that no (rows, 3) bounds or g-space array is built
-            g = p.pos[:, a] / self.blocks.spacing[a]
-            reached &= (g >= lo[p.home, a]) & (g <= hi[p.home, a])
-        if not reached.all():
-            i = np.argmin(reached)
+        i = KERNEL.rk4_reach(*kernel_bounds(self.blocks, p.home), np.ascontiguousarray(p.pos, np.float64).ctypes)
+        if i >= 0:
             raise InvariantError(f"rank {p.holder[i]}: {'home' if p.home[i] == p.holder[i] else 'loaned'} "
                                  "particle outside its block's reach")
 

@@ -1,0 +1,173 @@
+/* Drives rk4_advance and rk4_reach of diffadvect/rk4.c on a synthetic lattice, for sanitizer builds.
+ *
+ * Build it together with rk4.c, e.g.
+ *     gcc -g -O1 -pthread -fsanitize=thread -fno-sanitize-recover=all \
+ *         tests/rk4_harness.c src/diffadvect/rk4.c -o harness -lm && ./harness
+ * and again with -fsanitize=address,undefined. For row counts around the CHUNK and LANES * CHUNK
+ * boundaries it checks, against one worker with curves on:
+ *   - that 1 to 4 workers, with curves on and off, give the same outcome, starts, count and log;
+ *   - that rk4_reach finds no start outside its reach, then the one row moved outside it;
+ *   - that a start outside its reach, or a log one vertex short, is refused with nothing written.
+ * Every allocation is freed, so LeakSanitizer reports only a leak of the kernel's own. Exits 0 when
+ * every check holds, else 1 after printing each world's first failed check.
+ */
+#include <math.h>
+#include <stdint.h>
+#include <stdio.h>
+#include <stdlib.h>
+#include <string.h>
+
+int64_t rk4_advance(int64_t n, const double *lattice, int64_t sx, int64_t sy, const double *spacing,
+                    const int64_t *origin, const int64_t *core, const int64_t *home, double h,
+                    double *pos, int64_t *remaining, int64_t *status, int64_t *exit_dir, int64_t *steps,
+                    double *vertices, int64_t capacity, int64_t *start, int64_t workers);
+int64_t rk4_reach(int64_t n, const double *lattice, int64_t sx, int64_t sy, const double *spacing,
+                  const int64_t *origin, const int64_t *core, const int64_t *home, const double *points);
+extern const int64_t rk4_lanes, rk4_chunk;
+
+#define RES 24     /* lattice nodes per axis, before the ghost layer */
+#define SPLIT 12   /* core nodes per axis of each of the 2 x 2 x 2 ranks */
+#define RANKS 8
+#define H 0.005    /* 2 * H * max|v| stays below the spacing, as the simulator requires */
+
+static const int64_t SX = (RES + 2) * (RES + 2), SY = RES + 2;
+static double lattice[(RES + 2) * (RES + 2) * (RES + 2) * 3], spacing[3];
+static int64_t origin[3 * RANKS], core[3 * RANKS];
+static uint64_t rng = 88172645463325252ull;
+
+static double uniform(void) /* xorshift64, in [0, 1) */
+{
+    rng ^= rng << 13, rng ^= rng >> 7, rng ^= rng << 17;
+    return (double)(rng >> 11) / 9007199254740992.0;
+}
+
+/* One world of n rows and what the kernel writes for it. */
+typedef struct {
+    int64_t n, capacity, logged;
+    int64_t *home, *remaining, *status, *exit_dir, *steps, *start;
+    double *pos, *vertices;
+} World;
+
+static void *fill(size_t count, size_t size, int byte)
+{
+    void *p = malloc(count ? count * size : 1);
+    if (!p) {
+        fprintf(stderr, "out of memory\n");
+        exit(1);
+    }
+    memset(p, byte, count * size);
+    return p;
+}
+
+static void release(World *w)
+{
+    free(w->home), free(w->remaining), free(w->status), free(w->exit_dir), free(w->steps), free(w->start);
+    free(w->pos), free(w->vertices);
+}
+
+/* A copy of seed whose kernel outputs are reset, advanced on `workers` workers; logs when `log`. */
+static World advanced(const World *seed, int64_t workers, int log)
+{
+    int64_t n = seed->n;
+    World w = {n, seed->capacity, 0, fill(n, 8, 0), fill(n, 8, 0), fill(n, 8, 0), fill(n, 8, 0xff),
+               fill(n, 8, 0), fill(n, 8, 0xff), fill(3 * n, 8, 0), log ? fill(3 * seed->capacity, 8, 0) : NULL};
+    memcpy(w.home, seed->home, n * 8), memcpy(w.remaining, seed->remaining, n * 8);
+    memcpy(w.pos, seed->pos, 3 * n * 8);
+    w.logged = rk4_advance(n, lattice, SX, SY, spacing, origin, core, w.home, H, w.pos, w.remaining, w.status,
+                           w.exit_dir, w.steps, w.vertices, w.capacity, w.start, workers);
+    return w;
+}
+
+static int same(const World *a, const World *b)
+{
+    int64_t n = a->n;
+    return a->logged == b->logged && !memcmp(a->pos, b->pos, 3 * n * 8)
+        && !memcmp(a->remaining, b->remaining, n * 8) && !memcmp(a->status, b->status, n * 8)
+        && !memcmp(a->exit_dir, b->exit_dir, n * 8) && !memcmp(a->steps, b->steps, n * 8)
+        && !memcmp(a->start, b->start, n * 8)
+        && (!a->vertices || !b->vertices || !memcmp(a->vertices, b->vertices, 3 * a->capacity * 8));
+}
+
+#define CHECK(cond, ...) do { if (!(cond)) { fprintf(stderr, __VA_ARGS__); fputc('\n', stderr); \
+                                             failed = 1; goto done; } } while (0)
+
+/* Every check for one world of n rows; returns 0 when all hold. */
+static int run(int64_t n)
+{
+    int failed = 0;
+    World seed = {n, 0, 0, fill(n, 8, 0), fill(n, 8, 0), NULL, NULL, NULL, NULL, fill(3 * n, 8, 0), NULL};
+    World ref = {0}, other = {0};
+    for (int64_t i = 0; i < n; i++) {
+        seed.home[i] = (int64_t)(uniform() * RANKS);
+        seed.remaining[i] = i % 7 == 3 ? 0 : (int64_t)(uniform() * 60); /* some rows take no step */
+        seed.capacity += seed.remaining[i] > 0 ? seed.remaining[i] : 0;
+        for (int a = 0; a < 3; a++) /* in the core, and inside the domain */
+            seed.pos[3 * i + a] = (origin[3 * seed.home[i] + a] + uniform() * (SPLIT - 1)) * spacing[a];
+    }
+    int64_t reach = rk4_reach(n, lattice, SX, SY, spacing, origin, core, seed.home, seed.pos);
+    CHECK(reach == -1, "n=%ld: rk4_reach found row %ld outside its reach", (long)n, (long)reach);
+
+    ref = advanced(&seed, 1, 1);
+    int64_t steps = 0;
+    for (int64_t i = 0; i < n; i++)
+        steps += ref.steps[i];
+    CHECK(ref.logged == steps, "n=%ld: logged %ld vertices for %ld steps", (long)n, (long)ref.logged, (long)steps);
+    for (int64_t workers = 1; workers <= 4; workers++)
+        for (int log = 0; log <= 1; log++) {
+            other = advanced(&seed, workers, log);
+            CHECK(same(&ref, &other), "n=%ld: %ld workers, log %d differ from one worker", (long)n, (long)workers,
+                  log);
+            release(&other), memset(&other, 0, sizeof other);
+        }
+
+    if (n) {
+        int64_t row = n / 2, lo = origin[3 * seed.home[row]] - 1;
+        seed.capacity += 5 - (seed.remaining[row] > 0 ? seed.remaining[row] : 0);
+        seed.remaining[row] = 5;
+        seed.pos[3 * row] = (lo - 0.5) * spacing[0]; /* half a cell below its sampling extent */
+        reach = rk4_reach(n, lattice, SX, SY, spacing, origin, core, seed.home, seed.pos);
+        CHECK(reach == row, "n=%ld: rk4_reach returned %ld, not row %ld", (long)n, (long)reach, (long)row);
+        other = advanced(&seed, 2, 1);
+        CHECK(other.logged == -2 && !memcmp(other.pos, seed.pos, 3 * n * 8), "n=%ld: a start outside its reach "
+              "returned %ld or moved a row", (long)n, (long)other.logged);
+        release(&other), memset(&other, 0, sizeof other);
+        seed.pos[3 * row] = origin[3 * seed.home[row]] * spacing[0];
+        seed.capacity -= 1;
+        other = advanced(&seed, 2, 1);
+        CHECK(other.logged == -1 && !memcmp(other.pos, seed.pos, 3 * n * 8), "n=%ld: a log one vertex short "
+              "returned %ld or moved a row", (long)n, (long)other.logged);
+    }
+done:
+    release(&seed), release(&ref), release(&other);
+    return failed;
+}
+
+int main(void)
+{
+    for (int a = 0; a < 3; a++)
+        spacing[a] = 1.0 / (RES - 1);
+    for (int r = 0; r < RANKS; r++)
+        for (int a = 0; a < 3; a++) {
+            origin[3 * r + a] = (r >> a & 1) * SPLIT;
+            core[3 * r + a] = SPLIT;
+        }
+    for (int i = 0; i < RES + 2; i++) /* an ABC flow, with the ghost layer a copy of the edge nodes */
+        for (int j = 0; j < RES + 2; j++)
+            for (int k = 0; k < RES + 2; k++) {
+                double x = (i < 1 ? 0 : i > RES ? RES - 1 : i - 1) * spacing[0];
+                double y = (j < 1 ? 0 : j > RES ? RES - 1 : j - 1) * spacing[1];
+                double z = (k < 1 ? 0 : k > RES ? RES - 1 : k - 1) * spacing[2];
+                double *v = lattice + 3 * (i * SX + j * SY + k), t = 2.0 * M_PI;
+                v[0] = sin(t * z) + 0.8 * cos(t * y);
+                v[1] = 0.9 * sin(t * x) + cos(t * z);
+                v[2] = 0.8 * sin(t * y) + 0.9 * cos(t * x);
+            }
+    const int64_t bases[] = {0, rk4_chunk, rk4_lanes * rk4_chunk, 2 * rk4_lanes * rk4_chunk,
+                             4 * rk4_lanes * rk4_chunk};
+    int failed = 0;
+    for (size_t b = 0; b < sizeof bases / sizeof bases[0]; b++)
+        for (int64_t d = -1; d <= 1; d++)
+            if (bases[b] + d >= 0)
+                failed |= run(bases[b] + d);
+    return failed;
+}

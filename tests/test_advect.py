@@ -5,6 +5,7 @@ import os
 import signal
 import subprocess
 import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -205,6 +206,11 @@ def kernel_sample(block, home, points):
     return out
 
 
+def kernel_reach(block, home, points):
+    """The kernel's reach test: the first row of ``points`` outside its home's sampling extent, or -1."""
+    return advect.KERNEL.rk4_reach(*kernel_bounds(block, home), np.ascontiguousarray(points, np.float64).ctypes)
+
+
 def first_bad_stage(block, pos, h):
     """Per row, 2, 3 or 4 for the first stage point of a step from ``pos`` outside the sampling extent, else 0."""
     stage = np.zeros(len(pos), dtype=np.int64)
@@ -314,6 +320,34 @@ class TestKernelEqualsReference:
         got = kernel_sample(block, pset.home, (top * block.spacing)[np.newaxis])
         assert got.tobytes() == block.sample_clamped((top * block.spacing)[np.newaxis]).tobytes()
         np.testing.assert_array_equal(got[0], block.lattice[tuple(top + 1)])
+
+    def test_reach_is_the_first_row_the_reference_mask_rejects(self):
+        # 33 nodes per axis: spacing 1/32, so g = p / spacing is exact
+        rng = np.random.default_rng(3)
+        table, pset = random_world(rng, 24, 33, shared=True)
+        lo, hi = (b * table.spacing for b in row_bounds(table, pset.home).sample_bounds())
+        faces = []  # one float inside, on and one float outside each face of each row's extent
+        for a in range(3):
+            for bound, outward in ((lo[:, a], -np.inf), (hi[:, a], np.inf)):
+                for p_a in (np.nextafter(bound, -outward), bound, np.nextafter(bound, outward)):
+                    p = (lo + hi) / 2
+                    p[:, a] = p_a
+                    faces.append(p)
+        random = lo - table.spacing + rng.random(lo.shape) * (hi - lo + 2 * table.spacing)
+        home = np.tile(pset.home, len(faces) + 1)
+        points = np.concatenate(faces + [random])
+        reached = row_bounds(table, home).samplable_mask(points)
+        assert reached.sum() == 2 * 6 * len(pset) + reached[-len(pset):].sum() and not reached[-len(pset):].all()
+        for i in range(len(points)):  # each point alone
+            assert kernel_reach(table, home[i:i + 1], points[i:i + 1]) == (-1 if reached[i] else 0)
+        inside = np.flatnonzero(reached)
+        assert kernel_reach(table, home[inside], points[inside]) == -1
+        for _ in range(20):  # the reached rows with one rejected row among them, then any order of every row
+            rows = np.insert(inside, k := rng.integers(0, inside.size + 1), rng.choice(np.flatnonzero(~reached)))
+            assert kernel_reach(table, home[rows], points[rows]) == k
+            rows = rng.permutation(len(points))
+            assert kernel_reach(table, home[rows], points[rows]) == np.argmin(reached[rows])
+        assert kernel_reach(table, home[:0], points[:0]) == -1
 
 
 def kernel_arrays(pos, remaining):
@@ -516,6 +550,18 @@ class TestKernelBuild:
                    "-o", str(tmp_path / "rk4.so"), "-lm"]
         done = subprocess.run(command, capture_output=True, text=True)
         assert done.returncode == 0, done.stderr
+
+    @pytest.mark.parametrize("sanitizers", ["thread", "address,undefined"])
+    def test_kernel_runs_clean_under_sanitizers(self, tmp_path, sanitizers):
+        # tests/rk4_harness.c drives rk4_advance on 1-4 workers and rk4_reach; any race, bad access,
+        # leak or undefined behaviour, or a check of its own, exits non-zero
+        harness = tmp_path / "harness"
+        command = ["gcc", "-g", "-O1", "-pthread", f"-fsanitize={sanitizers}", "-fno-sanitize-recover=all",
+                   str(Path(__file__).with_name("rk4_harness.c")), str(KERNEL_SOURCE), "-o", str(harness), "-lm"]
+        built = subprocess.run(command, capture_output=True, text=True)
+        assert built.returncode == 0, built.stderr
+        done = subprocess.run([str(harness)], capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0 and not done.stderr, done.stderr
 
     def test_cache_key_follows_source_and_flags(self):
         source = KERNEL_SOURCE.read_bytes()

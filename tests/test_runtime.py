@@ -350,6 +350,17 @@ class TestDeterminismAndInvariants:
         with pytest.raises(InvariantError, match=f"{holder} particle outside its block's reach"):
             sim.run_round(1)
 
+    def test_a_row_outside_its_reach_is_an_invariant_error_in_a_round_that_does_not_select_it(self):
+        # the kernel checks the rows it advances; the containability check reads every row
+        sim = self.centre_rank_at(np.full(3, 16.0))
+        sim.ppr = 1
+        outside = np.array([np.nextafter(22.0, np.inf), 16.0, 16.0]) * sim.blocks.spacing
+        sim.particles = concat_particles([sim.particles, particles_at([outside], 5, 13, start_id=1)])
+        sim.seed_count = 2
+        assert sim._queue().tolist() == [0, 1]  # one round advances row 0 only
+        with pytest.raises(InvariantError, match="home particle outside its block's reach"):
+            sim.run_round(1)
+
     @pytest.mark.parametrize("bound", [10.0, 22.0], ids=["lo", "hi"])
     def test_a_row_on_its_home_blocks_closed_sampling_bound_is_containable(self, bound):
         sim = self.centre_rank_at(np.full(3, bound))
