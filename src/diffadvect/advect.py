@@ -23,9 +23,9 @@ it, so the accepted vertex sequence of a particle is independent of the
 decomposition; hand-offs and loans only change which rank performs each step.
 
 The kernel writes ``status``, ``exit_dir``, ``pos``, ``remaining``,
-``steps`` and ``start`` in place. It performs the operations of the numpy
-reference (:func:`_block_step`, :meth:`Block.sample_clamped`) in their order,
-so the two agree bit for bit:
+``steps`` and ``start`` in place. Each of its float operations is one of the
+numpy reference's (:func:`_block_step`, :meth:`Block.sample_clamped`), in
+their order, so the two agree bit for bit:
 ``g = p / spacing``; the cell ``floor(g)`` clamped to
 ``[origin - 1, origin + core - 1]`` and ``frac = g - cell``; the z, then y,
 then x lerps, each ``(1 - f) * a + f * b``; stage points ``p + (h/2) * k``
@@ -34,10 +34,14 @@ and ``p + (h/6) * (((k1 + 2*k2) + 2*k3) + k4)``; the sampling test
 test ``0 <= x <= 1``; the exit direction is the first maximum of
 ``(lo0 - g0, g0 - hi0, lo1 - g1, ...)`` over the faces the point is outside
 of, strictly below ``lo`` or on or above ``hi``, so a point on a lower face
-never ties with the upper face it crossed. Importing this module builds it with
-gcc ``-O3 -ffp-contract=off`` (no fast-math, no fused multiply-add, no
-``-march``) into this package's ``__pycache__``, under a name keyed by the
-SHA-256 of the source and flags, and loads it.
+never ties with the upper face it crossed. A point's x, y and z go through
+each operation together, as one 4-wide vector whose spare lane feeds no
+decision and no output; the cell and the tests stay scalar. Importing this
+module builds it with gcc ``-O3 -ffp-contract=off`` (no fast-math, no fused
+multiply-add, no ``-m`` flag) into this package's ``__pycache__``, under a name
+keyed by the SHA-256 of the source and flags, and loads it. Each worker runs
+its AVX build where the CPU has AVX, else its default build, which on x86 is
+two to three times slower.
 
 The kernel runs on one worker per CPU this process may run on
 (``os.sched_getaffinity``, so ``taskset`` limits it), but on no more than one
@@ -283,21 +287,13 @@ def kernel_bounds(block: Block, home) -> tuple:
     """The kernel's ``n, lattice, sx, sy, spacing, origin, core, home`` arguments for rows of homes ``home``.
 
     Each row reads ``block``'s ``(ranks, 3)`` table at its home, which must be
-    a row of it; a single extent is a one-row table. Each array is passed as
-    its ``ctypes`` view, which holds the array alive through the call.
+    a row of it; a single extent is a one-row table. Only ``home`` is checked
+    here: the block's arguments are its :attr:`~Block.kernel_table`, checked once.
     """
-    lattice = block.lattice
-    origin, core = (np.ascontiguousarray(a, dtype=np.int64).reshape(-1, 3) for a in (block.origin, block.core_dims))
     home = np.zeros(len(home), np.int64) if block.origin.ndim == 1 else np.ascontiguousarray(home, dtype=np.int64)
-    if not (lattice.dtype == np.float64 and lattice.flags.c_contiguous and lattice.ndim == 4
-            and lattice.shape[3] == 3 and origin.shape == core.shape and (origin >= 0).all() and (core >= 1).all()
-            and (origin + core <= np.array(lattice.shape[:3]) - 2).all() and (home >= 0).all()
-            and (home < len(origin)).all()):
-        raise InvariantError("block bounds outside a C-contiguous (x, y, z, 3) float64 padded lattice, "
-                             "or a home outside the bounds table")
-    spacing = np.ascontiguousarray(block.spacing, dtype=np.float64).reshape(3)
-    _, py, pz, _ = lattice.shape
-    return len(home), lattice.ctypes, py * pz, pz, spacing.ctypes, origin.ctypes, core.ctypes, home.ctypes
+    if not ((home >= 0).all() and (home < len(block.origin)).all()):
+        raise InvariantError("a home outside the bounds table")
+    return len(home), *block.kernel_table, home.ctypes
 
 
 def integrate_group(block: Block, pset: ParticleSet, log: np.ndarray | None, h: float,

@@ -30,10 +30,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field as dc_field
+from functools import cached_property
 
 import numpy as np
 
-from .errors import ConfigError, DomainError, OutOfBlockError
+from .errors import ConfigError, DomainError, InvariantError, OutOfBlockError
 
 FIELD_KINDS = ("abc", "jets", "toroidal")
 
@@ -224,6 +225,21 @@ class Block:
     spacing: np.ndarray
     origin: np.ndarray
     core_dims: np.ndarray
+
+    @cached_property
+    def kernel_table(self) -> tuple:
+        """The RK4 kernel's ``lattice, sx, sy, spacing, origin, core`` arguments, as ``ctypes`` views that hold
+        their arrays alive: checked, once, that the lattice is a C-contiguous ``(x, y, z, 3)`` float64 array
+        holding each core and its ghost layer."""
+        lattice = self.lattice
+        origin, core = (np.ascontiguousarray(a, dtype=np.int64).reshape(-1, 3) for a in (self.origin, self.core_dims))
+        if not (lattice.dtype == np.float64 and lattice.flags.c_contiguous and lattice.ndim == 4
+                and lattice.shape[3] == 3 and origin.shape == core.shape and (origin >= 0).all() and (core >= 1).all()
+                and (origin + core <= np.array(lattice.shape[:3]) - 2).all()):
+            raise InvariantError("block bounds outside a C-contiguous (x, y, z, 3) float64 padded lattice")
+        spacing = np.ascontiguousarray(self.spacing, dtype=np.float64).reshape(3)
+        _, py, pz, _ = lattice.shape
+        return lattice.ctypes, py * pz, pz, spacing.ctypes, origin.ctypes, core.ctypes
 
     def sample_bounds(self):
         """g-space ``(lo, hi)`` of the sampling extent; ``hi`` is included."""

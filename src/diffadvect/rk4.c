@@ -4,12 +4,18 @@
  * operation is the one numpy performs in advect._block_step and
  * field.Block.sample_clamped, in the same order, so the results are
  * bit-identical to them when built with -O3 -ffp-contract=off and no
- * fast-math. Each point is divided by the spacing once, and its g-space
- * position is both tested and sampled. Row i reads its block bounds, int64
- * (origin, core dims) of three, at 3 * home[i] of one table of rank rows.
- * One test, reaches(), decides whether a point lies in its block's reach, the
- * closed sampling extent [origin - 1, origin + core]: for rk4_advance's starts
- * and stage points, and in rk4_reach, the simulator's containability check.
+ * fast-math. A point's x, y and z are one 4-wide vector (v4d), whose spare
+ * lane feeds no decision and no output: a vector operation is numpy's
+ * per-component one, three times over. It runs over the components, not the
+ * lanes below, because a node's (vx, vy, vz) are adjacent: a sample's 8
+ * corners are 8 contiguous loads, where 4 points would need 24 scattered
+ * ones. A sample's cell and a position's tests stay scalar. Each point is
+ * divided by the spacing once, and its g-space position is both tested and
+ * sampled. Row i reads its block bounds, int64 (origin, core dims) of three,
+ * at 3 * home[i] of one table of rank rows. One test, reaches(), decides
+ * whether a point lies in its block's reach, the closed sampling extent
+ * [origin - 1, origin + core]: for rk4_advance's starts and stage points, and
+ * in rk4_reach, the simulator's containability check.
  *
  * rk4_advance runs on up to `workers` workers, and on no more than one per
  * LANES chunks: the calling thread plus helper threads it starts for the
@@ -22,18 +28,21 @@
  * run per row, into its own region of the log, which starts at the summed
  * budgets of the rows before the chunk, and each row reports the slot where
  * its run starts, so what the log holds and where does not depend on which
- * lane ran a chunk. A worker's lanes live on its own stack,
- * so no two workers write the same lane state. Helpers block every signal,
- * so signals reach the caller, and each is pinned to a CPU of the caller's
- * affinity mask other than the one the caller runs on: unpinned, a helper
- * can stay on the caller's CPU and add nothing. A helper that fails to start
- * leaves its chunks to the other workers.
+ * lane ran a chunk. A worker's lanes live on its own stack, so no two
+ * workers write the same lane state. Helpers block every signal, so signals
+ * reach the caller, and each is pinned to a CPU of the caller's affinity
+ * mask other than the one the caller runs on: unpinned, a helper can stay on
+ * the caller's CPU and add nothing. A helper that fails to start leaves its
+ * chunks to the other workers. A worker runs the AVX build of its body where
+ * the CPU has AVX (no FMA, which would round unlike numpy), else the default
+ * build, which on x86 is two to three times slower.
  */
 #define _GNU_SOURCE
 #include <pthread.h>
 #include <sched.h>
 #include <signal.h>
 #include <stdint.h>
+#include <string.h>
 
 #define LANES 4         /* rows one worker advances together */
 #define CHUNK 16        /* rows a lane claims at a time */
@@ -46,49 +55,62 @@ enum { LOG_FULL = -1, START_OUTSIDE = -2 };
 /* The lane count and chunk size, read by advect.LANES and advect.CHUNK. */
 const int64_t rk4_lanes = LANES, rk4_chunk = CHUNK;
 
+/* x, y, z and the spare lane. A vector passes by pointer, or within the always_inline helpers: passed or
+ * returned by value, its ABI would differ between the two builds of the worker. */
+typedef double v4d __attribute__((vector_size(32)));
+#define INLINE static inline __attribute__((always_inline))
+
+/* The three doubles at p as x, y and z, with `spare` in the spare lane; and x, y and z back to p. */
+INLINE void load3(const double *p, double spare, v4d *v) { *v = (v4d){p[0], p[1], p[2], spare}; }
+INLINE void store3(const v4d *v, double *p) { p[0] = (*v)[0], p[1] = (*v)[1], p[2] = (*v)[2]; }
+
 /* Trilinear sample at g-space g of the lattice with flat node strides sx, sy (z is 1): the cell
- * floor(g), truncated then corrected, is clamped to [origin - 1, origin + core - 1]; z, y, x lerps. */
-static inline void trilinear(const double *lattice, int64_t sx, int64_t sy,
-                             const int64_t *origin, const int64_t *core, const double *g, double *out)
+ * floor(g), truncated then corrected, is clamped to [origin - 1, origin + core - 1]; z, y, x lerps.
+ * Within reach, correction and clamp move the truncation only below 0 and on the extent's top face,
+ * so they run in a rarely taken branch, off the dependency chain from g to the loads.
+ * The clamp and the table's check origin + core <= shape - 2 (field.Block.kernel_table) keep every
+ * corner in the lattice. A corner's 4-wide load takes the next node's x into its spare lane, which is
+ * in the lattice too, since the last corner follows every other; the last can be the lattice's last
+ * node (in the top cell of a rank whose core ends at the ghost layer), so it loads its 3 components. */
+INLINE void trilinear(const double *lattice, int64_t sx, int64_t sy, const int64_t *origin,
+                      const int64_t *core, const v4d *g, v4d *out)
 {
     const int64_t stride[3] = {sx, sy, 1};
     int64_t node = sx + sy + 1; /* the ghost layer shifts node (i, j, k) by one per axis */
     double f[3];
     for (int a = 0; a < 3; a++) {
-        int64_t cell = (int64_t)g[a];
-        cell -= (double)cell > g[a];
-        int64_t lo = origin[a] - 1, top = origin[a] + core[a] - 1;
-        cell = cell < lo ? lo : cell;
-        cell = cell > top ? top : cell;
-        f[a] = g[a] - (double)cell;
+        int64_t cell = (int64_t)(*g)[a], lo = origin[a] - 1, top = origin[a] + core[a] - 1;
+        double t = (double)cell;
+        if (__builtin_expect(t > (*g)[a] || cell < lo || cell > top, 0)) {
+            cell -= t > (*g)[a];
+            cell = cell < lo ? lo : cell;
+            cell = cell > top ? top : cell;
+            t = (double)cell;
+        }
+        f[a] = (*g)[a] - t;
         node += cell * stride[a];
     }
     const double fx = f[0], fy = f[1], fz = f[2];
     const double *c = lattice + 3 * node;
     const int64_t y = 3 * sy, x = 3 * sx;
-    for (int d = 0; d < 3; d++, c++) {
-        double c00 = (1.0 - fz) * c[0] + fz * c[3];
-        double c01 = (1.0 - fz) * c[y] + fz * c[y + 3];
-        double c10 = (1.0 - fz) * c[x] + fz * c[x + 3];
-        double c11 = (1.0 - fz) * c[x + y] + fz * c[x + y + 3];
-        double c0 = (1.0 - fy) * c00 + fy * c01;
-        double c1 = (1.0 - fy) * c10 + fy * c11;
-        out[d] = (1.0 - fx) * c0 + fx * c1;
-    }
-}
-
-/* The g-space position of p. */
-static inline void to_g(const double *p, const double *spacing, double *g)
-{
-    for (int a = 0; a < 3; a++)
-        g[a] = p[a] / spacing[a];
+    v4d n000, n001, n010, n011, n100, n101, n110, n111; /* unaligned loads of 4 doubles, bar the last */
+    memcpy(&n000, c, 32), memcpy(&n001, c + 3, 32), memcpy(&n010, c + y, 32), memcpy(&n011, c + y + 3, 32);
+    memcpy(&n100, c + x, 32), memcpy(&n101, c + x + 3, 32), memcpy(&n110, c + x + y, 32);
+    load3(c + x + y + 3, 0.0, &n111);
+    v4d c00 = (1.0 - fz) * n000 + fz * n001;
+    v4d c01 = (1.0 - fz) * n010 + fz * n011;
+    v4d c10 = (1.0 - fz) * n100 + fz * n101;
+    v4d c11 = (1.0 - fz) * n110 + fz * n111;
+    v4d c0 = (1.0 - fy) * c00 + fy * c01;
+    v4d c1 = (1.0 - fy) * c10 + fy * c11;
+    *out = (1.0 - fx) * c0 + fx * c1;
 }
 
 /* 1 if lo <= g <= hi (closed) or lo <= g < hi (half open) on every axis. */
-static inline int inside(const double *g, const int64_t *lo, const int64_t *hi, int closed)
+INLINE int inside(const v4d *g, const int64_t *lo, const int64_t *hi, int closed)
 {
     for (int a = 0; a < 3; a++)
-        if (!(g[a] >= (double)lo[a] && (closed ? g[a] <= (double)hi[a] : g[a] < (double)hi[a])))
+        if (!((*g)[a] >= (double)lo[a] && (closed ? (*g)[a] <= (double)hi[a] : (*g)[a] < (double)hi[a])))
             return 0;
     return 1;
 }
@@ -96,14 +118,14 @@ static inline int inside(const double *g, const int64_t *lo, const int64_t *hi, 
 /* The first maximum of the overshoots (lo0 - g0, g0 - hi0, lo1 - g1, ...) over the faces that g is
  * outside of: strictly below lo, or on or above hi. A point on a lower face is inside it, so it never
  * ties with the upper face it crossed. */
-static int64_t exit_direction(const double *g, const int64_t *lo, const int64_t *hi)
+static int64_t exit_direction(const v4d *g, const int64_t *lo, const int64_t *hi)
 {
     int64_t best = -1;
     double top = -1.0; /* every outside face overshoots by >= 0 */
     for (int k = 0; k < 6; k++) {
         int a = k / 2;
-        double over = (k & 1) ? g[a] - (double)hi[a] : (double)lo[a] - g[a];
-        int outside = (k & 1) ? g[a] >= (double)hi[a] : g[a] < (double)lo[a];
+        double over = (k & 1) ? (*g)[a] - (double)hi[a] : (double)lo[a] - (*g)[a];
+        int outside = (k & 1) ? (*g)[a] >= (double)hi[a] : (*g)[a] < (double)lo[a];
         if (outside && over > top) {
             top = over;
             best = k;
@@ -121,10 +143,11 @@ static inline void extent(const int64_t *origin, const int64_t *core, int64_t ho
     }
 }
 
-/* 1 if p, whose g-space position it writes to g, lies in the closed extent [lo, hi]. */
-static inline int reaches(const double *p, const double *spacing, const int64_t *lo, const int64_t *hi, double *g)
+/* 1 if p, whose g-space position p / spacing it writes to g, lies in the closed extent [lo, hi]. The
+ * spacing holds 1.0 in its spare lane. */
+INLINE int reaches(const v4d *p, const v4d *spacing, const int64_t *lo, const int64_t *hi, v4d *g)
 {
-    to_g(p, spacing, g);
+    *g = *p / *spacing;
     return inside(g, lo, hi, 1);
 }
 
@@ -134,31 +157,37 @@ int64_t rk4_reach(int64_t n, const double *lattice, int64_t sx, int64_t sy, cons
                   const int64_t *origin, const int64_t *core, const int64_t *home, const double *points)
 {
     (void)lattice, (void)sx, (void)sy;
+    v4d step, p, g;
+    load3(spacing, 1.0, &step);
     for (int64_t i = 0; i < n; i++) {
         int64_t lo[3], hi[3];
-        double g[3];
         extent(origin, core, home[i], lo, hi);
-        if (!reaches(points + 3 * i, spacing, lo, hi, g))
+        load3(points + 3 * i, 0.0, &p);
+        if (!reaches(&p, &step, lo, hi, &g))
             return i;
     }
     return -1;
 }
 
-/* Sample n points, each against its home's row of bounds. */
+/* Sample n points, each against its home's row of bounds, with the default build of the workers' sampler. */
 void rk4_sample(int64_t n, const double *lattice, int64_t sx, int64_t sy, const double *spacing,
                 const int64_t *origin, const int64_t *core, const int64_t *home, const double *points, double *out)
 {
+    v4d step, p, g, v;
+    load3(spacing, 1.0, &step);
     for (int64_t i = 0; i < n; i++) {
-        double g[3];
-        to_g(points + 3 * i, spacing, g);
-        trilinear(lattice, sx, sy, origin + 3 * home[i], core + 3 * home[i], g, out + 3 * i);
+        load3(points + 3 * i, 0.0, &p);
+        g = p / step;
+        trilinear(lattice, sx, sy, origin + 3 * home[i], core + 3 * home[i], &g, &v);
+        store3(&v, out + 3 * i);
     }
 }
 
 /* One call's arguments, which every worker reads from its own copy, and the shared chunk counter. */
 typedef struct {
+    v4d spacing; /* 1.0 in the spare lane */
     int64_t n, chunks, sx, sy;
-    const double *lattice, *spacing;
+    const double *lattice;
     const int64_t *origin, *core, *home;
     double h;
     double *pos, *vertices;
@@ -177,7 +206,7 @@ typedef struct {
     int64_t chunk, row, end, slot, logged, taken; /* taken: the row's accepted steps so far */
     const int64_t *origin, *core;
     int64_t core_hi[3], sample_lo[3];
-    double p[3], g[3], k[4][3];    /* g: p's g-space position, or the rejected stage point's */
+    v4d p, g, k[4];                /* g: p's g-space position, or the rejected stage point's */
     int rejected;
 } Lane;
 
@@ -197,9 +226,8 @@ static int next_row(Lane *lane, const Call *c)
             lane->origin = c->origin + 3 * c->home[i];
             lane->core = c->core + 3 * c->home[i];
             extent(c->origin, c->core, c->home[i], lane->sample_lo, lane->core_hi);
-            for (int a = 0; a < 3; a++)
-                lane->p[a] = c->pos[3 * i + a];
-            to_g(lane->p, c->spacing, lane->g);
+            load3(c->pos + 3 * i, 0.0, &lane->p);
+            lane->g = lane->p / c->spacing;
             lane->taken = 0;
             return 1;
         }
@@ -215,10 +243,10 @@ static int next_row(Lane *lane, const Call *c)
 }
 
 /* One worker: its LANES lanes advance one row each, stage by stage, until no chunk is left. */
-static void advance(const Call *c)
+INLINE void work(const Call *c)
 {
     const double h = c->h, half = h / 2.0, sixth = h / 6.0;
-    const double *lattice = c->lattice, *spacing = c->spacing;
+    const double *lattice = c->lattice;
     const int64_t sx = c->sx, sy = c->sy;
     Lane lanes[LANES];
     int live[LANES];
@@ -234,7 +262,7 @@ static void advance(const Call *c)
                 continue;
             Lane *lane = &lanes[l];
             any = 1;
-            trilinear(lattice, sx, sy, lane->origin, lane->core, lane->g, lane->k[0]);
+            trilinear(lattice, sx, sy, lane->origin, lane->core, &lane->g, &lane->k[0]);
             lane->rejected = 0;
         }
         if (!any)
@@ -245,11 +273,9 @@ static void advance(const Call *c)
                 Lane *lane = &lanes[l];
                 if (!live[l] || lane->rejected)
                     continue;
-                double s[3];
-                for (int a = 0; a < 3; a++)
-                    s[a] = lane->p[a] + scale * lane->k[stage - 1][a];
-                if (reaches(s, spacing, lane->sample_lo, lane->core_hi, lane->g))
-                    trilinear(lattice, sx, sy, lane->origin, lane->core, lane->g, lane->k[stage]);
+                v4d s = lane->p + scale * lane->k[stage - 1];
+                if (reaches(&s, &c->spacing, lane->sample_lo, lane->core_hi, &lane->g))
+                    trilinear(lattice, sx, sy, lane->origin, lane->core, &lane->g, &lane->k[stage]);
                 else
                     lane->rejected = 1;
             }
@@ -261,39 +287,33 @@ static void advance(const Call *c)
             int64_t i = lane->row, event = 0;
             if (lane->rejected) {
                 event = STATUS_OOB;
-                c->exit_dir[i] = exit_direction(lane->g, lane->sample_lo, lane->core_hi);
+                c->exit_dir[i] = exit_direction(&lane->g, lane->sample_lo, lane->core_hi);
             } else {
-                double q[3];
+                v4d q = lane->p + sixth * (((lane->k[0] + 2.0 * lane->k[1]) + 2.0 * lane->k[2]) + lane->k[3]);
                 int in_domain = 1;
-                for (int a = 0; a < 3; a++) {
-                    q[a] = lane->p[a] + sixth * (((lane->k[0][a] + 2.0 * lane->k[1][a]) + 2.0 * lane->k[2][a])
-                                                 + lane->k[3][a]);
+                for (int a = 0; a < 3; a++)
                     in_domain &= q[a] >= 0.0 && q[a] <= 1.0;
-                }
                 if (!in_domain) { /* before the core test: the one way out of the domain */
                     event = STATUS_EXITED;
                 } else {
                     if (c->vertices)
-                        for (int a = 0; a < 3; a++)
-                            c->vertices[3 * lane->slot + a] = q[a];
+                        store3(&q, c->vertices + 3 * lane->slot);
                     lane->slot++;
-                    for (int a = 0; a < 3; a++)
-                        lane->p[a] = q[a];
+                    lane->p = q;
                     if (++lane->taken == c->remaining[i]) {
                         event = STATUS_TERMINATED;
                     } else {
-                        to_g(lane->p, spacing, lane->g);
-                        if (!inside(lane->g, lane->origin, lane->core_hi, 0)) {
+                        lane->g = lane->p / c->spacing;
+                        if (!inside(&lane->g, lane->origin, lane->core_hi, 0)) {
                             event = STATUS_OOB;
-                            c->exit_dir[i] = exit_direction(lane->g, lane->origin, lane->core_hi);
+                            c->exit_dir[i] = exit_direction(&lane->g, lane->origin, lane->core_hi);
                         }
                     }
                 }
             }
             if (event) {
                 c->status[i] = event;
-                for (int a = 0; a < 3; a++)
-                    c->pos[3 * i + a] = lane->p[a];
+                store3(&lane->p, c->pos + 3 * i);
                 c->steps[i] += lane->taken;
                 c->remaining[i] -= lane->taken;
                 lane->row++;
@@ -305,6 +325,25 @@ static void advance(const Call *c)
     for (int l = 0; l < LANES; l++)
         logged += lanes[l].logged;
     __atomic_fetch_add(c->logged, logged, __ATOMIC_RELAXED);
+}
+
+#if defined(__x86_64__)
+__attribute__((target("avx"))) static void advance_avx(const Call *c)
+{
+    work(c);
+}
+#endif
+
+/* One worker: the AVX build where the CPU has AVX, else the default build. */
+static void advance(const Call *c)
+{
+#if defined(__x86_64__)
+    __builtin_cpu_init();
+    if (__builtin_cpu_supports("avx"))
+        advance_avx(c);
+    else
+#endif
+        work(c);
 }
 
 static void *helper(void *shared)
@@ -358,15 +397,17 @@ int64_t rk4_advance(int64_t n, const double *lattice, int64_t sx, int64_t sy, co
                     double *vertices, int64_t capacity, int64_t *start, int64_t workers)
 {
     int64_t budget = 0, chunks = (n + CHUNK - 1) / CHUNK;
+    v4d step, p, g;
+    load3(spacing, 1.0, &step);
     for (int64_t i = 0; i < n; i++) {
         if (i % CHUNK == 0)
             start[i] = budget; /* the chunk's base */
         if (remaining[i] <= 0)
             continue;
         int64_t lo[3], hi[3];
-        double g[3];
         extent(origin, core, home[i], lo, hi);
-        if (!reaches(pos + 3 * i, spacing, lo, hi, g))
+        load3(pos + 3 * i, 0.0, &p);
+        if (!reaches(&p, &step, lo, hi, &g))
             return START_OUTSIDE;
         budget += remaining[i];
     }
@@ -374,7 +415,7 @@ int64_t rk4_advance(int64_t n, const double *lattice, int64_t sx, int64_t sy, co
         return LOG_FULL;
 
     Counter counter = {0, 0};
-    const Call call = {n, chunks, sx, sy, lattice, spacing, origin, core, home, h, pos, vertices,
+    const Call call = {step, n, chunks, sx, sy, lattice, origin, core, home, h, pos, vertices,
                        remaining, status, exit_dir, steps, start, &counter.next, &counter.logged};
     /* a helper costs about 0.2 ms to start and wake, so each worker's lanes get a chunk apiece */
     workers = workers < chunks / LANES ? workers : chunks / LANES;

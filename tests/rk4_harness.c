@@ -4,7 +4,9 @@
  *     gcc -g -O1 -pthread -fsanitize=thread -fno-sanitize-recover=all \
  *         tests/rk4_harness.c src/diffadvect/rk4.c -o harness -lm && ./harness
  * and again with -fsanitize=address,undefined. For row counts around the CHUNK and LANES * CHUNK
- * boundaries it checks, against one worker with curves on:
+ * boundaries, and for one world whose rows start in the last rank's top cell, where a sample's last
+ * corner is the lattice's last node (so a load past the lattice's end fails under ASAN), it checks,
+ * against one worker with curves on:
  *   - that 1 to 4 workers, with curves on and off, give the same outcome, starts, count and log;
  *   - that rk4_reach finds no start outside its reach, then the one row moved outside it;
  *   - that a start outside its reach, or a log one vertex short, is refused with nothing written.
@@ -91,18 +93,20 @@ static int same(const World *a, const World *b)
 #define CHECK(cond, ...) do { if (!(cond)) { fprintf(stderr, __VA_ARGS__); fputc('\n', stderr); \
                                              failed = 1; goto done; } } while (0)
 
-/* Every check for one world of n rows; returns 0 when all hold. */
-static int run(int64_t n)
+/* Every check for one world of n rows, which start in their home's core, or with `corner` in the last
+ * rank's top cell; returns 0 when all hold. */
+static int run(int64_t n, int corner)
 {
     int failed = 0;
     World seed = {n, 0, 0, fill(n, 8, 0), fill(n, 8, 0), NULL, NULL, NULL, NULL, fill(3 * n, 8, 0), NULL};
     World ref = {0}, other = {0};
     for (int64_t i = 0; i < n; i++) {
-        seed.home[i] = (int64_t)(uniform() * RANKS);
+        seed.home[i] = corner ? RANKS - 1 : (int64_t)(uniform() * RANKS);
         seed.remaining[i] = i % 7 == 3 ? 0 : (int64_t)(uniform() * 60); /* some rows take no step */
         seed.capacity += seed.remaining[i] > 0 ? seed.remaining[i] : 0;
-        for (int a = 0; a < 3; a++) /* in the core, and inside the domain */
-            seed.pos[3 * i + a] = (origin[3 * seed.home[i] + a] + uniform() * (SPLIT - 1)) * spacing[a];
+        for (int a = 0; a < 3; a++) /* in the core, and inside the domain; or in the top cell */
+            seed.pos[3 * i + a] = (corner ? RES - 1 + uniform()
+                                          : origin[3 * seed.home[i] + a] + uniform() * (SPLIT - 1)) * spacing[a];
     }
     int64_t reach = rk4_reach(n, lattice, SX, SY, spacing, origin, core, seed.home, seed.pos);
     CHECK(reach == -1, "n=%ld: rk4_reach found row %ld outside its reach", (long)n, (long)reach);
@@ -168,6 +172,6 @@ int main(void)
     for (size_t b = 0; b < sizeof bases / sizeof bases[0]; b++)
         for (int64_t d = -1; d <= 1; d++)
             if (bases[b] + d >= 0)
-                failed |= run(bases[b] + d);
-    return failed;
+                failed |= run(bases[b] + d, 0);
+    return failed | run(2 * rk4_lanes * rk4_chunk + 7, 1);
 }

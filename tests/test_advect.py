@@ -2,6 +2,7 @@ import ctypes
 import json
 import mmap
 import os
+import re
 import signal
 import subprocess
 import threading
@@ -321,6 +322,26 @@ class TestKernelEqualsReference:
         assert got.tobytes() == block.sample_clamped((top * block.spacing)[np.newaxis]).tobytes()
         np.testing.assert_array_equal(got[0], block.lattice[tuple(top + 1)])
 
+    def test_sampler_equals_sample_clamped_at_the_edges(self):
+        # Every face of each rank's closed extent, and g in (-1, 0), where floor is not truncation; the
+        # top cell of rank 1, whose core ends at the ghost layer, so its last corner is the lattice's last
+        # node; and -0.0, where numpy's frac is -0.0, so at node 0, which holds -0.0, the lerps' zeros
+        # keep their sign. rk4_sample runs the default build of the sampler that the AVX workers run.
+        res = 9  # spacing 1/8, so g = p / spacing is exact
+        lattice = np.random.default_rng(6).uniform(-1.0, 1.0, (res + 2,) * 3 + (3,))
+        lattice[1, 1, 1] = -0.0
+        lattice.setflags(write=False)
+        table = Block(lattice, lattice_spacing((res,) * 3), np.array([[0] * 3, [4] * 3]), np.array([[4] * 3, [5] * 3]))
+        assert (table.origin[1] + table.core_dims[1] == np.array(lattice.shape[:3]) - 2).all()
+        lo, hi = table.sample_bounds()
+        steps = np.stack(np.meshgrid(*[[0.0, 0.1, 0.5, 1.0]] * 3, indexing="ij"), axis=-1).reshape(-1, 3)
+        g = np.concatenate([lo[0] + steps * (hi[0] - lo[0]), lo[1] + steps * (hi[1] - lo[1]), res - 1 + steps,
+                            [[-0.0, -0.0, -0.0], [1.0, -0.0, 0.5]]])
+        home = np.repeat([0, 1, 1, 0], [64, 64, 64, 2])
+        points = g * table.spacing
+        assert (row_bounds(table, home).to_g(points) == g).all() and np.signbit(points[-2:]).sum() == 4
+        assert kernel_sample(table, home, points).tobytes() == row_bounds(table, home).sample_clamped(points).tobytes()
+
     def test_reach_is_the_first_row_the_reference_mask_rejects(self):
         # 33 nodes per axis: spacing 1/32, so g = p / spacing is exact
         rng = np.random.default_rng(3)
@@ -452,6 +473,15 @@ class TestLanes:
         with pytest.raises(InvariantError, match="a home outside the bounds table"):
             kernel_sample(block, pset.home, pset.pos)
 
+    def test_a_table_is_checked_once_and_a_bad_one_refused_on_every_call(self):
+        block, pset = random_world(np.random.default_rng(5), 2 * CHUNK + 1, 12, shared=True)
+        first, again = kernel_bounds(block, pset.home), kernel_bounds(block, pset.home[::-1])
+        assert all(a is b for a, b in zip(first[1:7], again[1:7]))  # the block's arguments are built once
+        bad = Block(block.lattice, block.spacing, block.origin, 13 - block.origin)  # each core ends past the ghost layer
+        for _ in range(2):
+            with pytest.raises(InvariantError, match="block bounds outside"):
+                kernel_bounds(bad, pset.home)
+
     @pytest.mark.skipif(not os.path.exists("/proc/self/smaps"), reason="needs Linux /proc/self/smaps")
     def test_log_is_resident_only_where_written(self):
         # a 49 MB log of which about 6 MB is written; huge pages would make whole 2 MB pages
@@ -575,7 +605,11 @@ class TestKernelBuild:
         # fused multiply-adds, fast-math reassociation and host-specific code generation would
         # each change the rounding of the numpy reference's operations
         assert "-ffp-contract=off" in KERNEL_FLAGS
-        assert not any(flag in ("-ffast-math", "-Ofast") or flag.startswith("-march") for flag in KERNEL_FLAGS)
+        assert not any(flag in ("-ffast-math", "-Ofast") or flag.startswith("-m") for flag in KERNEL_FLAGS)
+        # the one ISA the source asks for is AVX, which has no fused multiply-add (FMA3 came after it)
+        source = KERNEL_SOURCE.read_text()
+        assert re.findall(r"target\s*\(([^)]*)\)", source) == ['"avx"']
+        assert "fmadd" not in source and not re.search(r"\bfma\s*\(", source)
 
     def test_missing_compiler_is_named(self, tmp_path):
         with pytest.raises(ImportError, match="no-such-cc") as info:
