@@ -161,8 +161,8 @@ def select_particles(loads, sends) -> tuple[np.ndarray, list[np.ndarray]]:
 
     Positions count along the ranks' queues laid end to end in rank order,
     rank ``r``'s ``loads[r]`` long; the caller maps them to its rows. Every
-    queued particle is at home (the previous round's collect stage returned
-    every loan). Rank ``r`` lends the tail of its queue, ``sends[r].sum()``
+    queued particle is at home, since a loan lasts only the round that
+    makes it. Rank ``r`` lends the tail of its queue, ``sends[r].sum()``
     positions, a direction at a time: direction 0 takes the first run of the
     tail, direction 1 the next, and so on.
 

@@ -31,10 +31,11 @@ ROUND_BUFFER_CAP_BYTES = 1 << 29
 # Largest particle table a run may seed: seeds x SEED_BYTES, the peak resident
 # bytes per seed. A run of 2,097,152 seeds (abc, 128^3, stride 1, 2x2x2 gllma,
 # 1 iteration, curves off, on a 2-CPU Xeon with Python 3.11 and numpy 2.4)
-# peaked at 283.7 MiB in a fresh process, against 136.8 MiB at stride 2 and
-# 84.8 MiB at stride 8 (262,144 and 4,096 seeds): 84 and 100 B per seed, for
-# a 64 B table row. The Simulator is built at 212 MiB; round 1's compaction,
-# a gather of the 1.7M surviving rows one column at a time, sets the peak.
+# peaked at 276.9 MiB in a fresh process, against 135.2 MiB at stride 2 and
+# 85.0 MiB at stride 8 (262,144 and 4,096 seeds): 81 and 96 B per seed, for
+# a 56 B table row. The Simulator is built at 198 MiB; round 1's round info,
+# the lexsort of the whole table and the queue positions it ranks, sets the
+# peak.
 # The 2 GiB cap admits 17.9M seeds.
 SEED_TABLE_CAP_BYTES = 1 << 31
 SEED_BYTES = 120
@@ -275,14 +276,14 @@ def config_items(text: str) -> list[tuple]:
     return [setting_item(f"line {n}", line) for n, line in lines if line]
 
 
-def parse_config_text(text: str, base: RunConfig | None = None) -> RunConfig:
+def parse_config_text(text: str) -> RunConfig:
     """Parse flat ``key = value`` lines, raising one error that lists every bad line."""
-    config, problems = apply_settings(base if base is not None else RunConfig(), config_items(text))
+    config, problems = apply_settings(RunConfig(), config_items(text))
     if problems:
         raise ConfigError("invalid configuration file", errors=problems)
     return config
 
 
-def load_config_file(path, base: RunConfig | None = None) -> RunConfig:
+def load_config_file(path) -> RunConfig:
     with open(path, "r", encoding="utf-8") as fh:
-        return parse_config_text(fh.read(), base=base)
+        return parse_config_text(fh.read())

@@ -1,11 +1,12 @@
 """Struct-of-arrays particle storage.
 
 A :class:`ParticleSet` is a table of particle rows. ``home`` is the rank
-whose block a particle samples; ``holder`` is the rank that queues it; a
-particle held by a rank other than its home is on loan from its home.
-``seq`` is the FIFO key: a holder's queue is its rows in ``seq`` order, and
-a fresh set queues in id order. Selecting and concatenating rows keep their
-order; no result depends on it, since queues are ordered by ``seq``.
+whose block a particle samples and whose queue holds it between rounds.
+``seq`` is the FIFO key: a rank's queue is its rows in ``seq`` order, and a
+fresh set queues in id order. A loan lasts one round, so the table records
+none: the round that lends a row keeps its borrower in a column of its own.
+Selecting and concatenating rows keep their order; no result depends on it,
+since queues are ordered by ``seq``.
 """
 
 from __future__ import annotations
@@ -21,7 +22,6 @@ class ParticleSet:
     pos: np.ndarray
     remaining: np.ndarray
     home: np.ndarray
-    holder: np.ndarray
     seq: np.ndarray
 
     def __len__(self) -> int:
@@ -32,17 +32,15 @@ class ParticleSet:
         return ParticleSet.make([], np.empty((0, 3)), [], [])
 
     @staticmethod
-    def make(ids, pos, remaining, home, holder=None, seq=None) -> "ParticleSet":
-        """A set whose rows are held by their home and queue in id order, unless given."""
+    def make(ids, pos, remaining, home) -> "ParticleSet":
+        """A set whose rows queue at their home in id order."""
         ids = np.asarray(ids, dtype=np.int64)
-        home = np.asarray(home, dtype=np.int64)
         return ParticleSet(
             ids=ids,
             pos=np.asarray(pos, dtype=np.float64).reshape(ids.shape[0], 3),
             remaining=np.asarray(remaining, dtype=np.int64),
-            home=home,
-            holder=np.array(home if holder is None else holder, dtype=np.int64),
-            seq=np.array(ids if seq is None else seq, dtype=np.int64),
+            home=np.asarray(home, dtype=np.int64),
+            seq=ids.copy(),
         )
 
     def _columns(self):

@@ -2,11 +2,12 @@
 
 Every particle is a row of one :class:`ParticleSet`, seeded once in id order
 by :func:`seed_particles`, that carries its ``home`` rank, whose block it
-samples, its ``holder``, the rank that queues it, and its FIFO key ``seq``.
-A rank's queue is its held rows in ``seq`` order; rows stay where they are
-stored, and a stage that needs queue order computes it as one lexsort of
-``(holder, seq)``. A particle is on loan when its holder is not its home;
-only a face neighbor of its home may hold it.
+samples and whose queue holds it between rounds, and its FIFO key ``seq``.
+A rank's queue is its rows in ``seq`` order; rows stay where they are
+stored, and a stage that needs queue order computes it as one lexsort.
+A loan lasts one round: the round copies ``home`` into its own ``holder``
+column, whose entry differs from ``home`` only on the rows lent to a face
+neighbor, and drops that column once the round's rows are selected.
 
 Topology is two tables: ``neighbors``, the ``(ranks, 6)`` face-neighbor table
 of :func:`topology.neighbor_table` (-1 at the domain hull), and ``blocks``,
@@ -16,20 +17,20 @@ A round runs the paper's stages, each as one synchronous step of the whole
 world, as in Cybenko's diffusion model: distribute (one
 :func:`balance.plan_transfers` send matrix over the neighbor table, then one
 :func:`balance.select_particles` call: each rank lends the tail of its queue,
-a direction at a time, and every row is at home then, since the previous
-round's collect returned every loan), round info (each holder's first
-``particles_per_round`` queued rows), allocate and integrate (one call over
-the selected rows in queue order, after which each block exit's receiver is
-its home's neighbor in its exit direction and one compaction drops the
-finished rows), collect (every surviving loan returns home; a loan that
-terminates at the borrower dies there) and hand-off (each block exit's
-receiver becomes its holder and home). A particle leaves the domain only as
-the kernel's ``STATUS_EXITED``; a block exit into the hull is an
-:class:`InvariantError`.
+a direction at a time, and the lent rows' ``seq`` are saved), round info
+(each holder's first ``particles_per_round`` queued rows, by one lexsort of
+``(holder, seq)``), allocate and integrate (one call over the selected rows
+in queue order, after which each block exit's receiver is its home's
+neighbor in its exit direction), collect (every loan gets its saved ``seq``
+back, so a surviving loan is again where it was in its home's queue, and one
+compaction drops the finished rows; a loan that terminates at the borrower
+dies there) and hand-off (each block exit's receiver becomes its home). A
+particle leaves the domain only as the kernel's ``STATUS_EXITED``; a block
+exit into the hull is an :class:`InvariantError`.
 Every move goes through :meth:`Simulator._move`, which queues the moved rows
 behind the receiver's own, by the sender's direction in the receiver's
-neighbor-table row, then in the sender's order. Collect runs before
-hand-off, so a home rank's own out-of-bounds rows precede the returned ones.
+neighbor-table row, then in the sender's order. A round moves twice: the
+loans, on the round's ``holder``, and the hand-offs, on ``home``.
 No result depends on the order the table's rows are stored in.
 
 A round's rows of the rounds table hold what each rank counted. Each stage's
@@ -157,39 +158,25 @@ class Simulator:
         self.records, self.round_totals = [], []
         self.stage_totals_s = np.zeros(len(STAGE_COLUMNS))
 
-    def _loads(self) -> np.ndarray:
-        return np.bincount(self.particles.holder, minlength=self.grid.rank_count)
-
-    def _queue(self) -> np.ndarray:
-        """The table's rows in queue order: by holder, then ``seq``."""
-        return np.lexsort((self.particles.seq, self.particles.holder))
-
-    def _move(self, rows: np.ndarray, to: np.ndarray) -> None:
+    def _move(self, holder: np.ndarray, seq: np.ndarray, rows: np.ndarray, to: np.ndarray) -> None:
         """Hand table ``rows`` to ranks ``to``, queued behind what each receiver holds.
 
-        Arrivals queue by receiver, then by the direction of their current
-        holder in the receiver's neighbor-table row, then in that holder's
-        order. Only the moved rows' ``holder`` and ``seq`` change; no row moves.
+        ``holder`` and ``seq`` are the holder and FIFO-key columns the move
+        rewrites. Arrivals queue by receiver, then by the direction of their
+        current holder in the receiver's neighbor-table row, then in that
+        holder's order. Only the moved rows' entries change; no row moves.
         """
-        p = self.particles
-        direction = np.argmax(self.neighbors[to] == p.holder[rows, np.newaxis], axis=1)
-        arrivals = rows[np.lexsort((p.seq[rows], direction, to))]
-        p.seq[arrivals] = p.seq.max(initial=-1) + 1 + np.arange(rows.size)
-        p.holder[rows] = to
+        direction = np.argmax(self.neighbors[to] == holder[rows, np.newaxis], axis=1)
+        arrivals = rows[np.lexsort((seq[rows], direction, to))]
+        seq[arrivals] = seq.max(initial=-1) + 1 + np.arange(rows.size)
+        holder[rows] = to
 
     def _assert_containable(self) -> None:
-        """Every particle is held by its home or a face neighbor of it, and its home block reaches it by the
-        kernel's own test, ``rk4_reach``, made on every row."""
+        """Every particle's home block reaches it, by the kernel's own test, ``rk4_reach``, made on every row."""
         p = self.particles
-        loans = np.flatnonzero(p.holder != p.home)
-        foreign = loans[~np.any(self.neighbors[p.home[loans]] == p.holder[loans, np.newaxis], axis=1)]
-        if foreign.size:
-            i = foreign[0]
-            raise InvariantError(f"rank {p.holder[i]} holds a particle of non-neighbor rank {p.home[i]}")
         i = KERNEL.rk4_reach(*kernel_bounds(self.blocks, p.home), np.ascontiguousarray(p.pos, np.float64).ctypes)
         if i >= 0:
-            raise InvariantError(f"rank {p.holder[i]}: {'home' if p.home[i] == p.holder[i] else 'loaned'} "
-                                 "particle outside its block's reach")
+            raise InvariantError(f"rank {p.home[i]}: particle outside its block's reach")
 
     def run_round(self, round_index: int) -> np.recarray:
         """Run one round; returns a copy of its block of the rounds table, one row per rank.
@@ -201,19 +188,25 @@ class Simulator:
         self._assert_containable()
         stamps = [time.perf_counter()]
 
-        # Stage 1, distribute: each rank lends the tail of its queue to its neighbors.
-        load_pre = self._loads()
-        lent, lent_to = self._lend(load_pre)
-        sent_balanced = np.bincount(self.particles.holder[lent], minlength=ranks)
-        self._move(lent, lent_to)
-        load_post = self._loads()
+        # Stage 1, distribute: each rank lends the tail of its queue to its neighbors. Every row is at
+        # home; the round's own holder column records the loans, and lent_seq their queue places.
+        p = self.particles
+        load_pre = np.bincount(p.home, minlength=ranks)
+        sends = balance.plan_transfers(self.neighbors, load_pre, self.scheduler, self.alpha)
+        _, per_direction = balance.select_particles(load_pre, sends)
+        lent = np.lexsort((p.seq, p.home))[np.concatenate(per_direction)]
+        lent_to = np.repeat(self.neighbors.T.ravel(), sends.T.ravel())
+        lent_seq, holder = p.seq[lent], p.home.copy()
+        self._move(holder, p.seq, lent, lent_to)
+        load_post = np.bincount(holder, minlength=ranks)
         stamps.append(time.perf_counter())
 
         # Stage 2, round info: each holder's first particles_per_round queued rows run.
-        p = self.particles
-        queue = self._queue()
-        sel = queue[np.arange(len(p)) - (np.cumsum(load_post) - load_post)[p.holder[queue]] < self.ppr]
-        del queue  # nothing reads it after sel; freed before the gather and the kernel call
+        queue = np.lexsort((p.seq, holder))
+        holder = holder[queue]  # in queue order; the row-order copy is freed here, before the temporaries below
+        run = np.arange(len(p)) - (np.cumsum(load_post) - load_post)[holder] < self.ppr
+        sel, sel_holder = queue[run], holder[run]
+        del queue, holder, run  # nothing reads them after sel; freed before the gather and the kernel call
         world = p.select(sel)
         stamps.append(time.perf_counter())
 
@@ -222,7 +215,7 @@ class Simulator:
         stamps.append(time.perf_counter())
         out, _ = integrate(self.blocks, world, log, self.h)
         self.store.finish_round(world.ids, out, log)
-        steps = np.bincount(world.holder, out.steps, ranks)
+        steps = np.bincount(sel_holder, out.steps, ranks)
         self.terminated += int(np.count_nonzero(out.status == STATUS_TERMINATED))
         self.exited += int(np.count_nonzero(out.status == STATUS_EXITED))
         oob = out.status == STATUS_OOB
@@ -230,27 +223,24 @@ class Simulator:
         if np.any(receivers < 0):
             raise InvariantError(f"round {round_index}: a block exit points at the domain hull")
         p.pos[sel], p.remaining[sel] = out.pos, out.remaining
-        del world, out  # freed before the compaction, which sets a many-seed run's peak
+        del world, out  # freed before the compaction
+        stamps.append(time.perf_counter())
+
+        # Stage 5, collect: every loan returns to its place in its home's queue; a loan that
+        # terminates at the borrower dies there, with the finished rows the compaction drops.
+        p.seq[lent] = lent_seq
         alive = np.delete(np.arange(len(p)), sel[~oob])  # rows still active
         p.compact(alive)
         handed = np.searchsorted(alive, sel[oob])  # the block exits' rows in the compacted table
         stamps.append(time.perf_counter())
 
-        # Stage 5, collect: every surviving loan returns home.
-        loans = np.flatnonzero(p.holder != p.home)
-        self._move(loans, p.home[loans])
-        if np.any(p.holder != p.home):
-            raise InvariantError(f"round {round_index}: a loan did not return home")
-        stamps.append(time.perf_counter())
-
         # Stage 6, out of bounds: each block exit moves home to its receiver.
-        sent_oob = np.bincount(p.holder[handed], minlength=ranks)
-        p.home[handed] = receivers
-        self._move(handed, receivers)
+        sent_oob = np.bincount(p.home[handed], minlength=ranks)
+        self._move(p.home, p.seq, handed, receivers)
         stamps.append(time.perf_counter())
 
         counts = dict(round=round_index, rank=np.arange(ranks), integrate_steps=steps, load_pre=load_pre,
-                      load_post=load_post, sent_balanced=sent_balanced,
+                      load_post=load_post, sent_balanced=sends.sum(axis=1),
                       recv_balanced=np.bincount(lent_to, minlength=ranks),
                       sent_oob=sent_oob, recv_oob=np.bincount(receivers, minlength=ranks))
         block = round_table(ranks)
@@ -264,12 +254,6 @@ class Simulator:
         self.round_totals.append((round_index, active, self.terminated, self.exited))
         self.records.append(block)
         return block.astype([(column, object) for column in ROUNDS_CSV_COLUMNS]).view(np.recarray)
-
-    def _lend(self, loads) -> tuple[np.ndarray, np.ndarray]:
-        """The rows every rank lends, by :func:`balance.select_particles`, and their receivers."""
-        sends = balance.plan_transfers(self.neighbors, loads, self.scheduler, self.alpha)
-        _, per_direction = balance.select_particles(loads, sends)
-        return self._queue()[np.concatenate(per_direction)], np.repeat(self.neighbors.T.ravel(), sends.T.ravel())
 
     def run(self) -> RunResult:
         round_index = 0

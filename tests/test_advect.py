@@ -593,6 +593,27 @@ class TestKernelBuild:
         done = subprocess.run([str(harness)], capture_output=True, text=True, timeout=120)
         assert done.returncode == 0 and not done.stderr, done.stderr
 
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_default_build_equals_the_kernel_bit_for_bit(self, tmp_path, monkeypatch, workers):
+        # With the CPU check defined to 0 every worker runs the default build, which an AVX host
+        # never runs otherwise; it must match the loaded kernel's outcome, starts and log exactly.
+        library = tmp_path / "rk4-default.so"
+        command = ["gcc", *KERNEL_FLAGS, "-D__builtin_cpu_supports(x)=0", str(KERNEL_SOURCE),
+                   "-o", str(library), "-lm"]
+        built = subprocess.run(command, capture_output=True, text=True)
+        assert built.returncode == 0, built.stderr
+        block, pset = random_world(np.random.default_rng(11), 3 * LANES * CHUNK + 5, 12, shared=True)
+        runs = []
+        for kernel in (advect.KERNEL, load_kernel(library)):
+            monkeypatch.setattr(advect, "_rk4_advance", kernel.rk4_advance)
+            log = CurveStore().allocate(round_info(pset))
+            runs.append((integrate_group(block, pset.copy(), log, 0.05, workers=workers), log))
+        (want, want_log), (got, got_log) = runs
+        for name in ("status", "exit_dir", "pos", "remaining", "steps", "start"):
+            assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name
+        assert got_log.tobytes() == want_log.tobytes()
+        assert set(want.status.tolist()) == {STATUS_OOB, STATUS_TERMINATED, STATUS_EXITED}
+
     def test_cache_key_follows_source_and_flags(self):
         source = KERNEL_SOURCE.read_bytes()
         name = kernel_name(source, KERNEL_FLAGS)

@@ -768,6 +768,16 @@ GOLDEN_RUNS = {
         rounds="9924a1b5ccbfff2781016b71739c636aea2ef94906a7cfe044dea3801c477730",
         work=dict(rounds=3, seed_count=512, terminated=512, exited_domain=0,
                   total_integrate_steps=51200, lockstep_integrate_steps=9130)),
+    # 8 rows a round drain each rank's 64 seeds over 14 rounds, so loans outlive their round and
+    # return to their home's queue, whose order later rounds' selections and loans read
+    "toroidal-constant-queued": dict(
+        config=dict(grid=(4, 2, 1), scheduler="constant", stride=(2, 2, 2), max_iterations=80, particles_per_round=8),
+        loans=2022, handoffs=228,
+        curves="f9f618dc55ca259de67a4246b78900079728ce192d966e7b44ba0d9037127455",
+        lif="056ae5cb892a433071bcfff04fc18714851048e70b934a1b525398618ef9f6e5",
+        rounds="ae6a6c95a2264e641888b56efc351d3496c060d8f8749df13bcf777a0966ea7c",
+        work=dict(rounds=14, seed_count=512, terminated=512, exited_domain=0,
+                  total_integrate_steps=40960, lockstep_integrate_steps=7511)),
 }
 
 

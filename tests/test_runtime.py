@@ -3,8 +3,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as hst
 
-from diffadvect import runtime
-from diffadvect.advect import CurveStore
+from diffadvect import balance, runtime
+from diffadvect.advect import KERNEL, CurveStore, kernel_bounds
 from diffadvect.balance import SCHEDULERS, synchronous_step
 from diffadvect.errors import ConfigError, InvariantError, RoundLimitError
 from diffadvect.field import FIELD_KINDS, AnalyticField, lattice_spacing, seed_axes
@@ -22,13 +22,10 @@ class ConstantField:
         return tuple(self.v)
 
 
-def particles_at(positions, remaining, rank, start_id=0, holder=None):
+def particles_at(positions, remaining, rank, start_id=0):
     positions = np.asarray(positions, dtype=np.float64).reshape(-1, 3)
     n = positions.shape[0]
-    return ParticleSet.make(
-        np.arange(start_id, start_id + n), positions, np.full(n, remaining), np.full(n, rank),
-        holder=None if holder is None else np.full(n, holder),
-    )
+    return ParticleSet.make(np.arange(start_id, start_id + n), positions, np.full(n, remaining), np.full(n, rank))
 
 
 def assert_same_lifs(a, b):
@@ -66,7 +63,6 @@ class TestSeeding:
         seeds = seed_particles((16, 16, 16), 1.0, (2, 2, 2), origin, grid, 10)
         np.testing.assert_array_equal(seeds.ids, np.arange(len(seeds)))  # one table in id order
         assert set(seeds.home.tolist()) == set(range(grid.rank_count))  # every rank seeds
-        np.testing.assert_array_equal(seeds.holder, seeds.home)
         node = np.rint(seeds.pos * 15.0)  # every seed sits on a lattice node of its rank's core
         assert ((node >= origin[seeds.home]) & (node < (origin + core_dims)[seeds.home])).all()
 
@@ -83,7 +79,7 @@ class TestSeeding:
         np.testing.assert_array_equal(seeds.ids, np.arange(len(node)))
         np.testing.assert_array_equal(seeds.seq, seeds.ids)
         assert seeds.pos.tobytes() == (node * lattice_spacing(res)).tobytes()
-        assert (seeds.remaining == 7).all() and (seeds.holder == seeds.home).all()
+        assert (seeds.remaining == 7).all()
         end = origin + core_dims
         assert ((node >= origin[seeds.home]) & (node < end[seeds.home])).all()
         holds_node = [all(((axes[a] >= origin[r, a]) & (axes[a] < end[r, a])).any() for a in range(3))
@@ -165,11 +161,6 @@ class TestTwoRankBalancing:
         recs = self._sim("lma").run_round(1)
         assert type(sum(r.sent_balanced for r in recs)) is int
         assert type(recs[0]["round"]) is int
-
-    def test_loans_return_home_every_round(self):
-        sim = self._sim("lma")
-        sim.run_round(1)
-        assert (sim.particles.holder == sim.particles.home).all()
 
     def test_curve_segments_recorded_by_integrating_rank(self):
         sim = self._sim("lma")
@@ -275,6 +266,22 @@ class TestDeterminismAndInvariants:
         integrated = [pid for pid, _ in sim.store.segments[30:40]]
         assert len(integrated) == 10 and all(pid >= 90 for pid in integrated)
 
+    def test_a_surviving_loan_returns_to_its_place_in_its_homes_queue(self):
+        # Rank 3 of a 2x2 grid lends the tail of its queue to rank 2 (-x) first, then to rank 1 (-y),
+        # the reverse of their rank order. Ten rows a round leave most loans alive at the round's end.
+        sim = Simulator(ConstantField((0.0, 0.0, 0.0)), (16, 16, 16), (2, 2, 1), "lma",
+                        max_iterations=5, stride=(8, 8, 8), particles_per_round=10)
+        sim.particles = particles_at(np.tile([0.85, 0.85, 0.5], (90, 1)), 5, 3)
+        sim.seed_count = 90
+        recs = sim.run_round(1)
+        assert [r.sent_balanced for r in recs] == [0, 0, 0, 60]
+        # each rank ran its first ten rows: 0-9 at home, loans 30-39 at rank 2 and 60-69 at rank 1
+        assert sorted(pid for pid, _ in sim.store.segments) == [*range(10), *range(30, 40), *range(60, 70)]
+        p = sim.particles
+        assert (p.home == 3).all()
+        queue = p.ids[np.lexsort((p.seq, p.home))]
+        assert queue.tolist() == [*range(10, 30), *range(40, 60), *range(70, 90)]
+
     def test_conservation_every_round(self):
         sim = Simulator(AnalyticField("toroidal"), (32, 32, 32), (2, 2, 2), "lma",
                         max_iterations=80, stride=(4, 4, 4), aabb_scale=0.5)
@@ -317,25 +324,15 @@ class TestDeterminismAndInvariants:
             Simulator(AnalyticField("abc"), (16, 16, 16), (2, 1, 1), "constant",
                       alpha=alpha, max_iterations=5, stride=(8, 8, 8))
 
-    def test_non_neighbor_particle_is_an_invariant_error(self):
-        sim = Simulator(ConstantField((0.0, 0.0, 0.0)), (16, 16, 16), (3, 1, 1), "none",
-                        max_iterations=5, stride=(8, 8, 8))
-        drain_queues(sim)
-        # rank 0 holds a particle homed on rank 2, inside rank 2's block
-        sim.particles = particles_at([[0.9, 0.5, 0.5]], 5, 2, holder=0)
-        sim.seed_count = 1
-        with pytest.raises(InvariantError, match="non-neighbor rank 2"):
-            sim.run_round(1)
-
     @staticmethod
-    def centre_rank_at(g):
-        """A 3x3x3 simulator at 33^3 (spacing 1/32, so g = p / spacing is exact) holding one particle of
-        the centre rank 13, whose sampling extent is [10, 22] in g-space, at g-space ``g``."""
-        sim = Simulator(ConstantField((0.0, 0.0, 0.0)), (33, 33, 33), (3, 3, 3), "none",
+    def centre_rank_at(*g, scheduler="none"):
+        """A 3x3x3 simulator at 33^3 (spacing 1/32, so g = p / spacing is exact) holding particles of the
+        centre rank 13, whose sampling extent is [10, 22] in g-space, at g-space points ``g``, queued in order."""
+        sim = Simulator(ConstantField((0.0, 0.0, 0.0)), (33, 33, 33), (3, 3, 3), scheduler,
                         max_iterations=5, stride=(8, 8, 8))
         drain_queues(sim)
-        sim.particles = particles_at([g * sim.blocks.spacing], 5, 13)
-        sim.seed_count = 1
+        sim.particles = particles_at(np.array(g) * sim.blocks.spacing, 5, 13)
+        sim.seed_count = len(g)
         return sim
 
     @pytest.mark.parametrize("holder", ["home", "loaned"])
@@ -344,10 +341,23 @@ class TestDeterminismAndInvariants:
     def test_a_row_one_float_outside_its_home_blocks_reach_is_an_invariant_error(self, axis, side, holder):
         g = np.full(3, 16.0)
         g[axis] = np.nextafter(10.0, -np.inf) if side == "lo" else np.nextafter(22.0, np.inf)
-        sim = self.centre_rank_at(g)
-        if holder == "loaned":
-            sim.particles.holder[:] = sim.neighbors[13, 2 * axis + (side == "hi")]
-        with pytest.raises(InvariantError, match=f"{holder} particle outside its block's reach"):
+        if holder == "home":
+            sim = self.centre_rank_at(g)
+        else:
+            # Seven rows under LMA: rank 13 keeps its queue head and lends the row at queue place 1 + d
+            # to its neighbor in direction d. The outside row sits where the round would lend it to the
+            # neighbor across the bound it crosses, whose block reaches it; its home's block does not.
+            d = 2 * axis + (side == "hi")
+            points = [np.full(3, 16.0)] * 7
+            points[1 + d] = g
+            sim = self.centre_rank_at(*points, scheduler="lma")
+            loads = np.bincount(sim.particles.home, minlength=27)
+            _, per_direction = balance.select_particles(loads, balance.plan_transfers(sim.neighbors, loads, "lma"))
+            assert [rows.tolist() for rows in per_direction] == [[1 + k] for k in range(6)]
+            borrower = sim.neighbors[13, d]
+            assert KERNEL.rk4_reach(*kernel_bounds(sim.blocks, [borrower]),
+                                    np.ascontiguousarray(sim.particles.pos[1 + d:2 + d]).ctypes) == -1
+        with pytest.raises(InvariantError, match="rank 13: particle outside its block's reach"):
             sim.run_round(1)
 
     def test_a_row_outside_its_reach_is_an_invariant_error_in_a_round_that_does_not_select_it(self):
@@ -357,8 +367,8 @@ class TestDeterminismAndInvariants:
         outside = np.array([np.nextafter(22.0, np.inf), 16.0, 16.0]) * sim.blocks.spacing
         sim.particles = concat_particles([sim.particles, particles_at([outside], 5, 13, start_id=1)])
         sim.seed_count = 2
-        assert sim._queue().tolist() == [0, 1]  # one round advances row 0 only
-        with pytest.raises(InvariantError, match="home particle outside its block's reach"):
+        assert sim.particles.seq.tolist() == [0, 1]  # one round advances row 0 only
+        with pytest.raises(InvariantError, match="rank 13: particle outside its block's reach"):
             sim.run_round(1)
 
     @pytest.mark.parametrize("bound", [10.0, 22.0], ids=["lo", "hi"])
@@ -490,4 +500,3 @@ class TestDecompositionFuzz:
         for _, active, terminated, exited in res.round_totals:
             assert active + terminated + exited == res.seed_count
         assert res.round_totals[-1][1] == 0
-        assert (sim.particles.holder == sim.particles.home).all()
