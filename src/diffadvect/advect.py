@@ -63,11 +63,14 @@ huge pages, so only the pages the kernel writes become resident. Each chunk
 writes into its own region, which starts at the summed budgets of the rows
 before the chunk, each of its rows as one run in step order, and the kernel
 reports the slot where each row's run starts. The call leaves the log
-read-only. :meth:`CurveStore.finish_round` archives a view of it per row that
-took a step, which :func:`export_curves` casts in bounded batches, so a vertex
-is written and read once. The outcome and the log are the same for any number
-of workers. With curves off nothing is allocated or archived; the kernel only
-counts the steps.
+read-only. :meth:`CurveStore.finish_round` archives the round as one
+:class:`CurveRecord`, the log with the ids, starts and steps of the rows that
+took a step, and builds nothing per row. :func:`export_curves` orders all
+rounds' pieces with one stable argsort of their ids and casts them to float32
+in the kernel's ``rk4_export``, a bounded batch at a time, copying each piece
+from its address in its log, so a vertex is written and read once. The outcome
+and the log are the same for any number of workers. With curves off nothing
+is allocated or archived; the kernel only counts the steps.
 """
 
 from __future__ import annotations
@@ -142,7 +145,7 @@ def build_kernel(cache_dir, compiler: str = "gcc") -> Path:
 
 
 def load_kernel(path) -> ctypes.CDLL:
-    """The kernel library at ``path``, with the signatures of its three functions declared."""
+    """The kernel library at ``path``, with the signatures of its four functions declared."""
     lib = ctypes.CDLL(str(path))
     i64, ptr = ctypes.c_int64, ctypes.c_void_p
     bounds = [i64, ptr, i64, i64, ptr, ptr, ptr, ptr]  # n, lattice, sx, sy, spacing, origin, core, home
@@ -152,6 +155,8 @@ def load_kernel(path) -> ctypes.CDLL:
     lib.rk4_reach.restype = i64
     lib.rk4_advance.argtypes = bounds + [ctypes.c_double, ptr, ptr, ptr, ptr, ptr, ptr, i64, ptr, i64]
     lib.rk4_advance.restype = i64
+    lib.rk4_export.argtypes = [i64, ptr, ptr, ptr]
+    lib.rk4_export.restype = None
     return lib
 
 
@@ -184,20 +189,59 @@ class RoundInfo:
     capacity: int              # vertices the selected particles can append at most: their summed budgets
 
 
+@dataclass(frozen=True)
+class CurveRecord:
+    """One round's archived curve pieces: particle ``ids[i]``'s piece is ``log[start[i]:start[i] + steps[i]]``.
+
+    ``ids``, ``start`` and ``steps`` are int64 arrays of one length and ``log`` is a C-contiguous
+    ``(n, 3)`` float64 array. :func:`export_curves` reads each piece at its address in C, so a record is
+    checked once, when made: another layout, or a piece outside its log, is an :class:`InvariantError`.
+    The three arrays are then made read-only, so the check keeps holding.
+    """
+
+    ids: np.ndarray
+    start: np.ndarray
+    steps: np.ndarray
+    log: np.ndarray
+
+    def __post_init__(self):
+        log, n = self.log, len(self.ids)
+        if log.dtype != np.float64 or log.ndim != 2 or log.shape[1] != 3 or not log.flags.c_contiguous:
+            raise InvariantError("a curve record's log is not a C-contiguous (n, 3) float64 array")
+        if not all(a.dtype == np.int64 and a.shape == (n,) for a in (self.ids, self.start, self.steps)):
+            raise InvariantError("a curve record's ids, start and steps are not int64 arrays of one length")
+        if not ((self.start >= 0) & (self.steps >= 0) & (self.start + self.steps <= len(log))).all():
+            raise InvariantError("a curve piece runs outside its round's log")
+        for column in (self.ids, self.start, self.steps):
+            column.setflags(write=False)
+
+    @classmethod
+    def of(cls, curves: dict) -> CurveRecord:
+        """One record of ``curves``, particle id -> vertices, each curve one piece, in a read-only float64 copy.
+
+        A float32 curve, as :func:`read_curves` gives, is exact in float64, so the record exports the
+        same floats.
+        """
+        steps = np.array([len(verts) for verts in curves.values()], dtype=np.int64)
+        log = np.concatenate([np.empty((0, 3)), *curves.values()], dtype=np.float64)
+        log.setflags(write=False)
+        return cls(np.fromiter(curves, np.int64, len(curves)), np.cumsum(steps) - steps, steps, log)
+
+
 @dataclass
 class CurveStore:
     """Integral-curve storage for the whole run.
 
     Each round logs its vertices in one ``(capacity, 3)`` log, written by
     one kernel call; after the round they are archived as one
-    ``(particle_id, vertices)`` segment per particle, a read-only view of the
-    log, which is the curves' only copy. Within one round a particle is
-    integrated by exactly one rank, so the segments of a particle, in archive
-    order, are its curve. A store with ``collect`` False allocates no log and
-    archives nothing.
+    :class:`CurveRecord`: the ids, starts and steps of the rows that took a
+    step, as arrays, and the read-only log, which is the curves' only copy.
+    Within one round a particle is integrated by exactly one rank, so the
+    pieces of a particle, in archive order, are its curve. A store with
+    ``collect`` False allocates no log and archives nothing.
     """
 
-    segments: list = dc_field(default_factory=list)
+    records: list = dc_field(default_factory=list)
     collect: bool = True
 
     def allocate(self, info: RoundInfo) -> np.ndarray | None:
@@ -211,18 +255,23 @@ class CurveStore:
         return np.frombuffer(log, np.float64, 3 * info.capacity).reshape(info.capacity, 3)
 
     def finish_round(self, ids: np.ndarray, outcome: GroupOutcome, log: np.ndarray | None) -> None:
-        """Archive each moved row's run, ``log[start:start + steps]``, under its particle id in ``ids``."""
+        """Archive the round as one record of each moved row's run, ``log[start:start + steps]``, and id in ``ids``."""
         if log is None:
             return
         moved = outcome.steps > 0
-        starts, lengths = outcome.start[moved].tolist(), outcome.steps[moved].tolist()
-        self.segments.extend(zip(ids[moved].tolist(), [log[a:a + k] for a, k in zip(starts, lengths)]))
+        self.records.append(CurveRecord(ids[moved], outcome.start[moved], outcome.steps[moved], log))
+
+    def pieces(self):
+        """Each archived piece, in archive order, as ``(particle_id, vertices)``: a view of its log."""
+        for record in self.records:
+            for pid, a, k in zip(record.ids.tolist(), record.start.tolist(), record.steps.tolist()):
+                yield pid, record.log[a:a + k]
 
 
 def merge_curves(store: CurveStore) -> dict[int, np.ndarray]:
-    """Concatenate each particle's segments, in round order, into its streamline."""
+    """Concatenate each particle's pieces, in round order, into its streamline."""
     per_pid: dict[int, list] = {}
-    for pid, verts in store.segments:
+    for pid, verts in store.pieces():
         per_pid.setdefault(pid, []).append(verts)
     return {pid: segs[0] if len(segs) == 1 else np.concatenate(segs, axis=0) for pid, segs in per_pid.items()}
 
@@ -350,38 +399,43 @@ def integrate(block: Block, pset: ParticleSet, log: np.ndarray | None, h: float)
 EXPORT_BATCH = 65_536  # vertices export_curves casts and writes at a time, 768 KiB as float32
 
 
-def export_curves(path, pairs, config_hash: str | None = None) -> None:
-    """Write curves, given as ``(particle_id, vertices)`` pairs, as a line-set file.
+def export_curves(path, records, config_hash: str | None = None) -> None:
+    """Write the curves of ``records``, :class:`CurveRecord` s in archive order, as a line-set file.
 
-    A particle's pairs are its pieces, in order, so a merged dict's ``.items()``
-    and a store's ``segments`` write the same file. Layout: one UTF-8 JSON
-    header line (particle count, per-particle vertex counts in ascending
-    particle-id order, optional provenance hash) followed by flat
-    little-endian float32 xyz triplets, particles in header order.
+    A particle's pieces, in archive order, are its curve, so one stable argsort
+    of the pieces' ids orders the payload. Each batch of :data:`EXPORT_BATCH`
+    vertices is cast to float32 by the kernel's ``rk4_export``, which copies
+    each piece, cut at the batch's ends, from its log's address into one
+    buffer reused for every batch. Layout: one UTF-8 JSON header line (particle
+    count, per-particle vertex counts in ascending particle-id order, optional
+    provenance hash) followed by flat little-endian float32 xyz triplets,
+    particles in header order.
     """
-    pairs = list(pairs)
-    ids = np.array([pid for pid, _ in pairs], dtype=np.int64)
-    lengths = np.array([len(verts) for _, verts in pairs], dtype=np.int64)
+    records, empty = list(records), np.empty(0, np.int64)
+    ids = np.concatenate([empty, *(r.ids for r in records)])
     order = np.argsort(ids, kind="stable")
-    sorted_ids, lengths = ids[order], lengths[order]
+    sorted_ids = ids[order]
+    lengths = np.concatenate([empty, *(r.steps for r in records)])[order]
+    addresses = np.concatenate([empty, *(r.log.ctypes.data + 24 * r.start for r in records)])[order]
     first = np.flatnonzero(np.diff(sorted_ids, prepend=sorted_ids[:1] - 1))  # each id's first piece
     header = {"particle_count": len(first), "particle_ids": sorted_ids[first].tolist(),
               "vertex_counts": np.add.reduceat(lengths, first).tolist()}
     if config_hash is not None:
         header["config_hash"] = config_hash
-    pieces = [pairs[i][1] for i in order.tolist()]
     ends = np.cumsum(lengths)  # each piece's [start, end) in the payload
-    starts = ends - lengths
+    starts, total = ends - lengths, int(lengths.sum())
+    batch = np.empty(3 * EXPORT_BATCH, np.float32)
     with open(path, "wb") as fh:
         fh.write(json.dumps(header, sort_keys=True).encode("utf-8"))
         fh.write(b"\n")
-        for lo in range(0, int(lengths.sum()), EXPORT_BATCH):  # one batch: the payload's [lo, hi)
-            hi = lo + EXPORT_BATCH
+        for lo in range(0, total, EXPORT_BATCH):  # one batch: the payload's [lo, hi)
+            hi = min(lo + EXPORT_BATCH, total)
             a, b = np.searchsorted(ends, lo, side="right"), np.searchsorted(starts, hi)  # the pieces it touches
-            parts = pieces[a:b]
-            parts[-1] = parts[-1][:hi - starts[b - 1]]  # the end first, since the last piece may be the first
-            parts[0] = parts[0][lo - starts[a]:]
-            fh.write(np.concatenate(parts, dtype="<f4", casting="same_kind"))
+            cut_lo, cut_hi = np.maximum(starts[a:b], lo), np.minimum(ends[a:b], hi)
+            address = addresses[a:b] + 24 * (cut_lo - starts[a:b])
+            count = cut_hi - cut_lo
+            KERNEL.rk4_export(b - a, address.ctypes, count.ctypes, batch.ctypes)
+            fh.write(batch[:3 * (hi - lo)].astype("<f4", copy=False))
 
 
 def read_curves(path):

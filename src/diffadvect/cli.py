@@ -19,7 +19,7 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
-from .advect import export_curves, read_curves
+from .advect import CurveRecord, export_curves, read_curves
 from .balance import SCHEDULERS
 from .config import SETTINGS, RunConfig, apply_settings, config_items, setting_item
 from .errors import ConfigError, DiffAdvectError, InvariantError, RoundLimitError
@@ -103,7 +103,7 @@ def execute_run(config: RunConfig, out_dir: Path | None = None) -> tuple[RunResu
         write_summary(out_dir / "summary.json", summary)
         (out_dir / "config.txt").write_text(config.canonical_text(), encoding="utf-8")
         if config.export_curves:
-            export_curves(out_dir / "curves.bin", result.store.segments, config_hash=config.config_hash())
+            export_curves(out_dir / "curves.bin", result.store.records, config_hash=config.config_hash())
         else:  # an earlier run's curves would otherwise pass for this run's
             (out_dir / "curves.bin").unlink(missing_ok=True)
     return result, summary
@@ -224,7 +224,7 @@ def _cmd_export_curves(args) -> int:
         raise ConfigError(f"no curves.bin under {args.run}; run with export_curves = true")
     try:
         header, curves = read_curves(src)
-        export_curves(args.out, curves.items(), config_hash=header.get("config_hash"))
+        export_curves(args.out, [CurveRecord.of(curves)], config_hash=header.get("config_hash"))
     except OSError as exc:
         raise ConfigError(f"{exc.filename}: {exc.strerror}") from exc
     except (ValueError, KeyError, TypeError) as exc:

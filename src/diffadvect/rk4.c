@@ -36,6 +36,10 @@
  * chunks to the other workers. A worker runs the AVX build of its body where
  * the CPU has AVX (no FMA, which would round unlike numpy), else the default
  * build, which on x86 is two to three times slower.
+ *
+ * rk4_export writes curves.bin's payload a batch at a time: it casts each of
+ * a batch's pieces, a run of float64 vertices in a round log, to float32 in
+ * one pass, rounding to nearest as numpy's cast does.
  */
 #define _GNU_SOURCE
 #include <pthread.h>
@@ -180,6 +184,17 @@ void rk4_sample(int64_t n, const double *lattice, int64_t sx, int64_t sy, const 
         g = p / step;
         trilinear(lattice, sx, sy, origin + 3 * home[i], core + 3 * home[i], &g, &v);
         store3(&v, out + 3 * i);
+    }
+}
+
+/* Cast n pieces of vertices to float32, one after the other into out: piece i is the count[i] vertices, 3
+ * doubles each, at address addr[i]. */
+void rk4_export(int64_t n, const int64_t *addr, const int64_t *count, float *out)
+{
+    for (int64_t i = 0; i < n; i++) {
+        const double *src = (const double *)(intptr_t)addr[i];
+        for (int64_t j = 0; j < 3 * count[i]; j++)
+            *out++ = (float)src[j];
     }
 }
 

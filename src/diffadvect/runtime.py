@@ -67,7 +67,7 @@ class RunResult:
     exited: int
     records: np.recarray    # the rounds table, one row per (round, rank) in that order
     round_totals: list      # (round, active, terminated, exited)
-    store: CurveStore       # the archived segments, read-only views of the round logs
+    store: CurveStore       # the archived curve records, one per round, over the read-only round logs
     stage_totals_s: np.ndarray  # each stage's measured world time summed over the rounds, in stage order
 
     @cached_property

@@ -1,4 +1,4 @@
-/* Drives rk4_advance and rk4_reach of diffadvect/rk4.c on a synthetic lattice, for sanitizer builds.
+/* Drives rk4_advance, rk4_reach and rk4_export of diffadvect/rk4.c, for sanitizer builds.
  *
  * Build it together with rk4.c, e.g.
  *     gcc -g -O1 -pthread -fsanitize=thread -fno-sanitize-recover=all \
@@ -10,6 +10,9 @@
  *   - that 1 to 4 workers, with curves on and off, give the same outcome, starts, count and log;
  *   - that rk4_reach finds no start outside its reach, then the one row moved outside it;
  *   - that a start outside its reach, or a log one vertex short, is refused with nothing written.
+ * It also exports pieces of a log, out of log order, a batch at a time into buffers of exactly the
+ * batch's size, for batch sizes that cut pieces at both ends of a batch and around a one-vertex piece,
+ * and checks each float against a cast of its own; and that n = 0 reads and writes nothing.
  * Every allocation is freed, so LeakSanitizer reports only a leak of the kernel's own. Exits 0 when
  * every check holds, else 1 after printing each world's first failed check.
  */
@@ -25,6 +28,7 @@ int64_t rk4_advance(int64_t n, const double *lattice, int64_t sx, int64_t sy, co
                     double *vertices, int64_t capacity, int64_t *start, int64_t workers);
 int64_t rk4_reach(int64_t n, const double *lattice, int64_t sx, int64_t sy, const double *spacing,
                   const int64_t *origin, const int64_t *core, const int64_t *home, const double *points);
+void rk4_export(int64_t n, const int64_t *addr, const int64_t *count, float *out);
 extern const int64_t rk4_lanes, rk4_chunk;
 
 #define RES 24     /* lattice nodes per axis, before the ghost layer */
@@ -146,6 +150,44 @@ done:
     return failed;
 }
 
+/* Export a payload of pieces of one log, `batch` vertices at a time, as advect.export_curves cuts them;
+ * returns 0 when every float is the reference cast. */
+static int exported(int64_t batch)
+{
+    enum { VERTICES = 32, PIECES = 6 };
+    /* each piece's (log slot, vertices), in payload order */
+    static const int64_t piece[PIECES][2] = {{20, 5}, {7, 1}, {0, 7}, {8, 12}, {25, 1}, {26, 6}};
+    int failed = 0;
+    double *log = fill(3 * VERTICES, 8, 0);
+    float want[3 * VERTICES], *out = NULL;
+    for (int64_t j = 0; j < 3 * VERTICES; j++) /* values a float cannot hold exactly */
+        log[j] = 2.0 * uniform() - 1.0;
+    for (int p = 0, k = 0; p < PIECES; p++)
+        for (int64_t j = 0; j < 3 * piece[p][1]; j++)
+            want[k++] = (float)log[3 * piece[p][0] + j];
+    for (int64_t lo = 0; lo < VERTICES; lo += batch) { /* the payload's [lo, hi) */
+        int64_t hi = lo + batch < VERTICES ? lo + batch : VERTICES, n = 0, addr[PIECES], count[PIECES];
+        for (int64_t p = 0, at = 0; p < PIECES; at += piece[p++][1]) { /* piece p is the payload's [at, end) */
+            int64_t end = at + piece[p][1], a = at > lo ? at : lo, b = end < hi ? end : hi;
+            if (a < b) {
+                addr[n] = (int64_t)(intptr_t)(log + 3 * (piece[p][0] + a - at));
+                count[n++] = b - a;
+            }
+        }
+        out = fill(3 * (hi - lo), 4, 0xff);
+        rk4_export(n, addr, count, out);
+        CHECK(!memcmp(out, want + 3 * lo, 3 * (hi - lo) * 4), "export: batch %ld of %ld vertices differs from the "
+              "reference cast", (long)(lo / batch), (long)batch);
+        free(out), out = NULL;
+    }
+    float untouched = -1.0f;
+    rk4_export(0, NULL, NULL, &untouched);
+    CHECK(untouched == -1.0f, "export: n = 0 wrote a float");
+done:
+    free(log), free(out);
+    return failed;
+}
+
 int main(void)
 {
     for (int a = 0; a < 3; a++)
@@ -173,5 +215,8 @@ int main(void)
         for (int64_t d = -1; d <= 1; d++)
             if (bases[b] + d >= 0)
                 failed |= run(bases[b] + d, 0);
+    const int64_t batches[] = {1, 3, 5, 32, 40};
+    for (size_t b = 0; b < sizeof batches / sizeof batches[0]; b++)
+        failed |= exported(batches[b]);
     return failed | run(2 * rk4_lanes * rk4_chunk + 7, 1);
 }

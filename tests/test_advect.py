@@ -22,6 +22,7 @@ from diffadvect.advect import (
     STATUS_EXITED,
     STATUS_OOB,
     STATUS_TERMINATED,
+    CurveRecord,
     CurveStore,
     GroupOutcome,
     RoundInfo,
@@ -224,14 +225,14 @@ def first_bad_stage(block, pos, h):
 
 
 def kernel_and_reference(block, pset, h):
-    """Both integrations of ``pset`` with curves on, as (outcome, archived segments) pairs."""
+    """Both integrations of ``pset`` with curves on, as (outcome, archived pieces) pairs."""
     results = []
     for run in (integrate_group, reference_integrate_group):
         store = CurveStore()
         log = store.allocate(round_info(pset))
         outcome = run(block, pset.copy(), log, h)
         store.finish_round(pset.ids, outcome, log)
-        results.append((outcome, store.segments))
+        results.append((outcome, list(store.pieces())))
     return results
 
 
@@ -425,8 +426,9 @@ class TestLanes:
                 for name in ("status", "exit_dir", "pos", "remaining", "steps"):
                     want = np.concatenate([getattr(out, name) for out in outs])
                     assert getattr(got, name).tobytes() == want.tobytes(), (n, count, name)
-                assert [pid for pid, _ in whole.segments] == [pid for pid, _ in rows.segments]
-                for (_, a), (_, b) in zip(whole.segments, rows.segments):
+                got_pieces, want_pieces = list(whole.pieces()), list(rows.pieces())
+                assert [pid for pid, _ in got_pieces] == [pid for pid, _ in want_pieces]
+                for (_, a), (_, b) in zip(got_pieces, want_pieces):
                     assert a.tobytes() == b.tobytes()
                 # each chunk's region starts at the summed budgets of the rows before the chunk,
                 # and a row's run after the steps of the chunk's earlier rows
@@ -684,7 +686,7 @@ class TestIntegrate:
         info, store, log, outcome, work = run_one_round(block, queue_of([[0.5, 0.5, 0.5]], 3), 0.001)
         assert outcome.status[0] == STATUS_TERMINATED
         assert work == 3 and outcome.start.tolist() == [0]
-        assert [pid for pid, _ in store.segments] == [0]
+        assert [pid for pid, _ in store.pieces()] == [0]
         np.testing.assert_allclose(log[:3, 0], 0.5 + 0.01 * 0.001 * np.arange(1, 4), rtol=1e-12)
 
     def test_exits_plus_x_face_in_expected_steps(self):
@@ -711,7 +713,7 @@ class TestIntegrate:
         block = rasterize_block(ConstantField((-1.0, 0.0, 0.0)), (16, 16, 16), (0, 0, 0), (16, 16, 16))
         info, store, log, outcome, work = run_one_round(block, queue_of([[0.0004, 0.5, 0.5]], 1000), 0.001)
         assert outcome.status[0] == STATUS_EXITED
-        assert work == 0 and store.segments == []  # the crossing step is rejected, not recorded
+        assert work == 0 and list(store.pieces()) == []  # the crossing step is rejected, not recorded
 
     def test_lifetime_step_budget_respected(self):
         block = rasterize_block(ConstantField((0.05, 0.02, 0.01)), (16, 16, 16), (0, 0, 0), (16, 16, 16))
@@ -748,8 +750,9 @@ class TestWorldBatching:
         for name in ("status", "exit_dir", "pos", "remaining", "steps"):
             expected = np.concatenate([getattr(out, name) for out in separate])
             assert getattr(batched, name).tobytes() == expected.tobytes(), name
-        assert [pid for pid, _ in world_curves.segments] == [pid for pid, _ in curves.segments]
-        for (_, got), (_, want) in zip(world_curves.segments, curves.segments):
+        got_pieces, want_pieces = list(world_curves.pieces()), list(curves.pieces())
+        assert [pid for pid, _ in got_pieces] == [pid for pid, _ in want_pieces]
+        for (_, got), (_, want) in zip(got_pieces, want_pieces):
             assert got.tobytes() == want.tobytes()
         oob = batched.status == STATUS_OOB
         inside = owned_mask(row_bounds(table, world.home), batched.pos)
@@ -766,11 +769,17 @@ class TestCurveStore:
         log.setflags(write=False)  # as the kernel's call leaves it
         store = CurveStore()
         store.finish_round(np.array([10, 11, 12, 13, 14]), written([0, 2, 4, 0, 1], [0, 0, 5, 9, 9]), log)
-        assert [pid for pid, _ in store.segments] == [11, 12, 14]
-        for (_, got), row in zip(store.segments, (1, 2, 4)):
+        [record] = store.records  # one record for the round, holding the moved rows only
+        assert (record.ids.tolist(), record.start.tolist(), record.steps.tolist()) == ([11, 12, 14], [0, 5, 9],
+                                                                                     [2, 4, 1])
+        assert record.log is log and not log.flags.writeable
+        assert not any(column.flags.writeable for column in (record.ids, record.start, record.steps))
+        pieces = list(store.pieces())
+        assert [pid for pid, _ in pieces] == [11, 12, 14]
+        for (_, got), row in zip(pieces, (1, 2, 4)):
             np.testing.assert_array_equal(got[:, 0], np.flatnonzero(rows == row))
             assert (got[:, 1] == row).all()
-        for _, got in store.segments:  # a read-only view of the log, at its row's run (checked above)
+        for _, got in pieces:  # a read-only view of the log, at its row's run (checked above)
             assert np.shares_memory(got, log) and not got.flags.writeable
 
     def test_archived_log_is_write_once(self):
@@ -780,7 +789,7 @@ class TestCurveStore:
         with pytest.raises(ValueError, match="read-only"):
             log[0] = 0.0
         with pytest.raises(ValueError, match="read-only"):
-            store.segments[0][1][:] = 0.0
+            next(store.pieces())[1][:] = 0.0
         with pytest.raises(InvariantError, match="already written"):
             integrate(block, queue, log, 0.001)
 
@@ -817,7 +826,7 @@ class TestCurveStore:
         block = rasterize_block(ConstantField((0.01, 0.0, 0.0)), (16, 16, 16), (0, 0, 0), (16, 16, 16))
         info, store, log, outcome, work = run_one_round(block, queue_of([[0.5, 0.5, 0.5]] * 2, 0), 0.001)
         assert info.capacity == 0 and log.shape == (0, 3)
-        assert work == 0 and (outcome.status == STATUS_TERMINATED).all() and store.segments == []
+        assert work == 0 and (outcome.status == STATUS_TERMINATED).all() and list(store.pieces()) == []
 
     def test_merge_orders_segments_by_round(self):
         store = CurveStore()
@@ -828,6 +837,33 @@ class TestCurveStore:
         merged = merge_curves(store)
         np.testing.assert_array_equal(merged[3][:, 0], [0.2, 0.5])
         np.testing.assert_array_equal(merged[5][:, 0], [0.3, 0.4])
+
+    @pytest.mark.parametrize("start, steps", [([0, 4], [4, 3]), ([0, 6], [4, 1]), ([-1, 4], [2, 2])],
+                             ids=["runs-past-the-end", "starts-past-the-end", "starts-before-the-log"])
+    def test_a_piece_outside_its_log_is_refused_and_nothing_archived(self, start, steps):
+        store = store_of_rounds([([1, 2], [4, 2])])
+        log = np.zeros((6, 3))
+        with pytest.raises(InvariantError, match="runs outside its round's log"):
+            store.finish_round(np.array([1, 2]), written(steps, start), log)
+        assert len(store.records) == 1  # the earlier round only
+        store.finish_round(np.array([1, 2]), written([4, 2]), log)  # the same log, its pieces inside it
+        assert len(store.records) == 2
+
+    @pytest.mark.parametrize("log", [np.zeros((3, 6))[:, ::2], np.zeros((6, 3), order="F"),
+                                     np.zeros((6, 3), np.float32), np.zeros((6, 4))],
+                             ids=["strided", "fortran", "float32", "four-columns"])
+    def test_a_log_of_another_layout_is_refused_and_nothing_archived(self, log):
+        store = CurveStore()
+        with pytest.raises(InvariantError, match="not a C-contiguous"):
+            store.finish_round(np.array([1, 2]), written([1, 2]), log)
+        assert store.records == [] and merge_curves(store) == {}
+
+    def test_ids_of_another_type_are_refused(self):
+        store = CurveStore()
+        for ids in (np.array([1, 2], np.int32), np.array([1.0, 2.0])):
+            with pytest.raises(InvariantError, match="not int64 arrays"):
+                store.finish_round(ids, written([1, 2]), np.zeros((3, 3)))
+        assert store.records == []
 
     def test_dropped_vertex_is_an_invariant_error(self, monkeypatch):
         advance = advect._rk4_advance
@@ -873,31 +909,50 @@ def file_of(curves, config_hash=None):
     return json.dumps(header, sort_keys=True).encode() + b"\n" + payload
 
 
-class TestExportPairs:
-    def test_segments_write_the_merged_file(self, tmp_path):
+class TestExportRecords:
+    def test_records_write_the_merged_file(self, tmp_path):
         # ids out of order; 5 and 9 in several rounds, 2 in one
         store = store_of_rounds([([9, 2, 5], [2, 3, 1]), ([5, 9], [4, 1]), ([9], [2])])
-        export_curves(tmp_path / "pairs.bin", store.segments, config_hash="abc")
-        export_curves(tmp_path / "merged.bin", merge_curves(store).items(), config_hash="abc")
-        got = (tmp_path / "pairs.bin").read_bytes()
+        export_curves(tmp_path / "records.bin", store.records, config_hash="abc")
+        export_curves(tmp_path / "merged.bin", [CurveRecord.of(merge_curves(store))], config_hash="abc")
+        got = (tmp_path / "records.bin").read_bytes()
         assert got == (tmp_path / "merged.bin").read_bytes() == file_of(merge_curves(store), "abc")
-        assert read_curves(tmp_path / "pairs.bin")[0]["vertex_counts"] == [3, 5, 5]
+        assert read_curves(tmp_path / "records.bin")[0]["vertex_counts"] == [3, 5, 5]
 
     def test_batches_split_long_curves_and_fall_between_pieces(self, tmp_path, monkeypatch):
         monkeypatch.setattr(advect, "EXPORT_BATCH", 8)
         # id 1 fills two batches and 3 vertices of a third; id 4's first piece ends that batch
         # exactly, so the boundary falls between its two pieces
         store = store_of_rounds([([4, 1], [5, 19]), ([4], [3])])
-        export_curves(tmp_path / "curves.bin", store.segments)
+        export_curves(tmp_path / "curves.bin", store.records)
+        assert (tmp_path / "curves.bin").read_bytes() == file_of(merge_curves(store))
+
+    def test_batches_cut_pieces_at_both_ends_around_one_vertex_pieces(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(advect, "EXPORT_BATCH", 4)
+        # payload order 2 (3 vertices), 6 (1 + 1), 7 (6): the first batch ends inside 7's piece after
+        # taking both of 6's one-vertex pieces, and the second both starts and ends inside it
+        store = store_of_rounds([([7, 6, 2], [6, 1, 3]), ([6], [1])])
+        export_curves(tmp_path / "curves.bin", store.records)
         assert (tmp_path / "curves.bin").read_bytes() == file_of(merge_curves(store))
 
     def test_curve_without_vertices_keeps_its_id(self, tmp_path):
         # read_curves gives one when a header lists a count of 0
         curves = {3: np.zeros((0, 3)), 1: np.ones((2, 3)), 0: np.zeros((0, 3))}
-        export_curves(tmp_path / "curves.bin", curves.items())
+        export_curves(tmp_path / "curves.bin", [CurveRecord.of(curves)])
         assert (tmp_path / "curves.bin").read_bytes() == file_of(curves)
 
     def test_curve_longer_than_the_default_batch(self, tmp_path):
         store = store_of_rounds([([3, 0], [advect.EXPORT_BATCH + 5, 2]), ([3], [advect.EXPORT_BATCH - 1])])
-        export_curves(tmp_path / "curves.bin", store.segments)
+        export_curves(tmp_path / "curves.bin", store.records)
         assert (tmp_path / "curves.bin").read_bytes() == file_of(merge_curves(store))
+
+    def test_read_curves_round_trip_as_a_float64_record(self, tmp_path):
+        # float32 vertices, with zero-vertex ids among them, come back as the same bytes
+        rng = np.random.default_rng(2)
+        curves = {5: rng.random((4, 3)), 2: np.zeros((0, 3)), 9: rng.random((70, 3))}
+        export_curves(tmp_path / "a.bin", [CurveRecord.of(curves)], config_hash="h")
+        header, read = read_curves(tmp_path / "a.bin")
+        record = CurveRecord.of(read)
+        assert record.log.dtype == np.float64 and not record.log.flags.writeable
+        export_curves(tmp_path / "b.bin", [record], config_hash=header["config_hash"])
+        assert (tmp_path / "b.bin").read_bytes() == (tmp_path / "a.bin").read_bytes() == file_of(curves, "h")

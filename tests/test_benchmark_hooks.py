@@ -66,3 +66,20 @@ def test_traced_setup_records_one_rasterize_span():
     names = [span[0] for span in tracer.spans]
     assert names.count("runtime.setup") == names.count("field.rasterize") == 1
     assert tracer.spans[names.index("field.rasterize")][3] == names.index("runtime.setup")
+
+
+def test_traced_run_measures_the_curve_archive_and_export(tmp_path):
+    # advect.finish_round_s, advect.export_curves_s and advect.curves_bytes keep reading through the
+    # names the tracer patches: each round archives through CurveStore.finish_round, and the run's
+    # curves.bin is written through cli.export_curves
+    from diffadvect import cli
+
+    spans = _load_perfbench("spans")
+    config = _WORKLOADS.config_for("smoke", 0)
+    assert config.export_curves
+    with spans.Tracer() as tracer:
+        result, _ = cli.execute_run(config, tmp_path)
+    totals = tracer.totals()
+    assert totals["advect.export_curves"]["calls"] == 1
+    assert spans.layer_metrics(tracer)["advect.curves_bytes"] == (tmp_path / "curves.bin").stat().st_size > 0
+    assert totals["advect.finish_round"]["calls"] == result.rounds

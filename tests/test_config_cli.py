@@ -565,6 +565,9 @@ class TestExportCurves:
         assert h1["particle_ids"] == h2["particle_ids"]
         for pid in c1:
             np.testing.assert_array_equal(c1[pid], c2[pid])
+        # the re-export is the run's own file, byte for byte, provenance included
+        assert dest.read_bytes() == (out / "curves.bin").read_bytes()
+        assert h2["config_hash"] == json.loads((out / "summary.json").read_text())["config_hash"]
 
     def test_missing_run_dir_is_config_error(self, tmp_path):
         assert main(["export-curves", "--run", str(tmp_path), "--out", str(tmp_path / "x.bin")]) == 2
@@ -600,7 +603,7 @@ class TestExportCurves:
     def test_empty_file_set_roundtrips(self, tmp_path):
         from diffadvect.advect import export_curves, read_curves
 
-        export_curves(tmp_path / "curves.bin", [])  # no pairs: the header line alone
+        export_curves(tmp_path / "curves.bin", [])  # no records: the header line alone
         header = b'{"particle_count": 0, "particle_ids": [], "vertex_counts": []}\n'
         assert (tmp_path / "curves.bin").read_bytes() == header
         assert read_curves(tmp_path / "curves.bin")[1] == {}

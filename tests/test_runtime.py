@@ -135,7 +135,7 @@ class TestRoundSelection:
         lowest = [np.sort(p.ids[p.home == r])[:3] for r in range(2)]
         assert all(len(p.ids[p.home == r]) > 3 for r in range(2))
         sim.run_round(1)
-        assert sorted(pid for pid, _ in sim.store.segments) == sorted(np.concatenate(lowest).tolist())
+        assert sorted(pid for pid, _ in sim.store.pieces()) == sorted(np.concatenate(lowest).tolist())
 
 
 class TestTwoRankBalancing:
@@ -165,9 +165,9 @@ class TestTwoRankBalancing:
     def test_curve_segments_recorded_by_integrating_rank(self):
         sim = self._sim("lma")
         sim.run_round(1)
-        # one segment per particle, in world row order: rank 0's 50 kept, then the 50 it lent to rank 1
-        assert [pid for pid, _ in sim.store.segments] == list(range(100))
-        assert all(len(verts) == 5 for _, verts in sim.store.segments)
+        # one piece per particle, in world row order: rank 0's 50 kept, then the 50 it lent to rank 1
+        assert [pid for pid, _ in sim.store.pieces()] == list(range(100))
+        assert all(len(verts) == 5 for _, verts in sim.store.pieces())
 
     def test_constant_diffusion_halves_the_gap(self):
         sim = self._sim("constant")
@@ -261,9 +261,9 @@ class TestDeterminismAndInvariants:
         recs = sim.run_round(1)
         assert recs[3].recv_balanced == 60
         # loans from -x (rank 2) queue ahead of those from -y (rank 1)
-        # world rows are in rank-index order and every selected particle logs a segment,
+        # world rows are in rank-index order and every selected particle logs a piece,
         # so rank 3's ten rows follow the ten of each of ranks 0, 1 and 2
-        integrated = [pid for pid, _ in sim.store.segments[30:40]]
+        integrated = [pid for pid, _ in list(sim.store.pieces())[30:40]]
         assert len(integrated) == 10 and all(pid >= 90 for pid in integrated)
 
     def test_a_surviving_loan_returns_to_its_place_in_its_homes_queue(self):
@@ -276,7 +276,7 @@ class TestDeterminismAndInvariants:
         recs = sim.run_round(1)
         assert [r.sent_balanced for r in recs] == [0, 0, 0, 60]
         # each rank ran its first ten rows: 0-9 at home, loans 30-39 at rank 2 and 60-69 at rank 1
-        assert sorted(pid for pid, _ in sim.store.segments) == [*range(10), *range(30, 40), *range(60, 70)]
+        assert sorted(pid for pid, _ in sim.store.pieces()) == [*range(10), *range(30, 40), *range(60, 70)]
         p = sim.particles
         assert (p.home == 3).all()
         queue = p.ids[np.lexsort((p.seq, p.home))]
@@ -395,7 +395,7 @@ class TestDeterminismAndInvariants:
         monkeypatch.setattr(CurveStore, "allocate", counting_allocate)
         off_sim, off = run(False)
         assert slots and sum(slots) == 0
-        assert not off_sim.store.segments
+        assert not off_sim.store.records
         _, on = run(True)
         assert sum(slots) > 0
         assert off.curves is None and on.curves
