@@ -38,10 +38,11 @@ never ties with the upper face it crossed. A point's x, y and z go through
 each operation together, as one 4-wide vector whose spare lane feeds no
 decision and no output; the cell and the tests stay scalar. Importing this
 module builds it with gcc ``-O3 -ffp-contract=off`` (no fast-math, no fused
-multiply-add, no ``-m`` flag) into this package's ``__pycache__``, under a name
-keyed by the SHA-256 of the source and flags, and loads it. Each worker runs
-its AVX build where the CPU has AVX, else its default build, which on x86 is
-two to three times slower.
+multiply-add) into this package's ``__pycache__``, under a name keyed by the
+SHA-256 of the source and flags, and loads it. The library holds one build of
+every function: with ``-mavx``, the one ``-m`` flag, where ``/proc/cpuinfo``
+lists AVX (which has no fused multiply-add), else the default build, which on
+x86 is two to three times slower.
 
 The kernel runs on one worker per CPU this process may run on
 (``os.sched_getaffinity``, so ``taskset`` limits it), but on no more than one
@@ -96,8 +97,19 @@ STATUS_OOB = 1        # left its home block; still active
 STATUS_TERMINATED = 2  # iteration budget exhausted
 STATUS_EXITED = 3      # left the global domain
 
+
+def _isa_flags() -> tuple:
+    """``("-mavx",)`` when the first ``flags`` line of ``/proc/cpuinfo`` lists ``avx`` (only x86's do), else ``()``."""
+    try:
+        with open("/proc/cpuinfo") as fh:
+            flags = next((line.split(":", 1)[-1].split() for line in fh if line.startswith("flags")), [])
+    except OSError:
+        flags = []
+    return ("-mavx",) if "avx" in flags else ()
+
+
 KERNEL_SOURCE = Path(__file__).with_name("rk4.c")
-KERNEL_FLAGS = ("-O3", "-ffp-contract=off", "-shared", "-fPIC", "-pthread")
+KERNEL_FLAGS = ("-O3", "-ffp-contract=off", "-shared", "-fPIC", "-pthread", *_isa_flags())
 _KERNEL_ERRORS = {
     -1: "the round log is full: the kernel would write past its capacity",
     -2: "particle position outside its block's sampling extent",

@@ -33,9 +33,9 @@
  * reach the caller, and each is pinned to a CPU of the caller's affinity
  * mask other than the one the caller runs on: unpinned, a helper can stay on
  * the caller's CPU and add nothing. A helper that fails to start leaves its
- * chunks to the other workers. A worker runs the AVX build of its body where
- * the CPU has AVX (no FMA, which would round unlike numpy), else the default
- * build, which on x86 is two to three times slower.
+ * chunks to the other workers. The library holds one build: advect.py adds
+ * -mavx where the CPU has AVX, which has no FMA, so nothing rounds unlike
+ * numpy; on x86 the build without it is two to three times slower.
  *
  * rk4_export writes curves.bin's payload a batch at a time: it casts each of
  * a batch's pieces, a run of float64 vertices in a round log, to float32 in
@@ -60,7 +60,7 @@ enum { LOG_FULL = -1, START_OUTSIDE = -2 };
 const int64_t rk4_lanes = LANES, rk4_chunk = CHUNK;
 
 /* x, y, z and the spare lane. A vector passes by pointer, or within the always_inline helpers: passed or
- * returned by value, its ABI would differ between the two builds of the worker. */
+ * returned by value, its ABI would depend on -mavx, which gcc warns of (-Wpsabi) in the build without it. */
 typedef double v4d __attribute__((vector_size(32)));
 #define INLINE static inline __attribute__((always_inline))
 
@@ -173,7 +173,7 @@ int64_t rk4_reach(int64_t n, const double *lattice, int64_t sx, int64_t sy, cons
     return -1;
 }
 
-/* Sample n points, each against its home's row of bounds, with the default build of the workers' sampler. */
+/* Sample n points, each against its home's row of bounds, with the workers' sampler. */
 void rk4_sample(int64_t n, const double *lattice, int64_t sx, int64_t sy, const double *spacing,
                 const int64_t *origin, const int64_t *core, const int64_t *home, const double *points, double *out)
 {
@@ -258,7 +258,7 @@ static int next_row(Lane *lane, const Call *c)
 }
 
 /* One worker: its LANES lanes advance one row each, stage by stage, until no chunk is left. */
-INLINE void work(const Call *c)
+static void work(const Call *c)
 {
     const double h = c->h, half = h / 2.0, sixth = h / 6.0;
     const double *lattice = c->lattice;
@@ -342,29 +342,10 @@ INLINE void work(const Call *c)
     __atomic_fetch_add(c->logged, logged, __ATOMIC_RELAXED);
 }
 
-#if defined(__x86_64__)
-__attribute__((target("avx"))) static void advance_avx(const Call *c)
-{
-    work(c);
-}
-#endif
-
-/* One worker: the AVX build where the CPU has AVX, else the default build. */
-static void advance(const Call *c)
-{
-#if defined(__x86_64__)
-    __builtin_cpu_init();
-    if (__builtin_cpu_supports("avx"))
-        advance_avx(c);
-    else
-#endif
-        work(c);
-}
-
 static void *helper(void *shared)
 {
     Call c = *(const Call *)shared; /* read once: the caller's stack line is never read again */
-    advance(&c);
+    work(&c);
     return NULL;
 }
 
@@ -437,7 +418,7 @@ int64_t rk4_advance(int64_t n, const double *lattice, int64_t sx, int64_t sy, co
     workers = workers < MAX_WORKERS ? workers : MAX_WORKERS;
     pthread_t helpers[MAX_WORKERS];
     int started = start_helpers(&call, (int)workers - 1, helpers);
-    advance(&call);
+    work(&call);
     for (int k = 0; k < started; k++)
         pthread_join(helpers[k], NULL);
     return counter.logged;

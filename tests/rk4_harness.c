@@ -1,7 +1,7 @@
-/* Drives rk4_advance, rk4_reach and rk4_export of diffadvect/rk4.c, for sanitizer builds.
+/* Drives rk4_advance, rk4_reach, rk4_sample and rk4_export of diffadvect/rk4.c, for sanitizer builds.
  *
- * Build it together with rk4.c, e.g.
- *     gcc -g -O1 -pthread -fsanitize=thread -fno-sanitize-recover=all \
+ * Build it together with rk4.c, with -mavx where the kernel is built with it, e.g.
+ *     gcc -g -O1 -pthread -mavx -fsanitize=thread -fno-sanitize-recover=all \
  *         tests/rk4_harness.c src/diffadvect/rk4.c -o harness -lm && ./harness
  * and again with -fsanitize=address,undefined. For row counts around the CHUNK and LANES * CHUNK
  * boundaries, and for one world whose rows start in the last rank's top cell, where a sample's last
@@ -12,7 +12,10 @@
  *   - that a start outside its reach, or a log one vertex short, is refused with nothing written.
  * It also exports pieces of a log, out of log order, a batch at a time into buffers of exactly the
  * batch's size, for batch sizes that cut pieces at both ends of a batch and around a one-vertex piece,
- * and checks each float against a cast of its own; and that n = 0 reads and writes nothing.
+ * and checks each float against a cast of its own; and that n = 0 reads and writes nothing. It samples one
+ * point on every face of each rank's closed extent, and the centre and top corner of the last rank's top
+ * cell, whose last corner is the lattice's last node, and checks each against the node, or the mean of the
+ * cell's 8 corners, that it should be.
  * Every allocation is freed, so LeakSanitizer reports only a leak of the kernel's own. Exits 0 when
  * every check holds, else 1 after printing each world's first failed check.
  */
@@ -28,6 +31,8 @@ int64_t rk4_advance(int64_t n, const double *lattice, int64_t sx, int64_t sy, co
                     double *vertices, int64_t capacity, int64_t *start, int64_t workers);
 int64_t rk4_reach(int64_t n, const double *lattice, int64_t sx, int64_t sy, const double *spacing,
                   const int64_t *origin, const int64_t *core, const int64_t *home, const double *points);
+void rk4_sample(int64_t n, const double *lattice, int64_t sx, int64_t sy, const double *spacing,
+                const int64_t *origin, const int64_t *core, const int64_t *home, const double *points, double *out);
 void rk4_export(int64_t n, const int64_t *addr, const int64_t *count, float *out);
 extern const int64_t rk4_lanes, rk4_chunk;
 
@@ -188,6 +193,50 @@ done:
     return failed;
 }
 
+/* Node (i, j, k), with the ghost layer at -1 and RES. */
+static const double *node(int64_t i, int64_t j, int64_t k)
+{
+    return lattice + 3 * ((i + 1) * SX + (j + 1) * SY + k + 1);
+}
+
+/* Sample one point on each face of each rank's closed extent [origin - 1, origin + core], at the middle of
+ * its other two axes, and the centre and top corner of the last rank's top cell; returns 0 when each is
+ * within 1e-12 of its node, or of the mean of the cell's 8 corners (p / spacing is not always exact). */
+static int sampled(void)
+{
+    enum { POINTS = 6 * RANKS + 2 };
+    int failed = 0;
+    int64_t home[POINTS];
+    double points[3 * POINTS], out[3 * POINTS], want[3 * POINTS] = {0};
+    for (int r = 0; r < RANKS; r++)
+        for (int f = 0; f < 6; f++) {
+            int64_t i = 6 * r + f, g[3];
+            for (int a = 0; a < 3; a++)
+                g[a] = origin[3 * r + a] + core[3 * r + a] / 2;
+            g[f / 2] = f & 1 ? origin[3 * r + f / 2] + core[3 * r + f / 2] : origin[3 * r + f / 2] - 1;
+            home[i] = r;
+            for (int a = 0; a < 3; a++) {
+                points[3 * i + a] = g[a] * spacing[a];
+                want[3 * i + a] = node(g[0], g[1], g[2])[a];
+            }
+        }
+    for (int a = 0; a < 3; a++) { /* the top cell [RES - 1, RES] of the last rank, whose core ends at RES */
+        points[3 * (POINTS - 2) + a] = (RES - 0.5) * spacing[a];
+        points[3 * (POINTS - 1) + a] = RES * spacing[a];
+        want[3 * (POINTS - 1) + a] = node(RES, RES, RES)[a]; /* the lattice's last node */
+        for (int c = 0; c < 8; c++)
+            want[3 * (POINTS - 2) + a] += node(RES - 1 + (c >> 2), RES - 1 + (c >> 1 & 1), RES - 1 + (c & 1))[a] / 8;
+    }
+    home[POINTS - 2] = home[POINTS - 1] = RANKS - 1;
+    CHECK(origin[3 * (RANKS - 1)] + core[3 * (RANKS - 1)] == RES, "sample: the last rank's core ends before RES");
+    rk4_sample(POINTS, lattice, SX, SY, spacing, origin, core, home, points, out);
+    for (int64_t i = 0; i < 3 * POINTS; i++)
+        CHECK(fabs(out[i] - want[i]) <= 1e-12, "sample: point %ld, component %ld is %.17g, not %.17g",
+              (long)(i / 3), (long)(i % 3), out[i], want[i]);
+done:
+    return failed;
+}
+
 int main(void)
 {
     for (int a = 0; a < 3; a++)
@@ -218,5 +267,6 @@ int main(void)
     const int64_t batches[] = {1, 3, 5, 32, 40};
     for (size_t b = 0; b < sizeof batches / sizeof batches[0]; b++)
         failed |= exported(batches[b]);
+    failed |= sampled();
     return failed | run(2 * rk4_lanes * rk4_chunk + 7, 1);
 }

@@ -208,6 +208,16 @@ def kernel_sample(block, home, points):
     return out
 
 
+def compile_kernel(flags, out, *extra):
+    """gcc's build of the kernel source with ``flags`` and ``extra`` into the library ``out``."""
+    command = ["gcc", *flags, *extra, str(KERNEL_SOURCE), "-o", str(out), "-lm"]
+    return subprocess.run(command, capture_output=True, text=True)
+
+
+# the kernel's flags without -mavx: the build a CPU without AVX runs
+DEFAULT_FLAGS = tuple(flag for flag in KERNEL_FLAGS if flag != "-mavx")
+
+
 def kernel_reach(block, home, points):
     """The kernel's reach test: the first row of ``points`` outside its home's sampling extent, or -1."""
     return advect.KERNEL.rk4_reach(*kernel_bounds(block, home), np.ascontiguousarray(points, np.float64).ctypes)
@@ -327,7 +337,7 @@ class TestKernelEqualsReference:
         # Every face of each rank's closed extent, and g in (-1, 0), where floor is not truncation; the
         # top cell of rank 1, whose core ends at the ghost layer, so its last corner is the lattice's last
         # node; and -0.0, where numpy's frac is -0.0, so at node 0, which holds -0.0, the lerps' zeros
-        # keep their sign. rk4_sample runs the default build of the sampler that the AVX workers run.
+        # keep their sign. rk4_sample runs the workers' sampler, from the one build in the library.
         res = 9  # spacing 1/8, so g = p / spacing is exact
         lattice = np.random.default_rng(6).uniform(-1.0, 1.0, (res + 2,) * 3 + (3,))
         lattice[1, 1, 1] = -0.0
@@ -577,18 +587,20 @@ class TestKernelBuild:
         assert out.tobytes() == block.sample_clamped(points).tobytes()
 
     def test_kernel_compiles_without_warnings(self, tmp_path):
-        # a stale variable or a mismatched signature left by a kernel edit fails here
-        command = ["gcc", *KERNEL_FLAGS, "-Wall", "-Wextra", "-Werror", str(KERNEL_SOURCE),
-                   "-o", str(tmp_path / "rk4.so"), "-lm"]
-        done = subprocess.run(command, capture_output=True, text=True)
-        assert done.returncode == 0, done.stderr
+        # a stale variable or a mismatched signature left by a kernel edit fails here, in the loaded build and
+        # in the one without -mavx, where a vector passed by value would raise -Wpsabi
+        for flags in dict.fromkeys((KERNEL_FLAGS, DEFAULT_FLAGS)):
+            done = compile_kernel(flags, tmp_path / "rk4.so", "-Wall", "-Wextra", "-Werror")
+            assert done.returncode == 0, (flags, done.stderr)
 
     @pytest.mark.parametrize("sanitizers", ["thread", "address,undefined"])
     def test_kernel_runs_clean_under_sanitizers(self, tmp_path, sanitizers):
-        # tests/rk4_harness.c drives rk4_advance on 1-4 workers and rk4_reach; any race, bad access,
-        # leak or undefined behaviour, or a check of its own, exits non-zero
+        # tests/rk4_harness.c drives rk4_advance on 1-4 workers, rk4_reach, rk4_sample and rk4_export, built
+        # with the kernel's instruction set; any race, bad access, leak or undefined behaviour, or a check of
+        # its own, exits non-zero
         harness = tmp_path / "harness"
-        command = ["gcc", "-g", "-O1", "-pthread", f"-fsanitize={sanitizers}", "-fno-sanitize-recover=all",
+        isa = [flag for flag in KERNEL_FLAGS if flag.startswith("-m")]
+        command = ["gcc", "-g", "-O1", "-pthread", *isa, f"-fsanitize={sanitizers}", "-fno-sanitize-recover=all",
                    str(Path(__file__).with_name("rk4_harness.c")), str(KERNEL_SOURCE), "-o", str(harness), "-lm"]
         built = subprocess.run(command, capture_output=True, text=True)
         assert built.returncode == 0, built.stderr
@@ -597,24 +609,35 @@ class TestKernelBuild:
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_default_build_equals_the_kernel_bit_for_bit(self, tmp_path, monkeypatch, workers):
-        # With the CPU check defined to 0 every worker runs the default build, which an AVX host
-        # never runs otherwise; it must match the loaded kernel's outcome, starts and log exactly.
+        # The build without -mavx, which an AVX host never loads, must match the loaded kernel's outcome,
+        # starts and log, its samples and its reach tests exactly.
         library = tmp_path / "rk4-default.so"
-        command = ["gcc", *KERNEL_FLAGS, "-D__builtin_cpu_supports(x)=0", str(KERNEL_SOURCE),
-                   "-o", str(library), "-lm"]
-        built = subprocess.run(command, capture_output=True, text=True)
+        built = compile_kernel(DEFAULT_FLAGS, library)
         assert built.returncode == 0, built.stderr
-        block, pset = random_world(np.random.default_rng(11), 3 * LANES * CHUNK + 5, 12, shared=True)
+        rng = np.random.default_rng(11)
+        block, pset = random_world(rng, 3 * LANES * CHUNK + 5, 12, shared=True)
+        # 9 nodes per axis: spacing 1/8, so g = p / spacing is exact, and a fifth of the coordinates lie on a face
+        table, rows = random_world(rng, 200, 9, shared=True)
+        lo, hi = row_bounds(table, rows.home).sample_bounds()
+        g = np.where(rng.random(lo.shape) < 0.2, np.where(rng.random(lo.shape) < 0.5, lo, hi),
+                     lo + rng.random(lo.shape) * (hi - lo))
+        points, outside = g * table.spacing, g * table.spacing
+        outside[100] = (lo[100] - 0.5) * table.spacing  # half a cell below its extent
         runs = []
         for kernel in (advect.KERNEL, load_kernel(library)):
             monkeypatch.setattr(advect, "_rk4_advance", kernel.rk4_advance)
+            monkeypatch.setattr(advect, "KERNEL", kernel)
             log = CurveStore().allocate(round_info(pset))
-            runs.append((integrate_group(block, pset.copy(), log, 0.05, workers=workers), log))
-        (want, want_log), (got, got_log) = runs
+            reached = [kernel_reach(table, rows.home, p) for p in (points, outside)]
+            runs.append((integrate_group(block, pset.copy(), log, 0.05, workers=workers), log,
+                         kernel_sample(table, rows.home, points).tobytes(), reached))
+        (want, want_log, want_samples, want_reached), (got, got_log, got_samples, got_reached) = runs
         for name in ("status", "exit_dir", "pos", "remaining", "steps", "start"):
             assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name
         assert got_log.tobytes() == want_log.tobytes()
         assert set(want.status.tolist()) == {STATUS_OOB, STATUS_TERMINATED, STATUS_EXITED}
+        assert got_samples == want_samples
+        assert got_reached == want_reached == [-1, 100]
 
     def test_cache_key_follows_source_and_flags(self):
         source = KERNEL_SOURCE.read_bytes()
@@ -623,15 +646,21 @@ class TestKernelBuild:
         assert kernel_name(source + b"\n", KERNEL_FLAGS) != name
         assert kernel_name(source, KERNEL_FLAGS[:-1]) != name
         assert kernel_name(source, KERNEL_FLAGS + ("-ffast-math",)) != name
+        assert kernel_name(source, DEFAULT_FLAGS + ("-mavx",)) != kernel_name(source, DEFAULT_FLAGS)
 
     def test_flags_keep_the_kernel_bit_identical_to_numpy(self):
         # fused multiply-adds, fast-math reassociation and host-specific code generation would
         # each change the rounding of the numpy reference's operations
         assert "-ffp-contract=off" in KERNEL_FLAGS
-        assert not any(flag in ("-ffast-math", "-Ofast") or flag.startswith("-m") for flag in KERNEL_FLAGS)
-        # the one ISA the source asks for is AVX, which has no fused multiply-add (FMA3 came after it)
+        assert not any(flag in ("-ffast-math", "-Ofast") or flag.startswith(("-march", "-mfma"))
+                       for flag in KERNEL_FLAGS)
+        # the one instruction set the build may add is AVX, where the CPU lists it; it has no fused multiply-add
+        # (FMA3 came after it). The source picks none itself.
+        cpu = re.search(r"^flags\s*:(.*)$", Path("/proc/cpuinfo").read_text(), re.MULTILINE)
+        avx = cpu is not None and "avx" in cpu.group(1).split()
+        assert [flag for flag in KERNEL_FLAGS if flag.startswith("-m")] == (["-mavx"] if avx else [])
         source = KERNEL_SOURCE.read_text()
-        assert re.findall(r"target\s*\(([^)]*)\)", source) == ['"avx"']
+        assert not re.search(r"\btarget\s*\(", source) and "__builtin_cpu_" not in source
         assert "fmadd" not in source and not re.search(r"\bfma\s*\(", source)
 
     def test_missing_compiler_is_named(self, tmp_path):
