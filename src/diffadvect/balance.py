@@ -156,27 +156,31 @@ def plan_transfers(neighbors, loads, scheduler: str, alpha: float | None = None)
     return decide(scheduler, loads, W, granted, alpha)
 
 
+def run_rows(starts, lengths) -> np.ndarray:
+    """The rows of consecutive runs laid end to end: run ``i`` is ``lengths[i]`` rows from ``starts[i]``."""
+    starts, lengths = np.asarray(starts, dtype=np.int64), np.asarray(lengths, dtype=np.int64)
+    return np.arange(lengths.sum()) + np.repeat(starts - (np.cumsum(lengths) - lengths), lengths)
+
+
 def select_particles(loads, sends) -> tuple[np.ndarray, list[np.ndarray]]:
     """Pick the queue positions that realise a send matrix: most recently queued first.
 
     Positions count along the ranks' queues laid end to end in rank order,
-    rank ``r``'s ``loads[r]`` long; the caller maps them to its rows. Every
-    queued particle is at home, since a loan lasts only the round that
-    makes it. Rank ``r`` lends the tail of its queue, ``sends[r].sum()``
+    rank ``r``'s ``loads[r]`` long, which is how the particle table stores
+    them. Every queued particle is at home, since a loan lasts only the round
+    that makes it. Rank ``r`` lends the tail of its queue, ``sends[r].sum()``
     positions, a direction at a time: direction 0 takes the first run of the
     tail, direction 1 the next, and so on.
 
-    Returns ``(kept, per_direction)``: queue positions, each ascending, with
-    one entry of ``per_direction`` per column of ``sends``.
+    Returns ``(first, per_direction)``: ``first[r, d]`` is the first position
+    of the run rank ``r`` lends in direction ``d``, ``sends[r, d]`` long, and
+    ``per_direction`` holds one ascending array of lent positions per column
+    of ``sends``.
     """
     loads, sends = np.asarray(loads, dtype=np.int64), np.asarray(sends, dtype=np.int64)
-    # the first row of each (rank, direction) run, direction-major like the counts
-    run_start = ((np.cumsum(loads) - sends.sum(axis=1))[:, np.newaxis] + np.cumsum(sends, axis=1) - sends).T.ravel()
-    counts = sends.T.ravel()
-    rows = np.arange(counts.sum()) + np.repeat(run_start - (np.cumsum(counts) - counts), counts)
-    keep = np.ones(int(loads.sum()), dtype=bool)
-    keep[rows] = False
-    return np.flatnonzero(keep), np.split(rows, np.cumsum(sends.sum(axis=0))[:-1])
+    first = (np.cumsum(loads) - sends.sum(axis=1))[:, np.newaxis] + np.cumsum(sends, axis=1) - sends
+    rows = run_rows(first.T.ravel(), sends.T.ravel())  # direction-major
+    return first, np.split(rows, np.cumsum(sends.sum(axis=0))[:-1])
 
 
 def synchronous_step(grid: ProcessGrid, loads, scheduler: str, alpha: float | None = None) -> list[int]:

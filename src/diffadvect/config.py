@@ -31,11 +31,11 @@ ROUND_BUFFER_CAP_BYTES = 1 << 29
 # Largest particle table a run may seed: seeds x SEED_BYTES, the peak resident
 # bytes per seed. A run of 2,097,152 seeds (abc, 128^3, stride 1, 2x2x2 gllma,
 # 1 iteration, curves off, on a 2-CPU Xeon with Python 3.11 and numpy 2.4)
-# peaked at 276.9 MiB in a fresh process, against 135.2 MiB at stride 2 and
-# 85.0 MiB at stride 8 (262,144 and 4,096 seeds): 81 and 96 B per seed, for
-# a 56 B table row. The Simulator is built at 198 MiB; round 1's round info,
-# the lexsort of the whole table and the queue positions it ranks, sets the
-# peak.
+# peaked at 256.3 MiB in a fresh process, against 131.4 MiB at stride 2 and
+# 84.8 MiB at stride 8 (262,144 and 4,096 seeds): 71 and 86 B per seed, for
+# a 48 B table row. Seeding peaks at 245 MiB, gathering the rows into home
+# order; round 1's compaction, the table's surviving rows gathered a column
+# at a time in the order of one stable argsort, sets the peak.
 # The 2 GiB cap admits 17.9M seeds.
 SEED_TABLE_CAP_BYTES = 1 << 31
 SEED_BYTES = 120

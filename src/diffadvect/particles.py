@@ -2,11 +2,10 @@
 
 A :class:`ParticleSet` is a table of particle rows. ``home`` is the rank
 whose block a particle samples and whose queue holds it between rounds.
-``seq`` is the FIFO key: a rank's queue is its rows in ``seq`` order, and a
-fresh set queues in id order. A loan lasts one round, so the table records
-none: the round that lends a row keeps its borrower in a column of its own.
-Selecting and concatenating rows keep their order; no result depends on it,
-since queues are ordered by ``seq``.
+Row order is queue order: the simulator keeps its table in ``home`` order,
+so each rank's queue is one run of rows, head first. A loan lasts one round
+and never moves its row, so the table records none. Selecting and
+concatenating rows keep their order.
 """
 
 from __future__ import annotations
@@ -22,7 +21,6 @@ class ParticleSet:
     pos: np.ndarray
     remaining: np.ndarray
     home: np.ndarray
-    seq: np.ndarray
 
     def __len__(self) -> int:
         return int(self.ids.shape[0])
@@ -33,14 +31,12 @@ class ParticleSet:
 
     @staticmethod
     def make(ids, pos, remaining, home) -> "ParticleSet":
-        """A set whose rows queue at their home in id order."""
         ids = np.asarray(ids, dtype=np.int64)
         return ParticleSet(
             ids=ids,
             pos=np.asarray(pos, dtype=np.float64).reshape(ids.shape[0], 3),
             remaining=np.asarray(remaining, dtype=np.int64),
             home=np.asarray(home, dtype=np.int64),
-            seq=ids.copy(),
         )
 
     def _columns(self):

@@ -1,37 +1,32 @@
 """Lockstep multi-rank advection simulator over one world particle table.
 
-Every particle is a row of one :class:`ParticleSet`, seeded once in id order
-by :func:`seed_particles`, that carries its ``home`` rank, whose block it
-samples and whose queue holds it between rounds, and its FIFO key ``seq``.
-A rank's queue is its rows in ``seq`` order; rows stay where they are
-stored, and a stage that needs queue order computes it as one lexsort.
-A loan lasts one round: the round copies ``home`` into its own ``holder``
-column, whose entry differs from ``home`` only on the rows lent to a face
-neighbor, and drops that column once the round's rows are selected.
+Every particle is a row of one :class:`ParticleSet` that carries its
+``home`` rank, whose block it samples and whose queue holds it between
+rounds. Row order is queue order: the table is sorted by ``home``, so each
+rank's queue is one run of rows, head first. Seeding builds it so, each
+round keeps it so, and each round checks it before anything moves.
 
 Topology is two tables: ``neighbors``, the ``(ranks, 6)`` face-neighbor table
 of :func:`topology.neighbor_table` (-1 at the domain hull), and ``blocks``,
 whose rows are the ranks' bounds from :func:`topology.decompose`.
 
 A round runs the paper's stages, each as one synchronous step of the whole
-world, as in Cybenko's diffusion model: distribute (one
+world, as in Cybenko's diffusion model. Distribute: one
 :func:`balance.plan_transfers` send matrix over the neighbor table, then one
-:func:`balance.select_particles` call: each rank lends the tail of its queue,
-a direction at a time, and the lent rows' ``seq`` are saved), round info
-(each holder's first ``particles_per_round`` queued rows, by one lexsort of
-``(holder, seq)``), allocate and integrate (one call over the selected rows
-in queue order, after which each block exit's receiver is its home's
-neighbor in its exit direction), collect (every loan gets its saved ``seq``
-back, so a surviving loan is again where it was in its home's queue, and one
-compaction drops the finished rows; a loan that terminates at the borrower
-dies there) and hand-off (each block exit's receiver becomes its home). A
-particle leaves the domain only as the kernel's ``STATUS_EXITED``; a block
-exit into the hull is an :class:`InvariantError`.
-Every move goes through :meth:`Simulator._move`, which queues the moved rows
-behind the receiver's own, by the sender's direction in the receiver's
-neighbor-table row, then in the sender's order. A round moves twice: the
-loans, on the round's ``holder``, and the hand-offs, on ``home``.
-No result depends on the order the table's rows are stored in.
+:func:`balance.select_particles` call; each rank lends the tail of its queue,
+a run of rows per direction. A loan lasts one round and never moves its row.
+Round info: a holder's queue is seven runs, its unlent head, then for each
+direction ``d`` the run its neighbor there lent it in direction ``d ^ 1``; it
+runs the first ``particles_per_round`` rows of them. Allocate and integrate:
+one call over the selected rows in queue order. Out of bounds: each block
+exit's receiver, its home's neighbor in its exit direction, becomes its home.
+Collect: one stable sort by ``(home, slot)`` drops the finished rows and
+moves each exit to its receiver's tail. An exit's slot is 1 plus the
+direction of its sender in the receiver's neighbor-table row, so exits queue
+by that direction, then in their sender's order; a row that stays has slot
+0, so a surviving loan is where it was in its home's queue. A particle
+leaves the domain only as the kernel's ``STATUS_EXITED``; a block exit into
+the hull is an :class:`InvariantError`.
 
 A round's rows of the rounds table hold what each rank counted. Each stage's
 world time is measured once, and the run sums it per stage over the rounds.
@@ -95,10 +90,11 @@ def seed_particles(resolution, aabb_scale: float, stride, origin, grid: ProcessG
                    max_iterations: int) -> ParticleSet:
     """Seed particles on the global voxel lattice inside a centered box.
 
-    Every node of :func:`field.seed_axes` becomes a seed. Returns the world
-    table in lattice order, x fastest: row ``i`` has id ``i`` and starts at
-    home on the rank whose core extent contains its node, given the ranks'
-    block origins from :func:`topology.decompose`.
+    Every node of :func:`field.seed_axes` becomes a seed, with the node's
+    index in lattice order, x fastest, as its id, at home on the rank whose
+    core extent contains the node, given the ranks' block origins from
+    :func:`topology.decompose`. Returns the world table in home order and
+    within each home in id order: each rank's queue, one run of rows.
     """
     if not (0.0 < aabb_scale <= 1.0):
         raise ConfigError(f"aabb scale must be in (0, 1], got {aabb_scale}")
@@ -117,7 +113,9 @@ def seed_particles(resolution, aabb_scale: float, stride, origin, grid: ProcessG
     pos[..., 0] = axes[0] * spacing[0]
     pos[..., 1] = (axes[1] * spacing[1])[:, None]
     pos[..., 2] = (axes[2] * spacing[2])[:, None, None]
-    return ParticleSet.make(np.arange(home.size), pos, np.full(home.size, int(max_iterations)), home.ravel())
+    order = np.argsort(home, axis=None, kind="stable")
+    return ParticleSet.make(order, pos.reshape(-1, 3)[order], np.full(home.size, int(max_iterations)),
+                            home.ravel()[order])
 
 
 class Simulator:
@@ -158,22 +156,11 @@ class Simulator:
         self.records, self.round_totals = [], []
         self.stage_totals_s = np.zeros(len(STAGE_COLUMNS))
 
-    def _move(self, holder: np.ndarray, seq: np.ndarray, rows: np.ndarray, to: np.ndarray) -> None:
-        """Hand table ``rows`` to ranks ``to``, queued behind what each receiver holds.
-
-        ``holder`` and ``seq`` are the holder and FIFO-key columns the move
-        rewrites. Arrivals queue by receiver, then by the direction of their
-        current holder in the receiver's neighbor-table row, then in that
-        holder's order. Only the moved rows' entries change; no row moves.
-        """
-        direction = np.argmax(self.neighbors[to] == holder[rows, np.newaxis], axis=1)
-        arrivals = rows[np.lexsort((seq[rows], direction, to))]
-        seq[arrivals] = seq.max(initial=-1) + 1 + np.arange(rows.size)
-        holder[rows] = to
-
     def _assert_containable(self) -> None:
-        """Every particle's home block reaches it, by the kernel's own test, ``rk4_reach``, made on every row."""
+        """Every row is in ``home`` order and in its home block's reach, by the kernel's own test, ``rk4_reach``."""
         p = self.particles
+        if np.any(p.home[1:] < p.home[:-1]):
+            raise InvariantError("particle table out of home order: a rank's queue is not one run of rows")
         i = KERNEL.rk4_reach(*kernel_bounds(self.blocks, p.home), np.ascontiguousarray(p.pos, np.float64).ctypes)
         if i >= 0:
             raise InvariantError(f"rank {p.home[i]}: particle outside its block's reach")
@@ -188,25 +175,21 @@ class Simulator:
         self._assert_containable()
         stamps = [time.perf_counter()]
 
-        # Stage 1, distribute: each rank lends the tail of its queue to its neighbors. Every row is at
-        # home; the round's own holder column records the loans, and lent_seq their queue places.
+        # Stage 1, distribute: each rank lends the tail of its queue, a run of rows per direction.
         p = self.particles
         load_pre = np.bincount(p.home, minlength=ranks)
         sends = balance.plan_transfers(self.neighbors, load_pre, self.scheduler, self.alpha)
-        _, per_direction = balance.select_particles(load_pre, sends)
-        lent = np.lexsort((p.seq, p.home))[np.concatenate(per_direction)]
-        lent_to = np.repeat(self.neighbors.T.ravel(), sends.T.ravel())
-        lent_seq, holder = p.seq[lent], p.home.copy()
-        self._move(holder, p.seq, lent, lent_to)
-        load_post = np.bincount(holder, minlength=ranks)
+        first, _ = balance.select_particles(load_pre, sends)
         stamps.append(time.perf_counter())
 
-        # Stage 2, round info: each holder's first particles_per_round queued rows run.
-        queue = np.lexsort((p.seq, holder))
-        holder = holder[queue]  # in queue order; the row-order copy is freed here, before the temporaries below
-        run = np.arange(len(p)) - (np.cumsum(load_post) - load_post)[holder] < self.ppr
-        sel, sel_holder = queue[run], holder[run]
-        del queue, holder, run  # nothing reads them after sel; freed before the gather and the kernel call
+        # Stage 2, round info: a holder's queue is seven runs, its unlent head, then for each direction d
+        # the run its neighbor there lent in direction d ^ 1; it runs the first particles_per_round rows.
+        hull, back = self.neighbors < 0, np.arange(6) ^ 1
+        lengths = np.column_stack([load_pre - sends.sum(axis=1), np.where(hull, 0, sends[self.neighbors, back])])
+        starts = np.column_stack([np.cumsum(load_pre) - load_pre, first[self.neighbors, back]])
+        take = np.minimum(lengths, np.maximum(self.ppr - (np.cumsum(lengths, axis=1) - lengths), 0))
+        sel = balance.run_rows(starts.ravel(), take.ravel())
+        sel_holder = np.repeat(np.arange(ranks), take.sum(axis=1))
         world = p.select(sel)
         stamps.append(time.perf_counter())
 
@@ -218,35 +201,40 @@ class Simulator:
         steps = np.bincount(sel_holder, out.steps, ranks)
         self.terminated += int(np.count_nonzero(out.status == STATUS_TERMINATED))
         self.exited += int(np.count_nonzero(out.status == STATUS_EXITED))
+        p.pos[sel], p.remaining[sel] = out.pos, out.remaining
+        stamps.append(time.perf_counter())
+
+        # Stage 6, out of bounds, ahead of collect: each block exit's receiver, its home's neighbor in
+        # its exit direction, becomes its home, and its sort key queues it behind the receiver's own
+        # rows, by the direction of its sender in the receiver's neighbor-table row.
         oob = out.status == STATUS_OOB
-        receivers = self.neighbors[world.home[oob], out.exit_dir[oob]]
+        senders, exit_dir, exits = world.home[oob], out.exit_dir[oob], sel[oob]
+        receivers = self.neighbors[senders, exit_dir]
         if np.any(receivers < 0):
             raise InvariantError(f"round {round_index}: a block exit points at the domain hull")
-        p.pos[sel], p.remaining[sel] = out.pos, out.remaining
-        del world, out  # freed before the compaction
+        finished = sel[~oob]
+        del world, out, sel  # freed before the compaction
+        key = p.home * 7  # a row that stays keeps its place in its home's queue
+        key[finished] = 7 * ranks  # past every queue, so the compaction drops it
+        key[exits] = receivers * 7 + 1 + (exit_dir ^ 1)
+        p.home[exits] = receivers
         stamps.append(time.perf_counter())
 
-        # Stage 5, collect: every loan returns to its place in its home's queue; a loan that
-        # terminates at the borrower dies there, with the finished rows the compaction drops.
-        p.seq[lent] = lent_seq
-        alive = np.delete(np.arange(len(p)), sel[~oob])  # rows still active
-        p.compact(alive)
-        handed = np.searchsorted(alive, sel[oob])  # the block exits' rows in the compacted table
-        stamps.append(time.perf_counter())
-
-        # Stage 6, out of bounds: each block exit moves home to its receiver.
-        sent_oob = np.bincount(p.home[handed], minlength=ranks)
-        self._move(p.home, p.seq, handed, receivers)
+        # Stage 5, collect: a loan never left its row, so the one compaction, a stable sort of the keys,
+        # drops the finished rows (a loan that terminated at the borrower with them) and moves the exits.
+        order = np.argsort(key, kind="stable")[:len(p) - len(finished)]
+        del key  # freed before the compaction, which sets the run's peak
+        p.compact(order)
         stamps.append(time.perf_counter())
 
         counts = dict(round=round_index, rank=np.arange(ranks), integrate_steps=steps, load_pre=load_pre,
-                      load_post=load_post, sent_balanced=sends.sum(axis=1),
-                      recv_balanced=np.bincount(lent_to, minlength=ranks),
-                      sent_oob=sent_oob, recv_oob=np.bincount(receivers, minlength=ranks))
+                      load_post=lengths.sum(axis=1), sent_balanced=sends.sum(axis=1),
+                      recv_balanced=lengths[:, 1:].sum(axis=1), sent_oob=np.bincount(senders, minlength=ranks),
+                      recv_oob=np.bincount(receivers, minlength=ranks))
         block = round_table(ranks)
         for column, values in counts.items():
             block[column] = values
-        self.stage_totals_s += np.diff(stamps)
+        self.stage_totals_s += np.diff(stamps)[[0, 1, 2, 3, 5, 4]]  # out of bounds ran ahead of collect
         active = len(self.particles)
         if active + self.terminated + self.exited != self.seed_count:
             raise InvariantError(f"round {round_index}: {active} active + {self.terminated} terminated + "

@@ -246,37 +246,41 @@ class TestArrayEqualsReference:
         table, loads = grid_loads
         loads = [w % 200 for w in loads]  # a world table of at most 64 x 199 rows
         sends = plan_transfers(table, loads, scheduler)
-        kept, per_direction = select_particles(loads, sends)
+        first, per_direction = select_particles(loads, sends)
         starts = np.cumsum(loads) - loads
-        want_kept, want = [], [[] for _ in range(6)]
+        want_first, want_kept, want = np.zeros_like(sends), [], [[] for _ in range(6)]
         for r, (start, load) in enumerate(zip(starts, loads)):
             rank_kept, rank_sends = ref.select_particles(make_queue(load, r), sends[r], r)
             want_kept.append(start + rank_kept)
             for d, rows in enumerate(rank_sends):
                 want[d].append(start + rows)
-        np.testing.assert_array_equal(kept, np.concatenate(want_kept))
+                # each run starts where the runs before it in the rank's queue end
+                want_first[r, d] = start + len(rank_kept) + sum(len(before) for before in rank_sends[:d])
+        np.testing.assert_array_equal(first, want_first)
         for d in range(6):
             np.testing.assert_array_equal(per_direction[d], np.concatenate(want[d]))
+        kept = np.setdiff1d(np.arange(sum(loads)), np.concatenate(per_direction))
+        np.testing.assert_array_equal(kept, np.concatenate(want_kept))
 
 
 class TestSelectParticles:
     def test_tail_rule(self):
-        kept, sends = select_particles([100], [[26, 6]])
+        first, sends = select_particles([100], [[26, 6]])
         assert [len(s) for s in sends] == [26, 6]
         np.testing.assert_array_equal(sends[0], np.arange(68, 94))
         np.testing.assert_array_equal(sends[1], np.arange(94, 100))
-        np.testing.assert_array_equal(kept, np.arange(68))
+        assert first.tolist() == [[68, 94]]
 
     def test_each_rank_lends_the_tail_of_its_own_slice(self):
-        # rank 0 holds rows 0-9, rank 1 rows 10-14
-        kept, sends = select_particles([10, 5], [[2, 1], [0, 3]])
+        # rank 0 holds rows 0-9, rank 1 rows 10-14; rank 1's empty direction-0 run starts where its tail does
+        first, sends = select_particles([10, 5], [[2, 1], [0, 3]])
         np.testing.assert_array_equal(sends[0], [7, 8])
         np.testing.assert_array_equal(sends[1], [9, 12, 13, 14])
-        np.testing.assert_array_equal(kept, [0, 1, 2, 3, 4, 5, 6, 10, 11])
+        assert first.tolist() == [[7, 9], [12, 12]]
 
     def test_zero_decision_leaves_queue_untouched(self):
-        kept, sends = select_particles([5], [[0, 0]])
-        assert len(kept) == 5 and all(len(s) == 0 for s in sends)
+        first, sends = select_particles([5], [[0, 0]])
+        assert first.tolist() == [[5, 5]] and all(len(s) == 0 for s in sends)
 
 
 class TestDecide:
