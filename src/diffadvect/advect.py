@@ -23,7 +23,7 @@ it, so the accepted vertex sequence of a particle is independent of the
 decomposition; hand-offs and loans only change which rank performs each step.
 
 The kernel writes ``status``, ``exit_dir``, ``pos``, ``remaining``,
-``steps`` and ``start`` in place. Each of its float operations is one of the
+``steps`` and ``start`` in place. Each of its float64 operations is one of the
 numpy reference's (:func:`_block_step`, :meth:`Block.sample_clamped`), in
 their order, so the two agree bit for bit:
 ``g = p / spacing``; the cell ``floor(g)`` clamped to
@@ -59,19 +59,21 @@ test that its stage points and ``rk4_reach`` share, and that the summed budgets
 fit the log, so either error leaves every array untouched.
 
 With curves on, each round's log holds vertices only, sized by the
-selection's summed budgets. It is a private anonymous memory mapping kept from
-huge pages, so only the pages the kernel writes become resident. Each chunk
-writes into its own region, which starts at the summed budgets of the rows
-before the chunk, each of its rows as one run in step order, and the kernel
-reports the slot where each row's run starts. The call leaves the log
-read-only. :meth:`CurveStore.finish_round` archives the round as one
-:class:`CurveRecord`, the log with the ids, starts and steps of the rows that
-took a step, and builds nothing per row. :func:`export_curves` orders all
-rounds' pieces with one stable argsort of their ids and casts them to float32
-in the kernel's ``rk4_export``, a bounded batch at a time, copying each piece
-from its address in its log, so a vertex is written and read once. The outcome
-and the log are the same for any number of workers. With curves off nothing
-is allocated or archived; the kernel only counts the steps.
+selection's summed budgets, in float32 as ``curves.bin`` holds them: each is
+the round-to-nearest cast of its float64 position, as ``astype(np.float32)``
+casts, and positions, budgets and decisions stay float64. The log is a
+private anonymous memory mapping kept from huge pages, so only the pages the
+kernel writes become resident. Each chunk writes into its own region, which
+starts at the summed budgets of the rows before the chunk, each of its rows
+as one run in step order, and the kernel reports the slot where each row's
+run starts. The call leaves the log read-only. :meth:`CurveStore.finish_round`
+archives the round as one :class:`CurveRecord`, the log with the ids, starts
+and steps of the rows that took a step, and builds nothing per row.
+:func:`export_curves` orders all rounds' pieces with one stable argsort of
+their ids and copies them in the kernel's ``rk4_export``, a bounded batch at a
+time, each from its address in its log, so a vertex is written and read once.
+The outcome and the log are the same for any number of workers. With curves
+off nothing is allocated or archived; the kernel only counts the steps.
 """
 
 from __future__ import annotations
@@ -206,9 +208,9 @@ class CurveRecord:
     """One round's archived curve pieces: particle ``ids[i]``'s piece is ``log[start[i]:start[i] + steps[i]]``.
 
     ``ids``, ``start`` and ``steps`` are int64 arrays of one length and ``log`` is a C-contiguous
-    ``(n, 3)`` float64 array. :func:`export_curves` reads each piece at its address in C, so a record is
-    checked once, when made: another layout, or a piece outside its log, is an :class:`InvariantError`.
-    The three arrays are then made read-only, so the check keeps holding.
+    ``(n, 3)`` float32 array, as ``curves.bin`` holds. :func:`export_curves` reads each piece at its address
+    in C, so a record is checked once, when made: another layout, or a piece outside its log, is an
+    :class:`InvariantError`. The three arrays are then made read-only, so the check keeps holding.
     """
 
     ids: np.ndarray
@@ -218,8 +220,8 @@ class CurveRecord:
 
     def __post_init__(self):
         log, n = self.log, len(self.ids)
-        if log.dtype != np.float64 or log.ndim != 2 or log.shape[1] != 3 or not log.flags.c_contiguous:
-            raise InvariantError("a curve record's log is not a C-contiguous (n, 3) float64 array")
+        if log.dtype != np.float32 or log.ndim != 2 or log.shape[1] != 3 or not log.flags.c_contiguous:
+            raise InvariantError("a curve record's log is not a C-contiguous (n, 3) float32 array")
         if not all(a.dtype == np.int64 and a.shape == (n,) for a in (self.ids, self.start, self.steps)):
             raise InvariantError("a curve record's ids, start and steps are not int64 arrays of one length")
         if not ((self.start >= 0) & (self.steps >= 0) & (self.start + self.steps <= len(log))).all():
@@ -229,13 +231,12 @@ class CurveRecord:
 
     @classmethod
     def of(cls, curves: dict) -> CurveRecord:
-        """One record of ``curves``, particle id -> vertices, each curve one piece, in a read-only float64 copy.
+        """One record of ``curves``, particle id -> vertices, each curve one piece, in a read-only float32 copy.
 
-        A float32 curve, as :func:`read_curves` gives, is exact in float64, so the record exports the
-        same floats.
+        A float32 curve, as :func:`read_curves` gives, is copied, so the record exports the same floats.
         """
         steps = np.array([len(verts) for verts in curves.values()], dtype=np.int64)
-        log = np.concatenate([np.empty((0, 3)), *curves.values()], dtype=np.float64)
+        log = np.concatenate([np.empty((0, 3)), *curves.values()], dtype=np.float32)
         log.setflags(write=False)
         return cls(np.fromiter(curves, np.int64, len(curves)), np.cumsum(steps) - steps, steps, log)
 
@@ -257,14 +258,14 @@ class CurveStore:
     collect: bool = True
 
     def allocate(self, info: RoundInfo) -> np.ndarray | None:
-        """The round's ``(capacity, 3)`` log, or None with curves off."""
+        """The round's ``(capacity, 3)`` float32 log, or None with curves off."""
         if not self.collect:
             return None
         # a private anonymous mapping (at least 1 byte), kept from huge pages, so that only the
         # pages the kernel writes become resident
-        log = mmap.mmap(-1, max(24 * info.capacity, 1), flags=mmap.MAP_PRIVATE)
+        log = mmap.mmap(-1, max(12 * info.capacity, 1), flags=mmap.MAP_PRIVATE)
         log.madvise(mmap.MADV_NOHUGEPAGE)
-        return np.frombuffer(log, np.float64, 3 * info.capacity).reshape(info.capacity, 3)
+        return np.frombuffer(log, np.float32, 3 * info.capacity).reshape(info.capacity, 3)
 
     def finish_round(self, ids: np.ndarray, outcome: GroupOutcome, log: np.ndarray | None) -> None:
         """Archive the round as one record of each moved row's run, ``log[start:start + steps]``, and id in ``ids``."""
@@ -281,7 +282,7 @@ class CurveStore:
 
 
 def merge_curves(store: CurveStore) -> dict[int, np.ndarray]:
-    """Concatenate each particle's pieces, in round order, into its streamline."""
+    """Concatenate each particle's pieces, in round order, into its streamline, float32 as ``curves.bin`` holds."""
     per_pid: dict[int, list] = {}
     for pid, verts in store.pieces():
         per_pid.setdefault(pid, []).append(verts)
@@ -362,22 +363,22 @@ def integrate_group(block: Block, pset: ParticleSet, log: np.ndarray | None, h: 
     """Advance the particles of ``pset``, each against its home's block bounds, in the kernel.
 
     ``block`` holds one extent or the rank table each row reads at its ``home``.
-    Each accepted step writes its new position into its chunk's region of
-    ``log``, and the outcome's ``start`` says where each row's run begins. The
-    call leaves the log read-only, and refuses a read-only log before anything
-    moves, since a log holds one call. With ``log`` None the steps are only
-    counted. Each particle runs until termination, domain exit, or block exit.
-    The kernel runs on ``workers`` threads, by default one per CPU this process
-    may run on; the outcome and the log do not depend on it. The vertices the
-    kernel logged must equal the accepted steps.
+    Each accepted step logs its new position, in float32, in its chunk's region
+    of ``log``, and the outcome's ``start`` says where each row's run begins.
+    The call leaves the log read-only, and refuses a read-only log before
+    anything moves, since a log holds one call. With ``log`` None the steps are
+    only counted. Each particle runs until termination, domain exit, or block
+    exit. The kernel runs on ``workers`` threads, by default one per CPU this
+    process may run on; the outcome and the log do not depend on it. The
+    vertices the kernel logged must equal the accepted steps.
     """
     capacity = 0
     if log is not None:
         if not log.flags.writeable:
             raise InvariantError("the round log is already written: it holds one kernel call")
         capacity = log.shape[0]
-        if log.dtype != np.float64 or log.shape != (capacity, 3) or not log.flags.c_contiguous:
-            raise InvariantError("the round log is not a C-contiguous (capacity, 3) float64 array")
+        if log.dtype != np.float32 or log.shape != (capacity, 3) or not log.flags.c_contiguous:
+            raise InvariantError("the round log is not a C-contiguous (capacity, 3) float32 array")
     n = len(pset)
     out = GroupOutcome(status=np.zeros(n, dtype=np.int64), exit_dir=np.full(n, -1, dtype=np.int64),
                        pos=np.array(pset.pos, dtype=np.float64, order="C").reshape(n, 3),
@@ -408,7 +409,7 @@ def integrate(block: Block, pset: ParticleSet, log: np.ndarray | None, h: float)
     return outcome, int(outcome.steps.sum())
 
 
-EXPORT_BATCH = 65_536  # vertices export_curves casts and writes at a time, 768 KiB as float32
+EXPORT_BATCH = 65_536  # vertices export_curves copies and writes at a time, 768 KiB
 
 
 def export_curves(path, records, config_hash: str | None = None) -> None:
@@ -416,9 +417,9 @@ def export_curves(path, records, config_hash: str | None = None) -> None:
 
     A particle's pieces, in archive order, are its curve, so one stable argsort
     of the pieces' ids orders the payload. Each batch of :data:`EXPORT_BATCH`
-    vertices is cast to float32 by the kernel's ``rk4_export``, which copies
-    each piece, cut at the batch's ends, from its log's address into one
-    buffer reused for every batch. Layout: one UTF-8 JSON header line (particle
+    vertices is gathered by the kernel's ``rk4_export``, which copies each
+    piece, cut at the batch's ends, from its log's address into one buffer
+    reused for every batch. Layout: one UTF-8 JSON header line (particle
     count, per-particle vertex counts in ascending particle-id order, optional
     provenance hash) followed by flat little-endian float32 xyz triplets,
     particles in header order.
@@ -428,7 +429,7 @@ def export_curves(path, records, config_hash: str | None = None) -> None:
     order = np.argsort(ids, kind="stable")
     sorted_ids = ids[order]
     lengths = np.concatenate([empty, *(r.steps for r in records)])[order]
-    addresses = np.concatenate([empty, *(r.log.ctypes.data + 24 * r.start for r in records)])[order]
+    addresses = np.concatenate([empty, *(r.log.ctypes.data + 12 * r.start for r in records)])[order]
     first = np.flatnonzero(np.diff(sorted_ids, prepend=sorted_ids[:1] - 1))  # each id's first piece
     header = {"particle_count": len(first), "particle_ids": sorted_ids[first].tolist(),
               "vertex_counts": np.add.reduceat(lengths, first).tolist()}
@@ -444,7 +445,7 @@ def export_curves(path, records, config_hash: str | None = None) -> None:
             hi = min(lo + EXPORT_BATCH, total)
             a, b = np.searchsorted(ends, lo, side="right"), np.searchsorted(starts, hi)  # the pieces it touches
             cut_lo, cut_hi = np.maximum(starts[a:b], lo), np.minimum(ends[a:b], hi)
-            address = addresses[a:b] + 24 * (cut_lo - starts[a:b])
+            address = addresses[a:b] + 12 * (cut_lo - starts[a:b])
             count = cut_hi - cut_lo
             KERNEL.rk4_export(b - a, address.ctypes, count.ctypes, batch.ctypes)
             fh.write(batch[:3 * (hi - lo)].astype("<f4", copy=False))

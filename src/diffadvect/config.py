@@ -25,8 +25,8 @@ _MAX_ITER_CAP = 1000
 # is evaluated. A larger lattice is rejected before anything is allocated.
 LATTICE_CAP_BYTES = 1 << 30
 # Largest curve log one round may reserve with curves exported: every
-# selected particle may append max_iterations vertices of an xyz float64
-# triplet.
+# selected particle may append max_iterations vertices of an xyz float32
+# triplet, 12 B.
 ROUND_BUFFER_CAP_BYTES = 1 << 29
 # Largest particle table a run may seed: seeds x SEED_BYTES, the peak resident
 # bytes per seed. A run of 2,097,152 seeds (abc, 128^3, stride 1, 2x2x2 gllma,
@@ -151,7 +151,7 @@ class RunConfig:
             if need > ROUND_BUFFER_CAP_BYTES:
                 errors.append(
                     f"export_curves: a round's curve log needs up to {need / 2**30:.3g} GiB "
-                    f"(min(seeds, ranks x particles_per_round) x max_iterations x 24 B), above the "
+                    f"(min(seeds, ranks x particles_per_round) x max_iterations x 12 B), above the "
                     f"{ROUND_BUFFER_CAP_BYTES / 2**30:g} GiB cap; lower particles_per_round or "
                     f"max_iterations, raise stride, or set export_curves = false")
         return errors
@@ -167,7 +167,7 @@ class RunConfig:
     def round_buffer_bytes(self) -> int:
         """Upper bound on one round's curve log, computed without seeding."""
         selected = min(self.seed_count(), math.prod(self.grid_dims()) * self.particles_per_round)
-        return selected * self.max_iterations * 24
+        return selected * self.max_iterations * 12
 
     def require_valid(self) -> "RunConfig":
         errors = self.validate()

@@ -37,9 +37,9 @@
  * -mavx where the CPU has AVX, which has no FMA, so nothing rounds unlike
  * numpy; on x86 the build without it is two to three times slower.
  *
- * rk4_export writes curves.bin's payload a batch at a time: it casts each of
- * a batch's pieces, a run of float64 vertices in a round log, to float32 in
- * one pass, rounding to nearest as numpy's cast does.
+ * The log holds float32, each vertex the (float) cast, to nearest as numpy's
+ * astype, of its float64 position; every decision stays float64. rk4_export
+ * copies curves.bin's payload a batch at a time, piece by piece from the logs.
  */
 #define _GNU_SOURCE
 #include <pthread.h>
@@ -187,14 +187,13 @@ void rk4_sample(int64_t n, const double *lattice, int64_t sx, int64_t sy, const 
     }
 }
 
-/* Cast n pieces of vertices to float32, one after the other into out: piece i is the count[i] vertices, 3
- * doubles each, at address addr[i]. */
+/* Copy n pieces of vertices, one after the other into out: piece i is the count[i] vertices, 3 floats
+ * each, at address addr[i]. */
 void rk4_export(int64_t n, const int64_t *addr, const int64_t *count, float *out)
 {
     for (int64_t i = 0; i < n; i++) {
-        const double *src = (const double *)(intptr_t)addr[i];
-        for (int64_t j = 0; j < 3 * count[i]; j++)
-            *out++ = (float)src[j];
+        memcpy(out, (const float *)(intptr_t)addr[i], 12 * count[i]);
+        out += 3 * count[i];
     }
 }
 
@@ -204,8 +203,8 @@ typedef struct {
     int64_t n, chunks, sx, sy;
     const double *lattice;
     const int64_t *origin, *core, *home;
-    double h;
-    double *pos, *vertices;
+    double h, *pos;
+    float *vertices;
     int64_t *remaining, *status, *exit_dir, *steps, *start;
     int64_t *claimed, *logged; /* the next unclaimed chunk; the vertices the finished chunks logged */
 } Call;
@@ -311,8 +310,8 @@ static void work(const Call *c)
                 if (!in_domain) { /* before the core test: the one way out of the domain */
                     event = STATUS_EXITED;
                 } else {
-                    if (c->vertices)
-                        store3(&q, c->vertices + 3 * lane->slot);
+                    for (int a = 0; c->vertices && a < 3; a++)
+                        c->vertices[3 * lane->slot + a] = (float)q[a];
                     lane->slot++;
                     lane->p = q;
                     if (++lane->taken == c->remaining[i]) {
@@ -390,7 +389,7 @@ static int start_helpers(const Call *c, int count, pthread_t *helpers)
 int64_t rk4_advance(int64_t n, const double *lattice, int64_t sx, int64_t sy, const double *spacing,
                     const int64_t *origin, const int64_t *core, const int64_t *home, double h,
                     double *pos, int64_t *remaining, int64_t *status, int64_t *exit_dir, int64_t *steps,
-                    double *vertices, int64_t capacity, int64_t *start, int64_t workers)
+                    float *vertices, int64_t capacity, int64_t *start, int64_t workers)
 {
     int64_t budget = 0, chunks = (n + CHUNK - 1) / CHUNK;
     v4d step, p, g;

@@ -67,7 +67,7 @@ class RunResult:
 
     @cached_property
     def curves(self) -> dict | None:
-        """Each particle's merged streamline, merged on first use; None with curves off."""
+        """Each particle's float32 streamline, as ``curves.bin`` holds it, merged on first use; None with curves off."""
         return merge_curves(self.store) if self.store.collect else None
 
     @property

@@ -8,14 +8,15 @@
  * corner is the lattice's last node (so a load past the lattice's end fails under ASAN), it checks,
  * against one worker with curves on:
  *   - that 1 to 4 workers, with curves on and off, give the same outcome, starts, count and log;
+ *   - that each logged vertex is the (float) cast of its float64 position, replayed one step per call;
  *   - that rk4_reach finds no start outside its reach, then the one row moved outside it;
  *   - that a start outside its reach, or a log one vertex short, is refused with nothing written.
  * It also exports pieces of a log, out of log order, a batch at a time into buffers of exactly the
  * batch's size, for batch sizes that cut pieces at both ends of a batch and around a one-vertex piece,
- * and checks each float against a cast of its own; and that n = 0 reads and writes nothing. It samples one
- * point on every face of each rank's closed extent, and the centre and top corner of the last rank's top
- * cell, whose last corner is the lattice's last node, and checks each against the node, or the mean of the
- * cell's 8 corners, that it should be.
+ * and checks that each float is copied from its slot of the log; and that n = 0 reads and writes
+ * nothing. It samples one point on every face of each rank's closed extent, and the centre and top
+ * corner of the last rank's top cell, whose last corner is the lattice's last node, and checks each
+ * against the node, or the mean of the cell's 8 corners, that it should be.
  * Every allocation is freed, so LeakSanitizer reports only a leak of the kernel's own. Exits 0 when
  * every check holds, else 1 after printing each world's first failed check.
  */
@@ -28,7 +29,7 @@
 int64_t rk4_advance(int64_t n, const double *lattice, int64_t sx, int64_t sy, const double *spacing,
                     const int64_t *origin, const int64_t *core, const int64_t *home, double h,
                     double *pos, int64_t *remaining, int64_t *status, int64_t *exit_dir, int64_t *steps,
-                    double *vertices, int64_t capacity, int64_t *start, int64_t workers);
+                    float *vertices, int64_t capacity, int64_t *start, int64_t workers);
 int64_t rk4_reach(int64_t n, const double *lattice, int64_t sx, int64_t sy, const double *spacing,
                   const int64_t *origin, const int64_t *core, const int64_t *home, const double *points);
 void rk4_sample(int64_t n, const double *lattice, int64_t sx, int64_t sy, const double *spacing,
@@ -56,7 +57,8 @@ static double uniform(void) /* xorshift64, in [0, 1) */
 typedef struct {
     int64_t n, capacity, logged;
     int64_t *home, *remaining, *status, *exit_dir, *steps, *start;
-    double *pos, *vertices;
+    double *pos;
+    float *vertices;
 } World;
 
 static void *fill(size_t count, size_t size, int byte)
@@ -81,7 +83,7 @@ static World advanced(const World *seed, int64_t workers, int log)
 {
     int64_t n = seed->n;
     World w = {n, seed->capacity, 0, fill(n, 8, 0), fill(n, 8, 0), fill(n, 8, 0), fill(n, 8, 0xff),
-               fill(n, 8, 0), fill(n, 8, 0xff), fill(3 * n, 8, 0), log ? fill(3 * seed->capacity, 8, 0) : NULL};
+               fill(n, 8, 0), fill(n, 8, 0xff), fill(3 * n, 8, 0), log ? fill(3 * seed->capacity, 4, 0) : NULL};
     memcpy(w.home, seed->home, n * 8), memcpy(w.remaining, seed->remaining, n * 8);
     memcpy(w.pos, seed->pos, 3 * n * 8);
     w.logged = rk4_advance(n, lattice, SX, SY, spacing, origin, core, w.home, H, w.pos, w.remaining, w.status,
@@ -96,7 +98,7 @@ static int same(const World *a, const World *b)
         && !memcmp(a->remaining, b->remaining, n * 8) && !memcmp(a->status, b->status, n * 8)
         && !memcmp(a->exit_dir, b->exit_dir, n * 8) && !memcmp(a->steps, b->steps, n * 8)
         && !memcmp(a->start, b->start, n * 8)
-        && (!a->vertices || !b->vertices || !memcmp(a->vertices, b->vertices, 3 * a->capacity * 8));
+        && (!a->vertices || !b->vertices || !memcmp(a->vertices, b->vertices, 3 * a->capacity * 4));
 }
 
 #define CHECK(cond, ...) do { if (!(cond)) { fprintf(stderr, __VA_ARGS__); fputc('\n', stderr); \
@@ -125,6 +127,17 @@ static int run(int64_t n, int corner)
     for (int64_t i = 0; i < n; i++)
         steps += ref.steps[i];
     CHECK(ref.logged == steps, "n=%ld: logged %ld vertices for %ld steps", (long)n, (long)ref.logged, (long)steps);
+    for (int64_t i = 0; i < n; i++) { /* step j of a call is step j of as many one-step calls from its start */
+        double p[3] = {seed.pos[3 * i], seed.pos[3 * i + 1], seed.pos[3 * i + 2]};
+        for (int64_t j = 0; j < ref.steps[i]; j++) {
+            int64_t one = 1, status, dir, taken = 0, start;
+            rk4_advance(1, lattice, SX, SY, spacing, origin, core, seed.home + i, H, p, &one, &status, &dir, &taken,
+                        NULL, 0, &start, 1);
+            const float *v = ref.vertices + 3 * (ref.start[i] + j);
+            CHECK(taken == 1 && v[0] == (float)p[0] && v[1] == (float)p[1] && v[2] == (float)p[2],
+                  "n=%ld: row %ld's vertex %ld is not the float cast of its position", (long)n, (long)i, (long)j);
+        }
+    }
     for (int64_t workers = 1; workers <= 4; workers++)
         for (int log = 0; log <= 1; log++) {
             other = advanced(&seed, workers, log);
@@ -156,20 +169,19 @@ done:
 }
 
 /* Export a payload of pieces of one log, `batch` vertices at a time, as advect.export_curves cuts them;
- * returns 0 when every float is the reference cast. */
+ * returns 0 when every float is the one at its slot of the log. */
 static int exported(int64_t batch)
 {
     enum { VERTICES = 32, PIECES = 6 };
     /* each piece's (log slot, vertices), in payload order */
     static const int64_t piece[PIECES][2] = {{20, 5}, {7, 1}, {0, 7}, {8, 12}, {25, 1}, {26, 6}};
     int failed = 0;
-    double *log = fill(3 * VERTICES, 8, 0);
-    float want[3 * VERTICES], *out = NULL;
-    for (int64_t j = 0; j < 3 * VERTICES; j++) /* values a float cannot hold exactly */
-        log[j] = 2.0 * uniform() - 1.0;
+    float *log = fill(3 * VERTICES, 4, 0), want[3 * VERTICES], *out = NULL;
+    for (int64_t j = 0; j < 3 * VERTICES; j++)
+        log[j] = (float)(2.0 * uniform() - 1.0);
     for (int p = 0, k = 0; p < PIECES; p++)
         for (int64_t j = 0; j < 3 * piece[p][1]; j++)
-            want[k++] = (float)log[3 * piece[p][0] + j];
+            want[k++] = log[3 * piece[p][0] + j];
     for (int64_t lo = 0; lo < VERTICES; lo += batch) { /* the payload's [lo, hi) */
         int64_t hi = lo + batch < VERTICES ? lo + batch : VERTICES, n = 0, addr[PIECES], count[PIECES];
         for (int64_t p = 0, at = 0; p < PIECES; at += piece[p++][1]) { /* piece p is the payload's [at, end) */
@@ -182,7 +194,7 @@ static int exported(int64_t batch)
         out = fill(3 * (hi - lo), 4, 0xff);
         rk4_export(n, addr, count, out);
         CHECK(!memcmp(out, want + 3 * lo, 3 * (hi - lo) * 4), "export: batch %ld of %ld vertices differs from the "
-              "reference cast", (long)(lo / batch), (long)batch);
+              "log's floats", (long)(lo / batch), (long)batch);
         free(out), out = NULL;
     }
     float untouched = -1.0f;

@@ -496,7 +496,7 @@ class TestLanes:
 
     @pytest.mark.skipif(not os.path.exists("/proc/self/smaps"), reason="needs Linux /proc/self/smaps")
     def test_log_is_resident_only_where_written(self):
-        # a 49 MB log of which about 6 MB is written; huge pages would make whole 2 MB pages
+        # a 25 MB log of which about 3 MB is written; huge pages would make whole 2 MB pages
         # resident around every chunk's write frontier
         block, pset = drift_world(1024, 2000)
         log = CurveStore().allocate(round_info(pset))
@@ -505,7 +505,7 @@ class TestLanes:
         touched = set()
         for start, steps in zip(out.start.tolist(), out.steps.tolist()):
             if steps:
-                touched |= set(range((base + 24 * start) // page, (base + 24 * (start + steps) - 1) // page + 1))
+                touched |= set(range((base + 12 * start) // page, (base + 12 * (start + steps) - 1) // page + 1))
         assert smaps_fields(base, base + size)["AnonHugePages"] == 0
         # the log's own resident pages: its mapping can merge with a neighbour, such as a thread stack
         mincore = ctypes.CDLL(None).mincore
@@ -514,7 +514,7 @@ class TestLanes:
         assert mincore(base, size, pages.ctypes.data) == 0
         resident = set((np.flatnonzero(pages & 1) + base // page).tolist())
         assert resident <= touched
-        assert len(touched) * page <= 24 * int(out.steps.sum()) + 2 * page * -(-len(pset) // CHUNK)
+        assert len(touched) * page <= 12 * int(out.steps.sum()) + 2 * page * -(-len(pset) // CHUNK)
 
     def test_signals_reach_the_caller_during_a_multi_worker_call(self):
         block, pset = drift_world(2048, 2000)
@@ -716,7 +716,10 @@ class TestIntegrate:
         assert outcome.status[0] == STATUS_TERMINATED
         assert work == 3 and outcome.start.tolist() == [0]
         assert [pid for pid, _ in store.pieces()] == [0]
-        np.testing.assert_allclose(log[:3, 0], 0.5 + 0.01 * 0.001 * np.arange(1, 4), rtol=1e-12)
+        want = 0.5 + 0.01 * 0.001 * np.arange(1, 4)
+        np.testing.assert_allclose(outcome.pos[0], [want[-1], 0.5, 0.5], rtol=1e-12)
+        # each logged vertex is the float32 cast of its float64 position
+        np.testing.assert_array_equal(log[:3], np.column_stack([want, [0.5] * 3, [0.5] * 3]).astype(np.float32))
 
     def test_exits_plus_x_face_in_expected_steps(self):
         block = rasterize_block(ConstantField((1.0, 0.0, 0.0)), (16, 16, 16), (0, 0, 0), (8, 16, 16))
@@ -794,7 +797,7 @@ class TestCurveStore:
         # rows 0-1 and 2-4 are two chunks with budgets (3, 2) and (4, 1, 2); each chunk writes a
         # prefix of its region, one run per row in row order; -1 marks unwritten slots
         rows = np.array([1, 1, -1, -1, -1, 2, 2, 2, 2, 4, -1, -1])
-        log = np.column_stack([np.arange(12.0), rows, rows])
+        log = np.column_stack([np.arange(12.0), rows, rows]).astype(np.float32)
         log.setflags(write=False)  # as the kernel's call leaves it
         store = CurveStore()
         store.finish_round(np.array([10, 11, 12, 13, 14]), written([0, 2, 4, 0, 1], [0, 0, 5, 9, 9]), log)
@@ -864,23 +867,24 @@ class TestCurveStore:
             log[:] = np.column_stack([x, np.zeros(2), np.zeros(2)])
             store.finish_round(ids, written([1, 1]), log)
         merged = merge_curves(store)
-        np.testing.assert_array_equal(merged[3][:, 0], [0.2, 0.5])
-        np.testing.assert_array_equal(merged[5][:, 0], [0.3, 0.4])
+        assert merged[3].dtype == merged[5].dtype == np.float32
+        np.testing.assert_array_equal(merged[3][:, 0], np.float32([0.2, 0.5]))
+        np.testing.assert_array_equal(merged[5][:, 0], np.float32([0.3, 0.4]))
 
     @pytest.mark.parametrize("start, steps", [([0, 4], [4, 3]), ([0, 6], [4, 1]), ([-1, 4], [2, 2])],
                              ids=["runs-past-the-end", "starts-past-the-end", "starts-before-the-log"])
     def test_a_piece_outside_its_log_is_refused_and_nothing_archived(self, start, steps):
         store = store_of_rounds([([1, 2], [4, 2])])
-        log = np.zeros((6, 3))
+        log = np.zeros((6, 3), np.float32)
         with pytest.raises(InvariantError, match="runs outside its round's log"):
             store.finish_round(np.array([1, 2]), written(steps, start), log)
         assert len(store.records) == 1  # the earlier round only
         store.finish_round(np.array([1, 2]), written([4, 2]), log)  # the same log, its pieces inside it
         assert len(store.records) == 2
 
-    @pytest.mark.parametrize("log", [np.zeros((3, 6))[:, ::2], np.zeros((6, 3), order="F"),
-                                     np.zeros((6, 3), np.float32), np.zeros((6, 4))],
-                             ids=["strided", "fortran", "float32", "four-columns"])
+    @pytest.mark.parametrize("log", [np.zeros((3, 6), np.float32)[:, ::2], np.zeros((6, 3), np.float32, order="F"),
+                                     np.zeros((6, 3)), np.zeros((6, 4), np.float32)],
+                             ids=["strided", "fortran", "float64", "four-columns"])
     def test_a_log_of_another_layout_is_refused_and_nothing_archived(self, log):
         store = CurveStore()
         with pytest.raises(InvariantError, match="not a C-contiguous"):
@@ -891,7 +895,7 @@ class TestCurveStore:
         store = CurveStore()
         for ids in (np.array([1, 2], np.int32), np.array([1.0, 2.0])):
             with pytest.raises(InvariantError, match="not int64 arrays"):
-                store.finish_round(ids, written([1, 2]), np.zeros((3, 3)))
+                store.finish_round(ids, written([1, 2]), np.zeros((3, 3), np.float32))
         assert store.records == []
 
     def test_dropped_vertex_is_an_invariant_error(self, monkeypatch):
@@ -922,7 +926,7 @@ def store_of_rounds(rounds):
     store = CurveStore()
     for number, (ids, steps) in enumerate(rounds):
         total = int(np.sum(steps))
-        log = np.column_stack([np.arange(total) + 0.1, np.full((total, 2), number / 3)])
+        log = np.column_stack([np.arange(total) + 0.1, np.full((total, 2), number / 3)]).astype(np.float32)
         store.finish_round(np.array(ids), written(steps), log)
     return store
 
@@ -975,13 +979,13 @@ class TestExportRecords:
         export_curves(tmp_path / "curves.bin", store.records)
         assert (tmp_path / "curves.bin").read_bytes() == file_of(merge_curves(store))
 
-    def test_read_curves_round_trip_as_a_float64_record(self, tmp_path):
+    def test_read_curves_round_trip_as_a_float32_record(self, tmp_path):
         # float32 vertices, with zero-vertex ids among them, come back as the same bytes
         rng = np.random.default_rng(2)
         curves = {5: rng.random((4, 3)), 2: np.zeros((0, 3)), 9: rng.random((70, 3))}
         export_curves(tmp_path / "a.bin", [CurveRecord.of(curves)], config_hash="h")
         header, read = read_curves(tmp_path / "a.bin")
         record = CurveRecord.of(read)
-        assert record.log.dtype == np.float64 and not record.log.flags.writeable
+        assert record.log.dtype == np.float32 and not record.log.flags.writeable
         export_curves(tmp_path / "b.bin", [record], config_hash=header["config_hash"])
         assert (tmp_path / "b.bin").read_bytes() == (tmp_path / "a.bin").read_bytes() == file_of(curves, "h")

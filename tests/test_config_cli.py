@@ -108,12 +108,12 @@ class TestConfigParsing:
             return [e for e in cfg.validate() if e.startswith("export_curves")]
 
         dense = RunConfig(stride=(1, 1, 1))  # 64^3 seeds, 50,000 selected per round
-        assert dense.round_buffer_bytes() == 50_000 * 1000 * 24 > ROUND_BUFFER_CAP_BYTES
+        assert dense.round_buffer_bytes() == 50_000 * 1000 * 12 > ROUND_BUFFER_CAP_BYTES
         assert len(buffer_errors(dense)) == 1 and "GiB" in buffer_errors(dense)[0]
         assert RunConfig(stride=(1, 1, 1), export_curves=False).validate() == []
-        # one rank, every 4th node: 4,096 seeds and a 98 MB log
+        # one rank, every 4th node: 4,096 seeds and a 49 MB log
         oracle = RunConfig(stride=(4, 4, 4))
-        assert oracle.round_buffer_bytes() == 4096 * 1000 * 24
+        assert oracle.round_buffer_bytes() == 4096 * 1000 * 12
         assert oracle.validate() == []
         # few particles per round bound the buffer whatever the seed count
         assert RunConfig(stride=(1, 1, 1), grid=(4, 2, 2), particles_per_round=64).validate() == []
@@ -136,7 +136,7 @@ class TestConfigParsing:
         cfg = RunConfig(resolution=(19, 23, 17), stride=(3, 2, 5), aabb_scale=0.6, max_iterations=7)
         sim = Simulator(AnalyticField("abc"), cfg.resolution, (1, 1, 1), "none", stride=cfg.stride,
                         aabb_scale=cfg.aabb_scale, max_iterations=cfg.max_iterations)
-        assert cfg.round_buffer_bytes() == sim.seed_count * 7 * 24
+        assert cfg.round_buffer_bytes() == sim.seed_count * 7 * 12
 
     @settings(max_examples=40, deadline=None)
     @given(hst.tuples(*[hst.integers(2, 24)] * 3), hst.floats(0.01, 1.0), hst.tuples(*[hst.integers(1, 9)] * 3))
@@ -238,7 +238,7 @@ class TestRunCommand:
 
     def test_curves_add_no_more_than_their_written_vertices_to_the_peak(self, tmp_path):
         # the abc-oracle benchmark run in fresh processes, curves on and off: the curves may cost
-        # their written float64 vertices (24 B each) and 4 MiB, not a second copy of them. The peak
+        # their written float32 vertices (12 B each) and 4 MiB, not a second copy of them. The peak
         # is the process's VmHWM, since ru_maxrss keeps the peak of the forked test process
         script = (
             "import json, re, sys\n"
@@ -261,7 +261,7 @@ class TestRunCommand:
             peak_kib, steps[curves] = json.loads(done.stdout)
             peaks[curves] = 1024 * peak_kib
         assert steps["on"] == steps["off"] > 0
-        assert peaks["on"] - peaks["off"] <= 24 * steps["on"] + 4 * 2**20
+        assert peaks["on"] - peaks["off"] <= 12 * steps["on"] + 4 * 2**20
 
     def test_seed_bytes_bounds_the_peak_per_seed(self):
         # the many-seed run (abc, 128^3, 2x2x2 gllma, 1 iteration, curves off) in fresh processes at
@@ -299,6 +299,23 @@ class TestRunCommand:
         assert merged == [] and (tmp_path / "curves.bin").exists()
         assert result.curves == {} and result.curves == {}
         assert merged == [result.store]  # merged once, on first read
+
+    def test_the_archived_curves_are_the_file(self, tmp_path):
+        # a run of many rounds, whose curves are pieces from several: what RunResult.curves holds is
+        # what curves.bin holds, float32 and byte for byte
+        from diffadvect.advect import read_curves
+        from diffadvect.cli import execute_run
+
+        config = RunConfig(field="jets", grid=(4, 2, 2), scheduler="lma", stride=(4, 4, 4), max_iterations=100,
+                           particles_per_round=64)
+        result, _ = execute_run(config, tmp_path)
+        _, read = read_curves(tmp_path / "curves.bin")
+        pieces = [pid for record in result.store.records for pid in record.ids.tolist()]
+        assert result.rounds > 1 and len(pieces) > len(set(pieces))  # some curves span rounds
+        assert list(read) == sorted(result.curves)
+        for pid, curve in result.curves.items():
+            assert curve.dtype == read[pid].dtype == np.float32, pid
+            assert curve.tobytes() == read[pid].tobytes(), pid
 
     def test_bad_config_exits_2_listing_everything(self, tmp_path, capsys):
         cfg = write_config(tmp_path, ["scheduler = magic", "aabb_scale = 7",

@@ -4,8 +4,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as hst
 
 import reference_balance as ref
-from diffadvect import balance, runtime
-from diffadvect.advect import KERNEL, CurveStore, kernel_bounds
+from diffadvect import advect, balance, runtime
+from diffadvect.advect import KERNEL, STATUS_EXITED, STATUS_TERMINATED, CurveStore, integrate_group, kernel_bounds
 from diffadvect.balance import SCHEDULERS, synchronous_step
 from diffadvect.errors import ConfigError, InvariantError, RoundLimitError
 from diffadvect.field import FIELD_KINDS, AnalyticField, lattice_spacing, seed_axes
@@ -265,8 +265,8 @@ class TestDeterminismAndInvariants:
         assert a.total_integrate_steps() == b.total_integrate_steps()
 
     def test_a_round_gathers_the_table_twice(self, monkeypatch):
-        # the round's world (select) and the one compaction after integrate, in place; no stage
-        # re-sorts the table
+        # the round's world (select) and the one compaction after integrate, in place; collect's
+        # compaction is one stable argsort of the rows' sort keys
         sim = Simulator(AnalyticField("toroidal"), (32, 32, 32), (2, 2, 2), "gllma",
                         max_iterations=60, stride=(4, 4, 4), aabb_scale=0.5)
         gathers = []
@@ -509,6 +509,33 @@ def decomposed_runs(draw):
 
 
 class TestDecompositionFuzz:
+    def test_final_float64_positions_match_the_one_rank_oracle(self, monkeypatch):
+        # curves are float32; the float64 position where each particle finishes, its budget spent or
+        # the domain left, is still the oracle's bit for bit, on criterion 5's grids under every scheduler
+        def finals(grid, scheduler):
+            final = {}
+
+            def recording(block, pset, log, h, workers=None):
+                out = integrate_group(block, pset, log, h, workers)
+                done = (out.status == STATUS_TERMINATED) | (out.status == STATUS_EXITED)
+                for pid, pos in zip(pset.ids[done].tolist(), out.pos[done]):
+                    assert pid not in final
+                    final[pid] = pos.tobytes()
+                return out
+
+            monkeypatch.setattr(advect, "integrate_group", recording)
+            res = Simulator(AnalyticField("abc"), (32, 32, 32), grid, scheduler, max_iterations=100,
+                            stride=(4, 4, 4), particles_per_round=16).run()
+            assert len(final) == res.seed_count and res.terminated > 0 and res.exited > 0
+            return final, res
+
+        oracle, _ = finals((1, 1, 1), "none")
+        for grid in ((2, 2, 2), (4, 2, 2)):
+            for scheduler in SCHEDULERS:
+                got, res = finals(grid, scheduler)
+                assert scheduler == "none" or res.records.sent_balanced.sum() > 0, (grid, scheduler)
+                assert got == oracle, (grid, scheduler)
+
     @pytest.mark.parametrize("scheduler", ["constant", "lma", "gllma"])
     @pytest.mark.parametrize("field", ["toroidal", "abc"])
     def test_512_ranks_match_the_one_rank_oracle(self, field, scheduler):
