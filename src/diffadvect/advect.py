@@ -47,13 +47,12 @@ x86 is two to three times slower.
 The kernel runs on one worker per CPU this process may run on
 (``os.sched_getaffinity``, so ``taskset`` limits it), but on no more than one
 per :data:`LANES` chunks of :data:`CHUNK` rows, since a helper thread costs
-about 0.2 ms to start: the calling thread plus helper threads started for the
-call, which block every signal and are pinned to CPUs other than the
-caller's. Each worker advances :data:`LANES` rows together, one per lane,
-stage by stage, so the lanes' independent chains of divides, gathers and
-lerps overlap. A lane claims its next chunk from one shared counter, so the
-work balances itself, and each row still runs to its event before its lane
-takes the next. Before any row advances the kernel checks that every row with a
+tens of microseconds to start: the calling thread plus helper threads started
+for the call, which block every signal and keep the caller's CPU mask. Each
+worker advances :data:`LANES` rows together, one per lane, stage by stage, so
+the lanes' independent chains of divides, gathers and lerps overlap. A lane
+claims its next chunk from one shared counter, so the work balances itself,
+and each row still runs to its event before its lane takes the next. Before any row advances the kernel checks that every row with a
 positive budget starts in its reach, its closed sampling extent, by the one reach
 test that its stage points and ``rk4_reach`` share, and that the summed budgets
 fit the log, so either error leaves every array untouched.

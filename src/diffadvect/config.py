@@ -33,9 +33,10 @@ ROUND_BUFFER_CAP_BYTES = 1 << 29
 # 1 iteration, curves off, on a 2-CPU Xeon with Python 3.11 and numpy 2.4)
 # peaked at 256.3 MiB in a fresh process, against 131.4 MiB at stride 2 and
 # 84.8 MiB at stride 8 (262,144 and 4,096 seeds): 71 and 86 B per seed, for
-# a 48 B table row. Seeding peaks at 245 MiB, gathering the rows into home
-# order; round 1's compaction, the table's surviving rows gathered a column
-# at a time in the order of one stable argsort, sets the peak.
+# a 48 B table row. Building the simulator peaks at 196 MiB, seeding's
+# columns filled in home order; round 1's compaction, the table's surviving
+# rows gathered a column at a time in the order of one stable argsort, sets
+# the peak.
 # The 2 GiB cap admits 17.9M seeds.
 SEED_TABLE_CAP_BYTES = 1 << 31
 SEED_BYTES = 120

@@ -30,20 +30,18 @@
  * its run starts, so what the log holds and where does not depend on which
  * lane ran a chunk. A worker's lanes live on its own stack, so no two
  * workers write the same lane state. Helpers block every signal, so signals
- * reach the caller, and each is pinned to a CPU of the caller's affinity
- * mask other than the one the caller runs on: unpinned, a helper can stay on
- * the caller's CPU and add nothing. A helper that fails to start leaves its
- * chunks to the other workers. The library holds one build: advect.py adds
- * -mavx where the CPU has AVX, which has no FMA, so nothing rounds unlike
- * numpy; on x86 the build without it is two to three times slower.
+ * reach the caller, and inherit the caller's affinity mask, so taskset bounds
+ * them; pinning each to a CPU of its own measured no faster. A helper that
+ * fails to start leaves its chunks to the other workers. The library holds
+ * one build: advect.py adds -mavx where the CPU has AVX, which has no FMA,
+ * so nothing rounds unlike numpy; on x86 the build without it is two to
+ * three times slower.
  *
  * The log holds float32, each vertex the (float) cast, to nearest as numpy's
  * astype, of its float64 position; every decision stays float64. rk4_export
  * copies curves.bin's payload a batch at a time, piece by piece from the logs.
  */
-#define _GNU_SOURCE
 #include <pthread.h>
-#include <sched.h>
 #include <signal.h>
 #include <stdint.h>
 #include <string.h>
@@ -348,36 +346,18 @@ static void *helper(void *shared)
     return NULL;
 }
 
-/* Start up to count helpers of the call, each with every signal blocked and pinned to a CPU of the
- * caller's affinity mask other than the one the caller runs on; returns how many started. */
+/* Start up to count helpers of the call, each with every signal blocked and the caller's affinity mask;
+ * returns how many started. */
 static int start_helpers(const Call *c, int count, pthread_t *helpers)
 {
-    int cpus[MAX_WORKERS], others = 0, started = 0;
-    cpu_set_t mask;
+    int started = 0;
     if (count < 1)
         return 0;
-    if (sched_getaffinity(0, sizeof mask, &mask) == 0) {
-        int here = sched_getcpu();
-        for (int cpu = 0; cpu < CPU_SETSIZE && others < MAX_WORKERS; cpu++)
-            if (CPU_ISSET(cpu, &mask) && cpu != here)
-                cpus[others++] = cpu;
-    }
     sigset_t all, old;
     sigfillset(&all);
     pthread_sigmask(SIG_BLOCK, &all, &old); /* the helpers inherit the mask */
-    for (int k = 0; k < count; k++) {
-        pthread_attr_t attr;
-        if (pthread_attr_init(&attr) != 0)
-            break;
-        if (others) {
-            cpu_set_t one;
-            CPU_ZERO(&one);
-            CPU_SET(cpus[k % others], &one);
-            pthread_attr_setaffinity_np(&attr, sizeof one, &one);
-        }
-        started += pthread_create(&helpers[started], &attr, helper, (void *)c) == 0;
-        pthread_attr_destroy(&attr);
-    }
+    for (int k = 0; k < count; k++)
+        started += pthread_create(&helpers[started], NULL, helper, (void *)c) == 0;
     pthread_sigmask(SIG_SETMASK, &old, NULL);
     return started;
 }
@@ -412,7 +392,7 @@ int64_t rk4_advance(int64_t n, const double *lattice, int64_t sx, int64_t sy, co
     Counter counter = {0, 0};
     const Call call = {step, n, chunks, sx, sy, lattice, origin, core, home, h, pos, vertices,
                        remaining, status, exit_dir, steps, start, &counter.next, &counter.logged};
-    /* a helper costs about 0.2 ms to start and wake, so each worker's lanes get a chunk apiece */
+    /* a helper costs tens of microseconds to start and wake, so each worker's lanes get a chunk apiece */
     workers = workers < chunks / LANES ? workers : chunks / LANES;
     workers = workers < MAX_WORKERS ? workers : MAX_WORKERS;
     pthread_t helpers[MAX_WORKERS];

@@ -104,18 +104,20 @@ def seed_particles(resolution, aabb_scale: float, stride, origin, grid: ProcessG
     res = tuple(int(r) for r in resolution)
     spacing = lattice_spacing(res)
     axes = seed_axes(res, aabb_scale, stride)
-    # Each node's block index per axis, via the split starts; the (nz, ny, nx)
-    # broadcasts of the axis vectors, raveled, are the table's columns.
+    # Each node's block index per axis, via the split starts; their (nz, ny, nx)
+    # broadcast, raveled, is each seed's home in lattice order.
     bx, by, bz = (np.searchsorted(sorted(set(origin[:, a].tolist())), axes[a], side="right") - 1 for a in range(3))
     dx, dy, _ = grid.dims
     home = (bz[:, None, None] * dy + by[:, None]) * dx + bx
-    pos = np.empty(home.shape + (3,))
-    pos[..., 0] = axes[0] * spacing[0]
-    pos[..., 1] = (axes[1] * spacing[1])[:, None]
-    pos[..., 2] = (axes[2] * spacing[2])[:, None, None]
+    # Each position column is filled in home order from its axis, with no lattice-order copy of the
+    # positions alive beside it: lattice index i is node i // span % len(axes[a]) of axis a.
     order = np.argsort(home, axis=None, kind="stable")
-    return ParticleSet.make(order, pos.reshape(-1, 3)[order], np.full(home.size, int(max_iterations)),
-                            home.ravel()[order])
+    pos = np.empty((home.size, 3))
+    span = 1
+    for a in range(3):
+        pos[:, a] = (axes[a] * spacing[a])[order // span % len(axes[a])]
+        span *= len(axes[a])
+    return ParticleSet.make(order, pos, np.full(home.size, int(max_iterations)), home.ravel()[order])
 
 
 class Simulator:

@@ -412,6 +412,12 @@ def smaps_fields(start, end):
     return fields
 
 
+def proc_status(tid):
+    """The fields of thread ``tid``'s ``/proc/self/task/<tid>/status``, as strings."""
+    with open(f"/proc/self/task/{tid}/status") as fh:
+        return dict(line.rstrip("\n").split(":\t", 1) for line in fh if ":\t" in line)
+
+
 class TestLanes:
     def test_one_call_equals_one_row_calls(self):
         # more workers than CPUs, too, so lanes of several threads claim the chunks
@@ -532,22 +538,22 @@ class TestLanes:
             assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name
 
     @pytest.mark.skipif(not os.path.exists("/proc/self/task"), reason="needs Linux /proc/self/task")
-    def test_helpers_block_signals_and_are_pinned(self):
+    def test_helpers_block_signals_and_keep_the_callers_cpus(self):
         # a thread watches /proc while the call runs (ctypes releases the GIL) and records every
         # read of a thread the call started: its blocked-signal mask and the CPUs it may run on.
-        # glibc creates a thread with every signal blocked, its internal 32 and 33 too, and pins it
-        # before the thread takes its creator's mask, in which pthread_sigmask never blocks those
-        # two: a read with both blocked was taken in that window, before the helper's code ran
+        # glibc creates a thread with every signal blocked, its internal 32 and 33 too, before the
+        # thread takes its creator's mask, in which pthread_sigmask never blocks those two: a read
+        # with both blocked was taken in that window, before the helper's code ran
         glibc_internal = 1 << 31 | 1 << 32
         block, pset = drift_world(2048, 2000)
         before, reads, done = set(os.listdir("/proc/self/task")), [], threading.Event()
+        callers_cpus = proc_status(threading.get_native_id())["Cpus_allowed_list"]
 
         def watch():
             while not done.is_set():
                 for tid in set(os.listdir("/proc/self/task")) - before - {str(threading.get_native_id())}:
                     try:
-                        with open(f"/proc/self/task/{tid}/status") as fh:
-                            fields = dict(line.rstrip("\n").split(":\t", 1) for line in fh if ":\t" in line)
+                        fields = proc_status(tid)
                     except OSError:  # the helper has ended
                         continue
                     mask = int(fields["SigBlk"], 16)
@@ -565,8 +571,7 @@ class TestLanes:
         assert not watcher.is_alive() and reads  # at least one read of a live helper
         alarm, interrupt = 1 << (signal.SIGALRM - 1), 1 << (signal.SIGINT - 1)
         assert all(mask & alarm and mask & interrupt for mask, _ in reads)
-        if len(os.sched_getaffinity(0)) > 1:
-            assert all(cpus.isdigit() for _, cpus in reads)  # one CPU each
+        assert all(cpus == callers_cpus for _, cpus in reads)
 
 
 class TestKernelBuild:

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -94,6 +96,20 @@ class TestSeeding:
         holds_node = [all(((axes[a] >= origin[r, a]) & (axes[a] < end[r, a])).any() for a in range(3))
                       for r in range(grid.rank_count)]
         assert set(seeds.home.tolist()) == {r for r, held in enumerate(holds_node) if held}
+
+    def test_seeding_holds_one_copy_of_the_positions(self):
+        # the table is 48 B per seed (id, xyz, budget, home) and the lattice-order home 8 more; a
+        # lattice-order copy of the positions beside the home-order one would add 24
+        grid = ProcessGrid((2, 2, 2))
+        origin, _ = decompose(grid, (64, 64, 64))
+        tracemalloc.start()
+        try:
+            seeds = seed_particles((64, 64, 64), 1.0, (1, 1, 1), origin, grid, 1)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(seeds) == 64 ** 3
+        assert peak <= 64 * len(seeds)
 
     def test_building_a_simulator_gathers_and_concatenates_nothing(self, monkeypatch):
         calls = []
