@@ -22,10 +22,11 @@ table of rank bounds over the same shared lattice, whichever rank integrates
 it, so the accepted vertex sequence of a particle is independent of the
 decomposition; hand-offs and loans only change which rank performs each step.
 
-The kernel writes ``status``, ``exit_dir``, ``pos``, ``remaining``,
-``steps`` and ``start`` in place. Each of its float64 operations is one of the
-numpy reference's (:func:`_block_step`, :meth:`Block.sample_clamped`), in
-their order, so the two agree bit for bit:
+The kernel advances the table's rows at an index in place: it reads ``home``
+and updates ``pos`` and ``remaining`` at each indexed row, and writes
+``status``, ``exit_dir``, ``steps`` and ``start`` per index entry. Each of its
+float64 operations is one of the numpy reference's (:func:`_block_step`,
+:meth:`Block.sample_clamped`), in their order, so the two agree bit for bit:
 ``g = p / spacing``; the cell ``floor(g)`` clamped to
 ``[origin - 1, origin + core - 1]`` and ``frac = g - cell``; the z, then y,
 then x lerps, each ``(1 - f) * a + f * b``; stage points ``p + (h/2) * k``
@@ -52,10 +53,11 @@ for the call, which block every signal and keep the caller's CPU mask. Each
 worker advances :data:`LANES` rows together, one per lane, stage by stage, so
 the lanes' independent chains of divides, gathers and lerps overlap. A lane
 claims its next chunk from one shared counter, so the work balances itself,
-and each row still runs to its event before its lane takes the next. Before any row advances the kernel checks that every row with a
-positive budget starts in its reach, its closed sampling extent, by the one reach
-test that its stage points and ``rk4_reach`` share, and that the summed budgets
-fit the log, so either error leaves every array untouched.
+and each row still runs to its event before its lane takes the next. Before
+any row advances the kernel checks that every row with a positive budget
+starts in its reach, its closed sampling extent, by the one reach test that
+its stage points and ``rk4_reach`` share, and that the summed budgets fit the
+log, so either error leaves every array untouched.
 
 With curves on, each round's log holds vertices only, sized by the
 selection's summed budgets, in float32 as ``curves.bin`` holds them: each is
@@ -166,7 +168,7 @@ def load_kernel(path) -> ctypes.CDLL:
     lib.rk4_sample.restype = None
     lib.rk4_reach.argtypes = bounds + [ptr]
     lib.rk4_reach.restype = i64
-    lib.rk4_advance.argtypes = bounds + [ctypes.c_double, ptr, ptr, ptr, ptr, ptr, ptr, i64, ptr, i64]
+    lib.rk4_advance.argtypes = bounds + [ctypes.c_double, ptr, ptr, ptr, ptr, ptr, ptr, ptr, i64, ptr, i64]
     lib.rk4_advance.restype = i64
     lib.rk4_export.argtypes = [i64, ptr, ptr, ptr]
     lib.rk4_export.restype = None
@@ -338,30 +340,32 @@ class GroupOutcome:
 
     status: np.ndarray      # per particle: STATUS_*
     exit_dir: np.ndarray    # direction for STATUS_OOB rows, else -1
-    pos: np.ndarray         # final positions
-    remaining: np.ndarray   # remaining iteration budgets
     steps: np.ndarray       # accepted RK4 steps (work units)
     start: np.ndarray       # the log slot where each row's run of vertices starts
 
 
 def kernel_bounds(block: Block, home) -> tuple:
-    """The kernel's ``n, lattice, sx, sy, spacing, origin, core, home`` arguments for rows of homes ``home``.
+    """The kernel's ``lattice, sx, sy, spacing, origin, core, home`` arguments for rows of homes ``home``.
 
     Each row reads ``block``'s ``(ranks, 3)`` table at its home, which must be
     a row of it; a single extent is a one-row table. Only ``home`` is checked
     here: the block's arguments are its :attr:`~Block.kernel_table`, checked once.
     """
     home = np.zeros(len(home), np.int64) if block.origin.ndim == 1 else np.ascontiguousarray(home, dtype=np.int64)
-    if not ((home >= 0).all() and (home < len(block.origin)).all()):
+    if home.view(np.uint64).max(initial=0) >= len(block.origin):  # one pass: a negative home reads as huge
         raise InvariantError("a home outside the bounds table")
-    return len(home), *block.kernel_table, home.ctypes
+    return *block.kernel_table, home.ctypes
 
 
-def integrate_group(block: Block, pset: ParticleSet, log: np.ndarray | None, h: float,
+def integrate_group(block: Block, pset: ParticleSet, rows: np.ndarray, log: np.ndarray | None, h: float,
                     workers: int | None = None) -> GroupOutcome:
-    """Advance the particles of ``pset``, each against its home's block bounds, in the kernel.
+    """Advance rows ``rows`` of the table ``pset`` in place, each against its home's block bounds, in the kernel.
 
     ``block`` holds one extent or the rank table each row reads at its ``home``.
+    The rows' ``pos`` and ``remaining`` change in ``pset``'s own columns; the
+    outcome's entry ``i`` is row ``rows[i]``'s. C reads and writes through the
+    index, so an index that is not C-contiguous 1-D int64, leaves the table or
+    repeats a row, or a table of another layout, is refused before anything moves.
     Each accepted step logs its new position, in float32, in its chunk's region
     of ``log``, and the outcome's ``start`` says where each row's run begins.
     The call leaves the log read-only, and refuses a read-only log before
@@ -378,14 +382,23 @@ def integrate_group(block: Block, pset: ParticleSet, log: np.ndarray | None, h: 
         capacity = log.shape[0]
         if log.dtype != np.float32 or log.shape != (capacity, 3) or not log.flags.c_contiguous:
             raise InvariantError("the round log is not a C-contiguous (capacity, 3) float32 array")
-    n = len(pset)
-    out = GroupOutcome(status=np.zeros(n, dtype=np.int64), exit_dir=np.full(n, -1, dtype=np.int64),
-                       pos=np.array(pset.pos, dtype=np.float64, order="C").reshape(n, 3),
-                       remaining=np.array(pset.remaining, dtype=np.int64), steps=np.zeros(n, dtype=np.int64),
-                       start=np.empty(n, dtype=np.int64))
+    pos, remaining, n = pset.pos, pset.remaining, len(pset)
+    if not (pos.dtype == np.float64 and pos.shape == (n, 3) and remaining.dtype == np.int64 and remaining.shape == (n,)
+            and pset.home.shape == (n,) and all(a.flags.c_contiguous and a.flags.writeable for a in (pos, remaining))):
+        raise InvariantError("the table is not n rows of writable C-contiguous float64 pos and int64 remaining")
+    if not (isinstance(rows, np.ndarray) and rows.dtype == np.int64 and rows.ndim == 1 and rows.flags.c_contiguous
+            and rows.min(initial=0) >= 0 and rows.max(initial=-1) < n):
+        raise InvariantError("the row index is not a C-contiguous 1-D int64 array of rows of the table")
+    seen = np.zeros(n, bool)
+    seen[rows] = True
+    if np.count_nonzero(seen) != len(rows):
+        raise InvariantError("the row index repeats a row")
+    del seen  # freed before the outcome's columns, which can reuse its memory
+    out = GroupOutcome(status=np.zeros(len(rows), np.int64), exit_dir=np.full(len(rows), -1, np.int64),
+                       steps=np.zeros(len(rows), np.int64), start=np.empty(len(rows), np.int64))
     workers = len(os.sched_getaffinity(0)) if workers is None else workers
-    logged = _rk4_advance(*kernel_bounds(block, pset.home), float(h), out.pos.ctypes, out.remaining.ctypes,
-                          out.status.ctypes, out.exit_dir.ctypes, out.steps.ctypes,
+    logged = _rk4_advance(len(rows), *kernel_bounds(block, pset.home), float(h), rows.ctypes, pos.ctypes,
+                          remaining.ctypes, out.status.ctypes, out.exit_dir.ctypes, out.steps.ctypes,
                           None if log is None else log.ctypes, capacity, out.start.ctypes, workers)
     if logged < 0:
         raise InvariantError(_KERNEL_ERRORS[logged])
@@ -397,14 +410,14 @@ def integrate_group(block: Block, pset: ParticleSet, log: np.ndarray | None, h: 
     return out
 
 
-def integrate(block: Block, pset: ParticleSet, log: np.ndarray | None, h: float):
-    """Run one round over the selected range ``pset``.
+def integrate(block: Block, pset: ParticleSet, rows: np.ndarray, log: np.ndarray | None, h: float):
+    """Run one round over the selected rows ``rows`` of the table ``pset``, advancing them in place.
 
     ``block`` holds one extent or the rank table that each row reads at its
-    ``home``. Returns the :class:`GroupOutcome` of the range plus its total
+    ``home``. Returns the :class:`GroupOutcome` of the rows plus its total
     accepted-step count.
     """
-    outcome = integrate_group(block, pset, log, h)
+    outcome = integrate_group(block, pset, rows, log, h)
     return outcome, int(outcome.steps.sum())
 
 

@@ -31,8 +31,8 @@ ROUND_BUFFER_CAP_BYTES = 1 << 29
 # Largest particle table a run may seed: seeds x SEED_BYTES, the peak resident
 # bytes per seed. A run of 2,097,152 seeds (abc, 128^3, stride 1, 2x2x2 gllma,
 # 1 iteration, curves off, on a 2-CPU Xeon with Python 3.11 and numpy 2.4)
-# peaked at 256.3 MiB in a fresh process, against 131.4 MiB at stride 2 and
-# 84.8 MiB at stride 8 (262,144 and 4,096 seeds): 71 and 86 B per seed, for
+# peaked at 254.4 MiB in a fresh process, against 110.7 MiB at stride 2 and
+# 84.9 MiB at stride 8 (262,144 and 4,096 seeds): 82 and 85 B per seed, for
 # a 48 B table row. Building the simulator peaks at 196 MiB, seeding's
 # columns filled in home order; round 1's compaction, the table's surviving
 # rows gathered a column at a time in the order of one stable argsort, sets

@@ -4,8 +4,8 @@ A :class:`ParticleSet` is a table of particle rows. ``home`` is the rank
 whose block a particle samples and whose queue holds it between rounds.
 Row order is queue order: the simulator keeps its table in ``home`` order,
 so each rank's queue is one run of rows, head first. A loan lasts one round
-and never moves its row, so the table records none. Selecting and
-concatenating rows keep their order.
+and never moves its row, so the table records none. A round advances its
+selected rows in place; compacting and concatenating keep the rows' order.
 """
 
 from __future__ import annotations
@@ -31,19 +31,17 @@ class ParticleSet:
 
     @staticmethod
     def make(ids, pos, remaining, home) -> "ParticleSet":
-        ids = np.asarray(ids, dtype=np.int64)
+        """A table of C-contiguous columns, as the kernel, which advances them in place, requires."""
+        ids = np.ascontiguousarray(ids, dtype=np.int64)
         return ParticleSet(
             ids=ids,
-            pos=np.asarray(pos, dtype=np.float64).reshape(ids.shape[0], 3),
-            remaining=np.asarray(remaining, dtype=np.int64),
-            home=np.asarray(home, dtype=np.int64),
+            pos=np.ascontiguousarray(pos, dtype=np.float64).reshape(ids.shape[0], 3),
+            remaining=np.ascontiguousarray(remaining, dtype=np.int64),
+            home=np.ascontiguousarray(home, dtype=np.int64),
         )
 
     def _columns(self):
         return (getattr(self, f.name) for f in fields(self))
-
-    def select(self, index) -> "ParticleSet":
-        return ParticleSet(*(column[index] for column in self._columns()))
 
     def compact(self, index) -> None:
         """Keep rows ``index`` in place, a column at a time, so one old column is alive beside the new."""

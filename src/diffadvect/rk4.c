@@ -12,10 +12,10 @@
  * ones. A sample's cell and a position's tests stay scalar. Each point is
  * divided by the spacing once, and its g-space position is both tested and
  * sampled. Row i reads its block bounds, int64 (origin, core dims) of three,
- * at 3 * home[i] of one table of rank rows. One test, reaches(), decides
- * whether a point lies in its block's reach, the closed sampling extent
- * [origin - 1, origin + core]: for rk4_advance's starts and stage points, and
- * in rk4_reach, the simulator's containability check.
+ * at 3 * home[i] of one table of rank rows; rk4_advance's is table row rows[i],
+ * updated in place. One test, reaches(), decides whether a point lies in its
+ * block's reach, the closed sampling extent [origin - 1, origin + core], for
+ * rk4_advance's starts and stage points and rk4_reach's containability check.
  *
  * rk4_advance runs on up to `workers` workers, and on no more than one per
  * LANES chunks: the calling thread plus helper threads it starts for the
@@ -200,7 +200,7 @@ typedef struct {
     v4d spacing; /* 1.0 in the spare lane */
     int64_t n, chunks, sx, sy;
     const double *lattice;
-    const int64_t *origin, *core, *home;
+    const int64_t *origin, *core, *home, *rows;
     double h, *pos;
     float *vertices;
     int64_t *remaining, *status, *exit_dir, *steps, *start;
@@ -229,16 +229,16 @@ static int next_row(Lane *lane, const Call *c)
 {
     for (;;) {
         for (; lane->row < lane->end; lane->row++) {
-            int64_t i = lane->row;
+            int64_t i = lane->row, r = c->rows[i];
             c->start[i] = lane->slot;
-            if (c->remaining[i] <= 0) {
+            if (c->remaining[r] <= 0) {
                 c->status[i] = STATUS_TERMINATED;
                 continue;
             }
-            lane->origin = c->origin + 3 * c->home[i];
-            lane->core = c->core + 3 * c->home[i];
-            extent(c->origin, c->core, c->home[i], lane->sample_lo, lane->core_hi);
-            load3(c->pos + 3 * i, 0.0, &lane->p);
+            lane->origin = c->origin + 3 * c->home[r];
+            lane->core = c->core + 3 * c->home[r];
+            extent(c->origin, c->core, c->home[r], lane->sample_lo, lane->core_hi);
+            load3(c->pos + 3 * r, 0.0, &lane->p);
             lane->g = lane->p / c->spacing;
             lane->taken = 0;
             return 1;
@@ -296,7 +296,7 @@ static void work(const Call *c)
             Lane *lane = &lanes[l];
             if (!live[l])
                 continue;
-            int64_t i = lane->row, event = 0;
+            int64_t i = lane->row, r = c->rows[i], event = 0;
             if (lane->rejected) {
                 event = STATUS_OOB;
                 c->exit_dir[i] = exit_direction(&lane->g, lane->sample_lo, lane->core_hi);
@@ -312,7 +312,7 @@ static void work(const Call *c)
                         c->vertices[3 * lane->slot + a] = (float)q[a];
                     lane->slot++;
                     lane->p = q;
-                    if (++lane->taken == c->remaining[i]) {
+                    if (++lane->taken == c->remaining[r]) {
                         event = STATUS_TERMINATED;
                     } else {
                         lane->g = lane->p / c->spacing;
@@ -325,9 +325,9 @@ static void work(const Call *c)
             }
             if (event) {
                 c->status[i] = event;
-                store3(&lane->p, c->pos + 3 * i);
+                store3(&lane->p, c->pos + 3 * r);
                 c->steps[i] += lane->taken;
-                c->remaining[i] -= lane->taken;
+                c->remaining[r] -= lane->taken;
                 lane->row++;
                 live[l] = next_row(lane, c);
             }
@@ -362,12 +362,12 @@ static int start_helpers(const Call *c, int count, pthread_t *helpers)
     return started;
 }
 
-/* Advance every row to its event on up to `workers` workers; returns the vertices logged, LOG_FULL or
- * START_OUTSIDE. Chunk c (rows [c * CHUNK, (c + 1) * CHUNK)) logs into vertices from the summed
- * budgets of the rows before it, and start[i] is the slot where row i's run begins; with vertices
- * NULL nothing is logged and the slots are only counted. */
+/* Advance table row rows[i], for each i < n, to its event on up to `workers` workers (no row may repeat);
+ * returns the vertices logged, LOG_FULL or START_OUTSIDE. Chunk c (i in [c * CHUNK, (c + 1) * CHUNK)) logs
+ * into vertices from the summed budgets of the rows before it, and start[i] is the slot where row rows[i]'s
+ * run begins; with vertices NULL nothing is logged and the slots are only counted. */
 int64_t rk4_advance(int64_t n, const double *lattice, int64_t sx, int64_t sy, const double *spacing,
-                    const int64_t *origin, const int64_t *core, const int64_t *home, double h,
+                    const int64_t *origin, const int64_t *core, const int64_t *home, double h, const int64_t *rows,
                     double *pos, int64_t *remaining, int64_t *status, int64_t *exit_dir, int64_t *steps,
                     float *vertices, int64_t capacity, int64_t *start, int64_t workers)
 {
@@ -375,22 +375,22 @@ int64_t rk4_advance(int64_t n, const double *lattice, int64_t sx, int64_t sy, co
     v4d step, p, g;
     load3(spacing, 1.0, &step);
     for (int64_t i = 0; i < n; i++) {
+        int64_t r = rows[i], lo[3], hi[3];
         if (i % CHUNK == 0)
             start[i] = budget; /* the chunk's base */
-        if (remaining[i] <= 0)
+        if (remaining[r] <= 0)
             continue;
-        int64_t lo[3], hi[3];
-        extent(origin, core, home[i], lo, hi);
-        load3(pos + 3 * i, 0.0, &p);
+        extent(origin, core, home[r], lo, hi);
+        load3(pos + 3 * r, 0.0, &p);
         if (!reaches(&p, &step, lo, hi, &g))
             return START_OUTSIDE;
-        budget += remaining[i];
+        budget += remaining[r];
     }
     if (vertices && budget > capacity)
         return LOG_FULL;
 
     Counter counter = {0, 0};
-    const Call call = {step, n, chunks, sx, sy, lattice, origin, core, home, h, pos, vertices,
+    const Call call = {step, n, chunks, sx, sy, lattice, origin, core, home, rows, h, pos, vertices,
                        remaining, status, exit_dir, steps, start, &counter.next, &counter.logged};
     /* a helper costs tens of microseconds to start and wake, so each worker's lanes get a chunk apiece */
     workers = workers < chunks / LANES ? workers : chunks / LANES;

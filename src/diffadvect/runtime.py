@@ -18,15 +18,15 @@ a run of rows per direction. A loan lasts one round and never moves its row.
 Round info: a holder's queue is seven runs, its unlent head, then for each
 direction ``d`` the run its neighbor there lent it in direction ``d ^ 1``; it
 runs the first ``particles_per_round`` rows of them. Allocate and integrate:
-one call over the selected rows in queue order. Out of bounds: each block
-exit's receiver, its home's neighbor in its exit direction, becomes its home.
-Collect: one stable sort by ``(home, slot)`` drops the finished rows and
-moves each exit to its receiver's tail. An exit's slot is 1 plus the
-direction of its sender in the receiver's neighbor-table row, so exits queue
-by that direction, then in their sender's order; a row that stays has slot
-0, so a surviving loan is where it was in its home's queue. A particle
-leaves the domain only as the kernel's ``STATUS_EXITED``; a block exit into
-the hull is an :class:`InvariantError`.
+one kernel call advances the selected rows in place, at their index in queue
+order, and copies no row. Out of bounds: each block exit's receiver, its
+home's neighbor in its exit direction, becomes its home. Collect: one stable
+sort by ``(home, slot)`` drops the finished rows and moves each exit to its
+receiver's tail. An exit's slot is 1 plus the direction of its sender in the
+receiver's neighbor-table row, so exits queue by that direction, then in their
+sender's order; a row that stays has slot 0, so a surviving loan is where it
+was in its home's queue. A particle leaves the domain only as the kernel's
+``STATUS_EXITED``; a block exit into the hull is an :class:`InvariantError`.
 
 A round's rows of the rounds table hold what each rank counted. Each stage's
 world time is measured once, and the run sums it per stage over the rounds.
@@ -163,7 +163,8 @@ class Simulator:
         p = self.particles
         if np.any(p.home[1:] < p.home[:-1]):
             raise InvariantError("particle table out of home order: a rank's queue is not one run of rows")
-        i = KERNEL.rk4_reach(*kernel_bounds(self.blocks, p.home), np.ascontiguousarray(p.pos, np.float64).ctypes)
+        points = np.ascontiguousarray(p.pos, np.float64)
+        i = KERNEL.rk4_reach(len(p), *kernel_bounds(self.blocks, p.home), points.ctypes)
         if i >= 0:
             raise InvariantError(f"rank {p.home[i]}: particle outside its block's reach")
 
@@ -191,31 +192,29 @@ class Simulator:
         starts = np.column_stack([np.cumsum(load_pre) - load_pre, first[self.neighbors, back]])
         take = np.minimum(lengths, np.maximum(self.ppr - (np.cumsum(lengths, axis=1) - lengths), 0))
         sel = balance.run_rows(starts.ravel(), take.ravel())
-        sel_holder = np.repeat(np.arange(ranks), take.sum(axis=1))
-        world = p.select(sel)
         stamps.append(time.perf_counter())
 
-        # Stages 3-4, allocate and integrate, once for the whole world.
-        log = self.store.allocate(RoundInfo(capacity=int(world.remaining.sum())))
+        # Stages 3-4, allocate and integrate, once for the whole world, the selected rows in place.
+        log = self.store.allocate(RoundInfo(capacity=int(p.remaining[sel].sum())))
         stamps.append(time.perf_counter())
-        out, _ = integrate(self.blocks, world, log, self.h)
-        self.store.finish_round(world.ids, out, log)
-        steps = np.bincount(sel_holder, out.steps, ranks)
+        out, _ = integrate(self.blocks, p, sel, log, self.h)
+        self.store.finish_round(p.ids[sel], out, log)
+        steps = np.bincount(np.repeat(np.arange(ranks), take.sum(axis=1)), out.steps, ranks)  # by holder
         self.terminated += int(np.count_nonzero(out.status == STATUS_TERMINATED))
         self.exited += int(np.count_nonzero(out.status == STATUS_EXITED))
-        p.pos[sel], p.remaining[sel] = out.pos, out.remaining
         stamps.append(time.perf_counter())
 
         # Stage 6, out of bounds, ahead of collect: each block exit's receiver, its home's neighbor in
         # its exit direction, becomes its home, and its sort key queues it behind the receiver's own
         # rows, by the direction of its sender in the receiver's neighbor-table row.
         oob = out.status == STATUS_OOB
-        senders, exit_dir, exits = world.home[oob], out.exit_dir[oob], sel[oob]
+        exits, exit_dir = sel[oob], out.exit_dir[oob]
+        senders = p.home[exits]
         receivers = self.neighbors[senders, exit_dir]
         if np.any(receivers < 0):
             raise InvariantError(f"round {round_index}: a block exit points at the domain hull")
         finished = sel[~oob]
-        del world, out, sel  # freed before the compaction
+        del out, sel  # freed before the compaction
         key = p.home * 7  # a row that stays keeps its place in its home's queue
         key[finished] = 7 * ranks  # past every queue, so the compaction drops it
         key[exits] = receivers * 7 + 1 + (exit_dir ^ 1)

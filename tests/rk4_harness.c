@@ -6,8 +6,10 @@
  * and again with -fsanitize=address,undefined. For row counts around the CHUNK and LANES * CHUNK
  * boundaries, and for one world whose rows start in the last rank's top cell, where a sample's last
  * corner is the lattice's last node (so a load past the lattice's end fails under ASAN), it checks,
- * against one worker with curves on:
- *   - that 1 to 4 workers, with curves on and off, give the same outcome, starts, count and log;
+ * against one worker with curves on, which advances a table of just the world's rows, in order:
+ *   - that 1 to 4 workers, with curves on and off, give the same outcome, starts, count and log when they
+ *     advance the rows through a permuted index into a table with a gap row before and after each row,
+ *     whose gap rows stay as they were;
  *   - that each logged vertex is the (float) cast of its float64 position, replayed one step per call;
  *   - that rk4_reach finds no start outside its reach, then the one row moved outside it;
  *   - that a start outside its reach, or a log one vertex short, is refused with nothing written.
@@ -27,7 +29,7 @@
 #include <string.h>
 
 int64_t rk4_advance(int64_t n, const double *lattice, int64_t sx, int64_t sy, const double *spacing,
-                    const int64_t *origin, const int64_t *core, const int64_t *home, double h,
+                    const int64_t *origin, const int64_t *core, const int64_t *home, double h, const int64_t *rows,
                     double *pos, int64_t *remaining, int64_t *status, int64_t *exit_dir, int64_t *steps,
                     float *vertices, int64_t capacity, int64_t *start, int64_t workers);
 int64_t rk4_reach(int64_t n, const double *lattice, int64_t sx, int64_t sy, const double *spacing,
@@ -53,9 +55,9 @@ static double uniform(void) /* xorshift64, in [0, 1) */
     return (double)(rng >> 11) / 9007199254740992.0;
 }
 
-/* One world of n rows and what the kernel writes for it. */
+/* One world of n rows and what the kernel writes for it; intact is 0 if it wrote to a gap row. */
 typedef struct {
-    int64_t n, capacity, logged;
+    int64_t n, capacity, logged, intact;
     int64_t *home, *remaining, *status, *exit_dir, *steps, *start;
     double *pos;
     float *vertices;
@@ -72,22 +74,50 @@ static void *fill(size_t count, size_t size, int byte)
     return p;
 }
 
+/* 1 if each of the `bytes` bytes at p is 0xa5, the fill of a gap row. */
+static int filled(const void *p, size_t bytes)
+{
+    for (size_t k = 0; k < bytes; k++)
+        if (((const unsigned char *)p)[k] != 0xa5)
+            return 0;
+    return 1;
+}
+
 static void release(World *w)
 {
     free(w->home), free(w->remaining), free(w->status), free(w->exit_dir), free(w->steps), free(w->start);
     free(w->pos), free(w->vertices);
 }
 
-/* A copy of seed whose kernel outputs are reset, advanced on `workers` workers; logs when `log`. */
-static World advanced(const World *seed, int64_t workers, int log)
+/* A copy of seed whose kernel outputs are reset, advanced on `workers` workers; logs when `log`. With
+ * `gapped`, row i is row rows[i] = 2 * perm[i] + 1 of a table of 2n + 1 rows, for a random permutation
+ * perm, whose even rows are gaps the kernel must not touch; else the table is the world's rows. The rows'
+ * positions and budgets are gathered back into the copy. */
+static World advanced(const World *seed, int64_t workers, int log, int gapped)
 {
-    int64_t n = seed->n;
-    World w = {n, seed->capacity, 0, fill(n, 8, 0), fill(n, 8, 0), fill(n, 8, 0), fill(n, 8, 0xff),
+    int64_t n = seed->n, size = gapped ? 2 * n + 1 : n;
+    World w = {n, seed->capacity, 0, 1, fill(n, 8, 0), fill(n, 8, 0), fill(n, 8, 0), fill(n, 8, 0xff),
                fill(n, 8, 0), fill(n, 8, 0xff), fill(3 * n, 8, 0), log ? fill(3 * seed->capacity, 4, 0) : NULL};
-    memcpy(w.home, seed->home, n * 8), memcpy(w.remaining, seed->remaining, n * 8);
-    memcpy(w.pos, seed->pos, 3 * n * 8);
-    w.logged = rk4_advance(n, lattice, SX, SY, spacing, origin, core, w.home, H, w.pos, w.remaining, w.status,
+    int64_t *rows = fill(n, 8, 0), *home = fill(size, 8, 0xa5), *remaining = fill(size, 8, 0xa5);
+    double *pos = fill(3 * size, 8, 0xa5);
+    for (int64_t i = 0; i < n; i++) { /* Fisher-Yates over perm, kept in rows */
+        int64_t j = (int64_t)(uniform() * (i + 1));
+        rows[i] = rows[j], rows[j] = i;
+    }
+    for (int64_t i = 0; i < n; i++) {
+        rows[i] = gapped ? 2 * rows[i] + 1 : i;
+        w.home[i] = home[rows[i]] = seed->home[i], remaining[rows[i]] = seed->remaining[i];
+        memcpy(pos + 3 * rows[i], seed->pos + 3 * i, 24);
+    }
+    w.logged = rk4_advance(n, lattice, SX, SY, spacing, origin, core, home, H, rows, pos, remaining, w.status,
                            w.exit_dir, w.steps, w.vertices, w.capacity, w.start, workers);
+    for (int64_t i = 0; i < n; i++) {
+        w.remaining[i] = remaining[rows[i]];
+        memcpy(w.pos + 3 * i, pos + 3 * rows[i], 24);
+    }
+    for (int64_t k = 0; gapped && k < size; k += 2) /* the gap rows, each byte still the fill */
+        w.intact &= filled(pos + 3 * k, 24) && filled(home + k, 8) && filled(remaining + k, 8);
+    free(rows), free(home), free(remaining), free(pos);
     return w;
 }
 
@@ -101,6 +131,12 @@ static int same(const World *a, const World *b)
         && (!a->vertices || !b->vertices || !memcmp(a->vertices, b->vertices, 3 * a->capacity * 4));
 }
 
+/* 1 if the kernel left w's rows, and its table's gap rows, as they are in seed. */
+static int untouched(const World *w, const World *seed)
+{
+    return w->intact && !memcmp(w->pos, seed->pos, 3 * w->n * 8) && !memcmp(w->remaining, seed->remaining, w->n * 8);
+}
+
 #define CHECK(cond, ...) do { if (!(cond)) { fprintf(stderr, __VA_ARGS__); fputc('\n', stderr); \
                                              failed = 1; goto done; } } while (0)
 
@@ -109,7 +145,7 @@ static int same(const World *a, const World *b)
 static int run(int64_t n, int corner)
 {
     int failed = 0;
-    World seed = {n, 0, 0, fill(n, 8, 0), fill(n, 8, 0), NULL, NULL, NULL, NULL, fill(3 * n, 8, 0), NULL};
+    World seed = {n, 0, 0, 1, fill(n, 8, 0), fill(n, 8, 0), NULL, NULL, NULL, NULL, fill(3 * n, 8, 0), NULL};
     World ref = {0}, other = {0};
     for (int64_t i = 0; i < n; i++) {
         seed.home[i] = corner ? RANKS - 1 : (int64_t)(uniform() * RANKS);
@@ -122,7 +158,7 @@ static int run(int64_t n, int corner)
     int64_t reach = rk4_reach(n, lattice, SX, SY, spacing, origin, core, seed.home, seed.pos);
     CHECK(reach == -1, "n=%ld: rk4_reach found row %ld outside its reach", (long)n, (long)reach);
 
-    ref = advanced(&seed, 1, 1);
+    ref = advanced(&seed, 1, 1, 0);
     int64_t steps = 0;
     for (int64_t i = 0; i < n; i++)
         steps += ref.steps[i];
@@ -130,9 +166,9 @@ static int run(int64_t n, int corner)
     for (int64_t i = 0; i < n; i++) { /* step j of a call is step j of as many one-step calls from its start */
         double p[3] = {seed.pos[3 * i], seed.pos[3 * i + 1], seed.pos[3 * i + 2]};
         for (int64_t j = 0; j < ref.steps[i]; j++) {
-            int64_t one = 1, status, dir, taken = 0, start;
-            rk4_advance(1, lattice, SX, SY, spacing, origin, core, seed.home + i, H, p, &one, &status, &dir, &taken,
-                        NULL, 0, &start, 1);
+            int64_t row = 0, one = 1, status, dir, taken = 0, start;
+            rk4_advance(1, lattice, SX, SY, spacing, origin, core, seed.home + i, H, &row, p, &one, &status, &dir,
+                        &taken, NULL, 0, &start, 1);
             const float *v = ref.vertices + 3 * (ref.start[i] + j);
             CHECK(taken == 1 && v[0] == (float)p[0] && v[1] == (float)p[1] && v[2] == (float)p[2],
                   "n=%ld: row %ld's vertex %ld is not the float cast of its position", (long)n, (long)i, (long)j);
@@ -140,9 +176,9 @@ static int run(int64_t n, int corner)
     }
     for (int64_t workers = 1; workers <= 4; workers++)
         for (int log = 0; log <= 1; log++) {
-            other = advanced(&seed, workers, log);
-            CHECK(same(&ref, &other), "n=%ld: %ld workers, log %d differ from one worker", (long)n, (long)workers,
-                  log);
+            other = advanced(&seed, workers, log, 1);
+            CHECK(same(&ref, &other) && other.intact, "n=%ld: %ld workers, log %d, through a permuted, gapped index, "
+                  "differ from one worker or wrote a gap row", (long)n, (long)workers, log);
             release(&other), memset(&other, 0, sizeof other);
         }
 
@@ -153,15 +189,15 @@ static int run(int64_t n, int corner)
         seed.pos[3 * row] = (lo - 0.5) * spacing[0]; /* half a cell below its sampling extent */
         reach = rk4_reach(n, lattice, SX, SY, spacing, origin, core, seed.home, seed.pos);
         CHECK(reach == row, "n=%ld: rk4_reach returned %ld, not row %ld", (long)n, (long)reach, (long)row);
-        other = advanced(&seed, 2, 1);
-        CHECK(other.logged == -2 && !memcmp(other.pos, seed.pos, 3 * n * 8), "n=%ld: a start outside its reach "
-              "returned %ld or moved a row", (long)n, (long)other.logged);
+        other = advanced(&seed, 2, 1, 1);
+        CHECK(other.logged == -2 && untouched(&other, &seed), "n=%ld: a start outside its reach returned %ld or "
+              "moved a row", (long)n, (long)other.logged);
         release(&other), memset(&other, 0, sizeof other);
         seed.pos[3 * row] = origin[3 * seed.home[row]] * spacing[0];
         seed.capacity -= 1;
-        other = advanced(&seed, 2, 1);
-        CHECK(other.logged == -1 && !memcmp(other.pos, seed.pos, 3 * n * 8), "n=%ld: a log one vertex short "
-              "returned %ld or moved a row", (long)n, (long)other.logged);
+        other = advanced(&seed, 2, 1, 1);
+        CHECK(other.logged == -1 && untouched(&other, &seed), "n=%ld: a log one vertex short returned %ld or "
+              "moved a row", (long)n, (long)other.logged);
     }
 done:
     release(&seed), release(&ref), release(&other);

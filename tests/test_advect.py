@@ -7,12 +7,14 @@ import signal
 import subprocess
 import threading
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from particle_rows import subset
 from diffadvect import advect
 from diffadvect.advect import (
     CHUNK,
@@ -86,13 +88,30 @@ def round_info(pset):
     return RoundInfo(capacity=int(pset.remaining.sum()))
 
 
+def every(pset):
+    """The index of every row of ``pset``, in order."""
+    return np.arange(len(pset))
+
+
+def read_rows(outcome, table, rows):
+    """``outcome`` with the final ``pos`` and ``remaining`` of rows ``rows``, read from the table they advanced in."""
+    return SimpleNamespace(**vars(outcome), pos=table.pos[rows], remaining=table.remaining[rows])
+
+
+def advance(run, block, pset, log, h, rows=None, **kwargs):
+    """``run`` (the kernel's :func:`integrate_group` or the reference) over rows ``rows`` of ``pset``, by default
+    every row, advanced in place; its outcome with the rows' final positions and budgets (:func:`read_rows`)."""
+    rows = every(pset) if rows is None else rows
+    return read_rows(run(block, pset, rows, log, h, **kwargs), pset, rows)
+
+
 def run_one_round(block, queue, h):
     info = round_info(queue)
     store = CurveStore()
     log = store.allocate(info)
-    outcome, work = integrate(block, queue, log, h)
+    outcome, work = integrate(block, queue, every(queue), log, h)
     store.finish_round(queue.ids, outcome, log)
-    return info, store, log, outcome, work
+    return info, store, log, read_rows(outcome, queue, every(queue)), work
 
 
 def written(steps, start=None):
@@ -101,8 +120,8 @@ def written(steps, start=None):
     steps = np.asarray(steps, dtype=np.int64)
     start = np.cumsum(steps) - steps if start is None else np.asarray(start, dtype=np.int64)
     n = len(steps)
-    return GroupOutcome(status=np.zeros(n, dtype=np.int64), exit_dir=np.full(n, -1, dtype=np.int64),
-                        pos=np.zeros((n, 3)), remaining=np.zeros(n, dtype=np.int64), steps=steps, start=start)
+    return GroupOutcome(status=np.zeros(n, dtype=np.int64), exit_dir=np.full(n, -1, dtype=np.int64), steps=steps,
+                        start=start)
 
 
 def row_bounds(block, home):
@@ -118,9 +137,11 @@ def owned_mask(block, points):
     return np.all((g >= block.origin) & (g < block.origin + block.core_dims), axis=-1)
 
 
-def reference_integrate_group(block, pset, log, h):
+def reference_integrate_group(block, table, index, log, h):
     """The numpy loop the kernel replaced: one vectorized step of every active row per pass.
 
+    It gathers rows ``index`` of ``table``, advances the copy and writes its
+    ``pos`` and ``remaining`` back, so the table ends as the kernel leaves it.
     Each row's bounds are built here, as ``table[home]`` (:func:`row_bounds`).
     Its passes interleave the rows, so it keeps each vertex's row and sorts
     the log by row (stably) at the end: each row's vertices as one run in step
@@ -128,6 +149,7 @@ def reference_integrate_group(block, pset, log, h):
     cumulative sum of the steps. Like the kernel's call, it leaves the log
     read-only.
     """
+    pset = subset(table, index)
     n = len(pset)
     pos = pset.pos.copy()
     rem = pset.remaining.copy()
@@ -176,8 +198,8 @@ def reference_integrate_group(block, pset, log, h):
         order = np.argsort(np.concatenate([np.zeros(0, dtype=np.int64)] + rows), kind="stable")
         log[:size] = log[order]
         log.setflags(write=False)
-    return GroupOutcome(status=status, exit_dir=exit_dir, pos=pos, remaining=rem, steps=steps,
-                        start=np.cumsum(steps) - steps)
+    table.pos[index], table.remaining[index] = pos, rem
+    return GroupOutcome(status=status, exit_dir=exit_dir, steps=steps, start=np.cumsum(steps) - steps)
 
 
 def random_world(rng, n, res, shared=False):
@@ -204,7 +226,7 @@ def kernel_sample(block, home, points):
     """The kernel's trilinear sampler at ``points``, each row against its home's bounds."""
     points = np.ascontiguousarray(points, dtype=np.float64)
     out = np.empty_like(points)
-    advect.KERNEL.rk4_sample(*kernel_bounds(block, home), points.ctypes, out.ctypes)
+    advect.KERNEL.rk4_sample(len(points), *kernel_bounds(block, home), points.ctypes, out.ctypes)
     return out
 
 
@@ -220,7 +242,8 @@ DEFAULT_FLAGS = tuple(flag for flag in KERNEL_FLAGS if flag != "-mavx")
 
 def kernel_reach(block, home, points):
     """The kernel's reach test: the first row of ``points`` outside its home's sampling extent, or -1."""
-    return advect.KERNEL.rk4_reach(*kernel_bounds(block, home), np.ascontiguousarray(points, np.float64).ctypes)
+    points = np.ascontiguousarray(points, np.float64)
+    return advect.KERNEL.rk4_reach(len(points), *kernel_bounds(block, home), points.ctypes)
 
 
 def first_bad_stage(block, pos, h):
@@ -240,7 +263,7 @@ def kernel_and_reference(block, pset, h):
     for run in (integrate_group, reference_integrate_group):
         store = CurveStore()
         log = store.allocate(round_info(pset))
-        outcome = run(block, pset.copy(), log, h)
+        outcome = advance(run, block, pset.copy(), log, h)
         store.finish_round(pset.ids, outcome, log)
         results.append((outcome, list(store.pieces())))
     return results
@@ -262,7 +285,7 @@ class TestKernelEqualsReference:
         assert [pid for pid, _ in got_segments] == [pid for pid, _ in want_segments]
         for (_, a), (_, b) in zip(got_segments, want_segments):
             assert a.tobytes() == b.tobytes()
-        off = integrate_group(block, pset.copy(), None, h)  # curves off: the kernel only counts
+        off = advance(integrate_group, block, pset.copy(), None, h)  # curves off: the kernel only counts
         for name in ("pos", "steps", "start"):
             assert getattr(off, name).tobytes() == getattr(got, name).tobytes(), name
 
@@ -382,6 +405,112 @@ class TestKernelEqualsReference:
         assert kernel_reach(table, home[:0], points[:0]) == -1
 
 
+def gapped_table(rng, pset):
+    """``pset``'s rows shuffled into a table of twice as many, among gap rows (copies of them under other ids),
+    and a permuted index of them: table row ``rows[i]`` holds row ``order[i]`` of ``pset``."""
+    n = len(pset)
+    gaps = pset.copy()
+    gaps.ids += n
+    table = concat_particles([pset, gaps])
+    shuffle = rng.permutation(2 * n)
+    table.compact(shuffle)
+    order = rng.permutation(n)
+    return table, np.argsort(shuffle)[order], order
+
+
+def table_bytes(pset):
+    """The bytes of each column of the table ``pset``, by name."""
+    return {name: getattr(pset, name).tobytes() for name in ("ids", "pos", "remaining", "home")}
+
+
+def refused_case(case, pset):
+    """A row index of every row of ``pset`` that ``case`` breaks, after ``case`` breaks ``pset``'s columns."""
+    rows, n = every(pset), len(pset)
+    if case == "strided-pos":
+        pset.pos = np.repeat(pset.pos, 2, axis=0)[::2]
+    elif case == "fortran-pos":
+        pset.pos = np.asfortranarray(pset.pos)
+    elif case == "float32-pos":
+        pset.pos = pset.pos.astype(np.float32)
+    elif case == "read-only-pos":
+        pset.pos.setflags(write=False)
+    elif case == "int32-remaining":
+        pset.remaining = pset.remaining.astype(np.int32)
+    elif case == "strided-remaining":
+        pset.remaining = np.repeat(pset.remaining, 2)[::2]
+    elif case == "short-home":
+        pset.home = pset.home[:-1]
+    return {"int32-index": rows.astype(np.int32), "2-d-index": rows.reshape(1, n), "list-index": rows.tolist(),
+            "negative-row": np.r_[rows[:-1], -1], "row-past-the-end": np.r_[rows[:-1], n],
+            "strided-index": np.repeat(rows, 2)[::2], "reversed-index": rows[::-1],
+            "repeated-row": np.r_[rows[:-1], 0]}.get(case, rows)
+
+
+# each refused case, and what its error says
+REFUSALS = {**dict.fromkeys(("int32-index", "2-d-index", "list-index", "negative-row", "row-past-the-end",
+                             "strided-index", "reversed-index"), "not a C-contiguous 1-D int64 array of rows"),
+            "repeated-row": "repeats a row",
+            **dict.fromkeys(("strided-pos", "fortran-pos", "float32-pos", "read-only-pos", "int32-remaining",
+                             "strided-remaining", "short-home"), "table is not n rows of writable C-contiguous")}
+
+
+class TestRowIndex:
+    @SHARED
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 200), st.sampled_from([0.01, 0.05, 0.2]))
+    def test_a_permuted_gapped_index_gives_each_row_the_identity_outcome(self, shared, seed, n, h):
+        rng = np.random.default_rng(seed)
+        block, pset = random_world(rng, n, 12, shared)
+        table, rows, order = gapped_table(rng, pset)
+        gaps, before = np.delete(np.arange(2 * n), rows), table.copy()
+        outcomes = []
+        for world, index in ((pset.copy(), every(pset)), (table, rows)):
+            store = CurveStore()
+            log = store.allocate(RoundInfo(capacity=int(world.remaining[index].sum())))
+            outcomes.append(advance(integrate_group, block, world, log, h, rows=index))
+            store.finish_round(world.ids[index], outcomes[-1], log)
+            outcomes.append({pid: piece.tobytes() for pid, piece in store.pieces()})
+        want, want_pieces, got, got_pieces = outcomes
+        for name in ("status", "exit_dir", "pos", "remaining", "steps"):
+            assert getattr(got, name).tobytes() == getattr(want, name)[order].tobytes(), name
+        assert got_pieces == want_pieces
+        for name in ("ids", "pos", "remaining", "home"):  # the gap rows are as they were
+            assert getattr(table, name)[gaps].tobytes() == getattr(before, name)[gaps].tobytes(), name
+
+    @pytest.mark.parametrize("curves", [False, True], ids=["curves-off", "curves-on"])
+    def test_rows_outside_the_index_stay_bit_identical(self, curves):
+        # every third row of a world whose rows all have budgets and would move if advanced
+        block, pset = random_world(np.random.default_rng(8), 3 * LANES * CHUNK + 5, 12, shared=True)
+        pset.remaining[:] = 20
+        rows, before = np.arange(0, len(pset), 3)[::-1].copy(), pset.copy()
+        log = CurveStore().allocate(RoundInfo(capacity=20 * len(rows))) if curves else None
+        out = integrate_group(block, pset, rows, log, 0.05)
+        assert out.steps.sum() > 0 and (pset.pos[rows] != before.pos[rows]).any()
+        others = np.delete(np.arange(len(pset)), rows)
+        for name in ("ids", "pos", "remaining", "home"):
+            assert getattr(pset, name)[others].tobytes() == getattr(before, name)[others].tobytes(), name
+
+    @pytest.mark.parametrize("case", REFUSALS)
+    def test_a_refused_index_or_table_is_left_as_it_was(self, case):
+        block, pset = random_world(np.random.default_rng(9), 2 * CHUNK + 1, 12, shared=True)
+        rows = refused_case(case, pset)
+        before, log = table_bytes(pset), CurveStore().allocate(round_info(pset))
+        with pytest.raises(InvariantError, match=REFUSALS[case]):
+            integrate_group(block, pset, rows, log, 0.05)
+        assert table_bytes(pset) == before
+        assert log.flags.writeable and not log.any()
+
+    def test_a_table_made_from_a_transposed_pos_advances_as_a_contiguous_one(self):
+        block = rasterize_block(Swirl(), (16, 16, 16), (0, 0, 0), (16, 16, 16))
+        pos = np.random.default_rng(10).uniform(0.3, 0.7, (3, 5)).T
+        assert not pos.flags.c_contiguous
+        tables = [ParticleSet.make(np.arange(5), p, np.full(5, 30), np.zeros(5)) for p in (pos, pos.copy())]
+        assert all(column.flags.c_contiguous for column in (tables[0].pos, tables[0].remaining))
+        outs = [integrate_group(block, table, every(table), None, 0.001) for table in tables]
+        assert (outs[0].steps > 0).all() and outs[0].steps.tobytes() == outs[1].steps.tobytes()
+        assert table_bytes(tables[0]) == table_bytes(tables[1])
+
+
 def kernel_arrays(pos, remaining):
     """The kernel's in-place outcome arrays for rows at ``pos`` with budgets ``remaining``."""
     n = len(pos)
@@ -428,21 +557,20 @@ class TestLanes:
         for n in (1, CHUNK - 1, CHUNK, CHUNK + 1, 3 * CHUNK + 5, 2 * LANES * CHUNK, 3 * LANES * CHUNK + 5):
             block, pset = random_world(rng, n, 12)
             pset.remaining[::3] = 0  # every chunk holds zero-budget rows
-            rows, outs = CurveStore(), []
-            for i in range(n):
-                one = pset.select([i])
-                one_log = rows.allocate(round_info(one))
-                outs.append(integrate_group(block, one.copy(), one_log, 0.05, workers=1))
-                rows.finish_round(one.ids, outs[-1], one_log)
+            alone, outs, table = CurveStore(), [], pset.copy()
+            for i in range(n):  # each row advanced alone, in place, in one table
+                one_log = alone.allocate(RoundInfo(capacity=int(pset.remaining[i])))
+                outs.append(advance(integrate_group, block, table, one_log, 0.05, rows=np.array([i]), workers=1))
+                alone.finish_round(pset.ids[[i]], outs[-1], one_log)
             for count in workers:
                 whole = CurveStore()
                 log = whole.allocate(round_info(pset))
-                got = integrate_group(block, pset.copy(), log, 0.05, workers=count)
+                got = advance(integrate_group, block, pset.copy(), log, 0.05, workers=count)
                 whole.finish_round(pset.ids, got, log)
                 for name in ("status", "exit_dir", "pos", "remaining", "steps"):
                     want = np.concatenate([getattr(out, name) for out in outs])
                     assert getattr(got, name).tobytes() == want.tobytes(), (n, count, name)
-                got_pieces, want_pieces = list(whole.pieces()), list(rows.pieces())
+                got_pieces, want_pieces = list(whole.pieces()), list(alone.pieces())
                 assert [pid for pid, _ in got_pieces] == [pid for pid, _ in want_pieces]
                 for (_, a), (_, b) in zip(got_pieces, want_pieces):
                     assert a.tobytes() == b.tobytes()
@@ -468,7 +596,8 @@ class TestLanes:
         before = {name: a.copy() for name, a in arrays.items()}
         vertices, start = np.full((capacity, 3), np.nan), np.full(len(pset), -1, dtype=np.int64)
         outcome = (arrays[name].ctypes for name in ("pos", "remaining", "status", "exit_dir", "steps"))
-        code = advect._rk4_advance(*kernel_bounds(block, pset.home), 0.05, *outcome,
+        rows = every(pset)
+        code = advect._rk4_advance(len(pset), *kernel_bounds(block, pset.home), 0.05, rows.ctypes, *outcome,
                                    vertices.ctypes, capacity, start.ctypes, 3)
         assert code == (-2 if fault == "start-outside" else -1)
         for name, a in arrays.items():
@@ -484,7 +613,7 @@ class TestLanes:
         before = pset.copy()
         log = CurveStore().allocate(round_info(pset))
         with pytest.raises(InvariantError, match="a home outside the bounds table"):
-            integrate_group(block, pset, log, 0.05)
+            integrate_group(block, pset, every(pset), log, 0.05)
         assert log.flags.writeable and not log.any()
         for name in ("pos", "remaining", "home"):
             assert getattr(pset, name).tobytes() == getattr(before, name).tobytes(), name
@@ -494,7 +623,7 @@ class TestLanes:
     def test_a_table_is_checked_once_and_a_bad_one_refused_on_every_call(self):
         block, pset = random_world(np.random.default_rng(5), 2 * CHUNK + 1, 12, shared=True)
         first, again = kernel_bounds(block, pset.home), kernel_bounds(block, pset.home[::-1])
-        assert all(a is b for a, b in zip(first[1:7], again[1:7]))  # the block's arguments are built once
+        assert all(a is b for a, b in zip(first[:6], again[:6]))  # the block's arguments are built once
         bad = Block(block.lattice, block.spacing, block.origin, 13 - block.origin)  # each core ends past the ghost layer
         for _ in range(2):
             with pytest.raises(InvariantError, match="block bounds outside"):
@@ -506,7 +635,7 @@ class TestLanes:
         # resident around every chunk's write frontier
         block, pset = drift_world(1024, 2000)
         log = CurveStore().allocate(round_info(pset))
-        out = integrate_group(block, pset, log, 0.001, workers=2)
+        out = integrate_group(block, pset, every(pset), log, 0.001, workers=2)
         base, size, page = log.ctypes.data, log.nbytes, mmap.PAGESIZE
         touched = set()
         for start, steps in zip(out.start.tolist(), out.steps.tolist()):
@@ -524,12 +653,13 @@ class TestLanes:
 
     def test_signals_reach_the_caller_during_a_multi_worker_call(self):
         block, pset = drift_world(2048, 2000)
-        want = integrate_group(block, pset.copy(), CurveStore().allocate(round_info(pset)), 0.001, workers=1)
+        want = advance(integrate_group, block, pset.copy(), CurveStore().allocate(round_info(pset)), 0.001, workers=1)
         caught = []
         previous = signal.signal(signal.SIGALRM, lambda signum, frame: caught.append(signum))
         try:
             signal.setitimer(signal.ITIMER_REAL, 0.001, 0.001)  # as perfbench's host-speed probe arms it
-            got = integrate_group(block, pset.copy(), CurveStore().allocate(round_info(pset)), 0.001, workers=3)
+            got = advance(integrate_group, block, pset.copy(), CurveStore().allocate(round_info(pset)), 0.001,
+                          workers=3)
         finally:
             signal.setitimer(signal.ITIMER_REAL, 0.0, 0.0)
             signal.signal(signal.SIGALRM, previous)
@@ -564,7 +694,7 @@ class TestLanes:
         watcher = threading.Thread(target=watch)
         watcher.start()
         try:
-            integrate_group(block, pset, CurveStore().allocate(round_info(pset)), 0.001, workers=3)
+            integrate_group(block, pset, every(pset), CurveStore().allocate(round_info(pset)), 0.001, workers=3)
         finally:
             done.set()
             watcher.join(timeout=10)
@@ -588,7 +718,7 @@ class TestKernelBuild:
         block, pset = random_world(np.random.default_rng(1), 5, 9)
         points = (block.origin + 0.5) * block.spacing
         out = np.empty_like(points)
-        load_kernel(path).rk4_sample(*kernel_bounds(block, pset.home), points.ctypes, out.ctypes)
+        load_kernel(path).rk4_sample(len(points), *kernel_bounds(block, pset.home), points.ctypes, out.ctypes)
         assert out.tobytes() == block.sample_clamped(points).tobytes()
 
     def test_kernel_compiles_without_warnings(self, tmp_path):
@@ -634,7 +764,7 @@ class TestKernelBuild:
             monkeypatch.setattr(advect, "KERNEL", kernel)
             log = CurveStore().allocate(round_info(pset))
             reached = [kernel_reach(table, rows.home, p) for p in (points, outside)]
-            runs.append((integrate_group(block, pset.copy(), log, 0.05, workers=workers), log,
+            runs.append((advance(integrate_group, block, pset.copy(), log, 0.05, workers=workers), log,
                          kernel_sample(table, rows.home, points).tobytes(), reached))
         (want, want_log, want_samples, want_reached), (got, got_log, got_samples, got_reached) = runs
         for name in ("status", "exit_dir", "pos", "remaining", "steps", "start"):
@@ -770,17 +900,17 @@ class TestWorldBatching:
             n = 40
             pos = np.column_stack([rng.uniform(x0, x1, n), rng.uniform(0.1, 0.9, n), rng.uniform(0.2, 0.8, n)])
             sets.append(ParticleSet.make(np.arange(n) + 100 * k, pos, rng.integers(0, 60, n), np.full(n, k)))
+        world = concat_particles(sets)
         separate, curves = [], CurveStore()
         for block, pset in zip(blocks, sets):
             log = CurveStore().allocate(round_info(pset))
-            separate.append(integrate_group(block, pset, log, 0.001))
+            separate.append(advance(integrate_group, block, pset, log, 0.001))
             curves.finish_round(pset.ids, separate[-1], log)
 
-        world = concat_particles(sets)
         world_log = CurveStore().allocate(round_info(world))
         table = Block(blocks[0].lattice, blocks[0].spacing,
                       np.array([b.origin for b in blocks]), np.array([b.core_dims for b in blocks]))
-        batched = integrate_group(table, world, world_log, 0.001)
+        batched = advance(integrate_group, table, world, world_log, 0.001)
         world_curves = CurveStore()
         world_curves.finish_round(world.ids, batched, world_log)
 
@@ -828,17 +958,17 @@ class TestCurveStore:
         with pytest.raises(ValueError, match="read-only"):
             next(store.pieces())[1][:] = 0.0
         with pytest.raises(InvariantError, match="already written"):
-            integrate(block, queue, log, 0.001)
+            integrate(block, queue, every(queue), log, 0.001)
 
     def test_a_written_log_is_refused_before_anything_moves(self):
         block = rasterize_block(ConstantField((0.01, 0.0, 0.0)), (16, 16, 16), (0, 0, 0), (16, 16, 16))
         log = CurveStore().allocate(RoundInfo(capacity=6))
-        integrate_group(block, queue_of([[0.5, 0.5, 0.5]], 3), log, 0.001)
+        integrate_group(block, queue_of([[0.5, 0.5, 0.5]], 3), np.arange(1), log, 0.001)
         # rows elsewhere, so a call that went ahead would write other vertices into the log
         queue = queue_of([[0.25, 0.5, 0.5], [0.75, 0.5, 0.5]], 3)
         before, logged = queue.copy(), log.tobytes()
         with pytest.raises(InvariantError, match="already written"):
-            integrate_group(block, queue, log, 0.001)
+            integrate_group(block, queue, every(queue), log, 0.001)
         for name in ("pos", "remaining"):
             assert getattr(queue, name).tobytes() == getattr(before, name).tobytes(), name
         assert log.tobytes() == logged and not log.flags.writeable
@@ -914,16 +1044,16 @@ class TestCurveStore:
         block = rasterize_block(ConstantField((0.01, 0.0, 0.0)), (16, 16, 16), (0, 0, 0), (16, 16, 16))
         queue = queue_of([[0.5, 0.5, 0.5]], 3)
         log = CurveStore().allocate(RoundInfo(capacity=6))
-        integrate(block, queue, log, 0.001)
+        integrate(block, queue, every(queue), log, 0.001)
         with pytest.raises(InvariantError, match="already written"):
-            integrate(block, queue, log, 0.001)
+            integrate(block, queue, every(queue), log, 0.001)
 
     def test_log_one_slot_short_is_an_invariant_error(self):
         block = rasterize_block(ConstantField((0.01, 0.0, 0.0)), (16, 16, 16), (0, 0, 0), (16, 16, 16))
         queue = queue_of([[0.5, 0.5, 0.5]], 3)
         log = CurveStore().allocate(RoundInfo(capacity=2))
         with pytest.raises(InvariantError, match="round log is full"):
-            integrate(block, queue, log, 0.001)
+            integrate(block, queue, every(queue), log, 0.001)
 
 
 def store_of_rounds(rounds):

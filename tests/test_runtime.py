@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as hst
 
 import reference_balance as ref
+from particle_rows import subset
 from diffadvect import advect, balance, runtime
 from diffadvect.advect import KERNEL, STATUS_EXITED, STATUS_TERMINATED, CurveStore, integrate_group, kernel_bounds
 from diffadvect.balance import SCHEDULERS, synchronous_step
@@ -120,7 +121,7 @@ class TestSeeding:
                 return fn(*args, **kwargs)
             return wrapper
 
-        monkeypatch.setattr(ParticleSet, "select", counted("select", ParticleSet.select))
+        monkeypatch.setattr(ParticleSet, "compact", counted("compact", ParticleSet.compact))
         monkeypatch.setattr(runtime, "concat_particles", counted("concat", runtime.concat_particles))
         sim = Simulator(AnalyticField("abc"), (16, 16, 16), (4, 2, 2), "gllma", stride=(2, 2, 2))
         assert len(sim.particles) == sim.seed_count == 512 and calls == []
@@ -178,7 +179,7 @@ class TestRoundSelection:
                                           for r, (load, start) in enumerate(zip(loads, starts))])
         sim.seed_count = sum(loads)
         sends = ref.plan_transfers(sim.neighbors, loads, scheduler)
-        kept, lent = zip(*(ref.select_particles(sim.particles.select(slice(start, start + load)), sends[r], r)
+        kept, lent = zip(*(ref.select_particles(subset(sim.particles, slice(start, start + load)), sends[r], r)
                            for r, (load, start) in enumerate(zip(loads, starts))))
         want = []
         for r, start in enumerate(starts):
@@ -273,28 +274,23 @@ class TestDeterminismAndInvariants:
         kwargs = dict(max_iterations=60, stride=(4, 4, 4), aabb_scale=0.5)
         a = Simulator(AnalyticField("toroidal"), (32, 32, 32), (2, 2, 2), "gllma", **kwargs).run()
         sim = Simulator(AnalyticField("toroidal"), (32, 32, 32), (2, 2, 2), "gllma", **kwargs)
-        sim.particles = sim.particles.select(shuffled_queues(sim.particles, 7))
+        sim.particles = subset(sim.particles, shuffled_queues(sim.particles, 7))
         b = sim.run()
         assert set(a.curves) == set(b.curves)
         for pid in a.curves:
             np.testing.assert_array_equal(a.curves[pid], b.curves[pid])
         assert a.total_integrate_steps() == b.total_integrate_steps()
 
-    def test_a_round_gathers_the_table_twice(self, monkeypatch):
-        # the round's world (select) and the one compaction after integrate, in place; collect's
-        # compaction is one stable argsort of the rows' sort keys
+    def test_a_round_gathers_the_table_once(self, monkeypatch):
+        # the kernel advances the selected rows in place, so the one gather of the table is collect's
+        # compaction, one stable argsort of the rows' sort keys
         sim = Simulator(AnalyticField("toroidal"), (32, 32, 32), (2, 2, 2), "gllma",
                         max_iterations=60, stride=(4, 4, 4), aabb_scale=0.5)
-        gathers = []
-        for method in ("select", "compact"):
-            def counting(pset, index, gather=getattr(ParticleSet, method)):
-                gathers.append(gather.__name__)
-                return gather(pset, index)
-
-            monkeypatch.setattr(ParticleSet, method, counting)
+        compactions = []
+        compact = ParticleSet.compact
+        monkeypatch.setattr(ParticleSet, "compact", lambda pset, index: compactions.append(1) or compact(pset, index))
         result = sim.run()
-        assert result.rounds > 1 and len(gathers) == 2 * result.rounds
-        assert gathers.count("select") == gathers.count("compact") == result.rounds
+        assert result.rounds > 1 and len(compactions) == result.rounds
 
     @staticmethod
     def loaded_senders_of_rank_3(first_rank):
@@ -417,7 +413,7 @@ class TestDeterminismAndInvariants:
             _, per_direction = balance.select_particles(loads, balance.plan_transfers(sim.neighbors, loads, "lma"))
             assert [rows.tolist() for rows in per_direction] == [[1 + k] for k in range(6)]
             borrower = sim.neighbors[13, d]
-            assert KERNEL.rk4_reach(*kernel_bounds(sim.blocks, [borrower]),
+            assert KERNEL.rk4_reach(1, *kernel_bounds(sim.blocks, [borrower]),
                                     np.ascontiguousarray(sim.particles.pos[1 + d:2 + d]).ctypes) == -1
         with pytest.raises(InvariantError, match="rank 13: particle outside its block's reach"):
             sim.run_round(1)
@@ -531,10 +527,10 @@ class TestDecompositionFuzz:
         def finals(grid, scheduler):
             final = {}
 
-            def recording(block, pset, log, h, workers=None):
-                out = integrate_group(block, pset, log, h, workers)
-                done = (out.status == STATUS_TERMINATED) | (out.status == STATUS_EXITED)
-                for pid, pos in zip(pset.ids[done].tolist(), out.pos[done]):
+            def recording(block, pset, rows, log, h, workers=None):
+                out = integrate_group(block, pset, rows, log, h, workers)
+                done = rows[(out.status == STATUS_TERMINATED) | (out.status == STATUS_EXITED)]
+                for pid, pos in zip(pset.ids[done].tolist(), pset.pos[done]):  # the table's rows, as advanced
                     assert pid not in final
                     final[pid] = pos.tobytes()
                 return out
@@ -573,7 +569,7 @@ class TestDecompositionFuzz:
         sim = Simulator(AnalyticField(run["field"]), run["resolution"], run["grid"], run["scheduler"],
                         alpha=run["alpha"], particles_per_round=run["particles_per_round"], **common)
         # the order of each rank's queue changes who integrates, never what
-        sim.particles = sim.particles.select(shuffled_queues(sim.particles, run["queue_order_seed"]))
+        sim.particles = subset(sim.particles, shuffled_queues(sim.particles, run["queue_order_seed"]))
         res = sim.run()
         assert set(res.curves) == set(oracle.curves)
         for pid, curve in oracle.curves.items():
