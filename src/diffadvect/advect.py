@@ -268,12 +268,16 @@ class CurveStore:
         log.madvise(mmap.MADV_NOHUGEPAGE)
         return np.frombuffer(log, np.float32, 3 * info.capacity).reshape(info.capacity, 3)
 
-    def finish_round(self, ids: np.ndarray, outcome: GroupOutcome, log: np.ndarray | None) -> None:
-        """Archive the round as one record of each moved row's run, ``log[start:start + steps]``, and id in ``ids``."""
+    def finish_round(self, ids: np.ndarray, rows: np.ndarray, outcome: GroupOutcome, log: np.ndarray | None) -> None:
+        """Archive the round as one record of each moved row's run, ``log[start:start + steps]``, and id.
+
+        ``rows``, one per ``outcome`` entry, index the table whose ``ids`` column is given. Only the moved rows'
+        ids are gathered, and none with curves off (``log`` None).
+        """
         if log is None:
             return
         moved = outcome.steps > 0
-        self.records.append(CurveRecord(ids[moved], outcome.start[moved], outcome.steps[moved], log))
+        self.records.append(CurveRecord(ids[rows[moved]], outcome.start[moved], outcome.steps[moved], log))
 
     def pieces(self):
         """Each archived piece, in archive order, as ``(particle_id, vertices)``: a view of its log."""

@@ -23,7 +23,6 @@ from .advect import CurveRecord, export_curves, read_curves
 from .balance import SCHEDULERS
 from .config import SETTINGS, RunConfig, apply_settings, config_items, setting_item
 from .errors import ConfigError, DiffAdvectError, InvariantError, RoundLimitError
-from .field import AnalyticField
 from .metrics import build_summary, write_lif_csv, write_rounds_csv, write_summary
 from .runtime import RunResult, Simulator
 
@@ -87,13 +86,11 @@ def _require_no_problems(problems: list[str]) -> None:
 
 
 def execute_run(config: RunConfig, out_dir: Path | None = None) -> tuple[RunResult, dict]:
-    """Run one configuration and write its artifacts if a directory is given."""
-    config.require_valid()
-    field = AnalyticField(config.field, dict(config.field_params))
-    result = Simulator(field, config.resolution, config.grid_dims(), config.scheduler, step=config.step,
-                       max_iterations=config.max_iterations, particles_per_round=config.particles_per_round,
-                       aabb_scale=config.aabb_scale, stride=config.stride, alpha=config.alpha,
-                       collect_curves=config.export_curves).run()
+    """Run one configuration, ``Simulator(config).run()``, and write its artifacts if a directory is given.
+
+    The simulator refuses an invalid config, listing every problem, before anything is allocated.
+    """
+    result = Simulator(config).run()
     summary = build_summary(config.to_dict(), config.config_hash(), result)
     if out_dir is not None:
         out_dir = Path(out_dir)

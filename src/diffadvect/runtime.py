@@ -44,7 +44,8 @@ import numpy as np
 from . import balance
 from .advect import (KERNEL, STATUS_EXITED, STATUS_OOB, STATUS_TERMINATED, CurveStore, RoundInfo, integrate,
                      kernel_bounds, merge_curves)
-from .errors import ConfigError, InvariantError, RoundLimitError
+from .config import RunConfig
+from .errors import InvariantError, RoundLimitError
 from .field import AnalyticField, Block, lattice_spacing, rasterize_global, seed_axes
 from .metrics import ROUNDS_CSV_COLUMNS, STAGE_COLUMNS, round_table
 from .particles import ParticleSet, concat_particles  # noqa: F401  (unused; perfbench/spans.py traces it here)
@@ -94,16 +95,11 @@ def seed_particles(resolution, aabb_scale: float, stride, origin, grid: ProcessG
     index in lattice order, x fastest, as its id, at home on the rank whose
     core extent contains the node, given the ranks' block origins from
     :func:`topology.decompose`. Returns the world table in home order and
-    within each home in id order: each rank's queue, one run of rows.
+    within each home in id order: each rank's queue, one run of rows. The
+    inputs are a :class:`RunConfig`'s, which :meth:`RunConfig.validate` checks.
     """
-    if not (0.0 < aabb_scale <= 1.0):
-        raise ConfigError(f"aabb scale must be in (0, 1], got {aabb_scale}")
-    stride = tuple(int(s) for s in stride)
-    if len(stride) != 3 or any(s < 1 for s in stride):
-        raise ConfigError(f"stride must be three integers >= 1, got {stride}")
-    res = tuple(int(r) for r in resolution)
-    spacing = lattice_spacing(res)
-    axes = seed_axes(res, aabb_scale, stride)
+    spacing = lattice_spacing(resolution)
+    axes = seed_axes(resolution, aabb_scale, stride)
     # Each node's block index per axis, via the split starts; their (nz, ny, nx)
     # broadcast, raveled, is each seed's home in lattice order.
     bx, by, bz = (np.searchsorted(sorted(set(origin[:, a].tolist())), axes[a], side="right") - 1 for a in range(3))
@@ -121,40 +117,30 @@ def seed_particles(resolution, aabb_scale: float, stride, origin, grid: ProcessG
 
 
 class Simulator:
-    """Drives the full advection loop over virtual ranks."""
+    """Drives the full advection loop over virtual ranks for one run configuration.
 
-    def __init__(self, field: AnalyticField, resolution, grid_dims, scheduler: str, *,
-                 step: float = 0.001, max_iterations: int = 1000, particles_per_round: int = 50_000,
-                 aabb_scale: float = 1.0, stride=(8, 8, 8), alpha: float | None = None,
-                 collect_curves: bool = True):
-        if scheduler not in balance.SCHEDULERS:
-            raise ConfigError(f"unknown scheduler {scheduler!r}; expected one of {balance.SCHEDULERS}")
-        if not (math.isfinite(step) and step > 0.0):
-            raise ConfigError(f"step size must be positive and finite, got {step}")
-        if alpha is not None and not (0.0 < alpha <= 1.0):
-            raise ConfigError(f"alpha must be in (0, 1], got {alpha}")
-        if max_iterations < 1:
-            raise ConfigError(f"max_iterations must be >= 1, got {max_iterations}")
-        if particles_per_round < 1:
-            raise ConfigError(f"particles_per_round must be >= 1, got {particles_per_round}")
-        self.resolution = tuple(int(r) for r in resolution)
-        self.grid = ProcessGrid(tuple(grid_dims))
-        self.scheduler = scheduler
-        self.h = float(step)
-        self.ppr = int(particles_per_round)
-        self.alpha = alpha
+    :meth:`RunConfig.require_valid` checks the config first, so a bad one raises one :class:`ConfigError` listing
+    every problem before anything is allocated. Every setting is read from the config, which is never changed.
+    ``field``, by default the config's :class:`AnalyticField`, is for a field that no config can name.
+    """
+
+    def __init__(self, config: RunConfig, field=None):
+        self.config = config.require_valid()
+        self.grid = ProcessGrid(config.grid_dims())
+        self.ppr = config.particles_per_round
+        field = AnalyticField(config.field, config.field_params) if field is None else field
 
         # The step's ghost-margin check is made slab by slab as the lattice is rasterized.
-        lattice = rasterize_global(field, self.resolution, padded=True, step=self.h)
+        lattice = rasterize_global(field, config.resolution, padded=True, step=config.step)
         # Row r holds rank r's block; a particle reads its bounds at row ``home``.
-        self.blocks = Block(lattice, lattice_spacing(self.resolution), *decompose(self.grid, self.resolution))
+        self.blocks = Block(lattice, lattice_spacing(config.resolution), *decompose(self.grid, config.resolution))
         # neighbors[r, d]: rank r's face neighbor in direction d, -1 at the domain hull.
         self.neighbors = neighbor_table(self.grid)
-        self.particles = seed_particles(self.resolution, aabb_scale, stride, self.blocks.origin, self.grid,
-                                        max_iterations)
+        self.particles = seed_particles(config.resolution, config.aabb_scale, config.stride, self.blocks.origin,
+                                        self.grid, config.max_iterations)
         self.seed_count = len(self.particles)
         self.terminated = self.exited = 0
-        self.store = CurveStore(collect=collect_curves)
+        self.store = CurveStore(collect=config.export_curves)
         self.records, self.round_totals = [], []
         self.stage_totals_s = np.zeros(len(STAGE_COLUMNS))
 
@@ -181,7 +167,7 @@ class Simulator:
         # Stage 1, distribute: each rank lends the tail of its queue, a run of rows per direction.
         p = self.particles
         load_pre = np.bincount(p.home, minlength=ranks)
-        sends = balance.plan_transfers(self.neighbors, load_pre, self.scheduler, self.alpha)
+        sends = balance.plan_transfers(self.neighbors, load_pre, self.config.scheduler, self.config.alpha)
         first, _ = balance.select_particles(load_pre, sends)
         stamps.append(time.perf_counter())
 
@@ -197,8 +183,8 @@ class Simulator:
         # Stages 3-4, allocate and integrate, once for the whole world, the selected rows in place.
         log = self.store.allocate(RoundInfo(capacity=int(p.remaining[sel].sum())))
         stamps.append(time.perf_counter())
-        out, _ = integrate(self.blocks, p, sel, log, self.h)
-        self.store.finish_round(p.ids[sel], out, log)
+        out, _ = integrate(self.blocks, p, sel, log, self.config.step)
+        self.store.finish_round(p.ids, sel, out, log)
         steps = np.bincount(np.repeat(np.arange(ranks), take.sum(axis=1)), out.steps, ranks)  # by holder
         self.terminated += int(np.count_nonzero(out.status == STATUS_TERMINATED))
         self.exited += int(np.count_nonzero(out.status == STATUS_EXITED))

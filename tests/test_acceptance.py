@@ -12,7 +12,6 @@ import numpy as np
 import pytest
 
 from diffadvect.balance import SCHEDULERS, decide, quota_offers, synchronous_step
-from diffadvect.field import AnalyticField
 from diffadvect.metrics import lif, round_lifs, speedup
 from diffadvect.runtime import Simulator
 from diffadvect.topology import ProcessGrid, coords_to_rank
@@ -41,11 +40,9 @@ def lif_runs():
     """Criterion 7's configuration, run for none / lma / gllma (shared with 9)."""
     results = {}
     for scheduler in ("none", "lma", "gllma"):
-        sim = Simulator(
-            AnalyticField("toroidal"), (64, 64, 64), (4, 2, 2), scheduler,
-            step=0.001, max_iterations=1000, particles_per_round=50_000,
-            aabb_scale=0.5, stride=(4, 4, 4), collect_curves=False,
-        )
+        sim = Simulator(RunConfig(field="toroidal", resolution=(64, 64, 64), grid=(4, 2, 2), scheduler=scheduler,
+                                  step=0.001, max_iterations=1000, particles_per_round=50_000, aabb_scale=0.5,
+                                  stride=(4, 4, 4), export_curves=False))
         results[scheduler] = sim.run()
     return results
 
@@ -137,11 +134,8 @@ def test_criterion_05_decomposition_transparency():
     t0 = time.perf_counter()
 
     def run(grid, scheduler):
-        sim = Simulator(
-            AnalyticField("abc"), (64, 64, 64), grid, scheduler,
-            step=0.001, max_iterations=200, particles_per_round=50_000,
-            aabb_scale=1.0, stride=(4, 4, 4),
-        )
+        sim = Simulator(RunConfig(field="abc", resolution=(64, 64, 64), grid=grid, scheduler=scheduler, step=0.001,
+                                  max_iterations=200, particles_per_round=50_000, aabb_scale=1.0, stride=(4, 4, 4)))
         t = time.perf_counter()
         res = sim.run()
         assert time.perf_counter() - t < 120.0, "single run exceeded 2 minutes"

@@ -110,7 +110,7 @@ def run_one_round(block, queue, h):
     store = CurveStore()
     log = store.allocate(info)
     outcome, work = integrate(block, queue, every(queue), log, h)
-    store.finish_round(queue.ids, outcome, log)
+    store.finish_round(queue.ids, every(queue), outcome, log)
     return info, store, log, read_rows(outcome, queue, every(queue)), work
 
 
@@ -264,7 +264,7 @@ def kernel_and_reference(block, pset, h):
         store = CurveStore()
         log = store.allocate(round_info(pset))
         outcome = advance(run, block, pset.copy(), log, h)
-        store.finish_round(pset.ids, outcome, log)
+        store.finish_round(pset.ids, every(pset), outcome, log)
         results.append((outcome, list(store.pieces())))
     return results
 
@@ -468,7 +468,7 @@ class TestRowIndex:
             store = CurveStore()
             log = store.allocate(RoundInfo(capacity=int(world.remaining[index].sum())))
             outcomes.append(advance(integrate_group, block, world, log, h, rows=index))
-            store.finish_round(world.ids[index], outcomes[-1], log)
+            store.finish_round(world.ids, index, outcomes[-1], log)
             outcomes.append({pid: piece.tobytes() for pid, piece in store.pieces()})
         want, want_pieces, got, got_pieces = outcomes
         for name in ("status", "exit_dir", "pos", "remaining", "steps"):
@@ -561,12 +561,12 @@ class TestLanes:
             for i in range(n):  # each row advanced alone, in place, in one table
                 one_log = alone.allocate(RoundInfo(capacity=int(pset.remaining[i])))
                 outs.append(advance(integrate_group, block, table, one_log, 0.05, rows=np.array([i]), workers=1))
-                alone.finish_round(pset.ids[[i]], outs[-1], one_log)
+                alone.finish_round(pset.ids, np.array([i]), outs[-1], one_log)
             for count in workers:
                 whole = CurveStore()
                 log = whole.allocate(round_info(pset))
                 got = advance(integrate_group, block, pset.copy(), log, 0.05, workers=count)
-                whole.finish_round(pset.ids, got, log)
+                whole.finish_round(pset.ids, every(pset), got, log)
                 for name in ("status", "exit_dir", "pos", "remaining", "steps"):
                     want = np.concatenate([getattr(out, name) for out in outs])
                     assert getattr(got, name).tobytes() == want.tobytes(), (n, count, name)
@@ -905,14 +905,14 @@ class TestWorldBatching:
         for block, pset in zip(blocks, sets):
             log = CurveStore().allocate(round_info(pset))
             separate.append(advance(integrate_group, block, pset, log, 0.001))
-            curves.finish_round(pset.ids, separate[-1], log)
+            curves.finish_round(pset.ids, every(pset), separate[-1], log)
 
         world_log = CurveStore().allocate(round_info(world))
         table = Block(blocks[0].lattice, blocks[0].spacing,
                       np.array([b.origin for b in blocks]), np.array([b.core_dims for b in blocks]))
         batched = advance(integrate_group, table, world, world_log, 0.001)
         world_curves = CurveStore()
-        world_curves.finish_round(world.ids, batched, world_log)
+        world_curves.finish_round(world.ids, every(world), batched, world_log)
 
         for name in ("status", "exit_dir", "pos", "remaining", "steps"):
             expected = np.concatenate([getattr(out, name) for out in separate])
@@ -935,7 +935,8 @@ class TestCurveStore:
         log = np.column_stack([np.arange(12.0), rows, rows]).astype(np.float32)
         log.setflags(write=False)  # as the kernel's call leaves it
         store = CurveStore()
-        store.finish_round(np.array([10, 11, 12, 13, 14]), written([0, 2, 4, 0, 1], [0, 0, 5, 9, 9]), log)
+        # entry i of the round is row 4 - i of a table whose ids run down from 14
+        store.finish_round(np.arange(14, 9, -1), np.arange(4, -1, -1), written([0, 2, 4, 0, 1], [0, 0, 5, 9, 9]), log)
         [record] = store.records  # one record for the round, holding the moved rows only
         assert (record.ids.tolist(), record.start.tolist(), record.steps.tolist()) == ([11, 12, 14], [0, 5, 9],
                                                                                      [2, 4, 1])
@@ -986,7 +987,7 @@ class TestCurveStore:
     def test_particle_without_vertices_contributes_nothing(self):
         store = CurveStore()
         log = store.allocate(round_info(queue_of([[0.5, 0.5, 0.5]], 5)))
-        store.finish_round(np.array([7]), written([0]), log)  # nothing appended
+        store.finish_round(np.array([7]), np.arange(1), written([0]), log)  # nothing appended
         assert merge_curves(store) == {}
 
     def test_zero_capacity_round_logs_nothing(self):
@@ -1000,7 +1001,7 @@ class TestCurveStore:
         for ids, x in ((np.array([3, 5]), [0.2, 0.3]), (np.array([5, 3]), [0.4, 0.5])):
             log = store.allocate(round_info(queue_of(np.zeros((2, 3)), 1)))
             log[:] = np.column_stack([x, np.zeros(2), np.zeros(2)])
-            store.finish_round(ids, written([1, 1]), log)
+            store.finish_round(ids, np.arange(2), written([1, 1]), log)
         merged = merge_curves(store)
         assert merged[3].dtype == merged[5].dtype == np.float32
         np.testing.assert_array_equal(merged[3][:, 0], np.float32([0.2, 0.5]))
@@ -1012,9 +1013,9 @@ class TestCurveStore:
         store = store_of_rounds([([1, 2], [4, 2])])
         log = np.zeros((6, 3), np.float32)
         with pytest.raises(InvariantError, match="runs outside its round's log"):
-            store.finish_round(np.array([1, 2]), written(steps, start), log)
+            store.finish_round(np.array([1, 2]), np.arange(2), written(steps, start), log)
         assert len(store.records) == 1  # the earlier round only
-        store.finish_round(np.array([1, 2]), written([4, 2]), log)  # the same log, its pieces inside it
+        store.finish_round(np.array([1, 2]), np.arange(2), written([4, 2]), log)  # the same log, its pieces inside it
         assert len(store.records) == 2
 
     @pytest.mark.parametrize("log", [np.zeros((3, 6), np.float32)[:, ::2], np.zeros((6, 3), np.float32, order="F"),
@@ -1023,14 +1024,14 @@ class TestCurveStore:
     def test_a_log_of_another_layout_is_refused_and_nothing_archived(self, log):
         store = CurveStore()
         with pytest.raises(InvariantError, match="not a C-contiguous"):
-            store.finish_round(np.array([1, 2]), written([1, 2]), log)
+            store.finish_round(np.array([1, 2]), np.arange(2), written([1, 2]), log)
         assert store.records == [] and merge_curves(store) == {}
 
     def test_ids_of_another_type_are_refused(self):
         store = CurveStore()
         for ids in (np.array([1, 2], np.int32), np.array([1.0, 2.0])):
             with pytest.raises(InvariantError, match="not int64 arrays"):
-                store.finish_round(ids, written([1, 2]), np.zeros((3, 3), np.float32))
+                store.finish_round(ids, np.arange(2), written([1, 2]), np.zeros((3, 3), np.float32))
         assert store.records == []
 
     def test_dropped_vertex_is_an_invariant_error(self, monkeypatch):
@@ -1062,7 +1063,7 @@ def store_of_rounds(rounds):
     for number, (ids, steps) in enumerate(rounds):
         total = int(np.sum(steps))
         log = np.column_stack([np.arange(total) + 0.1, np.full((total, 2), number / 3)]).astype(np.float32)
-        store.finish_round(np.array(ids), written(steps), log)
+        store.finish_round(np.array(ids), np.arange(len(ids)), written(steps), log)
     return store
 
 

@@ -6,12 +6,15 @@ traced benchmark run. ``perfbench/run.py`` writes each workload's config as its
 canonical text, reloads it, and refuses to run when the hash moved.
 """
 
+import copy
+import dataclasses
 import importlib.util
+import json
 from pathlib import Path
 
 import pytest
 
-from diffadvect import AnalyticField, Simulator, load_config_file
+from diffadvect import RunConfig, Simulator, load_config_file
 
 
 def _load_perfbench(name):
@@ -45,8 +48,8 @@ def test_every_trace_point_resolves():
 def test_traced_run_counts_rounds_and_hand_offs():
     spans = _load_perfbench("spans")
     with spans.Tracer() as tracer:
-        result = Simulator(AnalyticField("toroidal"), (16, 16, 16), (2, 2, 1), "gllma",
-                           max_iterations=20, stride=(4, 4, 4), aabb_scale=0.5).run()
+        result = Simulator(RunConfig(field="toroidal", resolution=(16, 16, 16), grid=(2, 2, 1), scheduler="gllma",
+                                     max_iterations=20, stride=(4, 4, 4), aabb_scale=0.5)).run()
     metrics = spans.layer_metrics(tracer)
     assert metrics["runtime.rounds"] == result.rounds
     assert metrics["runtime.oob_handoffs"] == sum(rec.sent_oob for rec in result.records) > 0
@@ -62,7 +65,8 @@ def test_traced_setup_records_one_rasterize_span():
 
     spans = _load_perfbench("spans")
     with spans.Tracer() as tracer:
-        cli.Simulator(AnalyticField("toroidal"), (16, 16, 16), (2, 2, 1), "gllma", stride=(4, 4, 4))
+        cli.Simulator(RunConfig(field="toroidal", resolution=(16, 16, 16), grid=(2, 2, 1), scheduler="gllma",
+                                stride=(4, 4, 4)))
     names = [span[0] for span in tracer.spans]
     assert names.count("runtime.setup") == names.count("field.rasterize") == 1
     assert tracer.spans[names.index("field.rasterize")][3] == names.index("runtime.setup")
@@ -83,3 +87,46 @@ def test_traced_run_measures_the_curve_archive_and_export(tmp_path):
     assert totals["advect.export_curves"]["calls"] == 1
     assert spans.layer_metrics(tracer)["advect.curves_bytes"] == (tmp_path / "curves.bin").stat().st_size > 0
     assert totals["advect.finish_round"]["calls"] == result.rounds
+
+
+def test_traced_metrics_are_plain_json(tmp_path):
+    # perfbench/child.py prints a traced run's layer metrics and span totals with json.dumps, so a count
+    # that became a numpy integer would fail every traced benchmark run
+    from diffadvect import cli
+
+    spans = _load_perfbench("spans")
+    with spans.Tracer() as tracer:
+        cli.execute_run(_WORKLOADS.config_for("smoke", 0), tmp_path)
+    metrics, totals = spans.layer_metrics(tracer), tracer.totals()
+    assert metrics["runtime.oob_handoffs"] > 0 and metrics["balance.particles_loaned"] > 0
+    assert json.loads(json.dumps(metrics)) == metrics
+    assert json.loads(json.dumps(totals)) == totals
+
+
+def test_a_replayed_setup_builds_the_same_simulator(monkeypatch):
+    # perfbench/child.py measures setup_s by calling cli.Simulator again with the run's first arguments,
+    # so the run builds its simulator there once, and the replay builds the same table and blocks from
+    # a config that neither call changed
+    from diffadvect import cli
+
+    built = []
+
+    def recording(*args, **kwargs):
+        sim = Simulator(*args, **kwargs)
+        built.append((args, kwargs, sim.particles.copy(), sim.blocks))
+        return sim
+
+    monkeypatch.setattr(cli, "Simulator", recording)
+    config = _WORKLOADS.config_for("smoke", 0)
+    before = copy.deepcopy(config)
+    cli.execute_run(config)
+    assert len(built) == 1
+    args, kwargs, _, _ = built[0]
+    cli.Simulator(*args, **kwargs)
+    assert config == before
+    (*_, first, first_blocks), (*_, again, again_blocks) = built
+    for column in ("ids", "pos", "remaining", "home"):
+        assert getattr(again, column).tobytes() == getattr(first, column).tobytes(), column
+    for block_field in dataclasses.fields(first_blocks):
+        name = block_field.name
+        assert getattr(again_blocks, name).tobytes() == getattr(first_blocks, name).tobytes(), name

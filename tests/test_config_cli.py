@@ -130,23 +130,20 @@ class TestConfigParsing:
         assert [p.split(":")[0] for p in problems] == ["scheduler", "seeds", "export_curves"]
 
     def test_round_buffer_estimate_counts_the_seeds(self):
-        from diffadvect.field import AnalyticField
         from diffadvect.runtime import Simulator
 
         cfg = RunConfig(resolution=(19, 23, 17), stride=(3, 2, 5), aabb_scale=0.6, max_iterations=7)
-        sim = Simulator(AnalyticField("abc"), cfg.resolution, (1, 1, 1), "none", stride=cfg.stride,
-                        aabb_scale=cfg.aabb_scale, max_iterations=cfg.max_iterations)
+        sim = Simulator(cfg)
         assert cfg.round_buffer_bytes() == sim.seed_count * 7 * 12
 
     @settings(max_examples=40, deadline=None)
     @given(hst.tuples(*[hst.integers(2, 24)] * 3), hst.floats(0.01, 1.0), hst.tuples(*[hst.integers(1, 9)] * 3))
     def test_counted_seeds_equal_the_seeded_ones(self, resolution, aabb_scale, stride):
-        from diffadvect.field import AnalyticField
         from diffadvect.runtime import Simulator
 
-        cfg = RunConfig(resolution=resolution, aabb_scale=aabb_scale, stride=stride)
-        sim = Simulator(AnalyticField("abc"), resolution, (1, 1, 1), "none", stride=stride,
-                        aabb_scale=aabb_scale, max_iterations=1, collect_curves=False)
+        cfg = RunConfig(resolution=resolution, aabb_scale=aabb_scale, stride=stride, max_iterations=1,
+                        export_curves=False)
+        sim = Simulator(cfg)
         assert cfg.seed_count() == sim.seed_count
 
     @pytest.mark.parametrize("settings_", [

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 import reference_lif as ref
-from diffadvect import AnalyticField, RunResult, Simulator
+from diffadvect import RunConfig, RunResult, Simulator
 from diffadvect.advect import CurveStore
 from diffadvect.errors import ConfigError
 from diffadvect.metrics import (
@@ -100,8 +100,8 @@ class TestCsvFormats:
 
     def test_run_records_are_in_round_then_rank_order(self):
         # rounds.csv writes the table in its own order, so the run must build it in (round, rank) order
-        res = Simulator(AnalyticField("toroidal"), (32, 32, 32), (2, 2, 2), "gllma", max_iterations=40,
-                        stride=(4, 4, 4), aabb_scale=0.5, particles_per_round=8).run()
+        res = Simulator(RunConfig(field="toroidal", resolution=(32, 32, 32), grid=(2, 2, 2), scheduler="gllma",
+                                  max_iterations=40, stride=(4, 4, 4), aabb_scale=0.5, particles_per_round=8)).run()
         assert res.rounds > 1 and len(res.records) == res.rounds * res.node_count
         assert np.all(np.diff(res.records["round"]) >= 0)
         for block in res.records.reshape(res.rounds, res.node_count):

@@ -10,8 +10,9 @@ from particle_rows import subset
 from diffadvect import advect, balance, runtime
 from diffadvect.advect import KERNEL, STATUS_EXITED, STATUS_TERMINATED, CurveStore, integrate_group, kernel_bounds
 from diffadvect.balance import SCHEDULERS, synchronous_step
+from diffadvect.config import RunConfig
 from diffadvect.errors import ConfigError, InvariantError, RoundLimitError
-from diffadvect.field import FIELD_KINDS, AnalyticField, lattice_spacing, seed_axes
+from diffadvect.field import FIELD_KINDS, lattice_spacing, seed_axes
 from diffadvect.metrics import round_lifs, rounds_csv_lines
 from diffadvect.particles import ParticleSet, concat_particles
 from diffadvect.runtime import Simulator, seed_particles
@@ -123,20 +124,35 @@ class TestSeeding:
 
         monkeypatch.setattr(ParticleSet, "compact", counted("compact", ParticleSet.compact))
         monkeypatch.setattr(runtime, "concat_particles", counted("concat", runtime.concat_particles))
-        sim = Simulator(AnalyticField("abc"), (16, 16, 16), (4, 2, 2), "gllma", stride=(2, 2, 2))
+        sim = Simulator(RunConfig(field="abc", resolution=(16, 16, 16), grid=(4, 2, 2), scheduler="gllma",
+                                  stride=(2, 2, 2)))
         assert len(sim.particles) == sim.seed_count == 512 and calls == []
 
-    def test_bad_scale_rejected(self):
-        grid = ProcessGrid((1, 1, 1))
-        origin, _ = decompose(grid, (16, 16, 16))
-        with pytest.raises(ConfigError):
-            seed_particles((16, 16, 16), 0.0, (4, 4, 4), origin, grid, 10)
+
+class TestRefusal:
+    @pytest.mark.parametrize("settings_, refused", [
+        (dict(scheduler="foo", step=float("nan"), particles_per_round=0), ["scheduler", "step", "particles_per_round"]),
+        (dict(max_iterations=5000), ["max_iterations"]),
+        # 2.1M seeds; 8 ranks run 50,000 rows a round, each logging up to 1,000 vertices of 12 B: 4.47 GiB
+        (dict(resolution=(128, 128, 128), stride=(1, 1, 1), grid=(2, 2, 2), scheduler="gllma"), ["export_curves"]),
+        (dict(aabb_scale=0.0), ["aabb_scale"]),
+    ], ids=["three-problems", "iterations-over-the-cap", "round-log-over-the-cap", "empty-seed-box"])
+    def test_the_api_refuses_what_validate_refuses_before_rasterizing(self, monkeypatch, settings_, refused):
+        def rasterize(*args, **kwargs):
+            raise AssertionError("an invalid configuration was rasterized")
+
+        monkeypatch.setattr(runtime, "rasterize_global", rasterize)
+        config = RunConfig(**settings_)
+        with pytest.raises(ConfigError) as caught:
+            Simulator(config)
+        assert caught.value.errors == config.validate()
+        assert [problem.split(":")[0] for problem in caught.value.errors] == refused
 
 
 class TestSingleRank:
     def test_stages_are_noops_and_pure_integration(self):
-        sim = Simulator(AnalyticField("abc"), (16, 16, 16), (1, 1, 1), "none",
-                        max_iterations=10, stride=(8, 8, 8))
+        sim = Simulator(RunConfig(field="abc", resolution=(16, 16, 16), grid=(1, 1, 1), scheduler="none",
+                                  max_iterations=10, stride=(8, 8, 8)))
         res = sim.run()
         for rec in res.records:
             assert rec.sent_balanced == rec.recv_balanced == 0
@@ -146,8 +162,8 @@ class TestSingleRank:
         assert res.terminated + res.exited == res.seed_count
 
     def test_completion_check(self):
-        sim = Simulator(AnalyticField("abc"), (16, 16, 16), (2, 1, 1), "none",
-                        max_iterations=5, stride=(8, 8, 8))
+        sim = Simulator(RunConfig(field="abc", resolution=(16, 16, 16), grid=(2, 1, 1), scheduler="none",
+                                  max_iterations=5, stride=(8, 8, 8)))
         assert len(sim.particles) > 0
         drain_queues(sim)
         assert sim.run().rounds == 0
@@ -155,8 +171,8 @@ class TestSingleRank:
 
 class TestRoundSelection:
     def test_each_holder_runs_its_first_particles_per_round_rows(self):
-        sim = Simulator(ConstantField((0.0, 0.0, 0.0)), (16, 16, 16), (2, 1, 1), "none",
-                        max_iterations=5, stride=(8, 8, 8), particles_per_round=3)
+        sim = Simulator(RunConfig(resolution=(16, 16, 16), grid=(2, 1, 1), scheduler="none", max_iterations=5,
+                                  stride=(8, 8, 8), particles_per_round=3), ConstantField((0.0, 0.0, 0.0)))
         p = sim.particles
         lowest = [np.sort(p.ids[p.home == r])[:3] for r in range(2)]
         assert all(len(p.ids[p.home == r]) > 3 for r in range(2))
@@ -171,8 +187,8 @@ class TestRoundSelection:
         # neighbor there lent it in direction d ^ 1, each run in its sender's queue order.
         grid = ProcessGrid(dims)
         loads = data.draw(hst.lists(hst.integers(0, 30), min_size=grid.rank_count, max_size=grid.rank_count))
-        sim = Simulator(ConstantField((0.0, 0.0, 0.0)), (16, 16, 16), dims, scheduler,
-                        max_iterations=5, stride=(8, 8, 8), particles_per_round=ppr)
+        sim = Simulator(RunConfig(resolution=(16, 16, 16), grid=dims, scheduler=scheduler, max_iterations=5,
+                                  stride=(8, 8, 8), particles_per_round=ppr), ConstantField((0.0, 0.0, 0.0)))
         centres = (sim.blocks.origin + (sim.blocks.core_dims - 1) / 2.0) * sim.blocks.spacing
         starts = np.cumsum(loads) - loads
         sim.particles = concat_particles([particles_at(np.tile(centres[r], (load, 1)), 5, r, start_id=start)
@@ -194,8 +210,8 @@ class TestRoundSelection:
 
 class TestTwoRankBalancing:
     def _sim(self, scheduler):
-        sim = Simulator(ConstantField((0.0, 0.0, 0.0)), (16, 16, 16), (2, 1, 1), scheduler,
-                        max_iterations=5, stride=(8, 8, 8))
+        sim = Simulator(RunConfig(resolution=(16, 16, 16), grid=(2, 1, 1), scheduler=scheduler, max_iterations=5,
+                                  stride=(8, 8, 8)), ConstantField((0.0, 0.0, 0.0)))
         drain_queues(sim)
         # 100 idle particles on rank 0, none on rank 1
         sim.particles = particles_at(np.tile([0.25, 0.5, 0.5], (100, 1)), 5, 0)
@@ -231,8 +247,8 @@ class TestTwoRankBalancing:
 
 class TestCrossDomainDrift:
     def _sim(self, grid, velocity=(1.0, 0.0, 0.0), resolution=17, step=0.001, start=(0.01, 0.51, 0.52)):
-        sim = Simulator(ConstantField(velocity), (resolution,) * 3, grid, "none", step=step,
-                        max_iterations=1000, stride=(8, 8, 8))
+        sim = Simulator(RunConfig(resolution=(resolution,) * 3, grid=grid, scheduler="none", step=step,
+                                  max_iterations=1000, stride=(8, 8, 8)), ConstantField(velocity))
         drain_queues(sim)
         sim.particles = particles_at([start], 1000, 0)
         sim.seed_count = 1
@@ -271,9 +287,10 @@ class TestCrossDomainDrift:
 
 class TestDeterminismAndInvariants:
     def test_queue_order_changes_who_integrates_but_no_curve(self):
-        kwargs = dict(max_iterations=60, stride=(4, 4, 4), aabb_scale=0.5)
-        a = Simulator(AnalyticField("toroidal"), (32, 32, 32), (2, 2, 2), "gllma", **kwargs).run()
-        sim = Simulator(AnalyticField("toroidal"), (32, 32, 32), (2, 2, 2), "gllma", **kwargs)
+        config = RunConfig(field="toroidal", resolution=(32, 32, 32), grid=(2, 2, 2), scheduler="gllma",
+                           max_iterations=60, stride=(4, 4, 4), aabb_scale=0.5)
+        a = Simulator(config).run()
+        sim = Simulator(config)
         sim.particles = subset(sim.particles, shuffled_queues(sim.particles, 7))
         b = sim.run()
         assert set(a.curves) == set(b.curves)
@@ -284,8 +301,8 @@ class TestDeterminismAndInvariants:
     def test_a_round_gathers_the_table_once(self, monkeypatch):
         # the kernel advances the selected rows in place, so the one gather of the table is collect's
         # compaction, one stable argsort of the rows' sort keys
-        sim = Simulator(AnalyticField("toroidal"), (32, 32, 32), (2, 2, 2), "gllma",
-                        max_iterations=60, stride=(4, 4, 4), aabb_scale=0.5)
+        sim = Simulator(RunConfig(field="toroidal", resolution=(32, 32, 32), grid=(2, 2, 2), scheduler="gllma",
+                                  max_iterations=60, stride=(4, 4, 4), aabb_scale=0.5))
         compactions = []
         compact = ParticleSet.compact
         monkeypatch.setattr(ParticleSet, "compact", lambda pset, index: compactions.append(1) or compact(pset, index))
@@ -295,8 +312,8 @@ class TestDeterminismAndInvariants:
     @staticmethod
     def loaded_senders_of_rank_3(first_rank):
         """A 2x2 grid whose ranks 1 and 2 each queue 90 rows, ``first_rank``'s stored first."""
-        sim = Simulator(ConstantField((0.0, 0.0, 0.0)), (16, 16, 16), (2, 2, 1), "lma",
-                        max_iterations=5, stride=(8, 8, 8), particles_per_round=10)
+        sim = Simulator(RunConfig(resolution=(16, 16, 16), grid=(2, 2, 1), scheduler="lma", max_iterations=5,
+                                  stride=(8, 8, 8), particles_per_round=10), ConstantField((0.0, 0.0, 0.0)))
         from_1 = particles_at(np.tile([0.85, 0.15, 0.5], (90, 1)), 5, 1)
         from_2 = particles_at(np.tile([0.15, 0.85, 0.5], (90, 1)), 5, 2, start_id=90)
         sim.particles = concat_particles([from_1, from_2] if first_rank == 1 else [from_2, from_1])
@@ -328,8 +345,8 @@ class TestDeterminismAndInvariants:
     def test_a_surviving_loan_returns_to_its_place_in_its_homes_queue(self):
         # Rank 3 of a 2x2 grid lends the tail of its queue to rank 2 (-x) first, then to rank 1 (-y),
         # the reverse of their rank order. Ten rows a round leave most loans alive at the round's end.
-        sim = Simulator(ConstantField((0.0, 0.0, 0.0)), (16, 16, 16), (2, 2, 1), "lma",
-                        max_iterations=5, stride=(8, 8, 8), particles_per_round=10)
+        sim = Simulator(RunConfig(resolution=(16, 16, 16), grid=(2, 2, 1), scheduler="lma", max_iterations=5,
+                                  stride=(8, 8, 8), particles_per_round=10), ConstantField((0.0, 0.0, 0.0)))
         sim.particles = particles_at(np.tile([0.85, 0.85, 0.5], (90, 1)), 5, 3)
         sim.seed_count = 90
         recs = sim.run_round(1)
@@ -341,8 +358,8 @@ class TestDeterminismAndInvariants:
         assert p.ids.tolist() == [*range(10, 30), *range(40, 60), *range(70, 90)]  # row order is queue order
 
     def test_conservation_every_round(self):
-        sim = Simulator(AnalyticField("toroidal"), (32, 32, 32), (2, 2, 2), "lma",
-                        max_iterations=80, stride=(4, 4, 4), aabb_scale=0.5)
+        sim = Simulator(RunConfig(field="toroidal", resolution=(32, 32, 32), grid=(2, 2, 2), scheduler="lma",
+                                  max_iterations=80, stride=(4, 4, 4), aabb_scale=0.5))
         res = sim.run()
         for rnd, active, terminated, exited in res.round_totals:
             assert active + terminated + exited == res.seed_count
@@ -350,14 +367,14 @@ class TestDeterminismAndInvariants:
 
     def test_round_cap_enforced(self, monkeypatch):
         monkeypatch.setattr(runtime, "ROUND_CAP", 1)
-        sim = Simulator(AnalyticField("toroidal"), (32, 32, 32), (2, 2, 2), "none",
-                        max_iterations=500, stride=(8, 8, 8), aabb_scale=0.5)
+        sim = Simulator(RunConfig(field="toroidal", resolution=(32, 32, 32), grid=(2, 2, 2), scheduler="none",
+                                  max_iterations=500, stride=(8, 8, 8), aabb_scale=0.5))
         with pytest.raises(RoundLimitError):
             sim.run()
 
     def test_containability_assertion_fires_on_foreign_particle(self):
-        sim = Simulator(ConstantField((0.0, 0.0, 0.0)), (16, 16, 16), (2, 1, 1), "none",
-                        max_iterations=5, stride=(8, 8, 8))
+        sim = Simulator(RunConfig(resolution=(16, 16, 16), grid=(2, 1, 1), scheduler="none", max_iterations=5,
+                                  stride=(8, 8, 8)), ConstantField((0.0, 0.0, 0.0)))
         drain_queues(sim)
         # rank 0 owns the left half; a particle at x=0.9 is unreachable for it
         sim.particles = particles_at([[0.9, 0.5, 0.5]], 5, 0)
@@ -367,27 +384,28 @@ class TestDeterminismAndInvariants:
 
     def test_step_too_large_for_ghost_margin_rejected(self):
         with pytest.raises(ConfigError):
-            Simulator(ConstantField((60.0, 0.0, 0.0)), (16, 16, 16), (2, 1, 1), "none",
-                      step=0.001, max_iterations=5, stride=(8, 8, 8))
+            Simulator(RunConfig(resolution=(16, 16, 16), grid=(2, 1, 1), scheduler="none", step=0.001,
+                                max_iterations=5, stride=(8, 8, 8)), ConstantField((60.0, 0.0, 0.0)))
 
     def test_nan_step_rejected(self):
         # NaN compares False with both the positivity and the ghost-margin bound
         with pytest.raises(ConfigError):
-            Simulator(AnalyticField("abc"), (16, 16, 16), (2, 1, 1), "none",
-                      step=float("nan"), max_iterations=5, stride=(8, 8, 8))
+            Simulator(RunConfig(field="abc", resolution=(16, 16, 16), grid=(2, 1, 1), scheduler="none",
+                                step=float("nan"), max_iterations=5, stride=(8, 8, 8)))
 
     @pytest.mark.parametrize("alpha", [float("nan"), -0.5, 0.0, 1.5])
     def test_alpha_outside_unit_interval_rejected(self, alpha):
-        with pytest.raises(ConfigError, match="alpha"):
-            Simulator(AnalyticField("abc"), (16, 16, 16), (2, 1, 1), "constant",
-                      alpha=alpha, max_iterations=5, stride=(8, 8, 8))
+        with pytest.raises(ConfigError) as refused:
+            Simulator(RunConfig(field="abc", resolution=(16, 16, 16), grid=(2, 1, 1), scheduler="constant",
+                                alpha=alpha, max_iterations=5, stride=(8, 8, 8)))
+        assert [problem.split(":")[0] for problem in refused.value.errors] == ["alpha"]
 
     @staticmethod
     def centre_rank_at(*g, scheduler="none"):
         """A 3x3x3 simulator at 33^3 (spacing 1/32, so g = p / spacing is exact) holding particles of the
         centre rank 13, whose sampling extent is [10, 22] in g-space, at g-space points ``g``, queued in order."""
-        sim = Simulator(ConstantField((0.0, 0.0, 0.0)), (33, 33, 33), (3, 3, 3), scheduler,
-                        max_iterations=5, stride=(8, 8, 8))
+        sim = Simulator(RunConfig(resolution=(33, 33, 33), grid=(3, 3, 3), scheduler=scheduler, max_iterations=5,
+                                  stride=(8, 8, 8)), ConstantField((0.0, 0.0, 0.0)))
         drain_queues(sim)
         sim.particles = particles_at(np.array(g) * sim.blocks.spacing, 5, 13)
         sim.seed_count = len(g)
@@ -436,10 +454,10 @@ class TestDeterminismAndInvariants:
         assert sim.round_totals == [(1, 1, 0, 0)]
 
     def test_curves_off_allocates_no_vertices_and_changes_no_work(self, monkeypatch):
-        def run(collect_curves):
-            sim = Simulator(AnalyticField("toroidal"), (32, 32, 32), (2, 2, 1), "gllma",
-                            max_iterations=40, stride=(4, 4, 4), aabb_scale=0.5,
-                            particles_per_round=16, collect_curves=collect_curves)
+        def run(export_curves):
+            sim = Simulator(RunConfig(field="toroidal", resolution=(32, 32, 32), grid=(2, 2, 1), scheduler="gllma",
+                                      max_iterations=40, stride=(4, 4, 4), aabb_scale=0.5, particles_per_round=16,
+                                      export_curves=export_curves))
             return sim, sim.run()
 
         slots = []
@@ -463,8 +481,8 @@ class TestDeterminismAndInvariants:
         assert rounds_csv_lines(off.records) == rounds_csv_lines(on.records)
 
     def test_jets_field_runs_clean(self):
-        res = Simulator(AnalyticField("jets"), (16, 16, 16), (2, 1, 1), "constant",
-                        max_iterations=30, stride=(4, 4, 4)).run()
+        res = Simulator(RunConfig(field="jets", resolution=(16, 16, 16), grid=(2, 1, 1), scheduler="constant",
+                                  max_iterations=30, stride=(4, 4, 4))).run()
         assert res.terminated + res.exited == res.seed_count
         assert res.total_integrate_steps() > 0
 
@@ -472,9 +490,9 @@ class TestDeterminismAndInvariants:
         # accepted steps mirror the geometry, so their global total must
         # match the 1-rank run no matter how work is distributed
         def total(grid, sched):
-            return Simulator(AnalyticField("toroidal"), (32, 32, 32), grid, sched,
-                             max_iterations=50, stride=(8, 8, 8), aabb_scale=0.5,
-                             collect_curves=False).run().total_integrate_steps()
+            config = RunConfig(field="toroidal", resolution=(32, 32, 32), grid=grid, scheduler=sched,
+                               max_iterations=50, stride=(8, 8, 8), aabb_scale=0.5, export_curves=False)
+            return Simulator(config).run().total_integrate_steps()
 
         reference = total((1, 1, 1), "none")
         assert reference > 0
@@ -489,8 +507,8 @@ class TestRuntimeRealisesThePlan:
         # every balancing decision of a round comes from the pure grid step
         grid = ProcessGrid((3, 2, 1))
         loads = [120, 0, 37, 5, 64, 0]
-        sim = Simulator(ConstantField((0.0, 0.0, 0.0)), (16, 16, 16), grid.dims, scheduler,
-                        max_iterations=5, stride=(8, 8, 8))
+        sim = Simulator(RunConfig(resolution=(16, 16, 16), grid=grid.dims, scheduler=scheduler, max_iterations=5,
+                                  stride=(8, 8, 8)), ConstantField((0.0, 0.0, 0.0)))
         spacing = 1.0 / 15.0
         next_id, parts = 0, []
         for rank, (load, origin, core_dims) in enumerate(zip(loads, *decompose(grid, (16, 16, 16)))):
@@ -536,8 +554,8 @@ class TestDecompositionFuzz:
                 return out
 
             monkeypatch.setattr(advect, "integrate_group", recording)
-            res = Simulator(AnalyticField("abc"), (32, 32, 32), grid, scheduler, max_iterations=100,
-                            stride=(4, 4, 4), particles_per_round=16).run()
+            res = Simulator(RunConfig(field="abc", resolution=(32, 32, 32), grid=grid, scheduler=scheduler,
+                                      max_iterations=100, stride=(4, 4, 4), particles_per_round=16)).run()
             assert len(final) == res.seed_count and res.terminated > 0 and res.exited > 0
             return final, res
 
@@ -552,9 +570,10 @@ class TestDecompositionFuzz:
     @pytest.mark.parametrize("field", ["toroidal", "abc"])
     def test_512_ranks_match_the_one_rank_oracle(self, field, scheduler):
         common = dict(max_iterations=30, stride=(2, 2, 2), aabb_scale=0.5)
-        oracle = Simulator(AnalyticField(field), (24, 24, 24), (1, 1, 1), "none", **common).run()
-        res = Simulator(AnalyticField(field), (24, 24, 24), (8, 8, 8), scheduler, particles_per_round=3,
-                        **common).run()
+        oracle = Simulator(RunConfig(field=field, resolution=(24, 24, 24), grid=(1, 1, 1), scheduler="none",
+                                     **common)).run()
+        res = Simulator(RunConfig(field=field, resolution=(24, 24, 24), grid=(8, 8, 8), scheduler=scheduler,
+                                  particles_per_round=3, **common)).run()
         assert res.records.sent_balanced.sum() > 0
         assert set(res.curves) == set(oracle.curves)
         for pid, curve in oracle.curves.items():
@@ -564,10 +583,11 @@ class TestDecompositionFuzz:
     @given(decomposed_runs())
     def test_any_decomposition_matches_the_one_rank_oracle(self, run):
         common = dict(max_iterations=run["max_iterations"], stride=(6, 6, 6))
-        oracle = Simulator(AnalyticField(run["field"]), run["resolution"], (1, 1, 1), "none",
-                           **common).run()
-        sim = Simulator(AnalyticField(run["field"]), run["resolution"], run["grid"], run["scheduler"],
-                        alpha=run["alpha"], particles_per_round=run["particles_per_round"], **common)
+        oracle = Simulator(RunConfig(field=run["field"], resolution=run["resolution"], grid=(1, 1, 1),
+                                     scheduler="none", **common)).run()
+        sim = Simulator(RunConfig(field=run["field"], resolution=run["resolution"], grid=run["grid"],
+                                  scheduler=run["scheduler"], alpha=run["alpha"],
+                                  particles_per_round=run["particles_per_round"], **common))
         # the order of each rank's queue changes who integrates, never what
         sim.particles = subset(sim.particles, shuffled_queues(sim.particles, run["queue_order_seed"]))
         res = sim.run()
