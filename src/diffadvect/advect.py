@@ -71,8 +71,8 @@ run starts. The call leaves the log read-only. :meth:`CurveStore.finish_round`
 archives the round as one :class:`CurveRecord`, the log with the ids, starts
 and steps of the rows that took a step, and builds nothing per row.
 :func:`export_curves` orders all rounds' pieces with one stable argsort of
-their ids and copies them in the kernel's ``rk4_export``, a bounded batch at a
-time, each from its address in its log, so a vertex is written and read once.
+their ids and copies them whole in the kernel's ``rk4_export``, a batch of
+pieces at a time, from their logs, so a vertex is written and read once.
 The outcome and the log are the same for any number of workers. With curves
 off nothing is allocated or archived; the kernel only counts the steps.
 """
@@ -425,20 +425,21 @@ def integrate(block: Block, pset: ParticleSet, rows: np.ndarray, log: np.ndarray
     return outcome, int(outcome.steps.sum())
 
 
-EXPORT_BATCH = 65_536  # vertices export_curves copies and writes at a time, 768 KiB
+EXPORT_BATCH = 65_536  # export_curves batch k is the pieces that start in the payload's [k, k + 1) * EXPORT_BATCH
 
 
 def export_curves(path, records, config_hash: str | None = None) -> None:
     """Write the curves of ``records``, :class:`CurveRecord` s in archive order, as a line-set file.
 
     A particle's pieces, in archive order, are its curve, so one stable argsort
-    of the pieces' ids orders the payload. Each batch of :data:`EXPORT_BATCH`
-    vertices is gathered by the kernel's ``rk4_export``, which copies each
-    piece, cut at the batch's ends, from its log's address into one buffer
-    reused for every batch. Layout: one UTF-8 JSON header line (particle
-    count, per-particle vertex counts in ascending particle-id order, optional
-    provenance hash) followed by flat little-endian float32 xyz triplets,
-    particles in header order.
+    of the pieces' ids orders the payload. Batch ``k`` is the pieces whose first
+    vertex lies in the payload's ``[k, k + 1) * EXPORT_BATCH``; the kernel's
+    ``rk4_export`` copies each of them whole, from its log's address, into one
+    buffer reused for every batch and sized to the largest, which is under
+    :data:`EXPORT_BATCH` plus the longest piece's vertices. Layout: one UTF-8
+    JSON header line (particle count, per-particle vertex counts in ascending
+    particle-id order, optional provenance hash) followed by flat
+    little-endian float32 xyz triplets, particles in header order.
     """
     records, empty = list(records), np.empty(0, np.int64)
     ids = np.concatenate([empty, *(r.ids for r in records)])
@@ -451,20 +452,16 @@ def export_curves(path, records, config_hash: str | None = None) -> None:
               "vertex_counts": np.add.reduceat(lengths, first).tolist()}
     if config_hash is not None:
         header["config_hash"] = config_hash
-    ends = np.cumsum(lengths)  # each piece's [start, end) in the payload
-    starts, total = ends - lengths, int(lengths.sum())
-    batch = np.empty(3 * EXPORT_BATCH, np.float32)
+    edges = np.append(0, np.cumsum(lengths))  # piece i is the payload's [edges[i], edges[i + 1])
+    cuts = [*np.flatnonzero(np.diff(edges[:-1] // EXPORT_BATCH, prepend=-1)).tolist(), len(lengths)]
+    sizes = np.diff(edges[cuts])  # batch k: pieces cuts[k]:cuts[k + 1], sizes[k] vertices
+    batch = np.empty((sizes.max(initial=0), 3), np.float32)
     with open(path, "wb") as fh:
         fh.write(json.dumps(header, sort_keys=True).encode("utf-8"))
         fh.write(b"\n")
-        for lo in range(0, total, EXPORT_BATCH):  # one batch: the payload's [lo, hi)
-            hi = min(lo + EXPORT_BATCH, total)
-            a, b = np.searchsorted(ends, lo, side="right"), np.searchsorted(starts, hi)  # the pieces it touches
-            cut_lo, cut_hi = np.maximum(starts[a:b], lo), np.minimum(ends[a:b], hi)
-            address = addresses[a:b] + 12 * (cut_lo - starts[a:b])
-            count = cut_hi - cut_lo
-            KERNEL.rk4_export(b - a, address.ctypes, count.ctypes, batch.ctypes)
-            fh.write(batch[:3 * (hi - lo)].astype("<f4", copy=False))
+        for a, b, size in zip(cuts, cuts[1:], sizes.tolist()):
+            KERNEL.rk4_export(b - a, addresses[a:b].ctypes, lengths[a:b].ctypes, batch.ctypes)
+            fh.write(batch[:size].astype("<f4", copy=False))
 
 
 def read_curves(path):

@@ -171,8 +171,9 @@ def rasterize_global(field: AnalyticField, resolution, *, padded: bool = False,
     evaluate :meth:`~AnalyticField.components` on the broadcast axes
     ``(n, 1, 1)``, ``(1, ry, 1)`` and ``(1, 1, rz)``, so a component that
     depends on fewer axes is a vector or plane until it is written into the
-    padded array. Each slab's components are checked as they are returned:
-    a non-finite one is a :class:`ConfigError`, and their max|v| is kept.
+    padded array, which is allocated before the first slab. Each slab's
+    components are checked as they are returned: a non-finite one is a
+    :class:`ConfigError`, and their max|v| is kept.
     Given an RK4 ``step``, stage points must stay within one ghost cell of a
     block's core, so a handed-off step is computable by some rank, and half a
     cell inside the hull-side sampling bounds, so every block exit crosses an
@@ -186,14 +187,12 @@ def rasterize_global(field: AnalyticField, resolution, *, padded: bool = False,
     rx, ry, rz = res
     ax = [np.arange(r, dtype=np.float64) * spacing[a] for a, r in enumerate(res)]
     planes = max(1, _SLAB_NODES // (ry * rz))
-    lattice = None
+    lattice = np.empty((rx + 2, ry + 2, rz + 2, 3), dtype=np.float64)
     vmax = 0.0
     for x0 in range(0, rx, planes):
         n = min(planes, rx - x0)
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):  # reported just below
             values = field.components(ax[0][x0:x0 + n, np.newaxis, np.newaxis], ax[1][:, np.newaxis], ax[2])
-        if lattice is None:  # allocated once the first slab's temporaries are freed
-            lattice = np.empty((rx + 2, ry + 2, rz + 2, 3), dtype=np.float64)
         for d, v in enumerate(values):
             hi, lo = float(np.max(v)), float(np.min(v))  # a NaN or an infinity reaches one of them
             if not (math.isfinite(hi) and math.isfinite(lo)):

@@ -48,9 +48,6 @@ class ParticleSet:
         for f in fields(self):
             setattr(self, f.name, getattr(self, f.name)[index])
 
-    def copy(self) -> "ParticleSet":
-        return ParticleSet(*(column.copy() for column in self._columns()))
-
 
 def concat_particles(parts: list[ParticleSet]) -> ParticleSet:
     parts = [p for p in parts if len(p)]

@@ -127,7 +127,6 @@ class Simulator:
     def __init__(self, config: RunConfig, field=None):
         self.config = config.require_valid()
         self.grid = ProcessGrid(config.grid_dims())
-        self.ppr = config.particles_per_round
         field = AnalyticField(config.field, config.field_params) if field is None else field
 
         # The step's ghost-margin check is made slab by slab as the lattice is rasterized.
@@ -176,7 +175,8 @@ class Simulator:
         hull, back = self.neighbors < 0, np.arange(6) ^ 1
         lengths = np.column_stack([load_pre - sends.sum(axis=1), np.where(hull, 0, sends[self.neighbors, back])])
         starts = np.column_stack([np.cumsum(load_pre) - load_pre, first[self.neighbors, back]])
-        take = np.minimum(lengths, np.maximum(self.ppr - (np.cumsum(lengths, axis=1) - lengths), 0))
+        ahead = np.cumsum(lengths, axis=1) - lengths  # the rows queued before each run
+        take = np.minimum(lengths, np.maximum(self.config.particles_per_round - ahead, 0))
         sel = balance.run_rows(starts.ravel(), take.ravel())
         stamps.append(time.perf_counter())
 

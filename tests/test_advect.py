@@ -1,3 +1,4 @@
+import copy
 import ctypes
 import json
 import mmap
@@ -263,7 +264,7 @@ def kernel_and_reference(block, pset, h):
     for run in (integrate_group, reference_integrate_group):
         store = CurveStore()
         log = store.allocate(round_info(pset))
-        outcome = advance(run, block, pset.copy(), log, h)
+        outcome = advance(run, block, copy.deepcopy(pset), log, h)
         store.finish_round(pset.ids, every(pset), outcome, log)
         results.append((outcome, list(store.pieces())))
     return results
@@ -285,7 +286,7 @@ class TestKernelEqualsReference:
         assert [pid for pid, _ in got_segments] == [pid for pid, _ in want_segments]
         for (_, a), (_, b) in zip(got_segments, want_segments):
             assert a.tobytes() == b.tobytes()
-        off = advance(integrate_group, block, pset.copy(), None, h)  # curves off: the kernel only counts
+        off = advance(integrate_group, block, copy.deepcopy(pset), None, h)  # curves off: the kernel only counts
         for name in ("pos", "steps", "start"):
             assert getattr(off, name).tobytes() == getattr(got, name).tobytes(), name
 
@@ -409,7 +410,7 @@ def gapped_table(rng, pset):
     """``pset``'s rows shuffled into a table of twice as many, among gap rows (copies of them under other ids),
     and a permuted index of them: table row ``rows[i]`` holds row ``order[i]`` of ``pset``."""
     n = len(pset)
-    gaps = pset.copy()
+    gaps = copy.deepcopy(pset)
     gaps.ids += n
     table = concat_particles([pset, gaps])
     shuffle = rng.permutation(2 * n)
@@ -462,9 +463,9 @@ class TestRowIndex:
         rng = np.random.default_rng(seed)
         block, pset = random_world(rng, n, 12, shared)
         table, rows, order = gapped_table(rng, pset)
-        gaps, before = np.delete(np.arange(2 * n), rows), table.copy()
+        gaps, before = np.delete(np.arange(2 * n), rows), copy.deepcopy(table)
         outcomes = []
-        for world, index in ((pset.copy(), every(pset)), (table, rows)):
+        for world, index in ((copy.deepcopy(pset), every(pset)), (table, rows)):
             store = CurveStore()
             log = store.allocate(RoundInfo(capacity=int(world.remaining[index].sum())))
             outcomes.append(advance(integrate_group, block, world, log, h, rows=index))
@@ -482,7 +483,7 @@ class TestRowIndex:
         # every third row of a world whose rows all have budgets and would move if advanced
         block, pset = random_world(np.random.default_rng(8), 3 * LANES * CHUNK + 5, 12, shared=True)
         pset.remaining[:] = 20
-        rows, before = np.arange(0, len(pset), 3)[::-1].copy(), pset.copy()
+        rows, before = np.arange(0, len(pset), 3)[::-1].copy(), copy.deepcopy(pset)
         log = CurveStore().allocate(RoundInfo(capacity=20 * len(rows))) if curves else None
         out = integrate_group(block, pset, rows, log, 0.05)
         assert out.steps.sum() > 0 and (pset.pos[rows] != before.pos[rows]).any()
@@ -557,7 +558,7 @@ class TestLanes:
         for n in (1, CHUNK - 1, CHUNK, CHUNK + 1, 3 * CHUNK + 5, 2 * LANES * CHUNK, 3 * LANES * CHUNK + 5):
             block, pset = random_world(rng, n, 12)
             pset.remaining[::3] = 0  # every chunk holds zero-budget rows
-            alone, outs, table = CurveStore(), [], pset.copy()
+            alone, outs, table = CurveStore(), [], copy.deepcopy(pset)
             for i in range(n):  # each row advanced alone, in place, in one table
                 one_log = alone.allocate(RoundInfo(capacity=int(pset.remaining[i])))
                 outs.append(advance(integrate_group, block, table, one_log, 0.05, rows=np.array([i]), workers=1))
@@ -565,7 +566,7 @@ class TestLanes:
             for count in workers:
                 whole = CurveStore()
                 log = whole.allocate(round_info(pset))
-                got = advance(integrate_group, block, pset.copy(), log, 0.05, workers=count)
+                got = advance(integrate_group, block, copy.deepcopy(pset), log, 0.05, workers=count)
                 whole.finish_round(pset.ids, every(pset), got, log)
                 for name in ("status", "exit_dir", "pos", "remaining", "steps"):
                     want = np.concatenate([getattr(out, name) for out in outs])
@@ -610,7 +611,7 @@ class TestLanes:
     def test_a_home_outside_the_table_is_refused_before_the_kernel_reads_through_it(self, home):
         block, pset = random_world(np.random.default_rng(5), 2 * CHUNK + 1, 12, shared=True)
         pset.home[-1] = len(block.origin) if home == "ranks" else home
-        before = pset.copy()
+        before = copy.deepcopy(pset)
         log = CurveStore().allocate(round_info(pset))
         with pytest.raises(InvariantError, match="a home outside the bounds table"):
             integrate_group(block, pset, every(pset), log, 0.05)
@@ -653,12 +654,13 @@ class TestLanes:
 
     def test_signals_reach_the_caller_during_a_multi_worker_call(self):
         block, pset = drift_world(2048, 2000)
-        want = advance(integrate_group, block, pset.copy(), CurveStore().allocate(round_info(pset)), 0.001, workers=1)
+        want = advance(integrate_group, block, copy.deepcopy(pset), CurveStore().allocate(round_info(pset)), 0.001,
+                       workers=1)
         caught = []
         previous = signal.signal(signal.SIGALRM, lambda signum, frame: caught.append(signum))
         try:
             signal.setitimer(signal.ITIMER_REAL, 0.001, 0.001)  # as perfbench's host-speed probe arms it
-            got = advance(integrate_group, block, pset.copy(), CurveStore().allocate(round_info(pset)), 0.001,
+            got = advance(integrate_group, block, copy.deepcopy(pset), CurveStore().allocate(round_info(pset)), 0.001,
                           workers=3)
         finally:
             signal.setitimer(signal.ITIMER_REAL, 0.0, 0.0)
@@ -764,7 +766,7 @@ class TestKernelBuild:
             monkeypatch.setattr(advect, "KERNEL", kernel)
             log = CurveStore().allocate(round_info(pset))
             reached = [kernel_reach(table, rows.home, p) for p in (points, outside)]
-            runs.append((advance(integrate_group, block, pset.copy(), log, 0.05, workers=workers), log,
+            runs.append((advance(integrate_group, block, copy.deepcopy(pset), log, 0.05, workers=workers), log,
                          kernel_sample(table, rows.home, points).tobytes(), reached))
         (want, want_log, want_samples, want_reached), (got, got_log, got_samples, got_reached) = runs
         for name in ("status", "exit_dir", "pos", "remaining", "steps", "start"):
@@ -868,8 +870,8 @@ class TestIntegrate:
     def test_two_runs_bit_identical(self):
         block = rasterize_block(ConstantField((0.3, 0.2, -0.1)), (16, 16, 16), (0, 0, 0), (16, 16, 16))
         q = queue_of(np.random.default_rng(5).uniform(0.3, 0.7, (20, 3)), 50)
-        _, _, log1, out1, work1 = run_one_round(block, q.copy(), 0.001)
-        _, _, log2, out2, work2 = run_one_round(block, q.copy(), 0.001)
+        _, _, log1, out1, work1 = run_one_round(block, copy.deepcopy(q), 0.001)
+        _, _, log2, out2, work2 = run_one_round(block, copy.deepcopy(q), 0.001)
         assert work1 == work2 > 0
         np.testing.assert_array_equal(out1.start, out2.start)
         for start, steps in zip(out1.start, out1.steps):
@@ -967,7 +969,7 @@ class TestCurveStore:
         integrate_group(block, queue_of([[0.5, 0.5, 0.5]], 3), np.arange(1), log, 0.001)
         # rows elsewhere, so a call that went ahead would write other vertices into the log
         queue = queue_of([[0.25, 0.5, 0.5], [0.75, 0.5, 0.5]], 3)
-        before, logged = queue.copy(), log.tobytes()
+        before, logged = copy.deepcopy(queue), log.tobytes()
         with pytest.raises(InvariantError, match="already written"):
             integrate_group(block, queue, every(queue), log, 0.001)
         for name in ("pos", "remaining"):
@@ -1088,21 +1090,40 @@ class TestExportRecords:
         assert got == (tmp_path / "merged.bin").read_bytes() == file_of(merge_curves(store), "abc")
         assert read_curves(tmp_path / "records.bin")[0]["vertex_counts"] == [3, 5, 5]
 
-    def test_batches_split_long_curves_and_fall_between_pieces(self, tmp_path, monkeypatch):
+    def test_a_piece_longer_than_a_batch_is_copied_whole_and_a_curves_pieces_may_part(self, tmp_path, monkeypatch):
         monkeypatch.setattr(advect, "EXPORT_BATCH", 8)
-        # id 1 fills two batches and 3 vertices of a third; id 4's first piece ends that batch
-        # exactly, so the boundary falls between its two pieces
+        # payload order 1 (19 vertices), 4 (5 + 3): id 1's piece is a batch alone, [0, 19), and the
+        # payload's [8, 16) starts no piece; id 4's pieces start at 19 and 24, in two batches
         store = store_of_rounds([([4, 1], [5, 19]), ([4], [3])])
         export_curves(tmp_path / "curves.bin", store.records)
         assert (tmp_path / "curves.bin").read_bytes() == file_of(merge_curves(store))
 
-    def test_batches_cut_pieces_at_both_ends_around_one_vertex_pieces(self, tmp_path, monkeypatch):
+    def test_a_batch_runs_past_its_window_to_copy_its_last_piece_whole(self, tmp_path, monkeypatch):
         monkeypatch.setattr(advect, "EXPORT_BATCH", 4)
-        # payload order 2 (3 vertices), 6 (1 + 1), 7 (6): the first batch ends inside 7's piece after
-        # taking both of 6's one-vertex pieces, and the second both starts and ends inside it
+        # payload order 2 (3 vertices), 6 (1 + 1), 7 (6): the first batch is 2's piece and 6's first, [0, 4);
+        # the second starts with 6's one-vertex second piece and copies 7's whole, [4, 11), past its window
         store = store_of_rounds([([7, 6, 2], [6, 1, 3]), ([6], [1])])
         export_curves(tmp_path / "curves.bin", store.records)
         assert (tmp_path / "curves.bin").read_bytes() == file_of(merge_curves(store))
+
+    def test_each_kernel_call_copies_whole_pieces_into_a_bounded_buffer(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(advect, "EXPORT_BATCH", 16)
+        rng = np.random.default_rng(5)
+        store = store_of_rounds([(rng.permutation(50), rng.integers(0, 40, 50)) for _ in range(3)])
+        export = advect.KERNEL.rk4_export
+        calls = []
+
+        def spy(n, address, count, out):
+            counts = ctypes.cast(count.data, ctypes.POINTER(ctypes.c_int64))
+            calls.append([counts[i] for i in range(n)])
+            export(n, address, count, out)
+
+        monkeypatch.setattr(advect.KERNEL, "rk4_export", spy)
+        export_curves(tmp_path / "curves.bin", store.records)
+        assert (tmp_path / "curves.bin").read_bytes() == file_of(merge_curves(store))
+        pieces = [len(verts) for _, verts in sorted(store.pieces(), key=lambda piece: piece[0])]  # payload order
+        assert [k for call in calls for k in call] == pieces and len(calls) > 1
+        assert max(sum(call) for call in calls) <= advect.EXPORT_BATCH + max(pieces) - 1
 
     def test_curve_without_vertices_keeps_its_id(self, tmp_path):
         # read_curves gives one when a header lists a count of 0

@@ -3,11 +3,14 @@
 The tracer (``perfbench/spans.py``) patches each trace point as
 ``owner.__dict__[attr]``, so a refactor that renames or drops one breaks every
 traced benchmark run. ``perfbench/run.py`` writes each workload's config as its
-canonical text, reloads it, and refuses to run when the hash moved.
+canonical text, reloads it, and refuses to run when the hash moved. Every run,
+traced or not, must pass ``perfbench/checks.py``'s output check.
 """
 
+import contextlib
 import copy
 import dataclasses
+import hashlib
 import importlib.util
 import json
 from pathlib import Path
@@ -15,6 +18,8 @@ from pathlib import Path
 import pytest
 
 from diffadvect import RunConfig, Simulator, load_config_file
+from diffadvect.advect import read_curves
+from diffadvect.field import AnalyticField, rasterize_global
 
 
 def _load_perfbench(name):
@@ -26,6 +31,7 @@ def _load_perfbench(name):
 
 
 _WORKLOADS = _load_perfbench("workloads")
+_CHECKS = _load_perfbench("checks")
 
 
 @pytest.mark.parametrize("seed", [0, 1])
@@ -37,6 +43,36 @@ def test_workload_config_reloads_from_its_canonical_text(tmp_path, workload, see
     reloaded = load_config_file(path)
     assert reloaded == config
     assert reloaded.config_hash() == config.config_hash()
+
+
+@pytest.mark.parametrize("traced", [False, True], ids=["untraced", "traced"])
+@pytest.mark.parametrize("workload", ["toroidal-gllma", "smoke"])
+def test_workload_run_passes_the_output_check(tmp_path, workload, traced):
+    # perfbench fails a run whose curves differ from the one-rank oracle's, or whose lif.csv and work
+    # fields differ from reference.json; toroidal-gllma is 64^3, whose lattice rasterizes in several slabs
+    from diffadvect import cli
+
+    config = _WORKLOADS.config_for(workload, 0)
+    cli.execute_run(_WORKLOADS.oracle_config(config), tmp_path / "oracle")
+    _, oracle = read_curves(tmp_path / "oracle" / "curves.bin")
+    with _load_perfbench("spans").Tracer() if traced else contextlib.nullcontext():
+        cli.execute_run(config, tmp_path / "run")
+    assert _CHECKS.check_run(tmp_path / "run", oracle, _CHECKS.load_reference(workload, 0)) == []
+
+
+@pytest.mark.parametrize("resolution, seed, digest", [
+    ((64, 64, 64), 0, "84b13968b65c64d753acdd987b8b9b47449a26cf409aba5f5646ef1f2f68c7bc"),
+    ((64, 64, 64), 1, "89700b2b1412c84a54c0eca397f0c80c5458c99b76fe812fe3fa8648fa851e70"),
+    ((80, 72, 64), 0, "d5a0acee870df4df6a7608c96a507a1022dcd4c2f234f0e2233a51e9701ddbb0"),
+    ((80, 72, 64), 1, "39b8771ac9d3a2de53ec3fa9e58e1fdcc1bb777bdfa2309728d0345df5fec405"),
+], ids=["64^3-seed0", "64^3-seed1", "80x72x64-seed0", "80x72x64-seed1"])
+def test_toroidal_workload_lattice_bytes_are_pinned(resolution, seed, digest):
+    # the padded lattice every toroidal-gllma run samples; the toroidal field needs only + - * / and
+    # sqrt, which are correctly rounded, so its bytes do not depend on the C library
+    config = _WORKLOADS.config_for("toroidal-gllma", seed)
+    lattice = rasterize_global(AnalyticField(config.field, config.field_params), resolution, padded=True,
+                               step=config.step)
+    assert hashlib.sha256(lattice.tobytes()).hexdigest() == digest
 
 
 def test_every_trace_point_resolves():
@@ -113,7 +149,7 @@ def test_a_replayed_setup_builds_the_same_simulator(monkeypatch):
 
     def recording(*args, **kwargs):
         sim = Simulator(*args, **kwargs)
-        built.append((args, kwargs, sim.particles.copy(), sim.blocks))
+        built.append((args, kwargs, copy.deepcopy(sim.particles), sim.blocks))
         return sim
 
     monkeypatch.setattr(cli, "Simulator", recording)

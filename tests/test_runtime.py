@@ -1,3 +1,4 @@
+import copy
 import tracemalloc
 
 import numpy as np
@@ -335,7 +336,7 @@ class TestDeterminismAndInvariants:
     def test_a_table_out_of_home_order_is_refused_before_anything_moves(self):
         # rank 2's rows stored ahead of rank 1's: no rank's queue is one run of rows in home order
         sim = self.loaded_senders_of_rank_3(2)
-        before = sim.particles.copy()
+        before = copy.deepcopy(sim.particles)
         with pytest.raises(InvariantError, match="home order"):
             sim.run_round(1)
         for column in ("ids", "pos", "remaining", "home"):
@@ -401,11 +402,12 @@ class TestDeterminismAndInvariants:
         assert [problem.split(":")[0] for problem in refused.value.errors] == ["alpha"]
 
     @staticmethod
-    def centre_rank_at(*g, scheduler="none"):
+    def centre_rank_at(*g, scheduler="none", **settings):
         """A 3x3x3 simulator at 33^3 (spacing 1/32, so g = p / spacing is exact) holding particles of the
-        centre rank 13, whose sampling extent is [10, 22] in g-space, at g-space points ``g``, queued in order."""
+        centre rank 13, whose sampling extent is [10, 22] in g-space, at g-space points ``g``, queued in order,
+        with any further config ``settings``."""
         sim = Simulator(RunConfig(resolution=(33, 33, 33), grid=(3, 3, 3), scheduler=scheduler, max_iterations=5,
-                                  stride=(8, 8, 8)), ConstantField((0.0, 0.0, 0.0)))
+                                  stride=(8, 8, 8), **settings), ConstantField((0.0, 0.0, 0.0)))
         drain_queues(sim)
         sim.particles = particles_at(np.array(g) * sim.blocks.spacing, 5, 13)
         sim.seed_count = len(g)
@@ -438,8 +440,7 @@ class TestDeterminismAndInvariants:
 
     def test_a_row_outside_its_reach_is_an_invariant_error_in_a_round_that_does_not_select_it(self):
         # the kernel checks the rows it advances; the containability check reads every row
-        sim = self.centre_rank_at(np.full(3, 16.0))
-        sim.ppr = 1
+        sim = self.centre_rank_at(np.full(3, 16.0), particles_per_round=1)
         outside = np.array([np.nextafter(22.0, np.inf), 16.0, 16.0]) * sim.blocks.spacing
         sim.particles = concat_particles([sim.particles, particles_at([outside], 5, 13, start_id=1)])
         sim.seed_count = 2
