@@ -3,9 +3,8 @@
 Four schedulers are provided, selected by token:
 
 * ``none``     -- keep everything local (the baseline),
-* ``constant`` -- fixed-parameter diffusion: send ``floor(alpha * (local - w))``
-                  to each lesser-loaded neighbor, with ``alpha`` defaulting to
-                  :data:`DEFAULT_ALPHA`,
+* ``constant`` -- first-order diffusion: send ``(local - w) // 2``, half of
+                  each gap, to each lesser-loaded neighbor,
 * ``lma``      -- lesser mean assignment: equalize with the strictly
                   lesser-loaded neighbors via an iteratively pruned mean,
 * ``gllma``    -- greater-limited LMA: a quota phase in which each rank caps
@@ -36,9 +35,6 @@ from .errors import InvariantError
 from .topology import ProcessGrid, neighbor_table
 
 SCHEDULERS = ("none", "constant", "lma", "gllma")
-# The constant scheduler's diffusion parameter: 1 - 2/(d + 1) for a grid of
-# dimensionality d, and the rank grid is always 3-D.
-DEFAULT_ALPHA = 0.5
 
 
 def _pruned_mean(local: np.ndarray, W: np.ndarray, greater: bool) -> tuple[np.ndarray, np.ndarray]:
@@ -82,17 +78,17 @@ def quota_offers(local: np.ndarray, W: np.ndarray) -> np.ndarray:
     return np.where(contributors, total_quota[:, np.newaxis] * W // np.maximum(denom, 1), 0)
 
 
-def _constant(local: np.ndarray, W: np.ndarray, alpha: float) -> np.ndarray:
-    """Fixed-parameter diffusion toward each strictly lesser-loaded neighbor.
+def _constant(local: np.ndarray, W: np.ndarray) -> np.ndarray:
+    """First-order diffusion: half of each gap to each strictly lesser-loaded neighbor.
 
-    Only the higher-loaded side of each pair sends, so one exchange never
-    runs in both directions. A row whose naive total exceeds its local load
-    (easy with several near-empty neighbors at alpha = 0.5) is scaled down to
-    exactly that load by largest remainders, ties going to the lower
-    direction.
+    Half is ``1 - 2/(d + 1)`` for the rank grid's d = 3. Only the higher-loaded
+    side of each pair sends, so one exchange never runs in both directions. A
+    row whose naive total exceeds its local load (easy with several near-empty
+    neighbors) is scaled down to exactly that load by largest remainders, ties
+    going to the lower direction.
     """
     lesser = (W >= 0) & (W < local[:, np.newaxis])
-    sends = np.where(lesser, (alpha * (local[:, np.newaxis] - W)).astype(np.int64), 0)
+    sends = np.where(lesser, (local[:, np.newaxis] - W) // 2, 0)
     over = np.flatnonzero(sends.sum(axis=1) > local)
     weights, total = sends[over], local[over, np.newaxis]
     wsum = weights.sum(axis=1, keepdims=True)
@@ -105,7 +101,7 @@ def _constant(local: np.ndarray, W: np.ndarray, alpha: float) -> np.ndarray:
     return sends
 
 
-def decide(scheduler: str, local, W, granted=None, alpha: float | None = None) -> np.ndarray:
+def decide(scheduler: str, local, W, granted=None) -> np.ndarray:
     """Every rank's sends for one synchronous step, as a ``W``-shaped matrix.
 
     ``local`` holds each rank's load and ``W`` its neighbors' loads, -1 where
@@ -116,7 +112,7 @@ def decide(scheduler: str, local, W, granted=None, alpha: float | None = None) -
     if scheduler == "none":
         sends = np.zeros(W.shape, dtype=np.int64)
     elif scheduler == "constant":
-        sends = _constant(local, W, DEFAULT_ALPHA if alpha is None else alpha)
+        sends = _constant(local, W)
     elif scheduler in ("lma", "gllma"):
         if scheduler == "gllma" and granted is None:
             raise InvariantError("gllma requires the gathered quota vector")
@@ -131,7 +127,7 @@ def decide(scheduler: str, local, W, granted=None, alpha: float | None = None) -
     return sends
 
 
-def plan_transfers(neighbors, loads, scheduler: str, alpha: float | None = None) -> np.ndarray:
+def plan_transfers(neighbors, loads, scheduler: str) -> np.ndarray:
     """Every rank's balancing decision for one lockstep step, as a send matrix.
 
     ``neighbors`` is the ``(ranks, 6)`` table of :func:`topology.neighbor_table`;
@@ -153,7 +149,7 @@ def plan_transfers(neighbors, loads, scheduler: str, alpha: float | None = None)
     granted = None
     if scheduler == "gllma":
         granted = np.where(hull, 0, quota_offers(loads, W)[table, np.arange(table.shape[1]) ^ 1])
-    return decide(scheduler, loads, W, granted, alpha)
+    return decide(scheduler, loads, W, granted)
 
 
 def run_rows(starts, lengths) -> np.ndarray:
@@ -183,7 +179,7 @@ def select_particles(loads, sends) -> tuple[np.ndarray, list[np.ndarray]]:
     return first, np.split(rows, np.cumsum(sends.sum(axis=0))[:-1])
 
 
-def synchronous_step(grid: ProcessGrid, loads, scheduler: str, alpha: float | None = None) -> list[int]:
+def synchronous_step(grid: ProcessGrid, loads, scheduler: str) -> list[int]:
     """Apply one lockstep balancing step to a whole grid of integer loads.
 
     All sends of :func:`plan_transfers` execute simultaneously: each rank
@@ -192,7 +188,7 @@ def synchronous_step(grid: ProcessGrid, loads, scheduler: str, alpha: float | No
     distribute stage, useful for studying scheduler behavior in isolation.
     """
     table = neighbor_table(grid)
-    sends = plan_transfers(table, loads, scheduler, alpha)
+    sends = plan_transfers(table, loads, scheduler)
     new_loads = np.asarray(loads, dtype=np.int64) - sends.sum(axis=1)
     np.add.at(new_loads, table[table >= 0], sends[table >= 0])
     return new_loads.tolist()

@@ -82,7 +82,6 @@ class RunConfig:
     step: float = 0.001
     max_iterations: int = 1000
     particles_per_round: int = 50_000
-    alpha: float | None = None
     output: str | None = None
     export_curves: bool = True
 
@@ -137,8 +136,6 @@ class RunConfig:
             errors.append(f"max_iterations: must be in [1, {_MAX_ITER_CAP}], got {self.max_iterations}")
         if self.particles_per_round < 1:
             errors.append(f"particles_per_round: must be >= 1, got {self.particles_per_round}")
-        if self.alpha is not None and not (0.0 < self.alpha <= 1.0):
-            errors.append(f"alpha: must be in (0, 1], got {self.alpha}")
         if not any(e.startswith(("resolution:", "aabb_scale", "stride")) for e in errors):  # axes capped, seedable
             need = self.seed_table_bytes()
             if need > SEED_TABLE_CAP_BYTES:
@@ -188,7 +185,6 @@ class RunConfig:
             "step": float(self.step),
             "max_iterations": int(self.max_iterations),
             "particles_per_round": int(self.particles_per_round),
-            "alpha": None if self.alpha is None else float(self.alpha),
             "export_curves": bool(self.export_curves),
         }
 
@@ -202,8 +198,6 @@ class RunConfig:
                     lines.append(f"param.{name} = {value!r}")
             else:
                 value = d[key]
-                if value is None:
-                    continue
                 if isinstance(value, list):
                     lines.append(f"{key} = {','.join(str(v) for v in value)}")
                 else:
@@ -228,7 +222,6 @@ SETTINGS = {
     "step": float,
     "max_iterations": int,
     "particles_per_round": int,
-    "alpha": float,
     "output": str.strip,
     "export_curves": _parse_bool,
 }

@@ -13,7 +13,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from diffadvect.balance import DEFAULT_ALPHA
 from diffadvect.errors import InvariantError
 from diffadvect.particles import ParticleSet
 
@@ -82,17 +81,15 @@ def largest_remainder_split(weights: list[int], total: int) -> list[int]:
     return base
 
 
-def balance_constant(lv: LoadVector, alpha: float | None = None) -> BalanceDecision:
-    """Fixed-parameter diffusion toward each strictly lesser-loaded neighbor.
+def balance_constant(lv: LoadVector) -> BalanceDecision:
+    """First-order diffusion: half of each gap to each strictly lesser-loaded neighbor.
 
     Only the higher-loaded side of each pair sends, so one exchange never
     runs in both directions. If the naive total exceeds the local load (easy
-    with several near-empty neighbors at alpha = 0.5) the plan is scaled down
-    proportionally to exactly the local load.
+    with several near-empty neighbors) the plan is scaled down proportionally
+    to exactly the local load.
     """
-    if alpha is None:
-        alpha = DEFAULT_ALPHA
-    sends = [int(alpha * (lv.local - w)) if w < lv.local else 0 for w in lv.per_neighbor]
+    sends = [(lv.local - w) // 2 if w < lv.local else 0 for w in lv.per_neighbor]
     total = sum(sends)
     if total > lv.local:
         sends = largest_remainder_split(sends, lv.local)
@@ -180,12 +177,12 @@ def select_particles(queue: ParticleSet, outgoing, rank: int):
     return np.flatnonzero(keep), [chosen[end - w:end] for end, w in zip(np.cumsum(wanted), wanted)]
 
 
-def decide(scheduler: str, lv: LoadVector, granted_quotas=None, alpha: float | None = None) -> BalanceDecision:
+def decide(scheduler: str, lv: LoadVector, granted_quotas=None) -> BalanceDecision:
     """Dispatch on the scheduler token."""
     if scheduler == "none":
         return balance_none(lv)
     if scheduler == "constant":
-        return balance_constant(lv, alpha=alpha)
+        return balance_constant(lv)
     if scheduler == "lma":
         return balance_lma(lv)
     if scheduler == "gllma":
@@ -195,7 +192,7 @@ def decide(scheduler: str, lv: LoadVector, granted_quotas=None, alpha: float | N
     raise InvariantError(f"unknown scheduler {scheduler!r}")
 
 
-def plan_transfers(neighbors, loads, scheduler: str, alpha: float | None = None) -> np.ndarray:
+def plan_transfers(neighbors, loads, scheduler: str) -> np.ndarray:
     """Every rank's balancing decision for one lockstep step, as a send matrix.
 
     ``neighbors`` is the ``(ranks, 6)`` table of :func:`topology.neighbor_table`;
@@ -219,5 +216,5 @@ def plan_transfers(neighbors, loads, scheduler: str, alpha: float | None = None)
         granted = [tuple(offers[table[r][d]][d ^ 1] for d in cols[r]) for r in range(len(table))]
     sends = np.zeros((len(table), 6), dtype=np.int64)
     for r, lv in enumerate(lvs):
-        sends[r, cols[r]] = decide(scheduler, lv, granted_quotas=granted[r], alpha=alpha).outgoing
+        sends[r, cols[r]] = decide(scheduler, lv, granted_quotas=granted[r]).outgoing
     return sends

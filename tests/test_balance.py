@@ -77,12 +77,9 @@ class TestConstant:
     def test_no_lesser_neighbor_sends_nothing(self):
         assert one_row("constant", 50, (50, 80)) == (0, 0)
 
-    def test_alpha_override(self):
-        assert one_row("constant", 100, (0,), alpha=0.25) == (25,)
-
-    @given(load_rows(), st.one_of(st.none(), st.floats(0.0, 1.0, exclude_min=True)))
-    def test_conservation(self, rows, alpha):
-        assert_conserves(*rows, decide("constant", *rows, alpha=alpha))
+    @given(load_rows())
+    def test_conservation(self, rows):
+        assert_conserves(*rows, decide("constant", *rows))
 
     @given(load_rows())
     def test_only_lesser_neighbors_receive(self, rows):
@@ -92,16 +89,20 @@ class TestConstant:
 
 class TestLargestRemainder:
     def test_exact_total(self):
-        # at alpha 1 the naive sends (10, 3) oversubscribe 10: 7 and 2 by floor, the larger remainder 9/13 gets the 1
-        assert one_row("constant", 10, (0, 7), alpha=1.0) == (8, 2)
-        assert one_row("constant", 60, (0,) * 6, alpha=1.0) == (10,) * 6
+        # the naive sends of 5 oversubscribe 10: 1 each by floor, and the equal remainders 20/30 give the
+        # 4 left over to the lower directions
+        assert one_row("constant", 10, (0,) * 6) == (2, 2, 2, 2, 1, 1)
+        # the naive sends (10, 10, 9, 9, 8, 8) oversubscribe 21: 3 each by floor, and the remainders
+        # 48, 48, 27, 27, 6, 6 (of 54) give the 3 left over to the first three
+        assert one_row("constant", 21, (0, 1, 2, 3, 4, 5)) == (4, 4, 4, 3, 3, 3)
+        assert one_row("constant", 10, (0, 7)) == (5, 1)  # not oversubscribed: half of each gap
 
-    @given(load_rows(), st.floats(0.0, 1.0, exclude_min=True))
-    def test_sums_to_total_when_weights_exist(self, rows, alpha):
+    @given(load_rows())
+    def test_sums_to_total_when_weights_exist(self, rows):
         local, W = rows
-        sends = decide("constant", local, W, alpha=alpha)
+        sends = decide("constant", local, W)
         for r in range(len(local)):
-            naive = [int(alpha * (local[r] - w)) if 0 <= w < local[r] else 0 for w in W[r]]
+            naive = [(local[r] - w) // 2 if 0 <= w < local[r] else 0 for w in W[r]]
             if sum(naive) > local[r]:
                 assert sends[r].sum() == local[r]
                 assert sends[r].tolist() == ref.largest_remainder_split(naive, int(local[r]))
@@ -233,12 +234,11 @@ def grids_and_loads(draw):
 
 class TestArrayEqualsReference:
     @settings(max_examples=150, deadline=None)
-    @given(grids_and_loads(), st.sampled_from(SCHEDULERS),
-           st.one_of(st.none(), st.floats(0.0, 1.0, exclude_min=True)))
-    def test_plan_transfers_equals_the_scalar_loop(self, grid_loads, scheduler, alpha):
+    @given(grids_and_loads(), st.sampled_from(SCHEDULERS))
+    def test_plan_transfers_equals_the_scalar_loop(self, grid_loads, scheduler):
         table, loads = grid_loads
-        np.testing.assert_array_equal(plan_transfers(table, loads, scheduler, alpha),
-                                      ref.plan_transfers(table, loads, scheduler, alpha))
+        np.testing.assert_array_equal(plan_transfers(table, loads, scheduler),
+                                      ref.plan_transfers(table, loads, scheduler))
 
     @settings(max_examples=60, deadline=None)
     @given(grids_and_loads(), st.sampled_from(SCHEDULERS))
@@ -295,7 +295,5 @@ class TestDecide:
             one_row("diffuse", 10, (0,))
         with pytest.raises(InvariantError, match="quota"):
             one_row("gllma", 10, (0,))
-        with pytest.raises(InvariantError, match="negative send"):
-            one_row("constant", 10, (0,), alpha=-0.5)
         with pytest.raises(InvariantError, match="negative load"):
             plan_transfers(neighbor_table(ProcessGrid((2, 1, 1))), [3, -1], "lma")

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -155,6 +156,13 @@ class TestConfigParsing:
         [key] = [k for k in settings_ if k != "nodes"]
         problems = RunConfig(scheduler="foo", **settings_).validate()
         assert sorted(p.split(":")[0] for p in problems) == sorted([key, "scheduler"])
+
+    def test_settings_and_the_summary_config_name_every_field(self):
+        # SETTINGS is the one list of settable keys; field coefficients are set as param.<name>
+        names = {f.name for f in fields(RunConfig)}
+        assert set(SETTINGS) == names - {"field_params"}
+        # the summary's config names the resolved grid and no output directory
+        assert set(RunConfig().to_dict()) == names - {"output", "nodes"}
 
     def test_apply_setting_rejects_bad_values(self):
         with pytest.raises(ConfigError):
@@ -329,14 +337,29 @@ class TestRunCommand:
         cfg = write_config(tmp_path, FAST + ["step = fast"])
         out = tmp_path / "out"
         argv = command + ["--config", str(cfg), "--set", "nodes=y", "--max-iterations", "lots",
-                          "--set", "alpha=5", "--output", str(out)]
+                          "--set", "particles_per_round=0", "--output", str(out)]
         assert main(argv) == 2
         err = capsys.readouterr().err
         assert f"line {len(FAST) + 1}: bad value for step" in err
         assert "--set: bad value for nodes" in err
         assert "--max-iterations: bad value for max_iterations" in err
-        assert "alpha: must be in (0, 1]" in err
+        assert "particles_per_round: must be >= 1, got 0" in err
         assert "Traceback" not in err and not out.exists()
+
+    @pytest.mark.parametrize("lines, argv", [(["alpha = 0.5"], []), ([], ["--set", "alpha=0.5"])],
+                             ids=["file", "set"])
+    def test_alpha_is_an_unknown_key(self, tmp_path, capsys, lines, argv):
+        # constant diffusion sends half of each gap, so no setting names a diffusion parameter
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(write_config(tmp_path, FAST + lines)), *argv,
+                     "--output", str(out)]) == 2
+        assert "unknown configuration key 'alpha'" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_alpha_flag_is_refused_by_the_parser(self):
+        with pytest.raises(SystemExit) as refused:
+            main(["run", "--alpha", "0.5"])
+        assert refused.value.code == 2
 
     @pytest.mark.parametrize("command, key, token", [
         (["run"], "scheduler", "scheduler: unknown token 'foo'"),
@@ -352,10 +375,11 @@ class TestRunCommand:
 
     def test_axis_without_param_kind_is_a_listed_problem(self, tmp_path, capsys):
         out = tmp_path / "sweep"
-        assert main(["sweep", "--kind", "balance", "--axis", "field", "--alpha", "5", "--output", str(out)]) == 2
+        assert main(["sweep", "--kind", "balance", "--axis", "field", "--particles-per-round", "0",
+                     "--output", str(out)]) == 2
         err = capsys.readouterr().err
         assert "--axis: only --kind param takes an axis, not --kind balance" in err
-        assert "alpha: must be in (0, 1]" in err
+        assert "particles_per_round: must be >= 1, got 0" in err
         assert not out.exists()
 
     def test_rerun_without_curves_removes_stale_curves(self, tmp_path):
@@ -719,7 +743,6 @@ _VALID = {
     "step": hst.floats(1e-6, 1e-2),
     "max_iterations": hst.integers(1, 5),
     "particles_per_round": hst.integers(1, 64),
-    "alpha": hst.floats(0.01, 1.0),
 }
 # Extreme integers are never a valid resolution or iteration count, so no run exceeds 12^3 or 5 steps.
 _EXTREME = hst.one_of(
@@ -737,7 +760,7 @@ def run_settings(draw):
     not both valid at once. Extremes go to any key or to a parameter of any name.
     """
     run = {"resolution": draw(_VALID["resolution"]), "max_iterations": draw(_VALID["max_iterations"])}
-    for key in ("field", "grid", "scheduler", "aabb_scale", "stride", "step", "particles_per_round", "alpha"):
+    for key in ("field", "grid", "scheduler", "aabb_scale", "stride", "step", "particles_per_round"):
         if draw(hst.booleans()):
             run[key] = draw(_VALID[key])
     if "grid" not in run and draw(hst.booleans()):
