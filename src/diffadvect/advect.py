@@ -160,18 +160,20 @@ def build_kernel(cache_dir, compiler: str = "gcc") -> Path:
 
 
 def load_kernel(path) -> ctypes.CDLL:
-    """The kernel library at ``path``, with the signatures of its four functions declared."""
+    """The kernel library at ``path``, with the signatures of its five functions declared."""
     lib = ctypes.CDLL(str(path))
-    i64, ptr = ctypes.c_int64, ctypes.c_void_p
+    i64, f64, ptr = ctypes.c_int64, ctypes.c_double, ctypes.c_void_p
     bounds = [i64, ptr, i64, i64, ptr, ptr, ptr, ptr]  # n, lattice, sx, sy, spacing, origin, core, home
     lib.rk4_sample.argtypes = bounds + [ptr, ptr]
     lib.rk4_sample.restype = None
     lib.rk4_reach.argtypes = bounds + [ptr]
     lib.rk4_reach.restype = i64
-    lib.rk4_advance.argtypes = bounds + [ctypes.c_double, ptr, ptr, ptr, ptr, ptr, ptr, ptr, i64, ptr, i64]
+    lib.rk4_advance.argtypes = bounds + [f64, ptr, ptr, ptr, ptr, ptr, ptr, ptr, i64, ptr, i64]
     lib.rk4_advance.restype = i64
     lib.rk4_export.argtypes = [i64, ptr, ptr, ptr]
     lib.rk4_export.restype = None
+    lib.rk4_toroidal.argtypes = [i64, i64, i64, ptr, f64, f64, f64, ptr]  # resolution, spacing, R0, kappa, eps, lattice
+    lib.rk4_toroidal.restype = f64
     return lib
 
 

@@ -14,11 +14,13 @@ point always evaluates to the same vector, bit-exactly.
 This module owns the geometry of the one voxel lattice. It has
 ``resolution`` nodes per axis at positions ``i * spacing`` with ``spacing =
 1 / (resolution - 1)`` (:func:`lattice_spacing`); the run seeds particles on
-its nodes (:func:`seed_axes`). It is rasterized once, in cache-sized slabs
-of whole x-planes on broadcast axis vectors, into an array padded with one
-edge-replicated ghost node per side (:func:`rasterize_global`). Each slab is
-checked for finiteness, and its max|v| taken for the step's ghost-margin
-check, as it is written, so no later pass reads the lattice to validate it.
+its nodes (:func:`seed_axes`). It is rasterized once into an array padded
+with one edge-replicated ghost node per side (:func:`rasterize_global`): the
+toroidal field in one compiled pass over the nodes, ``rk4_toroidal`` in
+``rk4.c``, and the others in cache-sized slabs of whole x-planes on
+broadcast axis vectors. The values' max|v|, for the step's ghost-margin
+check and for finiteness, is taken as they are written, so no later pass
+reads the lattice to validate it.
 A :class:`Block` is core bounds over that one shared array, for one extent
 or one per rank; it samples a one-cell ghost layer around its core and
 copies nothing.
@@ -87,23 +89,14 @@ class AnalyticField:
             vx = -np.pi * np.sin(np.pi * x) * np.cos(np.pi * y)
             vy = np.pi * np.cos(np.pi * x) * np.sin(np.pi * y)
             vz = p["w0"] * np.sin(np.pi * z) * np.sin(np.pi * x)
-        else:  # toroidal
-            # vx = -dy / rho + k * (-dz * dx / rho) / rs, and so on: each full-shape step runs in
-            # place, with the formula's operations and operand order; only commutative operands swap
+        else:  # toroidal; rk4.c's rk4_toroidal rasterizes it, with the same operations
             dx, dy, dz = x - 0.5, y - 0.5, z - 0.5
             rho = np.maximum(np.sqrt(dx * dx + dy * dy), _EPS)
-            rs = (rho - p["R0"]) ** 2 + dz * dz
-            np.maximum(np.sqrt(rs, out=rs), _EPS, out=rs)
+            rs = np.maximum(np.sqrt((rho - p["R0"]) ** 2 + dz * dz), _EPS)
             k = p["kappa"]
-            vx = -dz * dx / rho
-            vx *= k
-            vx /= rs
-            vx += -dy / rho
-            vy = -dz * dy / rho
-            vy *= k
-            vy /= rs
-            vy += dx / rho
-            vz = np.divide(k * (rho - p["R0"]), rs, out=rs)
+            vx = -dy / rho + k * (-dz * dx / rho) / rs
+            vy = dx / rho + k * (-dz * dy / rho) / rs
+            vz = k * (rho - p["R0"]) / rs
         return vx, vy, vz
 
     def evaluate(self, points: np.ndarray) -> np.ndarray:
@@ -154,9 +147,8 @@ def seed_axes(resolution, aabb_scale: float, stride) -> list[np.ndarray]:
 
 
 # Lattice nodes evaluated at once, so a 64^3 lattice is 4 slabs and each
-# full-shape temporary of a slab is 512 KiB. At 64^3 the toroidal field's
-# temporaries then add a quarter of the padded lattice to the peak, where one
-# slab of the whole lattice adds 0.9 of it (tracemalloc) in the same time.
+# full-shape temporary of a slab is 512 KiB, where one slab of the whole
+# lattice would add 0.9 of the padded lattice to the peak (tracemalloc).
 _SLAB_NODES = 1 << 16
 
 
@@ -167,39 +159,45 @@ def rasterize_global(field: AnalyticField, resolution, *, padded: bool = False,
     Returns a read-only array of shape ``(rx, ry, rz, 3)`` indexed
     ``[ix, iy, iz]``, or with ``padded`` the lattice with one edge-replicated
     ghost node per side: entry ``[i + 1, j + 1, k + 1]`` holds node
-    ``(i, j, k)`` clamped to the lattice. Slabs of whole x-planes
-    evaluate :meth:`~AnalyticField.components` on the broadcast axes
-    ``(n, 1, 1)``, ``(1, ry, 1)`` and ``(1, 1, rz)``, so a component that
-    depends on fewer axes is a vector or plane until it is written into the
-    padded array, which is allocated before the first slab. Each slab's
-    components are checked as they are returned: a non-finite one is a
-    :class:`ConfigError`, and their max|v| is kept.
+    ``(i, j, k)`` clamped to the lattice. The padded array is allocated
+    first. The toroidal :class:`AnalyticField` is written into it in one
+    pass over the nodes, by the kernel library's ``rk4_toroidal``, with the
+    operations of :meth:`~AnalyticField.components` in their order, so the
+    bytes are numpy's. Any other field is written in slabs of whole
+    x-planes, each evaluating :meth:`~AnalyticField.components` on the
+    broadcast axes ``(n, 1, 1)``, ``(1, ry, 1)`` and ``(1, 1, rz)``, so a
+    component that depends on fewer axes is a vector or plane until it is
+    written. Either way the values' max|v| is taken as they are written, and
+    a value that is not finite is a :class:`ConfigError`.
     Given an RK4 ``step``, stage points must stay within one ghost cell of a
     block's core, so a handed-off step is computable by some rank, and half a
     cell inside the hull-side sampling bounds, so every block exit crosses an
     inner face: ``2 * step * max|v|`` above the smallest spacing is a
-    :class:`ConfigError`, raised after the last slab. One shared global
-    rasterization keeps every block's ghost layer bit-identical to its
-    neighbor's core by construction.
+    :class:`ConfigError`. One shared global rasterization keeps every
+    block's ghost layer bit-identical to its neighbor's core by construction.
     """
     res = _check_resolution(resolution)
     spacing = lattice_spacing(res)
     rx, ry, rz = res
-    ax = [np.arange(r, dtype=np.float64) * spacing[a] for a, r in enumerate(res)]
-    planes = max(1, _SLAB_NODES // (ry * rz))
     lattice = np.empty((rx + 2, ry + 2, rz + 2, 3), dtype=np.float64)
-    vmax = 0.0
-    for x0 in range(0, rx, planes):
-        n = min(planes, rx - x0)
-        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):  # reported just below
-            values = field.components(ax[0][x0:x0 + n, np.newaxis, np.newaxis], ax[1][:, np.newaxis], ax[2])
-        for d, v in enumerate(values):
-            hi, lo = float(np.max(v)), float(np.min(v))  # a NaN or an infinity reaches one of them
-            if not (math.isfinite(hi) and math.isfinite(lo)):
-                raise ConfigError(f"field params: the {field.kind} field is not finite on the lattice")
-            vmax = max(vmax, hi, -lo)
-            lattice[1 + x0:1 + x0 + n, 1:-1, 1:-1, d] = v
-        del values, v  # so that the next slab's temporaries reuse this slab's memory
+    if isinstance(field, AnalyticField) and field.kind == "toroidal":
+        from .advect import KERNEL  # here, since advect imports this module
+
+        p = field.params
+        vmax = KERNEL.rk4_toroidal(rx, ry, rz, spacing.ctypes, p["R0"], p["kappa"], _EPS, lattice.ctypes)
+    else:
+        ax = [np.arange(r, dtype=np.float64) * spacing[a] for a, r in enumerate(res)]
+        planes, vmax = max(1, _SLAB_NODES // (ry * rz)), 0.0
+        for x0 in range(0, rx, planes):
+            n = min(planes, rx - x0)
+            with np.errstate(over="ignore", invalid="ignore", divide="ignore"):  # reported just below
+                values = field.components(ax[0][x0:x0 + n, np.newaxis, np.newaxis], ax[1][:, np.newaxis], ax[2])
+            for d, v in enumerate(values):
+                vmax = float(np.max((vmax, np.max(v), -np.min(v))))  # a NaN, once reached, stays
+                lattice[1 + x0:1 + x0 + n, 1:-1, 1:-1, d] = v
+            del values, v  # so that the next slab's temporaries reuse this slab's memory
+    if not math.isfinite(vmax):
+        raise ConfigError(f"field params: the {field.kind} field is not finite on the lattice")
     if step is not None and 2.0 * step * vmax > float(spacing.min()):
         raise ConfigError(f"step {step} too large for ghost margin: 2*h*max|v| = "
                           f"{2 * step * vmax:.3g} exceeds min spacing {spacing.min():.3g}")

@@ -40,7 +40,14 @@
  * The log holds float32, each vertex the (float) cast, to nearest as numpy's
  * astype, of its float64 position; every decision stays float64. rk4_export
  * copies curves.bin's payload a batch at a time, piece by piece from the logs.
+ *
+ * rk4_toroidal rasterizes field.py's toroidal field, whose components span
+ * all three axes, in one scalar pass over the nodes of the padded lattice,
+ * where numpy would make a dozen full-shape passes. Its operations are those
+ * of field.AnalyticField.components, in their order, and are only + - * / and
+ * sqrt, which are correctly rounded, so both builds write numpy's bytes.
  */
+#include <math.h>
 #include <pthread.h>
 #include <signal.h>
 #include <stdint.h>
@@ -193,6 +200,35 @@ void rk4_export(int64_t n, const int64_t *addr, const int64_t *count, float *out
         memcpy(out, (const float *)(intptr_t)addr[i], 12 * count[i]);
         out += 3 * count[i];
     }
+}
+
+/* Fill the interior nodes of the padded (rx + 2, ry + 2, rz + 2, 3) lattice with the toroidal field of ring
+ * radius r0 and poloidal strength kappa, node (i, j, k) at (i, j, k) * spacing; returns their max|v|, which is
+ * NaN or infinite where a value is. Each clamp max(., eps) lets a NaN through, as np.maximum does. The terms
+ * of a y-row are computed once. */
+double rk4_toroidal(int64_t rx, int64_t ry, int64_t rz, const double *spacing, double r0, double kappa, double eps,
+                    double *lattice)
+{
+    const int64_t sy = 3 * (rz + 2), sx = sy * (ry + 2);
+    double vmax = 0.0, hz = spacing[2];
+    int nans = 0;
+    for (int64_t i = 0; i < rx; i++) {
+        const double dx = (double)i * spacing[0] - 0.5;
+        for (int64_t j = 0; j < ry; j++) {
+            const double dy = (double)j * spacing[1] - 0.5, r = sqrt(dx * dx + dy * dy), rho = r < eps ? eps : r;
+            const double ring = rho - r0, tx = -dy / rho, ty = dx / rho;
+            double *v = lattice + (i + 1) * sx + (j + 1) * sy + 3;
+            for (int64_t k = 0; k < rz; k++, v += 3) {
+                const double dz = (double)k * hz - 0.5, d = sqrt(ring * ring + dz * dz), rs = d < eps ? eps : d;
+                v[0] = -dz * dx / rho * kappa / rs + tx;
+                v[1] = -dz * dy / rho * kappa / rs + ty;
+                v[2] = kappa * ring / rs;
+                for (int a = 0; a < 3; a++)
+                    vmax = fabs(v[a]) > vmax ? fabs(v[a]) : vmax, nans |= v[a] != v[a];
+            }
+        }
+    }
+    return nans ? NAN : vmax;
 }
 
 /* One call's arguments, which every worker reads from its own copy, and the shared chunk counter. */

@@ -129,7 +129,7 @@ class Simulator:
         self.grid = ProcessGrid(config.grid_dims())
         field = AnalyticField(config.field, config.field_params) if field is None else field
 
-        # The step's ghost-margin check is made slab by slab as the lattice is rasterized.
+        # The step's ghost-margin check is made as the lattice is rasterized.
         lattice = rasterize_global(field, config.resolution, padded=True, step=config.step)
         # Row r holds rank r's block; a particle reads its bounds at row ``home``.
         self.blocks = Block(lattice, lattice_spacing(config.resolution), *decompose(self.grid, config.resolution))

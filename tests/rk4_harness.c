@@ -1,4 +1,5 @@
-/* Drives rk4_advance, rk4_reach, rk4_sample and rk4_export of diffadvect/rk4.c, for sanitizer builds.
+/* Drives rk4_advance, rk4_reach, rk4_sample, rk4_export and rk4_toroidal of diffadvect/rk4.c, for sanitizer
+ * builds.
  *
  * Build it together with rk4.c, with -mavx where the kernel is built with it, e.g.
  *     gcc -g -O1 -pthread -mavx -fsanitize=thread -fno-sanitize-recover=all \
@@ -18,7 +19,9 @@
  * and checks that each float is copied from its slot of the log; and that n = 0 reads and writes
  * nothing. It samples one point on every face of each rank's closed extent, and the centre and top
  * corner of the last rank's top cell, whose last corner is the lattice's last node, and checks each
- * against the node, or the mean of the cell's 8 corners, that it should be.
+ * against the node, or the mean of the cell's 8 corners, that it should be. It fills padded lattices
+ * of exact size, some with a 2-node axis, with rk4_toroidal, and checks that it wrote each interior
+ * node and no ghost node, its max|v|, one node against the formula and that a NaN comes back.
  * Every allocation is freed, so LeakSanitizer reports only a leak of the kernel's own. Exits 0 when
  * every check holds, else 1 after printing each world's first failed check.
  */
@@ -37,6 +40,8 @@ int64_t rk4_reach(int64_t n, const double *lattice, int64_t sx, int64_t sy, cons
 void rk4_sample(int64_t n, const double *lattice, int64_t sx, int64_t sy, const double *spacing,
                 const int64_t *origin, const int64_t *core, const int64_t *home, const double *points, double *out);
 void rk4_export(int64_t n, const int64_t *addr, const int64_t *count, float *out);
+double rk4_toroidal(int64_t rx, int64_t ry, int64_t rz, const double *spacing, double r0, double kappa, double eps,
+                    double *lattice);
 extern const int64_t rk4_lanes, rk4_chunk;
 
 #define RES 24     /* lattice nodes per axis, before the ghost layer */
@@ -285,6 +290,43 @@ done:
     return failed;
 }
 
+/* Fill a heap lattice of exactly (rx + 2)(ry + 2)(rz + 2) nodes, each byte first the fill of a gap row, with the
+ * toroidal field; returns 0 when the pass wrote every interior node, left every ghost node as it was and returned
+ * the interior's max|v|, node (rx / 2, ry / 2, rz - 1) is within 1e-12 of the formula recomputed here, and a NaN
+ * kappa returns NaN. */
+static int toroidal(int64_t rx, int64_t ry, int64_t rz)
+{
+    const double r0 = 0.25, kappa = 0.5, eps = 1e-6, h[3] = {1.0 / (rx - 1), 1.0 / (ry - 1), 1.0 / (rz - 1)};
+    const int64_t sy = rz + 2, sx = (ry + 2) * sy, n = (rx + 2) * sx;
+    int failed = 0;
+    double *lat = fill(3 * n, 8, 0xa5), vmax = 0.0, got = rk4_toroidal(rx, ry, rz, h, r0, kappa, eps, lat);
+    for (int64_t node = 0; node < n; node++) {
+        int64_t i = node / sx, j = node / sy % (ry + 2), k = node % sy;
+        int ghost = i == 0 || i == rx + 1 || j == 0 || j == ry + 1 || k == 0 || k == rz + 1;
+        CHECK(filled(lat + 3 * node, 24) == ghost, "toroidal %ldx%ldx%ld: node (%ld, %ld, %ld) of the padded "
+              "lattice was %s", (long)rx, (long)ry, (long)rz, (long)i, (long)j, (long)k,
+              ghost ? "written" : "not written");
+        for (int a = 0; !ghost && a < 3; a++)
+            vmax = fabs(lat[3 * node + a]) > vmax ? fabs(lat[3 * node + a]) : vmax;
+    }
+    CHECK(got == vmax, "toroidal %ldx%ldx%ld: returned max|v| %.17g, not %.17g", (long)rx, (long)ry, (long)rz,
+          got, vmax);
+    int64_t i = rx / 2, j = ry / 2, k = rz - 1;
+    double dx = i * h[0] - 0.5, dy = j * h[1] - 0.5, dz = k * h[2] - 0.5;
+    double rho = fmax(sqrt(dx * dx + dy * dy), eps), rs = fmax(sqrt((rho - r0) * (rho - r0) + dz * dz), eps);
+    double want[3] = {-dy / rho + kappa * (-dz * dx / rho) / rs, dx / rho + kappa * (-dz * dy / rho) / rs,
+                      kappa * (rho - r0) / rs};
+    for (int a = 0; a < 3; a++)
+        CHECK(fabs(lat[3 * ((i + 1) * sx + (j + 1) * sy + k + 1) + a] - want[a]) <= 1e-12, "toroidal %ldx%ldx%ld: "
+              "node (%ld, %ld, %ld), component %d is not the formula's", (long)rx, (long)ry, (long)rz, (long)i,
+              (long)j, (long)k, a);
+    CHECK(isnan(rk4_toroidal(rx, ry, rz, h, r0, NAN, eps, lat)), "toroidal %ldx%ldx%ld: a NaN kappa did not "
+          "return NaN", (long)rx, (long)ry, (long)rz);
+done:
+    free(lat);
+    return failed;
+}
+
 int main(void)
 {
     for (int a = 0; a < 3; a++)
@@ -316,5 +358,8 @@ int main(void)
     for (size_t b = 0; b < sizeof batches / sizeof batches[0]; b++)
         failed |= exported(batches[b]);
     failed |= sampled();
+    const int64_t shapes[][3] = {{5, 3, 2}, {2, 4, 3}, {7, 5, 9}}; /* (5, 3, 2) and (7, 5, 9) have an axis node */
+    for (size_t s = 0; s < sizeof shapes / sizeof shapes[0]; s++)
+        failed |= toroidal(shapes[s][0], shapes[s][1], shapes[s][2]);
     return failed | run(2 * rk4_lanes * rk4_chunk + 7, 1);
 }

@@ -41,7 +41,7 @@ from diffadvect.advect import (
     rk4_step,
 )
 from diffadvect.errors import InvariantError
-from diffadvect.field import Block, lattice_spacing, rasterize_block, rasterize_global
+from diffadvect.field import _EPS, AnalyticField, Block, lattice_spacing, rasterize_block, rasterize_global
 from diffadvect.particles import ParticleSet, concat_particles
 
 
@@ -732,9 +732,9 @@ class TestKernelBuild:
 
     @pytest.mark.parametrize("sanitizers", ["thread", "address,undefined"])
     def test_kernel_runs_clean_under_sanitizers(self, tmp_path, sanitizers):
-        # tests/rk4_harness.c drives rk4_advance on 1-4 workers, rk4_reach, rk4_sample and rk4_export, built
-        # with the kernel's instruction set; any race, bad access, leak or undefined behaviour, or a check of
-        # its own, exits non-zero
+        # tests/rk4_harness.c drives rk4_advance on 1-4 workers, rk4_reach, rk4_sample, rk4_export and
+        # rk4_toroidal, built with the kernel's instruction set; any race, bad access, leak or undefined
+        # behaviour, or a check of its own, exits non-zero
         harness = tmp_path / "harness"
         isa = [flag for flag in KERNEL_FLAGS if flag.startswith("-m")]
         command = ["gcc", "-g", "-O1", "-pthread", *isa, f"-fsanitize={sanitizers}", "-fno-sanitize-recover=all",
@@ -747,7 +747,7 @@ class TestKernelBuild:
     @pytest.mark.parametrize("workers", [1, 2])
     def test_default_build_equals_the_kernel_bit_for_bit(self, tmp_path, monkeypatch, workers):
         # The build without -mavx, which an AVX host never loads, must match the loaded kernel's outcome,
-        # starts and log, its samples and its reach tests exactly.
+        # starts and log, its samples, its reach tests and its toroidal lattice exactly.
         library = tmp_path / "rk4-default.so"
         built = compile_kernel(DEFAULT_FLAGS, library)
         assert built.returncode == 0, built.stderr
@@ -775,6 +775,14 @@ class TestKernelBuild:
         assert set(want.status.tolist()) == {STATUS_OOB, STATUS_TERMINATED, STATUS_EXITED}
         assert got_samples == want_samples
         assert got_reached == want_reached == [-1, 100]
+        # both fill a toroidal lattice alike, on an odd shape with a node on the torus axis, where rho = eps
+        res, params, filled = (9, 7, 5), AnalyticField("toroidal").params, []
+        for kernel in (advect.KERNEL, load_kernel(library)):
+            lattice = np.zeros((11, 9, 7, 3))
+            vmax = kernel.rk4_toroidal(*res, lattice_spacing(res).ctypes, params["R0"], params["kappa"], _EPS,
+                                       lattice.ctypes)
+            filled.append((lattice.tobytes(), vmax))
+        assert filled[0] == filled[1] and filled[0][1] == np.abs(lattice).max()
 
     def test_cache_key_follows_source_and_flags(self):
         source = KERNEL_SOURCE.read_bytes()

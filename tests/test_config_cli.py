@@ -442,6 +442,16 @@ class TestRunCommand:
         assert "not finite on the lattice" in captured.err and "Warning" not in captured.err
         assert not out.exists()
 
+    def test_overflow_near_the_torus_axis_exits_2_without_output(self, tmp_path, capsys):
+        # vz = kappa * (rho - R0) / rs overflows to -inf at the nodes within 0.3 of the torus axis, and only there
+        out = tmp_path / "out"
+        assert main(["run", "--field", "toroidal", "--set", "param.R0=1.5", "--set", "param.kappa=1.5e308",
+                     "--resolution", "16", "--stride", "4", "--max-iterations", "5",
+                     "--export-curves", "false", "--output", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert "not finite on the lattice" in captured.err and "Warning" not in captured.err
+        assert not out.exists()
+
     def test_overflow_in_a_plane_component_exits_2_without_output(self, tmp_path, capsys):
         # abc's vx = A sin(2 pi z) + C cos(2 pi y) is a (y, z) plane that overflows before any broadcast
         out = tmp_path / "out"
@@ -454,17 +464,20 @@ class TestRunCommand:
 
     @pytest.mark.parametrize("slab_nodes", [1 << 16, 700])
     def test_nan_in_the_last_slab_exits_2_without_output(self, tmp_path, capsys, monkeypatch, slab_nodes):
-        # the x = 1 plane alone is NaN: 4 slabs at 1 << 16 nodes, 64 one-plane slabs at 700
-        from diffadvect import field as field_module
+        # the x = 1 plane alone is NaN: 4 slabs at 1 << 16 nodes, 64 one-plane slabs at 700. The run's field
+        # is the numpy toroidal formula in a field that is not an AnalyticField, so it rasterizes in slabs.
+        from diffadvect import field as field_module, runtime
 
-        components = field_module.AnalyticField.components
+        class NanOnTheFarFace:
+            def __init__(self, kind, params):
+                self.kind, self.analytic = kind, field_module.AnalyticField(kind, params)
 
-        def nan_on_the_far_face(self, x, y, z):
-            vx, vy, vz = components(self, x, y, z)
-            return vx, vy, np.where(x > 0.99, np.nan, vz)
+            def components(self, x, y, z):
+                vx, vy, vz = self.analytic.components(x, y, z)
+                return vx, vy, np.where(x > 0.99, np.nan, vz)
 
         monkeypatch.setattr(field_module, "_SLAB_NODES", slab_nodes)
-        monkeypatch.setattr(field_module.AnalyticField, "components", nan_on_the_far_face)
+        monkeypatch.setattr(runtime, "AnalyticField", NanOnTheFarFace)
         out = tmp_path / "out"
         assert main(["run", "--field", "toroidal", "--resolution", "64", "--stride", "8", "--max-iterations", "5",
                      "--export-curves", "false", "--output", str(out)]) == 2

@@ -16,6 +16,15 @@ from diffadvect.field import (
 )
 
 
+class NumpyToroidal:
+    """The numpy toroidal formula in a field that is not an AnalyticField, so it rasterizes in slabs."""
+
+    kind = "toroidal"
+
+    def components(self, x, y, z):
+        return AnalyticField("toroidal").components(x, y, z)
+
+
 class LinearField:
     """v = (x, 2y, -z): trilinear interpolation reproduces it exactly."""
 
@@ -118,18 +127,23 @@ class TestRasterize:
     @pytest.mark.parametrize("kind", ["abc", "jets", "toroidal"])
     @pytest.mark.parametrize("slab_nodes", [1 << 18, 700])
     def test_slabs_equal_one_whole_lattice_evaluation_padded(self, kind, slab_nodes, monkeypatch):
-        # broadcast axes equal pointwise evaluation byte for byte, for the default coefficients, draws from
-        # the benchmark's seeded +-0.5% band and a wide +-30% band; 700 nodes splits (21, 17, 19) into
-        # 2-plane slabs and (2, 31, 23), a 2-node axis, into 1-plane slabs
+        # broadcast axes, or toroidal's compiled pass, equal pointwise evaluation byte for byte, for the default
+        # coefficients, draws from the benchmark's seeded +-0.5% band and a wide +-30% band; 700 nodes splits
+        # (21, 17, 19) into 2-plane slabs and (2, 31, 23), a 2-node axis, into 1-plane slabs. (21, 17, 19) has
+        # nodes on the torus axis, where rho = eps; toroidal adds a ring of radius 0, the flow reversed, and
+        # the ring through the nodes (x, 0.5, 0.5) with x = 0 or 1, where rs = eps.
         monkeypatch.setattr(field_module, "_SLAB_NODES", slab_nodes)
         rng = np.random.default_rng(11)
         defaults = AnalyticField(kind).params
+        edges = [{"R0": 0.0}, {"kappa": -0.5}, {"R0": 0.5}] if kind == "toroidal" else []
         for res in [(21, 17, 19), (2, 31, 23)]:
             s = lattice_spacing(res)
             axes = [np.arange(r, dtype=np.float64) * s[a] for a, r in enumerate(res)]
             pts = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1)
-            for band in (0.0, 0.005, 0.005, 0.3, 0.3):
-                f = AnalyticField(kind, {k: v * rng.uniform(1 - band, 1 + band) for k, v in defaults.items()})
+            draws = [{k: v * rng.uniform(1 - band, 1 + band) for k, v in defaults.items()}
+                     for band in (0.0, 0.005, 0.005, 0.3, 0.3)]
+            for params in draws + edges:
+                f = AnalyticField(kind, params)
                 whole = f.evaluate(pts.reshape(-1, 3)).reshape(res + (3,))
                 expected = np.pad(whole, ((1, 1), (1, 1), (1, 1), (0, 0)), mode="edge")
                 padded = rasterize_global(f, res, padded=True)
@@ -155,23 +169,29 @@ class TestRasterize:
         with pytest.raises(ConfigError, match="too large for ghost margin"):
             rasterize_global(FarFaceSink(), res, padded=True, step=1.001 * margin_step)
 
+    def test_toroidal_ghost_margin_refusal_keeps_its_digits(self):
+        # the compiled pass's max|v| is the slab-wise max(hi, -lo) the numpy lattice gave
+        with pytest.raises(ConfigError) as info:
+            rasterize_global(AnalyticField("toroidal"), (64, 64, 64), padded=True, step=0.01)
+        assert str(info.value) == ("step 0.01 too large for ghost margin: 2*h*max|v| = 0.0224 exceeds min "
+                                   "spacing 0.0159")
+
     def test_rasterization_peak_stays_near_one_padded_lattice(self, monkeypatch):
         monkeypatch.setattr(field_module, "_SLAB_NODES", 1 << 12)
         res = (48, 48, 48)  # 27 slabs
         padded_bytes = 50 ** 3 * 24
         tracemalloc.start()
         try:
-            rasterize_global(AnalyticField("toroidal"), res, padded=True)
+            rasterize_global(NumpyToroidal(), res, padded=True)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
         assert peak < 2 * padded_bytes
 
-    @pytest.mark.parametrize("kind, bound", [("abc", 1.5), ("jets", 1.5), ("toroidal", 1.4)])
+    @pytest.mark.parametrize("kind, bound", [("abc", 1.5), ("jets", 1.5), ("toroidal", 1.05)])
     def test_default_slab_peak_at_64_cubed(self, kind, bound):
-        # the default slab holds 16 of the 64 x-planes: abc's and jets' components are planes, while
-        # toroidal's ring distance and components span all three axes, so its slab temporaries add
-        # about a quarter of the padded lattice (1.25 times it in all)
+        # the default slab holds 16 of the 64 x-planes, and abc's and jets' components are planes; the
+        # toroidal field's compiled pass writes the padded lattice and allocates nothing more (1.016 times it)
         f = AnalyticField(kind)
         padded_bytes = 66 ** 3 * 24
         tracemalloc.start()
