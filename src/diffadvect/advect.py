@@ -160,7 +160,7 @@ def build_kernel(cache_dir, compiler: str = "gcc") -> Path:
 
 
 def load_kernel(path) -> ctypes.CDLL:
-    """The kernel library at ``path``, with the signatures of its five functions declared."""
+    """The kernel library at ``path``, with the signatures of its seven functions declared."""
     lib = ctypes.CDLL(str(path))
     i64, f64, ptr = ctypes.c_int64, ctypes.c_double, ctypes.c_void_p
     bounds = [i64, ptr, i64, i64, ptr, ptr, ptr, ptr]  # n, lattice, sx, sy, spacing, origin, core, home
@@ -174,6 +174,10 @@ def load_kernel(path) -> ctypes.CDLL:
     lib.rk4_export.restype = None
     lib.rk4_toroidal.argtypes = [i64, i64, i64, ptr, f64, f64, f64, ptr]  # resolution, spacing, R0, kappa, eps, lattice
     lib.rk4_toroidal.restype = f64
+    lib.rk4_place.argtypes = [i64, i64, i64, i64, ptr, ptr]  # x0, planes, ry, rz, component table, lattice
+    lib.rk4_place.restype = None
+    lib.rk4_pad.argtypes = [i64, i64, i64, ptr]  # resolution, lattice
+    lib.rk4_pad.restype = None
     return lib
 
 

@@ -17,10 +17,11 @@ This module owns the geometry of the one voxel lattice. It has
 its nodes (:func:`seed_axes`). It is rasterized once into an array padded
 with one edge-replicated ghost node per side (:func:`rasterize_global`): the
 toroidal field in one compiled pass over the nodes, ``rk4_toroidal`` in
-``rk4.c``, and the others in cache-sized slabs of whole x-planes on
-broadcast axis vectors. The values' max|v|, for the step's ghost-margin
-check and for finiteness, is taken as they are written, so no later pass
-reads the lattice to validate it.
+``rk4.c``, and the others by numpy in slabs of whole x-planes on broadcast
+axis vectors, whose components ``rk4_place`` copies into the lattice. The
+values' max|v|, for the step's ghost-margin check and for finiteness, is
+taken as they are written, so no later pass reads the lattice to validate
+it. One compiled ghost copy, ``rk4_pad``, then pads every lattice.
 A :class:`Block` is core bounds over that one shared array, for one extent
 or one per rank; it samples a one-cell ghost layer around its core and
 copies nothing.
@@ -146,10 +147,11 @@ def seed_axes(resolution, aabb_scale: float, stride) -> list[np.ndarray]:
     return axes
 
 
-# Lattice nodes evaluated at once, so a 64^3 lattice is 4 slabs and each
-# full-shape temporary of a slab is 512 KiB, where one slab of the whole
-# lattice would add 0.9 of the padded lattice to the peak (tracemalloc).
-_SLAB_NODES = 1 << 16
+# Lattice nodes evaluated at once, so a 64^3 lattice is one slab, whose numpy
+# calls are made once, and each full-shape temporary of a slab is at most
+# 2 MiB; a field whose components span all three axes peaks at 2.24 times
+# the padded 64^3 lattice (tracemalloc), 1.32 times with 4 slabs.
+_SLAB_NODES = 1 << 18
 
 
 def rasterize_global(field: AnalyticField, resolution, *, padded: bool = False,
@@ -167,8 +169,11 @@ def rasterize_global(field: AnalyticField, resolution, *, padded: bool = False,
     x-planes, each evaluating :meth:`~AnalyticField.components` on the
     broadcast axes ``(n, 1, 1)``, ``(1, ry, 1)`` and ``(1, 1, rz)``, so a
     component that depends on fewer axes is a vector or plane until it is
-    written. Either way the values' max|v| is taken as they are written, and
-    a value that is not finite is a :class:`ConfigError`.
+    written; ``rk4_place`` copies the slab's components, cast to float64,
+    into place through their strides (0 along a broadcast axis), and one
+    that does not broadcast to the slab is a ``ValueError``. Either way the
+    values' max|v| is taken as they are written, and a value that is not
+    finite is a :class:`ConfigError`; ``rk4_pad`` then fills the ghost layer.
     Given an RK4 ``step``, stage points must stay within one ghost cell of a
     block's core, so a handed-off step is computable by some rank, and half a
     cell inside the hull-side sampling bounds, so every block exit crosses an
@@ -176,13 +181,13 @@ def rasterize_global(field: AnalyticField, resolution, *, padded: bool = False,
     :class:`ConfigError`. One shared global rasterization keeps every
     block's ghost layer bit-identical to its neighbor's core by construction.
     """
+    from .advect import KERNEL  # here, since advect imports this module
+
     res = _check_resolution(resolution)
     spacing = lattice_spacing(res)
     rx, ry, rz = res
     lattice = np.empty((rx + 2, ry + 2, rz + 2, 3), dtype=np.float64)
     if isinstance(field, AnalyticField) and field.kind == "toroidal":
-        from .advect import KERNEL  # here, since advect imports this module
-
         p = field.params
         vmax = KERNEL.rk4_toroidal(rx, ry, rz, spacing.ctypes, p["R0"], p["kappa"], _EPS, lattice.ctypes)
     else:
@@ -192,18 +197,18 @@ def rasterize_global(field: AnalyticField, resolution, *, padded: bool = False,
             n = min(planes, rx - x0)
             with np.errstate(over="ignore", invalid="ignore", divide="ignore"):  # reported just below
                 values = field.components(ax[0][x0:x0 + n, np.newaxis, np.newaxis], ax[1][:, np.newaxis], ax[2])
-            for d, v in enumerate(values):
+            for v in values:
                 vmax = float(np.max((vmax, np.max(v), -np.min(v))))  # a NaN, once reached, stays
-                lattice[1 + x0:1 + x0 + n, 1:-1, 1:-1, d] = v
-            del values, v  # so that the next slab's temporaries reuse this slab's memory
+            vx, vy, vz = (np.broadcast_to(np.asarray(v, dtype=np.float64), (n, ry, rz)) for v in values)
+            table = np.array([(v.ctypes.data, *v.strides) for v in (vx, vy, vz)], dtype=np.int64)
+            KERNEL.rk4_place(x0, n, ry, rz, table.ctypes, lattice.ctypes)
+            del values, v, vx, vy, vz  # so that the next slab's temporaries reuse this slab's memory
     if not math.isfinite(vmax):
         raise ConfigError(f"field params: the {field.kind} field is not finite on the lattice")
     if step is not None and 2.0 * step * vmax > float(spacing.min()):
         raise ConfigError(f"step {step} too large for ghost margin: 2*h*max|v| = "
                           f"{2 * step * vmax:.3g} exceeds min spacing {spacing.min():.3g}")
-    for axis in range(3):  # copy each face's edge nodes into its ghost layer, one axis after another
-        faces = np.moveaxis(lattice, axis, 0)
-        faces[0], faces[-1] = faces[1], faces[-2]
+    KERNEL.rk4_pad(rx, ry, rz, lattice.ctypes)
     lattice.setflags(write=False)
     return lattice if padded else lattice[1:-1, 1:-1, 1:-1]
 
@@ -301,9 +306,9 @@ def rasterize_block(
     """One ghost-padded block: its extent over the edge-padded lattice.
 
     ``global_data`` is an unpadded :func:`rasterize_global` result, padded
-    here with one edge-replicated ghost node per side; without it the padded
-    lattice is rasterized here. Either way the lattice is read-only, and a
-    block's ghost layer is its neighbors' core nodes by construction.
+    here as :func:`rasterize_global` pads; without it the padded lattice is
+    rasterized here. Either way the lattice is read-only, and a block's
+    ghost layer is its neighbors' core nodes by construction.
     """
     res = _check_resolution(global_resolution)
     origin = np.array([int(v) for v in origin_voxel], dtype=np.int64)
@@ -315,7 +320,13 @@ def rasterize_block(
     if global_data is None:
         lattice = rasterize_global(field, res, padded=True)
     else:
-        lattice = np.pad(global_data, ((1, 1), (1, 1), (1, 1), (0, 0)), mode="edge")
+        from .advect import KERNEL  # here, since advect imports this module
+
+        if np.shape(global_data) != res + (3,):
+            raise ConfigError(f"global_data has shape {np.shape(global_data)}, not {res + (3,)}")
+        lattice = np.empty(tuple(r + 2 for r in res) + (3,), dtype=np.float64)
+        lattice[1:-1, 1:-1, 1:-1] = global_data
+        KERNEL.rk4_pad(*res, lattice.ctypes)
         lattice.setflags(write=False)
     return Block(lattice, lattice_spacing(res), origin, core)
 

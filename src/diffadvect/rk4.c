@@ -46,6 +46,11 @@
  * where numpy would make a dozen full-shape passes. Its operations are those
  * of field.AnalyticField.components, in their order, and are only + - * / and
  * sqrt, which are correctly rounded, so both builds write numpy's bytes.
+ * rk4_place copies the components numpy evaluated for any other field, a slab
+ * of x-planes at a time, into the interleaved lattice in one pass, where
+ * numpy would make one strided pass per component; it only copies, so the
+ * bytes are numpy's. rk4_pad then copies each face's edge nodes into the
+ * ghost layer of every lattice.
  */
 #include <math.h>
 #include <pthread.h>
@@ -229,6 +234,42 @@ double rk4_toroidal(int64_t rx, int64_t ry, int64_t rz, const double *spacing, d
         }
     }
     return nans ? NAN : vmax;
+}
+
+/* Copy n x-planes of three components into the interior of the padded (., ry + 2, rz + 2, 3) lattice,
+ * from plane x0 on. Row a of the (3, 4) table holds component a's address and its byte strides along x, y and
+ * z, 0 along an axis it is broadcast on: node (x0 + i, j, k) takes the double at address + i * x + j * y + k * z,
+ * read with memcpy, so it need not be aligned. */
+void rk4_place(int64_t x0, int64_t n, int64_t ry, int64_t rz, const int64_t *table, double *lattice)
+{
+    const int64_t sy = 3 * (rz + 2), sx = sy * (ry + 2);
+    for (int64_t i = 0; i < n; i++)
+        for (int64_t j = 0; j < ry; j++) {
+            const char *row[3];
+            for (int a = 0; a < 3; a++)
+                row[a] = (const char *)(intptr_t)table[4 * a] + i * table[4 * a + 1] + j * table[4 * a + 2];
+            double *v = lattice + (x0 + i + 1) * sx + (j + 1) * sy + 3;
+            for (int64_t k = 0; k < rz; k++, v += 3)
+                for (int a = 0; a < 3; a++)
+                    memcpy(v + a, row[a] + k * table[4 * a + 3], 8);
+        }
+}
+
+/* Copy each face's edge nodes of the padded (rx + 2, ry + 2, rz + 2, 3) lattice into its ghost layer, so that
+ * every ghost node holds its nearest interior node: the z ends of each interior row, then the y end rows of each
+ * interior x-plane, then the two x end planes. */
+void rk4_pad(int64_t rx, int64_t ry, int64_t rz, double *lattice)
+{
+    const int64_t sy = 3 * (rz + 2), sx = sy * (ry + 2);
+    for (int64_t i = 1; i <= rx; i++) {
+        double *plane = lattice + i * sx;
+        for (int64_t j = 1; j <= ry; j++) {
+            double *row = plane + j * sy;
+            memcpy(row, row + 3, 24), memcpy(row + sy - 3, row + sy - 6, 24);
+        }
+        memcpy(plane, plane + sy, 8 * sy), memcpy(plane + (ry + 1) * sy, plane + ry * sy, 8 * sy);
+    }
+    memcpy(lattice, lattice + sx, 8 * sx), memcpy(lattice + (rx + 1) * sx, lattice + rx * sx, 8 * sx);
 }
 
 /* One call's arguments, which every worker reads from its own copy, and the shared chunk counter. */

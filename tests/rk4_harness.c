@@ -1,5 +1,5 @@
-/* Drives rk4_advance, rk4_reach, rk4_sample, rk4_export and rk4_toroidal of diffadvect/rk4.c, for sanitizer
- * builds.
+/* Drives rk4_advance, rk4_reach, rk4_sample, rk4_export, rk4_toroidal, rk4_place and rk4_pad of
+ * diffadvect/rk4.c, for sanitizer builds.
  *
  * Build it together with rk4.c, with -mavx where the kernel is built with it, e.g.
  *     gcc -g -O1 -pthread -mavx -fsanitize=thread -fno-sanitize-recover=all \
@@ -21,7 +21,10 @@
  * corner of the last rank's top cell, whose last corner is the lattice's last node, and checks each
  * against the node, or the mean of the cell's 8 corners, that it should be. It fills padded lattices
  * of exact size, some with a 2-node axis, with rk4_toroidal, and checks that it wrote each interior
- * node and no ghost node, its max|v|, one node against the formula and that a NaN comes back.
+ * node and no ghost node, its max|v|, one node against the formula and that a NaN comes back. It fills
+ * padded lattices of exact size, some with a 2-node axis, with rk4_place in slabs of 1 and of 3 x-planes,
+ * from components of exact size read through zero, negative and unaligned strides, pads them with
+ * rk4_pad, and checks every interior and ghost node bit for bit.
  * Every allocation is freed, so LeakSanitizer reports only a leak of the kernel's own. Exits 0 when
  * every check holds, else 1 after printing each world's first failed check.
  */
@@ -42,6 +45,8 @@ void rk4_sample(int64_t n, const double *lattice, int64_t sx, int64_t sy, const 
 void rk4_export(int64_t n, const int64_t *addr, const int64_t *count, float *out);
 double rk4_toroidal(int64_t rx, int64_t ry, int64_t rz, const double *spacing, double r0, double kappa, double eps,
                     double *lattice);
+void rk4_place(int64_t x0, int64_t n, int64_t ry, int64_t rz, const int64_t *table, double *lattice);
+void rk4_pad(int64_t rx, int64_t ry, int64_t rz, double *lattice);
 extern const int64_t rk4_lanes, rk4_chunk;
 
 #define RES 24     /* lattice nodes per axis, before the ghost layer */
@@ -327,6 +332,55 @@ done:
     return failed;
 }
 
+/* Component a of the placed() lattices at node (i, j, k): component 1 does not depend on i, nor 2 on j or k. */
+static double component(int a, int64_t i, int64_t j, int64_t k)
+{
+    return a == 0 ? 100.0 * i + 10.0 * j + k + 0.25 : a == 1 ? -(10.0 * j + k) - 0.5 : 1000.0 * i + 0.125;
+}
+
+/* Fill a heap lattice of exactly (rx + 2)(ry + 2)(rz + 2) nodes, each byte first the fill of a gap row, with
+ * rk4_place in slabs of `planes` x-planes, the last maybe fewer, then pad it with rk4_pad; returns 0 when every
+ * node holds the components of its nearest interior node, bit for bit. Each component lies in an allocation of
+ * exact size: 0 is a contiguous (rx, ry, rz) array, 1 a (y, z) plane broadcast along x (stride 0) and stored
+ * with z reversed (a negative stride), and 2 an x vector broadcast along y and z, one byte off 8-byte alignment. */
+static int placed(int64_t rx, int64_t ry, int64_t rz, int64_t planes)
+{
+    const int64_t sy = rz + 2, sx = (ry + 2) * sy, n = (rx + 2) * sx;
+    int failed = 0;
+    double *lat = fill(3 * n, 8, 0xa5), *whole = fill(rx * ry * rz, 8, 0), *plane = fill(ry * rz, 8, 0);
+    char *vector = fill(8 * rx + 1, 1, 0);
+    for (int64_t i = 0; i < rx; i++) {
+        double v = component(2, i, 0, 0);
+        memcpy(vector + 1 + 8 * i, &v, 8);
+        for (int64_t j = 0; j < ry; j++)
+            for (int64_t k = 0; k < rz; k++) {
+                whole[(i * ry + j) * rz + k] = component(0, i, j, k);
+                plane[j * rz + rz - 1 - k] = component(1, i, j, k);
+            }
+    }
+    for (int64_t x0 = 0; x0 < rx; x0 += planes) {
+        const int64_t table[12] = {(intptr_t)(whole + x0 * ry * rz), 8 * ry * rz, 8 * rz, 8,
+                                   (intptr_t)(plane + rz - 1), 0, 8 * rz, -8,
+                                   (intptr_t)(vector + 1 + 8 * x0), 8, 0, 0};
+        rk4_place(x0, planes < rx - x0 ? planes : rx - x0, ry, rz, table, lat);
+    }
+    rk4_pad(rx, ry, rz, lat);
+    for (int64_t node = 0; node < n; node++) {
+        int64_t i = node / sx, j = node / sy % (ry + 2), k = node % sy;
+        int64_t ci = i < 1 ? 0 : i > rx ? rx - 1 : i - 1, cj = j < 1 ? 0 : j > ry ? ry - 1 : j - 1;
+        int64_t ck = k < 1 ? 0 : k > rz ? rz - 1 : k - 1;
+        for (int a = 0; a < 3; a++) {
+            double want = component(a, ci, cj, ck);
+            CHECK(!memcmp(lat + 3 * node + a, &want, 8), "place %ldx%ldx%ld in %ld-plane slabs: node (%ld, %ld, "
+                  "%ld) of the padded lattice, component %d, is %.17g, not %.17g", (long)rx, (long)ry, (long)rz,
+                  (long)planes, (long)i, (long)j, (long)k, a, lat[3 * node + a], want);
+        }
+    }
+done:
+    free(lat), free(whole), free(plane), free(vector);
+    return failed;
+}
+
 int main(void)
 {
     for (int a = 0; a < 3; a++)
@@ -361,5 +415,9 @@ int main(void)
     const int64_t shapes[][3] = {{5, 3, 2}, {2, 4, 3}, {7, 5, 9}}; /* (5, 3, 2) and (7, 5, 9) have an axis node */
     for (size_t s = 0; s < sizeof shapes / sizeof shapes[0]; s++)
         failed |= toroidal(shapes[s][0], shapes[s][1], shapes[s][2]);
+    const int64_t lattices[][3] = {{5, 3, 2}, {2, 4, 3}, {7, 5, 9}, {2, 2, 2}};
+    for (size_t s = 0; s < sizeof lattices / sizeof lattices[0]; s++)
+        for (int64_t planes = 1; planes <= 3; planes += 2)
+            failed |= placed(lattices[s][0], lattices[s][1], lattices[s][2], planes);
     return failed | run(2 * rk4_lanes * rk4_chunk + 7, 1);
 }

@@ -732,9 +732,9 @@ class TestKernelBuild:
 
     @pytest.mark.parametrize("sanitizers", ["thread", "address,undefined"])
     def test_kernel_runs_clean_under_sanitizers(self, tmp_path, sanitizers):
-        # tests/rk4_harness.c drives rk4_advance on 1-4 workers, rk4_reach, rk4_sample, rk4_export and
-        # rk4_toroidal, built with the kernel's instruction set; any race, bad access, leak or undefined
-        # behaviour, or a check of its own, exits non-zero
+        # tests/rk4_harness.c drives rk4_advance on 1-4 workers, rk4_reach, rk4_sample, rk4_export,
+        # rk4_toroidal, rk4_place and rk4_pad, built with the kernel's instruction set; any race, bad access,
+        # leak or undefined behaviour, or a check of its own, exits non-zero
         harness = tmp_path / "harness"
         isa = [flag for flag in KERNEL_FLAGS if flag.startswith("-m")]
         command = ["gcc", "-g", "-O1", "-pthread", *isa, f"-fsanitize={sanitizers}", "-fno-sanitize-recover=all",

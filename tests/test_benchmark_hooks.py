@@ -46,10 +46,11 @@ def test_workload_config_reloads_from_its_canonical_text(tmp_path, workload, see
 
 
 @pytest.mark.parametrize("traced", [False, True], ids=["untraced", "traced"])
-@pytest.mark.parametrize("workload", ["toroidal-gllma", "smoke"])
+@pytest.mark.parametrize("workload", ["toroidal-gllma", "abc-oracle", "jets-queued", "smoke"])
 def test_workload_run_passes_the_output_check(tmp_path, workload, traced):
     # perfbench fails a run whose curves differ from the one-rank oracle's, or whose lif.csv and work
-    # fields differ from reference.json; toroidal-gllma is 64^3, whose lattice rasterizes in several slabs
+    # fields differ from reference.json; the measured workloads are 64^3 lattices of each field, written
+    # by the kernel library's rk4_toroidal or rk4_place and padded by its rk4_pad
     from diffadvect import cli
 
     config = _WORKLOADS.config_for(workload, 0)

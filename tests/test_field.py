@@ -25,6 +25,15 @@ class NumpyToroidal:
         return AnalyticField("toroidal").components(x, y, z)
 
 
+class DuckField:
+    """A field that is not an AnalyticField, whose components are those of the given function."""
+
+    kind = "duck"
+
+    def __init__(self, components):
+        self.components = components
+
+
 class LinearField:
     """v = (x, 2y, -z): trilinear interpolation reproduces it exactly."""
 
@@ -151,6 +160,39 @@ class TestRasterize:
                 assert rasterize_global(f, res).tobytes() == whole.tobytes()
                 assert not padded.flags.writeable
 
+    @pytest.mark.parametrize("components", [
+        lambda x, y, z: (1.5, 2.0 * y, -z),
+        lambda x, y, z: (np.rint(100.0 * x).astype(np.int64), (y / 3.0).astype(np.float32), z * x),
+        lambda x, y, z: (np.stack((z, -z), axis=-1)[..., 1], np.negative((x + y)[:, ::-1])[:, ::-1], y),
+        lambda x, y, z: (x * y * z, x + y + z, np.asfortranarray(np.broadcast_arrays(x, y, z)[1] + 0.0)),
+    ], ids=["python-float", "int64-and-float32", "non-contiguous-views", "full-3d"])
+    @pytest.mark.parametrize("slab_nodes", [1 << 18, 700])
+    def test_duck_typed_components_write_the_assigned_bytes(self, components, slab_nodes, monkeypatch):
+        # whatever a field's components are, the lattice holds what assigning each to a float64 array of the
+        # evaluation points gives, padded by edge replication
+        monkeypatch.setattr(field_module, "_SLAB_NODES", slab_nodes)
+        for res in [(21, 17, 19), (2, 31, 23)]:
+            s = lattice_spacing(res)
+            points = np.meshgrid(*[np.arange(r, dtype=np.float64) * s[a] for a, r in enumerate(res)], indexing="ij")
+            whole = np.empty(res + (3,))
+            for d, v in enumerate(components(*points)):
+                whole[..., d] = v
+            expected = np.pad(whole, ((1, 1), (1, 1), (1, 1), (0, 0)), mode="edge")
+            assert rasterize_global(DuckField(components), res, padded=True).tobytes() == expected.tobytes(), res
+
+    def test_duck_typed_components_that_are_nan_or_do_not_broadcast_are_refused(self):
+        with pytest.raises(ConfigError, match="not finite on the lattice"):
+            rasterize_global(DuckField(lambda x, y, z: (x, math.nan, z)), (9, 8, 7))
+        with pytest.raises(ValueError):
+            rasterize_global(DuckField(lambda x, y, z: (x, y, np.zeros(z.shape[-1] + 1))), (9, 8, 7))
+        with pytest.raises(ValueError):
+            rasterize_global(DuckField(lambda x, y, z: (x, y)), (9, 8, 7))
+
+    def test_global_data_of_another_shape_is_refused(self):
+        g = rasterize_global(AnalyticField("abc"), (8, 8, 8))
+        with pytest.raises(ConfigError, match="global_data has shape"):
+            rasterize_block(AnalyticField("abc"), (8, 8, 8), (0, 0, 0), (8, 8, 8), global_data=g[:1])
+
     @pytest.mark.parametrize("slab_nodes", [1 << 18, 700])
     def test_ghost_margin_reads_a_negative_extreme_in_the_last_slab(self, slab_nodes, monkeypatch):
         # max|v| is vx = -3 on the x = 1 plane, the last slab's at both sizes; the largest value is only
@@ -190,7 +232,7 @@ class TestRasterize:
 
     @pytest.mark.parametrize("kind, bound", [("abc", 1.5), ("jets", 1.5), ("toroidal", 1.05)])
     def test_default_slab_peak_at_64_cubed(self, kind, bound):
-        # the default slab holds 16 of the 64 x-planes, and abc's and jets' components are planes; the
+        # the default slab holds all 64 x-planes, and abc's and jets' components are planes; the
         # toroidal field's compiled pass writes the padded lattice and allocates nothing more (1.016 times it)
         f = AnalyticField(kind)
         padded_bytes = 66 ** 3 * 24
