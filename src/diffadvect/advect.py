@@ -474,8 +474,8 @@ def read_curves(path):
     """Read a line-set file back; returns ``(header, dict pid -> float32 verts)``.
 
     Raises ``ValueError`` unless the header describes the payload exactly:
-    ``particle_count`` distinct ids and as many vertex counts, all ints >= 0,
-    then exactly the counts' vertices.
+    ``particle_count`` distinct ids and as many vertex counts, all ints that
+    int64 holds and >= 0, then exactly the counts' vertices.
     """
     with open(path, "rb") as fh:
         header = json.loads(fh.readline().decode("utf-8"))
@@ -483,8 +483,8 @@ def read_curves(path):
     ids, counts = header["particle_ids"], header["vertex_counts"]
     if not len(set(ids)) == len(ids) == len(counts) == header["particle_count"]:
         raise ValueError("particle_ids repeat an id, or disagree with vertex_counts or particle_count")
-    if not all(type(n) is int and n >= 0 for n in ids + counts):
-        raise ValueError("a particle id or vertex count is not an int >= 0")
+    if not all(type(n) is int and 0 <= n < 2**63 for n in ids + counts):
+        raise ValueError("a particle id or vertex count is not an int in [0, 2**63)")
     if len(payload) != 12 * sum(counts):
         raise ValueError(f"the payload has {len(payload)} bytes; the vertex counts need {12 * sum(counts)}")
     vertices = np.frombuffer(payload, dtype="<f4").reshape(-1, 3)

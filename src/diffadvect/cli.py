@@ -7,8 +7,8 @@ Subcommands:
 * ``compare``       -- speedup table from summary.json files (CSV to stdout)
 * ``export-curves`` -- re-emit a run's geometry file
 
-Exit codes: 0 success, 2 configuration error, 3 invariant violation,
-4 round-cap exceeded.
+Exit codes: 0 success, 2 configuration error or a file that cannot be read
+or written, 3 invariant violation, 4 round-cap exceeded.
 """
 
 from __future__ import annotations
@@ -75,9 +75,12 @@ def _config_from_args(args) -> tuple[RunConfig, list[str]]:
 
 
 def _output_problems(path: Path) -> list[str]:
-    """A problem if ``path``, or the nearest of its parents that exists, is not a directory."""
+    """A problem if ``path`` or its nearest existing parent is not a directory, or per run artifact there not a file."""
     existing = next(p for p in (path, *path.parents) if p.exists())
-    return [] if existing.is_dir() else [f"output: {existing} exists and is not a directory"]
+    if not existing.is_dir():
+        return [f"output: {existing} exists and is not a directory"]
+    files = (path / name for name in ("rounds.csv", "lif.csv", "summary.json", "config.txt", "curves.bin"))
+    return [f"output: {f} exists and is not a file" for f in files if f.exists() and not f.is_file()]
 
 
 def _require_no_problems(problems: list[str]) -> None:
@@ -222,8 +225,6 @@ def _cmd_export_curves(args) -> int:
     try:
         header, curves = read_curves(src)
         export_curves(args.out, [CurveRecord.of(curves)], config_hash=header.get("config_hash"))
-    except OSError as exc:
-        raise ConfigError(f"{exc.filename}: {exc.strerror}") from exc
     except (ValueError, KeyError, TypeError) as exc:
         raise ConfigError(f"{src}: not a curves file: {exc!r}") from exc
     print(f"wrote {args.out}: {len(curves)} curves")
@@ -272,6 +273,9 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         for err in exc.errors:
             print(f"config error: {err}", file=sys.stderr)
+        return EXIT_CONFIG
+    except OSError as exc:  # a file a command reads or writes, past the checks made before it starts
+        print(f"config error: {exc.filename or 'a file'}: {exc.strerror or exc}", file=sys.stderr)
         return EXIT_CONFIG
     except RoundLimitError as exc:
         print(f"round cap exceeded: {exc}", file=sys.stderr)

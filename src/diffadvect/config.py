@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import hashlib
 import math
+import numbers
 from dataclasses import dataclass, field as dc_field, replace
 
 from .balance import SCHEDULERS
@@ -69,6 +70,23 @@ def _parse_bool(text: str) -> bool:
     raise ValueError(f"expected a boolean, got {text!r}")
 
 
+# Per checked setting: a test of the type its parser in SETTINGS makes, that type's name, and the range a run
+# needs. A value of another type is listed, as the parser lists its text, and nothing else reads it.
+_INT = (lambda v: isinstance(v, numbers.Integral), "an integer")
+_NUMBER = (lambda v: isinstance(v, numbers.Real), "a number")
+_TRIPLE = (lambda v: isinstance(v, (tuple, list)) and len(v) == 3 and all(map(_INT[0], v)), "three integers")
+_CHECKS = {
+    "resolution": (*_TRIPLE, lambda v: min(v) >= 2, "needs three axes of >= 2 voxels"),
+    "grid": (*_TRIPLE, lambda v: min(v) >= 1, "dims must be three integers >= 1"),  # or None
+    "nodes": (*_INT, lambda v: v >= 1, "must be >= 1"),  # or None
+    "aabb_scale": (*_NUMBER, lambda v: 0.0 < v <= 1.0, "must be in (0, 1]"),
+    "stride": (*_TRIPLE, lambda v: min(v) >= 1, "must be three integers >= 1"),
+    "step": (*_NUMBER, lambda v: math.isfinite(v) and v > 0.0, "must be positive and finite"),
+    "max_iterations": (*_INT, lambda v: 1 <= v <= _MAX_ITER_CAP, f"must be in [1, {_MAX_ITER_CAP}]"),
+    "particles_per_round": (*_INT, lambda v: v >= 1, "must be >= 1"),
+}
+
+
 @dataclass
 class RunConfig:
     field: str = "abc"
@@ -102,40 +120,33 @@ class RunConfig:
                 AnalyticField(self.field, dict(self.field_params))
             except ConfigError as exc:
                 errors.append(f"field params: {exc}")
-        lattice_bytes = math.prod(r + 2 for r in self.resolution) * 24
-        if len(self.resolution) != 3 or any(r < 2 for r in self.resolution):
-            errors.append(f"resolution: needs three axes of >= 2 voxels, got {self.resolution}")
-        elif lattice_bytes > LATTICE_CAP_BYTES:
+        if self.scheduler not in SCHEDULERS:
+            errors.append(f"scheduler: unknown token {self.scheduler!r}; expected one of {SCHEDULERS}")
+        ok = set()  # the checked settings of their type and in range
+        for key, (is_kind, kind, in_range, need) in _CHECKS.items():
+            value = getattr(self, key)
+            if value is None and key in ("grid", "nodes"):
+                continue
+            if not is_kind(value):
+                errors.append(f"{key}: expected {kind}, got {value!r}")
+            elif not in_range(value):
+                errors.append(f"{key}: {need}, got {value}")
+            else:
+                ok.add(key)
+        lattice_bytes = math.prod(r + 2 for r in self.resolution) * 24 if "resolution" in ok else 0
+        if lattice_bytes > LATTICE_CAP_BYTES:
             errors.append(f"resolution: the padded field lattice needs {lattice_bytes / 2**30:.3g} GiB, "
                           f"above the {LATTICE_CAP_BYTES / 2**30:g} GiB cap")
-        if self.grid is not None:
-            if len(self.grid) != 3 or any(d < 1 for d in self.grid):
-                errors.append(f"grid: dims must be three integers >= 1, got {self.grid}")
-            elif math.prod(self.grid) > RANK_CAP:
-                errors.append(f"grid: {math.prod(self.grid)} ranks exceed the cap of {RANK_CAP}")
-            if self.nodes is not None and self.nodes != math.prod(self.grid):
-                errors.append(f"grid {self.grid} and nodes {self.nodes} disagree")
-        elif self.nodes is not None and self.nodes < 1:
-            errors.append(f"nodes: must be >= 1, got {self.nodes}")
-        if self.nodes is not None and self.nodes > RANK_CAP:
+        if "grid" in ok and math.prod(self.grid) > RANK_CAP:
+            errors.append(f"grid: {math.prod(self.grid)} ranks exceed the cap of {RANK_CAP}")
+        if {"grid", "nodes"} <= ok and self.nodes != math.prod(self.grid):
+            errors.append(f"grid {self.grid} and nodes {self.nodes} disagree")
+        if "nodes" in ok and self.nodes > RANK_CAP:
             errors.append(f"nodes: {self.nodes} ranks exceed the cap of {RANK_CAP}")
-        dims = None
-        if not any(e.startswith(("resolution", "nodes")) for e in errors):
+        if not any(e.startswith(("resolution", "grid", "nodes")) for e in errors):
             dims = self.grid_dims()
             if any(r < d for r, d in zip(self.resolution, dims)):
                 errors.append(f"resolution {self.resolution} smaller than grid {dims} on some axis")
-        if self.scheduler not in SCHEDULERS:
-            errors.append(f"scheduler: unknown token {self.scheduler!r}; expected one of {SCHEDULERS}")
-        if not (0.0 < self.aabb_scale <= 1.0):
-            errors.append(f"aabb_scale: must be in (0, 1], got {self.aabb_scale}")
-        if len(self.stride) != 3 or any(s < 1 for s in self.stride):
-            errors.append(f"stride: must be three integers >= 1, got {self.stride}")
-        if not (math.isfinite(self.step) and self.step > 0.0):
-            errors.append(f"step: must be positive and finite, got {self.step}")
-        if not (1 <= self.max_iterations <= _MAX_ITER_CAP):
-            errors.append(f"max_iterations: must be in [1, {_MAX_ITER_CAP}], got {self.max_iterations}")
-        if self.particles_per_round < 1:
-            errors.append(f"particles_per_round: must be >= 1, got {self.particles_per_round}")
         if not any(e.startswith(("resolution:", "aabb_scale", "stride")) for e in errors):  # axes capped, seedable
             need = self.seed_table_bytes()
             if need > SEED_TABLE_CAP_BYTES:
@@ -144,7 +155,7 @@ class RunConfig:
                     f"(seeds x {SEED_BYTES} B), above the {SEED_TABLE_CAP_BYTES / 2**30:g} GiB cap; "
                     f"raise stride, or lower aabb_scale or resolution")
         inputs = ("resolution", "grid", "nodes", "aabb_scale", "stride", "max_iterations", "particles_per_round")
-        if self.export_curves and dims is not None and not any(e.startswith(inputs) for e in errors):
+        if self.export_curves and not any(e.startswith(inputs) for e in errors):  # every input valid
             need = self.round_buffer_bytes()
             if need > ROUND_BUFFER_CAP_BYTES:
                 errors.append(

@@ -32,6 +32,7 @@ fractional node coordinates.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field as dc_field
 from functools import cached_property
 
@@ -69,9 +70,9 @@ class AnalyticField:
         for key, value in self.params.items():
             if key not in merged:
                 raise ConfigError(f"field {self.kind!r} has no parameter {key!r}")
+            if not (isinstance(value, numbers.Real) and math.isfinite(value)):
+                raise ConfigError(f"field {self.kind!r} parameter {key!r} must be a finite number, got {value!r}")
             merged[key] = float(value)
-            if not math.isfinite(merged[key]):
-                raise ConfigError(f"field {self.kind!r} parameter {key!r} must be finite, got {value}")
         object.__setattr__(self, "params", merged)
 
     def components(self, x, y, z) -> tuple:

@@ -49,7 +49,7 @@ from .errors import InvariantError, RoundLimitError
 from .field import AnalyticField, Block, lattice_spacing, rasterize_global, seed_axes
 from .metrics import ROUNDS_CSV_COLUMNS, STAGE_COLUMNS, round_table
 from .particles import ParticleSet, concat_particles  # noqa: F401  (unused; perfbench/spans.py traces it here)
-from .topology import ProcessGrid, decompose, neighbor_table
+from .topology import ProcessGrid, decompose, neighbor_table, node_ranks
 
 ROUND_CAP = 100_000
 
@@ -87,24 +87,19 @@ class RunResult:
         return int(self.records.integrate_steps.sum())
 
 
-def seed_particles(resolution, aabb_scale: float, stride, origin, grid: ProcessGrid,
-                   max_iterations: int) -> ParticleSet:
+def seed_particles(resolution, aabb_scale: float, stride, grid: ProcessGrid, max_iterations: int) -> ParticleSet:
     """Seed particles on the global voxel lattice inside a centered box.
 
     Every node of :func:`field.seed_axes` becomes a seed, with the node's
-    index in lattice order, x fastest, as its id, at home on the rank whose
-    core extent contains the node, given the ranks' block origins from
-    :func:`topology.decompose`. Returns the world table in home order and
-    within each home in id order: each rank's queue, one run of rows. The
-    inputs are a :class:`RunConfig`'s, which :meth:`RunConfig.validate` checks.
+    index in lattice order, x fastest, as its id, at home on the rank
+    :func:`topology.node_ranks` gives it, whose core extent contains the node.
+    Returns the world table in home order and within each home in id order:
+    each rank's queue, one run of rows. The inputs are a :class:`RunConfig`'s,
+    which :meth:`RunConfig.validate` checks.
     """
     spacing = lattice_spacing(resolution)
     axes = seed_axes(resolution, aabb_scale, stride)
-    # Each node's block index per axis, via the split starts; their (nz, ny, nx)
-    # broadcast, raveled, is each seed's home in lattice order.
-    bx, by, bz = (np.searchsorted(sorted(set(origin[:, a].tolist())), axes[a], side="right") - 1 for a in range(3))
-    dx, dy, _ = grid.dims
-    home = (bz[:, None, None] * dy + by[:, None]) * dx + bx
+    home = node_ranks(grid, resolution, axes)
     # Each position column is filled in home order from its axis, with no lattice-order copy of the
     # positions alive beside it: lattice index i is node i // span % len(axes[a]) of axis a.
     order = np.argsort(home, axis=None, kind="stable")
@@ -135,8 +130,8 @@ class Simulator:
         self.blocks = Block(lattice, lattice_spacing(config.resolution), *decompose(self.grid, config.resolution))
         # neighbors[r, d]: rank r's face neighbor in direction d, -1 at the domain hull.
         self.neighbors = neighbor_table(self.grid)
-        self.particles = seed_particles(config.resolution, config.aabb_scale, config.stride, self.blocks.origin,
-                                        self.grid, config.max_iterations)
+        self.particles = seed_particles(config.resolution, config.aabb_scale, config.stride, self.grid,
+                                        config.max_iterations)
         self.seed_count = len(self.particles)
         self.terminated = self.exited = 0
         self.store = CurveStore(collect=config.export_curves)

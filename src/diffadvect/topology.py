@@ -1,16 +1,16 @@
 """Cartesian process-grid bookkeeping, as tables indexed by rank.
 
-Ranks live on a 3D grid with x varying fastest. A rank's neighbors are the
+This module alone numbers the ranks, x fastest (:func:`coords_to_rank`), and
+splits the lattice: each axis near-evenly, part ``k`` of ``d`` from voxel
+``k*(r//d) + min(k, r%d)`` of ``r``. :func:`decompose` gives the ranks' blocks
+and :func:`node_ranks` each seeding node's rank. A rank's neighbors are the
 face-adjacent ranks only (no diagonals) in the fixed direction order
-``(-x, +x, -y, +y, -z, +z)``: :func:`neighbor_table` gives them as one
-``(ranks, 6)`` table, and every transfer in the balancer and the runtime is a
-column of it. :func:`decompose` gives the ranks' block bounds as two
-``(ranks, 3)`` arrays.
+``(-x, +x, -y, +y, -z, +z)``, as one ``(ranks, 6)`` :func:`neighbor_table`:
+every transfer in the balancer and the runtime is a column of it.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -41,29 +41,20 @@ class ProcessGrid:
         return dx * dy * dz
 
 
-def coords_to_rank(grid: ProcessGrid, coords) -> int:
-    x, y, z = (int(c) for c in coords)
-    dx, dy, dz = grid.dims
-    if not (0 <= x < dx and 0 <= y < dy and 0 <= z < dz):
-        raise ConfigError(f"coords {coords} outside grid {grid.dims}")
-    return (z * dy + y) * dx + x
+def coords_to_rank(grid: ProcessGrid, coords):
+    """The rank at grid coordinates ``(x, y, z)``: numpy's ravel order over the reversed dims, broadcast."""
+    try:
+        return np.ravel_multi_index(tuple(coords)[::-1], grid.dims[::-1])
+    except ValueError:
+        raise ConfigError(f"coords {coords} outside grid {grid.dims}") from None
 
 
-def rank_to_coords(grid: ProcessGrid, rank: int) -> tuple[int, int, int]:
-    rank = int(rank)
-    if not (0 <= rank < grid.rank_count):
-        raise ConfigError(f"rank {rank} outside grid of {grid.rank_count} ranks")
-    dx, dy, _ = grid.dims
-    x = rank % dx
-    y = (rank // dx) % dy
-    z = rank // (dx * dy)
-    return (x, y, z)
-
-
-def _coords(grid: ProcessGrid) -> np.ndarray:
-    """``(ranks, 3)`` grid coordinates of every rank."""
-    dx, dy, _ = grid.dims
-    return np.arange(grid.rank_count, dtype=np.int64)[:, np.newaxis] // np.array([1, dx, dx * dy]) % grid.dims
+def rank_to_coords(grid: ProcessGrid, rank):
+    """The grid coordinates ``(x, y, z)`` of ``rank``, a number or an array, as :func:`coords_to_rank` numbers it."""
+    try:
+        return np.unravel_index(rank, grid.dims[::-1])[::-1]
+    except ValueError:
+        raise ConfigError(f"rank {rank} outside grid of {grid.rank_count} ranks") from None
 
 
 def neighbor_table(grid: ProcessGrid) -> np.ndarray:
@@ -73,24 +64,22 @@ def neighbor_table(grid: ProcessGrid) -> np.ndarray:
     a particle leaves the global domain only by a step the kernel reports
     exited.
     """
-    coords, ranks = _coords(grid), np.arange(grid.rank_count, dtype=np.int64)
-    table = np.empty((grid.rank_count, 6), dtype=np.int64)
-    for d, (axis, sign) in enumerate(zip(DIR_AXIS, DIR_SIGN)):
-        stepped = coords[:, axis] + sign
-        inside = (stepped >= 0) & (stepped < grid.dims[axis])
-        table[:, d] = np.where(inside, ranks + sign * math.prod(grid.dims[:axis]), -1)
-    return table
+    steps = np.array(DIR_SIGN)[:, np.newaxis] * np.eye(3, dtype=np.int64)[list(DIR_AXIS)]  # row d: d's step
+    stepped = np.stack(rank_to_coords(grid, np.arange(grid.rank_count)), axis=1)[:, np.newaxis] + steps
+    inside = ((stepped >= 0) & (stepped < grid.dims)).all(axis=2)
+    # A step through the hull is wrapped onto the grid to be numbered, and then masked.
+    return np.where(inside, coords_to_rank(grid, np.moveaxis(stepped % grid.dims, 2, 0)), -1)
 
 
-def split_axis(extent: int, parts: int) -> list[tuple[int, int]]:
-    """Near-even 1D split; the remainder goes to the lowest-coordinate parts."""
-    base, rem = divmod(extent, parts)
-    out, start = [], 0
-    for i in range(parts):
-        size = base + (1 if i < rem else 0)
-        out.append((start, size))
-        start += size
-    return out
+def _splits(grid: ProcessGrid, resolution) -> list[np.ndarray]:
+    """Per axis, the ``d + 1`` bounds of its near-even split: part ``k`` spans voxels ``[s[k], s[k + 1])``."""
+    res = tuple(int(r) for r in resolution)
+    if len(res) != 3 or any(r < 1 for r in res):
+        raise ConfigError(f"resolution must be three positive integers, got {resolution}")
+    if any(r < d for r, d in zip(res, grid.dims)):
+        raise ConfigError(f"resolution {res} smaller than grid {grid.dims} on some axis")
+    ks = (np.arange(d + 1) for d in grid.dims)
+    return [k * (r // d) + np.minimum(k, r % d) for k, r, d in zip(ks, res, grid.dims)]
 
 
 def decompose(grid: ProcessGrid, global_resolution) -> tuple[np.ndarray, np.ndarray]:
@@ -100,14 +89,18 @@ def decompose(grid: ProcessGrid, global_resolution) -> tuple[np.ndarray, np.ndar
     ``r`` is rank ``r``'s extent. The core extents are pairwise disjoint and
     cover the lattice.
     """
-    res = tuple(int(r) for r in global_resolution)
-    if len(res) != 3 or any(r < 1 for r in res):
-        raise ConfigError(f"resolution must be three positive integers, got {global_resolution}")
-    if any(r < d for r, d in zip(res, grid.dims)):
-        raise ConfigError(f"resolution {res} smaller than grid {grid.dims} on some axis")
-    coords = _coords(grid)
-    splits = [np.array(split_axis(res[a], grid.dims[a]), dtype=np.int64)[coords[:, a]] for a in range(3)]
-    return np.stack([s[:, 0] for s in splits], axis=1), np.stack([s[:, 1] for s in splits], axis=1)
+    splits, coords = _splits(grid, global_resolution), rank_to_coords(grid, np.arange(grid.rank_count))
+    origin, end = (np.stack([s[c + i] for s, c in zip(splits, coords)], axis=1) for i in (0, 1))
+    return origin, end - origin
+
+
+def node_ranks(grid: ProcessGrid, resolution, axes) -> np.ndarray:
+    """The rank whose core holds each node of ``axes``, each axis's node indices (:func:`field.seed_axes`).
+
+    The ranks are the axes' ``(nz, ny, nx)`` broadcast, so raveled they run in lattice order, x fastest.
+    """
+    parts = [np.searchsorted(s, n, side="right") - 1 for s, n in zip(_splits(grid, resolution), axes)]
+    return coords_to_rank(grid, np.ix_(*parts[::-1])[::-1])
 
 
 def most_cubic_dims(node_count: int) -> tuple[int, int, int]:

@@ -150,10 +150,15 @@ class TestConfigParsing:
     @pytest.mark.parametrize("settings_", [
         dict(resolution=(8, 8)), dict(resolution=(8, 8, 8, 8)), dict(stride=(2, 2)), dict(stride=(2, 2, 2, 2)),
         dict(grid=(2, 2)), dict(grid=(2, 2), nodes=4), dict(grid=(1, 1, 1, 1)),
+        # a library value of a type the file parser would not make; the run's config.txt must read back
+        dict(particles_per_round=2.5), dict(aabb_scale="0.5"), dict(step="0.001"), dict(field_params={"A": "x"}),
+        dict(resolution=(16.5, 16, 16)), dict(stride=(2.5, 2, 2)), dict(grid=(2.5, 1, 1)), dict(nodes=2.5),
+        dict(max_iterations=10.5),
     ])
     def test_axis_that_is_not_a_triple_is_a_listed_problem(self, settings_):
         # listed beside every other problem, and the seed-table and curve-log estimates skip it
-        [key] = [k for k in settings_ if k != "nodes"]
+        [key] = [k for k in settings_ if k != "nodes" or len(settings_) == 1]
+        key = {"field_params": "field params"}.get(key, key)
         problems = RunConfig(scheduler="foo", **settings_).validate()
         assert sorted(p.split(":")[0] for p in problems) == sorted([key, "scheduler"])
 
@@ -629,6 +634,7 @@ class TestExportCurves:
         "particle_count disagrees": (dict(particle_count=3, particle_ids=[0, 1], vertex_counts=[1, 1]), 24),
         "repeated id": (dict(particle_count=2, particle_ids=[4, 4], vertex_counts=[1, 1]), 24),
         "id not an int": (dict(particle_count=1, particle_ids=["7"], vertex_counts=[1]), 12),
+        "id beyond int64": (dict(particle_count=1, particle_ids=[2**70], vertex_counts=[1]), 12),
         "negative count": (dict(particle_count=2, particle_ids=[0, 1], vertex_counts=[3, -1]), 24),
         "count not an int": (dict(particle_count=1, particle_ids=[0], vertex_counts=[1.0]), 12),
         "count is a bool": (dict(particle_count=1, particle_ids=[0], vertex_counts=[True]), 12),
@@ -711,6 +717,21 @@ class TestOutputPaths:
         err = capsys.readouterr().err.splitlines()
         assert err == [f"config error: output: {out / 'lma'} exists and is not a directory"]
 
+    @pytest.mark.parametrize("name", ["rounds.csv", "lif.csv", "summary.json", "config.txt", "curves.bin"])
+    @pytest.mark.parametrize("curves", ["true", "false"])
+    def test_run_artifact_that_is_a_directory(self, tmp_path, capsys, name, curves):
+        # with curves off, an earlier run's curves.bin is unlinked, which a directory there would refuse
+        (tmp_path / name).mkdir()
+        assert main(["run", "--export-curves", curves, "--output", str(tmp_path)]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert err == [f"config error: output: {tmp_path / name} exists and is not a file"]
+
+    def test_sweep_member_artifact_that_is_a_directory(self, tmp_path, capsys):
+        (tmp_path / "lma" / "rounds.csv").mkdir(parents=True)
+        assert main(["sweep", "--kind", "balance", "--output", str(tmp_path)]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert err == [f"config error: output: {tmp_path / 'lma' / 'rounds.csv'} exists and is not a file"]
+
 
 class TestExitCodes:
     def test_round_cap_maps_to_4(self, tmp_path, monkeypatch):
@@ -742,6 +763,17 @@ class TestExitCodes:
         monkeypatch.setattr(cli, "Simulator", Exploding)
         cfg = write_config(tmp_path, FAST)
         assert main(["run", "--config", str(cfg)]) == 3
+
+    def test_file_error_after_the_checks_maps_to_2_naming_the_file(self, tmp_path, monkeypatch, capsys):
+        from diffadvect import cli
+
+        def unwritable(config, out_dir=None):
+            raise IsADirectoryError(21, "Is a directory", str(tmp_path / "rounds.csv"))
+
+        monkeypatch.setattr(cli, "execute_run", unwritable)
+        cfg = write_config(tmp_path, FAST)
+        assert main(["run", "--config", str(cfg), "--output", str(tmp_path)]) == 2
+        assert capsys.readouterr().err == f"config error: {tmp_path / 'rounds.csv'}: Is a directory\n"
 
 
 _FIELD_PARAMS = {"abc": ("A", "B", "C"), "jets": ("w0",), "toroidal": ("R0", "kappa")}

@@ -52,27 +52,24 @@ def shuffled_queues(p, seed):
 class TestSeeding:
     def test_full_domain_stride8(self):
         grid = ProcessGrid((2, 2, 2))
-        origin, _ = decompose(grid, (64, 64, 64))
-        seeds = seed_particles((64, 64, 64), 1.0, (8, 8, 8), origin, grid, 1000)
+        seeds = seed_particles((64, 64, 64), 1.0, (8, 8, 8), grid, 1000)
         assert len(seeds) == 512
         assert np.bincount(seeds.home, minlength=8).tolist() == [64] * 8
 
     def test_halving_z_stride_doubles_seeds(self):
         grid = ProcessGrid((2, 2, 2))
-        origin, _ = decompose(grid, (64, 64, 64))
-        assert len(seed_particles((64, 64, 64), 1.0, (8, 8, 4), origin, grid, 1000)) == 1024
+        assert len(seed_particles((64, 64, 64), 1.0, (8, 8, 4), grid, 1000)) == 1024
 
     def test_scaled_box_bounds_positions(self):
         grid = ProcessGrid((1, 1, 1))
-        origin, _ = decompose(grid, (64, 64, 64))
-        pos = seed_particles((64, 64, 64), 0.5, (4, 4, 4), origin, grid, 1000).pos
+        pos = seed_particles((64, 64, 64), 0.5, (4, 4, 4), grid, 1000).pos
         assert len(pos) > 0
         assert (pos >= 0.25).all() and (pos <= 0.75).all()
 
     def test_seeds_assigned_to_owning_rank(self):
         grid = ProcessGrid((3, 2, 2))
         origin, core_dims = decompose(grid, (16, 16, 16))
-        seeds = seed_particles((16, 16, 16), 1.0, (2, 2, 2), origin, grid, 10)
+        seeds = seed_particles((16, 16, 16), 1.0, (2, 2, 2), grid, 10)
         # one table in home order, each home's run in id order
         assert (np.diff(seeds.home * len(seeds) + seeds.ids) > 0).all()
         np.testing.assert_array_equal(np.sort(seeds.ids), np.arange(len(seeds)))
@@ -86,7 +83,7 @@ class TestSeeding:
     def test_one_table_in_home_order_on_owning_ranks(self, res, dims, stride, scale):
         grid = ProcessGrid(tuple(min(d, r) for d, r in zip(dims, res)))
         origin, core_dims = decompose(grid, res)
-        seeds = seed_particles(res, scale, stride, origin, grid, 7)
+        seeds = seed_particles(res, scale, stride, grid, 7)
         axes = seed_axes(res, scale, stride)
         iz, iy, ix = (a.ravel() for a in np.meshgrid(axes[2], axes[1], axes[0], indexing="ij"))  # x fastest
         node = np.stack([ix, iy, iz], axis=1)
@@ -105,10 +102,9 @@ class TestSeeding:
         # the table is 48 B per seed (id, xyz, budget, home) and the lattice-order home 8 more; a
         # lattice-order copy of the positions beside the home-order one would add 24
         grid = ProcessGrid((2, 2, 2))
-        origin, _ = decompose(grid, (64, 64, 64))
         tracemalloc.start()
         try:
-            seeds = seed_particles((64, 64, 64), 1.0, (1, 1, 1), origin, grid, 1)
+            seeds = seed_particles((64, 64, 64), 1.0, (1, 1, 1), grid, 1)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -138,7 +134,12 @@ class TestRefusal:
         # 2.1M seeds; 8 ranks run 50,000 rows a round, each logging up to 1,000 vertices of 12 B: 4.47 GiB
         (dict(resolution=(128, 128, 128), stride=(1, 1, 1), grid=(2, 2, 2), scheduler="gllma"), ["export_curves"]),
         (dict(aabb_scale=0.0), ["aabb_scale"]),
-    ], ids=["three-problems", "iterations-over-the-cap", "round-log-over-the-cap", "empty-seed-box"])
+        (dict(particles_per_round=2.5, aabb_scale="0.5", step="0.001", field_params={"A": "x"}, max_iterations=10.5),
+         ["field params", "aabb_scale", "step", "max_iterations", "particles_per_round"]),
+        (dict(resolution=(16.5, 16, 16), stride=(2.5, 2, 2), grid=(2.5, 1, 1)), ["resolution", "grid", "stride"]),
+        (dict(nodes=2.5), ["nodes"]),
+    ], ids=["three-problems", "iterations-over-the-cap", "round-log-over-the-cap", "empty-seed-box",
+            "numbers-of-the-wrong-type", "axes-of-the-wrong-type", "nodes-of-the-wrong-type"])
     def test_the_api_refuses_what_validate_refuses_before_rasterizing(self, monkeypatch, settings_, refused):
         def rasterize(*args, **kwargs):
             raise AssertionError("an invalid configuration was rasterized")

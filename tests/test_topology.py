@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 import diffadvect
 from diffadvect.errors import ConfigError
+from diffadvect.field import seed_axes
 from diffadvect.topology import (
     DIR_AXIS,
     DIR_SIGN,
@@ -14,8 +15,8 @@ from diffadvect.topology import (
     decompose,
     most_cubic_dims,
     neighbor_table,
+    node_ranks,
     rank_to_coords,
-    split_axis,
 )
 
 grids = st.tuples(st.integers(1, 5), st.integers(1, 5), st.integers(1, 5))
@@ -38,6 +39,19 @@ class TestRankCoords:
             rank_to_coords(g, 8)
         with pytest.raises(ConfigError):
             rank_to_coords(g, -1)
+
+    def test_out_of_grid_coords_rejected(self):
+        g = ProcessGrid((2, 3, 4))
+        for coords in [(2, 0, 0), (0, 3, 0), (0, 0, 4), (-1, 0, 0), (0, 0, -1)]:
+            with pytest.raises(ConfigError):
+                coords_to_rank(g, coords)
+        with pytest.raises(ConfigError):
+            coords_to_rank(g, (np.array([0, 1]), np.array([2, 3]), 0))
+
+    def test_arrays_of_coords_broadcast(self):
+        g = ProcessGrid((2, 3, 4))
+        ranks = coords_to_rank(g, (np.arange(2)[:, None], np.arange(3), 1))
+        assert ranks.tolist() == [[6, 8, 10], [7, 9, 11]]
 
     @given(grids)
     def test_bijection(self, dims):
@@ -99,8 +113,10 @@ class TestDecompose:
         assert ((neighbor_table(g) >= 0).sum(axis=1) == 3).all()
 
     def test_remainder_goes_to_low_ranks(self):
-        assert split_axis(65, 2) == [(0, 33), (33, 32)]
-        assert split_axis(7, 3) == [(0, 3), (3, 2), (5, 2)]
+        origin, core_dims = decompose(ProcessGrid((2, 1, 1)), (65, 8, 8))
+        assert origin[:, 0].tolist() == [0, 33] and core_dims[:, 0].tolist() == [33, 32]
+        origin, core_dims = decompose(ProcessGrid((1, 1, 3)), (8, 8, 7))
+        assert origin[:, 2].tolist() == [0, 3, 5] and core_dims[:, 2].tolist() == [3, 2, 2]
 
     def test_resolution_smaller_than_grid_rejected(self):
         with pytest.raises(ConfigError):
@@ -114,6 +130,19 @@ class TestDecompose:
         for (ox, oy, oz), (nx, ny, nz) in zip(*decompose(g, res)):
             covered[ox:ox + nx, oy:oy + ny, oz:oz + nz] += 1
         assert (covered == 1).all()
+
+    @given(grids, st.tuples(st.integers(5, 40), st.integers(5, 40), st.integers(5, 40)),
+           st.tuples(st.integers(1, 6), st.integers(1, 6), st.integers(1, 6)))
+    @settings(max_examples=40)
+    def test_every_node_lies_in_its_ranks_core(self, dims, res, stride):
+        g = ProcessGrid(dims)
+        origin, core_dims = decompose(g, res)
+        axes = seed_axes(res, 1.0, stride)
+        ranks = node_ranks(g, res, axes)
+        assert ranks.shape == tuple(len(a) for a in axes[::-1])
+        node = np.stack([a.ravel() for a in np.meshgrid(*axes[::-1], indexing="ij")[::-1]], axis=1)  # x fastest
+        home = ranks.ravel()
+        assert ((node >= origin[home]) & (node < (origin + core_dims)[home])).all()
 
 
 class TestRouting:
